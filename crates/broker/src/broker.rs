@@ -344,7 +344,9 @@ impl Broker {
 
     /// Subscribes `subscriber` to `channel(params)`, merging with an
     /// existing backend subscription when one matches (`SUBSCRIBE` of
-    /// Algorithm 1).
+    /// Algorithm 1). Idempotent: a subscriber that already holds this
+    /// `channel(params)` gets its existing frontend subscription back,
+    /// markers and cache attachment untouched.
     ///
     /// # Errors
     ///
@@ -1001,6 +1003,49 @@ mod tests {
         // Now fully consumed: dropped from the cache.
         assert_eq!(broker.cache().total_bytes(), ByteSize::ZERO);
         assert_eq!(broker.cache().metrics().consumed_objects, 1);
+    }
+
+    /// A repeated `subscribe` used to mint a second frontend on the
+    /// same backend. Consumption is keyed by subscriber, so the first
+    /// frontend's ack consumed what the second was owed (hit 0 / miss
+    /// 0), unsubscribing either one detached both from the cache, and
+    /// notifications listed the subscriber twice.
+    #[test]
+    fn duplicate_subscription_is_idempotent() {
+        let (mut cluster, mut broker) = setup();
+        let alice = SubscriberId::new(1);
+        let bob = SubscriberId::new(2);
+        let f1 = broker
+            .subscribe(&mut cluster, alice, "ByKind", params("fire"), t(0))
+            .unwrap();
+        let fb = broker
+            .subscribe(&mut cluster, bob, "ByKind", params("fire"), t(0))
+            .unwrap();
+        let f2 = broker
+            .subscribe(&mut cluster, alice, "ByKind", params("fire"), t(0))
+            .unwrap();
+        assert_eq!(f1, f2);
+        assert_eq!(broker.subscriptions().frontend_count(), 2);
+
+        let n = publish(&mut cluster, 1, "fire");
+        let outcome = broker.on_notification(&mut cluster, n[0], t(1));
+        let mut notified = outcome.notify;
+        notified.sort();
+        assert_eq!(notified, vec![alice, bob], "each subscriber once");
+
+        // Whichever id the client kept, the object it is owed arrives,
+        // exactly once.
+        let d = broker.get_results(&mut cluster, alice, f2, t(2)).unwrap();
+        assert_eq!((d.hit_objects, d.miss_objects), (1, 0));
+        let again = broker.get_results(&mut cluster, alice, f1, t(3)).unwrap();
+        assert_eq!(again.total_objects(), 0);
+
+        // Unsubscribing ends the subscription outright — the id is dead,
+        // not silently empty — and leaves bob's share in the cache.
+        broker.unsubscribe(&mut cluster, alice, f1, t(4)).unwrap();
+        assert!(broker.get_results(&mut cluster, alice, f2, t(5)).is_err());
+        let db = broker.get_results(&mut cluster, bob, fb, t(5)).unwrap();
+        assert_eq!((db.hit_objects, db.miss_objects), (1, 0));
     }
 
     #[test]

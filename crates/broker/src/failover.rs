@@ -175,6 +175,15 @@ impl BrokerFleet {
         let broker_id = self.bcs.assign(subscriber)?;
         let broker = self.brokers.get_mut(&broker_id).expect("registered broker");
         let frontend = broker.subscribe(cluster, subscriber, channel, params.clone(), now)?;
+        // `Broker::subscribe` is idempotent; so is the fleet, or a second
+        // handle would dangle once the first is unsubscribed.
+        let held = self
+            .subscriptions
+            .iter()
+            .find(|(_, s)| s.broker == broker_id && s.frontend == frontend);
+        if let Some((&handle, _)) = held {
+            return Ok(handle);
+        }
         let handle = FleetSubId(self.next_handle);
         self.next_handle += 1;
         self.subscriptions.insert(
@@ -466,6 +475,11 @@ mod tests {
         let h2 = fleet
             .subscribe(&mut cluster, alice, "ByKind", params("flood"), t(0))
             .unwrap();
+        // A repeated subscribe returns the held handle.
+        let again = fleet
+            .subscribe(&mut cluster, alice, "ByKind", params("flood"), t(0))
+            .unwrap();
+        assert_eq!(again, h2);
         assert!(fleet.bcs().assignment_of(alice).is_some());
         fleet.unsubscribe(&mut cluster, h1, t(1)).unwrap();
         // Still one live subscription: assignment retained.

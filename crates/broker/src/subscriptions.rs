@@ -54,6 +54,10 @@ pub struct SubscriptionTable {
     merge_keys: HashMap<(String, String), BackendSubId>,
     /// Subscriber -> its frontend subscriptions.
     by_subscriber: HashMap<SubscriberId, BTreeSet<FrontendSubId>>,
+    /// `(subscriber, backend) -> frontend`: a subscriber holds at most
+    /// one frontend per backend, because consumption in the cache is
+    /// keyed by subscriber.
+    by_pair: HashMap<(SubscriberId, BackendSubId), FrontendSubId>,
     fs_ids: IdGen,
 }
 
@@ -114,7 +118,19 @@ impl SubscriptionTable {
         Ok(())
     }
 
-    /// Attaches a new frontend subscription to an existing backend one.
+    /// The frontend subscription `subscriber` holds on `backend`, if any.
+    pub fn find_frontend(
+        &self,
+        subscriber: SubscriberId,
+        backend: BackendSubId,
+    ) -> Option<FrontendSubId> {
+        self.by_pair.get(&(subscriber, backend)).copied()
+    }
+
+    /// Attaches a new frontend subscription to an existing backend one,
+    /// or returns the one `subscriber` already holds on it, untouched:
+    /// the cache tracks retrieval per subscriber, so a second frontend
+    /// would be owed objects the first one's ack already consumed.
     ///
     /// The frontend's `fts` marker starts at `now`: a subscriber "only
     /// receives result objects after its subscription".
@@ -128,12 +144,16 @@ impl SubscriptionTable {
         backend: BackendSubId,
         now: Timestamp,
     ) -> Result<FrontendSubId> {
+        if let Some(held) = self.find_frontend(subscriber, backend) {
+            return Ok(held);
+        }
         let entry = self
             .backends
             .get_mut(&backend)
             .ok_or_else(|| BadError::not_found("backend subscription", backend.to_string()))?;
         let id: FrontendSubId = self.fs_ids.next_id();
         entry.frontends.insert(id);
+        self.by_pair.insert((subscriber, backend), id);
         self.frontends.insert(
             id,
             FrontendSub {
@@ -223,6 +243,7 @@ impl SubscriptionTable {
         }
         let backend = sub.backend;
         self.frontends.remove(&fs);
+        self.by_pair.remove(&(subscriber, backend));
         if let Some(set) = self.by_subscriber.get_mut(&subscriber) {
             set.remove(&fs);
             if set.is_empty() {
@@ -269,6 +290,27 @@ mod tests {
         assert_eq!(table.backend(bs).unwrap().frontends.len(), 2);
         assert_eq!(table.frontend_count(), 2);
         assert_eq!(table.backend_count(), 1);
+    }
+
+    #[test]
+    fn one_frontend_per_subscriber_and_backend() {
+        let mut table = SubscriptionTable::new();
+        let bs = BackendSubId::new(7);
+        table
+            .add_backend(bs, "ByKind", params("fire"), t(0))
+            .unwrap();
+        let alice = SubscriberId::new(1);
+        let first = table.add_frontend(alice, bs, t(1)).unwrap();
+        table.advance_frontend_marker(first, t(5)).unwrap();
+        // A repeat returns the held frontend and leaves its marker alone.
+        assert_eq!(table.add_frontend(alice, bs, t(9)).unwrap(), first);
+        assert_eq!(table.frontend(first).unwrap().last_delivered, t(5));
+        assert_eq!(table.frontend_count(), 1);
+        assert_eq!(table.backend(bs).unwrap().frontends.len(), 1);
+        assert_eq!(table.find_frontend(alice, bs), Some(first));
+        // Once removed, the pair is free again.
+        table.remove_frontend(alice, first).unwrap();
+        assert_eq!(table.find_frontend(alice, bs), None);
     }
 
     #[test]

@@ -80,7 +80,10 @@ proptest! {
                     let fs = broker
                         .subscribe(&mut cluster, subscriber, "ByKind", params, now)
                         .unwrap();
-                    live.push((subscriber, fs));
+                    // Subscribing is idempotent per (subscriber, params).
+                    if !live.contains(&(subscriber, fs)) {
+                        live.push((subscriber, fs));
+                    }
                 }
                 Op::Unsubscribe { nth } => {
                     if live.is_empty() { continue; }

@@ -73,6 +73,15 @@ impl VictimIndex {
     /// candidate) are removed from the index instead, so [`VictimIndex::min`]
     /// only ever returns caches that actually hold an object.
     pub fn update(&mut self, id: BackendSubId, score: f64) {
+        // Every GET reindexes its cache twice and the tail's score
+        // rarely moved; an equal key leaves the ordered set as it is.
+        if self
+            .current
+            .get(&id)
+            .is_some_and(|old| old.to_bits() == score.to_bits())
+        {
+            return;
+        }
         if let Some(old) = self.current.remove(&id) {
             self.ordered.remove(&(OrderedScore(old), id));
         }

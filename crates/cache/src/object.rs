@@ -1,9 +1,6 @@
 //! Cached result objects.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
-
-use bad_types::{ByteSize, ObjectId, SimDuration, SubscriberId, Timestamp};
+use bad_types::{ByteSize, ObjectId, SimDuration, Timestamp};
 
 /// The payload-independent description of a result object handed to the
 /// cache by the broker when the cluster produces a new result.
@@ -22,10 +19,12 @@ pub struct NewObject {
 
 /// A result object resident in a [`crate::ResultCache`].
 ///
-/// Every object tracks the set of subscribers still waiting to retrieve
-/// it (`S(i,j)` in the paper). The object's *caching value* `φ_ij`
-/// depends on that set's size `f_ij` and is what the utility-driven
-/// policies of Section IV-A rank on.
+/// Every object tracks how many subscribers are still waiting to
+/// retrieve it — `f_ij`, the size of the paper's `S(i,j)`. Which
+/// subscribers those are follows from the owning cache's per-subscriber
+/// cursors (see [`crate::ResultCache`]). The object's *caching value*
+/// `φ_ij` depends on `f_ij` and is what the utility-driven policies of
+/// Section IV-A rank on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedObject {
     /// Unique object identifier.
@@ -43,23 +42,19 @@ pub struct CachedObject {
     /// Later TTL recomputations do not move it, mirroring how a cached
     /// object's expiration header is fixed when it is admitted.
     pub frozen_expiry: Timestamp,
-    /// Subscribers attached to the object that have not retrieved it yet.
-    ///
-    /// Shared (`Arc`) with the owning cache's live subscriber list at
-    /// insertion time, so attaching the set is a pointer copy rather
-    /// than a per-object clone; copy-on-write kicks in only when a
-    /// subscriber actually retrieves the object.
-    pub pending: Arc<BTreeSet<SubscriberId>>,
+    /// Number of subscribers attached to the object that have not
+    /// retrieved it yet (`f_ij`).
+    pub pending: u32,
 }
 
 impl CachedObject {
-    /// Builds a resident object from its description, attaching the given
-    /// subscriber set.
+    /// Builds a resident object from its description, pending on
+    /// `pending` subscribers.
     pub fn new(
         desc: NewObject,
         cached_at: Timestamp,
         ttl_at_insert: SimDuration,
-        pending: impl Into<Arc<BTreeSet<SubscriberId>>>,
+        pending: u32,
     ) -> Self {
         Self {
             id: desc.id,
@@ -68,13 +63,13 @@ impl CachedObject {
             fetch_latency: desc.fetch_latency,
             cached_at,
             frozen_expiry: cached_at + ttl_at_insert,
-            pending: pending.into(),
+            pending,
         }
     }
 
     /// Number of subscribers still attached (`f_ij`).
     pub fn fanout(&self) -> usize {
-        self.pending.len()
+        self.pending as usize
     }
 
     /// `f_ij / s_ij` — the LSCz dropping key (uniform utility).
@@ -111,17 +106,13 @@ mod tests {
         }
     }
 
-    fn subs(ids: &[u64]) -> BTreeSet<SubscriberId> {
-        ids.iter().map(|&i| SubscriberId::new(i)).collect()
-    }
-
     #[test]
     fn fanout_counts_pending() {
         let obj = CachedObject::new(
             desc(100, 500),
             Timestamp::ZERO,
             SimDuration::from_secs(60),
-            subs(&[1, 2, 3]),
+            3,
         );
         assert_eq!(obj.fanout(), 3);
     }
@@ -132,7 +123,7 @@ mod tests {
             desc(200, 500),
             Timestamp::ZERO,
             SimDuration::from_secs(60),
-            subs(&[1, 2, 3, 4]),
+            4,
         );
         assert_eq!(obj.subscribers_per_byte(), 4.0 / 200.0);
         assert_eq!(obj.delay_value_per_byte(), 4.0 * 0.5 / 200.0);
@@ -140,12 +131,7 @@ mod tests {
 
     #[test]
     fn zero_size_does_not_divide_by_zero() {
-        let obj = CachedObject::new(
-            desc(0, 500),
-            Timestamp::ZERO,
-            SimDuration::from_secs(60),
-            subs(&[1]),
-        );
+        let obj = CachedObject::new(desc(0, 500), Timestamp::ZERO, SimDuration::from_secs(60), 1);
         assert!(obj.subscribers_per_byte().is_finite());
         assert!(obj.delay_value_per_byte().is_finite());
     }
@@ -156,7 +142,7 @@ mod tests {
             desc(1, 1),
             Timestamp::from_secs(5),
             SimDuration::from_secs(60),
-            subs(&[1]),
+            1,
         );
         assert_eq!(obj.age(Timestamp::from_secs(8)), SimDuration::from_secs(3));
         assert_eq!(

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use bad_types::{BackendSubId, ByteSize, ObjectId, SubscriberId, TimeRange, Timestamp};
 
-use crate::result_cache::{GetPlan, ResultCache};
+use crate::result_cache::{plan_range, GetPlan, ResultCache};
 use crate::sharded::mix64;
 
 /// Deferred bookkeeping for the mailbox: one optimistic GET's hit
@@ -161,52 +161,22 @@ impl CacheSnapshot {
         }
     }
 
-    /// Plans a range retrieval against the snapshot — the exact
-    /// algorithm of [`ResultCache::plan_get`] minus the `last_access`
-    /// touch (replayed later via a [`ReadRecord::Hits`]).
+    /// Plans a range retrieval against the snapshot —
+    /// [`ResultCache::plan_get`] minus the `last_access` touch (replayed
+    /// later via a [`ReadRecord::Hits`]).
     pub(crate) fn plan_get(&self, range: TimeRange) -> GetPlan {
-        if range.is_empty() {
-            return GetPlan {
-                cached: Vec::new(),
-                cached_bytes: ByteSize::ZERO,
-                missed: Vec::new(),
-            };
-        }
-        let covered_from = self.coverage_from;
-        if range.to < covered_from || (range.to == covered_from && !range.closed_right) {
-            return GetPlan::all_missed(range);
-        }
-        let mut missed = Vec::new();
-        if range.from < covered_from {
-            missed.push(TimeRange::half_open(range.from, covered_from));
-        }
-        let gap_start = covered_from.max(range.from);
-        let first_gap = self.gaps.partition_point(|&g| g < gap_start);
-        for &gap in &self.gaps[first_gap..] {
-            if !range.contains(gap) {
-                break;
-            }
-            missed.push(TimeRange::closed(gap, gap));
-        }
-        let mut cached = Vec::new();
-        let mut cached_bytes = ByteSize::ZERO;
-        // Entries are timestamp-ascending, so skip straight to the
-        // first candidate instead of scanning from the tail.
-        let first = self.entries.partition_point(|&(_, ts, _)| ts < range.from);
-        for &(id, ts, size) in &self.entries[first..] {
-            if ts > range.to {
-                break;
-            }
-            if range.contains(ts) {
-                cached.push((id, ts, size));
-                cached_bytes += size;
-            }
-        }
-        GetPlan {
-            cached,
-            cached_bytes,
-            missed,
-        }
+        plan_range(
+            range,
+            self.coverage_from,
+            |from| {
+                let first = self.gaps.partition_point(|&g| g < from);
+                self.gaps[first..].iter().copied()
+            },
+            |from| {
+                let first = self.entries.partition_point(|&(_, ts, _)| ts < from);
+                self.entries[first..].iter().copied()
+            },
+        )
     }
 }
 

@@ -5,10 +5,26 @@
 //! head and old objects are deleted from the tail when needed"
 //! (Section III-C). Internally the deque keeps the oldest object (the
 //! paper's *tail*) at index 0 and the newest (the *head*) at the back.
+//!
+//! An object's subscriber list `S(i,j)` is not materialised. Section
+//! IV-A defines it by attachment time and Algorithm 1 retrieves by
+//! timestamp range, so it is fully determined by one retrieval
+//! **cursor** per attached subscriber — the sequence number of the
+//! first object that subscriber has not retrieved, set at attach to the
+//! next sequence number: `s ∈ S(i,j) ⇔ cursor_s ≤ seq_ij`. Each object
+//! keeps only the count `f_ij = |S(i,j)|`. Cursors are sequence numbers
+//! rather than timestamps because one cluster tick emits several
+//! results at one `ts`, and a subscriber attaching between two of them
+//! is pending on the later one only.
+//!
+//! For `j` older than `k`, `S(i,j) ⊆ S(i,k)`: whoever is still pending
+//! on `j` has been attached since before `j`, so was attached at `k`,
+//! and acks are prefixes, so has not passed `k` either. Fully consumed
+//! objects are therefore always a prefix of the deque and entries only
+//! ever leave from the front.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 use bad_types::{
     BackendSubId, ByteSize, ObjectId, SimDuration, SubscriberId, TimeRange, Timestamp,
@@ -54,16 +70,86 @@ impl GetPlan {
     }
 }
 
+/// The `GET` routine of Algorithm 1 over any timestamp-ascending view
+/// of one cache — the live deque or a published
+/// [`CacheSnapshot`](crate::readpath::CacheSnapshot).
+///
+/// `gaps_from(t)` yields the admission gaps at or after `t`, ascending;
+/// `entries_from(t)` yields `(id, ts, size)` of the resident objects
+/// with `ts >= t`, oldest first. Both callers find that start by binary
+/// search, so a plan costs `O(log n + k)`.
+pub(crate) fn plan_range<G, E>(
+    range: TimeRange,
+    coverage_from: Timestamp,
+    gaps_from: impl FnOnce(Timestamp) -> G,
+    entries_from: impl FnOnce(Timestamp) -> E,
+) -> GetPlan
+where
+    G: Iterator<Item = Timestamp>,
+    E: Iterator<Item = (ObjectId, Timestamp, ByteSize)>,
+{
+    if range.is_empty() {
+        return GetPlan {
+            cached: Vec::new(),
+            cached_bytes: ByteSize::ZERO,
+            missed: Vec::new(),
+        };
+    }
+    if range.to < coverage_from || (range.to == coverage_from && !range.closed_right) {
+        // Case 3: the whole request lies before the covered region.
+        return GetPlan::all_missed(range);
+    }
+
+    // Case 1/2: the covered part of the range is served from the
+    // cache; anything before the coverage watermark is missed, plus
+    // one point range per admission gap inside the request.
+    let mut missed = Vec::new();
+    if range.from < coverage_from {
+        missed.push(TimeRange::half_open(range.from, coverage_from));
+    }
+    for gap in gaps_from(coverage_from.max(range.from)) {
+        if !range.contains(gap) {
+            break;
+        }
+        missed.push(TimeRange::closed(gap, gap));
+    }
+    let mut cached = Vec::new();
+    let mut cached_bytes = ByteSize::ZERO;
+    for (id, ts, size) in entries_from(range.from) {
+        if ts > range.to {
+            break;
+        }
+        if range.contains(ts) {
+            cached.push((id, ts, size));
+            cached_bytes += size;
+        }
+    }
+    GetPlan {
+        cached,
+        cached_bytes,
+        missed,
+    }
+}
+
+/// Position in the deque of the object with sequence number `cursor`,
+/// clamped to the tail when eviction or expiry already took it.
+fn index_of(cursor: u64, base_seq: u64) -> usize {
+    cursor.saturating_sub(base_seq) as usize
+}
+
 /// One backend subscription's in-memory result cache.
 #[derive(Clone, Debug)]
 pub struct ResultCache {
     id: BackendSubId,
     /// Oldest (tail) at the front, newest (head) at the back.
     entries: VecDeque<CachedObject>,
-    /// Subscribers currently attached to the cache (`S(i)`). Kept
-    /// behind an `Arc` so each insert attaches the set by pointer copy
-    /// (see [`CachedObject::pending`]); (un)subscribes copy-on-write.
-    subs: Arc<BTreeSet<SubscriberId>>,
+    /// Sequence number of `entries[0]`; `entries[i]` has sequence
+    /// `base_seq + i`. Bumps on every `pop_front`.
+    base_seq: u64,
+    /// Subscribers currently attached to the cache (`S(i)`), each with
+    /// its retrieval cursor. A cursor left behind `base_seq` by eviction
+    /// or expiry means "at the tail".
+    subs: BTreeMap<SubscriberId, u64>,
     total_bytes: ByteSize,
     /// Last time a subscriber retrieved from this cache (LRU key).
     last_access: Timestamp,
@@ -92,7 +178,8 @@ impl ResultCache {
         Self {
             id,
             entries: VecDeque::new(),
-            subs: Arc::new(BTreeSet::new()),
+            base_seq: 0,
+            subs: BTreeMap::new(),
             total_bytes: ByteSize::ZERO,
             last_access: now,
             arrivals: RateEstimator::new(rate_window),
@@ -124,9 +211,9 @@ impl ResultCache {
         self.total_bytes
     }
 
-    /// Attached subscribers (`S(i)`).
-    pub fn subscribers(&self) -> &BTreeSet<SubscriberId> {
-        &self.subs
+    /// Attached subscribers (`S(i)`), in id order.
+    pub fn subscribers(&self) -> impl Iterator<Item = SubscriberId> + '_ {
+        self.subs.keys().copied()
     }
 
     /// Number of attached subscribers (`n_i`).
@@ -203,41 +290,35 @@ impl ResultCache {
     }
 
     /// Attaches a subscriber to the cache. Only objects inserted from now
-    /// on will list it as pending (Section IV-A: earlier objects "would
+    /// on will count it as pending (Section IV-A: earlier objects "would
     /// not contain this particular subscriber in their subscriber list").
+    /// Re-attaching an attached subscriber keeps its cursor.
     pub fn add_subscriber(&mut self, sub: SubscriberId) {
-        if !self.subs.contains(&sub) {
-            Arc::make_mut(&mut self.subs).insert(sub);
-        }
+        let next_seq = self.base_seq + self.entries.len() as u64;
+        self.subs.entry(sub).or_insert(next_seq);
     }
 
-    /// Detaches a subscriber, also removing it from every resident
-    /// object's pending set (the `UNSUBSCRIBE` routine). Objects whose
-    /// pending set empties as a result are dropped and returned.
+    /// Detaches a subscriber, also removing it from the pending count
+    /// of every resident object it has not retrieved (the `UNSUBSCRIBE`
+    /// routine). Objects nobody is pending on any more are dropped and
+    /// returned.
     pub fn remove_subscriber(&mut self, sub: SubscriberId) -> Vec<CachedObject> {
-        if self.subs.contains(&sub) {
-            Arc::make_mut(&mut self.subs).remove(&sub);
-        }
-        let mut dropped = Vec::new();
-        let mut idx = 0;
-        while idx < self.entries.len() {
-            let entry = &mut self.entries[idx];
-            if entry.pending.contains(&sub) {
-                Arc::make_mut(&mut entry.pending).remove(&sub);
-            }
-            if entry.pending.is_empty() {
-                let object = self.entries.remove(idx).expect("index in bounds");
-                self.total_bytes -= object.size;
-                dropped.push(object);
-            } else {
-                idx += 1;
+        if let Some(cursor) = self.subs.remove(&sub) {
+            let start = index_of(cursor, self.base_seq);
+            for entry in self.entries.range_mut(start..) {
+                entry.pending -= 1;
             }
         }
+        let dropped = self.pop_consumed(Timestamp::MAX);
+        debug_assert!(
+            self.entries.iter().all(|o| o.pending > 0),
+            "consumed objects must form a prefix"
+        );
         dropped
     }
 
-    /// Pushes a new result at the head of the cache, attaching the
-    /// current subscriber set, and records the arrival for `λ_i`.
+    /// Pushes a new result at the head of the cache, pending on every
+    /// currently attached subscriber, and records the arrival for `λ_i`.
     ///
     /// # Panics
     ///
@@ -253,7 +334,8 @@ impl ResultCache {
         self.total_bytes += desc.size;
         // Note: insertion does NOT update `last_access` — the LRU policy
         // ranks caches by how recently a *subscriber* accessed them.
-        let object = CachedObject::new(desc, now, self.ttl, Arc::clone(&self.subs));
+        let pending = u32::try_from(self.subs.len()).expect("fewer than 2^32 subscribers");
+        let object = CachedObject::new(desc, now, self.ttl, pending);
         self.entries.push_back(object);
         self.entries.back().expect("just pushed")
     }
@@ -265,77 +347,30 @@ impl ResultCache {
     /// must be fetched from the data cluster.
     pub fn plan_get(&mut self, range: TimeRange, now: Timestamp) -> GetPlan {
         self.last_access = now;
-        if range.is_empty() {
-            return GetPlan {
-                cached: Vec::new(),
-                cached_bytes: ByteSize::ZERO,
-                missed: Vec::new(),
-            };
-        }
-        let covered_from = self.coverage_from;
-        if range.to < covered_from || (range.to == covered_from && !range.closed_right) {
-            // Case 3: the whole request lies before the covered region.
-            return GetPlan::all_missed(range);
-        }
-
-        // Case 1/2: the covered part of the range is served from the
-        // cache; anything before the coverage watermark is missed, plus
-        // one point range per admission gap inside the request.
-        let mut missed = Vec::new();
-        if range.from < covered_from {
-            missed.push(TimeRange::half_open(range.from, covered_from));
-        }
-        for &gap in self.gaps.range(covered_from.max(range.from)..) {
-            if !range.contains(gap) {
-                break;
-            }
-            missed.push(TimeRange::closed(gap, gap));
-        }
-        let mut cached = Vec::new();
-        let mut cached_bytes = ByteSize::ZERO;
-        for object in &self.entries {
-            if object.ts > range.to {
-                break;
-            }
-            if range.contains(object.ts) {
-                cached.push((object.id, object.ts, object.size));
-                cached_bytes += object.size;
-            }
-        }
-        GetPlan {
-            cached,
-            cached_bytes,
-            missed,
-        }
+        plan_range(
+            range,
+            self.coverage_from,
+            |from| self.gaps.range(from..).copied(),
+            |from| {
+                let first = self.entries.partition_point(|o| o.ts < from);
+                self.entries.range(first..).map(|o| (o.id, o.ts, o.size))
+            },
+        )
     }
 
     /// Marks every object with `ts ∈ (·, up_to]` as retrieved by `sub`,
-    /// dropping objects whose pending set empties (full consumption) and
-    /// recording their bytes for `η_i`. Returns the dropped objects.
+    /// dropping objects nobody is pending on any more (full consumption)
+    /// and recording their bytes for `η_i`. Returns the dropped objects.
     pub fn consume_up_to(
         &mut self,
         sub: SubscriberId,
         up_to: Timestamp,
         now: Timestamp,
     ) -> Vec<CachedObject> {
-        let mut dropped = Vec::new();
-        let mut idx = 0;
-        while idx < self.entries.len() {
-            if self.entries[idx].ts > up_to {
-                break;
-            }
-            let entry = &mut self.entries[idx];
-            if entry.pending.contains(&sub) {
-                Arc::make_mut(&mut entry.pending).remove(&sub);
-            }
-            if entry.pending.is_empty() {
-                let object = self.entries.remove(idx).expect("index in bounds");
-                self.total_bytes -= object.size;
-                self.consumption.record(now, object.size.as_u64());
-                dropped.push(object);
-            } else {
-                idx += 1;
-            }
+        self.mark_retrieved_up_to(sub, up_to);
+        let dropped = self.pop_consumed(up_to);
+        for object in &dropped {
+            self.consumption.record(now, object.size.as_u64());
         }
         dropped
     }
@@ -343,22 +378,31 @@ impl ResultCache {
     /// Marks objects up to `up_to` as retrieved by `sub` *without*
     /// dropping fully consumed objects (the consumption-drop ablation:
     /// objects then only leave via eviction or expiry).
+    ///
+    /// One forward pass from the subscriber's cursor: an ack that
+    /// advances by `k` objects touches `k` entries however long the
+    /// cache is. A subscriber that is not attached is pending on
+    /// nothing.
     pub fn mark_retrieved_up_to(&mut self, sub: SubscriberId, up_to: Timestamp) {
-        for entry in self.entries.iter_mut() {
+        let Some(cursor) = self.subs.get_mut(&sub) else {
+            return;
+        };
+        let start = index_of(*cursor, self.base_seq);
+        let mut passed = start;
+        for entry in self.entries.range_mut(start..) {
             if entry.ts > up_to {
                 break;
             }
-            if entry.pending.contains(&sub) {
-                Arc::make_mut(&mut entry.pending).remove(&sub);
-            }
+            entry.pending -= 1;
+            passed += 1;
         }
+        *cursor = self.base_seq + passed as u64;
     }
 
     /// Removes and returns the tail (oldest) object, if any — the only
     /// form of policy eviction.
     pub fn drop_tail(&mut self) -> Option<CachedObject> {
-        let object = self.entries.pop_front()?;
-        self.total_bytes -= object.size;
+        let object = self.pop_front()?;
         self.advance_coverage_past(object.ts);
         Some(object)
     }
@@ -371,8 +415,7 @@ impl ResultCache {
         let mut dropped = Vec::new();
         while let Some(tail) = self.entries.front() {
             if tail.expires_at(self.ttl) <= now {
-                let object = self.entries.pop_front().expect("non-empty");
-                self.total_bytes -= object.size;
+                let object = self.pop_front().expect("non-empty");
                 self.advance_coverage_past(object.ts);
                 dropped.push(object);
             } else {
@@ -410,6 +453,28 @@ impl ResultCache {
     /// when replaying a deferred optimistic read's bookkeeping.
     pub(crate) fn touch(&mut self, now: Timestamp) {
         self.last_access = now;
+    }
+
+    fn pop_front(&mut self) -> Option<CachedObject> {
+        let object = self.entries.pop_front()?;
+        self.base_seq += 1;
+        self.total_bytes -= object.size;
+        Some(object)
+    }
+
+    /// Pops the fully consumed prefix — objects with a pending count of
+    /// zero — as far as `up_to`. Coverage does not move: a consumed
+    /// object was served to everyone it was owed to.
+    fn pop_consumed(&mut self, up_to: Timestamp) -> Vec<CachedObject> {
+        let mut dropped = Vec::new();
+        while self
+            .entries
+            .front()
+            .is_some_and(|o| o.pending == 0 && o.ts <= up_to)
+        {
+            dropped.extend(self.pop_front());
+        }
+        dropped
     }
 
     /// Advances the coverage watermark just past a dropped tail's
@@ -606,6 +671,33 @@ mod tests {
         let dropped = c.consume_up_to(SubscriberId::new(1), t(2), t(3));
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].ts, t(1));
+    }
+
+    /// The two places a cursor can go wrong where a set cannot: one
+    /// tick emits several results at one `ts`, and eviction can take
+    /// the object a cursor points at.
+    #[test]
+    fn cursors_are_sequence_numbers_and_clamp_to_the_tail() {
+        let mut c = cache_with(&[1]);
+        c.insert(obj(0, 5, 10), t(5));
+        c.add_subscriber(SubscriberId::new(2));
+        c.insert(obj(1, 5, 10), t(5)); // same ts, after the attach
+        let fanouts: Vec<usize> = c.iter().map(CachedObject::fanout).collect();
+        assert_eq!(fanouts, vec![1, 2]);
+        // Sub 2 acks ts 5: it was pending on the second object only.
+        assert!(c.consume_up_to(SubscriberId::new(2), t(5), t(6)).is_empty());
+        let fanouts: Vec<usize> = c.iter().map(CachedObject::fanout).collect();
+        assert_eq!(fanouts, vec![1, 1]);
+
+        // Evict both; sub 1's cursor now points below the tail.
+        c.drop_tail();
+        c.drop_tail();
+        c.insert(obj(2, 7, 10), t(7));
+        assert_eq!(c.tail().unwrap().fanout(), 2);
+        let dropped = c.consume_up_to(SubscriberId::new(1), t(7), t(8));
+        assert!(dropped.is_empty());
+        assert_eq!(c.tail().unwrap().fanout(), 1);
+        assert_eq!(c.remove_subscriber(SubscriberId::new(2)).len(), 1);
     }
 
     #[test]

@@ -596,7 +596,7 @@ impl ShadowEvaluator {
             }
             for ghost in &mut self.ghosts {
                 ghost.mgr.create_cache(bs, now);
-                for &sub in cache.subscribers() {
+                for sub in cache.subscribers() {
                     let _ = ghost.mgr.add_subscriber(bs, sub);
                 }
             }
@@ -1113,7 +1113,7 @@ mod tests {
             fetch_latency: bad_types::SimDuration::from_millis(500),
             cached_at: Timestamp::from_secs(1),
             frozen_expiry: Timestamp::MAX,
-            pending: Default::default(),
+            pending: 0,
         };
         for i in 0..5u64 {
             sh.pre_evict_audit(&caches, Timestamp::from_secs(i));

@@ -11,6 +11,8 @@
 
 #![allow(dead_code)] // each integration-test crate uses a subset
 
+pub mod set_model;
+
 use bad_cache::{
     CacheManager, CacheMetrics, DroppedObject, GetPlan, NewObject, ShardedCacheManager,
 };

@@ -6,11 +6,13 @@
 # online  — full gate: build, tests, formatting, lints. Requires
 #           registry access (or a warm cargo cache) for the external
 #           deps.
-# offline — the per-crate matrix from ROADMAP.md (everything that does
-#           not need real external deps), run inside a synced workspace
-#           copy whose external deps point at the vendored std-only
-#           stubs in target/offline-check/stubs, plus the sharded
-#           concurrency stress test under --release.
+# offline — every test target of the eight std-only crates (types,
+#           telemetry, query, storage, net, cache, cluster, broker) in
+#           a workspace copy assembled under target/offline-check/ws,
+#           the cache suite again under --release, and the benchmark
+#           smoke. Needs nothing outside the clone. workload/sim/proto/
+#           bench and the prop_* targets need the real external crates
+#           and run only online.
 # auto    — online when `cargo fetch` succeeds, offline otherwise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,77 +58,45 @@ online_gate() {
   # top-10 must overlap the exact top-10 in ≥ 9/10 keys with the
   # Metwally bounds intact and the distinct estimate within ±20%.
   cargo run -q --release -p bad-bench --bin sketch_overhead -- --smoke
+  # End-to-end benchmark smoke: every workload once, deliveries checked
+  # against the benchmark's own reference model.
+  benchmark/run.sh --smoke
 }
 
 offline_gate() {
-  local ws=target/offline-check/ws
-  if [ ! -d target/offline-check/stubs ]; then
-    echo "verify: target/offline-check/stubs missing; cannot run offline" >&2
-    exit 1
-  fi
+  # The eight crates that build with no external dependency once the
+  # proptest/rand dev-dependency lines and the prop_* targets are gone.
+  local crates=(types telemetry query storage net cache cluster broker)
+  local ws=target/offline-check/ws c
+  # Assemble a std-only workspace from the tree itself, so the gate
+  # runs in a fresh clone: the eight crates, a root manifest listing
+  # only their path dependencies, no external dev-dependency lines, no
+  # prop_* targets.
   mkdir -p "$ws"
-  rm -rf "$ws/crates" "$ws/src" "$ws/tests" "$ws/examples"
-  cp -R crates src tests examples "$ws/"
-  cp Cargo.toml "$ws/Cargo.toml"
-  # Point the external deps at the vendored std-only stubs.
-  local dep
-  for dep in rand rand_distr proptest criterion crossbeam parking_lot; do
-    sed -i "s|^$dep = \".*\"|$dep = { path = \"../stubs/$dep\" }|" "$ws/Cargo.toml"
+  rm -rf "$ws/crates" "$ws/Cargo.toml"
+  mkdir "$ws/crates"
+  {
+    printf '[workspace]\nmembers = ["crates/*"]\nresolver = "2"\n\n'
+    sed -n '/^\[workspace\.package\]/,/^$/p' Cargo.toml
+    printf '[workspace.dependencies]\n'
+    for c in "${crates[@]}"; do
+      printf 'bad-%s = { path = "crates/%s" }\n' "$c" "$c"
+    done
+  } > "$ws/Cargo.toml"
+  for c in "${crates[@]}"; do
+    cp -R "crates/$c" "$ws/crates/$c"
+    sed -i -E '/^(proptest|rand|rand_distr|criterion)\.workspace = true$/d' \
+      "$ws/crates/$c/Cargo.toml"
+    rm -f "$ws/crates/$c"/tests/prop_*
   done
   (
     cd "$ws"
-    # Offline per-crate matrix (ROADMAP.md). bad-cache test targets are
-    # selected explicitly: the proptest/criterion targets only build
-    # against the real crates, not the stubs.
-    cargo test -q -p bad-telemetry
-    cargo test -q -p bad-types -p bad-query -p bad-storage -p bad-net --lib
-    cargo test -q -p bad-cache --lib \
-      --test telemetry_events --test gen_harness \
-      --test oracle_parity --test stress_sharded --test shadow_parity \
-      --test autopilot --test sketch_merge
-    cargo test -q -p bad-broker --lib --test lifecycle_trace --test coalesce
-    cargo test -q -p bad-cluster --lib
-    # Scrape-endpoint smoke: boots the threaded proto runtime with a
-    # live tracer + health engine and scrapes /metrics, /healthz,
-    # /trace/recent (with ?limit=), /policies, /timeseries, /alerts
-    # and /hot over TCP (the crossbeam stub is functional, so the
-    # runtime threads run for real).
-    cargo test -q -p bad-proto --lib --test scrape_smoke
-    # The 8-thread stress (and the rest of the std-only cache suite)
-    # again under --release, as the acceptance gate requires.
-    cargo test -q --release -p bad-cache --lib \
-      --test telemetry_events --test gen_harness \
-      --test oracle_parity --test stress_sharded --test shadow_parity \
-      --test autopilot --test sketch_merge
-    # Coalescing smoke gate (reduced sweep, release): fails if the
-    # duplicate-fetch ratio with coalescing on exceeds 1.1.
-    cargo run -q --release -p bad-bench --bin coalesce_bench -- --smoke
-    # Shadow-policy smoke gate (reduced sweep, release): overhead ≤ 10%
-    # at the default sampling rate, ghost(live) == live exactly, and a
-    # ghost policy must beat live LRU under scan pollution.
-    cargo run -q --release -p bad-bench --bin shadow_overhead -- --smoke
-    # Health-engine smoke gate (release): overhead ≤ 10% on the
-    # cleanest interleaved rep pair, no model_drift false positive
-    # before the regime shift, firing within the post-shift bound.
-    cargo run -q --release -p bad-bench --bin health_overhead -- --smoke
-    # Autopilot smoke gate (release): exactly one promotion per shifted
-    # regime segment, zero switches in the stationary control, hit
-    # ratio within 5 points of best-in-hindsight.
-    cargo run -q --release -p bad-bench --bin autopilot_bench -- --smoke
-    # Profiler smoke gate (release): overhead ≤ 10% full / ≤ 3%
-    # sampled on the median per-rep interleaved ratio; shards=1
-    # lock-wait must strictly dominate shards=8 on the contention
-    # curve.
-    cargo run -q --release -p bad-bench --bin profile_overhead -- --smoke
-    # Read-path smoke gate (release): lockfree-vs-locked serial parity,
-    # uncontended GET latency ≤ 1.25x locked, ≥ 2x contended scaling on
-    # ≥ 4-core hosts (skipped on smaller hosts, as this container).
-    cargo run -q --release -p bad-bench --bin readpath_bench -- --smoke
-    # Hot-key sketch smoke gate (release): full ≤ 5% / sampled ≤ 2%
-    # overhead, ≥ 9/10 Zipf top-10 overlap (single and shard-merged),
-    # Metwally bounds intact, distinct estimate within ±20%.
-    cargo run -q --release -p bad-bench --bin sketch_overhead -- --smoke
+    cargo test --offline -q
+    # The cache suite (8-thread stress included) again under --release,
+    # where debug assertions are off and the seqlock paths really race.
+    cargo test --offline -q --release -p bad-cache
   )
+  benchmark/run.sh --smoke
 }
 
 case "$MODE" in
