@@ -443,7 +443,7 @@ mod tests {
             backend_sub: BackendSubId::new(1),
             ts: t(ts_secs),
             size: ByteSize::new(size),
-            payload: DataValue::Null,
+            payload: DataValue::Null.into(),
         }
     }
 

@@ -11,10 +11,14 @@
 //! * a subscriber attached after an insert is not pending on it
 //!   (Section IV-A);
 //! * only per-cache tails are evicted, and under LSC the victim is the
-//!   tail with the minimum `f_ij`.
+//!   tail with the minimum `f_ij`;
+//! * a result is *enriched*: whatever the broker fetches, to populate a
+//!   cache or to serve a miss, embeds the newest shelters of the post's
+//!   district known when the post was published.
 //!
 //! These guard the data structure behind `S(i,j)`: they held with
 //! per-object subscriber sets and must hold with cursors and counts.
+//! The last guards the payload the cluster shares between subscriptions.
 
 // The cache crate's std-only generator, until ROADMAP item 1 promotes
 // it to a shared dev crate.
@@ -23,14 +27,14 @@ mod common;
 
 use std::collections::{BTreeMap, HashMap};
 
-use bad_broker::{Broker, BrokerConfig, Delivery};
+use bad_broker::{Broker, BrokerConfig, ClusterHandle, Delivery};
 use bad_cache::{policy_catalog, PolicyKind, PolicyName};
-use bad_cluster::DataCluster;
+use bad_cluster::{DataCluster, EnrichmentRule};
 use bad_query::ParamBindings;
-use bad_storage::Schema;
+use bad_storage::{ResultObject, Schema};
 use bad_types::{
-    BackendSubId, ByteSize, DataValue, FrontendSubId, ObjectId, SimDuration, SubscriberId,
-    Timestamp,
+    BackendSubId, ByteSize, DataValue, FrontendSubId, ObjectId, Result, SimDuration, SubscriberId,
+    TimeRange, Timestamp,
 };
 use common::XorShift64;
 
@@ -39,6 +43,9 @@ const SUBSCRIBERS: u64 = 24;
 const PER_SUBSCRIBER: usize = 4;
 const LATE_JOINERS: u64 = 4;
 const HORIZON_SECS: u64 = 900;
+const DISTRICTS: u64 = 3;
+/// Shelters embedded per result (the newest win).
+const SHELTER_LIMIT: usize = 3;
 
 fn stream_params(stream: u64) -> ParamBindings {
     ParamBindings::from_pairs([("stream", DataValue::from(stream as i64))])
@@ -66,10 +73,84 @@ fn resident(broker: &Broker) -> BTreeMap<BackendSubId, Vec<(ObjectId, usize)>> {
     out
 }
 
+/// The cluster as the broker reaches it, checking the content of every
+/// result a fetch hands over.
+struct CheckedCluster {
+    inner: DataCluster,
+    /// Every shelter published so far with its timestamp, oldest first.
+    shelters: Vec<(Timestamp, DataValue)>,
+    /// Results checked that embed `SHELTER_LIMIT` rows, and fewer.
+    capped: u64,
+    short: u64,
+}
+
+impl CheckedCluster {
+    fn publish_shelter(&mut self, district: i64, name: String, now: Timestamp) {
+        let row = DataValue::object([
+            ("district", DataValue::from(district)),
+            ("name", DataValue::from(name)),
+        ]);
+        let notifications = self.inner.publish("Shelters", now, row.clone()).unwrap();
+        assert!(notifications.is_empty(), "no channel reads Shelters");
+        self.shelters.push((now, row));
+    }
+
+    /// Claim: the result embeds the newest `SHELTER_LIMIT` shelters of
+    /// its district opened no later than the post, in timestamp order,
+    /// beside the post's own fields.
+    fn check_enriched(&mut self, object: &ResultObject) {
+        let post = &object.payload;
+        assert!(post.get("stream").is_some() && post.get("body").is_some());
+        let district = post.get("district");
+        assert!(district.is_some());
+        let known: Vec<&DataValue> = self
+            .shelters
+            .iter()
+            .filter(|(opened, row)| *opened <= object.ts && row.get("district") == district)
+            .map(|(_, row)| row)
+            .collect();
+        let newest = &known[known.len().saturating_sub(SHELTER_LIMIT)..];
+        let embedded = post.get("shelters").and_then(DataValue::as_array).unwrap();
+        assert!(
+            embedded.iter().eq(newest.iter().copied()),
+            "{} embeds {embedded:?}, the newest shelters are {newest:?}",
+            object.id
+        );
+        if embedded.len() == SHELTER_LIMIT {
+            self.capped += 1;
+        } else {
+            self.short += 1;
+        }
+    }
+}
+
+impl ClusterHandle for CheckedCluster {
+    fn cluster_subscribe(
+        &mut self,
+        channel: &str,
+        params: ParamBindings,
+        now: Timestamp,
+    ) -> Result<BackendSubId> {
+        self.inner.subscribe(channel, params, now)
+    }
+
+    fn cluster_unsubscribe(&mut self, bs: BackendSubId) -> Result<()> {
+        self.inner.unsubscribe(bs)
+    }
+
+    fn cluster_fetch(&mut self, bs: BackendSubId, range: TimeRange) -> Vec<ResultObject> {
+        let out = self.inner.fetch(bs, range);
+        for object in &out {
+            self.check_enriched(object);
+        }
+        out
+    }
+}
+
 /// One policy's run over the tape; the claims are asserted inline.
 struct Run {
     policy: PolicyName,
-    cluster: DataCluster,
+    cluster: CheckedCluster,
     broker: Broker,
     /// Result timestamps per backend subscription, as notified.
     produced: HashMap<BackendSubId, Vec<Timestamp>>,
@@ -81,11 +162,22 @@ impl Run {
     fn new(policy: PolicyName) -> Self {
         let mut cluster = DataCluster::new();
         cluster.create_dataset("Posts", Schema::open()).unwrap();
+        cluster.create_dataset("Shelters", Schema::open()).unwrap();
         cluster
             .register_channel(
                 "channel ByStream(stream: int) from Posts p \
                  where p.stream == $stream select p",
             )
+            .unwrap();
+        cluster
+            .add_enrichment(EnrichmentRule::join(
+                "ByStream",
+                "Shelters",
+                "district",
+                "district",
+                "shelters",
+                SHELTER_LIMIT,
+            ))
             .unwrap();
         let mut config = BrokerConfig::default();
         // Far below the backlog offline subscribers retain, so the
@@ -93,7 +185,12 @@ impl Run {
         config.cache.budget = ByteSize::from_kib(48);
         Self {
             policy,
-            cluster,
+            cluster: CheckedCluster {
+                inner: cluster,
+                shelters: Vec::new(),
+                capped: 0,
+                short: 0,
+            },
             broker: Broker::new(policy, config),
             produced: HashMap::new(),
             marker: HashMap::new(),
@@ -169,9 +266,10 @@ impl Run {
     fn publish(&mut self, stream: u64, body: usize, now: Timestamp, online: &[bool]) {
         let record = DataValue::object([
             ("stream", DataValue::from(stream as i64)),
+            ("district", DataValue::from((stream % DISTRICTS) as i64)),
             ("body", DataValue::from("x".repeat(body))),
         ]);
-        for n in self.cluster.publish("Posts", now, record).unwrap() {
+        for n in self.cluster.inner.publish("Posts", now, record).unwrap() {
             self.produced
                 .entry(n.backend_sub)
                 .or_default()
@@ -216,6 +314,9 @@ impl Run {
 
 fn run_policy(policy: PolicyName, seed: u64) {
     let mut rng = XorShift64::new(seed);
+    // Shelters open on a stream of their own, so the post tape is the
+    // one the consumption claims have always run on.
+    let mut shelter_rng = XorShift64::new(seed ^ 0x5e17);
     let mut run = Run::new(policy);
     let total = SUBSCRIBERS + LATE_JOINERS;
     let mut online: Vec<bool> = (0..total).map(|_| rng.below(5) < 2).collect();
@@ -237,6 +338,11 @@ fn run_policy(policy: PolicyName, seed: u64) {
 
     for sec in 1..=HORIZON_SECS {
         let now = Timestamp::from_secs(sec);
+        if shelter_rng.below(20) == 0 {
+            let district = shelter_rng.below(DISTRICTS) as i64;
+            run.cluster
+                .publish_shelter(district, format!("shelter-{sec}"), now);
+        }
         for s in 0..STREAMS {
             if rng.below(mean_secs[s as usize]) == 0 {
                 run.publish(s, rng.range(200, 1000) as usize, now, &online);
@@ -298,6 +404,12 @@ fn run_policy(policy: PolicyName, seed: u64) {
     );
 
     // The tape must actually exercise what the claims are about.
+    assert!(
+        run.cluster.capped > 0 && run.cluster.short > 0,
+        "{policy}: {} results at the limit, {} below it",
+        run.cluster.capped,
+        run.cluster.short
+    );
     match run.broker.cache().kind() {
         PolicyKind::NoCache => assert_eq!(metrics.inserted_objects, 0),
         PolicyKind::Eviction => {

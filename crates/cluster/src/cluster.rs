@@ -2,8 +2,9 @@
 //! stores + notifications.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
-use bad_query::{ChannelMode, ChannelSpec, ParamBindings};
+use bad_query::{ChannelMode, ChannelSpec, ParamBindings, SelectClause};
 use bad_storage::{Dataset, ResultObject, ResultStore, Schema};
 use bad_telemetry::{Event, SharedSink};
 use bad_types::ids::IdGen;
@@ -37,6 +38,77 @@ struct ChannelRuntime {
     /// For repetitive channels: when the channel last executed.
     last_run: Timestamp,
     enrichments: Vec<EnrichmentRule>,
+}
+
+impl ChannelRuntime {
+    /// The result content of `record` on this channel: projected, then
+    /// enriched. It depends on the record and the auxiliary datasets
+    /// only, so it is computed once per matched record and every matched
+    /// subscription stores the same allocation; `select r` with no rule
+    /// is the dataset's own record.
+    fn enriched_payload(
+        &self,
+        datasets: &HashMap<String, Dataset>,
+        record: &Arc<DataValue>,
+        record_ts: Timestamp,
+    ) -> Arc<DataValue> {
+        let mut payload = match self.spec.select() {
+            SelectClause::All => Arc::clone(record),
+            select => Arc::new(select.project(record)),
+        };
+        for rule in &self.enrichments {
+            if let Some(aux) = datasets.get(&rule.aux_dataset) {
+                payload = Arc::new(rule.apply(&payload, aux, record_ts));
+            }
+        }
+        payload
+    }
+
+    /// Appends `payload` as one result of `bs` and reports it: the
+    /// object id, the accounted size and the telemetry are per result,
+    /// however many subscriptions share the payload.
+    fn emit_result(
+        &self,
+        results: &mut ResultStore,
+        sink: &SharedSink,
+        tracer: &bad_telemetry::SharedTracer,
+        bs: BackendSubId,
+        result_ts: Timestamp,
+        payload: Arc<DataValue>,
+    ) -> Notification {
+        let object = results.append(bs, result_ts, payload, None);
+        if tracer.enabled() {
+            tracer.on_result_produced(
+                result_ts.as_micros(),
+                bs.as_u64(),
+                object.id.as_u64(),
+                object.size.as_u64(),
+            );
+        }
+        if sink.enabled() {
+            let t_us = result_ts.as_micros();
+            sink.record(&Event::ClusterChannelFire {
+                t_us,
+                channel: self.id.as_u64(),
+                subscription: bs.as_u64(),
+                results: 1,
+                bytes: object.size.as_u64(),
+            });
+            if !self.enrichments.is_empty() {
+                sink.record(&Event::ClusterEnrich {
+                    t_us,
+                    channel: self.id.as_u64(),
+                    rules: self.enrichments.len() as u64,
+                });
+            }
+        }
+        Notification {
+            backend_sub: bs,
+            latest_ts: object.ts,
+            count: 1,
+            bytes: object.size,
+        }
+    }
 }
 
 /// The BAD data cluster.
@@ -100,9 +172,12 @@ impl DataCluster {
 
     /// Activity counters.
     pub fn stats(&self) -> ClusterStats {
-        let mut stats = self.stats;
-        stats.evaluations = self.channels.values().map(|c| c.index.evaluations).sum();
-        stats
+        ClusterStats {
+            results: self.results.total_objects(),
+            result_bytes: self.results.total_bytes(),
+            evaluations: self.channels.values().map(|c| c.index.evaluations).sum(),
+            ..self.stats
+        }
     }
 
     /// Creates a dataset.
@@ -265,28 +340,41 @@ impl DataCluster {
             .datasets
             .get_mut(dataset)
             .ok_or_else(|| BadError::not_found("dataset", dataset))?;
-        ds.insert(ts, record.clone())?;
+        // The one allocation the dataset, the matcher and every
+        // `select r` result of this record share.
+        let record = Arc::new(record);
+        ds.insert(ts, Arc::clone(&record))?;
         self.stats.publications += 1;
 
+        let Self {
+            datasets,
+            channels,
+            results,
+            sink,
+            tracer,
+            ..
+        } = self;
         let mut notifications = Vec::new();
-        let channel_names: Vec<String> = self
-            .channels
-            .iter()
-            .filter(|(_, c)| {
-                c.spec.dataset() == dataset && c.spec.mode() == ChannelMode::Continuous
-            })
-            .map(|(name, _)| name.clone())
-            .collect();
-        for name in channel_names {
-            let matched = {
-                let runtime = self.channels.get_mut(&name).expect("listed");
-                runtime
-                    .index
-                    .matching_subscriptions(&runtime.spec, &record)?
-            };
+        for runtime in channels
+            .values_mut()
+            .filter(|c| c.spec.dataset() == dataset && c.spec.mode() == ChannelMode::Continuous)
+        {
+            let matched = runtime
+                .index
+                .matching_subscriptions(&runtime.spec, &record)?;
+            if matched.is_empty() {
+                continue;
+            }
+            let payload = runtime.enriched_payload(datasets, &record, ts);
             for bs in matched {
-                let notification = self.emit_result(&name, bs, ts, &record, ts)?;
-                notifications.push(notification);
+                notifications.push(runtime.emit_result(
+                    results,
+                    sink,
+                    tracer,
+                    bs,
+                    ts,
+                    Arc::clone(&payload),
+                ));
             }
         }
         Ok(notifications)
@@ -301,43 +389,37 @@ impl DataCluster {
     ///
     /// Propagates predicate evaluation errors.
     pub fn tick(&mut self, now: Timestamp) -> Result<Vec<Notification>> {
-        let due: Vec<String> = self
-            .channels
-            .iter()
-            .filter_map(|(name, c)| match c.spec.mode() {
-                ChannelMode::Repetitive { period } if now.since(c.last_run) >= period => {
-                    Some(name.clone())
-                }
-                _ => None,
-            })
-            .collect();
-
+        let Self {
+            datasets,
+            channels,
+            results,
+            sink,
+            tracer,
+            ..
+        } = self;
         let mut notifications: BTreeMap<BackendSubId, Notification> = BTreeMap::new();
-        for name in due {
-            let (dataset_name, since) = {
-                let runtime = self.channels.get(&name).expect("listed");
-                (runtime.spec.dataset().to_owned(), runtime.last_run)
+        for runtime in channels.values_mut() {
+            let due = matches!(runtime.spec.mode(),
+                ChannelMode::Repetitive { period } if now.since(runtime.last_run) >= period);
+            if !due {
+                continue;
+            }
+            let Some(ds) = datasets.get(runtime.spec.dataset()) else {
+                continue;
             };
-            let records: Vec<(Timestamp, DataValue)> = {
-                let Some(ds) = self.datasets.get(&dataset_name) else {
+            for stored in ds.since(runtime.last_run).filter(|r| r.ts <= now) {
+                let matched = runtime
+                    .index
+                    .matching_subscriptions(&runtime.spec, &stored.value)?;
+                if matched.is_empty() {
                     continue;
-                };
-                ds.since(since)
-                    .filter(|r| r.ts <= now)
-                    .map(|r| (r.ts, r.value.clone()))
-                    .collect()
-            };
-            for (rec_ts, record) in records {
-                let matched = {
-                    let runtime = self.channels.get_mut(&name).expect("listed");
-                    runtime
-                        .index
-                        .matching_subscriptions(&runtime.spec, &record)?
-                };
+                }
+                let payload = runtime.enriched_payload(datasets, &stored.value, stored.ts);
                 for bs in matched {
                     // Results of a repetitive execution are stamped with
                     // the execution time, like a periodic query output.
-                    let n = self.emit_result(&name, bs, now, &record, rec_ts)?;
+                    let n =
+                        runtime.emit_result(results, sink, tracer, bs, now, Arc::clone(&payload));
                     notifications
                         .entry(bs)
                         .and_modify(|agg| {
@@ -348,7 +430,7 @@ impl DataCluster {
                         .or_insert(n);
                 }
             }
-            self.channels.get_mut(&name).expect("listed").last_run = now;
+            runtime.last_run = now;
         }
         let mut out: Vec<Notification> = notifications.into_values().collect();
         out.sort_by_key(|n| n.backend_sub);
@@ -377,58 +459,6 @@ impl DataCluster {
     /// Total bytes of results ever produced (`Vol`).
     pub fn result_volume(&self) -> ByteSize {
         self.results.total_bytes()
-    }
-
-    fn emit_result(
-        &mut self,
-        channel: &str,
-        bs: BackendSubId,
-        result_ts: Timestamp,
-        record: &DataValue,
-        record_ts: Timestamp,
-    ) -> Result<Notification> {
-        let runtime = self.channels.get(channel).expect("caller verified");
-        let mut payload = runtime.spec.select().project(record);
-        for rule in &runtime.enrichments {
-            if let Some(aux) = self.datasets.get(&rule.aux_dataset) {
-                payload = rule.apply(&payload, aux, record_ts);
-            }
-        }
-        let object = self.results.append(bs, result_ts, payload, None);
-        let notification = Notification {
-            backend_sub: bs,
-            latest_ts: object.ts,
-            count: 1,
-            bytes: object.size,
-        };
-        self.stats.results += 1;
-        self.stats.result_bytes += object.size;
-        if self.tracer.enabled() {
-            self.tracer.on_result_produced(
-                result_ts.as_micros(),
-                bs.as_u64(),
-                object.id.as_u64(),
-                object.size.as_u64(),
-            );
-        }
-        if self.sink.enabled() {
-            let t_us = result_ts.as_micros();
-            self.sink.record(&Event::ClusterChannelFire {
-                t_us,
-                channel: runtime.id.as_u64(),
-                subscription: bs.as_u64(),
-                results: 1,
-                bytes: object.size.as_u64(),
-            });
-            if !runtime.enrichments.is_empty() {
-                self.sink.record(&Event::ClusterEnrich {
-                    t_us,
-                    channel: runtime.id.as_u64(),
-                    rules: runtime.enrichments.len() as u64,
-                });
-            }
-        }
-        Ok(notification)
     }
 }
 
@@ -663,6 +693,77 @@ mod tests {
         assert_eq!(cluster.result_volume(), stats.result_bytes);
         cluster.fetch(bs, TimeRange::closed(t(0), t(2)));
         assert_eq!(cluster.stats().fetched_bytes, stats.result_bytes);
+    }
+
+    /// Publishes one report matching three subscriptions and returns
+    /// what each fetches, after checking that the payload is shared and
+    /// the accounting is not.
+    fn shared_results(cluster: &mut DataCluster, first: BackendSubId) -> Vec<ResultObject> {
+        let mut subs = vec![first];
+        for _ in 0..2 {
+            let params = ParamBindings::from_pairs([("kind", DataValue::from("fire"))]);
+            subs.push(
+                cluster
+                    .subscribe("ByKind", params, Timestamp::ZERO)
+                    .unwrap(),
+            );
+        }
+        let k = subs.len() as u64;
+        assert_eq!(
+            cluster
+                .publish("Reports", t(5), report("fire"))
+                .unwrap()
+                .len(),
+            subs.len()
+        );
+        let all = TimeRange::closed(t(0), t(5));
+        let got: Vec<ResultObject> = subs
+            .iter()
+            .map(|&bs| cluster.fetch(bs, all).pop().unwrap())
+            .collect();
+        let size = ByteSize::new(got[0].payload.estimated_size());
+        for object in &got {
+            assert!(Arc::ptr_eq(&object.payload, &got[0].payload));
+            assert_eq!(object.size, size);
+        }
+        // A second fetch hands out the stored allocation again.
+        assert!(Arc::ptr_eq(
+            &cluster.fetch(first, all)[0].payload,
+            &got[0].payload
+        ));
+        assert_eq!(cluster.result_volume(), size * k);
+        assert_eq!(cluster.stats().results, k);
+        assert_eq!(cluster.stats().result_bytes, size * k);
+        assert_eq!(cluster.stats().fetched_bytes, size * (k + 1));
+        got
+    }
+
+    #[test]
+    fn whole_record_results_share_the_datasets_allocation() {
+        let (mut cluster, first) = cluster_with_channel();
+        let got = shared_results(&mut cluster, first);
+        let stored = &cluster.dataset("Reports").unwrap().get(0).unwrap().value;
+        assert!(Arc::ptr_eq(&got[0].payload, stored));
+    }
+
+    #[test]
+    fn enriched_results_share_one_payload_per_record() {
+        let (mut cluster, first) = cluster_with_channel();
+        cluster.create_dataset("Shelters", Schema::open()).unwrap();
+        cluster
+            .add_enrichment(EnrichmentRule::join(
+                "ByKind", "Shelters", "kind", "kind", "shelters", 3,
+            ))
+            .unwrap();
+        cluster.publish("Shelters", t(1), report("fire")).unwrap();
+        let got = shared_results(&mut cluster, first);
+        assert_eq!(
+            got[0].payload.get("shelters").unwrap().as_array().unwrap(),
+            [report("fire")]
+        );
+        let stored = &cluster.dataset("Reports").unwrap().get(0).unwrap().value;
+        assert!(!Arc::ptr_eq(&got[0].payload, stored));
+        assert_eq!(**stored, report("fire"));
     }
 
     #[test]

@@ -72,15 +72,18 @@ impl EnrichmentRule {
             Some(window) => now - window,
             None => Timestamp::ZERO,
         };
+        // Newest records win. `range` yields `(timestamp, ingestion)`
+        // order, so the last `limit` matches are the first `limit` met
+        // from the back: the scan stops at the `limit`-th hit and only
+        // those rows are copied.
         let mut joined: Vec<DataValue> = aux
             .range(TimeRange::closed(from, now))
+            .rev()
             .filter(|rec| rec.value.get_path(&self.aux_field) == Some(join_value))
-            .map(|rec| rec.value.clone())
+            .take(self.limit)
+            .map(|rec| DataValue::clone(&rec.value))
             .collect();
-        if joined.len() > self.limit {
-            // Newest records win: `range` yields timestamp order.
-            joined.drain(..joined.len() - self.limit);
-        }
+        joined.reverse();
         let mut map = match result {
             DataValue::Object(map) => map.clone(),
             other => {

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use bad_types::{ByteSize, DataValue, Result, TimeRange, Timestamp};
 
@@ -14,8 +15,8 @@ pub struct StoredRecord {
     pub seq: u64,
     /// Ingestion timestamp.
     pub ts: Timestamp,
-    /// The record itself.
-    pub value: DataValue,
+    /// The record itself, shared with every result that selects it whole.
+    pub value: Arc<DataValue>,
 }
 
 /// An append-only dataset of schema-validated records with a secondary
@@ -87,6 +88,8 @@ impl Dataset {
     }
 
     /// Validates and appends a record, returning its sequence number.
+    /// A caller that already holds the record in an `Arc` passes it as
+    /// is and the dataset shares the allocation.
     ///
     /// Timestamps need not be monotone (late data is allowed); the
     /// timestamp index keeps range queries correct either way.
@@ -95,7 +98,8 @@ impl Dataset {
     ///
     /// Returns [`bad_types::BadError::Schema`] when the record violates
     /// the dataset schema.
-    pub fn insert(&mut self, ts: Timestamp, value: DataValue) -> Result<u64> {
+    pub fn insert(&mut self, ts: Timestamp, value: impl Into<Arc<DataValue>>) -> Result<u64> {
+        let value = value.into();
         self.schema.validate(&value)?;
         let seq = self.records.len() as u64;
         self.total_bytes += ByteSize::new(value.estimated_size());
@@ -116,7 +120,7 @@ impl Dataset {
 
     /// Iterates over records whose timestamp falls in `range`, ordered by
     /// `(timestamp, ingestion order)`.
-    pub fn range(&self, range: TimeRange) -> impl Iterator<Item = &StoredRecord> {
+    pub fn range(&self, range: TimeRange) -> impl DoubleEndedIterator<Item = &StoredRecord> {
         use std::ops::Bound;
         let lower = Bound::Included((range.from, 0));
         let upper = if range.closed_right {
@@ -171,7 +175,7 @@ mod tests {
         assert_eq!(ds.insert(t(1), rec(1)).unwrap(), 0);
         assert_eq!(ds.insert(t(2), rec(2)).unwrap(), 1);
         assert_eq!(ds.len(), 2);
-        assert_eq!(ds.get(1).unwrap().value, rec(2));
+        assert_eq!(*ds.get(1).unwrap().value, rec(2));
         assert!(ds.get(5).is_none());
     }
 

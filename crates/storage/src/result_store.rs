@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use bad_types::ids::IdGen;
 use bad_types::{BackendSubId, ByteSize, DataValue, ObjectId, TimeRange, Timestamp};
@@ -24,8 +25,9 @@ pub struct ResultObject {
     pub ts: Timestamp,
     /// Object size as accounted by caches and the network model.
     pub size: ByteSize,
-    /// The enriched notification content.
-    pub payload: DataValue,
+    /// The enriched notification content. Shared: the subscriptions one
+    /// record matched, and every fetched copy, hold the same allocation.
+    pub payload: Arc<DataValue>,
 }
 
 /// Timestamp-ordered result datasets, one per backend subscription.
@@ -60,14 +62,18 @@ impl ResultStore {
     /// Appends a result for `bs` and returns a reference to it.
     ///
     /// When `size` is `None` the payload's estimated size is used; the
-    /// simulator passes explicit synthetic sizes instead.
+    /// simulator passes explicit synthetic sizes instead. A payload that
+    /// is already an `Arc` is stored as is, so one enriched record costs
+    /// one allocation however many subscriptions it matched; its size is
+    /// still accounted once per appended object.
     pub fn append(
         &mut self,
         bs: BackendSubId,
         ts: Timestamp,
-        payload: DataValue,
+        payload: impl Into<Arc<DataValue>>,
         size: Option<ByteSize>,
     ) -> &ResultObject {
+        let payload = payload.into();
         let id: ObjectId = self.ids.next_id();
         let size = size.unwrap_or_else(|| ByteSize::new(payload.estimated_size()));
         let object = ResultObject {
@@ -88,41 +94,32 @@ impl ResultStore {
     }
 
     /// Returns all results for `bs` whose timestamps fall in `range`, in
-    /// timestamp order.
+    /// timestamp order. Payloads are shared with the store, not copied.
     ///
     /// Unknown subscriptions yield an empty vector — the persistent store
     /// never errors on reads.
     pub fn fetch(&self, bs: BackendSubId, range: TimeRange) -> Vec<ResultObject> {
-        let Some(list) = self.stores.get(&bs) else {
-            return Vec::new();
-        };
-        let start = list.partition_point(|o| o.ts < range.from);
-        let mut out = Vec::new();
-        for object in &list[start..] {
-            if range.contains(object.ts) {
-                out.push(object.clone());
-            } else if object.ts > range.to {
-                break;
-            }
-        }
-        out
+        self.slice(bs, range).to_vec()
     }
 
     /// Total bytes of results in `range` for `bs`, without cloning.
     pub fn fetch_bytes(&self, bs: BackendSubId, range: TimeRange) -> ByteSize {
+        self.slice(bs, range).iter().map(|o| o.size).sum()
+    }
+
+    /// The results of `bs` inside `range`: one contiguous run, because
+    /// each list is kept ordered by `(ts, id)`.
+    fn slice(&self, bs: BackendSubId, range: TimeRange) -> &[ResultObject] {
         let Some(list) = self.stores.get(&bs) else {
-            return ByteSize::ZERO;
+            return &[];
         };
-        let start = list.partition_point(|o| o.ts < range.from);
-        let mut total = ByteSize::ZERO;
-        for object in &list[start..] {
-            if range.contains(object.ts) {
-                total += object.size;
-            } else if object.ts > range.to {
-                break;
-            }
-        }
-        total
+        let tail = &list[list.partition_point(|o| o.ts < range.from)..];
+        let end = if range.closed_right {
+            tail.partition_point(|o| o.ts <= range.to)
+        } else {
+            tail.partition_point(|o| o.ts < range.to)
+        };
+        &tail[..end]
     }
 
     /// The newest result timestamp for `bs`, if any result exists.
@@ -199,6 +196,29 @@ mod tests {
     }
 
     #[test]
+    fn several_objects_at_the_upper_bound_follow_closed_right() {
+        let mut s = ResultStore::new();
+        let bs = BackendSubId::new(1);
+        for (sec, n) in [(1u64, 0i64), (2, 1), (4, 2), (4, 3), (4, 4), (5, 5)] {
+            s.append(bs, t(sec), DataValue::from(n), Some(ByteSize::new(10)));
+        }
+        let ns = |range| -> Vec<i64> {
+            let got = s.fetch(bs, range);
+            assert_eq!(
+                s.fetch_bytes(bs, range),
+                ByteSize::new(10 * got.len() as u64)
+            );
+            got.iter().map(|o| o.payload.as_i64().unwrap()).collect()
+        };
+        assert_eq!(ns(TimeRange::closed(t(2), t(4))), vec![1, 2, 3, 4]);
+        assert_eq!(ns(TimeRange::half_open(t(2), t(4))), vec![1]);
+        assert_eq!(ns(TimeRange::closed(t(4), t(4))), vec![2, 3, 4]);
+        assert!(ns(TimeRange::half_open(t(4), t(4))).is_empty());
+        // An inverted range is empty, not a panic.
+        assert!(ns(TimeRange::closed(t(5), t(2))).is_empty());
+    }
+
+    #[test]
     fn unknown_subscription_reads_empty() {
         let s = ResultStore::new();
         let bs = BackendSubId::new(77);
@@ -220,7 +240,7 @@ mod tests {
         assert_eq!(s.len_of(a), 1);
         assert_eq!(s.len_of(b), 1);
         let got = s.fetch(a, TimeRange::closed(t(0), t(9)));
-        assert_eq!(got[0].payload, DataValue::from(1i64));
+        assert_eq!(*got[0].payload, DataValue::from(1i64));
     }
 
     #[test]

@@ -652,8 +652,8 @@ mod tests {
         let p99 = ts
             .window_quantile("bad_ts_lat_us", 0.99, 2_000_000, 2_000_000)
             .unwrap();
-        assert!(p50 >= 100 && p50 < 128, "p50={p50}");
-        assert!(p99 >= 10_000 && p99 < 16_384, "p99={p99}");
+        assert!((100..128).contains(&p50), "p50={p50}");
+        assert!((10_000..16_384).contains(&p99), "p99={p99}");
         // Only the newest window: all mass is high.
         let p50 = ts
             .window_quantile("bad_ts_lat_us", 0.5, 1_000_000, 2_000_000)

@@ -9,10 +9,10 @@
 # offline — every test target of the eight std-only crates (types,
 #           telemetry, query, storage, net, cache, cluster, broker) in
 #           a workspace copy assembled under target/offline-check/ws,
-#           the cache suite again under --release, and the benchmark
-#           smoke. Needs nothing outside the clone. workload/sim/proto/
-#           bench and the prop_* targets need the real external crates
-#           and run only online.
+#           the cache suite again under --release, formatting and
+#           lints on that copy, and the benchmark smoke. Needs nothing
+#           outside the clone. workload/sim/proto/bench and the prop_*
+#           targets need the real external crates and run only online.
 # auto    — online when `cargo fetch` succeeds, offline otherwise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -95,6 +95,8 @@ offline_gate() {
     # The cache suite (8-thread stress included) again under --release,
     # where debug assertions are off and the seqlock paths really race.
     cargo test --offline -q --release -p bad-cache
+    cargo fmt --check
+    cargo clippy --offline -q --all-targets -- -D warnings
   )
   benchmark/run.sh --smoke
 }
