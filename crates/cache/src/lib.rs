@@ -70,7 +70,6 @@ pub mod metrics;
 pub mod object;
 pub mod policy;
 pub mod rate;
-pub(crate) mod readpath;
 pub mod result_cache;
 pub mod shadow;
 pub mod sharded;

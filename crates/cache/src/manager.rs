@@ -20,7 +20,6 @@ use crate::metrics::CacheMetrics;
 pub use crate::metrics::DropKind as DropReason;
 use crate::object::{CachedObject, NewObject};
 use crate::policy::{EvictionPolicy, PolicyKind, PolicyName};
-use crate::readpath::{ReadRecord, ShardReadPath};
 use crate::result_cache::{GetPlan, ResultCache};
 use crate::shadow::{ShadowConfig, ShadowEvaluator, ShadowSnapshot};
 use crate::telemetry::CacheTelemetry;
@@ -46,11 +45,6 @@ pub struct CacheConfig {
     /// paper's behaviour). Disabling this is an ablation: objects then
     /// only leave via eviction or expiry.
     pub drop_on_full_consumption: bool,
-    /// Whether [`crate::ShardedCacheManager`] serves GETs from seqlock
-    /// snapshots without taking the shard mutex, deferring hit/ack
-    /// bookkeeping through the read mailbox ([`crate::readpath`]).
-    /// `false` restores the fully locked read path byte-for-byte.
-    pub use_lockfree_reads: bool,
 }
 
 impl Default for CacheConfig {
@@ -63,7 +57,6 @@ impl Default for CacheConfig {
             initial_ttl: SimDuration::from_secs(30),
             use_victim_index: true,
             drop_on_full_consumption: true,
-            use_lockfree_reads: true,
         }
     }
 }
@@ -105,15 +98,6 @@ pub struct CacheManager {
     /// Policy autopilot ([`crate::autopilot`]); only consulted from
     /// [`CacheManager::autopilot_tick`], never on the hot path.
     autopilot: Option<Box<PolicyController>>,
-    /// Shared lock-free read state when this manager is a shard of a
-    /// [`crate::ShardedCacheManager`] with `use_lockfree_reads` on;
-    /// `None` (mono managers, flag off) keeps every path untouched.
-    read_path: Option<Arc<ShardReadPath>>,
-    /// Drops produced while replaying deferred mailbox acks. Surfaced
-    /// (in FIFO order, ahead of the call's own drops) by the next
-    /// drop-returning operation, so the cumulative drop stream matches
-    /// the serial locked execution exactly.
-    deferred_drops: Vec<DroppedObject>,
     /// Hot-key attribution sketches ([`bad_telemetry::sketch`]).
     /// Strictly metadata-only — never consulted by any caching
     /// decision, so enabling sketches cannot perturb oracle parity.
@@ -144,122 +128,7 @@ impl CacheManager {
             admission_rejections: 0,
             shadow: None,
             autopilot: None,
-            read_path: None,
-            deferred_drops: Vec::new(),
             sketches: None,
-        }
-    }
-
-    /// Attaches the shard's lock-free read state. Called once by
-    /// [`crate::ShardedCacheManager`] at construction, before any
-    /// caches exist.
-    pub(crate) fn attach_read_path(&mut self, read_path: Arc<ShardReadPath>) {
-        self.read_path = Some(read_path);
-    }
-
-    /// Applies every pending mailbox record in FIFO order. Invoked on
-    /// *every* shard-lock acquisition before the caller's own
-    /// operation, so all state observable under the lock (metrics,
-    /// telemetry, occupancy, eviction decisions) is post-drain and
-    /// byte-identical to the serial locked execution. Returns the
-    /// number of records applied.
-    pub(crate) fn drain_reads(&mut self) -> usize {
-        let Some(read_path) = self.read_path.clone() else {
-            return 0;
-        };
-        if read_path.mailbox.is_empty() {
-            return 0;
-        }
-        let records = read_path.mailbox.drain();
-        let drained = records.len();
-        for record in records {
-            match record {
-                ReadRecord::Hits {
-                    bs,
-                    objects,
-                    bytes,
-                    now,
-                } => {
-                    // Replays exactly the bookkeeping `plan_get_live`
-                    // would have done inline: LRU touch, hit counters,
-                    // telemetry event, policy reindex.
-                    if let Some(cache) = self.caches.get_mut(&bs) {
-                        cache.touch(now);
-                    }
-                    self.metrics.record_hits(objects, bytes);
-                    self.telemetry.on_hits(now, bs, objects, bytes);
-                    // Optimistic (lock-free) hits are attributed here,
-                    // post-drain — the sketches see exactly the same
-                    // hit stream as the locked execution.
-                    if let Some(sketches) = &self.sketches {
-                        sketches.record_hit(bs.as_u64(), objects, bytes.as_u64());
-                    }
-                    self.reindex(bs, now);
-                }
-                ReadRecord::Ack {
-                    bs,
-                    sub,
-                    up_to,
-                    now,
-                } => {
-                    // Unknown caches (removed since the ack was
-                    // enqueued) fail exactly as the inline call would;
-                    // the error was already masked at enqueue time.
-                    if let Ok(dropped) = self.ack_consume_inner(bs, sub, up_to, now) {
-                        self.deferred_drops.extend(dropped);
-                    }
-                }
-            }
-        }
-        drained
-    }
-
-    /// Takes the drops stashed by deferred-ack replays. Every
-    /// drop-returning operation of the sharded manager prepends these
-    /// to its own result.
-    pub(crate) fn take_deferred_drops(&mut self) -> Vec<DroppedObject> {
-        std::mem::take(&mut self.deferred_drops)
-    }
-
-    /// Republishes `bs`'s read snapshot from live state if it is
-    /// stale. Called under the shard lock after a locked GET, so the
-    /// next optimistic read succeeds.
-    pub(crate) fn refresh_read_slot(&self, bs: BackendSubId) {
-        let Some(read_path) = &self.read_path else {
-            return;
-        };
-        let Some(cache) = self.caches.get(&bs) else {
-            return;
-        };
-        if let Some(slot) = read_path.slots().get(&bs) {
-            slot.refresh(cache);
-        }
-    }
-
-    /// Like [`Self::refresh_read_slot`], but only when an optimistic
-    /// GET touched the slot since the last republish. Writers call
-    /// this after mutating `bs` so the capture cost of keeping a hot
-    /// slot fresh lands on the already-locked writer, not the next
-    /// reader's fallback.
-    pub(crate) fn refresh_read_slot_if_read(&self, bs: BackendSubId) {
-        let Some(read_path) = &self.read_path else {
-            return;
-        };
-        let Some(cache) = self.caches.get(&bs) else {
-            return;
-        };
-        if let Some(slot) = read_path.slots().get(&bs) {
-            if slot.read_since_refresh() {
-                slot.refresh(cache);
-            }
-        }
-    }
-
-    /// Marks `bs`'s published snapshot stale after a plan-relevant
-    /// mutation (insert, any entry drop, admission gap).
-    fn invalidate_read_slot(&self, bs: BackendSubId) {
-        if let Some(read_path) = &self.read_path {
-            read_path.invalidate(bs);
         }
     }
 
@@ -276,11 +145,6 @@ impl CacheManager {
         ));
         shadow.seed(&self.caches, now);
         self.shadow = Some(shadow);
-        // Ghost replay needs every plan synchronously under the shard
-        // lock; optimistic reads stay off while a shadow is live.
-        if let Some(read_path) = &self.read_path {
-            read_path.set_optimistic(false);
-        }
     }
 
     /// The shadow evaluator, when enabled.
@@ -388,8 +252,7 @@ impl CacheManager {
     }
 
     /// Attaches a hot-key sketch recorder. The hooks it feeds
-    /// (`plan_get` hits — including optimistic hits replayed through
-    /// the deferred mailbox — `record_miss_fetch`, `ack_consume`) are
+    /// (`plan_get` hits, `record_miss_fetch`, `ack_consume`) are
     /// pure observation: one sampling RMW per skipped op, and never an
     /// input to any caching decision.
     pub fn set_sketches(&mut self, recorder: Arc<SketchRecorder>) {
@@ -517,18 +380,11 @@ impl CacheManager {
             shadow.on_create_cache(bs, now);
         }
         let config = &self.config;
-        let mut created = false;
         self.caches.entry(bs).or_insert_with(|| {
-            created = true;
             let mut cache = ResultCache::new(bs, now, config.rate_window);
             cache.set_ttl(config.initial_ttl);
             cache
         });
-        if created {
-            if let Some(read_path) = &self.read_path {
-                read_path.add_slot(bs);
-            }
-        }
     }
 
     /// Tears down a backend subscription's cache, dropping its objects.
@@ -539,9 +395,6 @@ impl CacheManager {
         let Some(mut cache) = self.caches.remove(&bs) else {
             return Vec::new();
         };
-        if let Some(read_path) = &self.read_path {
-            read_path.remove_slot(bs);
-        }
         self.index.remove(bs);
         let mut dropped = Vec::new();
         while let Some(object) = cache.drop_tail() {
@@ -602,9 +455,6 @@ impl CacheManager {
         }
         let cache = self.cache_mut(bs)?;
         let removed = cache.remove_subscriber(sub);
-        if !removed.is_empty() {
-            self.invalidate_read_slot(bs);
-        }
         let mut dropped = Vec::new();
         for object in removed {
             self.total_bytes -= object.size;
@@ -694,14 +544,11 @@ impl CacheManager {
                 // The object is a hole in this cache's coverage: future
                 // retrievals must fetch it from the cluster.
                 self.cache_mut(bs)?.record_gap(desc.ts);
-                self.invalidate_read_slot(bs);
-                self.refresh_read_slot_if_read(bs);
                 return Ok(Vec::new());
             }
         }
         let cache = self.cache_mut(bs)?;
         cache.insert(desc, now);
-        self.invalidate_read_slot(bs);
         self.total_bytes += desc.size;
         self.metrics.record_insert(desc.size, self.total_bytes, now);
         self.telemetry
@@ -714,10 +561,6 @@ impl CacheManager {
             profiler.stage(timer, StagePath::InsertVictimScan, trace);
         }
         self.metrics.observe_peak(self.total_bytes);
-        // Keep slots that optimistic GETs actually touch fresh: the
-        // capture runs here, under the lock this writer already holds,
-        // instead of on the next reader's fallback path.
-        self.refresh_read_slot_if_read(bs);
         Ok(dropped)
     }
 
@@ -753,7 +596,6 @@ impl CacheManager {
                 self.index.remove(victim);
                 continue;
             };
-            self.invalidate_read_slot(victim);
             self.total_bytes -= object.size;
             self.metrics
                 .record_drop(DropReason::Evicted, object.age(now), self.total_bytes, now);
@@ -877,16 +719,6 @@ impl CacheManager {
     ) -> Result<Vec<DroppedObject>> {
         // The whole body is one profiler stage (`…;ack_consume`); the
         // sharded caller attributes it when releasing the shard.
-        self.ack_consume_inner(bs, sub, up_to, now)
-    }
-
-    fn ack_consume_inner(
-        &mut self,
-        bs: BackendSubId,
-        sub: SubscriberId,
-        up_to: Timestamp,
-        now: Timestamp,
-    ) -> Result<Vec<DroppedObject>> {
         if let Some(shadow) = self.shadow.as_mut() {
             shadow.on_ack_consume(bs, sub, up_to, now);
         }
@@ -900,14 +732,9 @@ impl CacheManager {
         let removed = if drop_consumed {
             cache.consume_up_to(sub, up_to, now)
         } else {
-            // Pending-set changes never alter a plan, so the published
-            // snapshot stays valid.
             cache.mark_retrieved_up_to(sub, up_to);
             Vec::new()
         };
-        if !removed.is_empty() {
-            self.invalidate_read_slot(bs);
-        }
         let mut dropped = Vec::new();
         for object in removed {
             self.total_bytes -= object.size;
@@ -930,7 +757,6 @@ impl CacheManager {
             });
         }
         self.reindex(bs, now);
-        self.refresh_read_slot_if_read(bs);
         Ok(dropped)
     }
 
@@ -989,7 +815,7 @@ impl CacheManager {
         // attributed by the sharded caller at shard release.
         let mut dropped = Vec::new();
         for &(bs, sub, up_to) in requests {
-            if let Ok(batch) = self.ack_consume_inner(bs, sub, up_to, now) {
+            if let Ok(batch) = self.ack_consume(bs, sub, up_to, now) {
                 dropped.extend(batch);
             }
         }
@@ -1055,16 +881,9 @@ impl CacheManager {
             }
         }
         if self.policy.kind() == PolicyKind::TtlExpiry {
-            let read_path = self.read_path.clone();
             for (&bs, cache) in self.caches.iter_mut() {
                 let ttl = cache.ttl();
-                let expired = cache.expire_tail(now);
-                if !expired.is_empty() {
-                    if let Some(read_path) = &read_path {
-                        read_path.invalidate(bs);
-                    }
-                }
-                for object in expired {
+                for object in cache.expire_tail(now) {
                     self.total_bytes -= object.size;
                     self.metrics.record_drop(
                         DropReason::Expired,

@@ -70,67 +70,6 @@ impl GetPlan {
     }
 }
 
-/// The `GET` routine of Algorithm 1 over any timestamp-ascending view
-/// of one cache — the live deque or a published
-/// [`CacheSnapshot`](crate::readpath::CacheSnapshot).
-///
-/// `gaps_from(t)` yields the admission gaps at or after `t`, ascending;
-/// `entries_from(t)` yields `(id, ts, size)` of the resident objects
-/// with `ts >= t`, oldest first. Both callers find that start by binary
-/// search, so a plan costs `O(log n + k)`.
-pub(crate) fn plan_range<G, E>(
-    range: TimeRange,
-    coverage_from: Timestamp,
-    gaps_from: impl FnOnce(Timestamp) -> G,
-    entries_from: impl FnOnce(Timestamp) -> E,
-) -> GetPlan
-where
-    G: Iterator<Item = Timestamp>,
-    E: Iterator<Item = (ObjectId, Timestamp, ByteSize)>,
-{
-    if range.is_empty() {
-        return GetPlan {
-            cached: Vec::new(),
-            cached_bytes: ByteSize::ZERO,
-            missed: Vec::new(),
-        };
-    }
-    if range.to < coverage_from || (range.to == coverage_from && !range.closed_right) {
-        // Case 3: the whole request lies before the covered region.
-        return GetPlan::all_missed(range);
-    }
-
-    // Case 1/2: the covered part of the range is served from the
-    // cache; anything before the coverage watermark is missed, plus
-    // one point range per admission gap inside the request.
-    let mut missed = Vec::new();
-    if range.from < coverage_from {
-        missed.push(TimeRange::half_open(range.from, coverage_from));
-    }
-    for gap in gaps_from(coverage_from.max(range.from)) {
-        if !range.contains(gap) {
-            break;
-        }
-        missed.push(TimeRange::closed(gap, gap));
-    }
-    let mut cached = Vec::new();
-    let mut cached_bytes = ByteSize::ZERO;
-    for (id, ts, size) in entries_from(range.from) {
-        if ts > range.to {
-            break;
-        }
-        if range.contains(ts) {
-            cached.push((id, ts, size));
-            cached_bytes += size;
-        }
-    }
-    GetPlan {
-        cached,
-        cached_bytes,
-        missed,
-    }
-}
-
 /// Position in the deque of the object with sequence number `cursor`,
 /// clamped to the tail when eviction or expiry already took it.
 fn index_of(cursor: u64, base_seq: u64) -> usize {
@@ -344,18 +283,53 @@ impl ResultCache {
     ///
     /// The request asks for objects with `ts ∈ range`. Returns which
     /// objects are servable from the cache and which sub-range (if any)
-    /// must be fetched from the data cluster.
+    /// must be fetched from the data cluster. The first candidate is
+    /// found by binary search, so a plan costs `O(log n + k)`.
     pub fn plan_get(&mut self, range: TimeRange, now: Timestamp) -> GetPlan {
         self.last_access = now;
-        plan_range(
-            range,
-            self.coverage_from,
-            |from| self.gaps.range(from..).copied(),
-            |from| {
-                let first = self.entries.partition_point(|o| o.ts < from);
-                self.entries.range(first..).map(|o| (o.id, o.ts, o.size))
-            },
-        )
+        if range.is_empty() {
+            return GetPlan {
+                cached: Vec::new(),
+                cached_bytes: ByteSize::ZERO,
+                missed: Vec::new(),
+            };
+        }
+        let coverage_from = self.coverage_from;
+        if range.to < coverage_from || (range.to == coverage_from && !range.closed_right) {
+            // Case 3: the whole request lies before the covered region.
+            return GetPlan::all_missed(range);
+        }
+
+        // Case 1/2: the covered part of the range is served from the
+        // cache; anything before the coverage watermark is missed, plus
+        // one point range per admission gap inside the request.
+        let mut missed = Vec::new();
+        if range.from < coverage_from {
+            missed.push(TimeRange::half_open(range.from, coverage_from));
+        }
+        for &gap in self.gaps.range(coverage_from.max(range.from)..) {
+            if !range.contains(gap) {
+                break;
+            }
+            missed.push(TimeRange::closed(gap, gap));
+        }
+        let mut cached = Vec::new();
+        let mut cached_bytes = ByteSize::ZERO;
+        let first = self.entries.partition_point(|o| o.ts < range.from);
+        for o in self.entries.range(first..) {
+            if o.ts > range.to {
+                break;
+            }
+            if range.contains(o.ts) {
+                cached.push((o.id, o.ts, o.size));
+                cached_bytes += o.size;
+            }
+        }
+        GetPlan {
+            cached,
+            cached_bytes,
+            missed,
+        }
     }
 
     /// Marks every object with `ts ∈ (·, up_to]` as retrieved by `sub`,
@@ -441,18 +415,6 @@ impl ResultCache {
     /// Number of live admission gaps (diagnostics).
     pub fn gap_count(&self) -> usize {
         self.gaps.len()
-    }
-
-    /// Live admission-gap timestamps in ascending order (snapshot
-    /// capture for the lock-free read path).
-    pub(crate) fn gaps(&self) -> impl Iterator<Item = Timestamp> + '_ {
-        self.gaps.iter().copied()
-    }
-
-    /// Updates the LRU key exactly as [`Self::plan_get`] would — used
-    /// when replaying a deferred optimistic read's bookkeeping.
-    pub(crate) fn touch(&mut self, now: Timestamp) {
-        self.last_access = now;
     }
 
     fn pop_front(&mut self) -> Option<CachedObject> {
@@ -767,6 +729,54 @@ mod tests {
         let plan = c.plan_get(TimeRange::closed(t(1), t(3)), t(4));
         assert_eq!(plan.missed.len(), 1);
         assert!(plan.missed[0].contains(t(2)));
+    }
+
+    /// Every range shape against one cache — objects at 10, 20, 30 and
+    /// 40 s, an admission gap at 25 s, covered from 0 — with the plan
+    /// written out by hand.
+    #[test]
+    fn plan_get_range_shapes() {
+        let mut c = cache_with(&[1]);
+        for (id, ts) in [(0, 10), (1, 20), (2, 30), (3, 40)] {
+            c.insert(obj(id, ts, 10), t(ts));
+        }
+        c.record_gap(t(25));
+        let hit = |id: u64, ts: u64| (ObjectId::new(id), t(ts), ByteSize::new(10));
+        let gap = vec![TimeRange::closed(t(25), t(25))];
+        let cases = [
+            // Closed over everything resident.
+            (
+                TimeRange::closed(t(10), t(40)),
+                vec![hit(0, 10), hit(1, 20), hit(2, 30), hit(3, 40)],
+                gap.clone(),
+            ),
+            // Strictly inside, both ends between objects.
+            (
+                TimeRange::closed(t(15), t(35)),
+                vec![hit(1, 20), hit(2, 30)],
+                gap.clone(),
+            ),
+            // Half-open: the object at the upper bound is excluded.
+            (
+                TimeRange::half_open(t(10), t(30)),
+                vec![hit(0, 10), hit(1, 20)],
+                gap.clone(),
+            ),
+            // Beyond the head: covered, nothing there yet.
+            (TimeRange::closed(t(50), t(60)), vec![], vec![]),
+            // Empty range.
+            (TimeRange::half_open(t(5), t(5)), vec![], vec![]),
+            // Exactly on the gap.
+            (TimeRange::closed(t(25), t(25)), vec![], gap.clone()),
+        ];
+        for (range, cached, missed) in cases {
+            let want = GetPlan {
+                cached_bytes: ByteSize::new(10 * cached.len() as u64),
+                cached,
+                missed,
+            };
+            assert_eq!(c.plan_get(range, t(100)), want, "range {range:?}");
+        }
     }
 
     #[test]

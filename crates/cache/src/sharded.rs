@@ -29,8 +29,8 @@
 //! ICDCS 2018 evaluation is single-threaded) and is pinned by the
 //! `oracle_parity` integration test for all six policies.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use bad_telemetry::{
     HotSnapshot, LockSite, OpTimer, ProfiledGuard, Profiler, SketchConfig, SketchRecorder,
@@ -44,7 +44,6 @@ use crate::manager::{CacheConfig, CacheManager, DroppedObject};
 use crate::metrics::CacheMetrics;
 use crate::object::NewObject;
 use crate::policy::{PolicyKind, PolicyName};
-use crate::readpath::{ReadRecord, ShardReadPath};
 use crate::result_cache::{GetPlan, ResultCache};
 use crate::shadow::{ShadowConfig, ShadowSnapshot};
 use crate::telemetry::CacheTelemetry;
@@ -60,8 +59,8 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 }
 
 /// Packs a `(PolicyName, PolicyKind)` pair into one `u64` so the live
-/// policy can live in an `AtomicU64` — read on every routed operation
-/// (and by the optimistic GET's NC check) without taking a lock.
+/// policy can live in an `AtomicU64` — read by the broker on every
+/// notification and retrieval without taking a lock.
 fn pack_policy(name: PolicyName, kind: PolicyKind) -> u64 {
     let n: u64 = match name {
         PolicyName::Lru => 0,
@@ -136,19 +135,10 @@ pub struct ShardedCacheManager {
     budget: ByteSize,
     /// The live policy and its kind, packed by [`pack_policy`] —
     /// mutable since the autopilot can promote a new policy fleet-wide
-    /// ([`crate::autopilot`]). An atomic (not a mutex) because it is
-    /// read on the lock-free GET path, where even an uncontended lock
-    /// acquisition would dirty the line shared with writers.
+    /// ([`crate::autopilot`]). An atomic (not a mutex) so that
+    /// [`ShardedCacheManager::caches_results`] and
+    /// [`ShardedCacheManager::policy_name`] never queue behind a shard.
     policy: AtomicU64,
-    /// Per-shard lock-free read paths (seqlock snapshots + deferred-ack
-    /// mailboxes), index-aligned with `shards`. `None` when
-    /// [`CacheConfig::use_lockfree_reads`] is off — every read then
-    /// takes the shard mutex exactly as before the read path existed.
-    read_paths: Option<Vec<Arc<ShardReadPath>>>,
-    /// Test-only knob: force every `ack_consume` through the deferred
-    /// mailbox even when the shard lock is free, so tests can exercise
-    /// the drain/stash machinery deterministically.
-    force_defer_acks: AtomicBool,
     /// The fleet-level policy controller: one decision from the merged
     /// shard snapshots, applied to every shard — so a fleet never runs
     /// mixed policies. Lock order: taken first, before any shard lock.
@@ -181,43 +171,26 @@ impl ShardedCacheManager {
     /// `config.budget` evenly across them.
     pub fn new(policy: PolicyName, config: CacheConfig, shards: usize) -> Self {
         let n = shards.max(1) as u64;
-        let read_paths = config.use_lockfree_reads.then(|| {
-            (0..n)
-                .map(|_| Arc::new(ShardReadPath::new()))
-                .collect::<Vec<_>>()
-        });
         let shards = split_budget(config.budget, n)
             .into_iter()
-            .enumerate()
-            .map(|(i, share)| {
-                let mut mgr = CacheManager::new(
+            .map(|share| {
+                Mutex::new(CacheManager::new(
                     policy,
                     CacheConfig {
                         budget: share,
                         ..config
                     },
-                );
-                if let Some(read_paths) = &read_paths {
-                    mgr.attach_read_path(Arc::clone(&read_paths[i]));
-                }
-                Mutex::new(mgr)
+                ))
             })
             .collect();
         Self {
             shards,
             budget: config.budget,
             policy: AtomicU64::new(pack_policy(policy, policy.build().kind())),
-            read_paths,
-            force_defer_acks: AtomicBool::new(false),
             autopilot: Mutex::new(None),
             profile: OnceLock::new(),
             sketch: OnceLock::new(),
         }
-    }
-
-    /// The read path of shard `idx`, when lock-free reads are enabled.
-    fn read_path(&self, idx: usize) -> Option<&Arc<ShardReadPath>> {
-        self.read_paths.as_ref().map(|paths| &paths[idx])
     }
 
     /// The shard index owning `bs` — a stable hash, so routing is
@@ -230,23 +203,13 @@ impl ShardedCacheManager {
         }
     }
 
-    fn lock(&self, idx: usize) -> ProfiledGuard<'_, CacheManager> {
-        self.lock_timed(idx, false)
-    }
-
     /// Acquires shard `idx` through its lock site when the profiler is
-    /// attached (`timed` gates the hold-time pair — pass the per-op
-    /// sampling decision), a plain acquisition otherwise.
-    fn lock_timed(&self, idx: usize, timed: bool) -> ProfiledGuard<'_, CacheManager> {
-        let mut guard = match self.profile.get() {
-            Some(p) => p.sites[idx].lock(&self.shards[idx], timed),
+    /// attached, a plain acquisition otherwise.
+    fn lock(&self, idx: usize) -> ProfiledGuard<'_, CacheManager> {
+        match self.profile.get() {
+            Some(p) => p.sites[idx].lock(&self.shards[idx], false),
             None => ProfiledGuard::plain(&self.shards[idx]),
-        };
-        // Every shard-lock acquisition drains the read mailbox first,
-        // so everything observed under the lock is post-drain and
-        // byte-identical to the serial locked execution.
-        guard.drain_reads();
-        guard
+        }
     }
 
     /// Acquires shard `idx` through its lock site, crossing the
@@ -260,22 +223,8 @@ impl ShardedCacheManager {
         trace: u64,
     ) -> ProfiledGuard<'_, CacheManager> {
         match self.profile.get() {
-            Some(p) => {
-                let mut guard = p.sites[idx].lock_staged(&self.shards[idx], timer, path, trace);
-                if guard.drain_reads() > 0 {
-                    // Attribute the replay of deferred hit/ack records
-                    // to its own stage so drain cost is visible in the
-                    // folded tree rather than polluting the caller's
-                    // next stage.
-                    p.profiler.stage(timer, StagePath::GetAckDrain, trace);
-                }
-                guard
-            }
-            None => {
-                let mut guard = ProfiledGuard::plain(&self.shards[idx]);
-                guard.drain_reads();
-                guard
-            }
+            Some(p) => p.sites[idx].lock_staged(&self.shards[idx], timer, path, trace),
+            None => ProfiledGuard::plain(&self.shards[idx]),
         }
     }
 
@@ -436,10 +385,9 @@ impl ShardedCacheManager {
     }
 
     /// Attributes one delivered object's end-to-end lag to `bs`'s
-    /// shard recorder. No-op until sketches are enabled. Deliberately
-    /// lock-free with respect to the shards: the broker calls this per
-    /// delivered object on the GET path, which (with lock-free reads)
-    /// may not have taken the shard mutex at all.
+    /// shard recorder. No-op until sketches are enabled. Takes no
+    /// shard mutex: the broker calls this per delivered object, after
+    /// the plan's shard has been released.
     pub fn record_delivery_lag(&self, bs: BackendSubId, lag_us: u64) {
         if let Some(recorders) = self.sketch.get() {
             recorders[self.shard_index(bs)].record_delivery_lag(bs.as_u64(), lag_us);
@@ -570,11 +518,7 @@ impl ShardedCacheManager {
 
     /// Tears down a backend subscription's cache, dropping its objects.
     pub fn remove_cache(&self, bs: BackendSubId, now: Timestamp) -> Vec<DroppedObject> {
-        let mut shard = self.shard(bs);
-        let dropped = shard.remove_cache(bs, now);
-        let mut out = shard.take_deferred_drops();
-        out.extend(dropped);
-        out
+        self.shard(bs).remove_cache(bs, now)
     }
 
     /// Attaches a subscriber to a cache.
@@ -599,11 +543,7 @@ impl ShardedCacheManager {
         sub: SubscriberId,
         now: Timestamp,
     ) -> Result<Vec<DroppedObject>> {
-        let mut shard = self.shard(bs);
-        let dropped = shard.remove_subscriber(bs, sub, now)?;
-        let mut out = shard.take_deferred_drops();
-        out.extend(dropped);
-        Ok(out)
+        self.shard(bs).remove_subscriber(bs, sub, now)
     }
 
     /// Inserts a freshly produced result (Algorithm 1 `PUT`), evicting
@@ -620,11 +560,7 @@ impl ShardedCacheManager {
         now: Timestamp,
     ) -> Result<Vec<DroppedObject>> {
         let Some(p) = self.profile.get() else {
-            let mut shard = self.shard(bs);
-            let dropped = shard.insert(bs, desc, now)?;
-            let mut out = shard.take_deferred_drops();
-            out.extend(dropped);
-            return Ok(out);
+            return self.shard(bs).insert(bs, desc, now);
         };
         let mut timer = p.profiler.op();
         let trace = match timer {
@@ -634,111 +570,23 @@ impl ShardedCacheManager {
         let idx = self.shard_index(bs);
         let mut shard = self.lock_staged(idx, &mut timer, StagePath::InsertLockWait, trace);
         let out = shard.insert_staged(bs, desc, now, &p.profiler, &mut timer);
-        let out = out.map(|dropped| {
-            let mut all = shard.take_deferred_drops();
-            all.extend(dropped);
-            all
-        });
         drop(shard);
         p.profiler.finish(timer, StagePath::InsertTotal, trace);
         out
     }
 
-    /// Attempts a lock-free GET against shard `idx`'s published
-    /// snapshot. `None` means "take the locked path": the read path is
-    /// disabled (config off or shadow evaluation active), an ack for
-    /// `bs` may be pending in the mailbox (planning before it is
-    /// applied could return a stale hit set), the snapshot generation
-    /// was stale before or after planning, or the mailbox was full.
-    ///
-    /// On success the plan's hit accounting is enqueued as a
-    /// [`ReadRecord::Hits`] and applied by the next lock holder, so
-    /// metrics/telemetry stay exactly what the locked path would have
-    /// produced (zero-hit plans enqueue too — the locked path touches
-    /// `last_access` and reindexes even then).
-    fn try_optimistic_plan(
-        &self,
-        idx: usize,
-        bs: BackendSubId,
-        range: TimeRange,
-        now: Timestamp,
-    ) -> Option<GetPlan> {
-        let rp = self.read_path(idx)?;
-        if !rp.optimistic() {
-            return None;
-        }
-        // Mirrors CacheManager::plan_get_live's NC / missing-cache
-        // short-circuits: no metrics, no telemetry, no record.
-        let all_missed = |range: TimeRange| GetPlan {
-            cached: Vec::new(),
-            cached_bytes: ByteSize::ZERO,
-            missed: if range.is_empty() {
-                Vec::new()
-            } else {
-                vec![range]
-            },
-        };
-        if self.live_policy().1 == PolicyKind::NoCache {
-            return Some(all_missed(range));
-        }
-        if rp.mailbox.maybe_pending_ack(bs) {
-            return None;
-        }
-        let slots = rp.slots();
-        let Some(slot) = slots.get(&bs) else {
-            return Some(all_missed(range));
-        };
-        let snap = slot.read()?;
-        let plan = snap.plan_get(range);
-        if !slot.still_valid(&snap) {
-            return None;
-        }
-        let recorded = rp.mailbox.push(ReadRecord::Hits {
-            bs,
-            objects: plan.cached.len() as u64,
-            bytes: plan.cached_bytes,
-            now,
-        });
-        if !recorded {
-            // Mailbox full: serving the plan would lose its hit
-            // accounting. Fall back to the locked path (which drains).
-            return None;
-        }
-        Some(plan)
-    }
-
-    /// Plans a range retrieval (Algorithm 1 `GET`) against the owning
-    /// shard — optimistically against the shard's published snapshot
-    /// when lock-free reads are on, falling back to the shard mutex on
-    /// any seqlock conflict (and republishing the snapshot before
-    /// releasing it, so the next read succeeds).
+    /// Plans a range retrieval (Algorithm 1 `GET`) under the owning
+    /// shard's mutex.
     pub fn plan_get(&self, bs: BackendSubId, range: TimeRange, now: Timestamp) -> GetPlan {
-        let idx = self.shard_index(bs);
         let Some(p) = self.profile.get() else {
-            if let Some(plan) = self.try_optimistic_plan(idx, bs, range, now) {
-                return plan;
-            }
-            let mut shard = self.lock(idx);
-            let plan = shard.plan_get(bs, range, now);
-            shard.refresh_read_slot(bs);
-            return plan;
+            return self.shard(bs).plan_get(bs, range, now);
         };
+        // No route boundary: routing one key is a single hash, and its
+        // time folds into the lookup stage crossed at release.
         let mut timer = p.profiler.op();
-        p.profiler.stage(&mut timer, StagePath::GetRoute, 0);
-        if let Some(plan) = self.try_optimistic_plan(idx, bs, range, now) {
-            p.profiler
-                .stage(&mut timer, StagePath::GetOptimisticRead, 0);
-            p.profiler.finish(timer, StagePath::GetTotal, 0);
-            return plan;
-        }
-        if self.read_paths.is_some() {
-            // The optimistic attempt ran and failed — record the retry
-            // boundary so fallback frequency shows up in /profile.
-            p.profiler.stage(&mut timer, StagePath::GetSeqlockRetry, 0);
-        }
+        let idx = self.shard_index(bs);
         let mut shard = self.lock_staged(idx, &mut timer, StagePath::GetLockWait, 0);
         let plan = shard.plan_get_staged(bs, range, now, &p.profiler, &mut timer);
-        shard.refresh_read_slot(bs);
         let tail = shard.tail_get_stage();
         shard.unlock_staged(&mut timer, tail);
         p.profiler.finish(timer, StagePath::GetTotal, 0);
@@ -759,77 +607,16 @@ impl ShardedCacheManager {
         up_to: Timestamp,
         now: Timestamp,
     ) -> Result<Vec<DroppedObject>> {
-        let idx = self.shard_index(bs);
-        if let Some(rp) = self.read_path(idx) {
-            let defer = self.force_defer_acks.load(Ordering::Relaxed);
-            if defer {
-                if rp.mailbox.push(ReadRecord::Ack {
-                    bs,
-                    sub,
-                    up_to,
-                    now,
-                }) {
-                    return Ok(Vec::new());
-                }
-                // Mailbox full: fall through to the blocking path.
-            } else {
-                // Adaptive: apply synchronously when the shard lock is
-                // free (uncontended serial tapes keep exact per-call
-                // Result parity with the locked build), defer into the
-                // mailbox only under contention. try_lock bypasses the
-                // profiler's lock site — there is no wait to measure.
-                match self.shards[idx].try_lock() {
-                    Ok(mut shard) => {
-                        shard.drain_reads();
-                        let dropped = shard.ack_consume(bs, sub, up_to, now)?;
-                        let mut out = shard.take_deferred_drops();
-                        out.extend(dropped);
-                        return Ok(out);
-                    }
-                    Err(TryLockError::WouldBlock) => {
-                        if rp.mailbox.push(ReadRecord::Ack {
-                            bs,
-                            sub,
-                            up_to,
-                            now,
-                        }) {
-                            return Ok(Vec::new());
-                        }
-                        // Mailbox full: block on the lock instead.
-                    }
-                    Err(TryLockError::Poisoned(e)) => panic!("shard mutex poisoned: {e}"),
-                }
-            }
-        }
-        let mut shard = self.shard(bs);
-        let dropped = shard.ack_consume(bs, sub, up_to, now)?;
-        let mut out = shard.take_deferred_drops();
-        out.extend(dropped);
-        Ok(out)
+        self.shard(bs).ack_consume(bs, sub, up_to, now)
     }
 
-    /// Test-only: forces every [`ShardedCacheManager::ack_consume`]
-    /// through the deferred mailbox so the drain/stash machinery can be
-    /// exercised deterministically. No effect when lock-free reads are
-    /// disabled.
+    /// Always empty: every operation returns its own drops before it
+    /// releases the shard, so there is nothing left to collect. Kept
+    /// only because `benchmark/src/rw.rs` calls it and a PR that claims
+    /// a gain may not edit `benchmark/`; ROADMAP item 8 removes both.
     #[doc(hidden)]
-    pub fn set_force_defer_acks(&self, on: bool) {
-        self.force_defer_acks.store(on, Ordering::Relaxed);
-    }
-
-    /// Drains every shard's read mailbox and returns all deferred
-    /// drops still stashed in the shards — drops whose triggering
-    /// `ack_consume` was deferred and whose drain happened under a
-    /// non-drop-returning operation. Call before tearing down or
-    /// comparing final state; always empty when lock-free reads are
-    /// disabled.
     pub fn quiesce(&self) -> Vec<DroppedObject> {
-        let mut out = Vec::new();
-        for idx in 0..self.shards.len() {
-            let mut shard = self.lock(idx);
-            out.extend(shard.take_deferred_drops());
-        }
-        out
+        Vec::new()
     }
 
     /// Re-splits a new global budget `B` across the shards (same
@@ -841,7 +628,6 @@ impl ShardedCacheManager {
         let mut dropped = Vec::new();
         for (idx, share) in shares.into_iter().enumerate() {
             let mut shard = self.lock(idx);
-            dropped.extend(shard.take_deferred_drops());
             shard.set_budget(share);
             dropped.extend(shard.enforce_budget(now));
         }
@@ -904,15 +690,9 @@ impl ShardedCacheManager {
         plans.into_iter().map(|p| p.expect("planned")).collect()
     }
 
-    /// Plans one shard's slice of a batch, in slice order: an
-    /// optimistic prefix (lock-free snapshot reads) up to the first
-    /// seqlock conflict, then — if anything remains — one lock
-    /// acquisition serving the whole remainder through the
-    /// batch-staged manager call. Stopping the optimistic prefix at
-    /// the first failure (rather than attempting every request) keeps
-    /// per-request telemetry events in request order: the lock drains
-    /// the prefix's enqueued hit records before the locked remainder
-    /// emits its own.
+    /// Plans one shard's slice of a batch, in slice order, under one
+    /// lock acquisition: stage-timer cost per operation is bounded by
+    /// the shard count, not the batch size.
     fn plan_shard_group(
         &self,
         idx: usize,
@@ -921,34 +701,10 @@ impl ShardedCacheManager {
         profiler: &Profiler,
         timer: &mut Option<OpTimer>,
     ) -> Vec<GetPlan> {
-        let mut plans = Vec::with_capacity(group.len());
-        while plans.len() < group.len() {
-            let (bs, range) = group[plans.len()];
-            match self.try_optimistic_plan(idx, bs, range, now) {
-                Some(plan) => plans.push(plan),
-                None => break,
-            }
-        }
-        if !plans.is_empty() {
-            profiler.stage(timer, StagePath::GetOptimisticRead, 0);
-        }
-        if plans.len() < group.len() {
-            if self.read_paths.is_some() {
-                profiler.stage(timer, StagePath::GetSeqlockRetry, 0);
-            }
-            let rest = &group[plans.len()..];
-            // One lock-wait boundary per shard, then the whole
-            // remainder through the batch-staged manager call:
-            // stage-timer cost per operation is bounded by the shard
-            // count, not the batch size.
-            let mut shard = self.lock_staged(idx, timer, StagePath::GetLockWait, 0);
-            plans.extend(shard.plan_get_batch_staged(rest, now, profiler, timer));
-            for &(bs, _) in rest {
-                shard.refresh_read_slot(bs);
-            }
-            let tail = shard.tail_get_stage();
-            shard.unlock_staged(timer, tail);
-        }
+        let mut shard = self.lock_staged(idx, timer, StagePath::GetLockWait, 0);
+        let plans = shard.plan_get_batch_staged(group, now, profiler, timer);
+        let tail = shard.tail_get_stage();
+        shard.unlock_staged(timer, tail);
         plans
     }
 
@@ -981,9 +737,7 @@ impl ShardedCacheManager {
     ) -> Vec<DroppedObject> {
         if self.shards.len() == 1 {
             let mut shard = self.lock_staged(0, timer, StagePath::GetLockWait, 0);
-            let batch = shard.ack_consume_batch(requests, now);
-            let mut dropped = shard.take_deferred_drops();
-            dropped.extend(batch);
+            let dropped = shard.ack_consume_batch(requests, now);
             shard.unlock_staged(timer, StagePath::GetAck);
             return dropped;
         }
@@ -993,7 +747,6 @@ impl ShardedCacheManager {
                 let idx = self.shard_index(bs);
                 let mut shard = self.lock_staged(idx, timer, StagePath::GetLockWait, 0);
                 let batch = shard.ack_consume(bs, sub, up_to, now);
-                dropped.extend(shard.take_deferred_drops());
                 shard.unlock_staged(timer, StagePath::GetAck);
                 if let Ok(batch) = batch {
                     dropped.extend(batch);
@@ -1015,7 +768,6 @@ impl ShardedCacheManager {
                 indices.iter().map(|&i| requests[i]).collect();
             let mut shard = self.lock_staged(idx, timer, StagePath::GetLockWait, 0);
             let batch = shard.ack_consume_batch(&group, now);
-            dropped.extend(shard.take_deferred_drops());
             shard.unlock_staged(timer, StagePath::GetAck);
             dropped.extend(batch);
         }
@@ -1084,17 +836,11 @@ impl ShardedCacheManager {
     /// share.
     pub fn maintain_shard(&self, idx: usize, now: Timestamp) -> Vec<DroppedObject> {
         let Some(p) = self.profile.get() else {
-            let mut shard = self.lock(idx);
-            let maintained = shard.maintain(now);
-            let mut out = shard.take_deferred_drops();
-            out.extend(maintained);
-            return out;
+            return self.lock(idx).maintain(now);
         };
         let mut timer = p.profiler.op();
         let mut shard = self.lock_staged(idx, &mut timer, StagePath::MaintainLockWait, 0);
-        let maintained = shard.maintain_staged(now, &p.profiler, &mut timer);
-        let mut dropped = shard.take_deferred_drops();
-        dropped.extend(maintained);
+        let dropped = shard.maintain_staged(now, &p.profiler, &mut timer);
         drop(shard);
         p.profiler.finish(timer, StagePath::MaintainTotal, 0);
         dropped
@@ -1141,7 +887,6 @@ impl ShardedCacheManager {
         let mut dropped = Vec::new();
         for (idx, share) in shares.into_iter().enumerate() {
             let mut shard = self.lock(idx);
-            dropped.extend(shard.take_deferred_drops());
             if shard.budget() != ByteSize::new(share) {
                 shard.set_budget(ByteSize::new(share));
                 dropped.extend(shard.enforce_budget(now));

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use bad_cache::{CacheConfig, CacheManager, CacheTelemetry, PolicyName, ShardedCacheManager};
 use bad_telemetry::{ProfileConfig, Profiler, Registry, RingBufferSink, SharedSink};
 use bad_types::{ByteSize, SimDuration, Timestamp};
-use common::{gen_ops, replay, replay_with, Driver};
+use common::{gen_ops, replay, Driver};
 
 const SEEDS: [u64; 4] = [7, 21, 42, 1009];
 const OPS_PER_SEED: usize = 250;
@@ -59,94 +59,79 @@ fn single_shard_matches_monolith_dropped_streams_and_metrics() {
     }
 }
 
+/// Replays one tape into a monolith and a one-shard manager — each
+/// with telemetry on a registry and event ring of its own, and armed by
+/// the caller — and holds the two to byte parity: replay log, metrics,
+/// telemetry event stream, rendered cache registry. Returns both
+/// managers for whatever else the caller wants to compare.
+fn assert_single_shard_parity(
+    policy: PolicyName,
+    seed: u64,
+    arm_mono: impl FnOnce(&mut CacheManager),
+    arm_sharded: impl FnOnce(&mut ShardedCacheManager),
+) -> (CacheManager, ShardedCacheManager) {
+    let ops = gen_ops(seed, OPS_PER_SEED, 4, 8);
+
+    let mono_registry = Registry::new();
+    let mono_ring = Arc::new(RingBufferSink::new(100_000));
+    let mut mono = CacheManager::new(policy, config(10_000));
+    mono.set_telemetry(CacheTelemetry::new(
+        &mono_registry,
+        mono_ring.clone() as SharedSink,
+    ));
+    arm_mono(&mut mono);
+    let mono_log = replay(&mut mono, &ops, 4);
+
+    let sharded_registry = Registry::new();
+    let sharded_ring = Arc::new(RingBufferSink::new(100_000));
+    let mut sharded = ShardedCacheManager::new(policy, config(10_000), 1);
+    sharded.set_telemetry(CacheTelemetry::new(
+        &sharded_registry,
+        sharded_ring.clone() as SharedSink,
+    ));
+    arm_sharded(&mut sharded);
+    let sharded_log = replay(&mut sharded, &ops, 4);
+
+    assert_eq!(mono_log, sharded_log, "{policy:?}: replay logs diverged");
+    assert_eq!(
+        mono.metrics().clone(),
+        Driver::metrics_snapshot(&sharded),
+        "{policy:?}: metrics diverged"
+    );
+    assert_eq!(
+        mono_ring.events(),
+        sharded_ring.events(),
+        "{policy:?}: telemetry event streams diverged"
+    );
+    assert_eq!(
+        mono_registry.render(),
+        sharded_registry.render(),
+        "{policy:?}: rendered registries diverged"
+    );
+    (mono, sharded)
+}
+
 #[test]
 fn single_shard_matches_monolith_telemetry() {
     for policy in policies() {
-        let seed = 42;
-        let ops = gen_ops(seed, OPS_PER_SEED, 4, 8);
-
-        let mono_registry = Registry::new();
-        let mono_ring = Arc::new(RingBufferSink::new(100_000));
-        let mut mono = CacheManager::new(policy, config(10_000));
-        mono.set_telemetry(CacheTelemetry::new(
-            &mono_registry,
-            mono_ring.clone() as SharedSink,
-        ));
-        replay(&mut mono, &ops, 4);
-
-        let sharded_registry = Registry::new();
-        let sharded_ring = Arc::new(RingBufferSink::new(100_000));
-        let mut sharded = ShardedCacheManager::new(policy, config(10_000), 1);
-        sharded.set_telemetry(CacheTelemetry::new(
-            &sharded_registry,
-            sharded_ring.clone() as SharedSink,
-        ));
-        replay(&mut sharded, &ops, 4);
-
-        assert_eq!(
-            mono_ring.events(),
-            sharded_ring.events(),
-            "{policy:?}: telemetry event streams diverged"
-        );
-        assert_eq!(
-            mono_registry.render(),
-            sharded_registry.render(),
-            "{policy:?}: rendered registries diverged"
-        );
+        assert_single_shard_parity(policy, 42, |_| {}, |_| {});
     }
 }
 
 /// Full stage-and-lock profiling is metadata-only: a profiled
 /// single-shard manager must stay byte-identical to the unprofiled
-/// monolith — same replay log, same metrics, same telemetry events,
-/// same rendered cache registry. The profiler's own series register on
-/// a separate registry precisely so the cache registries stay
-/// byte-comparable here.
+/// monolith. The profiler's own series register on a separate registry
+/// precisely so the cache registries stay byte-comparable here.
 #[test]
 fn single_shard_with_full_profiling_matches_monolith() {
     for policy in policies() {
-        let seed = 1009;
-        let ops = gen_ops(seed, OPS_PER_SEED, 4, 8);
-
-        let mono_registry = Registry::new();
-        let mono_ring = Arc::new(RingBufferSink::new(100_000));
-        let mut mono = CacheManager::new(policy, config(10_000));
-        mono.set_telemetry(CacheTelemetry::new(
-            &mono_registry,
-            mono_ring.clone() as SharedSink,
-        ));
-        let mono_log = replay(&mut mono, &ops, 4);
-
         let profile_registry = Registry::new();
         let profiler = Profiler::new(&profile_registry, ProfileConfig { sample_every_n: 1 });
-        let sharded_registry = Registry::new();
-        let sharded_ring = Arc::new(RingBufferSink::new(100_000));
-        let mut sharded = ShardedCacheManager::new(policy, config(10_000), 1);
-        sharded.set_telemetry(CacheTelemetry::new(
-            &sharded_registry,
-            sharded_ring.clone() as SharedSink,
-        ));
-        sharded.set_profiler(&profiler);
-        let sharded_log = replay(&mut sharded, &ops, 4);
-
-        assert_eq!(
-            mono_log, sharded_log,
-            "{policy:?}: profiled replay log diverged"
-        );
-        assert_eq!(
-            mono.metrics().clone(),
-            Driver::metrics_snapshot(&sharded),
-            "{policy:?}: profiled metrics diverged"
-        );
-        assert_eq!(
-            mono_ring.events(),
-            sharded_ring.events(),
-            "{policy:?}: profiled telemetry event streams diverged"
-        );
-        assert_eq!(
-            mono_registry.render(),
-            sharded_registry.render(),
-            "{policy:?}: profiled cache registries diverged"
+        assert_single_shard_parity(
+            policy,
+            1009,
+            |_| {},
+            |sharded| sharded.set_profiler(&profiler),
         );
 
         // And the profiler really was live: it attributed lock
@@ -167,58 +152,20 @@ fn single_shard_with_full_profiling_matches_monolith() {
     }
 }
 
-/// Hot-key sketches are metadata-only: a single-shard manager with
-/// full sketch recording enabled must stay byte-identical to the
-/// unsketched monolith — same replay log, same metrics, same telemetry
-/// events, same rendered cache registry. The sketches live entirely
-/// outside the caching decision path (their own per-shard recorder, no
-/// registry series), so nothing they do may leak into parity.
+/// Hot-key sketches are metadata-only: they live entirely outside the
+/// caching decision path (their own per-shard recorder, no registry
+/// series), so a fully sketched single shard must stay byte-identical
+/// to the unsketched monolith.
 #[test]
 fn single_shard_with_sketches_matches_monolith() {
     use bad_telemetry::SketchConfig;
 
     for policy in policies() {
-        let seed = 21;
-        let ops = gen_ops(seed, OPS_PER_SEED, 4, 8);
-
-        let mono_registry = Registry::new();
-        let mono_ring = Arc::new(RingBufferSink::new(100_000));
-        let mut mono = CacheManager::new(policy, config(10_000));
-        mono.set_telemetry(CacheTelemetry::new(
-            &mono_registry,
-            mono_ring.clone() as SharedSink,
-        ));
-        let mono_log = replay(&mut mono, &ops, 4);
-
-        let sharded_registry = Registry::new();
-        let sharded_ring = Arc::new(RingBufferSink::new(100_000));
-        let mut sharded = ShardedCacheManager::new(policy, config(10_000), 1);
-        sharded.set_telemetry(CacheTelemetry::new(
-            &sharded_registry,
-            sharded_ring.clone() as SharedSink,
-        ));
-        sharded.enable_sketches(SketchConfig::default());
-        let mut sharded_log = replay(&mut sharded, &ops, 4);
-        sharded_log.dropped.extend(sharded.quiesce());
-
-        assert_eq!(
-            mono_log, sharded_log,
-            "{policy:?}: sketched replay log diverged"
-        );
-        assert_eq!(
-            mono.metrics().clone(),
-            Driver::metrics_snapshot(&sharded),
-            "{policy:?}: sketched metrics diverged"
-        );
-        assert_eq!(
-            mono_ring.events(),
-            sharded_ring.events(),
-            "{policy:?}: sketched telemetry event streams diverged"
-        );
-        assert_eq!(
-            mono_registry.render(),
-            sharded_registry.render(),
-            "{policy:?}: sketched cache registries diverged"
+        let (_, sharded) = assert_single_shard_parity(
+            policy,
+            21,
+            |_| {},
+            |sharded| sharded.enable_sketches(SketchConfig::default()),
         );
 
         // And the sketches really were live: the replay's requests
@@ -231,184 +178,31 @@ fn single_shard_with_sketches_matches_monolith() {
     }
 }
 
-/// The lock-free read path oracle: a manager with
-/// `use_lockfree_reads = true` (the default — optimistic seqlock GETs,
-/// adaptive deferred acks) must be observationally byte-identical to
-/// one with the flag off (every operation under the shard mutex, the
-/// pre-read-path behaviour) on the same op tape — same per-call
-/// dropped-object stream, same metrics, same retained bytes — for
-/// every policy at both 1 and 4 shards, including a mid-tape budget
-/// shrink and the tape's own `Maintain` ops.
+/// Shadow evaluation replays every access into the ghost fleet under
+/// the shard lock: with ghosts live on both sides a single shard must
+/// still match the monolith byte for byte, ghost counters included.
 #[test]
-fn lockfree_reads_match_locked_all_policies_and_shards() {
+fn single_shard_with_shadow_matches_monolith() {
+    use bad_cache::ShadowConfig;
+
+    let shadow = ShadowConfig {
+        sample_every_n: 1,
+        ..ShadowConfig::default()
+    };
     for policy in policies() {
-        for shards in [1usize, 4] {
-            for seed in SEEDS {
-                let ops = gen_ops(seed, OPS_PER_SEED, 4, 8);
-                let locked_cfg = CacheConfig {
-                    use_lockfree_reads: false,
-                    ..config(10_000)
-                };
-
-                let run = |cfg: CacheConfig| {
-                    let mut mgr = ShardedCacheManager::new(policy, cfg, shards);
-                    let mut shrink = Vec::new();
-                    let mut op_no = 0usize;
-                    let mut log = replay_with(&mut mgr, &ops, 4, |m| {
-                        op_no += 1;
-                        if op_no == OPS_PER_SEED / 2 {
-                            shrink.extend(m.set_budget(
-                                ByteSize::new(4_000),
-                                Timestamp::from_secs(op_no as u64),
-                            ));
-                        }
-                    });
-                    // Apply any still-enqueued read records and stashed
-                    // deferred drops before comparing final state.
-                    log.dropped.extend(mgr.quiesce());
-                    (mgr, log, shrink)
-                };
-                let (locked, locked_log, locked_shrink) = run(locked_cfg);
-                let (lockfree, lockfree_log, lockfree_shrink) = run(config(10_000));
-
-                assert_eq!(
-                    locked_log, lockfree_log,
-                    "{policy:?} seed {seed} shards {shards}: replay logs diverged"
-                );
-                assert_eq!(
-                    locked_shrink, lockfree_shrink,
-                    "{policy:?} seed {seed} shards {shards}: budget-shrink drops diverged"
-                );
-                assert_eq!(
-                    Driver::metrics_snapshot(&locked),
-                    Driver::metrics_snapshot(&lockfree),
-                    "{policy:?} seed {seed} shards {shards}: metrics diverged"
-                );
-                assert_eq!(Driver::total_bytes(&locked), Driver::total_bytes(&lockfree));
-                assert_eq!(locked.cache_count(), lockfree.cache_count());
-            }
-        }
-    }
-}
-
-/// Same oracle over the telemetry side channel at one shard: the
-/// lock-free build's deferred hit records drain at the next lock
-/// acquisition, which on a serial tape is always before the next op's
-/// own events — so the event ring and the rendered registry must come
-/// out byte-identical to the fully locked build.
-#[test]
-fn lockfree_single_shard_matches_locked_telemetry() {
-    for policy in policies() {
-        let ops = gen_ops(42, OPS_PER_SEED, 4, 8);
-
-        let locked_registry = Registry::new();
-        let locked_ring = Arc::new(RingBufferSink::new(100_000));
-        let mut locked = ShardedCacheManager::new(
+        let (mono, sharded) = assert_single_shard_parity(
             policy,
-            CacheConfig {
-                use_lockfree_reads: false,
-                ..config(10_000)
-            },
-            1,
+            7,
+            |mono| mono.enable_shadow(shadow, Timestamp::ZERO),
+            |sharded| sharded.enable_shadow(shadow, Timestamp::ZERO),
         );
-        locked.set_telemetry(CacheTelemetry::new(
-            &locked_registry,
-            locked_ring.clone() as SharedSink,
-        ));
-        replay(&mut locked, &ops, 4);
-
-        let free_registry = Registry::new();
-        let free_ring = Arc::new(RingBufferSink::new(100_000));
-        let mut lockfree = ShardedCacheManager::new(policy, config(10_000), 1);
-        lockfree.set_telemetry(CacheTelemetry::new(
-            &free_registry,
-            free_ring.clone() as SharedSink,
-        ));
-        replay(&mut lockfree, &ops, 4);
-        // A trailing optimistic GET may leave its hit record enqueued;
-        // drain it before reading the ring.
-        let residue = lockfree.quiesce();
-        assert!(
-            residue.is_empty(),
-            "{policy:?}: serial adaptive tape stashed drops: {residue:?}"
-        );
-
+        let mono_snap = mono.shadow_snapshot().expect("shadow enabled");
+        let sharded_snap = sharded.shadow_snapshot().expect("shadow enabled");
         assert_eq!(
-            locked_ring.events(),
-            free_ring.events(),
-            "{policy:?}: telemetry event streams diverged"
+            mono_snap.to_json_with(mono.metrics(), None),
+            sharded_snap.to_json_with(&sharded.metrics(), None),
+            "{policy:?}: shadow reports diverged"
         );
-        assert_eq!(
-            locked_registry.render(),
-            free_registry.render(),
-            "{policy:?}: rendered registries diverged"
-        );
-    }
-}
-
-/// Forces every ack through the deferred mailbox (the contended-path
-/// behaviour, made deterministic) and checks the drain/stash machinery
-/// end to end: per-call results shift — a deferred ack returns no
-/// drops, they surface prepended to a later drop-returning call — but
-/// the *cumulative* dropped stream keeps the exact serial order, and
-/// final metrics, telemetry and occupancy are byte-identical to the
-/// locked build.
-#[test]
-fn force_deferred_acks_preserve_cumulative_streams() {
-    for policy in policies() {
-        for seed in SEEDS {
-            let ops = gen_ops(seed, OPS_PER_SEED, 4, 8);
-
-            let locked_registry = Registry::new();
-            let locked_ring = Arc::new(RingBufferSink::new(100_000));
-            let mut locked = ShardedCacheManager::new(
-                policy,
-                CacheConfig {
-                    use_lockfree_reads: false,
-                    ..config(10_000)
-                },
-                1,
-            );
-            locked.set_telemetry(CacheTelemetry::new(
-                &locked_registry,
-                locked_ring.clone() as SharedSink,
-            ));
-            let locked_log = replay(&mut locked, &ops, 4);
-
-            let free_registry = Registry::new();
-            let free_ring = Arc::new(RingBufferSink::new(100_000));
-            let mut lockfree = ShardedCacheManager::new(policy, config(10_000), 1);
-            lockfree.set_telemetry(CacheTelemetry::new(
-                &free_registry,
-                free_ring.clone() as SharedSink,
-            ));
-            lockfree.set_force_defer_acks(true);
-            let mut free_log = replay(&mut lockfree, &ops, 4);
-            free_log.dropped.extend(lockfree.quiesce());
-
-            assert_eq!(
-                locked_log.dropped, free_log.dropped,
-                "{policy:?} seed {seed}: cumulative dropped streams diverged"
-            );
-            assert_eq!(locked_log.hits, free_log.hits, "{policy:?} seed {seed}");
-            assert_eq!(locked_log.misses, free_log.misses, "{policy:?} seed {seed}");
-            assert_eq!(
-                Driver::metrics_snapshot(&locked),
-                Driver::metrics_snapshot(&lockfree),
-                "{policy:?} seed {seed}: metrics diverged"
-            );
-            assert_eq!(Driver::total_bytes(&locked), Driver::total_bytes(&lockfree));
-            assert_eq!(
-                locked_ring.events(),
-                free_ring.events(),
-                "{policy:?} seed {seed}: telemetry event streams diverged"
-            );
-            assert_eq!(
-                locked_registry.render(),
-                free_registry.render(),
-                "{policy:?} seed {seed}: rendered registries diverged"
-            );
-        }
     }
 }
 
@@ -465,7 +259,6 @@ fn forced_promotion_matches_fresh_manager_under_new_policy() {
     // behind (a stale victim index, an unretargeted shadow evaluator,
     // perturbed counters) shows up here.
     use bad_cache::ShadowConfig;
-    use bad_types::Timestamp;
 
     let pairs = [
         (PolicyName::Lru, PolicyName::Lsc),

@@ -209,9 +209,6 @@ fn sharded_hot_snapshot_matches_single_shard_byte_for_byte() {
             );
             mgr.enable_sketches(SketchConfig::default());
             replay(&mut mgr, &ops, 8);
-            // Drain any deferred read records so trailing optimistic
-            // hits are attributed before snapshotting.
-            let _ = mgr.quiesce();
             mgr.hot_snapshot().expect("sketches enabled").to_json()
         };
         let single = run(1);

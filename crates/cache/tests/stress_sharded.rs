@@ -10,15 +10,20 @@
 //! broker's per-backend-subscription ordering; acks and subscriber
 //! churn cross thread boundaries freely, so shard locks still see
 //! plenty of cross-thread contention.
+//!
+//! Two further tests hold the locked data path to exact answers: two
+//! readers, a writer and a `maintain` caller against a serial replay of
+//! the same tapes, and contended acks that must fail on unknown caches
+//! and return their own drops.
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
-use bad_cache::{CacheConfig, PolicyName, ShardedCacheManager};
+use bad_cache::{CacheConfig, DropReason, NewObject, PolicyName, ShardedCacheManager};
 use bad_types::{
-    BackendSubId, ByteSize, ObjectId, SimDuration, SubscriberId, TimeRange, Timestamp,
+    BackendSubId, BadError, ByteSize, ObjectId, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
 use common::XorShift64;
 
@@ -49,7 +54,7 @@ fn worker(mgr: Arc<ShardedCacheManager>, t: u64) -> Tally {
                 let bs = BackendSubId::new(owned[pick]);
                 mgr.insert(
                     bs,
-                    bad_cache::NewObject {
+                    NewObject {
                         id: ObjectId::new(t * 1_000_000 + i),
                         ts: now,
                         size: ByteSize::new(rng.range(1, 5000)),
@@ -149,154 +154,282 @@ fn run_stress(shards: usize) {
     );
 }
 
-/// Lock-free read-path stress: 6 reader threads hammer optimistic
-/// snapshot GETs while 2 writer threads insert, ack and maintain
-/// concurrently. Every returned plan must be internally consistent —
-/// a torn read would show up as out-of-order/out-of-range cached
-/// entries or a `cached_bytes` sum mismatch — and once the final
-/// maintain has drained every shard's read mailbox, the hit metric
-/// must equal the readers' own tally exactly.
+const RW_SHARDS: usize = 4;
+const RW_CACHES: u64 = 16;
+const RW_READERS: u64 = 2;
+const RW_READS: usize = 20_000;
+const RW_WRITES: usize = 10_000;
+const RW_OBJECT_BYTES: u64 = 600;
+
+fn rw_object(cache: u64, n: u64) -> NewObject {
+    NewObject {
+        id: ObjectId::new(cache * 1_000_000 + n),
+        ts: Timestamp::from_micros(n),
+        size: ByteSize::new(RW_OBJECT_BYTES),
+        fetch_latency: SimDuration::from_millis(500),
+    }
+}
+
+/// The tapes of the reader/writer test and the backlog they need:
+/// `reads[r]` and `writes` list the cache of each operation, and
+/// `backlog[c]` is the longest any reader gets through cache `c`.
+struct RwTapes {
+    reads: Vec<Vec<u64>>,
+    writes: Vec<u64>,
+    backlog: Vec<u64>,
+}
+
+impl RwTapes {
+    fn new() -> Self {
+        let tape = |seed: u64, len: usize| -> Vec<u64> {
+            let mut rng = XorShift64::new(seed);
+            (0..len).map(|_| rng.below(RW_CACHES)).collect()
+        };
+        let reads: Vec<Vec<u64>> = (0..RW_READERS)
+            .map(|r| tape(0xACE ^ (r + 1), RW_READS))
+            .collect();
+        let mut backlog = vec![0u64; RW_CACHES as usize];
+        for tape in &reads {
+            let mut picks = vec![0u64; RW_CACHES as usize];
+            for &c in tape {
+                picks[c as usize] += 1;
+            }
+            for (most, picked) in backlog.iter_mut().zip(picks) {
+                *most = (*most).max(picked);
+            }
+        }
+        Self {
+            reads,
+            writes: tape(0xFEED, RW_WRITES),
+            backlog,
+        }
+    }
+
+    /// A manager with every cache created, one subscriber per reader
+    /// attached and the backlog preloaded.
+    fn manager(&self) -> ShardedCacheManager {
+        let mgr = ShardedCacheManager::new(
+            PolicyName::Lsc,
+            CacheConfig {
+                budget: ByteSize::from_mib(1024),
+                ..CacheConfig::default()
+            },
+            RW_SHARDS,
+        );
+        for c in 0..RW_CACHES {
+            let bs = BackendSubId::new(c);
+            mgr.create_cache(bs, Timestamp::ZERO);
+            for r in 0..RW_READERS {
+                mgr.add_subscriber(bs, SubscriberId::new(c * RW_READERS + r))
+                    .expect("cache just created");
+            }
+            for n in 1..=self.backlog[c as usize] {
+                let dropped = mgr
+                    .insert(bs, rw_object(c, n), Timestamp::from_micros(n))
+                    .expect("cache exists");
+                assert!(dropped.is_empty(), "ample budget evicted");
+            }
+        }
+        mgr
+    }
+
+    /// Reader `r`: retrieves and acks the next backlog object of each
+    /// cache on its tape. Every plan must be exactly that object, and
+    /// an ack returns the object if and only if it completed its
+    /// consumption. Returns how many objects its acks dropped.
+    fn read(&self, mgr: &ShardedCacheManager, r: u64) -> u64 {
+        let mut next = vec![1u64; RW_CACHES as usize];
+        let mut dropped = 0;
+        for (i, &c) in self.reads[r as usize].iter().enumerate() {
+            let n = next[c as usize];
+            next[c as usize] += 1;
+            let want = rw_object(c, n);
+            let bs = BackendSubId::new(c);
+            let now = Timestamp::from_micros(1_000_000 + i as u64);
+            let plan = mgr.plan_get(bs, TimeRange::closed(want.ts, want.ts), now);
+            assert_eq!(
+                plan.cached,
+                vec![(want.id, want.ts, want.size)],
+                "reader {r}: not its next backlog object"
+            );
+            assert_eq!(plan.cached_bytes, want.size);
+            assert!(plan.missed.is_empty(), "reader {r}: backlog object missed");
+            let drops = mgr
+                .ack_consume(bs, SubscriberId::new(c * RW_READERS + r), want.ts, now)
+                .expect("cache exists");
+            for d in &drops {
+                assert_eq!(
+                    (d.cache, d.reason, d.object.id),
+                    (bs, DropReason::Consumed, want.id),
+                    "reader {r}: an ack returned a drop it did not cause"
+                );
+            }
+            assert!(drops.len() <= 1);
+            dropped += drops.len() as u64;
+        }
+        dropped
+    }
+
+    /// The writer: appends newer objects behind the backlog; nobody
+    /// reads them, so each cache keeps exactly what it was given.
+    fn write(&self, mgr: &ShardedCacheManager) {
+        let mut next: Vec<u64> = self.backlog.iter().map(|&b| b + 1).collect();
+        for (i, &c) in self.writes.iter().enumerate() {
+            let n = next[c as usize];
+            next[c as usize] += 1;
+            let now = Timestamp::from_micros(1_000_000 + i as u64);
+            let dropped = mgr
+                .insert(BackendSubId::new(c), rw_object(c, n), now)
+                .expect("cache exists");
+            assert!(dropped.is_empty(), "ample budget evicted");
+        }
+    }
+}
+
+/// What must not depend on how the threads interleaved: the counts of
+/// [`bad_cache::CacheMetrics`] (its time-weighted fields — size
+/// integral, holding times, peak — legitimately do), the resident
+/// bytes and every cache's length.
+fn rw_outcome(mgr: &ShardedCacheManager) -> (Vec<u64>, ByteSize, Vec<(BackendSubId, usize)>) {
+    let m = mgr.metrics();
+    let counts = vec![
+        m.requested_objects,
+        m.hit_objects,
+        m.miss_objects,
+        m.hit_bytes.as_u64(),
+        m.miss_bytes.as_u64(),
+        m.inserted_objects,
+        m.inserted_bytes.as_u64(),
+        m.consumed_objects,
+        m.evicted_objects,
+        m.expired_objects,
+        m.unsubscribed_objects,
+    ];
+    let mut lens = Vec::new();
+    mgr.for_each_cache(|c| lens.push((c.id(), c.len())));
+    lens.sort();
+    (counts, mgr.total_bytes(), lens)
+}
+
+/// Two readers, one writer and one `maintain` caller on four shards.
+/// The readers use disjoint subscribers and only ever touch the
+/// preloaded backlog, the budget is ample and LSC has no clock, so the
+/// caches are independent and any interleaving must end where a serial
+/// replay of the same tapes ends.
 #[test]
-fn optimistic_reads_are_never_torn_and_account_exactly() {
-    use bad_telemetry::{ProfileConfig, Profiler, Registry};
+fn readers_writer_and_maintain_agree_with_a_serial_replay() {
+    let tapes = RwTapes::new();
 
-    const READERS: u64 = 6;
-    const WRITERS: u64 = 2;
-    const READ_OPS: u64 = 20_000;
-    const WRITE_OPS: u64 = 5_000;
-    const STRESS_CACHES: u64 = 16;
+    let serial = tapes.manager();
+    let mut serial_drops = 0;
+    for r in 0..RW_READERS {
+        serial_drops += tapes.read(&serial, r);
+    }
+    tapes.write(&serial);
+    assert!(serial
+        .maintain(Timestamp::from_micros(2_000_000))
+        .is_empty());
 
-    let registry = Registry::new();
-    let profiler = Profiler::new(&registry, ProfileConfig { sample_every_n: 1 });
-    let mgr = Arc::new(ShardedCacheManager::new(
+    let mgr = tapes.manager();
+    let start = Barrier::new(RW_READERS as usize + 2);
+    let drops: u64 = thread::scope(|scope| {
+        let readers: Vec<_> = (0..RW_READERS)
+            .map(|r| {
+                let (tapes, mgr, start) = (&tapes, &mgr, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    tapes.read(mgr, r)
+                })
+            })
+            .collect();
+        let writer = scope.spawn(|| {
+            start.wait();
+            tapes.write(&mgr);
+        });
+        // This thread is the `maintain` caller, for as long as any of
+        // the others is at work (or has panicked and will not finish).
+        start.wait();
+        let mut pass = 0u64;
+        while !(writer.is_finished() && readers.iter().all(|h| h.is_finished())) {
+            pass += 1;
+            let dropped = mgr.maintain(Timestamp::from_micros(1_000_000 + pass));
+            assert!(dropped.is_empty(), "maintain dropped under an ample budget");
+            thread::yield_now();
+        }
+        writer.join().expect("writer panicked");
+        readers
+            .into_iter()
+            .map(|h| h.join().expect("reader panicked"))
+            .sum()
+    });
+    assert!(mgr.maintain(Timestamp::from_micros(2_000_000)).is_empty());
+
+    let m = mgr.metrics();
+    assert_eq!(m.hit_objects, RW_READERS * RW_READS as u64);
+    assert_eq!(m.hit_objects + m.miss_objects, m.requested_objects);
+    assert_eq!(drops, serial_drops, "acks returned a different drop count");
+    assert_eq!(m.consumed_objects, drops);
+    assert_eq!(rw_outcome(&mgr), rw_outcome(&serial));
+}
+
+/// On a contended shard an ack used to be parked in a mailbox and
+/// answered `Ok(Vec::new())`: an ack to an unknown cache reported
+/// success, and the drops an ack caused came back from whichever call
+/// next took the shard lock. One shard and four threads keep the mutex
+/// contended; every thread owns one cache and one subscriber.
+#[test]
+fn contended_acks_fail_on_unknown_caches_and_return_their_own_drops() {
+    const ACK_THREADS: u64 = 4;
+    const ROUNDS: u64 = 5_000;
+
+    let mgr = ShardedCacheManager::new(
         PolicyName::Lsc,
         CacheConfig {
-            budget: ByteSize::new(4_000_000),
-            ttl_recompute_interval: SimDuration::from_secs(30),
+            budget: ByteSize::from_mib(1024),
             ..CacheConfig::default()
         },
-        8,
-    ));
-    mgr.set_profiler(&profiler);
-    for c in 0..STRESS_CACHES {
-        let bs = BackendSubId::new(c);
+        1,
+    );
+    for t in 0..ACK_THREADS {
+        let bs = BackendSubId::new(t);
         mgr.create_cache(bs, Timestamp::ZERO);
-        mgr.add_subscriber(bs, SubscriberId::new(1000 + c))
+        mgr.add_subscriber(bs, SubscriberId::new(t))
             .expect("cache just created");
     }
-
-    let writers: Vec<_> = (0..WRITERS)
-        .map(|w| {
-            let mgr = Arc::clone(&mgr);
-            thread::spawn(move || {
-                let mut rng = XorShift64::new(0xFEED ^ (w + 1));
-                let owned: Vec<u64> = (0..STRESS_CACHES).filter(|c| c % WRITERS == w).collect();
-                for i in 0..WRITE_OPS {
-                    let now = Timestamp::from_secs(i + 1);
-                    let c = owned[rng.below(owned.len() as u64) as usize];
-                    let bs = BackendSubId::new(c);
-                    match rng.below(8) {
-                        0..=5 => {
-                            mgr.insert(
-                                bs,
-                                bad_cache::NewObject {
-                                    id: ObjectId::new(w * 1_000_000 + i),
-                                    ts: now,
-                                    size: ByteSize::new(rng.range(1, 2000)),
-                                    fetch_latency: SimDuration::from_millis(500),
-                                },
-                                now,
-                            )
-                            .expect("cache exists");
-                        }
-                        6 => {
-                            let _ = mgr.ack_consume(
-                                bs,
-                                SubscriberId::new(1000 + c),
-                                Timestamp::from_secs(rng.below(WRITE_OPS)),
-                                now,
-                            );
-                        }
-                        _ => {
-                            mgr.maintain_shard((i % 8) as usize, now);
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-
-    let readers: Vec<_> = (0..READERS)
-        .map(|r| {
-            let mgr = Arc::clone(&mgr);
-            let profiler = profiler.clone();
-            thread::spawn(move || {
-                let mut rng = XorShift64::new(0xACE ^ (r + 1));
-                let mut hits = 0u64;
-                for i in 0..READ_OPS {
-                    let now = Timestamp::from_secs(i + 1);
-                    let bs = BackendSubId::new(rng.below(STRESS_CACHES));
-                    let from = rng.below(WRITE_OPS);
-                    let len = rng.below(200);
-                    let range = TimeRange::closed(
-                        Timestamp::from_secs(from),
-                        Timestamp::from_secs(from + len),
+    let start = Barrier::new(ACK_THREADS as usize);
+    thread::scope(|scope| {
+        for t in 0..ACK_THREADS {
+            let (mgr, start) = (&mgr, &start);
+            scope.spawn(move || {
+                let (bs, sub) = (BackendSubId::new(t), SubscriberId::new(t));
+                let unknown = BackendSubId::new(1000 + t);
+                start.wait();
+                for n in 1..=ROUNDS {
+                    let now = Timestamp::from_micros(n);
+                    let object = rw_object(t, n);
+                    let dropped = mgr.insert(bs, object, now).expect("cache exists");
+                    assert!(dropped.is_empty(), "insert returned another call's drops");
+                    let err = mgr.ack_consume(unknown, sub, now, now);
+                    assert!(
+                        matches!(err, Err(BadError::NotFound { .. })),
+                        "thread {t} round {n}: ack to an unknown cache gave {err:?}"
                     );
-                    let plan = mgr.plan_get(bs, range, now);
-                    // Torn-read detection: a snapshot assembled from a
-                    // half-published state would violate one of these.
-                    let mut bytes = ByteSize::ZERO;
-                    let mut last_ts = None;
-                    for &(_, ts, size) in &plan.cached {
-                        assert!(range.contains(ts), "cached entry outside requested range");
-                        if let Some(prev) = last_ts {
-                            assert!(ts > prev, "cached entries out of order: torn read");
-                        }
-                        last_ts = Some(ts);
-                        bytes += size;
-                    }
+                    let drops = mgr.ack_consume(bs, sub, now, now).expect("cache exists");
+                    let got: Vec<_> = drops
+                        .iter()
+                        .map(|d| (d.cache, d.reason, d.object.id))
+                        .collect();
                     assert_eq!(
-                        plan.cached_bytes, bytes,
-                        "cached_bytes sum mismatch: torn read"
+                        got,
+                        vec![(bs, DropReason::Consumed, object.id)],
+                        "thread {t} round {n}: the ack did not return its own drop"
                     );
-                    for w in plan.missed.windows(2) {
-                        assert!(w[0].to < w[1].from, "missed ranges overlap or out of order");
-                    }
-                    hits += plan.cached.len() as u64;
                 }
-                profiler.flush_thread();
-                hits
-            })
-        })
-        .collect();
-
-    for handle in writers {
-        handle.join().expect("writer panicked");
-    }
-    let mut hits = 0u64;
-    for handle in readers {
-        hits += handle.join().expect("reader panicked");
-    }
-
-    // Drain every shard's mailbox (maintain locks each shard), then
-    // the deferred hit accounting must balance exactly.
-    mgr.maintain(Timestamp::from_secs(2 * READ_OPS));
-    let m = mgr.metrics();
-    assert_eq!(m.hit_objects, hits, "deferred hit accounting diverged");
-    assert_eq!(
-        m.hit_objects + m.miss_objects,
-        m.requested_objects,
-        "requests not exactly partitioned into hits and misses"
-    );
-
-    // The lock-free path really ran: the folded stage tree shows
-    // optimistic reads (and their accounting drains).
-    profiler.flush_thread();
-    let folded = profiler.render_folded();
-    assert!(
-        folded.contains("get_all_pending;optimistic_read "),
-        "no optimistic reads recorded:\n{folded}"
-    );
+            });
+        }
+    });
+    assert_eq!(mgr.metrics().consumed_objects, ACK_THREADS * ROUNDS);
+    assert_eq!(mgr.total_bytes(), ByteSize::ZERO);
 }
 
 #[test]

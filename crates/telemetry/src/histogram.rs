@@ -133,6 +133,27 @@ impl Histogram {
         }
     }
 
+    /// [`Histogram::record`] with plain loads and stores instead of
+    /// atomic read-modify-writes. Exact while every writer of the
+    /// histogram holds one common lock; writers that do not can lose
+    /// observations to each other, never corrupt a register.
+    #[inline]
+    pub(crate) fn record_under_lock(&self, value: u64) {
+        let data = &self.data;
+        let bucket = &data.buckets[Self::bucket_index(value)];
+        bucket.store(
+            bucket.load(Ordering::Relaxed).wrapping_add(1),
+            Ordering::Relaxed,
+        );
+        data.sum.store(
+            data.sum.load(Ordering::Relaxed).wrapping_add(value),
+            Ordering::Relaxed,
+        );
+        if value > data.max.load(Ordering::Relaxed) {
+            data.max.store(value, Ordering::Relaxed);
+        }
+    }
+
     /// Records one observation tagged with the trace id that produced
     /// it. On an exemplar-enabled histogram the bucket's exemplar slot
     /// is overwritten with `trace` (one extra relaxed store on top of

@@ -5,9 +5,10 @@
 //!
 //! - **Instrumented locks** — [`LockSite::lock`] wraps a shard mutex
 //!   (or the coalescer mutex) acquisition. The uncontended fast path is
-//!   one `try_lock` plus one tick pair for hold time, no allocation;
-//!   only when `try_lock` would block does the site count a contention
-//!   and time the wait. Wait/hold distributions and contention counts
+//!   one `try_lock` plus one tick pair for hold time, no allocation and
+//!   no atomic read-modify-write beyond the mutex's own; only when
+//!   `try_lock` would block does the site count a contention and time
+//!   the wait. Wait/hold distributions and contention counts
 //!   render as `bad_profile_lock_*{site="…"}` series.
 //! - **Stage timers** — an [`OpTimer`] carries a running timestamp
 //!   through one operation; each [`Profiler::stage`] call attributes
@@ -159,13 +160,14 @@ pub enum StagePath {
     GetClusterRtt,
     /// Post-delivery consume acknowledgement under the shard lock.
     GetAck,
-    /// Seqlock snapshot read that served a plan without the shard lock.
+    /// Never emitted: the seqlock snapshot read it timed is gone. This
+    /// and the next two variants stay only because
+    /// `benchmark/src/measure.rs` reads their sample counts (as 0) and
+    /// a change that claims a gain may not edit `benchmark/`.
     GetOptimisticRead,
-    /// Optimistic read attempt that lost the generation race and fell
-    /// back to the locked path.
+    /// Never emitted (see [`StagePath::GetOptimisticRead`]).
     GetSeqlockRetry,
-    /// Draining deferred hit/ack records from the read mailbox while a
-    /// shard lock is held.
+    /// Never emitted (see [`StagePath::GetOptimisticRead`]).
     GetAckDrain,
     /// Whole `insert` operation (root).
     InsertTotal,
@@ -823,6 +825,12 @@ impl LockSite {
     /// *contended* acquisition are always recorded: they are rare and
     /// exactly what the profiler exists to attribute).
     ///
+    /// The acquisition count and the hold time are written while the
+    /// guard is held, with plain stores: the mutex a site observes
+    /// already serializes them, and an uncontended acquisition then
+    /// costs no atomic read-modify-write of its own. A site shared by
+    /// several mutexes stays safe but may under-count.
+    ///
     /// Lock ordering is unchanged from the uninstrumented manager:
     /// sites wrap individual acquisitions and never themselves lock,
     /// so autopilot → shard → policy ordering (see `sharded.rs`) is
@@ -835,7 +843,6 @@ impl LockSite {
                 hold: None,
             };
         }
-        self.acquisitions.inc();
         let guard = match mutex.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
@@ -847,6 +854,7 @@ impl LockSite {
             }
             Err(TryLockError::Poisoned(_)) => panic!("profiled mutex poisoned"),
         };
+        self.acquisitions.inc_under_lock();
         let hold = timed.then(|| (&self.hold_ns, ticks()));
         ProfiledGuard { guard, hold }
     }
@@ -872,9 +880,9 @@ impl LockSite {
         if !self.enabled {
             return ProfiledGuard::plain(mutex);
         }
-        self.acquisitions.inc();
         match mutex.try_lock() {
             Ok(guard) => {
+                self.acquisitions.inc_under_lock();
                 let hold = timer.as_mut().map(|timer| (&self.hold_ns, timer.last));
                 ProfiledGuard { guard, hold }
             }
@@ -884,6 +892,7 @@ impl LockSite {
                 let guard = mutex.lock().expect("profiled mutex poisoned");
                 let now = ticks();
                 self.wait_ns.record(ticks_to_ns(now.wrapping_sub(t0)));
+                self.acquisitions.inc_under_lock();
                 let hold = timer.as_mut().map(|timer| {
                     timer.boundary(path, now, trace);
                     (&self.hold_ns, now)
@@ -945,7 +954,7 @@ impl<'a, T> ProfiledGuard<'a, T> {
         }
         let now = ticks();
         if let Some((hold_ns, t0)) = hold {
-            hold_ns.record(ticks_to_ns(now.wrapping_sub(t0)));
+            hold_ns.record_under_lock(ticks_to_ns(now.wrapping_sub(t0)));
         }
         if let Some(timer) = timer.as_mut() {
             timer.boundary(path, now, 0);
@@ -969,8 +978,9 @@ impl<T> std::ops::DerefMut for ProfiledGuard<'_, T> {
 
 impl<T> Drop for ProfiledGuard<'_, T> {
     fn drop(&mut self) {
+        // Runs before the inner guard is released.
         if let Some((hold_ns, t0)) = self.hold.take() {
-            hold_ns.record(ticks_to_ns(ticks().wrapping_sub(t0)));
+            hold_ns.record_under_lock(ticks_to_ns(ticks().wrapping_sub(t0)));
         }
     }
 }

@@ -46,12 +46,6 @@ online_gate() {
   # the lock-contention curve must show shards=1 wait strictly
   # dominating shards=8 under the fixed 8-thread tape.
   cargo run -q --release -p bad-bench --bin profile_overhead -- --smoke
-  # Read-path smoke gate: lock-free and locked GET paths must agree
-  # exactly on hits/drops/metrics (serial parity tape), uncontended
-  # GET latency must not regress past 1.25x of locked, and on hosts
-  # with ≥ 4 cores the 8-thread/8-shard lock-free throughput must be
-  # ≥ 2x locked (skipped below 4 cores).
-  cargo run -q --release -p bad-bench --bin readpath_bench -- --smoke
   # Hot-key sketch smoke gate: full sketching must cost ≤ 5% and
   # sampled (1/16) ≤ 2% on the median per-rep interleaved ratio, and
   # on the Zipf accuracy tape both the single and the shard-merged
@@ -92,8 +86,8 @@ offline_gate() {
   (
     cd "$ws"
     cargo test --offline -q
-    # The cache suite (8-thread stress included) again under --release,
-    # where debug assertions are off and the seqlock paths really race.
+    # The cache suite again under --release: the thread stress and the
+    # scaling guards with debug assertions off.
     cargo test --offline -q --release -p bad-cache
     cargo fmt --check
     cargo clippy --offline -q --all-targets -- -D warnings
