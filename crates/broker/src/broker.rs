@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use bad_cache::{CacheConfig, GetPlan, NewObject, PolicyName, ShardedCacheManager};
+use bad_cache::{CacheConfig, NewObject, PolicyName, ShardedCacheManager};
 use bad_cluster::{DataCluster, Notification};
 use bad_net::NetworkModel;
 use bad_query::ParamBindings;
@@ -14,7 +14,7 @@ use bad_types::{
 };
 
 use crate::coalesce::{BatchOutcome, CoalesceStats, CoalescerConfig, FetchCoalescer};
-use crate::subscriptions::SubscriptionTable;
+use crate::subscriptions::{PendingRange, SubscriptionTable};
 use crate::telemetry::BrokerTelemetry;
 
 /// The broker's view of the data cluster.
@@ -440,20 +440,14 @@ impl Broker {
             outcome.fetch_latency = self.net.cluster_fetch_latency(outcome.fetched_bytes);
         }
 
-        self.subs
-            .advance_backend_marker(bs, notification.latest_ts)
-            .expect("backend entry exists");
         outcome.notify = self
             .subs
-            .backend(bs)
-            .map(|e| {
-                e.frontends
-                    .iter()
-                    .filter_map(|fs| self.subs.frontend(*fs))
-                    .map(|f| f.subscriber)
-                    .collect()
-            })
-            .unwrap_or_default();
+            .advance_backend_marker(bs, notification.latest_ts)
+            .expect("backend entry exists")
+            .frontends
+            .values()
+            .copied()
+            .collect();
         outcome
     }
 
@@ -468,11 +462,12 @@ impl Broker {
         backend.last_seen > frontend.last_delivered
     }
 
-    /// Serves a retrieval (`GETRESULTS` + implicit `ACK`): plans the
-    /// range `(fts, bts]` against the cache, fetches misses from the
-    /// cluster (not re-caching them), computes the subscriber-observed
-    /// latency, advances the `fts` marker and drops fully consumed
-    /// objects.
+    /// Serves a retrieval (`GETRESULTS` + implicit `ACK`): advances the
+    /// `fts` marker, plans the range `(fts, bts]` against the cache and
+    /// drops what the retrieval fully consumed (one
+    /// [`ShardedCacheManager::get_and_ack`]), fetches misses from the
+    /// cluster (not re-caching them) and computes the
+    /// subscriber-observed latency.
     ///
     /// # Errors
     ///
@@ -484,30 +479,26 @@ impl Broker {
         fs: FrontendSubId,
         now: Timestamp,
     ) -> Result<Delivery> {
-        let frontend = self.subs.frontend(fs).ok_or_else(|| {
-            bad_types::BadError::not_found("frontend subscription", fs.to_string())
-        })?;
-        // Copy the few hot-path fields out instead of cloning the
-        // frontend entry (and, below, the backend entry with its
-        // channel string and frontend set).
-        let owner = frontend.subscriber;
-        let backend_id = frontend.backend;
-        let last_delivered = frontend.last_delivered;
-        if owner != subscriber {
-            return Err(bad_types::BadError::InvalidArgument(format!(
-                "{fs} belongs to {owner}, not {subscriber}"
-            )));
-        }
-        let last_seen = self
-            .subs
-            .backend(backend_id)
-            .expect("table consistency")
-            .last_seen;
+        // Ownership is checked and `fts` advanced in one lookup per
+        // table: nothing below can fail, so delivery and ack are one
+        // step here as they are in the cache.
+        let PendingRange {
+            backend: backend_id,
+            last_delivered,
+            last_seen,
+            ..
+        } = self.subs.take_pending(subscriber, fs)?;
 
+        // GET + ACK under one acquisition of the cache's shard: the
+        // plan, and `subscriber`'s consumption up to the range's end.
+        // The miss fetch below reads no cache state, so acking first
+        // changes no outcome.
         let range = TimeRange::closed(last_delivered + SimDuration::from_micros(1), last_seen);
-        let plan: GetPlan = self.cache.plan_get(backend_id, range, now);
+        let (plan, _) = self
+            .cache
+            .get_and_ack(backend_id, subscriber, range, last_seen, now);
 
-        let tracer = Arc::clone(self.telemetry.tracer());
+        let tracer = self.telemetry.tracer();
         if tracer.enabled() {
             // One hit span per cached object: the end-to-end lag a
             // subscriber observes is produce→deliver.
@@ -606,12 +597,6 @@ impl Broker {
             up_to: last_seen,
         };
 
-        // ACK: advance fts and mark consumption in the cache.
-        self.subs.advance_frontend_marker(fs, last_seen)?;
-        let _ = self
-            .cache
-            .ack_consume(backend_id, subscriber, last_seen, now);
-
         self.delivery.deliveries += 1;
         if delivery.total_objects() > 0 {
             self.delivery.non_empty_deliveries += 1;
@@ -653,24 +638,17 @@ impl Broker {
             None => 0,
         };
 
-        // Gather every pending subscription's context (Copy fields
-        // only — no entry clones on this path either).
-        let mut pending: Vec<(FrontendSubId, BackendSubId, TimeRange, Timestamp)> = Vec::new();
-        for fs in self.subs.subscriptions_of(subscriber) {
-            if !self.has_pending(fs) {
-                continue;
-            }
-            let frontend = self.subs.frontend(fs).expect("listed by subscriptions_of");
-            let backend_id = frontend.backend;
-            let last_delivered = frontend.last_delivered;
-            let last_seen = self
-                .subs
-                .backend(backend_id)
-                .expect("table consistency")
-                .last_seen;
-            let range = TimeRange::closed(last_delivered + SimDuration::from_micros(1), last_seen);
-            pending.push((fs, backend_id, range, last_seen));
-        }
+        // Gather every pending subscription's context in one pass over
+        // the subscriber's frontends (Copy fields only).
+        let pending: Vec<(FrontendSubId, BackendSubId, TimeRange, Timestamp)> = self
+            .subs
+            .pending_of(subscriber)
+            .map(|p| {
+                let range =
+                    TimeRange::closed(p.last_delivered + SimDuration::from_micros(1), p.last_seen);
+                (p.frontend, p.backend, range, p.last_seen)
+            })
+            .collect();
         if pending.is_empty() {
             profiler.finish(timer, StagePath::GetTotal, trace_id);
             return Ok(Vec::new());
@@ -689,7 +667,7 @@ impl Broker {
             .cache
             .plan_get_batch_staged(&requests, now, &profiler, &mut timer);
 
-        let tracer = Arc::clone(self.telemetry.tracer());
+        let tracer = self.telemetry.tracer();
         if tracer.enabled() {
             for (&(_, backend_id, _, _), plan) in pending.iter().zip(&plans) {
                 for &(object, ts, size) in &plan.cached {
@@ -732,7 +710,7 @@ impl Broker {
         } else {
             let net = self.net;
             let subscriber_u64 = subscriber.as_u64();
-            let trace = &tracer;
+            let trace = tracer;
             let sketch_cache = Arc::clone(&self.cache);
             // Don't bill the tracer spans above to the coalescer: reset
             // the stage clock so `coalesce_hold` starts here. The two
@@ -1210,15 +1188,130 @@ mod tests {
         assert_eq!(again.total_objects(), 0);
     }
 
+    /// A refused retrieval is refused before anything moves: the cache's
+    /// metrics and contents (cursors included), the `fts` marker and the
+    /// delivery metrics all read as they did.
     #[test]
-    fn wrong_owner_cannot_retrieve() {
+    fn wrong_owner_or_unknown_frontend_changes_nothing() {
         let (mut cluster, mut broker) = setup();
         let alice = SubscriberId::new(1);
         let fs = broker
             .subscribe(&mut cluster, alice, "ByKind", params("fire"), t(0))
             .unwrap();
-        assert!(broker
-            .get_results(&mut cluster, SubscriberId::new(9), fs, t(1))
-            .is_err());
+        let n = publish(&mut cluster, 1, "fire");
+        broker.on_notification(&mut cluster, n[0], t(1));
+        let backend = broker.subscriptions().frontend(fs).unwrap().backend;
+
+        let observe = |broker: &Broker| {
+            (
+                broker.cache().metrics(),
+                broker.cache().with_cache(backend, |c| format!("{c:?}")),
+                broker.subscriptions().frontend(fs).cloned(),
+                broker.delivery_metrics(),
+            )
+        };
+        let before = observe(&broker);
+        let stranger = broker.get_results(&mut cluster, SubscriberId::new(9), fs, t(2));
+        assert!(matches!(
+            stranger,
+            Err(bad_types::BadError::InvalidArgument(_))
+        ));
+        let unknown = broker.get_results(&mut cluster, alice, FrontendSubId::new(77), t(2));
+        assert!(matches!(unknown, Err(bad_types::BadError::NotFound { .. })));
+        assert_eq!(observe(&broker), before);
+
+        // The owner is still owed the object, from the cache.
+        let d = broker.get_results(&mut cluster, alice, fs, t(3)).unwrap();
+        assert_eq!((d.hit_objects, d.miss_objects), (1, 0));
+    }
+
+    /// The notify list is read straight off the backend entry. It must
+    /// be what the two-table walk gave — owners in frontend-id order,
+    /// each subscriber once — whatever subscribe / unsubscribe /
+    /// re-subscribe churn came before.
+    #[test]
+    fn notify_lists_owners_in_frontend_order_through_churn() {
+        let (mut cluster, mut broker) = setup();
+        let sub = SubscriberId::new;
+        let mut held = std::collections::BTreeMap::new();
+        let mut secs = 0;
+        let mut check = |cluster: &mut DataCluster, broker: &mut Broker, want: Vec<u64>| {
+            secs += 1;
+            let n = publish(cluster, secs, "fire");
+            let notify = broker.on_notification(cluster, n[0], t(secs)).notify;
+            let table = broker.subscriptions();
+            let walked: Vec<SubscriberId> = table
+                .backend(n[0].backend_sub)
+                .unwrap()
+                .frontends
+                .keys()
+                .map(|fs| table.frontend(*fs).unwrap().subscriber)
+                .collect();
+            assert_eq!(notify, walked);
+            assert_eq!(notify, want.into_iter().map(sub).collect::<Vec<_>>());
+        };
+
+        for s in [5, 3, 8, 1] {
+            let fs = broker
+                .subscribe(&mut cluster, sub(s), "ByKind", params("fire"), t(0))
+                .unwrap();
+            held.insert(s, fs);
+        }
+        // An unrelated backend in between does not show up.
+        broker
+            .subscribe(&mut cluster, sub(3), "ByKind", params("flood"), t(0))
+            .unwrap();
+        check(&mut cluster, &mut broker, vec![5, 3, 8, 1]);
+
+        // A duplicate subscribe is idempotent: still listed once, in place.
+        broker
+            .subscribe(&mut cluster, sub(3), "ByKind", params("fire"), t(0))
+            .unwrap();
+        check(&mut cluster, &mut broker, vec![5, 3, 8, 1]);
+
+        broker
+            .unsubscribe(&mut cluster, sub(3), held[&3], t(0))
+            .unwrap();
+        check(&mut cluster, &mut broker, vec![5, 8, 1]);
+
+        // Re-subscribing mints a newer frontend: back, at the end.
+        broker
+            .subscribe(&mut cluster, sub(3), "ByKind", params("fire"), t(0))
+            .unwrap();
+        broker
+            .unsubscribe(&mut cluster, sub(5), held[&5], t(0))
+            .unwrap();
+        check(&mut cluster, &mut broker, vec![8, 1, 3]);
+    }
+
+    /// `get_all_pending` serves exactly the subscriptions with something
+    /// new, in frontend-id order.
+    #[test]
+    fn get_all_pending_keeps_frontend_order_and_skips_idle_subscriptions() {
+        let (mut cluster, mut broker) = setup();
+        let alice = SubscriberId::new(1);
+        let kinds = ["fire", "flood", "quake", "storm"];
+        let fs: Vec<FrontendSubId> = kinds
+            .iter()
+            .map(|kind| {
+                broker
+                    .subscribe(&mut cluster, alice, "ByKind", params(kind), t(0))
+                    .unwrap()
+            })
+            .collect();
+        // Results arrive for the fourth, the first and the third.
+        for (secs, kind) in [(1, "storm"), (2, "fire"), (3, "quake")] {
+            for n in publish(&mut cluster, secs, kind) {
+                broker.on_notification(&mut cluster, n, t(secs));
+            }
+        }
+        let served: Vec<FrontendSubId> = broker
+            .get_all_pending(&mut cluster, alice, t(4))
+            .unwrap()
+            .iter()
+            .map(|d| d.frontend)
+            .collect();
+        assert_eq!(served, vec![fs[0], fs[2], fs[3]]);
+        assert!(fs.iter().all(|&f| !broker.has_pending(f)));
     }
 }

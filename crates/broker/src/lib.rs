@@ -69,5 +69,5 @@ pub use broker::{
 };
 pub use coalesce::{BatchOutcome, BatchServe, CoalesceStats, CoalescerConfig, FetchCoalescer};
 pub use failover::{BrokerFleet, FleetSubId};
-pub use subscriptions::{BackendEntry, FrontendSub, SubscriptionTable};
+pub use subscriptions::{BackendEntry, FrontendSub, PendingRange, SubscriptionTable};
 pub use telemetry::BrokerTelemetry;

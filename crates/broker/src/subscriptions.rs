@@ -9,10 +9,10 @@
 //! delivered to its subscriber (`fts`), each backend subscription the
 //! newest result fetched from the cluster (`bts`).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use bad_query::ParamBindings;
-use bad_types::ids::IdGen;
+use bad_types::ids::{IdGen, IdMap};
 use bad_types::{BackendSubId, BadError, FrontendSubId, Result, SubscriberId, Timestamp};
 
 /// One subscriber-facing subscription.
@@ -39,17 +39,37 @@ pub struct BackendEntry {
     pub channel: String,
     /// Bound parameters.
     pub params: ParamBindings,
-    /// The frontend subscriptions sharing it.
-    pub frontends: BTreeSet<FrontendSubId>,
+    /// The frontend subscriptions sharing it, each with its owner: in
+    /// id order this is the list a notification fans out to.
+    pub frontends: BTreeMap<FrontendSubId, SubscriberId>,
     /// `bts`: newest result timestamp the broker has fetched/seen.
     pub last_seen: Timestamp,
 }
 
+/// The range one frontend subscription has yet to retrieve: `(fts, bts]`
+/// on `backend`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PendingRange {
+    /// The frontend subscription.
+    pub frontend: FrontendSubId,
+    /// The backend subscription it is merged into.
+    pub backend: BackendSubId,
+    /// `fts`: newest result timestamp already delivered.
+    pub last_delivered: Timestamp,
+    /// `bts`: newest result timestamp the broker has seen.
+    pub last_seen: Timestamp,
+}
+
 /// The broker's subscription state.
+///
+/// `frontends` and `backends` are read on every retrieval and keyed
+/// only by identifiers the system mints, so they are [`IdMap`]s; the
+/// other three maps have a client-chosen subscriber id, channel name or
+/// parameter string in their key and stay on the keyed default hasher.
 #[derive(Clone, Debug, Default)]
 pub struct SubscriptionTable {
-    frontends: HashMap<FrontendSubId, FrontendSub>,
-    backends: HashMap<BackendSubId, BackendEntry>,
+    frontends: IdMap<FrontendSubId, FrontendSub>,
+    backends: IdMap<BackendSubId, BackendEntry>,
     /// `(channel, canonical params) -> backend` merge map.
     merge_keys: HashMap<(String, String), BackendSubId>,
     /// Subscriber -> its frontend subscriptions.
@@ -111,7 +131,7 @@ impl SubscriptionTable {
                 id,
                 channel: channel.to_owned(),
                 params,
-                frontends: BTreeSet::new(),
+                frontends: BTreeMap::new(),
                 last_seen: now,
             },
         );
@@ -152,7 +172,7 @@ impl SubscriptionTable {
             .get_mut(&backend)
             .ok_or_else(|| BadError::not_found("backend subscription", backend.to_string()))?;
         let id: FrontendSubId = self.fs_ids.next_id();
-        entry.frontends.insert(id);
+        entry.frontends.insert(id, subscriber);
         self.by_pair.insert((subscriber, backend), id);
         self.frontends.insert(
             id,
@@ -186,23 +206,90 @@ impl SubscriptionTable {
             .unwrap_or_default()
     }
 
+    /// What `subscriber` has yet to retrieve, one entry per frontend
+    /// subscription with `bts > fts`, in frontend id order.
+    pub fn pending_of(&self, subscriber: SubscriberId) -> impl Iterator<Item = PendingRange> + '_ {
+        self.by_subscriber
+            .get(&subscriber)
+            .into_iter()
+            .flatten()
+            .filter_map(|fs| {
+                let frontend = self.frontends.get(fs).expect("consistent table");
+                let backend = self
+                    .backends
+                    .get(&frontend.backend)
+                    .expect("consistent table");
+                (backend.last_seen > frontend.last_delivered).then_some(PendingRange {
+                    frontend: *fs,
+                    backend: frontend.backend,
+                    last_delivered: frontend.last_delivered,
+                    last_seen: backend.last_seen,
+                })
+            })
+    }
+
+    /// Starts a retrieval of `fs` by `subscriber`: checks ownership,
+    /// advances `fts` to the backend's `bts` (delivery and ack are one
+    /// step) and returns the range that was pending — one lookup in
+    /// each of the two tables.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BadError::NotFound`] for an unknown id and
+    /// [`BadError::InvalidArgument`] when `subscriber` does not own
+    /// `fs`; neither changes the table.
+    pub fn take_pending(
+        &mut self,
+        subscriber: SubscriberId,
+        fs: FrontendSubId,
+    ) -> Result<PendingRange> {
+        let frontend = self
+            .frontends
+            .get_mut(&fs)
+            .ok_or_else(|| BadError::not_found("frontend subscription", fs.to_string()))?;
+        if frontend.subscriber != subscriber {
+            return Err(BadError::InvalidArgument(format!(
+                "{fs} belongs to {}, not {subscriber}",
+                frontend.subscriber
+            )));
+        }
+        let last_seen = self
+            .backends
+            .get(&frontend.backend)
+            .expect("consistent table")
+            .last_seen;
+        let last_delivered = frontend.last_delivered;
+        frontend.last_delivered = last_delivered.max(last_seen);
+        Ok(PendingRange {
+            frontend: fs,
+            backend: frontend.backend,
+            last_delivered,
+            last_seen,
+        })
+    }
+
     /// Iterates over all backend entries.
     pub fn iter_backends(&self) -> impl Iterator<Item = &BackendEntry> {
         self.backends.values()
     }
 
-    /// Advances a backend's `bts` marker (after a notification/fetch).
+    /// Advances a backend's `bts` marker (after a notification/fetch)
+    /// and returns the entry, whose `frontends` are whom to notify.
     ///
     /// # Errors
     ///
     /// Returns [`BadError::NotFound`] for unknown ids.
-    pub fn advance_backend_marker(&mut self, bs: BackendSubId, to: Timestamp) -> Result<()> {
+    pub fn advance_backend_marker(
+        &mut self,
+        bs: BackendSubId,
+        to: Timestamp,
+    ) -> Result<&BackendEntry> {
         let entry = self
             .backends
             .get_mut(&bs)
             .ok_or_else(|| BadError::not_found("backend subscription", bs.to_string()))?;
         entry.last_seen = entry.last_seen.max(to);
-        Ok(())
+        Ok(entry)
     }
 
     /// Advances a frontend's `fts` marker (after delivery + ack).
@@ -376,6 +463,44 @@ mod tests {
         got.sort();
         assert_eq!(got, vec![f1, f2]);
         assert!(table.subscriptions_of(SubscriberId::new(9)).is_empty());
+    }
+
+    #[test]
+    fn take_pending_advances_the_marker_once_and_checks_the_owner() {
+        let mut table = SubscriptionTable::new();
+        let bs = BackendSubId::new(1);
+        table.add_backend(bs, "C", params("x"), t(0)).unwrap();
+        let alice = SubscriberId::new(1);
+        let fs = table.add_frontend(alice, bs, t(2)).unwrap();
+        table.advance_backend_marker(bs, t(9)).unwrap();
+        assert_eq!(
+            table.pending_of(alice).collect::<Vec<_>>(),
+            vec![PendingRange {
+                frontend: fs,
+                backend: bs,
+                last_delivered: t(2),
+                last_seen: t(9),
+            }]
+        );
+
+        // Neither a stranger nor an unknown id moves anything.
+        assert!(matches!(
+            table.take_pending(SubscriberId::new(99), fs),
+            Err(BadError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            table.take_pending(alice, FrontendSubId::new(77)),
+            Err(BadError::NotFound { .. })
+        ));
+        assert_eq!(table.frontend(fs).unwrap().last_delivered, t(2));
+
+        let taken = table.take_pending(alice, fs).unwrap();
+        assert_eq!((taken.last_delivered, taken.last_seen), (t(2), t(9)));
+        assert_eq!(table.frontend(fs).unwrap().last_delivered, t(9));
+        assert_eq!(table.pending_of(alice).count(), 0);
+        // Nothing new: an empty range, marker unchanged.
+        let again = table.take_pending(alice, fs).unwrap();
+        assert_eq!((again.last_delivered, again.last_seen), (t(9), t(9)));
     }
 
     #[test]

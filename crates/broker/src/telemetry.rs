@@ -1,8 +1,9 @@
 //! Broker-side telemetry: retrieval/delivery counters, a delivery
 //! latency histogram and the failover event hook.
 //!
-//! Mirrors [`bad_cache::CacheTelemetry`]: detached (null-sink) by
-//! default, shared registry + sink when attached via
+//! Mirrors [`bad_cache::CacheTelemetry`]: detached by default — every
+//! hook returns after one branch, since nothing could read what it
+//! would count — and a shared registry + sink when attached via
 //! [`crate::Broker::attach_telemetry`].
 
 use bad_telemetry::{Counter, Event, Histogram, Registry, SharedSink, SharedTracer, Tracer};
@@ -14,6 +15,8 @@ use crate::broker::Delivery;
 /// [`crate::BrokerFleet`], for fleet-level failover events).
 #[derive(Clone, Debug)]
 pub struct BrokerTelemetry {
+    /// Whether a caller-held [`Registry`] backs the handles below.
+    attached: bool,
     sink: SharedSink,
     tracer: SharedTracer,
     retrievals: Counter,
@@ -45,6 +48,7 @@ impl BrokerTelemetry {
     /// lifecycle spans (hit / miss / backend fetch) through `tracer`.
     pub fn traced(registry: &Registry, sink: SharedSink, tracer: SharedTracer) -> Self {
         Self {
+            attached: true,
             sink,
             tracer,
             retrievals: registry.counter("bad_broker_retrievals_total"),
@@ -59,9 +63,13 @@ impl BrokerTelemetry {
         }
     }
 
-    /// A bundle wired to a throwaway registry and the null sink.
+    /// A bundle that records nothing: its registry is gone before it
+    /// returns, so its hooks do not count into it either.
     pub fn detached() -> Self {
-        Self::new(&Registry::new(), bad_telemetry::null_sink())
+        Self {
+            attached: false,
+            ..Self::new(&Registry::new(), bad_telemetry::null_sink())
+        }
     }
 
     /// The event sink in force.
@@ -83,6 +91,9 @@ impl BrokerTelemetry {
         subscriber: SubscriberId,
         delivery: &Delivery,
     ) {
+        if !self.attached {
+            return;
+        }
         self.retrievals.inc();
         if delivery.total_objects() > 0 {
             self.deliveries.inc();
@@ -117,12 +128,18 @@ impl BrokerTelemetry {
     /// Records one miss range served from the fetch coalescer's
     /// sideline buffer instead of its own cluster round trip.
     pub(crate) fn on_coalesced_fetch(&self, bytes_saved: bad_types::ByteSize) {
+        if !self.attached {
+            return;
+        }
         self.coalesced_fetches.inc();
         self.duplicate_bytes_saved.add(bytes_saved.as_u64());
     }
 
     /// Records one completed failover.
     pub(crate) fn on_failover(&self, now: Timestamp, failed: BrokerId, migrated: u64) {
+        if !self.attached {
+            return;
+        }
         self.failovers.inc();
         self.migrated_subscriptions.add(migrated);
         if self.sink.enabled() {

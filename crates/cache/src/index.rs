@@ -8,8 +8,9 @@
 //! minimum-score cache is found in `O(log N)` and scores are updated in
 //! `O(log N)` whenever a cache mutates.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use bad_types::ids::IdMap;
 use bad_types::BackendSubId;
 
 /// Total-order wrapper over `f64` scores (NaN sorts last).
@@ -48,7 +49,7 @@ impl Ord for OrderedScore {
 #[derive(Clone, Debug, Default)]
 pub struct VictimIndex {
     ordered: BTreeSet<(OrderedScore, BackendSubId)>,
-    current: HashMap<BackendSubId, f64>,
+    current: IdMap<BackendSubId, f64>,
 }
 
 impl VictimIndex {

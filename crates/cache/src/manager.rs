@@ -107,6 +107,111 @@ pub struct CacheManager {
     sketches: Option<Arc<SketchRecorder>>,
 }
 
+/// What a GET or an ACK writes besides the [`ResultCache`] itself,
+/// borrowed apart from the cache map: `plan_get`, `ack_consume` and the
+/// fused `get_and_ack` are these bodies in different combinations, over
+/// one lookup of the cache.
+struct Books<'a> {
+    policy: &'a dyn EvictionPolicy,
+    policy_name: PolicyName,
+    config: &'a CacheConfig,
+    total_bytes: &'a mut ByteSize,
+    index: &'a mut VictimIndex,
+    metrics: &'a mut CacheMetrics,
+    telemetry: &'a CacheTelemetry,
+    sketches: Option<&'a SketchRecorder>,
+    shadow: Option<&'a mut ShadowEvaluator>,
+}
+
+impl Books<'_> {
+    /// Algorithm 1 `GET` on one cache, hits entered in the metrics,
+    /// telemetry and sketches. No cache (unknown subscription) and the
+    /// NC policy miss the whole range.
+    fn plan(
+        &mut self,
+        cache: Option<&mut ResultCache>,
+        range: TimeRange,
+        now: Timestamp,
+    ) -> GetPlan {
+        let cache = match cache {
+            Some(cache) if self.policy.kind() != PolicyKind::NoCache => cache,
+            _ => return GetPlan::all_missed(range),
+        };
+        let plan = cache.plan_get(range, now);
+        let (objects, bytes) = (plan.cached.len() as u64, plan.cached_bytes);
+        self.metrics.record_hits(objects, bytes);
+        self.telemetry.on_hits(now, cache.id(), objects, bytes);
+        if let Some(sketches) = self.sketches {
+            sketches.record_hit(cache.id().as_u64(), objects, bytes.as_u64());
+        }
+        plan
+    }
+
+    /// The `ACK` routine on one cache: ghosts and sketches see the ack
+    /// whether or not the cache exists, then `sub`'s consumption up to
+    /// `up_to` is applied and the objects it completed are dropped.
+    fn ack(
+        &mut self,
+        cache: Option<&mut ResultCache>,
+        bs: BackendSubId,
+        sub: SubscriberId,
+        up_to: Timestamp,
+        now: Timestamp,
+    ) -> Result<Vec<DroppedObject>> {
+        if let Some(shadow) = self.shadow.as_deref_mut() {
+            shadow.on_ack_consume(bs, sub, up_to, now);
+        }
+        // Activity signal only (distinct-active estimator) — acks mark
+        // a subscription live even when it never hits or misses.
+        if let Some(sketches) = self.sketches {
+            sketches.record_ack(bs.as_u64());
+        }
+        let cache = cache.ok_or_else(|| BadError::not_found("cache", bs.to_string()))?;
+        if !self.config.drop_on_full_consumption {
+            cache.mark_retrieved_up_to(sub, up_to);
+            return Ok(Vec::new());
+        }
+        let mut dropped = Vec::new();
+        for object in cache.consume_up_to(sub, up_to, now) {
+            *self.total_bytes -= object.size;
+            self.metrics.record_drop(
+                DropReason::Consumed,
+                object.age(now),
+                *self.total_bytes,
+                now,
+            );
+            self.telemetry.on_drop(
+                now,
+                bs,
+                DropReason::Consumed,
+                &object,
+                *self.total_bytes,
+                self.policy_name.as_str(),
+                0.0,
+                SimDuration::ZERO,
+            );
+            dropped.push(DroppedObject {
+                cache: bs,
+                reason: DropReason::Consumed,
+                object,
+            });
+        }
+        Ok(dropped)
+    }
+
+    /// Re-scores `cache` in the victim index after it changed.
+    fn reindex(&mut self, cache: &ResultCache, now: Timestamp) {
+        if !self.config.use_victim_index || self.policy.kind() != PolicyKind::Eviction {
+            return;
+        }
+        if cache.is_empty() {
+            self.index.remove(cache.id());
+        } else {
+            self.index.update(cache.id(), self.policy.score(cache, now));
+        }
+    }
+}
+
 impl CacheManager {
     /// Creates a manager with the given policy and configuration.
     pub fn new(policy: PolicyName, config: CacheConfig) -> Self {
@@ -673,34 +778,11 @@ impl CacheManager {
     /// The live half of [`CacheManager::plan_get`], without the shadow
     /// replay.
     fn plan_get_live(&mut self, bs: BackendSubId, range: TimeRange, now: Timestamp) -> GetPlan {
-        let all_missed = |range: TimeRange| GetPlan {
-            cached: Vec::new(),
-            cached_bytes: ByteSize::ZERO,
-            missed: if range.is_empty() {
-                Vec::new()
-            } else {
-                vec![range]
-            },
-        };
-        if self.policy.kind() == PolicyKind::NoCache {
-            return all_missed(range);
+        let (mut cache, mut books) = self.cache_and_books(bs);
+        let plan = books.plan(cache.as_deref_mut(), range, now);
+        if let Some(cache) = cache {
+            books.reindex(cache, now);
         }
-        let Some(cache) = self.caches.get_mut(&bs) else {
-            return all_missed(range);
-        };
-        let plan = cache.plan_get(range, now);
-        self.metrics
-            .record_hits(plan.cached.len() as u64, plan.cached_bytes);
-        self.telemetry
-            .on_hits(now, bs, plan.cached.len() as u64, plan.cached_bytes);
-        if let Some(sketches) = &self.sketches {
-            sketches.record_hit(
-                bs.as_u64(),
-                plan.cached.len() as u64,
-                plan.cached_bytes.as_u64(),
-            );
-        }
-        self.reindex(bs, now);
         plan
     }
 
@@ -719,45 +801,60 @@ impl CacheManager {
     ) -> Result<Vec<DroppedObject>> {
         // The whole body is one profiler stage (`…;ack_consume`); the
         // sharded caller attributes it when releasing the shard.
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_ack_consume(bs, sub, up_to, now);
+        let (mut cache, mut books) = self.cache_and_books(bs);
+        let dropped = books.ack(cache.as_deref_mut(), bs, sub, up_to, now)?;
+        if let Some(cache) = cache {
+            books.reindex(cache, now);
         }
-        // Activity signal only (distinct-active estimator) — acks mark
-        // a subscription live even when it never hits or misses.
-        if let Some(sketches) = &self.sketches {
-            sketches.record_ack(bs.as_u64());
-        }
-        let drop_consumed = self.config.drop_on_full_consumption;
-        let cache = self.cache_mut(bs)?;
-        let removed = if drop_consumed {
-            cache.consume_up_to(sub, up_to, now)
-        } else {
-            cache.mark_retrieved_up_to(sub, up_to);
-            Vec::new()
-        };
-        let mut dropped = Vec::new();
-        for object in removed {
-            self.total_bytes -= object.size;
-            self.metrics
-                .record_drop(DropReason::Consumed, object.age(now), self.total_bytes, now);
-            self.telemetry.on_drop(
-                now,
-                bs,
-                DropReason::Consumed,
-                &object,
-                self.total_bytes,
-                self.policy_name.as_str(),
-                0.0,
-                SimDuration::ZERO,
-            );
-            dropped.push(DroppedObject {
-                cache: bs,
-                reason: DropReason::Consumed,
-                object,
-            });
-        }
-        self.reindex(bs, now);
         Ok(dropped)
+    }
+
+    /// One retrieval: [`CacheManager::plan_get`] of `range` followed by
+    /// [`CacheManager::ack_consume`] of `sub` up to `up_to`, with one
+    /// lookup of the cache and one re-scoring for the pair. Metrics,
+    /// telemetry, sketches and ghosts see the access, then the ack,
+    /// exactly as from the two calls. An unknown cache misses the whole
+    /// range and drops nothing.
+    pub fn get_and_ack(
+        &mut self,
+        bs: BackendSubId,
+        sub: SubscriberId,
+        range: TimeRange,
+        up_to: Timestamp,
+        now: Timestamp,
+    ) -> (GetPlan, Vec<DroppedObject>) {
+        self.get_and_ack_staged(bs, sub, range, up_to, now, &Profiler::disabled(), &mut None)
+    }
+
+    /// [`CacheManager::get_and_ack`] with the stage boundaries between
+    /// its halves on the caller's [`OpTimer`]: lookup, then shadow
+    /// replay when ghosts are live. The ack is the tail, which the
+    /// caller books as [`StagePath::GetAck`] when it releases the shard.
+    #[allow(clippy::too_many_arguments)] // the call's five plus the staged pair
+    pub(crate) fn get_and_ack_staged(
+        &mut self,
+        bs: BackendSubId,
+        sub: SubscriberId,
+        range: TimeRange,
+        up_to: Timestamp,
+        now: Timestamp,
+        profiler: &Profiler,
+        timer: &mut Option<OpTimer>,
+    ) -> (GetPlan, Vec<DroppedObject>) {
+        let (mut cache, mut books) = self.cache_and_books(bs);
+        let plan = books.plan(cache.as_deref_mut(), range, now);
+        profiler.stage(timer, StagePath::GetLookup, 0);
+        if let Some(shadow) = books.shadow.as_deref_mut() {
+            shadow.on_plan_get(bs, range, &plan, now);
+            profiler.stage(timer, StagePath::GetShadowReplay, 0);
+        }
+        let dropped = books
+            .ack(cache.as_deref_mut(), bs, sub, up_to, now)
+            .unwrap_or_default();
+        if let Some(cache) = cache {
+            books.reindex(cache, now);
+        }
+        (plan, dropped)
     }
 
     /// Plans a batch of range retrievals in request order — the
@@ -958,15 +1055,28 @@ impl CacheManager {
     }
 
     fn reindex(&mut self, bs: BackendSubId, now: Timestamp) {
-        if !self.config.use_victim_index || self.policy.kind() != PolicyKind::Eviction {
-            return;
+        let (cache, mut books) = self.cache_and_books(bs);
+        match cache {
+            Some(cache) => books.reindex(cache, now),
+            None => books.index.remove(bs),
         }
-        match self.caches.get(&bs) {
-            Some(cache) if !cache.is_empty() => {
-                self.index.update(bs, self.policy.score(cache, now));
-            }
-            _ => self.index.remove(bs),
-        }
+    }
+
+    /// Looks `bs`'s cache up once and borrows, apart from it, everything
+    /// a GET or an ACK on it writes.
+    fn cache_and_books(&mut self, bs: BackendSubId) -> (Option<&mut ResultCache>, Books<'_>) {
+        let books = Books {
+            policy: self.policy.as_ref(),
+            policy_name: self.policy_name,
+            config: &self.config,
+            total_bytes: &mut self.total_bytes,
+            index: &mut self.index,
+            metrics: &mut self.metrics,
+            telemetry: &self.telemetry,
+            sketches: self.sketches.as_deref(),
+            shadow: self.shadow.as_deref_mut(),
+        };
+        (self.caches.get_mut(&bs), books)
     }
 
     fn cache_mut(&mut self, bs: BackendSubId) -> Result<&mut ResultCache> {

@@ -55,12 +55,16 @@ pub struct GetPlan {
 }
 
 impl GetPlan {
-    /// A plan in which everything missed.
+    /// A plan in which everything missed (nothing, for an empty range).
     pub(crate) fn all_missed(range: TimeRange) -> Self {
         Self {
             cached: Vec::new(),
             cached_bytes: ByteSize::ZERO,
-            missed: vec![range],
+            missed: if range.is_empty() {
+                Vec::new()
+            } else {
+                vec![range]
+            },
         }
     }
 

@@ -40,6 +40,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bad_telemetry::json::ObjectWriter;
 use bad_telemetry::{Counter, Histogram, Registry};
+use bad_types::ids::mix64;
 use bad_types::{BackendSubId, ByteSize, ObjectId, SubscriberId, TimeRange, Timestamp};
 
 use crate::admission::AdmissionControl;
@@ -48,7 +49,6 @@ use crate::metrics::CacheMetrics;
 use crate::object::{CachedObject, NewObject};
 use crate::policy::{policy_catalog, EvictionPolicy, PolicyKind, PolicyName};
 use crate::result_cache::{GetPlan, ResultCache};
-use crate::sharded::mix64;
 
 /// Decorrelates the sampling hash from the shard-routing hash, which
 /// uses the same mixer on the raw id.

@@ -36,6 +36,7 @@ use bad_telemetry::{
     HotSnapshot, LockSite, OpTimer, ProfiledGuard, Profiler, SketchConfig, SketchRecorder,
     StagePath, TraceId,
 };
+use bad_types::ids::mix64;
 use bad_types::{BackendSubId, ByteSize, Result, SubscriberId, TimeRange, Timestamp};
 
 use crate::admission::AdmissionControl;
@@ -47,16 +48,6 @@ use crate::policy::{PolicyKind, PolicyName};
 use crate::result_cache::{GetPlan, ResultCache};
 use crate::shadow::{ShadowConfig, ShadowSnapshot};
 use crate::telemetry::CacheTelemetry;
-
-/// A finalizer-quality 64-bit mix (splitmix64) so consecutive
-/// subscription ids spread evenly across shards on every platform.
-/// Also used (salted) by [`crate::shadow`]'s access sampling.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Packs a `(PolicyName, PolicyKind)` pair into one `u64` so the live
 /// policy can live in an `AtomicU64` — read by the broker on every
@@ -610,6 +601,31 @@ impl ShardedCacheManager {
         self.shard(bs).ack_consume(bs, sub, up_to, now)
     }
 
+    /// One retrieval under one acquisition of the owning shard:
+    /// [`ShardedCacheManager::plan_get`] of `range`, then
+    /// [`ShardedCacheManager::ack_consume`] of `sub` up to `up_to` (see
+    /// [`CacheManager::get_and_ack`]). An unknown cache misses the whole
+    /// range and drops nothing.
+    pub fn get_and_ack(
+        &self,
+        bs: BackendSubId,
+        sub: SubscriberId,
+        range: TimeRange,
+        up_to: Timestamp,
+        now: Timestamp,
+    ) -> (GetPlan, Vec<DroppedObject>) {
+        let Some(p) = self.profile.get() else {
+            return self.shard(bs).get_and_ack(bs, sub, range, up_to, now);
+        };
+        let mut timer = p.profiler.op();
+        let idx = self.shard_index(bs);
+        let mut shard = self.lock_staged(idx, &mut timer, StagePath::GetLockWait, 0);
+        let out = shard.get_and_ack_staged(bs, sub, range, up_to, now, &p.profiler, &mut timer);
+        shard.unlock_staged(&mut timer, StagePath::GetAck);
+        p.profiler.finish(timer, StagePath::GetTotal, 0);
+        out
+    }
+
     /// Always empty: every operation returns its own drops before it
     /// releases the shard, so there is nothing left to collect. Kept
     /// only because `benchmark/src/rw.rs` calls it and a PR that claims
@@ -1154,6 +1170,57 @@ mod tests {
         assert_eq!(
             mgr.metrics().evicted_objects,
             twin.metrics().evicted_objects
+        );
+    }
+
+    #[test]
+    fn fused_get_is_one_acquisition_with_the_ack_as_its_last_stage() {
+        use crate::shadow::ShadowConfig;
+        use bad_telemetry::{ProfileConfig, Registry};
+
+        let registry = Registry::new();
+        let profiler = Profiler::new(&registry, ProfileConfig::default());
+        let mgr = sharded(PolicyName::Lsc, 10_000, 1);
+        mgr.set_profiler(&profiler);
+        with_caches(&mgr, 1);
+        let (bs, sub) = (BackendSubId::new(0), SubscriberId::new(1000));
+        for sec in 1..=3u64 {
+            mgr.insert(bs, obj(sec, sec, 30), t(sec)).unwrap();
+        }
+        let site = &profiler.lock_sites()[0];
+
+        let before = site.acquisitions();
+        let plan = mgr.plan_get(bs, TimeRange::closed(t(1), t(1)), t(4));
+        let dropped = mgr.ack_consume(bs, sub, t(1), t(4)).unwrap();
+        assert_eq!(site.acquisitions() - before, 2);
+        assert_eq!((plan.cached.len(), dropped.len()), (1, 1));
+
+        let before = site.acquisitions();
+        let (plan, dropped) = mgr.get_and_ack(bs, sub, TimeRange::closed(t(2), t(2)), t(2), t(5));
+        assert_eq!(site.acquisitions() - before, 1);
+        assert_eq!(plan.cached.len(), 1);
+        assert_eq!(dropped[0].object.id, ObjectId::new(2));
+
+        // An unknown cache misses the whole range and drops nothing.
+        let range = TimeRange::closed(t(0), t(9));
+        let (plan, dropped) = mgr.get_and_ack(BackendSubId::new(77), sub, range, t(9), t(6));
+        assert_eq!(plan.missed, vec![range]);
+        assert!(plan.cached.is_empty() && dropped.is_empty());
+
+        profiler.flush_thread();
+        let folded = profiler.render_folded();
+        assert!(folded.contains("get_all_pending;lookup "), "{folded}");
+        assert!(folded.contains("get_all_pending;ack_consume "), "{folded}");
+        assert!(!folded.contains("shadow_replay"), "{folded}");
+
+        // With ghosts live the replay gets its own stage in between.
+        mgr.enable_shadow(ShadowConfig::default(), t(6));
+        mgr.get_and_ack(bs, sub, TimeRange::closed(t(3), t(3)), t(3), t(7));
+        profiler.flush_thread();
+        let folded = profiler.render_folded();
+        assert!(
+            folded.contains("get_all_pending;shadow_replay "),
+            "{folded}"
         );
     }
 

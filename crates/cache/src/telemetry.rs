@@ -3,10 +3,9 @@
 //!
 //! A [`CacheTelemetry`] bundles the metric handles one broker's cache
 //! manager touches with the [`SharedSink`] its events go to. The
-//! default is fully detached (a private registry and the
-//! allocation-free [`bad_telemetry::NullSink`]), so unconfigured
-//! managers pay one atomic add per counter bump and a single virtual
-//! `enabled()` call per event site.
+//! default is detached: no registry a caller could read, the null sink
+//! and no tracer, so every hook of an unconfigured manager returns
+//! after one branch.
 
 use bad_telemetry::{
     Counter, Event, Gauge, Histogram, Profiler, Registry, SharedSink, SharedTracer, SpanKind,
@@ -21,6 +20,8 @@ use crate::object::CachedObject;
 /// Metric handles + event sink for one [`crate::CacheManager`].
 #[derive(Clone, Debug)]
 pub struct CacheTelemetry {
+    /// Whether a caller-held [`Registry`] backs the handles below.
+    attached: bool,
     sink: SharedSink,
     tracer: SharedTracer,
     profiler: Profiler,
@@ -55,6 +56,7 @@ impl CacheTelemetry {
     /// (insert / drop / expire / fully-consumed) through `tracer`.
     pub fn traced(registry: &Registry, sink: SharedSink, tracer: SharedTracer) -> Self {
         Self {
+            attached: true,
             sink,
             tracer,
             profiler: Profiler::disabled(),
@@ -72,10 +74,15 @@ impl CacheTelemetry {
         }
     }
 
-    /// A telemetry bundle wired to a throwaway registry and the null
-    /// sink — the default for standalone managers and tests.
+    /// A bundle that records nothing — the default for standalone
+    /// managers and tests. Its registry is gone before it returns, so
+    /// its hooks do not count into it either (a profiler attached with
+    /// [`CacheTelemetry::with_profiler`] is separate and still runs).
     pub fn detached() -> Self {
-        Self::new(&Registry::new(), bad_telemetry::null_sink())
+        Self {
+            attached: false,
+            ..Self::new(&Registry::new(), bad_telemetry::null_sink())
+        }
     }
 
     /// Attaches the continuous profiler
@@ -123,6 +130,9 @@ impl CacheTelemetry {
         bytes: ByteSize,
         total: ByteSize,
     ) {
+        if !self.attached {
+            return;
+        }
         self.inserted_objects.inc();
         self.object_bytes.record(bytes.as_u64());
         self.occupancy_bytes.set(total.as_u64());
@@ -154,7 +164,7 @@ impl CacheTelemetry {
         objects: u64,
         bytes: ByteSize,
     ) {
-        if objects == 0 {
+        if !self.attached || objects == 0 {
             return;
         }
         self.hit_objects.add(objects);
@@ -175,7 +185,7 @@ impl CacheTelemetry {
         objects: u64,
         bytes: ByteSize,
     ) {
-        if objects == 0 {
+        if !self.attached || objects == 0 {
             return;
         }
         self.miss_objects.add(objects);
@@ -207,6 +217,9 @@ impl CacheTelemetry {
         score: f64,
         ttl: SimDuration,
     ) {
+        if !self.attached {
+            return;
+        }
         match kind {
             DropKind::Consumed => self.consumed_objects.inc(),
             DropKind::Evicted => self.evicted_objects.inc(),
@@ -278,6 +291,9 @@ impl CacheTelemetry {
     /// recorder's anomaly log so postmortems see regime changes next to
     /// burn-rate alerts.
     pub(crate) fn on_policy_switch(&self, record: &PolicySwitchRecord) {
+        if !self.attached {
+            return;
+        }
         if self.sink.enabled() {
             self.sink.record(&Event::PolicySwitch {
                 t_us: record.at.as_micros(),
@@ -304,6 +320,9 @@ impl CacheTelemetry {
     /// per-cache [`Event::TtlRetune`] events go through
     /// [`CacheTelemetry::on_ttl_retune`] when tracing is enabled).
     pub(crate) fn on_ttl_recompute(&self) {
+        if !self.attached {
+            return;
+        }
         self.ttl_retunes.inc();
     }
 

@@ -113,6 +113,14 @@ pub trait Driver {
         up_to: Timestamp,
         now: Timestamp,
     ) -> Result<Vec<DroppedObject>>;
+    fn get_and_ack(
+        &mut self,
+        bs: BackendSubId,
+        sub: SubscriberId,
+        range: TimeRange,
+        up_to: Timestamp,
+        now: Timestamp,
+    ) -> (GetPlan, Vec<DroppedObject>);
     fn record_miss_fetch(
         &mut self,
         bs: BackendSubId,
@@ -162,6 +170,16 @@ impl Driver for CacheManager {
         now: Timestamp,
     ) -> Result<Vec<DroppedObject>> {
         CacheManager::ack_consume(self, bs, sub, up_to, now)
+    }
+    fn get_and_ack(
+        &mut self,
+        bs: BackendSubId,
+        sub: SubscriberId,
+        range: TimeRange,
+        up_to: Timestamp,
+        now: Timestamp,
+    ) -> (GetPlan, Vec<DroppedObject>) {
+        CacheManager::get_and_ack(self, bs, sub, range, up_to, now)
     }
     fn record_miss_fetch(
         &mut self,
@@ -224,6 +242,16 @@ impl Driver for ShardedCacheManager {
     ) -> Result<Vec<DroppedObject>> {
         ShardedCacheManager::ack_consume(self, bs, sub, up_to, now)
     }
+    fn get_and_ack(
+        &mut self,
+        bs: BackendSubId,
+        sub: SubscriberId,
+        range: TimeRange,
+        up_to: Timestamp,
+        now: Timestamp,
+    ) -> (GetPlan, Vec<DroppedObject>) {
+        ShardedCacheManager::get_and_ack(self, bs, sub, range, up_to, now)
+    }
     fn record_miss_fetch(
         &mut self,
         bs: BackendSubId,
@@ -265,61 +293,83 @@ pub struct Replay {
     pub misses: u64,
 }
 
-/// Sets up `n_caches` caches (each with a permanent subscriber
-/// `1000 + c`, mirroring `prop_cache::run_ops`) and replays `ops`,
-/// invoking `after_op` with the driver after every op.
-pub fn replay_with<D: Driver>(
-    mgr: &mut D,
-    ops: &[Op],
-    n_caches: u64,
-    mut after_op: impl FnMut(&mut D),
-) -> Replay {
-    for c in 0..n_caches {
-        let bs = BackendSubId::new(c);
-        mgr.create_cache(bs, Timestamp::ZERO);
-        mgr.add_subscriber(bs, SubscriberId::new(1000 + c))
-            .expect("cache just created");
+/// The harness's side of a replay: what the "cluster" has produced for
+/// each cache so far (to answer miss fetches) and the next object id.
+#[derive(Debug)]
+pub struct Tape {
+    produced: Vec<Vec<Timestamp>>,
+    next_id: u64,
+}
+
+impl Tape {
+    /// Sets up `n_caches` caches on `mgr`, each with a permanent
+    /// subscriber `1000 + c` (mirroring `prop_cache::run_ops`).
+    pub fn start<D: Driver>(mgr: &mut D, n_caches: u64) -> Self {
+        for c in 0..n_caches {
+            let bs = BackendSubId::new(c);
+            mgr.create_cache(bs, Timestamp::ZERO);
+            mgr.add_subscriber(bs, SubscriberId::new(1000 + c))
+                .expect("cache just created");
+        }
+        Self {
+            produced: vec![Vec::new(); n_caches as usize],
+            next_id: 0,
+        }
     }
-    let mut log = Replay::default();
-    let mut produced: Vec<Vec<Timestamp>> = vec![Vec::new(); n_caches as usize];
-    let mut next_id = 0u64;
-    for (next_ts, op) in (1u64..).zip(ops.iter()) {
-        let now = Timestamp::from_secs(next_ts);
-        match *op {
+
+    /// The broker's half of a retrieval: fetches `plan`'s missed
+    /// sub-ranges of `cache` from the cluster and reports back what
+    /// they held. Returns the number of objects fetched.
+    pub fn fetch_misses<D: Driver>(
+        &self,
+        mgr: &mut D,
+        cache: u64,
+        plan: &GetPlan,
+        now: Timestamp,
+    ) -> u64 {
+        let fetched = self.produced[cache as usize]
+            .iter()
+            .filter(|&&ts| plan.missed.iter().any(|m| m.contains(ts)))
+            .count() as u64;
+        mgr.record_miss_fetch(
+            BackendSubId::new(cache),
+            fetched,
+            ByteSize::new(fetched * 64),
+            now,
+        );
+        fetched
+    }
+
+    /// Applies one op to `mgr` at `now`, adding what it observed to
+    /// `log`.
+    pub fn apply<D: Driver>(&mut self, mgr: &mut D, op: Op, now: Timestamp, log: &mut Replay) {
+        match op {
             Op::Insert { cache, size } => {
                 let desc = NewObject {
-                    id: ObjectId::new(next_id),
+                    id: ObjectId::new(self.next_id),
                     ts: now,
                     size: ByteSize::new(size),
                     fetch_latency: SimDuration::from_millis(500),
                 };
-                next_id += 1;
+                self.next_id += 1;
                 let dropped = mgr
                     .insert(BackendSubId::new(cache), desc, now)
                     .expect("cache exists");
                 log.dropped.extend(dropped);
-                produced[cache as usize].push(now);
+                self.produced[cache as usize].push(now);
             }
             Op::Get {
                 cache,
                 from_sec,
                 len_sec,
             } => {
-                let bs = BackendSubId::new(cache);
                 let range = TimeRange::closed(
                     Timestamp::from_secs(from_sec),
                     Timestamp::from_secs(from_sec + len_sec),
                 );
-                let plan = mgr.plan_get(bs, range, now);
+                let plan = mgr.plan_get(BackendSubId::new(cache), range, now);
                 log.hits += plan.cached.len() as u64;
-                // The broker fetches the missed sub-ranges from the
-                // cluster and reports back what they held.
-                let fetched = produced[cache as usize]
-                    .iter()
-                    .filter(|&&ts| plan.missed.iter().any(|m| m.contains(ts)))
-                    .count() as u64;
-                log.misses += fetched;
-                mgr.record_miss_fetch(bs, fetched, ByteSize::new(fetched * 64), now);
+                log.misses += self.fetch_misses(mgr, cache, &plan, now);
             }
             Op::Ack {
                 cache,
@@ -350,6 +400,22 @@ pub fn replay_with<D: Driver>(
                 log.dropped.extend(mgr.maintain(now));
             }
         }
+    }
+}
+
+/// Sets up `n_caches` caches (see [`Tape::start`]) and replays `ops`
+/// one virtual second apart, invoking `after_op` with the driver after
+/// every op.
+pub fn replay_with<D: Driver>(
+    mgr: &mut D,
+    ops: &[Op],
+    n_caches: u64,
+    mut after_op: impl FnMut(&mut D),
+) -> Replay {
+    let mut tape = Tape::start(mgr, n_caches);
+    let mut log = Replay::default();
+    for (next_ts, op) in (1u64..).zip(ops.iter()) {
+        tape.apply(mgr, *op, Timestamp::from_secs(next_ts), &mut log);
         after_op(mgr);
     }
     log

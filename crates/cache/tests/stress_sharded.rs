@@ -233,10 +233,11 @@ impl RwTapes {
         mgr
     }
 
-    /// Reader `r`: retrieves and acks the next backlog object of each
-    /// cache on its tape. Every plan must be exactly that object, and
-    /// an ack returns the object if and only if it completed its
-    /// consumption. Returns how many objects its acks dropped.
+    /// Reader `r`: retrieves and acks, in one fused call, the next
+    /// backlog object of each cache on its tape. Every plan must be
+    /// exactly that object, and the call returns the object as dropped
+    /// if and only if it completed its consumption. Returns how many
+    /// objects its acks dropped.
     fn read(&self, mgr: &ShardedCacheManager, r: u64) -> u64 {
         let mut next = vec![1u64; RW_CACHES as usize];
         let mut dropped = 0;
@@ -246,7 +247,13 @@ impl RwTapes {
             let want = rw_object(c, n);
             let bs = BackendSubId::new(c);
             let now = Timestamp::from_micros(1_000_000 + i as u64);
-            let plan = mgr.plan_get(bs, TimeRange::closed(want.ts, want.ts), now);
+            let (plan, drops) = mgr.get_and_ack(
+                bs,
+                SubscriberId::new(c * RW_READERS + r),
+                TimeRange::closed(want.ts, want.ts),
+                want.ts,
+                now,
+            );
             assert_eq!(
                 plan.cached,
                 vec![(want.id, want.ts, want.size)],
@@ -254,14 +261,11 @@ impl RwTapes {
             );
             assert_eq!(plan.cached_bytes, want.size);
             assert!(plan.missed.is_empty(), "reader {r}: backlog object missed");
-            let drops = mgr
-                .ack_consume(bs, SubscriberId::new(c * RW_READERS + r), want.ts, now)
-                .expect("cache exists");
             for d in &drops {
                 assert_eq!(
                     (d.cache, d.reason, d.object.id),
                     (bs, DropReason::Consumed, want.id),
-                    "reader {r}: an ack returned a drop it did not cause"
+                    "reader {r}: a retrieval returned a drop it did not cause"
                 );
             }
             assert!(drops.len() <= 1);

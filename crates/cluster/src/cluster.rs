@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings, SelectClause};
 use bad_storage::{Dataset, ResultObject, ResultStore, Schema};
 use bad_telemetry::{Event, SharedSink};
-use bad_types::ids::IdGen;
+use bad_types::ids::{IdGen, IdMap};
 use bad_types::{
     BackendSubId, BadError, ByteSize, ChannelId, DataValue, Result, TimeRange, Timestamp,
 };
@@ -119,7 +119,7 @@ pub struct DataCluster {
     /// Ordered so publish/tick iterate channels deterministically.
     channels: BTreeMap<String, ChannelRuntime>,
     /// `subscription -> channel name` reverse map.
-    subscriptions: HashMap<BackendSubId, String>,
+    subscriptions: IdMap<BackendSubId, String>,
     results: ResultStore,
     sub_ids: IdGen,
     channel_ids: IdGen,
@@ -140,7 +140,7 @@ impl DataCluster {
         Self {
             datasets: HashMap::new(),
             channels: BTreeMap::new(),
-            subscriptions: HashMap::new(),
+            subscriptions: IdMap::default(),
             results: ResultStore::new(),
             sub_ids: IdGen::new(),
             channel_ids: IdGen::new(),

@@ -7,11 +7,10 @@
 //! Results are persistent: "subscribers returning after a long hiatus can
 //! still retrieve notifications from the bigdata backend" (Section I).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use bad_types::ids::IdGen;
+use bad_types::ids::{IdGen, IdMap};
 use bad_types::{BackendSubId, ByteSize, DataValue, ObjectId, TimeRange, Timestamp};
 
 /// One enriched notification result produced for a backend subscription.
@@ -47,7 +46,7 @@ pub struct ResultObject {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ResultStore {
-    stores: HashMap<BackendSubId, Vec<ResultObject>>,
+    stores: IdMap<BackendSubId, Vec<ResultObject>>,
     ids: IdGen,
     total_objects: u64,
     total_bytes: ByteSize,

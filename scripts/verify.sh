@@ -9,10 +9,11 @@
 # offline — every test target of the eight std-only crates (types,
 #           telemetry, query, storage, net, cache, cluster, broker) in
 #           a workspace copy assembled under target/offline-check/ws,
-#           the cache suite again under --release, formatting and
-#           lints on that copy, and the benchmark smoke. Needs nothing
-#           outside the clone. workload/sim/proto/bench and the prop_*
-#           targets need the real external crates and run only online.
+#           the cache and broker suites again under --release,
+#           formatting and lints on that copy, and the benchmark smoke.
+#           Needs nothing outside the clone. workload/sim/proto/bench
+#           and the prop_* targets need the real external crates and
+#           run only online.
 # auto    — online when `cargo fetch` succeeds, offline otherwise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -87,8 +88,11 @@ offline_gate() {
     cd "$ws"
     cargo test --offline -q
     # The cache suite again under --release: the thread stress and the
-    # scaling guards with debug assertions off.
+    # scaling guards with debug assertions off. The broker suite too:
+    # the fused GET under paper_claims and coalesce as the benchmark
+    # builds it.
     cargo test --offline -q --release -p bad-cache
+    cargo test --offline -q --release -p bad-broker
     cargo fmt --check
     cargo clippy --offline -q --all-targets -- -D warnings
   )
