@@ -64,9 +64,11 @@ impl ChannelRuntime {
         payload
     }
 
-    /// Appends `payload` as one result of `bs` and reports it: the
-    /// object id, the accounted size and the telemetry are per result,
-    /// however many subscriptions share the payload.
+    /// Appends `payload`, whose `estimated_size()` is `size`, as one
+    /// result of `bs` and reports it: the object id, the accounted size
+    /// and the telemetry are per result, however many subscriptions
+    /// share the payload (and its size, computed once).
+    #[allow(clippy::too_many_arguments)]
     fn emit_result(
         &self,
         results: &mut ResultStore,
@@ -75,8 +77,9 @@ impl ChannelRuntime {
         bs: BackendSubId,
         result_ts: Timestamp,
         payload: Arc<DataValue>,
+        size: ByteSize,
     ) -> Notification {
-        let object = results.append(bs, result_ts, payload, None);
+        let object = results.append(bs, result_ts, payload, Some(size));
         if tracer.enabled() {
             tracer.on_result_produced(
                 result_ts.as_micros(),
@@ -291,9 +294,11 @@ impl DataCluster {
             .channels
             .get_mut(channel)
             .ok_or_else(|| BadError::not_found("channel", channel))?;
-        params.check_against(runtime.spec.params())?;
-        let id: BackendSubId = self.sub_ids.next_id();
-        runtime.index.add(id, params, now);
+        // A refused subscription does not consume an id.
+        let mut ids = self.sub_ids.clone();
+        let id: BackendSubId = ids.next_id();
+        runtime.index.add(&runtime.spec, id, params, now)?;
+        self.sub_ids = ids;
         self.subscriptions.insert(id, channel.to_owned());
         Ok(id)
     }
@@ -366,6 +371,7 @@ impl DataCluster {
                 continue;
             }
             let payload = runtime.enriched_payload(datasets, &record, ts);
+            let size = ByteSize::new(payload.estimated_size());
             for bs in matched {
                 notifications.push(runtime.emit_result(
                     results,
@@ -374,6 +380,7 @@ impl DataCluster {
                     bs,
                     ts,
                     Arc::clone(&payload),
+                    size,
                 ));
             }
         }
@@ -415,11 +422,19 @@ impl DataCluster {
                     continue;
                 }
                 let payload = runtime.enriched_payload(datasets, &stored.value, stored.ts);
+                let size = ByteSize::new(payload.estimated_size());
                 for bs in matched {
                     // Results of a repetitive execution are stamped with
                     // the execution time, like a periodic query output.
-                    let n =
-                        runtime.emit_result(results, sink, tracer, bs, now, Arc::clone(&payload));
+                    let n = runtime.emit_result(
+                        results,
+                        sink,
+                        tracer,
+                        bs,
+                        now,
+                        Arc::clone(&payload),
+                        size,
+                    );
                     notifications
                         .entry(bs)
                         .and_modify(|agg| {
@@ -432,9 +447,8 @@ impl DataCluster {
             }
             runtime.last_run = now;
         }
-        let mut out: Vec<Notification> = notifications.into_values().collect();
-        out.sort_by_key(|n| n.backend_sub);
-        Ok(out)
+        // Keyed by subscription, so already in `BackendSubId` order.
+        Ok(notifications.into_values().collect())
     }
 
     /// Retrieves results for a backend subscription in a timestamp range
@@ -764,6 +778,63 @@ mod tests {
         let stored = &cluster.dataset("Reports").unwrap().get(0).unwrap().value;
         assert!(!Arc::ptr_eq(&got[0].payload, stored));
         assert_eq!(**stored, report("fire"));
+    }
+
+    fn inner_map(value: &DataValue) -> &Arc<BTreeMap<String, DataValue>> {
+        match value {
+            DataValue::Object(map) => map,
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    /// Every embedded row of every enriched result, on two channels and
+    /// over repeated fetches, is the dataset's own map, not a copy.
+    #[test]
+    fn enriched_payloads_embed_the_datasets_own_rows() {
+        let (mut cluster, by_kind) = cluster_with_channel();
+        cluster.create_dataset("Shelters", Schema::open()).unwrap();
+        cluster
+            .register_channel(
+                "channel Projected(kind: string) from Reports r \
+                 where r.kind == $kind select r.kind",
+            )
+            .unwrap();
+        let projected = cluster
+            .subscribe(
+                "Projected",
+                ParamBindings::from_pairs([("kind", DataValue::from("fire"))]),
+                Timestamp::ZERO,
+            )
+            .unwrap();
+        for channel in ["ByKind", "Projected"] {
+            let rule = EnrichmentRule::join(channel, "Shelters", "kind", "kind", "shelters", 3);
+            cluster.add_enrichment(rule).unwrap();
+        }
+        for (sec, name) in [(1, "a"), (2, "b")] {
+            let shelter = DataValue::object([
+                ("kind", DataValue::from("fire")),
+                ("name", DataValue::from(name)),
+            ]);
+            cluster.publish("Shelters", t(sec), shelter).unwrap();
+        }
+        cluster.publish("Reports", t(5), report("fire")).unwrap();
+
+        let rows: Vec<Arc<BTreeMap<String, DataValue>>> = (0..2)
+            .map(|seq| {
+                Arc::clone(inner_map(
+                    &cluster.dataset("Shelters").unwrap().get(seq).unwrap().value,
+                ))
+            })
+            .collect();
+        let all = TimeRange::closed(t(0), t(5));
+        for bs in [by_kind, projected, by_kind, projected] {
+            let got = cluster.fetch(bs, all);
+            let embedded = got[0].payload.get("shelters").unwrap().as_array().unwrap();
+            assert_eq!(embedded.len(), rows.len());
+            for (row, stored) in embedded.iter().zip(&rows) {
+                assert!(Arc::ptr_eq(inner_map(row), stored));
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! Example: a channel over emergency reports enriched with the shelters
 //! of the same city embeds `{"shelters": [...]}` into every notification.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use bad_storage::Dataset;
 use bad_types::{DataValue, SimDuration, TimeRange, Timestamp};
 
@@ -74,8 +77,8 @@ impl EnrichmentRule {
         };
         // Newest records win. `range` yields `(timestamp, ingestion)`
         // order, so the last `limit` matches are the first `limit` met
-        // from the back: the scan stops at the `limit`-th hit and only
-        // those rows are copied.
+        // from the back: the scan stops at the `limit`-th hit. Embedding
+        // a row shares the dataset's own map (one reference-count bump).
         let mut joined: Vec<DataValue> = aux
             .range(TimeRange::closed(from, now))
             .rev()
@@ -84,16 +87,14 @@ impl EnrichmentRule {
             .map(|rec| DataValue::clone(&rec.value))
             .collect();
         joined.reverse();
+        // A shallow copy of the result's top level: its fields' own
+        // arrays and objects are shared, not copied.
         let mut map = match result {
-            DataValue::Object(map) => map.clone(),
-            other => {
-                let mut map = std::collections::BTreeMap::new();
-                map.insert("result".to_owned(), other.clone());
-                map
-            }
+            DataValue::Object(map) => BTreeMap::clone(map),
+            other => BTreeMap::from([("result".to_owned(), other.clone())]),
         };
-        map.insert(self.embed_as.clone(), DataValue::Array(joined));
-        DataValue::Object(map)
+        map.insert(self.embed_as.clone(), DataValue::Array(Arc::new(joined)));
+        DataValue::Object(Arc::new(map))
     }
 }
 

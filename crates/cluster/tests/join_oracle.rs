@@ -53,12 +53,12 @@ fn reference_apply(
     if joined.len() > rule.limit {
         joined.drain(..joined.len() - rule.limit);
     }
-    let mut map = match result {
-        DataValue::Object(map) => map.clone(),
-        other => BTreeMap::from([("result".to_owned(), other.clone())]),
+    let mut fields = match result.as_object() {
+        Some(map) => map.clone(),
+        None => BTreeMap::from([("result".to_owned(), result.clone())]),
     };
-    map.insert(rule.embed_as.clone(), DataValue::Array(joined));
-    DataValue::Object(map)
+    fields.insert(rule.embed_as.clone(), DataValue::array(joined));
+    DataValue::object(fields)
 }
 
 /// A join key: four values, strings and integers mixed.
@@ -298,7 +298,7 @@ impl Pair {
             .subscribe(channel, params.clone(), now)
             .unwrap();
         let runtime = self.reference.channels.get_mut(channel).unwrap();
-        runtime.index.add(bs, params, now);
+        runtime.index.add(&runtime.spec, bs, params, now).unwrap();
         self.subs.push((bs, channel));
     }
 

@@ -51,20 +51,16 @@ pub enum SelectClause {
 impl SelectClause {
     /// Applies the projection to a record.
     ///
-    /// Missing fields project to `null`, consistent with open schemas.
+    /// Missing fields project to `null`, consistent with open schemas. A
+    /// kept array or object is shared with the record, not copied.
     pub fn project(&self, record: &DataValue) -> DataValue {
         match self {
             SelectClause::All => record.clone(),
-            SelectClause::Fields(fields) => DataValue::Object(
-                fields
-                    .iter()
-                    .map(|path| {
-                        let key = path.join(".");
-                        let value = record.get_path(&key).cloned().unwrap_or(DataValue::Null);
-                        (key, value)
-                    })
-                    .collect(),
-            ),
+            SelectClause::Fields(fields) => DataValue::object(fields.iter().map(|path| {
+                let key = path.join(".");
+                let value = record.get_path(&key).cloned().unwrap_or(DataValue::Null);
+                (key, value)
+            })),
         }
     }
 }
@@ -203,8 +199,20 @@ impl ChannelSpec {
     /// declared parameter is missing or of the wrong type.
     pub fn matches(&self, record: &DataValue, params: &ParamBindings) -> Result<bool> {
         params.check_against(&self.params)?;
-        let ctx = EvalContext::new(record, params);
-        let value = ctx.eval(&self.predicate)?;
+        self.matches_checked(record, params)
+    }
+
+    /// [`ChannelSpec::matches`] without the binding check, for bindings
+    /// that already passed [`ParamBindings::check_against`] on this
+    /// channel's parameters — a subscription index checks them once, when
+    /// the subscription is added, not once per record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BadError::Type`] when the predicate does not evaluate to
+    /// a boolean.
+    pub fn matches_checked(&self, record: &DataValue, params: &ParamBindings) -> Result<bool> {
+        let value = EvalContext::new(record, params).eval_ref(&self.predicate)?;
         value.as_bool().ok_or_else(|| {
             BadError::Type(format!(
                 "predicate of channel `{}` evaluated to non-boolean {value}",

@@ -1,5 +1,7 @@
 //! Evaluation of BQL expressions against a record and parameter bindings.
 
+use std::borrow::Cow;
+
 use bad_types::{BadError, BoundingBox, DataValue, GeoPoint, Result};
 
 use crate::ast::{BinOp, Expr, Literal, UnOp};
@@ -45,45 +47,56 @@ impl<'a> EvalContext<'a> {
     /// (e.g. `"a" < 3`, `not 5`), unknown functions or wrong arities, and
     /// [`BadError::InvalidArgument`] for unbound parameters.
     pub fn eval(&self, expr: &Expr) -> Result<DataValue> {
+        self.eval_ref(expr).map(Cow::into_owned)
+    }
+
+    /// Evaluates an expression like [`EvalContext::eval`], borrowing
+    /// record fields and parameter values instead of cloning them: only
+    /// computed results (booleans, arithmetic, literals) are built.
+    ///
+    /// # Errors
+    ///
+    /// As [`EvalContext::eval`].
+    pub fn eval_ref(&self, expr: &Expr) -> Result<Cow<'a, DataValue>> {
         match expr {
-            Expr::Literal(lit) => Ok(match lit {
+            Expr::Literal(lit) => Ok(Cow::Owned(match lit {
                 Literal::Null => DataValue::Null,
                 Literal::Bool(b) => DataValue::Bool(*b),
                 Literal::Int(i) => DataValue::Int(*i),
                 Literal::Float(x) => DataValue::Float(*x),
                 Literal::Str(s) => DataValue::Str(s.clone()),
-            }),
+            })),
             Expr::Field(path) => {
                 let mut cur = self.record;
                 for seg in path {
                     match cur.get(seg) {
                         Some(v) => cur = v,
-                        None => return Ok(DataValue::Null),
+                        None => return Ok(Cow::Owned(DataValue::Null)),
                     }
                 }
-                Ok(cur.clone())
+                Ok(Cow::Borrowed(cur))
             }
             Expr::Param(name) => {
-                self.params.get(name).cloned().ok_or_else(|| {
+                self.params.get(name).map(Cow::Borrowed).ok_or_else(|| {
                     BadError::InvalidArgument(format!("unbound parameter `${name}`"))
                 })
             }
             Expr::Unary { op, expr } => {
-                let v = self.eval(expr)?;
+                let v = self.eval_ref(expr)?;
                 match op {
                     UnOp::Not => v
                         .as_bool()
-                        .map(|b| DataValue::Bool(!b))
+                        .map(|b| Cow::Owned(DataValue::Bool(!b)))
                         .ok_or_else(|| BadError::Type(format!("`not` applied to {v}"))),
-                    UnOp::Neg => match v {
-                        DataValue::Int(i) => Ok(DataValue::Int(-i)),
-                        DataValue::Float(f) => Ok(DataValue::Float(-f)),
+                    UnOp::Neg => match &*v {
+                        DataValue::Int(i) => Ok(Cow::Owned(DataValue::Int(-i))),
+                        DataValue::Float(f) => Ok(Cow::Owned(DataValue::Float(-f))),
                         other => Err(BadError::Type(format!("`-` applied to {other}"))),
                     },
                 }
             }
-            Expr::Binary { op, lhs, rhs } => self.eval_binary(*op, lhs, rhs),
-            Expr::Call { name, args } => self.eval_call(name, args),
+            Expr::Binary { op, lhs, rhs } => self.eval_binary(*op, lhs, rhs).map(Cow::Owned),
+            Expr::Call { name, args } => self.eval_call(name, args).map(Cow::Owned),
         }
     }
 
@@ -106,8 +119,8 @@ impl<'a> EvalContext<'a> {
             }
             _ => {}
         }
-        let l = self.eval(lhs)?;
-        let r = self.eval(rhs)?;
+        let l = self.eval_ref(lhs)?;
+        let r = self.eval_ref(rhs)?;
         match op {
             BinOp::Eq => Ok(DataValue::Bool(values_equal(&l, &r))),
             BinOp::Ne => Ok(DataValue::Bool(!values_equal(&l, &r))),
@@ -132,74 +145,86 @@ impl<'a> EvalContext<'a> {
     }
 
     fn eval_bool(&self, expr: &Expr, op: &str) -> Result<bool> {
-        let v = self.eval(expr)?;
+        let v = self.eval_ref(expr)?;
         v.as_bool()
             .ok_or_else(|| BadError::Type(format!("`{op}` operand is {v}, not boolean")))
     }
 
     fn eval_call(&self, name: &str, args: &[Expr]) -> Result<DataValue> {
-        let values: Vec<DataValue> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
+        // Every builtin takes one or two arguments, so those are kept on
+        // the stack; every argument is still evaluated first, so an
+        // argument's error wins over an arity error.
+        let mut values: [Option<Cow<'a, DataValue>>; 2] = [None, None];
+        for (i, arg) in args.iter().enumerate() {
+            let v = self.eval_ref(arg)?;
+            if let Some(slot) = values.get_mut(i) {
+                *slot = Some(v);
+            }
+        }
         let arity = |n: usize| -> Result<()> {
-            if values.len() == n {
+            if args.len() == n {
                 Ok(())
             } else {
                 Err(BadError::Type(format!(
                     "function `{name}` expects {n} argument(s), got {}",
-                    values.len()
+                    args.len()
                 )))
             }
         };
+        let arg = |i: usize| values[i].as_deref().expect("arity checked");
         match name {
             "within" => {
                 arity(2)?;
-                let point = GeoPoint::from_value(&values[0]);
-                let region = BoundingBox::from_value(&values[1]);
+                let point = GeoPoint::from_value(arg(0));
+                let region = BoundingBox::from_value(arg(1));
                 match (point, region) {
                     (Some(p), Some(r)) => Ok(DataValue::Bool(r.contains(p))),
                     // A malformed/missing point simply does not match.
-                    (None, Some(_)) if values[0].is_null() => Ok(DataValue::Bool(false)),
+                    (None, Some(_)) if arg(0).is_null() => Ok(DataValue::Bool(false)),
                     _ => Err(BadError::Type(format!(
                         "within() needs a point and a region, got {} and {}",
-                        values[0], values[1]
+                        arg(0),
+                        arg(1)
                     ))),
                 }
             }
             "distance" => {
                 arity(2)?;
-                let a = GeoPoint::from_value(&values[0]);
-                let b = GeoPoint::from_value(&values[1]);
+                let a = GeoPoint::from_value(arg(0));
+                let b = GeoPoint::from_value(arg(1));
                 match (a, b) {
                     (Some(a), Some(b)) => Ok(DataValue::Float(a.distance_km(b))),
                     _ => Err(BadError::Type(format!(
                         "distance() needs two points, got {} and {}",
-                        values[0], values[1]
+                        arg(0),
+                        arg(1)
                     ))),
                 }
             }
             "contains" => {
                 arity(2)?;
-                match (values[0].as_str(), values[1].as_str()) {
+                match (arg(0).as_str(), arg(1).as_str()) {
                     (Some(hay), Some(needle)) => Ok(DataValue::Bool(hay.contains(needle))),
                     _ => Err(BadError::Type("contains() needs two strings".into())),
                 }
             }
             "startswith" => {
                 arity(2)?;
-                match (values[0].as_str(), values[1].as_str()) {
+                match (arg(0).as_str(), arg(1).as_str()) {
                     (Some(hay), Some(prefix)) => Ok(DataValue::Bool(hay.starts_with(prefix))),
                     _ => Err(BadError::Type("startswith() needs two strings".into())),
                 }
             }
             "lower" => {
                 arity(1)?;
-                values[0]
+                arg(0)
                     .as_str()
                     .map(|s| DataValue::Str(s.to_lowercase()))
                     .ok_or_else(|| BadError::Type("lower() needs a string".into()))
             }
             "abs" => {
                 arity(1)?;
-                match &values[0] {
+                match arg(0) {
                     DataValue::Int(i) => Ok(DataValue::Int(i.abs())),
                     DataValue::Float(f) => Ok(DataValue::Float(f.abs())),
                     other => Err(BadError::Type(format!("abs() applied to {other}"))),
@@ -207,7 +232,7 @@ impl<'a> EvalContext<'a> {
             }
             "len" => {
                 arity(1)?;
-                match &values[0] {
+                match arg(0) {
                     DataValue::Str(s) => Ok(DataValue::Int(s.chars().count() as i64)),
                     DataValue::Array(a) => Ok(DataValue::Int(a.len() as i64)),
                     other => Err(BadError::Type(format!("len() applied to {other}"))),
@@ -215,7 +240,7 @@ impl<'a> EvalContext<'a> {
             }
             "exists" => {
                 arity(1)?;
-                Ok(DataValue::Bool(!values[0].is_null()))
+                Ok(DataValue::Bool(!arg(0).is_null()))
             }
             _ => Err(BadError::Type(format!("unknown function `{name}`"))),
         }

@@ -9,10 +9,18 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{BadError, Result};
 
 /// A dynamically-typed record value, the unit of publication content.
+///
+/// Arrays and objects hold their elements behind an [`Arc`], so cloning a
+/// value costs one reference-count bump per container instead of a copy
+/// of the tree: an enriched result embeds its joined rows by sharing the
+/// dataset's own maps. The sharing is invisible to `Debug`, `==`, JSON
+/// and [`DataValue::estimated_size`]; the rare in-place edit goes
+/// through [`Arc::make_mut`], which copies only a shared level.
 ///
 /// # Examples
 ///
@@ -40,9 +48,9 @@ pub enum DataValue {
     /// A UTF-8 string.
     Str(String),
     /// An ordered list of values.
-    Array(Vec<DataValue>),
+    Array(Arc<Vec<DataValue>>),
     /// A field-name-keyed map of values.
-    Object(BTreeMap<String, DataValue>),
+    Object(Arc<BTreeMap<String, DataValue>>),
 }
 
 impl DataValue {
@@ -52,12 +60,14 @@ impl DataValue {
         K: Into<String>,
         I: IntoIterator<Item = (K, DataValue)>,
     {
-        DataValue::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        DataValue::Object(Arc::new(
+            fields.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        ))
     }
 
     /// Builds an array from values.
     pub fn array<I: IntoIterator<Item = DataValue>>(items: I) -> DataValue {
-        DataValue::Array(items.into_iter().collect())
+        DataValue::Array(Arc::new(items.into_iter().collect()))
     }
 
     /// Returns the boolean behind a [`DataValue::Bool`].
@@ -363,7 +373,7 @@ impl<'a> JsonParser<'a> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(DataValue::Object(map));
+            return Ok(DataValue::Object(Arc::new(map)));
         }
         loop {
             self.skip_ws();
@@ -375,7 +385,7 @@ impl<'a> JsonParser<'a> {
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(DataValue::Object(map)),
+                Some(b'}') => return Ok(DataValue::Object(Arc::new(map))),
                 _ => return Err(self.error("expected ',' or '}' in object")),
             }
         }
@@ -387,14 +397,14 @@ impl<'a> JsonParser<'a> {
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(DataValue::Array(items));
+            return Ok(DataValue::Array(Arc::new(items)));
         }
         loop {
             items.push(self.parse_value()?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(DataValue::Array(items)),
+                Some(b']') => return Ok(DataValue::Array(Arc::new(items))),
                 _ => return Err(self.error("expected ',' or ']' in array")),
             }
         }
@@ -605,6 +615,74 @@ mod tests {
         assert!(large.estimated_size() > small.estimated_size());
         let nested = DataValue::object([("k", large.clone())]);
         assert!(nested.estimated_size() > large.estimated_size());
+    }
+
+    /// `Debug`, JSON and the size estimate of a mixed nested value, pinned
+    /// to what they were when arrays and objects owned their elements:
+    /// the shared representation is not observable through them.
+    #[test]
+    fn representation_is_pinned() {
+        let v = DataValue::object([
+            ("id", DataValue::from(7i64)),
+            ("score", DataValue::from(-0.5)),
+            ("whole", DataValue::from(2.0)),
+            ("name", DataValue::from("a \"b\"\n")),
+            ("none", DataValue::Null),
+            ("flag", DataValue::from(true)),
+            (
+                "rows",
+                DataValue::array([
+                    DataValue::object([("k", DataValue::from("x")), ("n", DataValue::from(1i64))]),
+                    DataValue::array([DataValue::from(false), DataValue::Null]),
+                    DataValue::array([]),
+                    DataValue::object::<&str, _>([]),
+                ]),
+            ),
+            (
+                "loc",
+                DataValue::object([
+                    ("lat", DataValue::from(33.6)),
+                    ("lon", DataValue::from(-117.8)),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            format!("{v:?}"),
+            r#"Object({"flag": Bool(true), "id": Int(7), "loc": Object({"lat": Float(33.6), "lon": Float(-117.8)}), "name": Str("a \"b\"\n"), "none": Null, "rows": Array([Object({"k": Str("x"), "n": Int(1)}), Array([Bool(false), Null]), Array([]), Object({})]), "score": Float(-0.5), "whole": Float(2.0)})"#
+        );
+        assert_eq!(
+            format!(
+                "{:#?}",
+                DataValue::array([DataValue::object([("k", DataValue::from(1i64))])])
+            ),
+            "Array(\n    [\n        Object(\n            {\n                \"k\": Int(\n                    1,\n                ),\n            },\n        ),\n    ],\n)"
+        );
+        assert_eq!(
+            v.to_json_string(),
+            r#"{"flag":true,"id":7,"loc":{"lat":33.6,"lon":-117.8},"name":"a \"b\"\n","none":null,"rows":[{"k":"x","n":1},[false,null],[],{}],"score":-0.5,"whole":2.0}"#
+        );
+        assert_eq!(v.estimated_size(), 166);
+    }
+
+    #[test]
+    fn clones_share_containers_and_edits_unshare_one_level() {
+        let inner = DataValue::object([("k", DataValue::from(1i64))]);
+        let outer = DataValue::object([("inner", inner.clone())]);
+        let mut copy = outer.clone();
+        let (DataValue::Object(a), DataValue::Object(b)) = (&outer, &copy) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b));
+        if let DataValue::Object(map) = &mut copy {
+            Arc::make_mut(map).insert("extra".into(), DataValue::Null);
+        }
+        assert_eq!(outer.as_object().unwrap().len(), 1);
+        assert_eq!(copy.as_object().unwrap().len(), 2);
+        // Only the edited level was copied; the untouched child is shared.
+        assert!(std::ptr::eq(
+            outer.get("inner").unwrap().as_object().unwrap(),
+            copy.get("inner").unwrap().as_object().unwrap()
+        ));
     }
 
     #[test]

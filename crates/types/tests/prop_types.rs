@@ -43,14 +43,14 @@ fn value(rng: &mut Rng, depth: u32) -> DataValue {
     }
     let len = rng.below(6);
     if rng.below(2) == 0 {
-        DataValue::Array((0..len).map(|_| value(rng, depth - 1)).collect())
+        DataValue::array((0..len).map(|_| value(rng, depth - 1)))
     } else {
         let mut fields = BTreeMap::new();
         for _ in 0..len {
             let key = string(rng, 6, |rng| char::from_u32(rng.range(0x61, 0x7a) as u32));
             fields.insert(key, value(rng, depth - 1));
         }
-        DataValue::Object(fields)
+        DataValue::object(fields)
     }
 }
 

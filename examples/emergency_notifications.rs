@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --example emergency_notifications`
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use big_active_data::broker::BrokerConfig;
@@ -53,7 +54,7 @@ fn main() -> Result<(), BadError> {
         if round % 3 == 0 {
             // Force some floods so the shared channel fires often.
             if let DataValue::Object(ref mut map) = report {
-                map.insert("kind".into(), DataValue::from("flood"));
+                Arc::make_mut(map).insert("kind".into(), DataValue::from("flood"));
             }
         }
         deployment.publish("EmergencyReports", report)?;
