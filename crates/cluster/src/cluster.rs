@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings, SelectClause};
-use bad_storage::{Dataset, ResultObject, ResultStore, Schema};
+use bad_storage::{Dataset, ResultObject, ResultStore, Schema, StoredRecord};
 use bad_telemetry::{Event, SharedSink};
 use bad_types::ids::{IdGen, IdMap};
 use bad_types::{
@@ -41,27 +41,32 @@ struct ChannelRuntime {
 }
 
 impl ChannelRuntime {
-    /// The result content of `record` on this channel: projected, then
-    /// enriched. It depends on the record and the auxiliary datasets
-    /// only, so it is computed once per matched record and every matched
-    /// subscription stores the same allocation; `select r` with no rule
-    /// is the dataset's own record.
+    /// The result content of `record` on this channel, projected, then
+    /// enriched, and its `estimated_size()`. It depends on the record and
+    /// the auxiliary datasets only, so it is computed once per matched
+    /// record and every matched subscription stores the same allocation;
+    /// `select r` with no rule is the dataset's own record. The size is
+    /// summed from the stored records' sizes, not walked.
     fn enriched_payload(
         &self,
         datasets: &HashMap<String, Dataset>,
-        record: &Arc<DataValue>,
-        record_ts: Timestamp,
-    ) -> Arc<DataValue> {
-        let mut payload = match self.spec.select() {
-            SelectClause::All => Arc::clone(record),
-            select => Arc::new(select.project(record)),
+        record: &StoredRecord,
+    ) -> (Arc<DataValue>, ByteSize) {
+        let (mut payload, mut size) = match self.spec.select() {
+            SelectClause::All => (Arc::clone(&record.value), record.size),
+            select => {
+                let projected = select.project(&record.value);
+                let size = projected.estimated_size();
+                (Arc::new(projected), size)
+            }
         };
         for rule in &self.enrichments {
             if let Some(aux) = datasets.get(&rule.aux_dataset) {
-                payload = Arc::new(rule.apply(&payload, aux, record_ts));
+                let (enriched, enriched_size) = rule.apply(&payload, size, aux, record.ts);
+                (payload, size) = (Arc::new(enriched), enriched_size);
             }
         }
-        payload
+        (payload, ByteSize::new(size))
     }
 
     /// Appends `payload`, whose `estimated_size()` is `size`, as one
@@ -245,20 +250,24 @@ impl DataCluster {
         Ok(id)
     }
 
-    /// Attaches an enrichment rule to its channel.
+    /// Attaches an enrichment rule to its channel, and has the auxiliary
+    /// dataset index the rule's join field (over the rows it holds and
+    /// every later one).
     ///
     /// # Errors
     ///
     /// Returns [`BadError::NotFound`] when the channel or the auxiliary
     /// dataset does not exist.
     pub fn add_enrichment(&mut self, rule: EnrichmentRule) -> Result<()> {
-        if !self.datasets.contains_key(&rule.aux_dataset) {
-            return Err(BadError::not_found("dataset", rule.aux_dataset.clone()));
-        }
+        let aux = self
+            .datasets
+            .get_mut(&rule.aux_dataset)
+            .ok_or_else(|| BadError::not_found("dataset", rule.aux_dataset.clone()))?;
         let channel = self
             .channels
             .get_mut(&rule.channel)
             .ok_or_else(|| BadError::not_found("channel", rule.channel.clone()))?;
+        aux.index_field(&rule.aux_field);
         channel.enrichments.push(rule);
         Ok(())
     }
@@ -345,10 +354,9 @@ impl DataCluster {
             .datasets
             .get_mut(dataset)
             .ok_or_else(|| BadError::not_found("dataset", dataset))?;
-        // The one allocation the dataset, the matcher and every
-        // `select r` result of this record share.
-        let record = Arc::new(record);
-        ds.insert(ts, Arc::clone(&record))?;
+        // The dataset wraps the record in the one allocation the matcher
+        // and every `select r` result of it share.
+        let seq = ds.insert(ts, record)?;
         self.stats.publications += 1;
 
         let Self {
@@ -359,6 +367,7 @@ impl DataCluster {
             tracer,
             ..
         } = self;
+        let record = datasets[dataset].get(seq).expect("just inserted");
         let mut notifications = Vec::new();
         for runtime in channels
             .values_mut()
@@ -366,12 +375,11 @@ impl DataCluster {
         {
             let matched = runtime
                 .index
-                .matching_subscriptions(&runtime.spec, &record)?;
+                .matching_subscriptions(&runtime.spec, &record.value)?;
             if matched.is_empty() {
                 continue;
             }
-            let payload = runtime.enriched_payload(datasets, &record, ts);
-            let size = ByteSize::new(payload.estimated_size());
+            let (payload, size) = runtime.enriched_payload(datasets, record);
             for bs in matched {
                 notifications.push(runtime.emit_result(
                     results,
@@ -421,8 +429,7 @@ impl DataCluster {
                 if matched.is_empty() {
                     continue;
                 }
-                let payload = runtime.enriched_payload(datasets, &stored.value, stored.ts);
-                let size = ByteSize::new(payload.estimated_size());
+                let (payload, size) = runtime.enriched_payload(datasets, stored);
                 for bs in matched {
                     // Results of a repetitive execution are stamped with
                     // the execution time, like a periodic query output.

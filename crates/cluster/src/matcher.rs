@@ -8,15 +8,22 @@
 //! against the partition matching its own field value (plus the residual
 //! subscriptions with no usable equality key).
 //!
-//! Partitions are keyed by the value as BQL's `==` sees it: numbers by
-//! their `f64` value (so `3` and `3.0` share a partition, and `-0.0`
-//! joins `0.0`), strings by content, anything else by its JSON. Finding
-//! the partition of a number or a string allocates nothing.
-
-use std::collections::BTreeMap;
+//! Partitions are an [`EqMap`], keyed by the value as BQL's `==` sees
+//! it: numbers by their `f64` value (so `3` and `3.0` share a partition,
+//! and `-0.0` joins `0.0`), strings by content, anything else by a
+//! structural hash that the full evaluation confirms. Finding the
+//! partition of a number or a string allocates nothing.
+//!
+//! When the predicate also tests `within(r.field, $region)` after
+//! nothing but comparisons that cannot fail (see
+//! [`bad_query::Expr::region_param_field`]), each subscription's region
+//! is parsed once, at [`MatchIndex::add`], and a candidate whose region
+//! does not contain the record's point is skipped unevaluated: that is
+//! exactly the case in which its predicate evaluates to `false`.
 
 use bad_query::{ChannelSpec, ParamBindings};
-use bad_types::{BackendSubId, DataValue, Result, Timestamp};
+use bad_types::eq::EqMap;
+use bad_types::{BackendSubId, BoundingBox, DataValue, GeoPoint, Result, Timestamp};
 
 /// One backend subscription registered with the matcher.
 #[derive(Clone, Debug)]
@@ -29,6 +36,9 @@ pub struct SubscriptionEntry {
     /// When the subscription was created; publications are only matched
     /// against subscriptions that already existed.
     pub created_at: Timestamp,
+    /// The bound region of the channel's prefilterable `within`, when
+    /// there is one and the bound value parses as a region.
+    pub region: Option<BoundingBox>,
 }
 
 /// Per-channel subscription index.
@@ -57,91 +67,41 @@ pub struct MatchIndex {
     /// The equality key `(record field, parameter name)` used for
     /// partitioning, if the channel predicate offers one.
     key: Option<(String, String)>,
-    /// Subscriptions with a usable equality key value.
-    partitions: Partitions,
+    /// The `(record field path, parameter name)` of the prefilterable
+    /// `within`, if the channel predicate offers one.
+    region: Option<(Vec<String>, String)>,
+    /// Subscriptions with a usable equality key value, by that value.
+    partitions: EqMap<Vec<SubscriptionEntry>>,
     /// Subscriptions with no usable equality key value.
     residual: Vec<SubscriptionEntry>,
     /// Total number of subscriptions in the index.
     len: usize,
-    /// Full-predicate evaluations performed (for the index ablation).
+    /// Full-predicate evaluations performed (for the index ablation);
+    /// candidates the region prefilter skipped are not counted.
     pub evaluations: u64,
 }
 
-/// Subscriptions partitioned by their bound key value as `==` sees it.
-/// Each map is ordered, so iteration order is deterministic.
-#[derive(Clone, Debug, Default)]
-struct Partitions {
-    /// Numbers, keyed by [`number_key`].
-    numbers: BTreeMap<u64, Vec<SubscriptionEntry>>,
-    /// Strings, keyed by content.
-    strings: BTreeMap<String, Vec<SubscriptionEntry>>,
-    /// Anything else, keyed by its JSON.
-    others: BTreeMap<String, Vec<SubscriptionEntry>>,
-}
-
-/// The partition key of a number: its `f64` bits, with `-0.0` folded into
-/// `0.0`, so exactly the numbers `values_equal` calls equal share a key.
-fn number_key(value: &DataValue) -> u64 {
-    let x = value.as_f64().expect("numeric");
-    if x == 0.0 {
-        0
-    } else {
-        x.to_bits()
-    }
-}
-
-impl Partitions {
-    /// The partition of subscriptions whose bound value `==` `value`.
-    fn get(&self, value: &DataValue) -> Option<&Vec<SubscriptionEntry>> {
-        match value {
-            DataValue::Int(_) | DataValue::Float(_) => self.numbers.get(&number_key(value)),
-            DataValue::Str(s) => self.strings.get(s.as_str()),
-            other => self.others.get(&other.to_json_string()),
-        }
-    }
-
-    /// The partition for bound value `value`, created if missing.
-    fn get_or_insert(&mut self, value: &DataValue) -> &mut Vec<SubscriptionEntry> {
-        match value {
-            DataValue::Int(_) | DataValue::Float(_) => {
-                self.numbers.entry(number_key(value)).or_default()
-            }
-            DataValue::Str(s) => self.strings.entry(s.clone()).or_default(),
-            other => self.others.entry(other.to_json_string()).or_default(),
-        }
-    }
-
-    fn lists(&self) -> impl Iterator<Item = &Vec<SubscriptionEntry>> {
-        self.numbers
-            .values()
-            .chain(self.strings.values())
-            .chain(self.others.values())
-    }
-
-    fn lists_mut(&mut self) -> impl Iterator<Item = &mut Vec<SubscriptionEntry>> {
-        self.numbers
-            .values_mut()
-            .chain(self.strings.values_mut())
-            .chain(self.others.values_mut())
-    }
-}
-
 impl MatchIndex {
-    /// Creates an index for one channel, extracting the equality key from
-    /// its predicate.
+    /// Creates an index for one channel, extracting the equality key and
+    /// the region prefilter from its predicate.
     pub fn new(spec: &ChannelSpec) -> Self {
         Self {
             key: spec.equality_param_fields().into_iter().next(),
+            region: spec
+                .predicate()
+                .region_param_field()
+                .map(|(path, param)| (path.to_vec(), param.to_owned())),
             ..Self::brute_force()
         }
     }
 
-    /// Creates an index that never partitions (brute-force baseline for
-    /// the matcher ablation).
+    /// Creates an index that neither partitions nor prefilters
+    /// (brute-force baseline for the matcher ablation).
     pub fn brute_force() -> Self {
         Self {
             key: None,
-            partitions: Partitions::default(),
+            region: None,
+            partitions: EqMap::default(),
             residual: Vec::new(),
             len: 0,
             evaluations: 0,
@@ -179,10 +139,15 @@ impl MatchIndex {
         created_at: Timestamp,
     ) -> Result<()> {
         params.check_against(spec.params())?;
+        let region = self
+            .region
+            .as_ref()
+            .and_then(|(_, param)| BoundingBox::from_value(params.get(param)?));
         let entry = SubscriptionEntry {
             id,
             params,
             created_at,
+            region,
         };
         self.len += 1;
         let bound = match &self.key {
@@ -190,7 +155,7 @@ impl MatchIndex {
             None => None,
         };
         let list = match bound {
-            Some(value) => self.partitions.get_or_insert(value),
+            Some(value) => self.partitions.get_or_default(value),
             None => &mut self.residual,
         };
         list.push(entry);
@@ -201,7 +166,7 @@ impl MatchIndex {
     pub fn remove(&mut self, id: BackendSubId) -> bool {
         let all = self
             .partitions
-            .lists_mut()
+            .values_mut()
             .chain(std::iter::once(&mut self.residual));
         for list in all {
             if let Some(pos) = list.iter().position(|e| e.id == id) {
@@ -214,7 +179,8 @@ impl MatchIndex {
     }
 
     /// Returns the subscriptions whose predicate matches `record`,
-    /// consulting only the relevant partition plus the residual list.
+    /// consulting only the relevant partition plus the residual list,
+    /// and skipping candidates whose region excludes the record's point.
     ///
     /// # Errors
     ///
@@ -233,8 +199,19 @@ impl MatchIndex {
             Some((field, _)) => record.get_path(field).and_then(|v| self.partitions.get(v)),
             None => None,
         };
+        // The record's point, read once; a missing or malformed one
+        // skips nothing, so its evaluation (and error) is unchanged.
+        let point = self.region.as_ref().and_then(|(path, _)| {
+            let value = path.iter().try_fold(record, |v, seg| v.get(seg))?;
+            GeoPoint::from_value(value)
+        });
         let mut matched = Vec::new();
         for entry in partition.into_iter().flatten().chain(&self.residual) {
+            if let (Some(p), Some(region)) = (point, entry.region) {
+                if !region.contains(p) {
+                    continue;
+                }
+            }
             self.evaluations += 1;
             if spec.matches_checked(record, &entry.params)? {
                 matched.push(entry.id);
@@ -246,7 +223,7 @@ impl MatchIndex {
     /// Iterates over all registered subscriptions.
     pub fn iter(&self) -> impl Iterator<Item = &SubscriptionEntry> {
         self.partitions
-            .lists()
+            .values()
             .flatten()
             .chain(self.residual.iter())
     }
@@ -423,6 +400,85 @@ mod tests {
             .unwrap();
         assert_eq!(got, vec![BackendSubId::new(1)]);
         assert_eq!(idx.evaluations, 2);
+    }
+
+    fn near(src_where: &str) -> ChannelSpec {
+        ChannelSpec::parse(&format!(
+            "channel Near(etype: string, min: int, area: region) from Reports r \
+             where {src_where} select r"
+        ))
+        .unwrap()
+    }
+
+    /// Four subscriptions of kind `fire`, one per cell of a 2 × 2 grid.
+    fn near_index(spec: &ChannelSpec, idx: MatchIndex) -> (MatchIndex, Vec<BoundingBox>) {
+        let cells = BoundingBox::new(GeoPoint::new(0.0, 0.0), GeoPoint::new(2.0, 2.0)).grid(2);
+        let subs = cells.iter().map(|cell| {
+            ParamBindings::from_pairs([
+                ("etype", DataValue::from("fire")),
+                ("min", DataValue::from(1i64)),
+                ("area", cell.to_value()),
+            ])
+        });
+        (index_of(spec, idx, subs), cells)
+    }
+
+    fn located(location: DataValue) -> DataValue {
+        DataValue::object([
+            ("kind", DataValue::from("fire")),
+            ("sev", DataValue::from(3i64)),
+            ("location", location),
+        ])
+    }
+
+    #[test]
+    fn region_prefilter_skips_only_candidates_that_cannot_match() {
+        let spec = near("r.kind == $etype and within(r.location, $area)");
+        let (mut idx, cells) = near_index(&spec, MatchIndex::new(&spec));
+        let (mut brute, _) = near_index(&spec, MatchIndex::brute_force());
+        let inside = located(cells[3].center().to_value());
+        let got = idx.matching_subscriptions(&spec, &inside).unwrap();
+        assert_eq!(got, vec![BackendSubId::new(4)]);
+        assert_eq!(brute.matching_subscriptions(&spec, &inside).unwrap(), got);
+        // One full evaluation, not four; the brute force did four.
+        assert_eq!((idx.evaluations, brute.evaluations), (1, 4));
+        // A point on the shared corner is in every cell.
+        let corner = located(GeoPoint::new(1.0, 1.0).to_value());
+        assert_eq!(idx.matching_subscriptions(&spec, &corner).unwrap().len(), 4);
+        // A missing point skips nothing and matches nothing; a malformed
+        // one skips nothing and fails as the full evaluation does.
+        let missing = DataValue::object([("kind", DataValue::from("fire"))]);
+        let before = idx.evaluations;
+        assert!(idx
+            .matching_subscriptions(&spec, &missing)
+            .unwrap()
+            .is_empty());
+        assert_eq!(idx.evaluations - before, 4);
+        let malformed = located(DataValue::from("downtown"));
+        assert!(matches!(
+            idx.matching_subscriptions(&spec, &malformed),
+            Err(BadError::Type(_))
+        ));
+        assert!(brute.matching_subscriptions(&spec, &malformed).is_err());
+    }
+
+    /// `r.sev >= $min` fails on a string severity, so a `within` after it
+    /// must not be prefiltered: the error has to surface.
+    #[test]
+    fn region_prefilter_does_not_engage_after_a_fallible_conjunct() {
+        let spec = near("r.kind == $etype and r.sev >= $min and within(r.location, $area)");
+        assert_eq!(spec.predicate().region_param_field(), None);
+        let (mut idx, _) = near_index(&spec, MatchIndex::new(&spec));
+        assert!(idx.iter().all(|e| e.region.is_none()));
+        let outside = DataValue::object([
+            ("kind", DataValue::from("fire")),
+            ("sev", DataValue::from("high")),
+            ("location", GeoPoint::new(9.0, 9.0).to_value()),
+        ]);
+        assert!(matches!(
+            idx.matching_subscriptions(&spec, &outside),
+            Err(BadError::Type(_))
+        ));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! * Matching a record against an index whose candidates all reject it
 //!   allocates nothing once warm: fields and parameters are borrowed,
-//!   the partition is found without building a key, and the bindings
-//!   were checked when the subscriptions were added.
+//!   the partition is found without building a key, the bindings were
+//!   checked when the subscriptions were added, and the regions the
+//!   prefilter tests were parsed then too.
 //! * An enrichment allocates the same number of times whether the rows
 //!   it embeds are small or large: a row is shared, not copied.
 
@@ -86,7 +87,8 @@ fn index(spec: &ChannelSpec, subs: Vec<ParamBindings>) -> MatchIndex {
     index
 }
 
-/// Every candidate is evaluated, every one rejects, nothing is allocated.
+/// Every candidate rejects — evaluated, or skipped by the region
+/// prefilter — and nothing is allocated.
 fn assert_rejecting_match_allocates_nothing() {
     let city = BoundingBox::new(GeoPoint::new(33.0, -118.0), GeoPoint::new(34.0, -117.0));
     let near = channel("EmergenciesNearLocation");
@@ -104,27 +106,33 @@ fn assert_rejecting_match_allocates_nothing() {
     let severe_subs = (3..8i64)
         .map(|min| ParamBindings::from_pairs([("minsev", DataValue::from(min))]))
         .collect();
-    let mut cases = [
+    let record = |location: DataValue| {
+        DataValue::object([
+            ("kind", DataValue::from("fire")),
+            ("severity", DataValue::from(2i64)),
+            ("district", DataValue::from("district-0")),
+            ("location", location),
+            ("body", DataValue::from("x".repeat(200))),
+        ])
+    };
+    let outside = record(GeoPoint::new(35.0, -117.5).to_value());
+    // A null location defeats the prefilter: every candidate is evaluated.
+    let unlocated = record(DataValue::Null);
+    let mut indexes = [
         (index(&near, near_subs), &near),
         (index(&severe, severe_subs), &severe),
     ];
-    let record = DataValue::object([
-        ("kind", DataValue::from("fire")),
-        ("severity", DataValue::from(2i64)),
-        ("district", DataValue::from("district-0")),
-        ("location", GeoPoint::new(35.0, -117.5).to_value()),
-        ("body", DataValue::from("x".repeat(200))),
-    ]);
-    for (index, spec) in &mut cases {
+    for (at, record, evaluated) in [(0, &outside, 0), (0, &unlocated, 16), (1, &outside, 5)] {
+        let (index, spec) = &mut indexes[at];
         // Warm-up.
         assert!(index
-            .matching_subscriptions(spec, &record)
+            .matching_subscriptions(spec, record)
             .unwrap()
             .is_empty());
         let before = index.evaluations;
-        let (count, matched) = allocations(|| index.matching_subscriptions(spec, &record));
+        let (count, matched) = allocations(|| index.matching_subscriptions(spec, record));
         assert!(matched.unwrap().is_empty());
-        assert_eq!(index.evaluations - before, index.len() as u64);
+        assert_eq!(index.evaluations - before, evaluated, "{}", spec.name());
         assert_eq!(count, 0, "{}: {count} allocations", spec.name());
     }
 }
@@ -133,6 +141,7 @@ fn assert_rejecting_match_allocates_nothing() {
 /// `pad` bytes and an array of `fields` numbers.
 fn shelters(fields: usize, pad: usize) -> Dataset {
     let mut ds = Dataset::new("Shelters", Schema::open());
+    ds.index_field("district");
     for sec in 1..=3 {
         let mut row = vec![
             ("district".to_owned(), DataValue::from("district-0")),
@@ -166,8 +175,9 @@ fn assert_enrichment_allocations_do_not_grow_with_rows() {
         .into_iter()
         .map(|(fields, pad)| {
             let aux = shelters(fields, pad);
-            rule.apply(&report, &aux, t(10)); // warm-up
-            let (count, enriched) = allocations(|| rule.apply(&report, &aux, t(10)));
+            let size = report.estimated_size();
+            rule.apply(&report, size, &aux, t(10)); // warm-up
+            let (count, (enriched, _)) = allocations(|| rule.apply(&report, size, &aux, t(10)));
             let embedded = enriched.get("shelters").unwrap().as_array().unwrap();
             assert_eq!(embedded.len(), 3);
             (count, enriched.estimated_size())

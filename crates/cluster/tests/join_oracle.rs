@@ -1,21 +1,26 @@
 //! The enrichment join and the once-per-record payload, each against
 //! the code it replaced, which survives here as the reference:
 //!
-//! * [`EnrichmentRule::apply`] scans the auxiliary dataset from the back
-//!   and stops at the `limit`-th match; [`reference_apply`] collects
-//!   every match and drains all but the newest `limit`.
-//! * [`DataCluster`] projects and enriches once per matched record and
-//!   shares the payload; [`RefCluster`] does both per matched
-//!   subscription, inside the loop, as the cluster did before.
+//! * [`EnrichmentRule::apply`] reads the auxiliary dataset's index on the
+//!   join field; [`reference_apply`] scans the whole time window from
+//!   the back, comparing every row with BQL's `==`, and stops at the
+//!   `limit`-th match.
+//! * [`DataCluster`] projects and enriches once per matched record, sums
+//!   the payload's size from stored sizes and shares the payload;
+//!   [`RefCluster`] does all three per matched subscription, inside the
+//!   loop, and walks each payload for its size, as the cluster did
+//!   before.
 //!
-//! Both comparisons are on `DataValue` equality, the second also on
-//! object ids, sizes, timestamps and every returned notification.
+//! Both comparisons are on `DataValue` equality and on the size, the
+//! second also on object ids, timestamps and every returned
+//! notification.
 
 use std::collections::BTreeMap;
 
 use bad_cluster::{DataCluster, EnrichmentRule, MatchIndex, Notification};
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings};
-use bad_storage::{Dataset, ResultStore, Schema, StoredRecord};
+use bad_storage::{Dataset, ResultStore, Schema};
+use bad_types::eq::values_equal;
 use bad_types::rng::Rng;
 use bad_types::{
     BackendSubId, BoundingBox, DataValue, GeoPoint, SimDuration, TimeRange, Timestamp,
@@ -25,8 +30,8 @@ fn t(secs: u64) -> Timestamp {
     Timestamp::from_secs(secs)
 }
 
-/// The join before the back-scan. It does not use `Dataset::range`
-/// either, so the reversed range iterator is under test too.
+/// The join before the index: a back-scan of the whole window. A result
+/// lacking the join field — every non-object one — passes through.
 fn reference_apply(
     rule: &EnrichmentRule,
     result: &DataValue,
@@ -40,33 +45,38 @@ fn reference_apply(
         Some(window) => now - window,
         None => Timestamp::ZERO,
     };
-    let mut rows: Vec<&StoredRecord> = aux
-        .iter()
-        .filter(|rec| from <= rec.ts && rec.ts <= now)
-        .collect();
-    rows.sort_by_key(|rec| (rec.ts, rec.seq));
-    let mut joined: Vec<DataValue> = rows
-        .into_iter()
-        .filter(|rec| rec.value.get_path(&rule.aux_field) == Some(join_value))
+    let mut joined: Vec<DataValue> = aux
+        .range(TimeRange::closed(from, now))
+        .rev()
+        .filter(|rec| {
+            rec.value
+                .get_path(&rule.aux_field)
+                .is_some_and(|v| values_equal(v, join_value))
+        })
+        .take(rule.limit)
         .map(|rec| DataValue::clone(&rec.value))
         .collect();
-    if joined.len() > rule.limit {
-        joined.drain(..joined.len() - rule.limit);
-    }
-    let mut fields = match result.as_object() {
-        Some(map) => map.clone(),
-        None => BTreeMap::from([("result".to_owned(), result.clone())]),
-    };
+    joined.reverse();
+    let mut fields = result.as_object().expect("has a field").clone();
     fields.insert(rule.embed_as.clone(), DataValue::array(joined));
     DataValue::object(fields)
 }
 
-/// A join key: four values, strings and integers mixed.
+/// A join key: strings, integers, their integral floats, `-0.0`, `NaN`
+/// and objects (which `==` compares structurally, `0.0` equal to
+/// `-0.0`).
 fn key(rng: &mut Rng) -> DataValue {
-    match rng.below(4) {
-        0 => DataValue::from("north"),
-        1 => DataValue::from("south"),
-        n => DataValue::from(n as i64),
+    match rng.below(12) {
+        0 | 1 => DataValue::from("north"),
+        2 => DataValue::from("south"),
+        3 | 4 => DataValue::from(2i64),
+        5 => DataValue::from(2.0),
+        6 => DataValue::from(0i64),
+        7 => DataValue::from(-0.0),
+        8 => DataValue::from(f64::NAN),
+        9 => DataValue::object([("z", DataValue::from(0.0))]),
+        10 => DataValue::object([("z", DataValue::from(-0.0))]),
+        _ => DataValue::array([DataValue::from(3i64)]),
     }
 }
 
@@ -83,21 +93,37 @@ fn keyed(rng: &mut Rng, n: i64) -> DataValue {
     DataValue::object(fields)
 }
 
-/// Rows with repeated timestamps, inserted out of timestamp order.
+/// Rows with repeated timestamps, inserted out of timestamp order, the
+/// join fields indexed after a random prefix of them.
 fn aux_dataset(rng: &mut Rng) -> Dataset {
     let mut aux = Dataset::new("Aux", Schema::open());
-    for n in 0..rng.below(40) {
+    let rows = rng.below(40);
+    let indexed_at = rng.below(rows + 1);
+    for n in 0..rows {
+        if n == indexed_at {
+            index_join_fields(&mut aux);
+        }
         aux.insert(t(rng.below(30)), keyed(rng, n as i64)).unwrap();
     }
+    index_join_fields(&mut aux);
     aux
 }
 
+fn index_join_fields(aux: &mut Dataset) {
+    for path in ["k", "loc.k", "absent"] {
+        aux.index_field(path);
+    }
+}
+
 #[test]
-fn back_scan_join_equals_collect_then_drain() {
+fn indexed_join_equals_back_scan() {
     const SEEDS: u64 = 64;
     const DATASETS: u64 = 8;
     const CASES: u64 = 25;
     let (mut capped, mut short, mut passthrough) = (0u64, 0u64, 0u64);
+    // Embedded rows whose key is `==` to the join value but not the same
+    // tree: `2` against `2.0`, `0` against `-0.0`.
+    let mut coerced = 0u64;
     for seed in 1..=SEEDS {
         let mut rng = Rng::new(seed);
         for _ in 0..DATASETS {
@@ -109,8 +135,16 @@ fn back_scan_join_equals_collect_then_drain() {
                     _ => "absent",
                 };
                 let limit = [0, 1, 3, aux.len() + 5][rng.below(4) as usize];
-                let mut rule =
-                    EnrichmentRule::join("C", "Aux", path(&mut rng), path(&mut rng), "rows", limit);
+                // Embedding as `n` replaces a field every keyed result has.
+                let embed_as = ["rows", "n"][rng.below(2) as usize];
+                let mut rule = EnrichmentRule::join(
+                    "C",
+                    "Aux",
+                    path(&mut rng),
+                    path(&mut rng),
+                    embed_as,
+                    limit,
+                );
                 if rng.below(2) == 0 {
                     rule = rule.with_lookback(SimDuration::from_secs(rng.below(20)));
                 }
@@ -122,11 +156,30 @@ fn back_scan_join_equals_collect_then_drain() {
                 };
                 let now = t(rng.below(36));
 
-                let got = rule.apply(&result, &aux, now);
+                let (got, size) = rule.apply(&result, result.estimated_size(), &aux, now);
                 let want = reference_apply(&rule, &result, &aux, now);
-                assert_eq!(got, want, "seed {seed}: {rule:?} on {result} at {now}");
+                // Compared as `Debug` text: `NaN` keys make `==` false
+                // on equal trees, and the text tells `-0.0` from `0.0`.
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "seed {seed}: {rule:?} on {result} at {now}"
+                );
+                assert_eq!(
+                    size,
+                    got.estimated_size(),
+                    "seed {seed}: {rule:?} on {result}"
+                );
 
-                match want.get("rows").and_then(DataValue::as_array) {
+                let embedded = want.get(embed_as).and_then(DataValue::as_array);
+                if let (Some(rows), Some(join_value)) =
+                    (embedded, result.get_path(&rule.record_field))
+                {
+                    let differs =
+                        |row: &&DataValue| row.get_path(&rule.aux_field) != Some(join_value);
+                    coerced += rows.iter().filter(differs).count() as u64;
+                }
+                match embedded {
                     None => passthrough += 1,
                     Some(rows) if rows.len() == limit && limit > 0 => capped += 1,
                     Some(_) => short += 1,
@@ -135,9 +188,10 @@ fn back_scan_join_equals_collect_then_drain() {
         }
     }
     // At least 10^4 cases, and each of the three regimes the equivalence
-    // is about is reached often.
+    // is about is reached often, as are numerically coerced joins.
     assert_eq!(capped + short + passthrough, 12_800);
     assert!(capped > 500 && short > 500 && passthrough > 500);
+    assert!(coerced > 500, "{coerced} coerced rows");
 }
 
 struct RefChannel {

@@ -1,19 +1,24 @@
 //! The subscription index against three references, on seeded tapes of
-//! subscriptions, churn and records over the five Table III channels and
-//! the Table II `ByStream` channel:
+//! subscriptions, churn and records over the five Table III channels,
+//! the Table II `ByStream` channel and three more `within` channels:
 //!
 //! * [`MatchIndex::brute_force`], which evaluates every subscription;
 //! * [`ChannelSpec::matches`] per subscription, in subscription order,
 //!   which checks the bindings again on every call;
-//! * [`JsonIndex`], the index as it was before partitions followed `==`:
-//!   keyed by the JSON of the bound value, checking bindings per record.
+//! * [`JsonIndex`], the index as it was before partitions followed `==`
+//!   and before the region prefilter: keyed by the JSON of the bound
+//!   value, checking bindings per record, evaluating every candidate.
 //!
 //! The indexed matcher must return what the first two return — the same
-//! ids in the same order, or the same error — and perform exactly the
-//! evaluations the JSON index did on every record whose key field is not
-//! an integral float. Those records (the int/float mix: a record's `3.0`
-//! against a bound `3`, or `-0.0` against `0`) are where the JSON index
-//! missed matches, and the tape checks that it did.
+//! ids in the same order, or the same error. On every record whose key
+//! field is not an integral float it must also perform exactly the JSON
+//! index's evaluations minus the candidates the prefilter may skip:
+//! those whose bound region parses and excludes the record's parsed
+//! point, on a channel whose `within` follows nothing that can fail —
+//! each of which the test checks evaluates to `false`. The int/float
+//! records (a record's `3.0` against a bound `3`, or `-0.0` against `0`)
+//! are where the JSON index missed matches, and the tape checks that it
+//! did.
 
 use std::collections::BTreeMap;
 
@@ -26,6 +31,39 @@ use bad_workload::TABLE_III_CHANNELS;
 const BY_STREAM: &str =
     "channel ByStream(stream: int) from Posts p where p.stream == $stream select p";
 
+/// `within` channels beyond Table III, with whether the index may
+/// prefilter them: behind `!=` and a literal with no partition key
+/// (prefiltered); on a `point` parameter, so the bound region never
+/// parses (prefiltered, but no subscription has a region); and after a
+/// comparison that fails on a string severity (not prefiltered).
+const WITHIN_CHANNELS: [(&str, bool); 3] = [
+    (
+        "channel NotKindNear(etype: string, area: region) from EmergencyReports r \
+         where r.kind != $etype and r.district != null and within(r.location, $area) select r",
+        true,
+    ),
+    (
+        "channel NearPoint(etype: string, area: point) from EmergencyReports r \
+         where r.kind == $etype and within(r.location, $area) select r",
+        true,
+    ),
+    (
+        "channel SevereNear(minsev: int, area: region) from EmergencyReports r \
+         where r.kind == \"fire\" and r.severity >= $minsev and within(r.location, $area) \
+         select r",
+        false,
+    ),
+];
+
+/// Whether the prefilter may skip `params` on `record`: the bound `area`
+/// parses as a region, the record's `location` as a point, and the
+/// region excludes the point.
+fn skippable(record: &DataValue, params: &ParamBindings) -> bool {
+    let point = record.get("location").and_then(GeoPoint::from_value);
+    let region = params.get("area").and_then(BoundingBox::from_value);
+    matches!((point, region), (Some(p), Some(r)) if !r.contains(p))
+}
+
 const KINDS: [&str; 4] = ["tornado", "flood", "fire", "quake"];
 
 /// The index before this crate keyed partitions by `==`: one map keyed by
@@ -36,15 +74,22 @@ struct JsonIndex {
     partitions: BTreeMap<String, Vec<(BackendSubId, ParamBindings)>>,
     residual: Vec<(BackendSubId, ParamBindings)>,
     evaluations: u64,
+    /// Whether the channel's `within` may be prefiltered.
+    prefiltered: bool,
+    /// Evaluated candidates the prefilter may skip, each checked to
+    /// evaluate to `false`.
+    skippable: u64,
 }
 
 impl JsonIndex {
-    fn new(spec: &ChannelSpec) -> Self {
+    fn new(spec: &ChannelSpec, prefiltered: bool) -> Self {
         Self {
             key: spec.equality_param_fields().into_iter().next(),
             partitions: BTreeMap::new(),
             residual: Vec::new(),
             evaluations: 0,
+            prefiltered,
+            skippable: 0,
         }
     }
 
@@ -76,7 +121,12 @@ impl JsonIndex {
         let mut matched = Vec::new();
         for (id, params) in partition.into_iter().flatten().chain(&self.residual) {
             self.evaluations += 1;
-            if spec.matches(record, params)? {
+            let matches = spec.matches(record, params);
+            if self.prefiltered && skippable(record, params) {
+                assert_eq!(matches, Ok(false), "{} skips {params:?}", spec.name());
+                self.skippable += 1;
+            }
+            if matches? {
                 matched.push(*id);
             }
         }
@@ -103,15 +153,18 @@ struct Tally {
     mixes: u64,
     json_missed: u64,
     rejected: u64,
+    skipped: u64,
 }
 
 impl Channel {
-    fn new(bql: &str) -> Self {
+    fn new(bql: &str, prefiltered: bool) -> Self {
         let spec = ChannelSpec::parse(bql).unwrap();
+        let region = spec.predicate().region_param_field();
+        assert_eq!(region.is_some(), prefiltered, "{bql}");
         Self {
             indexed: MatchIndex::new(&spec),
             brute: MatchIndex::brute_force(),
-            json: JsonIndex::new(&spec),
+            json: JsonIndex::new(&spec, prefiltered),
             subs: Vec::new(),
             spec,
         }
@@ -161,8 +214,9 @@ impl Channel {
         let brute = self.brute.matching_subscriptions(&self.spec, record);
         assert_eq!(brute, want, "{name} brute force on {record}");
 
-        let json_before = self.json.evaluations;
+        let json_before = (self.json.evaluations, self.json.skippable);
         let json = self.json.matching(&self.spec, record);
+        let skippable = self.json.skippable - json_before.1;
         let key_field = self.indexed.partition_key().map(|(field, _)| field);
         let mix = key_field
             .and_then(|field| record.get_path(field))
@@ -174,9 +228,10 @@ impl Channel {
             assert_eq!(json, got, "{name} JSON index on {record}");
             assert_eq!(
                 self.indexed.evaluations - before,
-                self.json.evaluations - json_before,
+                self.json.evaluations - json_before.0 - skippable,
                 "{name} evaluations on {record}"
             );
+            tally.skipped += skippable;
         }
         tally.comparisons += 1;
         match &got {
@@ -209,6 +264,9 @@ fn binding(rng: &mut Rng, name: &str, ty: ParamType, cells: &[BoundingBox]) -> D
         (ParamType::String, _) => DataValue::from(KINDS[rng.below(4) as usize]),
         (ParamType::Int, _) => DataValue::from(rng.below(6) as i64),
         (ParamType::Region, _) => cells[rng.below(cells.len() as u64) as usize].to_value(),
+        (ParamType::Point, _) => cells[rng.below(cells.len() as u64) as usize]
+            .center()
+            .to_value(),
         (ty, _) => panic!("no generator for {ty}"),
     }
 }
@@ -288,7 +346,8 @@ fn run_tape(seed: u64, tally: &mut Tally) {
     let mut channels: Vec<Channel> = TABLE_III_CHANNELS
         .iter()
         .chain([&BY_STREAM])
-        .map(|bql| Channel::new(bql))
+        .map(|bql| Channel::new(bql, bql.contains("within")))
+        .chain(WITHIN_CHANNELS.map(|(bql, prefiltered)| Channel::new(bql, prefiltered)))
         .collect();
     let mut next_id = 0;
     let mut subscribe = |rng: &mut Rng, channel: &mut Channel, tally: &mut Tally| {
@@ -333,6 +392,7 @@ fn index_brute_force_and_per_subscription_matching_agree() {
         mixes,
         json_missed,
         rejected,
+        skipped,
     } = tally;
     // Every regime the equivalence is about is reached often: matches,
     // ill-typed records, int/float mixes the JSON index got wrong, and
@@ -345,4 +405,5 @@ fn index_brute_force_and_per_subscription_matching_agree() {
         "{mixes} mixes, {json_missed} missed"
     );
     assert!(rejected > 200, "{rejected} rejected bindings");
+    assert!(skipped > 10_000, "{skipped} candidates skipped");
 }

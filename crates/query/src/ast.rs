@@ -238,6 +238,53 @@ impl Expr {
         }
     }
 
+    /// The `(field path, parameter)` of a `within(r.<field>, $<param>)`
+    /// conjunct of this predicate's top-level conjunction, when every
+    /// conjunct evaluated before it is an `==` or `!=` between fields,
+    /// parameters and literals.
+    ///
+    /// Those comparisons cannot fail once every parameter is bound, so a
+    /// record whose point parses and lies outside the bound region makes
+    /// the whole predicate `false`, never an error: the matcher may skip
+    /// that subscription for that record without evaluating it.
+    pub fn region_param_field(&self) -> Option<(&[String], &str)> {
+        let mut conjuncts = Vec::new();
+        self.collect_conjuncts(&mut conjuncts);
+        let infallible = |e: &Expr| matches!(e, Expr::Literal(_) | Expr::Field(_) | Expr::Param(_));
+        for conjunct in conjuncts {
+            match conjunct {
+                Expr::Call { name, args } if name == "within" => {
+                    return match args.as_slice() {
+                        [Expr::Field(path), Expr::Param(param)] => Some((path, param)),
+                        _ => None,
+                    };
+                }
+                Expr::Binary {
+                    op: BinOp::Eq | BinOp::Ne,
+                    lhs,
+                    rhs,
+                } if infallible(lhs) && infallible(rhs) => {}
+                _ => return None,
+            }
+        }
+        None
+    }
+
+    /// The operands of the top-level conjunction, in evaluation order.
+    fn collect_conjuncts<'a>(&'a self, out: &mut Vec<&'a Expr>) {
+        match self {
+            Expr::Binary {
+                op: BinOp::And,
+                lhs,
+                rhs,
+            } => {
+                lhs.collect_conjuncts(out);
+                rhs.collect_conjuncts(out);
+            }
+            other => out.push(other),
+        }
+    }
+
     fn fmt_with_parens(&self, f: &mut fmt::Formatter<'_>, parent_prec: u8) -> fmt::Result {
         match self {
             Expr::Literal(lit) => write!(f, "{lit}"),
@@ -422,6 +469,33 @@ mod tests {
             Expr::binary(BinOp::Eq, field(&["city"]), Expr::Param("c".into())),
         );
         assert!(e.equality_param_fields().is_empty());
+    }
+
+    #[test]
+    fn region_conjunct_needs_infallible_predecessors() {
+        let region = |src: &str| {
+            let e = crate::parse_expr(src).unwrap();
+            e.region_param_field()
+                .map(|(path, param)| (path.join("."), param.to_owned()))
+        };
+        let found = Some(("loc.p".to_owned(), "area".to_owned()));
+        assert_eq!(region("within(r.loc.p, $area)"), found);
+        assert_eq!(
+            region("r.kind == $k and r.x != 3 and within(r.loc.p, $area) and r.sev > 1"),
+            found
+        );
+        // A predecessor that can fail, a disjunction, or another shape
+        // of `within` disables the prefilter.
+        for src in [
+            "r.sev >= $min and within(r.loc.p, $area)",
+            "r.a + 1 == 2 and within(r.loc.p, $area)",
+            "within(r.loc.p, $area) or r.kind == $k",
+            "within($area, r.loc.p)",
+            "within(r.loc.p, r.area)",
+            "r.kind == $k",
+        ] {
+            assert_eq!(region(src), None, "{src}");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 
+use bad_types::eq::values_equal;
 use bad_types::{BadError, BoundingBox, DataValue, GeoPoint, Result};
 
 use crate::ast::{BinOp, Expr, Literal, UnOp};
@@ -244,17 +245,6 @@ impl<'a> EvalContext<'a> {
             }
             _ => Err(BadError::Type(format!("unknown function `{name}`"))),
         }
-    }
-}
-
-/// Structural equality with int/float numeric coercion.
-fn values_equal(l: &DataValue, r: &DataValue) -> bool {
-    match (l, r) {
-        (DataValue::Int(_) | DataValue::Float(_), DataValue::Int(_) | DataValue::Float(_)) => {
-            // Safe: both sides are numeric.
-            l.as_f64() == r.as_f64()
-        }
-        _ => l == r,
     }
 }
 

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use bad_types::eq::EqMap;
 use bad_types::{ByteSize, DataValue, Result, TimeRange, Timestamp};
 
 use crate::schema::Schema;
@@ -17,10 +18,13 @@ pub struct StoredRecord {
     pub ts: Timestamp,
     /// The record itself, shared with every result that selects it whole.
     pub value: Arc<DataValue>,
+    /// `value.estimated_size()`, computed once at insert.
+    pub size: u64,
 }
 
 /// An append-only dataset of schema-validated records with a secondary
-/// timestamp index, the BAD stand-in for an AsterixDB dataset.
+/// timestamp index and optional equality indexes on fields, the BAD
+/// stand-in for an AsterixDB dataset.
 ///
 /// # Examples
 ///
@@ -47,7 +51,34 @@ pub struct Dataset {
     /// `(ts, seq) -> index into records`; the seq component keeps equal
     /// timestamps distinct and in ingestion order.
     ts_index: BTreeMap<(Timestamp, u64), usize>,
+    /// Equality indexes, one per indexed field path.
+    field_indexes: Vec<FieldIndex>,
     total_bytes: ByteSize,
+}
+
+/// An equality index on one field path: for each key of the field's
+/// value (an [`EqMap`] key, as BQL's `==` sees it), the positions of the
+/// records carrying it, in `(ts, seq)` order. Records lacking the field
+/// are not indexed.
+#[derive(Clone, Debug)]
+struct FieldIndex {
+    path: String,
+    rows: EqMap<Vec<usize>>,
+}
+
+impl FieldIndex {
+    /// Indexes `records[at]`, keeping its key's rows in `(ts, seq)`
+    /// order; `at` is newer than every row already indexed, so it goes
+    /// after every row of its timestamp.
+    fn insert(&mut self, records: &[StoredRecord], at: usize) {
+        let Some(value) = records[at].value.get_path(&self.path) else {
+            return;
+        };
+        let rows = self.rows.get_or_default(value);
+        let ts = records[at].ts;
+        let pos = rows.partition_point(|&i| records[i].ts <= ts);
+        rows.insert(pos, at);
+    }
 }
 
 impl Dataset {
@@ -58,6 +89,7 @@ impl Dataset {
             schema,
             records: Vec::new(),
             ts_index: BTreeMap::new(),
+            field_indexes: Vec::new(),
             total_bytes: ByteSize::ZERO,
         }
     }
@@ -101,11 +133,63 @@ impl Dataset {
     pub fn insert(&mut self, ts: Timestamp, value: impl Into<Arc<DataValue>>) -> Result<u64> {
         let value = value.into();
         self.schema.validate(&value)?;
-        let seq = self.records.len() as u64;
-        self.total_bytes += ByteSize::new(value.estimated_size());
-        self.ts_index.insert((ts, seq), self.records.len());
-        self.records.push(StoredRecord { seq, ts, value });
+        let at = self.records.len();
+        let seq = at as u64;
+        let size = value.estimated_size();
+        self.total_bytes += ByteSize::new(size);
+        self.ts_index.insert((ts, seq), at);
+        self.records.push(StoredRecord {
+            seq,
+            ts,
+            value,
+            size,
+        });
+        for index in &mut self.field_indexes {
+            index.insert(&self.records, at);
+        }
         Ok(seq)
+    }
+
+    /// Keeps an equality index on the field at dotted `path`, built now
+    /// over the stored records and maintained by every later
+    /// [`Dataset::insert`]. Indexing a path twice is a no-op.
+    pub fn index_field(&mut self, path: &str) {
+        if self.field_indexes.iter().any(|index| index.path == path) {
+            return;
+        }
+        let mut index = FieldIndex {
+            path: path.to_owned(),
+            rows: EqMap::default(),
+        };
+        for at in 0..self.records.len() {
+            index.insert(&self.records, at);
+        }
+        self.field_indexes.push(index);
+    }
+
+    /// The records in `range` whose field at `path` shares `value`'s
+    /// [`EqMap`] key, ordered by `(timestamp, ingestion order)`, in
+    /// `O(log n)` plus the rows yielded; `None` when `path` is not
+    /// indexed (see [`Dataset::index_field`]).
+    ///
+    /// The key is exact for strings and for numbers other than `NaN`;
+    /// for anything else it only narrows, and the caller compares.
+    pub fn keyed_range(
+        &self,
+        path: &str,
+        value: &DataValue,
+        range: TimeRange,
+    ) -> Option<impl DoubleEndedIterator<Item = &StoredRecord>> {
+        let index = self.field_indexes.iter().find(|index| index.path == path)?;
+        let rows = index.rows.get(value).map_or(&[][..], Vec::as_slice);
+        let ts = |i: &usize| self.records[*i].ts;
+        let lo = rows.partition_point(|i| ts(i) < range.from);
+        let hi = if range.closed_right {
+            rows.partition_point(|i| ts(i) <= range.to)
+        } else {
+            rows.partition_point(|i| ts(i) < range.to)
+        };
+        Some(rows[lo..hi.max(lo)].iter().map(|&i| &self.records[i]))
     }
 
     /// Looks up a record by sequence number.
@@ -247,6 +331,56 @@ mod tests {
             .collect();
         assert_eq!(got, vec![3, 4]);
         assert_eq!(ds.since(t(100)).count(), 0);
+    }
+
+    fn keyed(ds: &Dataset, k: DataValue, range: TimeRange) -> Vec<i64> {
+        ds.keyed_range("k", &k, range)
+            .unwrap()
+            .map(|r| r.value.get("n").unwrap().as_i64().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn field_index_keeps_each_keys_rows_in_time_order() {
+        let mut ds = Dataset::new("D", Schema::open());
+        let row = |k: DataValue, n: i64| DataValue::object([("k", k), ("n", DataValue::from(n))]);
+        ds.insert(t(5), row(DataValue::from(3i64), 0)).unwrap();
+        ds.insert(t(2), row(DataValue::from("x"), 1)).unwrap();
+        assert!(ds
+            .keyed_range("k", &DataValue::Null, TimeRange::closed(t(0), t(9)))
+            .is_none());
+        // Built over the rows already stored, then kept by every insert:
+        // late, duplicate-timestamp, numerically equal and unkeyed rows.
+        ds.index_field("k");
+        ds.index_field("k");
+        ds.insert(t(3), row(DataValue::from(3.0), 2)).unwrap();
+        ds.insert(t(5), row(DataValue::from(3i64), 3)).unwrap();
+        ds.insert(t(1), row(DataValue::from(3i64), 4)).unwrap();
+        ds.insert(t(4), rec(5)).unwrap();
+        let all = TimeRange::closed(t(0), t(9));
+        assert_eq!(keyed(&ds, DataValue::from(3i64), all), vec![4, 2, 0, 3]);
+        assert_eq!(keyed(&ds, DataValue::from(3.0), all), vec![4, 2, 0, 3]);
+        assert_eq!(keyed(&ds, DataValue::from("x"), all), vec![1]);
+        assert!(keyed(&ds, DataValue::from(4i64), all).is_empty());
+        let window = TimeRange::closed(t(3), t(5));
+        assert_eq!(keyed(&ds, DataValue::from(3i64), window), vec![2, 0, 3]);
+        let half = TimeRange::half_open(t(3), t(5));
+        assert_eq!(keyed(&ds, DataValue::from(3i64), half), vec![2]);
+        let newest: Vec<u64> = ds
+            .keyed_range("k", &DataValue::from(3i64), all)
+            .unwrap()
+            .rev()
+            .take(2)
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(newest, vec![3, 0]);
+    }
+
+    #[test]
+    fn stored_size_is_the_estimate() {
+        let mut ds = Dataset::new("D", Schema::open());
+        ds.insert(t(1), rec(1)).unwrap();
+        assert_eq!(ds.get(0).unwrap().size, rec(1).estimated_size());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! assert_eq!(ByteSize::from_mib(2).as_u64(), 2 * 1024 * 1024);
 //! ```
 
+pub mod eq;
 pub mod error;
 pub mod geo;
 pub mod ids;

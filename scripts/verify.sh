@@ -5,8 +5,9 @@
 #   scripts/verify.sh
 #
 # Runs, in order: the zero-dependency guard, the release build and every
-# crate's tests, the cache, broker, cluster, query and types suites again
-# under --release, formatting and lints, and the benchmark smoke.
+# crate's tests, the cache, broker, cluster, query, storage and types
+# suites again under --release, formatting and lints, and the benchmark
+# smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,9 +27,10 @@ cargo test -q --locked
 # The suites of the crates the benchmark drives, again under --release:
 # the cache's thread stress and scaling guards with debug assertions
 # off, the fused GET under paper_claims and coalesce, and the cluster,
-# query and types oracles and property loops as the benchmark builds
-# them.
-cargo test -q --release --locked -p bad-cache -p bad-broker -p bad-cluster -p bad-query -p bad-types
+# query, storage and types oracles and property loops as the benchmark
+# builds them (the enrichment join's index lives in storage).
+cargo test -q --release --locked -p bad-cache -p bad-broker -p bad-cluster -p bad-query \
+  -p bad-storage -p bad-types
 cargo fmt --check
 cargo clippy --locked --workspace --all-targets -- -D warnings
 # End-to-end benchmark smoke: every workload once, deliveries checked
