@@ -1,30 +1,25 @@
-//! The autopilot's regime-shift tape, shared by the `autopilot_bench`
-//! binary and the `regime_shift` test.
+//! A regime-shift tape for the shadow ghost fleet, used by the
+//! `regime_shift` test.
 //!
-//! Three segments of `rounds` rounds each drive one fleet cache:
+//! Two segments of `rounds` rounds each drive one fleet cache:
 //!
-//! 1. **A — hot fan-out (stationary).** A few high-fanout streams
-//!    produce and their subscribers replay the latest objects. Every
-//!    reasonable policy behaves alike here.
-//! 2. **B — scan pollution (regime shift).** Single-subscriber scan
-//!    bursts overrun the budget. Pure recency drains the hot streams;
-//!    a utility policy keeps them.
-//! 3. **C — emergency burst.** New very-high-fanout streams produce
-//!    rapidly on top.
+//! 1. **Hot fan-out (stationary).** A few high-fanout streams produce
+//!    and their subscribers replay the latest objects. Every reasonable
+//!    policy behaves alike here.
+//! 2. **Scan pollution (regime shift).** Single-subscriber scan bursts
+//!    overrun the budget on top. Pure recency drains the hot streams; a
+//!    utility policy keeps them.
 //!
-//! No randomness and fixed clocks; one maintenance tick per round is
-//! one controller window.
+//! No randomness and fixed clocks; one maintenance tick per round.
 
 use bad_cache::{
-    AutopilotConfig, AutopilotStatus, CacheConfig, CacheMetrics, NewObject, PolicyName,
-    ShadowConfig, ShadowSnapshot, ShardedCacheManager,
+    CacheConfig, CacheMetrics, NewObject, PolicyName, ShadowConfig, ShadowSnapshot,
+    ShardedCacheManager,
 };
 use bad_types::{
     BackendSubId, ByteSize, ObjectId, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
 
-// The scan-pollution regime from the shadow showcase, plus a distinct
-// emergency tier for segment C.
 const HOT_CACHES: u64 = 8;
 const HOT_SUBS: u64 = 16;
 const HOT_OBJECT: u64 = 1_000;
@@ -35,10 +30,6 @@ const HOT_REPLAY: usize = 3;
 const SCAN_CACHES: u64 = 48;
 const SCAN_BURST: u64 = 16;
 const SCAN_OBJECT: u64 = 5_000;
-const EMERG_CACHES: u64 = 4;
-const EMERG_SUBS: u64 = 32;
-const EMERG_OBJECT: u64 = 800;
-const EMERG_BURST: u64 = 4;
 const BUDGET: u64 = 40_000;
 
 /// One tape execution.
@@ -47,28 +38,12 @@ pub struct RegimeRun {
     pub live: CacheMetrics,
     /// The ghost fleet at the end (every run shadows every policy).
     pub shadow: ShadowSnapshot,
-    /// The controller's status, if it was enabled.
-    pub autopilot: Option<AutopilotStatus>,
-    /// The clock at the end of each segment.
-    pub segment_ends: [Timestamp; 3],
 }
 
 impl RegimeRun {
     /// The live hit ratio (0 with no requests).
     pub fn hit_ratio(&self) -> f64 {
         self.live.hit_ratio().unwrap_or(0.0)
-    }
-
-    /// The controller's switches attributed to each regime segment by
-    /// timestamp (none without a controller).
-    pub fn switches_per_segment(&self) -> [u64; 3] {
-        let mut counts = [0u64; 3];
-        let switches = self.autopilot.iter().flat_map(|s| &s.switches);
-        for record in switches {
-            let segment = self.segment_ends.iter().position(|&end| record.at <= end);
-            counts[segment.unwrap_or(2)] += 1;
-        }
-        counts
     }
 }
 
@@ -141,15 +116,9 @@ impl Tape {
     }
 }
 
-/// Runs the tape under `policy` with every policy shadowed. `pollute =
-/// false` replays segment A's workload for all three segments (the
-/// stationary control).
-pub fn run_tape(
-    policy: PolicyName,
-    autopilot: Option<AutopilotConfig>,
-    rounds: u64,
-    pollute: bool,
-) -> RegimeRun {
+/// Runs the tape under `policy` with every policy shadowed on every
+/// access.
+pub fn run_tape(policy: PolicyName, rounds: u64) -> RegimeRun {
     let config = CacheConfig {
         budget: ByteSize::new(BUDGET),
         ..CacheConfig::default()
@@ -162,33 +131,20 @@ pub fn run_tape(
         },
         Timestamp::ZERO,
     );
-    if let Some(config) = autopilot {
-        mgr.enable_autopilot(config);
-    }
-    let emerg = HOT_CACHES + SCAN_CACHES;
     for h in 0..HOT_CACHES {
         create(&mgr, h, (0..HOT_SUBS).map(|s| h * 100 + s));
     }
     for c in 0..SCAN_CACHES {
         create(&mgr, HOT_CACHES + c, std::iter::once(10_000 + c));
     }
-    for e in 0..EMERG_CACHES {
-        create(
-            &mgr,
-            emerg + e,
-            (0..EMERG_SUBS).map(|s| 20_000 + e * 100 + s),
-        );
-    }
     let mut tape = Tape {
         mgr,
-        inserted: vec![Vec::new(); (emerg + EMERG_CACHES) as usize],
+        inserted: vec![Vec::new(); (HOT_CACHES + SCAN_CACHES) as usize],
         next_id: 0,
         clock: 0,
     };
-    let mut segment_ends = [Timestamp::ZERO; 3];
-    for (segment, end) in segment_ends.iter_mut().enumerate() {
+    for polluted in [false, true] {
         for _ in 0..rounds {
-            // Hot fan-out traffic runs in every segment.
             for h in 0..HOT_CACHES {
                 let now = tape.tick();
                 tape.insert(h, HOT_OBJECT, now);
@@ -196,8 +152,7 @@ pub fn run_tape(
             for h in 0..HOT_CACHES {
                 tape.replay(h, HOT_REPLAY, (0..HOT_SUBS).map(|s| h * 100 + s));
             }
-            // Segment B (and beyond, once polluted): scan bursts.
-            if pollute && segment >= 1 {
+            if polluted {
                 for k in 0..SCAN_BURST {
                     let c = HOT_CACHES + (tape.clock.wrapping_mul(7) + k) % SCAN_CACHES;
                     let now = tape.tick();
@@ -210,28 +165,12 @@ pub fn run_tape(
                     }
                 }
             }
-            // Segment C: the emergency tier floods in on top and is
-            // consumed as fast as it is produced.
-            if pollute && segment >= 2 {
-                for e in 0..EMERG_CACHES {
-                    for _ in 0..EMERG_BURST {
-                        let now = tape.tick();
-                        tape.insert(emerg + e, EMERG_OBJECT, now);
-                    }
-                    let subs = (0..EMERG_SUBS).map(|s| 20_000 + e * 100 + s);
-                    tape.replay(emerg + e, EMERG_BURST as usize, subs);
-                }
-            }
             let now = tape.tick();
             tape.mgr.maintain(now);
-            let _ = tape.mgr.autopilot_tick(now);
         }
-        *end = Timestamp::from_secs(tape.clock);
     }
     RegimeRun {
         live: tape.mgr.metrics(),
         shadow: tape.mgr.shadow_snapshot().expect("shadow enabled"),
-        autopilot: tape.mgr.autopilot_status(),
-        segment_ends,
     }
 }

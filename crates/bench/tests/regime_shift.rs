@@ -1,59 +1,23 @@
-//! The autopilot on the regime-shift tape of [`bad_bench::regime`], at
-//! the `autopilot_bench --smoke` length: the bench's gates, asserted.
+//! The ghost fleet on the regime-shift tape of [`bad_bench::regime`].
 
 use bad_bench::regime::run_tape;
-use bad_cache::{AutopilotConfig, PolicyName};
+use bad_cache::PolicyName;
 
 const ROUNDS: u64 = 40;
 
-/// Under scan pollution a ghost beats live LRU; started on LRU, the
-/// controller promotes at least once and at most once per regime
-/// segment, and lands within 5 points of the best fixed policy in
-/// hindsight; on the unpolluted control it never switches.
+/// Under scan pollution some ghost beats live LRU: the shadow fleet
+/// sees a policy the live cache does not run doing better on the same
+/// access stream.
 #[test]
-fn regime_shift_tape_promotes_once_and_tracks_the_best_fixed_policy() {
-    let mut best = (PolicyName::Nc, f64::MIN);
-    for policy in PolicyName::SIMULATED {
-        let run = run_tape(policy, None, ROUNDS, true);
-        if run.hit_ratio() > best.1 {
-            best = (policy, run.hit_ratio());
-        }
-        if policy == PolicyName::Lru {
-            let live = run.hit_ratio();
-            let beaten = run.shadow.ghosts.iter().any(|g| {
-                g.policy != PolicyName::Lru && g.counters.hit_ratio().is_some_and(|r| r > live)
-            });
-            assert!(beaten, "no ghost beats live LRU under scan pollution");
-        }
-    }
-
-    let run = run_tape(
-        PolicyName::Lru,
-        Some(AutopilotConfig::default()),
-        ROUNDS,
-        true,
-    );
-    let per_segment = run.switches_per_segment();
+fn scan_pollution_lets_a_ghost_beat_live_lru() {
+    let run = run_tape(PolicyName::Lru, ROUNDS);
+    let live = run.hit_ratio();
+    let beaten =
+        run.shadow.ghosts.iter().any(|g| {
+            g.policy != PolicyName::Lru && g.counters.hit_ratio().is_some_and(|r| r > live)
+        });
     assert!(
-        per_segment.iter().sum::<u64>() > 0,
-        "the regime shift switched nothing"
+        beaten,
+        "no ghost beats live LRU ({live:.3}) under scan pollution"
     );
-    assert!(
-        per_segment.iter().all(|&n| n <= 1),
-        "flapping: {per_segment:?}"
-    );
-    let (best_policy, best_ratio) = best;
-    assert!(
-        run.hit_ratio() >= best_ratio - 0.05,
-        "autopilot {:.3} trails {best_policy} ({best_ratio:.3}) by more than 5 points",
-        run.hit_ratio()
-    );
-
-    let control = run_tape(
-        PolicyName::Lru,
-        Some(AutopilotConfig::default()),
-        ROUNDS,
-        false,
-    );
-    assert_eq!(control.switches_per_segment(), [0; 3]);
 }

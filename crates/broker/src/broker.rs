@@ -97,12 +97,6 @@ pub struct BrokerConfig {
     /// Shadow-policy ghost caches (`bad_cache::shadow`). `None` (the
     /// default) disables counterfactual evaluation entirely.
     pub shadow: Option<bad_cache::ShadowConfig>,
-    /// Adaptive policy autopilot (`bad_cache::autopilot`): promotes the
-    /// persistently-best shadow ghost to the live policy. `None` (the
-    /// default) keeps the configured policy fixed. Enabling this with
-    /// `shadow: None` implies a default [`bad_cache::ShadowConfig`] —
-    /// the controller is blind without ghosts.
-    pub autopilot: Option<bad_cache::AutopilotConfig>,
     /// Hot-key attribution sketches (`bad_telemetry::sketch`): per-
     /// shard Space-Saving heavy hitters, a distinct-active estimator
     /// and top-K delivery-lag quantiles, merged at read time behind
@@ -118,7 +112,6 @@ impl Default for BrokerConfig {
             shards: 1,
             coalescer: CoalescerConfig::default(),
             shadow: None,
-            autopilot: None,
             sketches: None,
         }
     }
@@ -218,16 +211,8 @@ impl Broker {
     /// Creates a broker with the given caching policy and configuration.
     pub fn new(policy: PolicyName, config: BrokerConfig) -> Self {
         let cache = ShardedCacheManager::new(policy, config.cache, config.shards);
-        match config.shadow {
-            Some(shadow) => cache.enable_shadow(shadow, Timestamp::ZERO),
-            // The autopilot judges shadow snapshots; give it ghosts.
-            None if config.autopilot.is_some() => {
-                cache.enable_shadow(bad_cache::ShadowConfig::default(), Timestamp::ZERO);
-            }
-            None => {}
-        }
-        if let Some(autopilot) = config.autopilot {
-            cache.enable_autopilot(autopilot);
+        if let Some(shadow) = config.shadow {
+            cache.enable_shadow(shadow, Timestamp::ZERO);
         }
         if let Some(sketches) = config.sketches {
             cache.enable_sketches(sketches);
@@ -285,7 +270,6 @@ impl Broker {
                 .with_profiler(profiler.clone()),
         );
         self.cache.set_shadow_telemetry(registry);
-        self.cache.set_autopilot_telemetry(registry);
         self.telemetry = BrokerTelemetry::traced(registry, sink, tracer);
         self.profiler = profiler;
     }
@@ -849,13 +833,9 @@ impl Broker {
         Ok(out)
     }
 
-    /// Periodic maintenance: TTL recomputation and expiration, then one
-    /// autopilot evaluation window (no-op unless enabled). Each
-    /// maintenance tick is one window — the fleet controller judges the
-    /// shadow deltas accrued since the previous tick.
+    /// Periodic maintenance: TTL recomputation and expiration.
     pub fn maintain(&mut self, now: Timestamp) {
         let _ = self.cache.maintain(now);
-        let _ = self.cache.autopilot_tick(now);
         // Fold this thread's stage ring (retrieval envelopes recorded
         // since the last tick) into the global call-tree aggregates.
         self.profiler.flush_thread();

@@ -23,10 +23,10 @@
 //! * a lock-striped [`ShardedCacheManager`] partitioning the caches
 //!   across N mutex-guarded shards for concurrent broker workers
 //!   (`shards = 1` reproduces the monolith byte-for-byte),
-//! * an adaptive policy [`autopilot`](crate::autopilot) that closes the
-//!   shadow-evaluation loop: the persistently-best ghost policy is
-//!   promoted to live behind dwell/margin/cooldown hysteresis, with a
-//!   safe in-place migration, and
+//! * a metadata-only [`ShadowEvaluator`] replaying the live access
+//!   stream through a ghost of every catalog policy (counterfactual hit
+//!   ratio, regret and eviction audit; the live policy never changes),
+//!   and
 //! * [`CacheMetrics`] capturing every quantity the evaluation plots
 //!   (hit ratio, hit/miss bytes, holding times, time-averaged and
 //!   maximum cache size).
@@ -63,7 +63,6 @@
 //! ```
 
 pub mod admission;
-pub mod autopilot;
 pub mod index;
 pub mod manager;
 pub mod metrics;
@@ -77,10 +76,6 @@ pub mod telemetry;
 pub mod ttl;
 
 pub use admission::{AdmissionControl, AdmissionRule};
-pub use autopilot::{
-    AutopilotConfig, AutopilotStatus, Contender, HysteresisState, PolicyController,
-    PolicySwitchRecord,
-};
 pub use index::VictimIndex;
 pub use manager::{CacheConfig, CacheManager, DropReason, DroppedObject};
 pub use metrics::{CacheMetrics, DropKind};

@@ -14,7 +14,6 @@ use bad_types::{
 };
 
 use crate::admission::AdmissionControl;
-use crate::autopilot::{AutopilotConfig, AutopilotStatus, PolicyController, PolicySwitchRecord};
 use crate::index::VictimIndex;
 use crate::metrics::CacheMetrics;
 pub use crate::metrics::DropKind as DropReason;
@@ -95,9 +94,6 @@ pub struct CacheManager {
     /// Ghost-cache evaluator ([`crate::shadow`]); `None` (the default)
     /// keeps every live path at one branch of overhead.
     shadow: Option<Box<ShadowEvaluator>>,
-    /// Policy autopilot ([`crate::autopilot`]); only consulted from
-    /// [`CacheManager::autopilot_tick`], never on the hot path.
-    autopilot: Option<Box<PolicyController>>,
     /// Hot-key attribution sketches ([`bad_telemetry::sketch`]).
     /// Strictly metadata-only — never consulted by any caching
     /// decision, so enabling sketches cannot perturb oracle parity.
@@ -232,7 +228,6 @@ impl CacheManager {
             telemetry: CacheTelemetry::detached(),
             admission_rejections: 0,
             shadow: None,
-            autopilot: None,
             sketches: None,
         }
     }
@@ -270,78 +265,6 @@ impl CacheManager {
         if let Some(shadow) = self.shadow.as_mut() {
             shadow.set_telemetry(registry);
         }
-    }
-
-    /// Enables the policy autopilot ([`crate::autopilot`]). Requires a
-    /// shadow evaluator to be useful — without one,
-    /// [`CacheManager::autopilot_tick`] has no snapshot to judge and
-    /// does nothing.
-    pub fn enable_autopilot(&mut self, config: AutopilotConfig) {
-        self.autopilot = Some(Box::new(PolicyController::new(config)));
-    }
-
-    /// Registers the `bad_cache_autopilot_*` series on `registry`
-    /// (no-op until [`CacheManager::enable_autopilot`]).
-    pub fn set_autopilot_telemetry(&mut self, registry: &bad_telemetry::Registry) {
-        if let Some(autopilot) = self.autopilot.as_mut() {
-            autopilot.set_telemetry(registry);
-        }
-    }
-
-    /// The autopilot controller's status, when enabled.
-    pub fn autopilot_status(&self) -> Option<AutopilotStatus> {
-        self.autopilot.as_ref().map(|a| a.status(self.policy_name))
-    }
-
-    /// Feeds the autopilot one evaluation window: snapshots the shadow
-    /// evaluator, lets the controller judge the windowed deltas, and —
-    /// on promotion — applies [`CacheManager::switch_policy`] and emits
-    /// the [`PolicySwitch`](bad_telemetry::Event::PolicySwitch) event.
-    /// Call once per maintenance window, *not* per request. No-op
-    /// unless both autopilot and shadow are enabled.
-    pub fn autopilot_tick(&mut self, now: Timestamp) -> Option<PolicySwitchRecord> {
-        self.autopilot.as_ref()?;
-        let snapshot = self.shadow_snapshot()?;
-        let live = self.policy_name;
-        let record = self
-            .autopilot
-            .as_mut()
-            .expect("checked above")
-            .observe(&snapshot, live, now)?;
-        self.switch_policy(record.to, now);
-        self.telemetry.on_policy_switch(&record);
-        Some(record)
-    }
-
-    /// Switches the live policy in place: resident entries stay cached
-    /// and are re-scored under the incoming policy, the budget and
-    /// [`CacheMetrics`] accounting carry over untouched, and the shadow
-    /// evaluator (if any) re-targets its regret attribution. Returns
-    /// `false` (and does nothing) when `new` is already live. Emits no
-    /// event — callers that act on a promotion record it themselves, so
-    /// a fleet-wide switch logs once rather than per shard.
-    pub fn switch_policy(&mut self, new: PolicyName, now: Timestamp) -> bool {
-        if new == self.policy_name {
-            return false;
-        }
-        self.policy = new.build();
-        self.policy_name = new;
-        if self.config.use_victim_index {
-            // Re-score every resident cache under the incoming policy;
-            // non-eviction policies (TTL, NC) don't use the index.
-            self.index = VictimIndex::new();
-            if self.policy.kind() == PolicyKind::Eviction {
-                for (&bs, cache) in self.caches.iter() {
-                    if !cache.is_empty() {
-                        self.index.update(bs, self.policy.score(cache, now));
-                    }
-                }
-            }
-        }
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.retarget_live(new);
-        }
-        true
     }
 
     /// Installs shared telemetry (registry-backed counters plus an

@@ -210,30 +210,6 @@ impl GhostCounters {
         self.expired_objects += other.expired_objects;
         self.occupancy_bytes += other.occupancy_bytes;
     }
-
-    /// The counters accrued since `base` was captured — the
-    /// delta-encoding idiom the health timeseries uses, applied to
-    /// ghosts so the autopilot judges the *current* window instead of
-    /// the cumulative history. Monotone counters subtract
-    /// (saturating, so a ghost reset never underflows); the occupancy
-    /// gauge keeps its current value.
-    pub fn delta_since(&self, base: &GhostCounters) -> GhostCounters {
-        GhostCounters {
-            hit_objects: self.hit_objects.saturating_sub(base.hit_objects),
-            hit_bytes: self.hit_bytes.saturating_sub(base.hit_bytes),
-            miss_objects: self.miss_objects.saturating_sub(base.miss_objects),
-            miss_bytes: self.miss_bytes.saturating_sub(base.miss_bytes),
-            regret_live_hit_ghost_miss: self
-                .regret_live_hit_ghost_miss
-                .saturating_sub(base.regret_live_hit_ghost_miss),
-            regret_ghost_hit_live_miss: self
-                .regret_ghost_hit_live_miss
-                .saturating_sub(base.regret_ghost_hit_live_miss),
-            evicted_objects: self.evicted_objects.saturating_sub(base.evicted_objects),
-            expired_objects: self.expired_objects.saturating_sub(base.expired_objects),
-            occupancy_bytes: self.occupancy_bytes,
-        }
-    }
 }
 
 /// One ghost's identity and counters in a snapshot.
@@ -287,32 +263,6 @@ impl ShadowSnapshot {
         self.ghosts.iter().find(|g| g.policy == policy)
     }
 
-    /// The windowed view since `base`: every ghost's counters become
-    /// [`GhostCounters::delta_since`] the matching ghost in `base`
-    /// (ghosts absent from `base` keep their cumulative counters). The
-    /// audit ring is not windowed — deltas carry no audit records.
-    pub fn delta_since(&self, base: &ShadowSnapshot) -> ShadowSnapshot {
-        ShadowSnapshot {
-            live_policy: self.live_policy,
-            sample_every_n: self.sample_every_n,
-            sampled_accesses: self.sampled_accesses.saturating_sub(base.sampled_accesses),
-            skipped_accesses: self.skipped_accesses.saturating_sub(base.skipped_accesses),
-            ghosts: self
-                .ghosts
-                .iter()
-                .map(|g| GhostReport {
-                    policy: g.policy,
-                    counters: match base.ghost(g.policy) {
-                        Some(b) => g.counters.delta_since(&b.counters),
-                        None => g.counters,
-                    },
-                })
-                .collect(),
-            audit: Vec::new(),
-            audit_dropped: self.audit_dropped.saturating_sub(base.audit_dropped),
-        }
-    }
-
     /// The ghost with the highest counterfactual hit ratio (first in
     /// catalog order on ties); `None` before any request.
     pub fn best_policy(&self) -> Option<PolicyName> {
@@ -336,16 +286,6 @@ impl ShadowSnapshot {
     /// cumulative regret, the current best policy and the most recent
     /// audited evictions.
     pub fn to_json(&self, live: &CacheMetrics) -> String {
-        self.to_json_with(live, None)
-    }
-
-    /// [`ShadowSnapshot::to_json`] plus the autopilot controller's
-    /// status (`"autopilot": null` when the autopilot is disabled).
-    pub fn to_json_with(
-        &self,
-        live: &CacheMetrics,
-        autopilot: Option<&crate::autopilot::AutopilotStatus>,
-    ) -> String {
         let mut out = String::new();
         {
             let mut obj = ObjectWriter::new(&mut out);
@@ -356,10 +296,6 @@ impl ShadowSnapshot {
             match self.best_policy() {
                 Some(p) => obj.field_str("best_policy", p.as_str()),
                 None => obj.field_raw("best_policy", "null"),
-            }
-            match autopilot {
-                Some(a) => obj.field_raw("autopilot", &a.to_json()),
-                None => obj.field_raw("autopilot", "null"),
             }
             let mut live_json = String::new();
             {
@@ -548,26 +484,6 @@ impl ShadowEvaluator {
     /// The live policy the ghosts are compared against.
     pub fn live_policy(&self) -> PolicyName {
         self.live_policy
-    }
-
-    /// Re-points the evaluator at a new live policy after an autopilot
-    /// promotion. The ghost fleet (which includes the new live policy's
-    /// ghost) keeps running untouched — its counters stay comparable
-    /// across the switch — but the eviction-audit scorers are rebuilt
-    /// so the live policy doesn't audit itself, and subsequent regret
-    /// attribution names the new policy.
-    pub(crate) fn retarget_live(&mut self, new_live: PolicyName) {
-        if new_live == self.live_policy {
-            return;
-        }
-        self.live_policy = new_live;
-        self.scorers = PolicyName::ALL
-            .iter()
-            .filter(|&&p| p != new_live)
-            .map(|&p| (p, p.build()))
-            .filter(|(_, policy)| policy.kind() == PolicyKind::Eviction)
-            .collect();
-        self.pending_audit = None;
     }
 
     /// Whether `bs` is in the sampled subset.

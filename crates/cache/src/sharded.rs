@@ -29,7 +29,6 @@
 //! ICDCS 2018 evaluation is single-threaded) and is pinned by the
 //! `oracle_parity` integration test for all six policies.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use bad_telemetry::{
@@ -40,7 +39,6 @@ use bad_types::ids::mix64;
 use bad_types::{BackendSubId, ByteSize, Result, SubscriberId, TimeRange, Timestamp};
 
 use crate::admission::AdmissionControl;
-use crate::autopilot::{AutopilotConfig, AutopilotStatus, PolicyController, PolicySwitchRecord};
 use crate::manager::{CacheConfig, CacheManager, DroppedObject};
 use crate::metrics::CacheMetrics;
 use crate::object::NewObject;
@@ -48,48 +46,6 @@ use crate::policy::{PolicyKind, PolicyName};
 use crate::result_cache::{GetPlan, ResultCache};
 use crate::shadow::{ShadowConfig, ShadowSnapshot};
 use crate::telemetry::CacheTelemetry;
-
-/// Packs a `(PolicyName, PolicyKind)` pair into one `u64` so the live
-/// policy can live in an `AtomicU64` — read by the broker on every
-/// notification and retrieval without taking a lock.
-fn pack_policy(name: PolicyName, kind: PolicyKind) -> u64 {
-    let n: u64 = match name {
-        PolicyName::Lru => 0,
-        PolicyName::Lsc => 1,
-        PolicyName::Lscz => 2,
-        PolicyName::Lsd => 3,
-        PolicyName::Exp => 4,
-        PolicyName::Ttl => 5,
-        PolicyName::Nc => 6,
-    };
-    let k: u64 = match kind {
-        PolicyKind::Eviction => 0,
-        PolicyKind::TtlExpiry => 1,
-        PolicyKind::NoCache => 2,
-    };
-    n | (k << 8)
-}
-
-/// Inverse of [`pack_policy`].
-fn unpack_policy(bits: u64) -> (PolicyName, PolicyKind) {
-    let name = match bits & 0xFF {
-        0 => PolicyName::Lru,
-        1 => PolicyName::Lsc,
-        2 => PolicyName::Lscz,
-        3 => PolicyName::Lsd,
-        4 => PolicyName::Exp,
-        5 => PolicyName::Ttl,
-        6 => PolicyName::Nc,
-        other => unreachable!("bad packed policy name {other}"),
-    };
-    let kind = match (bits >> 8) & 0xFF {
-        0 => PolicyKind::Eviction,
-        1 => PolicyKind::TtlExpiry,
-        2 => PolicyKind::NoCache,
-        other => unreachable!("bad packed policy kind {other}"),
-    };
-    (name, kind)
-}
 
 /// Splits `budget` into `n` shares that sum to `budget` exactly, the
 /// remainder bytes going to the first shards.
@@ -124,21 +80,16 @@ pub struct ShardHealth {
 pub struct ShardedCacheManager {
     shards: Vec<Mutex<CacheManager>>,
     budget: ByteSize,
-    /// The live policy and its kind, packed by [`pack_policy`] —
-    /// mutable since the autopilot can promote a new policy fleet-wide
-    /// ([`crate::autopilot`]). An atomic (not a mutex) so that
-    /// [`ShardedCacheManager::caches_results`] and
-    /// [`ShardedCacheManager::policy_name`] never queue behind a shard.
-    policy: AtomicU64,
-    /// The fleet-level policy controller: one decision from the merged
-    /// shard snapshots, applied to every shard — so a fleet never runs
-    /// mixed policies. Lock order: taken first, before any shard lock.
-    autopilot: Mutex<Option<PolicyController>>,
+    /// The policy every shard runs, fixed at construction, and its
+    /// kind — read without a lock, so
+    /// [`ShardedCacheManager::caches_results`] never queues behind a
+    /// shard.
+    policy: PolicyName,
+    kind: PolicyKind,
     /// Continuous profiler attachment (write-once): per-shard lock
     /// sites plus the stage-timer handle. `None` keeps every lock
     /// acquisition a plain `Mutex::lock` and every stage call a single
-    /// branch. The sites only *observe* the shard mutexes, so the
-    /// autopilot → shard → policy lock order is unchanged.
+    /// branch. The sites only *observe* the shard mutexes.
     profile: OnceLock<ShardProfile>,
     /// Hot-key sketch recorders, one per shard, index-aligned with
     /// `shards` (write-once, like `profile`). Each shard's hooks feed
@@ -177,8 +128,8 @@ impl ShardedCacheManager {
         Self {
             shards,
             budget: config.budget,
-            policy: AtomicU64::new(pack_policy(policy, policy.build().kind())),
-            autopilot: Mutex::new(None),
+            policy,
+            kind: policy.build().kind(),
             profile: OnceLock::new(),
             sketch: OnceLock::new(),
         }
@@ -238,25 +189,20 @@ impl ShardedCacheManager {
         self.lock(idx).budget()
     }
 
-    fn live_policy(&self) -> (PolicyName, PolicyKind) {
-        unpack_policy(self.policy.load(Ordering::Acquire))
-    }
-
-    /// The live policy (the configured one until the autopilot promotes
-    /// a ghost; see [`ShardedCacheManager::enable_autopilot`]).
+    /// The configured policy.
     pub fn policy_name(&self) -> PolicyName {
-        self.live_policy().0
+        self.policy
     }
 
-    /// How the live policy bounds the cache.
+    /// How the policy bounds the cache.
     pub fn kind(&self) -> PolicyKind {
-        self.live_policy().1
+        self.kind
     }
 
     /// Whether the broker should prefetch results into the cache on
     /// cluster notifications (everything except the NC baseline).
     pub fn caches_results(&self) -> bool {
-        self.live_policy().1 != PolicyKind::NoCache
+        self.kind != PolicyKind::NoCache
     }
 
     /// Current aggregate size across all shards.
@@ -428,78 +374,6 @@ impl ShardedCacheManager {
             }
         }
         out
-    }
-
-    /// Enables the fleet-level policy autopilot ([`crate::autopilot`]):
-    /// one controller judging the *merged* shard snapshots, so every
-    /// shard switches together and `shards = 1` makes the exact same
-    /// decisions as a monolithic manager. Requires
-    /// [`ShardedCacheManager::enable_shadow`] to have any effect.
-    pub fn enable_autopilot(&self, config: AutopilotConfig) {
-        *self.autopilot.lock().expect("autopilot lock poisoned") =
-            Some(PolicyController::new(config));
-    }
-
-    /// Registers the `bad_cache_autopilot_*` series on `registry`
-    /// (no-op until [`ShardedCacheManager::enable_autopilot`]).
-    pub fn set_autopilot_telemetry(&self, registry: &bad_telemetry::Registry) {
-        if let Some(autopilot) = self
-            .autopilot
-            .lock()
-            .expect("autopilot lock poisoned")
-            .as_mut()
-        {
-            autopilot.set_telemetry(registry);
-        }
-    }
-
-    /// The fleet controller's status, when enabled.
-    pub fn autopilot_status(&self) -> Option<AutopilotStatus> {
-        let live = self.policy_name();
-        self.autopilot
-            .lock()
-            .expect("autopilot lock poisoned")
-            .as_ref()
-            .map(|a| a.status(live))
-    }
-
-    /// Feeds the fleet controller one evaluation window: judges the
-    /// merged [`ShardedCacheManager::shadow_snapshot`] and — on
-    /// promotion — applies [`CacheManager::switch_policy`] to every
-    /// shard (a coordinated fleet-wide switch; shards migrate one at a
-    /// time, so concurrent data-path calls see old-policy and
-    /// new-policy shards briefly coexist, all with intact accounting)
-    /// and emits one [`PolicySwitch`](bad_telemetry::Event::PolicySwitch)
-    /// event. Call once per maintenance window.
-    pub fn autopilot_tick(&self, now: Timestamp) -> Option<PolicySwitchRecord> {
-        let Some(p) = self.profile.get() else {
-            return self.autopilot_tick_inner(now);
-        };
-        let mut timer = p.profiler.op();
-        let record = self.autopilot_tick_inner(now);
-        // A leaf-only sample: the autopilot runs outside any maintain
-        // envelope, so its time shows up as its own folded line.
-        p.profiler
-            .stage(&mut timer, StagePath::MaintainAutopilot, 0);
-        record
-    }
-
-    fn autopilot_tick_inner(&self, now: Timestamp) -> Option<PolicySwitchRecord> {
-        let mut autopilot = self.autopilot.lock().expect("autopilot lock poisoned");
-        let controller = autopilot.as_mut()?;
-        let snapshot = self.shadow_snapshot()?;
-        let live = self.policy_name();
-        let record = controller.observe(&snapshot, live, now)?;
-        for i in 0..self.shards.len() {
-            self.lock(i).switch_policy(record.to, now);
-        }
-        self.policy.store(
-            pack_policy(record.to, record.to.build().kind()),
-            Ordering::Release,
-        );
-        let telemetry = self.lock(0).telemetry().clone();
-        telemetry.on_policy_switch(&record);
-        Some(record)
     }
 
     /// Creates an empty cache for a new backend subscription.

@@ -13,7 +13,6 @@ use bad_telemetry::{
 };
 use bad_types::{BackendSubId, ByteSize, ObjectId, SimDuration, Timestamp};
 
-use crate::autopilot::PolicySwitchRecord;
 use crate::metrics::DropKind;
 use crate::object::CachedObject;
 
@@ -284,36 +283,6 @@ impl CacheTelemetry {
             },
         };
         self.sink.record(&event);
-    }
-
-    /// The autopilot promoted a shadow policy: emits the typed
-    /// [`Event::PolicySwitch`] and notes the switch in the flight
-    /// recorder's anomaly log so postmortems see regime changes next to
-    /// burn-rate alerts.
-    pub(crate) fn on_policy_switch(&self, record: &PolicySwitchRecord) {
-        if !self.attached {
-            return;
-        }
-        if self.sink.enabled() {
-            self.sink.record(&Event::PolicySwitch {
-                t_us: record.at.as_micros(),
-                from: record.from.as_str(),
-                to: record.to.as_str(),
-                window: record.window,
-                net_regret: record.net_regret,
-                requested: record.requested,
-            });
-        }
-        if self.tracer.enabled() {
-            self.tracer.recorder().note_anomaly(
-                &format!(
-                    "policy_switch:{}->{}",
-                    record.from.as_str(),
-                    record.to.as_str()
-                ),
-                record.at.as_micros(),
-            );
-        }
     }
 
     /// One TTL recomputation pass completed (counter only; the

@@ -1,9 +1,9 @@
 //! Shared generative harness for the cache integration tests: a seeded
 //! operation-sequence generator over [`Rng`] and a replay driver that
 //! runs one tape against either cache manager. The property suites
-//! (`gen_harness`, `oracle_parity`, `fused_get_oracle`, `autopilot`,
-//! `sketch_merge`) sweep fixed seeds instead of shrinking; a failing
-//! case names its seed.
+//! (`gen_harness`, `oracle_parity`, `fused_get_oracle`, `sketch_merge`)
+//! sweep fixed seeds instead of shrinking; a failing case names its
+//! seed.
 
 #![allow(dead_code)] // each integration-test crate uses a subset
 

@@ -337,7 +337,7 @@ fn fused_matches_plan_then_ack_with_shadow_ghosts() {
                 let report = |mgr: &CacheManager| {
                     mgr.shadow_snapshot()
                         .expect("shadow enabled")
-                        .to_json_with(mgr.metrics(), None)
+                        .to_json(mgr.metrics())
                 };
                 assert_eq!(
                     report(&fused),

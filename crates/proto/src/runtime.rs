@@ -420,7 +420,7 @@ impl Deployment {
         // what is running — crate version plus the feature knobs that
         // change hot-path behaviour. Scrapes join it against any other
         // series to tell "which build/config produced these numbers".
-        let build_labels: [(&str, String); 7] = [
+        let build_labels: [(&str, String); 6] = [
             ("version", env!("CARGO_PKG_VERSION").to_owned()),
             ("policy", policy.as_str().to_owned()),
             ("shards", config.shards.to_string()),
@@ -430,21 +430,7 @@ impl Deployment {
             ),
             (
                 "shadow",
-                if config.shadow.is_some() || config.autopilot.is_some() {
-                    "on"
-                } else {
-                    "off"
-                }
-                .to_owned(),
-            ),
-            (
-                "autopilot",
-                if config.autopilot.is_some() {
-                    "on"
-                } else {
-                    "off"
-                }
-                .to_owned(),
+                if config.shadow.is_some() { "on" } else { "off" }.to_owned(),
             ),
             (
                 "sketches",
@@ -631,13 +617,6 @@ impl Deployment {
                     }
                     None => obj.field_raw("health", "null"),
                 }
-                // Autopilot summary: active policy + switch history, so
-                // a probe notices "the fleet changed policy overnight"
-                // without walking `/policies`.
-                match cache.autopilot_status() {
-                    Some(status) => obj.field_raw("autopilot", &status.to_json()),
-                    None => obj.field_raw("autopilot", "null"),
-                }
                 // What's running: the `bad_build_info` labels, embedded
                 // so one probe identifies the build and its knobs.
                 obj.field_raw("build", &build_info);
@@ -668,10 +647,7 @@ impl Deployment {
         let policy_cache = Arc::clone(&self.cache);
         let policies: bad_telemetry::PoliciesFn =
             Arc::new(move || match policy_cache.shadow_snapshot() {
-                Some(snapshot) => snapshot.to_json_with(
-                    &policy_cache.metrics(),
-                    policy_cache.autopilot_status().as_ref(),
-                ),
+                Some(snapshot) => snapshot.to_json(&policy_cache.metrics()),
                 None => r#"{"error":"shadow evaluation disabled"}"#.to_owned(),
             });
         let endpoints = bad_telemetry::ScrapeEndpoints {
@@ -1012,13 +988,6 @@ fn broker_node(
                 // global aggregates; shard workers self-flush when
                 // their rings fill.
                 profiler.flush_thread();
-                // One autopilot evaluation window per maintenance pass,
-                // judged after every shard has settled and the budget
-                // is rebalanced (no-op unless enabled). The runtime
-                // fans maintenance out to the shard workers itself, so
-                // this is the threaded counterpart of
-                // `Broker::maintain`'s tick.
-                let _ = cache.autopilot_tick(now);
                 if tracer.enabled() {
                     // Post-maintenance invariant checks: either anomaly
                     // dumps the flight recorder's recent spans so the

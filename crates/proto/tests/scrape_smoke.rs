@@ -55,7 +55,6 @@ fn observed_deployment_serves_metrics_health_and_traces() {
             sample_every_n: 1,
             audit_capacity: 16,
         }),
-        autopilot: Some(bad_cache::AutopilotConfig::default()),
         ..BrokerConfig::default()
     };
     let dep = Deployment::start_observed(
@@ -141,7 +140,9 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         "missing build-info gauge:\n{metrics}"
     );
     assert!(
-        metrics.contains("policy=\"LSC\"") && metrics.contains("profile=\"on\""),
+        metrics.contains("policy=\"LSC\"")
+            && metrics.contains("profile=\"on\"")
+            && metrics.contains("shadow=\"on\""),
         "build-info labels incomplete:\n{metrics}"
     );
     assert!(
@@ -166,16 +167,12 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     assert!(health.contains("\"health\":{"), "{health}");
     assert!(health.contains("\"firing\""), "{health}");
     assert!(health.contains("\"drift_score\""), "{health}");
-    // Autopilot summary: the fleet controller reports its active policy
-    // and (empty so far) switch history.
-    assert!(health.contains("\"autopilot\":{"), "{health}");
-    assert!(health.contains("\"active_policy\":\"LSC\""), "{health}");
-    assert!(health.contains("\"switches\":["), "{health}");
-    // Build info and the profiler's top-contended summary ride the
-    // same body.
+    // Build info (the ghost fleet's state among its knobs) and the
+    // profiler's top-contended summary ride the same body.
     assert!(health.contains("\"build\":{"), "{health}");
     assert!(health.contains("\"policy\":\"LSC\""), "{health}");
     assert!(health.contains("\"profile\":\"on\""), "{health}");
+    assert!(health.contains("\"shadow\":\"on\""), "{health}");
     assert!(health.contains("\"top_contended\":["), "{health}");
     // The sketches' top-5 summary rides the same body: the "who is
     // eating the cache" answer from one probe.
@@ -220,11 +217,7 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         policies.contains("\"regret_live_hit_ghost_miss\":0"),
         "{policies}"
     );
-    // The autopilot block rides the same body: active policy, hysteresis
-    // state and switch history.
-    assert!(policies.contains("\"autopilot\":{"), "{policies}");
-    assert!(policies.contains("\"cooldown_remaining\""), "{policies}");
-    assert!(policies.contains("\"switches_total\""), "{policies}");
+    assert!(policies.contains("\"sample_every_n\":1"), "{policies}");
 
     // /trace/recent: the flight recorder saw the lifecycle (at minimum
     // the produced-result root spans and the cache inserts).

@@ -68,14 +68,6 @@ pub struct SimConfig {
     /// `0` (the default) disables shadow evaluation; `1` shadows every
     /// access (full parity with the live cache's counters).
     pub shadow_sample_every_n: u32,
-    /// Adaptive policy autopilot (`bad_cache::autopilot`): when `true`,
-    /// each maintenance tick is one controller evaluation window and
-    /// the starting policy is only the *initial* one — the broker may
-    /// promote whichever ghost persistently wins. Implies shadow
-    /// evaluation (a default `ShadowConfig` when
-    /// `shadow_sample_every_n` is `0`). `false` (the default) keeps
-    /// the configured policy fixed, as the paper does.
-    pub autopilot: bool,
     /// Continuous hot-path profiler (`bad_telemetry::profile`): `0`
     /// (the default) disables profiling, `n` samples every `n`-th
     /// operation's stage breakdown (`1` = every op; lock sites are
@@ -118,7 +110,6 @@ impl SimConfig {
             subscription_lifetime: None,
             shards: 1,
             shadow_sample_every_n: 0,
-            autopilot: false,
             profile: 0,
             sketch_sample_every_n: 0,
         }
@@ -167,7 +158,6 @@ impl SimConfig {
             subscription_lifetime: None,
             shards: 1,
             shadow_sample_every_n: 0,
-            autopilot: false,
             profile: 0,
             sketch_sample_every_n: 0,
         }

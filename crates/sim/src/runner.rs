@@ -138,7 +138,6 @@ impl Simulation {
                 ..bad_cache::ShadowConfig::default()
             }),
         };
-        let autopilot = config.autopilot.then(bad_cache::AutopilotConfig::default);
         let sketches = match config.sketch_sample_every_n {
             0 => None,
             n => Some(bad_telemetry::SketchConfig {
@@ -153,7 +152,6 @@ impl Simulation {
                 net: config.net,
                 shards: config.shards,
                 shadow,
-                autopilot,
                 sketches,
                 ..BrokerConfig::default()
             },
@@ -202,7 +200,7 @@ impl Simulation {
         self.attach_telemetry_traced(registry, sink, bad_telemetry::Tracer::disabled());
     }
 
-    /// Like [`SimRunner::attach_telemetry`], but also threads a
+    /// Like [`Simulation::attach_telemetry`], but also threads a
     /// lifecycle tracer through the synthetic backend (virtual-time
     /// `result_produced` root spans), the broker and the cache tier,
     /// so a run's notification lifecycles are reconstructable by
@@ -670,31 +668,6 @@ mod tests {
                 "{policy}/{shards}: ghost-hit/live-miss regret"
             );
         }
-    }
-
-    #[test]
-    fn autopilot_sim_runs_are_deterministic_and_report_status() {
-        // Acceptance: the autopilot wiring is live end-to-end in the
-        // simulator (status present, windows advancing with maintenance
-        // ticks) and fully deterministic across identical runs.
-        let mut config = SimConfig::smoke().with_budget(ByteSize::from_kib(200));
-        config.autopilot = true;
-        let sim = Simulation::new(PolicyName::Lru, config.clone(), 5).unwrap();
-        let cache = sim.cache_handle();
-        let a = sim.run();
-        let status = cache.autopilot_status().expect("autopilot enabled");
-        assert!(status.windows > 0, "maintenance ticks drive windows");
-        assert_eq!(status.active, cache.policy_name());
-
-        let sim_b = Simulation::new(PolicyName::Lru, config, 5).unwrap();
-        let cache_b = sim_b.cache_handle();
-        let b = sim_b.run();
-        assert_eq!(a, b, "autopilot runs are deterministic");
-        assert_eq!(
-            cache.autopilot_status().unwrap().switches,
-            cache_b.autopilot_status().unwrap().switches,
-            "switch histories match run-for-run"
-        );
     }
 
     #[test]

@@ -152,19 +152,6 @@ pub enum Event {
         to: &'static str,
         value_milli: u64,
     },
-    /// The policy autopilot promoted a shadow policy to live (see
-    /// `bad_cache::autopilot`). `net_regret` and `requested` are the
-    /// deciding window's counters: objects the incoming policy's ghost
-    /// hit beyond the outgoing live policy, out of the window's
-    /// requested objects.
-    PolicySwitch {
-        t_us: u64,
-        from: &'static str,
-        to: &'static str,
-        window: u64,
-        net_regret: u64,
-        requested: u64,
-    },
 }
 
 impl Event {
@@ -198,7 +185,6 @@ impl Event {
                 SpanKind::CoalescedFetch => "span.coalesced_fetch",
             },
             Event::AlertTransition { .. } => "health.alert_transition",
-            Event::PolicySwitch { .. } => "cache.policy_switch",
         }
     }
 
@@ -219,8 +205,7 @@ impl Event {
             | Event::ClusterChannelFire { t_us, .. }
             | Event::ClusterEnrich { t_us, .. }
             | Event::EpochSample { t_us, .. }
-            | Event::AlertTransition { t_us, .. }
-            | Event::PolicySwitch { t_us, .. } => t_us,
+            | Event::AlertTransition { t_us, .. } => t_us,
             Event::Span(span) => span.t_us,
         }
     }
@@ -389,20 +374,6 @@ impl Event {
                 obj.field_str("from", from);
                 obj.field_str("to", to);
                 obj.field_f64("value", value_milli as f64 / 1000.0);
-            }
-            Event::PolicySwitch {
-                from,
-                to,
-                window,
-                net_regret,
-                requested,
-                ..
-            } => {
-                obj.field_str("from", from);
-                obj.field_str("to", to);
-                obj.field_u64("window", window);
-                obj.field_u64("net_regret", net_regret);
-                obj.field_u64("requested", requested);
             }
         }
     }
@@ -613,24 +584,6 @@ mod tests {
         assert_eq!(
             event.to_json(),
             r#"{"kind":"cache.ttl_retune","t_us":60000000,"cache":3,"lambda":10,"eta":4,"rho":6,"ttl_us":30000000}"#
-        );
-    }
-
-    #[test]
-    fn policy_switch_event_serializes_window_counters() {
-        let event = Event::PolicySwitch {
-            t_us: 90_000_000,
-            from: "LRU",
-            to: "LSC",
-            window: 12,
-            net_regret: 40,
-            requested: 200,
-        };
-        assert_eq!(event.kind(), "cache.policy_switch");
-        assert_eq!(event.t_us(), 90_000_000);
-        assert_eq!(
-            event.to_json(),
-            r#"{"kind":"cache.policy_switch","t_us":90000000,"from":"LRU","to":"LSC","window":12,"net_regret":40,"requested":200}"#
         );
     }
 

@@ -187,13 +187,11 @@ pub enum StagePath {
     MaintainTtlExpiry,
     /// Occupancy-weighted budget rebalancing across shards.
     MaintainRebalance,
-    /// Autopilot snapshot/evaluate/promote tick.
-    MaintainAutopilot,
 }
 
 impl StagePath {
     /// Number of stage paths (array sizes).
-    pub const COUNT: usize = 21;
+    pub const COUNT: usize = 20;
 
     /// Every path, in render order.
     pub const ALL: [StagePath; Self::COUNT] = [
@@ -217,7 +215,6 @@ impl StagePath {
         StagePath::MaintainLockWait,
         StagePath::MaintainTtlExpiry,
         StagePath::MaintainRebalance,
-        StagePath::MaintainAutopilot,
     ];
 
     /// The folded-stack name (`root` or `root;leaf`).
@@ -243,7 +240,6 @@ impl StagePath {
             StagePath::MaintainLockWait => "maintain;lock_wait",
             StagePath::MaintainTtlExpiry => "maintain;ttl_expiry",
             StagePath::MaintainRebalance => "maintain;rebalance",
-            StagePath::MaintainAutopilot => "maintain;autopilot",
         }
     }
 
@@ -269,8 +265,7 @@ impl StagePath {
             StagePath::MaintainTotal
             | StagePath::MaintainLockWait
             | StagePath::MaintainTtlExpiry
-            | StagePath::MaintainRebalance
-            | StagePath::MaintainAutopilot => StagePath::MaintainTotal,
+            | StagePath::MaintainRebalance => StagePath::MaintainTotal,
         }
     }
 
@@ -832,9 +827,7 @@ impl LockSite {
     /// several mutexes stays safe but may under-count.
     ///
     /// Lock ordering is unchanged from the uninstrumented manager:
-    /// sites wrap individual acquisitions and never themselves lock,
-    /// so autopilot → shard → policy ordering (see `sharded.rs`) is
-    /// preserved verbatim.
+    /// sites wrap individual acquisitions and never themselves lock.
     #[inline]
     pub fn lock<'a, T>(&'a self, mutex: &'a Mutex<T>, timed: bool) -> ProfiledGuard<'a, T> {
         if !self.enabled {

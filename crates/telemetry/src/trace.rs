@@ -344,8 +344,8 @@ impl FlightRecorder {
     }
 
     /// Routes anomaly dumps to a JSONL file at `path` (append mode; at
-    /// most [`MAX_ANOMALY_DUMPS`] dumps per recorder). Without a path,
-    /// anomalies are counted but nothing is written.
+    /// most eight dumps per recorder, `MAX_ANOMALY_DUMPS`). Without a
+    /// path, anomalies are counted but nothing is written.
     pub fn set_dump_path(&self, path: impl Into<PathBuf>) {
         *self.dump_path.lock().expect("dump path poisoned") = Some(path.into());
         self.dumps_enabled.store(true, Ordering::Release);

@@ -6,8 +6,8 @@
 #
 # Runs, in order: the zero-dependency guard, the release build and every
 # crate's tests, the cache, broker, cluster, query, storage and types
-# suites again under --release, formatting and lints, and the benchmark
-# smoke.
+# suites again under --release, formatting, lints and rustdoc, and the
+# benchmark smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +33,9 @@ cargo test -q --release --locked -p bad-cache -p bad-broker -p bad-cluster -p ba
   -p bad-storage -p bad-types
 cargo fmt --check
 cargo clippy --locked --workspace --all-targets -- -D warnings
+# A dangling or private intra-doc link (say, to an item a change
+# deleted) fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked
 # End-to-end benchmark smoke: every workload once, deliveries checked
 # against the benchmark's own reference model.
 benchmark/run.sh --smoke
