@@ -9,8 +9,8 @@
 //! honest on a shared host:
 //!
 //! - **Representative ops.** Caches are prepopulated and the batched
-//!   GET carries a coalescer drain batch's worth of requests (several
-//!   subscribers × Table II's 10 subscriptions), so the baseline op
+//!   GET carries 32 requests (a few subscribers × Table II's 10
+//!   subscriptions each), so the baseline op
 //!   is what the broker actually issues — an overhead percentage
 //!   against empty-cache probes would compare the profiler against
 //!   ops an order of magnitude lighter than production ever sees.
@@ -64,12 +64,10 @@ const BUDGET: u64 = 64_000_000;
 /// lookups walk real entries.
 const PREPOP_PER_CACHE: u64 = 320;
 const SHARDS: usize = 4;
-/// Requests per batched GET — one coalescer drain batch. The broker's
-/// delivery loop hands `plan_get_batch` the demand it coalesced across
-/// subscribers, so under load a drain spans several subscribers' worth
-/// of Table II's 10 subscriptions each; 32 models a modestly loaded
-/// drain (the per-op profiler cost is per *batch*, so this is the op
-/// weight the ≤10 % gate is judged against).
+/// Requests per batched GET. One subscriber's `get_all_pending` hands
+/// `plan_get_batch` its Table II 10 subscriptions; 32 is a few
+/// subscribers' worth (the per-op profiler cost is per *batch*, so this
+/// is the op weight the ≤10 % gate is judged against).
 const GET_BATCH: usize = 32;
 /// Ops per interleaving slice: long enough that per-slice timing and
 /// thread-spawn overhead vanish (~3 ms of work), short enough that a

@@ -6,7 +6,7 @@
 //! the host's cores) three ways — sketches off, sampled (1 in 16) and
 //! full (every op) — and reports the throughput cost of each. The same
 //! two design choices keep the numbers honest on a shared host:
-//! representative ops (prepopulated caches, coalescer-batch-sized GETs)
+//! representative ops (prepopulated caches, 32-request batched GETs)
 //! and ~500-op slice interleaving with a rotating mode order, so host
 //! drift lands on all modes equally. The release gates assert
 //! full ≤ 5 % and sampled ≤ 2 % on the median of the per-rep overhead
@@ -47,7 +47,7 @@ const CACHES: u64 = 64;
 const BUDGET: u64 = 64_000_000;
 const PREPOP_PER_CACHE: u64 = 320;
 const SHARDS: usize = 4;
-/// Requests per batched GET — one coalescer drain batch.
+/// Requests per batched GET, as in `profile_overhead`.
 const GET_BATCH: usize = 32;
 const SLICE_OPS: u64 = 500;
 const SAMPLED_EVERY_N: u32 = 16;

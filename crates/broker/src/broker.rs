@@ -13,7 +13,6 @@ use bad_types::{
     BackendSubId, ByteSize, FrontendSubId, Result, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
 
-use crate::coalesce::{BatchOutcome, CoalesceStats, CoalescerConfig, FetchCoalescer};
 use crate::subscriptions::{PendingRange, SubscriptionTable};
 use crate::telemetry::BrokerTelemetry;
 
@@ -91,9 +90,6 @@ pub struct BrokerConfig {
     /// paper's monolithic cache manager; more shards let runtime
     /// worker threads operate on the cache concurrently.
     pub shards: usize,
-    /// Miss-fetch coalescing knobs (single-flight dedup + sideline
-    /// buffer). On by default; disable for the pre-coalescer behaviour.
-    pub coalescer: CoalescerConfig,
     /// Shadow-policy ghost caches (`bad_cache::shadow`). `None` (the
     /// default) disables counterfactual evaluation entirely.
     pub shadow: Option<bad_cache::ShadowConfig>,
@@ -110,7 +106,6 @@ impl Default for BrokerConfig {
             cache: CacheConfig::default(),
             net: NetworkModel::paper_defaults(),
             shards: 1,
-            coalescer: CoalescerConfig::default(),
             shadow: None,
             sketches: None,
         }
@@ -187,6 +182,18 @@ impl DeliveryMetrics {
     }
 }
 
+/// Always-zero miss-coalescing counters, kept so that callers reading
+/// [`Broker::coalesce_stats`] still build. Every miss range goes to the
+/// cluster once per retrieval (Algorithm 1), so nothing is coalesced.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoalesceStats {
+    /// Always 0.
+    pub coalesced_fetches: u64,
+    /// Always 0.
+    pub duplicate_bytes_saved: ByteSize,
+}
+
 /// A BAD broker node.
 ///
 /// All methods take the current virtual time and a [`ClusterHandle`];
@@ -197,7 +204,6 @@ impl DeliveryMetrics {
 pub struct Broker {
     subs: SubscriptionTable,
     cache: Arc<ShardedCacheManager>,
-    coalescer: FetchCoalescer,
     net: NetworkModel,
     delivery: DeliveryMetrics,
     telemetry: BrokerTelemetry,
@@ -220,7 +226,6 @@ impl Broker {
         Self {
             subs: SubscriptionTable::new(),
             cache: Arc::new(cache),
-            coalescer: FetchCoalescer::new(config.coalescer),
             net: config.net,
             delivery: DeliveryMetrics::default(),
             telemetry: BrokerTelemetry::detached(),
@@ -256,7 +261,7 @@ impl Broker {
     /// attaches the continuous hot-path profiler: the cache tier
     /// registers per-shard lock sites through it, and the broker
     /// decomposes `get_all_pending` into stage timings (route,
-    /// lock-wait, lookup, coalesce-hold, cluster-RTT, ack). Profiling
+    /// lock-wait, lookup, cluster-RTT, ack). Profiling
     /// is metadata-only — delivery plans are byte-identical.
     pub fn attach_telemetry_profiled(
         &mut self,
@@ -295,12 +300,6 @@ impl Broker {
         Arc::clone(&self.cache)
     }
 
-    /// Installs admission control on the cache (extension; default is
-    /// the paper's admit-everything behaviour).
-    pub fn set_admission(&mut self, admission: bad_cache::AdmissionControl) {
-        self.cache.set_admission(admission);
-    }
-
     /// The network model in use.
     pub fn net(&self) -> &NetworkModel {
         &self.net
@@ -311,19 +310,11 @@ impl Broker {
         self.delivery
     }
 
-    /// Aggregate miss-fetch coalescing statistics (single-flight dedup
-    /// on the GET hot path; see [`crate::coalesce`]).
+    /// Always [`CoalesceStats::default`]: the broker coalesces no miss
+    /// fetch. Kept only for callers that still read it.
+    #[doc(hidden)]
     pub fn coalesce_stats(&self) -> CoalesceStats {
-        self.coalescer.stats()
-    }
-
-    /// Current sideline-buffer occupancy: `(bytes, entries)` parked in
-    /// the coalescer awaiting their hold deadline.
-    pub fn coalesce_buffer(&self) -> (ByteSize, usize) {
-        (
-            self.coalescer.buffered_bytes(),
-            self.coalescer.buffered_entries(),
-        )
+        CoalesceStats::default()
     }
 
     /// Subscribes `subscriber` to `channel(params)`, merging with an
@@ -375,7 +366,6 @@ impl Broker {
         let (backend, orphaned) = self.subs.remove_frontend(subscriber, fs)?;
         if orphaned {
             self.cache.remove_cache(backend, now);
-            self.coalescer.invalidate(backend);
             cluster.cluster_unsubscribe(backend)?;
         } else {
             self.cache.remove_subscriber(backend, subscriber, now)?;
@@ -398,9 +388,6 @@ impl Broker {
             return NotificationOutcome::default();
         };
         let since = entry.last_seen;
-        // New results make any buffered miss fetch for this backend sub
-        // stale: a later retrieval of an equal-`to` range must see them.
-        self.coalescer.invalidate(bs);
         let mut outcome = NotificationOutcome::default();
 
         if self.cache.caches_results() {
@@ -508,66 +495,13 @@ impl Broker {
             }
         }
 
+        // Each miss range goes to the cluster, and is not re-cached.
         let mut miss_objects = 0u64;
         let mut miss_bytes = ByteSize::ZERO;
-        for missed_range in &plan.missed {
-            let fetched = self.coalescer.fetch(backend_id, *missed_range, now, || {
-                cluster.cluster_fetch(backend_id, *missed_range)
-            });
-            // Miss accounting stays per retrieval (hit + miss ==
-            // requested) whether or not the bytes crossed the cluster
-            // link this time; cluster traffic is tracked separately in
-            // the coalescer's stats.
-            self.cache.record_miss_fetch(
-                backend_id,
-                fetched.objects.len() as u64,
-                fetched.bytes,
-                now,
-            );
-            if !fetched.primary {
-                self.telemetry.on_coalesced_fetch(fetched.bytes);
-            }
-            if self.cache.sketches_enabled() {
-                for object in fetched.objects {
-                    self.cache.record_delivery_lag(
-                        backend_id,
-                        now.as_micros().saturating_sub(object.ts.as_micros()),
-                    );
-                }
-            }
-            if tracer.enabled() {
-                for object in fetched.objects {
-                    tracer.on_retrieve_miss(
-                        now.as_micros(),
-                        backend_id.as_u64(),
-                        object.id.as_u64(),
-                        subscriber.as_u64(),
-                        object.size.as_u64(),
-                        now.as_micros().saturating_sub(object.ts.as_micros()),
-                    );
-                    if fetched.primary {
-                        tracer.on_backend_fetch(
-                            now.as_micros(),
-                            backend_id.as_u64(),
-                            object.id.as_u64(),
-                            subscriber.as_u64(),
-                            object.size.as_u64(),
-                            self.net.cluster_fetch_latency(object.size).as_micros(),
-                        );
-                    } else {
-                        tracer.on_coalesced_fetch(
-                            now.as_micros(),
-                            backend_id.as_u64(),
-                            object.id.as_u64(),
-                            subscriber.as_u64(),
-                            object.size.as_u64(),
-                            self.net.cluster_fetch_latency(object.size).as_micros(),
-                        );
-                    }
-                }
-            }
-            miss_objects += fetched.objects.len() as u64;
-            miss_bytes += fetched.bytes;
+        for &missed_range in &plan.missed {
+            let objects = cluster.cluster_fetch(backend_id, missed_range);
+            miss_objects += objects.len() as u64;
+            miss_bytes += self.record_misses(backend_id, subscriber, &objects, now);
         }
 
         let latency = self.net.delivery_latency(plan.cached_bytes, miss_bytes);
@@ -597,9 +531,7 @@ impl Broker {
     ///
     /// Unlike looping over [`Broker::get_results`], this is the batched
     /// hot path: one [`ShardedCacheManager::plan_get_batch`] locking
-    /// each cache shard once, every missed range routed through the
-    /// fetch coalescer, and the distinct ranges that do go to the
-    /// cluster shipped in a single
+    /// each cache shard once, and every missed range shipped in a single
     /// [`ClusterHandle::cluster_fetch_batch`] round trip whose RTT is
     /// amortized over the whole batch.
     ///
@@ -613,8 +545,8 @@ impl Broker {
         now: Timestamp,
     ) -> Result<Vec<Delivery>> {
         // Envelope for the whole batched retrieval; leaves recorded by
-        // the cache tier (route/lock-wait/lookup) and the coalescer
-        // seam below fold under `get_all_pending` in the call tree.
+        // the cache tier (route/lock-wait/lookup) and the cluster round
+        // trip below fold under `get_all_pending` in the call tree.
         let profiler = self.profiler.clone();
         let mut timer = profiler.op();
         let trace_id = match timer {
@@ -689,99 +621,28 @@ impl Broker {
             }
         }
 
-        let outcome = if miss_requests.is_empty() {
-            BatchOutcome::default()
-        } else {
-            let net = self.net;
-            let subscriber_u64 = subscriber.as_u64();
-            let trace = tracer;
-            let sketch_cache = Arc::clone(&self.cache);
-            // Don't bill the tracer spans above to the coalescer: reset
-            // the stage clock so `coalesce_hold` starts here. The two
-            // `coalesce_hold` samples bracket the cluster flight —
-            // dedup/purge/routing before it, sideline serving after.
-            profiler.stage_skip(&mut timer);
-            let prof = &profiler;
-            let timer_ref = &mut timer;
-            let outcome = self.coalescer.fetch_batch(
-                &miss_requests,
-                now,
-                |to_fetch| {
-                    prof.stage(timer_ref, StagePath::GetCoalesceHold, trace_id);
-                    let results = cluster.cluster_fetch_batch(to_fetch);
-                    prof.stage(timer_ref, StagePath::GetClusterRtt, trace_id);
-                    results
-                },
-                |req_idx, objects, primary| {
-                    let (bs, _) = miss_requests[req_idx];
-                    if sketches_on {
-                        for object in objects {
-                            sketch_cache.record_delivery_lag(
-                                bs,
-                                now.as_micros().saturating_sub(object.ts.as_micros()),
-                            );
-                        }
-                    }
-                    if !trace.enabled() {
-                        return;
-                    }
-                    for object in objects {
-                        trace.on_retrieve_miss(
-                            now.as_micros(),
-                            bs.as_u64(),
-                            object.id.as_u64(),
-                            subscriber_u64,
-                            object.size.as_u64(),
-                            now.as_micros().saturating_sub(object.ts.as_micros()),
-                        );
-                        let fetch_us = net.cluster_fetch_latency(object.size).as_micros();
-                        if primary {
-                            trace.on_backend_fetch(
-                                now.as_micros(),
-                                bs.as_u64(),
-                                object.id.as_u64(),
-                                subscriber_u64,
-                                object.size.as_u64(),
-                                fetch_us,
-                            );
-                        } else {
-                            trace.on_coalesced_fetch(
-                                now.as_micros(),
-                                bs.as_u64(),
-                                object.id.as_u64(),
-                                subscriber_u64,
-                                object.size.as_u64(),
-                                fetch_us,
-                            );
-                        }
-                    }
-                },
-            );
-            profiler.stage(&mut timer, StagePath::GetCoalesceHold, trace_id);
-            outcome
-        };
-
+        // Every missed range rides one batched cluster round trip.
         let mut miss_objects = vec![0u64; pending.len()];
         let mut miss_bytes = vec![ByteSize::ZERO; pending.len()];
-        for (req_idx, serve) in outcome.serves.iter().enumerate() {
-            let i = owner_of[req_idx];
-            miss_objects[i] += serve.objects;
-            miss_bytes[i] += serve.bytes;
-            // Per-retrieval miss accounting (hit + miss == requested),
-            // independent of whether this range rode a shared flight.
-            self.cache
-                .record_miss_fetch(pending[i].1, serve.objects, serve.bytes, now);
-            if !serve.primary {
-                self.telemetry.on_coalesced_fetch(serve.bytes);
+        let mut fetched_bytes = ByteSize::ZERO;
+        if !miss_requests.is_empty() {
+            // Don't bill the tracer spans above to the cluster leg.
+            profiler.stage_skip(&mut timer);
+            let results = cluster.cluster_fetch_batch(&miss_requests);
+            profiler.stage(&mut timer, StagePath::GetClusterRtt, trace_id);
+            for ((&(bs, _), &i), objects) in miss_requests.iter().zip(&owner_of).zip(&results) {
+                let bytes = self.record_misses(bs, subscriber, objects, now);
+                miss_objects[i] += objects.len() as u64;
+                miss_bytes[i] += bytes;
+                fetched_bytes += bytes;
             }
         }
 
         // One shared cluster leg for the whole batch: a single RTT over
-        // the bytes that actually crossed the link. Zero when every
-        // miss was served from the sideline buffer.
+        // every missed byte.
         let batch_leg = self
             .net
-            .cluster_fetch_batch_latency(outcome.fetched_requests, outcome.fetched_bytes);
+            .cluster_fetch_batch_latency(miss_requests.len() as u64, fetched_bytes);
 
         let mut out = Vec::with_capacity(pending.len());
         for (i, &(fs, _, _, last_seen)) in pending.iter().enumerate() {
@@ -831,6 +692,50 @@ impl Broker {
             .ack_consume_batch_staged(&acks, now, &profiler, &mut timer);
         profiler.finish(timer, StagePath::GetTotal, trace_id);
         Ok(out)
+    }
+
+    /// Books one fetched miss range and returns its size: the
+    /// per-retrieval miss accounting (hit + miss == requested), the
+    /// delivery lag of each object for the sketches, and its miss and
+    /// backend-fetch spans.
+    fn record_misses(
+        &self,
+        bs: BackendSubId,
+        subscriber: SubscriberId,
+        objects: &[ResultObject],
+        now: Timestamp,
+    ) -> ByteSize {
+        let bytes: ByteSize = objects.iter().map(|o| o.size).sum();
+        self.cache
+            .record_miss_fetch(bs, objects.len() as u64, bytes, now);
+        if self.cache.sketches_enabled() {
+            for object in objects {
+                self.cache
+                    .record_delivery_lag(bs, now.as_micros().saturating_sub(object.ts.as_micros()));
+            }
+        }
+        let tracer = self.telemetry.tracer();
+        if tracer.enabled() {
+            for object in objects {
+                tracer.on_retrieve_miss(
+                    now.as_micros(),
+                    bs.as_u64(),
+                    object.id.as_u64(),
+                    subscriber.as_u64(),
+                    object.size.as_u64(),
+                    now.as_micros().saturating_sub(object.ts.as_micros()),
+                );
+                tracer.on_backend_fetch(
+                    now.as_micros(),
+                    bs.as_u64(),
+                    object.id.as_u64(),
+                    subscriber.as_u64(),
+                    object.size.as_u64(),
+                    self.net.cluster_fetch_latency(object.size).as_micros(),
+                );
+            }
+        }
+        bytes
     }
 
     /// Periodic maintenance: TTL recomputation and expiration.
@@ -1134,38 +1039,6 @@ mod tests {
         assert_eq!(broker.subscriptions().backend_count(), 0);
         assert_eq!(cluster.subscription_count(), 0);
         assert_eq!(broker.cache().cache_count(), 0);
-    }
-
-    #[test]
-    fn admission_rejected_objects_are_still_delivered() {
-        let (mut cluster, _) = setup();
-        let mut config = BrokerConfig::default();
-        config.cache.budget = ByteSize::from_mib(1);
-        let mut broker = Broker::new(PolicyName::Lsc, config);
-        // Reject everything bigger than 50 bytes; the ~200-byte reports
-        // will all be refused admission.
-        broker.set_admission(bad_cache::AdmissionControl::all_of([
-            bad_cache::AdmissionRule::MaxObjectSize(ByteSize::new(50)),
-        ]));
-        let alice = SubscriberId::new(1);
-        let fs = broker
-            .subscribe(&mut cluster, alice, "ByKind", params("fire"), t(0))
-            .unwrap();
-        for sec in [1u64, 2, 3] {
-            for n in publish(&mut cluster, sec, "fire") {
-                broker.on_notification(&mut cluster, n, t(sec));
-            }
-        }
-        assert_eq!(broker.cache().total_bytes(), ByteSize::ZERO);
-        assert_eq!(broker.cache().admission_rejections(), 3);
-        // Every rejected object still reaches the subscriber, as misses.
-        let d = broker.get_results(&mut cluster, alice, fs, t(4)).unwrap();
-        assert_eq!(d.total_objects(), 3);
-        assert_eq!(d.hit_objects, 0);
-        assert_eq!(d.miss_objects, 3);
-        // Exactly once.
-        let again = broker.get_results(&mut cluster, alice, fs, t(5)).unwrap();
-        assert_eq!(again.total_objects(), 0);
     }
 
     /// A refused retrieval is refused before anything moves: the cache's

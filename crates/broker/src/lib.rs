@@ -58,16 +58,16 @@
 
 pub mod bcs;
 pub mod broker;
-pub mod coalesce;
 pub mod failover;
 pub mod subscriptions;
 pub mod telemetry;
 
 pub use bcs::{BrokerCoordinationService, BrokerRecord};
+#[doc(hidden)]
+pub use broker::CoalesceStats;
 pub use broker::{
     Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics, NotificationOutcome,
 };
-pub use coalesce::{BatchOutcome, BatchServe, CoalesceStats, CoalescerConfig, FetchCoalescer};
 pub use failover::{BrokerFleet, FleetSubId};
 pub use subscriptions::{BackendEntry, FrontendSub, PendingRange, SubscriptionTable};
 pub use telemetry::BrokerTelemetry;

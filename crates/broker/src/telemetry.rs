@@ -26,8 +26,6 @@ pub struct BrokerTelemetry {
     failovers: Counter,
     migrated_subscriptions: Counter,
     delivery_latency_us: Histogram,
-    coalesced_fetches: Counter,
-    duplicate_bytes_saved: Counter,
 }
 
 impl Default for BrokerTelemetry {
@@ -58,8 +56,6 @@ impl BrokerTelemetry {
             failovers: registry.counter("bad_broker_failovers_total"),
             migrated_subscriptions: registry.counter("bad_broker_migrated_subscriptions_total"),
             delivery_latency_us: registry.histogram("bad_broker_delivery_latency_us"),
-            coalesced_fetches: registry.counter("bad_broker_coalesced_fetches_total"),
-            duplicate_bytes_saved: registry.counter("bad_broker_duplicate_bytes_saved_total"),
         }
     }
 
@@ -123,16 +119,6 @@ impl BrokerTelemetry {
                 latency_us: delivery.latency.as_micros(),
             });
         }
-    }
-
-    /// Records one miss range served from the fetch coalescer's
-    /// sideline buffer instead of its own cluster round trip.
-    pub(crate) fn on_coalesced_fetch(&self, bytes_saved: bad_types::ByteSize) {
-        if !self.attached {
-            return;
-        }
-        self.coalesced_fetches.inc();
-        self.duplicate_bytes_saved.add(bytes_saved.as_u64());
     }
 
     /// Records one completed failover.

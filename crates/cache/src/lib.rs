@@ -62,7 +62,6 @@
 //! assert!(plan.is_full_hit());
 //! ```
 
-pub mod admission;
 pub mod index;
 pub mod manager;
 pub mod metrics;
@@ -75,7 +74,6 @@ pub mod sharded;
 pub mod telemetry;
 pub mod ttl;
 
-pub use admission::{AdmissionControl, AdmissionRule};
 pub use index::VictimIndex;
 pub use manager::{CacheConfig, CacheManager, DropReason, DroppedObject};
 pub use metrics::{CacheMetrics, DropKind};

@@ -13,7 +13,6 @@ use bad_types::{
     BackendSubId, BadError, ByteSize, Result, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
 
-use crate::admission::AdmissionControl;
 use crate::index::VictimIndex;
 use crate::metrics::CacheMetrics;
 pub use crate::metrics::DropKind as DropReason;
@@ -79,7 +78,6 @@ pub struct CacheManager {
     policy: Box<dyn EvictionPolicy>,
     policy_name: PolicyName,
     config: CacheConfig,
-    admission: AdmissionControl,
     /// Ordered so that every iteration (TTL recomputation, expiry, the
     /// linear victim scan) is deterministic — float accumulation order
     /// matters for bit-exact reproducibility.
@@ -90,7 +88,6 @@ pub struct CacheManager {
     last_ttl_recompute: Timestamp,
     metrics: CacheMetrics,
     telemetry: CacheTelemetry,
-    admission_rejections: u64,
     /// Ghost-cache evaluator ([`crate::shadow`]); `None` (the default)
     /// keeps every live path at one branch of overhead.
     shadow: Option<Box<ShadowEvaluator>>,
@@ -218,7 +215,6 @@ impl CacheManager {
             policy: policy.build(),
             policy_name: policy,
             config,
-            admission: AdmissionControl::admit_all(),
             caches: BTreeMap::new(),
             total_bytes: ByteSize::ZERO,
             index: VictimIndex::new(),
@@ -226,7 +222,6 @@ impl CacheManager {
             last_ttl_recompute: Timestamp::ZERO,
             metrics: CacheMetrics::new(Timestamp::ZERO),
             telemetry: CacheTelemetry::detached(),
-            admission_rejections: 0,
             shadow: None,
             sketches: None,
         }
@@ -237,12 +232,7 @@ impl CacheManager {
     /// manager's access stream. Caches that already exist are seeded
     /// (empty) into the ghosts at `now`.
     pub fn enable_shadow(&mut self, config: ShadowConfig, now: Timestamp) {
-        let mut shadow = Box::new(ShadowEvaluator::new(
-            self.policy_name,
-            self.config,
-            &self.admission,
-            config,
-        ));
+        let mut shadow = Box::new(ShadowEvaluator::new(self.policy_name, self.config, config));
         shadow.seed(&self.caches, now);
         self.shadow = Some(shadow);
     }
@@ -295,26 +285,6 @@ impl CacheManager {
     /// The configured policy.
     pub fn policy_name(&self) -> PolicyName {
         self.policy_name
-    }
-
-    /// Installs admission control (default: admit everything). Rejected
-    /// objects are not cached; subscribers fetch them from the durable
-    /// result store on demand, like any other miss.
-    pub fn set_admission(&mut self, admission: AdmissionControl) {
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_set_admission(&admission);
-        }
-        self.admission = admission;
-    }
-
-    /// The admission control in force.
-    pub fn admission(&self) -> &AdmissionControl {
-        &self.admission
-    }
-
-    /// Objects rejected by admission control so far.
-    pub fn admission_rejections(&self) -> u64 {
-        self.admission_rejections
     }
 
     /// How the policy bounds the cache.
@@ -550,7 +520,7 @@ impl CacheManager {
             Some(_) => bad_telemetry::TraceId::for_object(desc.id.as_u64()).as_u64(),
             None => 0,
         };
-        // Before the live NC/admission short-circuits: ghosts apply
+        // Before the live NC short-circuit: ghosts apply
         // their own policy's logic to the raw insert stream.
         if let Some(shadow) = self.shadow.as_mut() {
             shadow.on_insert(bs, desc, now);
@@ -560,20 +530,6 @@ impl CacheManager {
             // The baseline broker delivers straight through.
             self.cache_mut(bs)?; // still validate the subscription
             return Ok(Vec::new());
-        }
-        if !self.admission.is_transparent() {
-            let budget = self.config.budget;
-            let cache = self
-                .caches
-                .get(&bs)
-                .ok_or_else(|| BadError::not_found("cache", bs.to_string()))?;
-            if !self.admission.admits(cache, &desc, budget, now) {
-                self.admission_rejections += 1;
-                // The object is a hole in this cache's coverage: future
-                // retrievals must fetch it from the cluster.
-                self.cache_mut(bs)?.record_gap(desc.ts);
-                return Ok(Vec::new());
-            }
         }
         let cache = self.cache_mut(bs)?;
         cache.insert(desc, now);

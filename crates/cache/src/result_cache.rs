@@ -23,7 +23,7 @@
 //! objects are therefore always a prefix of the deque and entries only
 //! ever leave from the front.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use bad_types::{
@@ -36,12 +36,10 @@ use crate::rate::RateEstimator;
 /// The outcome of planning a range retrieval against one cache —
 /// the `GET` routine of Algorithm 1.
 ///
-/// `cached` lists the objects servable from the cache; `missed` lists
-/// the sub-ranges the broker must fetch from the data cluster: at most
-/// one leading range for everything before the coverage watermark, plus
-/// one point range per admission-rejected object inside the covered
-/// region. Missed objects are *not* re-cached ("they may not be
-/// sharable by other subscribers any more").
+/// `cached` lists the objects servable from the cache; `missed` is the
+/// part of the request before the coverage watermark, which the broker
+/// fetches from the data cluster. Missed objects are *not* re-cached
+/// ("they may not be sharable by other subscribers any more").
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GetPlan {
     /// `(id, ts, size)` of each object servable from the cache, in
@@ -49,8 +47,10 @@ pub struct GetPlan {
     pub cached: Vec<(ObjectId, Timestamp, ByteSize)>,
     /// Total size of the cached part.
     pub cached_bytes: ByteSize,
-    /// Ranges that must be fetched from the data cluster (disjoint,
-    /// ascending; empty on a full hit).
+    /// The range that must be fetched from the data cluster: empty on a
+    /// full hit, otherwise the one range leading up to the coverage
+    /// watermark. A `Vec` rather than an `Option` only because the
+    /// benchmark harness calls `.is_empty()` on it.
     pub missed: Vec<TimeRange>,
 }
 
@@ -109,10 +109,6 @@ pub struct ResultCache {
     /// attached subscribers. Starts at creation time and advances past
     /// each evicted/expired tail, so only genuinely lost ranges miss.
     coverage_from: Timestamp,
-    /// Timestamps of admission-rejected objects at or after
-    /// `coverage_from`: holes in the covered region that must be
-    /// cluster-fetched when requested.
-    gaps: BTreeSet<Timestamp>,
 }
 
 impl ResultCache {
@@ -130,7 +126,6 @@ impl ResultCache {
             ttl: SimDuration::from_hours(24),
             created_at: now,
             coverage_from: now,
-            gaps: BTreeSet::new(),
         }
     }
 
@@ -305,17 +300,10 @@ impl ResultCache {
         }
 
         // Case 1/2: the covered part of the range is served from the
-        // cache; anything before the coverage watermark is missed, plus
-        // one point range per admission gap inside the request.
+        // cache; anything before the coverage watermark is missed.
         let mut missed = Vec::new();
         if range.from < coverage_from {
             missed.push(TimeRange::half_open(range.from, coverage_from));
-        }
-        for &gap in self.gaps.range(coverage_from.max(range.from)..) {
-            if !range.contains(gap) {
-                break;
-            }
-            missed.push(TimeRange::closed(gap, gap));
         }
         let mut cached = Vec::new();
         let mut cached_bytes = ByteSize::ZERO;
@@ -408,19 +396,6 @@ impl ResultCache {
         self.entries.iter()
     }
 
-    /// Records an admission-rejected object: a hole in the covered
-    /// region that future retrievals must fetch from the cluster.
-    pub fn record_gap(&mut self, ts: Timestamp) {
-        if ts >= self.coverage_from {
-            self.gaps.insert(ts);
-        }
-    }
-
-    /// Number of live admission gaps (diagnostics).
-    pub fn gap_count(&self) -> usize {
-        self.gaps.len()
-    }
-
     fn pop_front(&mut self) -> Option<CachedObject> {
         let object = self.entries.pop_front()?;
         self.base_seq += 1;
@@ -449,10 +424,6 @@ impl ResultCache {
     fn advance_coverage_past(&mut self, ts: Timestamp) {
         let past = ts + SimDuration::from_micros(1);
         self.coverage_from = self.coverage_from.max(past);
-        // Gaps below the watermark are subsumed by the leading missed
-        // range of any request that reaches them.
-        let live = self.gaps.split_off(&self.coverage_from);
-        self.gaps = live;
     }
 }
 
@@ -705,79 +676,43 @@ mod tests {
         assert_eq!(c.expire_tail(t(9)).len(), 1);
     }
 
-    #[test]
-    fn gaps_are_reported_as_point_misses() {
-        let mut c = cache_with(&[1]);
-        c.insert(obj(0, 1, 10), t(1));
-        c.record_gap(t(2)); // admission-rejected object
-        c.insert(obj(1, 3, 10), t(3));
-        let plan = c.plan_get(TimeRange::closed(t(1), t(3)), t(4));
-        assert_eq!(plan.cached.len(), 2);
-        assert_eq!(plan.missed, vec![TimeRange::closed(t(2), t(2))]);
-        // A request that excludes the gap sees a clean hit.
-        let plan = c.plan_get(TimeRange::closed(t(3), t(3)), t(5));
-        assert!(plan.is_full_hit());
-    }
-
-    #[test]
-    fn gaps_below_coverage_are_pruned() {
-        let mut c = cache_with(&[1]);
-        c.insert(obj(0, 1, 10), t(1));
-        c.record_gap(t(2));
-        c.insert(obj(1, 3, 10), t(3));
-        assert_eq!(c.gap_count(), 1);
-        // Evicting past the gap folds it into the leading missed range.
-        c.drop_tail(); // coverage -> just past t(1)
-        c.drop_tail(); // coverage -> just past t(3), gap at t(2) pruned
-        assert_eq!(c.gap_count(), 0);
-        let plan = c.plan_get(TimeRange::closed(t(1), t(3)), t(4));
-        assert_eq!(plan.missed.len(), 1);
-        assert!(plan.missed[0].contains(t(2)));
-    }
-
     /// Every range shape against one cache — objects at 10, 20, 30 and
-    /// 40 s, an admission gap at 25 s, covered from 0 — with the plan
-    /// written out by hand.
+    /// 40 s, covered from 0 — with the plan written out by hand.
     #[test]
     fn plan_get_range_shapes() {
         let mut c = cache_with(&[1]);
         for (id, ts) in [(0, 10), (1, 20), (2, 30), (3, 40)] {
             c.insert(obj(id, ts, 10), t(ts));
         }
-        c.record_gap(t(25));
         let hit = |id: u64, ts: u64| (ObjectId::new(id), t(ts), ByteSize::new(10));
-        let gap = vec![TimeRange::closed(t(25), t(25))];
         let cases = [
             // Closed over everything resident.
             (
                 TimeRange::closed(t(10), t(40)),
                 vec![hit(0, 10), hit(1, 20), hit(2, 30), hit(3, 40)],
-                gap.clone(),
             ),
             // Strictly inside, both ends between objects.
             (
                 TimeRange::closed(t(15), t(35)),
                 vec![hit(1, 20), hit(2, 30)],
-                gap.clone(),
             ),
             // Half-open: the object at the upper bound is excluded.
             (
                 TimeRange::half_open(t(10), t(30)),
                 vec![hit(0, 10), hit(1, 20)],
-                gap.clone(),
             ),
             // Beyond the head: covered, nothing there yet.
-            (TimeRange::closed(t(50), t(60)), vec![], vec![]),
+            (TimeRange::closed(t(50), t(60)), vec![]),
             // Empty range.
-            (TimeRange::half_open(t(5), t(5)), vec![], vec![]),
-            // Exactly on the gap.
-            (TimeRange::closed(t(25), t(25)), vec![], gap.clone()),
+            (TimeRange::half_open(t(5), t(5)), vec![]),
+            // Between two objects.
+            (TimeRange::closed(t(25), t(25)), vec![]),
         ];
-        for (range, cached, missed) in cases {
+        for (range, cached) in cases {
             let want = GetPlan {
                 cached_bytes: ByteSize::new(10 * cached.len() as u64),
                 cached,
-                missed,
+                missed: Vec::new(),
             };
             assert_eq!(c.plan_get(range, t(100)), want, "range {range:?}");
         }

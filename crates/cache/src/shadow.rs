@@ -43,7 +43,6 @@ use bad_telemetry::{Counter, Histogram, Registry};
 use bad_types::ids::mix64;
 use bad_types::{BackendSubId, ByteSize, ObjectId, SubscriberId, TimeRange, Timestamp};
 
-use crate::admission::AdmissionControl;
 use crate::manager::{CacheConfig, CacheManager};
 use crate::metrics::CacheMetrics;
 use crate::object::{CachedObject, NewObject};
@@ -422,30 +421,21 @@ impl ShadowEvaluator {
     /// Creates an evaluator mirroring a live manager running
     /// `live_policy` under `live_config`. Each ghost gets the same
     /// configuration with a `B / n` budget (matching the sampled
-    /// fraction of the load) and a clone of the live admission control.
-    pub fn new(
-        live_policy: PolicyName,
-        live_config: CacheConfig,
-        admission: &AdmissionControl,
-        config: ShadowConfig,
-    ) -> Self {
+    /// fraction of the load).
+    pub fn new(live_policy: PolicyName, live_config: CacheConfig, config: ShadowConfig) -> Self {
         let ghost_config = CacheConfig {
             budget: Self::ghost_budget(live_config.budget, config),
             ..live_config
         };
         let ghosts = policy_catalog()
             .into_iter()
-            .map(|info| {
-                let mut mgr = CacheManager::new(info.name, ghost_config);
-                mgr.set_admission(admission.clone());
-                Ghost {
-                    policy: info.name,
-                    mgr,
-                    regret_live_hit_ghost_miss: 0,
-                    regret_ghost_hit_live_miss: 0,
-                    credit: BTreeMap::new(),
-                    series: None,
-                }
+            .map(|info| Ghost {
+                policy: info.name,
+                mgr: CacheManager::new(info.name, ghost_config),
+                regret_live_hit_ghost_miss: 0,
+                regret_ghost_hit_live_miss: 0,
+                credit: BTreeMap::new(),
+                series: None,
             })
             .collect();
         let scorers = PolicyName::ALL
@@ -582,7 +572,7 @@ impl ShadowEvaluator {
             return;
         }
         for ghost in &mut self.ghosts {
-            // Ghosts apply their own NC short-circuit and admission.
+            // Ghosts apply their own NC short-circuit.
             let _ = ghost.mgr.insert(bs, desc, now);
         }
     }
@@ -682,12 +672,6 @@ impl ShadowEvaluator {
         }
         for ghost in &mut self.ghosts {
             let _ = ghost.mgr.ack_consume(bs, sub, up_to, now);
-        }
-    }
-
-    pub(crate) fn on_set_admission(&mut self, admission: &AdmissionControl) {
-        for ghost in &mut self.ghosts {
-            ghost.mgr.set_admission(admission.clone());
         }
     }
 
@@ -946,7 +930,6 @@ mod tests {
         let sh = ShadowEvaluator::new(
             PolicyName::Lru,
             CacheConfig::default(),
-            &AdmissionControl::admit_all(),
             ShadowConfig {
                 sample_every_n: 1,
                 audit_capacity: 4,
@@ -962,7 +945,6 @@ mod tests {
         let sh = ShadowEvaluator::new(
             PolicyName::Lru,
             CacheConfig::default(),
-            &AdmissionControl::admit_all(),
             ShadowConfig {
                 sample_every_n: 8,
                 audit_capacity: 4,
@@ -1015,7 +997,6 @@ mod tests {
         let mut sh = ShadowEvaluator::new(
             PolicyName::Lru,
             CacheConfig::default(),
-            &AdmissionControl::admit_all(),
             ShadowConfig {
                 sample_every_n: 1,
                 audit_capacity: 2,
@@ -1047,7 +1028,6 @@ mod tests {
         let sh = ShadowEvaluator::new(
             PolicyName::Lru,
             CacheConfig::default(),
-            &AdmissionControl::admit_all(),
             ShadowConfig::default(),
         );
         let mut a = sh.snapshot();
@@ -1101,7 +1081,6 @@ mod tests {
         let sh = ShadowEvaluator::new(
             PolicyName::Lru,
             CacheConfig::default(),
-            &AdmissionControl::admit_all(),
             ShadowConfig::default(),
         );
         let live = CacheMetrics::new(Timestamp::ZERO);

@@ -38,7 +38,6 @@ use bad_telemetry::{
 use bad_types::ids::mix64;
 use bad_types::{BackendSubId, ByteSize, Result, SubscriberId, TimeRange, Timestamp};
 
-use crate::admission::AdmissionControl;
 use crate::manager::{CacheConfig, CacheManager, DroppedObject};
 use crate::metrics::CacheMetrics;
 use crate::object::NewObject;
@@ -219,13 +218,6 @@ impl ShardedCacheManager {
             .sum()
     }
 
-    /// Objects rejected by admission control across all shards.
-    pub fn admission_rejections(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|i| self.lock(i).admission_rejections())
-            .sum()
-    }
-
     /// Point-in-time occupancy of every shard — the payload behind the
     /// scrape endpoint's `/healthz` and the runtime's shard-imbalance
     /// anomaly check. Locks one shard at a time, so the rows are each
@@ -328,13 +320,6 @@ impl ShardedCacheManager {
     pub fn record_delivery_lag(&self, bs: BackendSubId, lag_us: u64) {
         if let Some(recorders) = self.sketch.get() {
             recorders[self.shard_index(bs)].record_delivery_lag(bs.as_u64(), lag_us);
-        }
-    }
-
-    /// Installs admission control on every shard.
-    pub fn set_admission(&self, admission: AdmissionControl) {
-        for i in 0..self.shards.len() {
-            self.lock(i).set_admission(admission.clone());
         }
     }
 

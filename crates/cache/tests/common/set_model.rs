@@ -29,7 +29,6 @@ pub struct SetResultCache {
     pub consumption: RateEstimator,
     pub ttl: SimDuration,
     pub coverage_from: Timestamp,
-    pub gaps: BTreeSet<Timestamp>,
 }
 
 impl SetResultCache {
@@ -42,7 +41,6 @@ impl SetResultCache {
             consumption: RateEstimator::new(rate_window),
             ttl: SimDuration::from_hours(24),
             coverage_from: now,
-            gaps: BTreeSet::new(),
         }
     }
 
@@ -84,12 +82,6 @@ impl SetResultCache {
         if range.from < covered_from {
             plan.missed
                 .push(TimeRange::half_open(range.from, covered_from));
-        }
-        for &gap in self.gaps.range(covered_from.max(range.from)..) {
-            if !range.contains(gap) {
-                break;
-            }
-            plan.missed.push(TimeRange::closed(gap, gap));
         }
         for object in &self.entries {
             if object.ts > range.to {
@@ -161,15 +153,8 @@ impl SetResultCache {
         dropped
     }
 
-    pub fn record_gap(&mut self, ts: Timestamp) {
-        if ts >= self.coverage_from {
-            self.gaps.insert(ts);
-        }
-    }
-
     fn advance_coverage_past(&mut self, ts: Timestamp) {
         let past = ts + SimDuration::from_micros(1);
         self.coverage_from = self.coverage_from.max(past);
-        self.gaps = self.gaps.split_off(&self.coverage_from);
     }
 }

@@ -67,14 +67,8 @@ fn run_seed(seed: u64, steps: usize) {
                     fetch_latency: SimDuration::from_millis(500),
                 };
                 next_id += 1;
-                if rng.below(10) == 0 {
-                    // Admission-rejected: a gap instead of an entry.
-                    cache.record_gap(ts);
-                    model.record_gap(ts);
-                } else {
-                    cache.insert(desc, now);
-                    model.insert(desc, now);
-                }
+                cache.insert(desc, now);
+                model.insert(desc, now);
             }
             9..=12 => {
                 let up_to = near(&mut rng);

@@ -58,7 +58,6 @@ struct CacheSummary {
     coverage_from: Timestamp,
     last_access: Timestamp,
     ttl: SimDuration,
-    gaps: usize,
     subscribers: Vec<SubscriberId>,
     /// Resident objects, tail first, each with its pending count — the
     /// number of cursors at or before it.
@@ -99,7 +98,6 @@ fn summaries(mgr: &impl Inspect) -> Vec<CacheSummary> {
             coverage_from: c.coverage_from(),
             last_access: c.last_access(),
             ttl: c.ttl(),
-            gaps: c.gap_count(),
             subscribers: c.subscribers().collect(),
             objects: c.iter().map(|o| (o.id, o.pending)).collect(),
         });

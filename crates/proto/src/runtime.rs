@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use bad_broker::{Broker, BrokerConfig, ClusterHandle, CoalesceStats, Delivery, DeliveryMetrics};
+use bad_broker::{Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics};
 use bad_cache::{PolicyName, ShardedCacheManager};
 use bad_cluster::{DataCluster, Notification};
 use bad_query::ParamBindings;
@@ -25,8 +25,7 @@ use bad_telemetry::{
     DEFAULT_SCRAPE_LIMIT,
 };
 use bad_types::{
-    BackendSubId, BadError, ByteSize, FrontendSubId, Result, SimDuration, SubscriberId, TimeRange,
-    Timestamp,
+    BackendSubId, BadError, FrontendSubId, Result, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
 
 /// A wall-clock-backed virtual clock with time compression.
@@ -184,11 +183,6 @@ enum BrokerRequest {
     Maintain,
     Metrics {
         reply: SyncSender<(DeliveryMetrics, f64)>,
-    },
-    /// Coalescer visibility for `/healthz`: aggregate stats plus the
-    /// sideline buffer's live occupancy.
-    CoalesceHealth {
-        reply: SyncSender<(CoalesceStats, ByteSize, usize)>,
     },
     Stop,
 }
@@ -529,7 +523,7 @@ impl Deployment {
 
     /// Binds a scrape endpoint (use port `0` for an ephemeral port)
     /// serving `/metrics` (Prometheus text), `/healthz` (per-shard cache
-    /// occupancy, coalescer state, build info and top contended locks as
+    /// occupancy, build info and top contended locks as
     /// JSON), `/policies` (live vs. shadow-policy counterfactuals, when
     /// shadow evaluation is enabled), `/trace/recent` (the flight
     /// recorder's span ring as JSON, capped by `?limit=`), `/profile`
@@ -548,39 +542,13 @@ impl Deployment {
         let cache = Arc::clone(&self.cache);
         let recorder = Arc::clone(self.tracer.recorder());
         let anomaly_recorder = Arc::clone(self.tracer.recorder());
-        let broker_tx = self.broker_tx.clone();
         let health_engine = self.health.clone();
         let health_profiler = self.profiler.clone();
         let build_info = self.build_info.clone();
+        // Everything `/healthz` reads is shared state: it never waits on
+        // the broker thread, so a broker stuck in a cluster round trip
+        // cannot stall the probe.
         let health: bad_telemetry::HealthFn = Arc::new(move || {
-            // Coalescer state lives on the broker thread; ask it. A
-            // stopped broker renders as `null` rather than failing the
-            // whole health body.
-            let mut coalescer = String::new();
-            let (reply, rx) = sync_channel(1);
-            if broker_tx
-                .send(BrokerRequest::CoalesceHealth { reply })
-                .is_ok()
-            {
-                if let Ok((stats, buffered_bytes, buffered_entries)) = rx.recv() {
-                    let mut obj = bad_telemetry::json::ObjectWriter::new(&mut coalescer);
-                    obj.field_u64("primary_fetches", stats.primary_fetches);
-                    obj.field_u64("coalesced_fetches", stats.coalesced_fetches);
-                    obj.field_u64(
-                        "duplicate_bytes_saved",
-                        stats.duplicate_bytes_saved.as_u64(),
-                    );
-                    obj.field_u64(
-                        "cluster_bytes_fetched",
-                        stats.cluster_bytes_fetched.as_u64(),
-                    );
-                    obj.field_u64("buffered_bytes", buffered_bytes.as_u64());
-                    obj.field_u64("buffered_entries", buffered_entries as u64);
-                }
-            }
-            if coalescer.is_empty() {
-                coalescer.push_str("null");
-            }
             let shards = cache.shard_health();
             let total_occupancy: u64 = shards.iter().map(|s| s.occupancy_bytes).sum();
             let total_budget: u64 = shards.iter().map(|s| s.budget_bytes).sum();
@@ -605,7 +573,6 @@ impl Deployment {
                 obj.field_u64("occupancy_bytes", total_occupancy);
                 obj.field_u64("budget_bytes", total_budget);
                 obj.field_u64("anomalies", anomaly_recorder.anomalies());
-                obj.field_raw("coalescer", &coalescer);
                 obj.field_raw("shard_occupancy", &rows);
                 // Alert + drift summary so one `/healthz` probe answers
                 // "is anything on fire and does reality still match the
@@ -1037,10 +1004,6 @@ fn broker_node(
             BrokerRequest::Metrics { reply } => {
                 let hit = broker.cache().metrics().hit_ratio().unwrap_or(0.0);
                 let _ = reply.send((broker.delivery_metrics(), hit));
-            }
-            BrokerRequest::CoalesceHealth { reply } => {
-                let (buffered_bytes, buffered_entries) = broker.coalesce_buffer();
-                let _ = reply.send((broker.coalesce_stats(), buffered_bytes, buffered_entries));
             }
             BrokerRequest::Stop => break,
         }

@@ -4,11 +4,14 @@
 //! runtime, then scrapes `/metrics`, `/healthz`, `/trace/recent`
 //! (including its `?limit=` cap), `/policies`, `/timeseries`,
 //! `/alerts` and `/hot` over a real TCP socket like Prometheus would —
-//! and checks malformed request lines get a clean 400.
+//! and checks malformed request lines get a clean 400. A second test
+//! checks that `/healthz` answers while the broker is stuck in a cluster
+//! round trip.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use bad_broker::BrokerConfig;
 use bad_cache::{PolicyName, ShadowConfig};
@@ -152,18 +155,14 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     assert!(metrics.contains("bad_proto_shard_queue_depth{shard=\"0\"}"));
     assert!(metrics.contains("bad_proto_cluster_inflight_rpcs"));
 
-    // /healthz: per-shard occupancy plus the miss-fetch coalescer's
-    // live buffer state, plus the continuous-health summary (alert
-    // counts and model-drift score) from the health engine.
+    // /healthz: per-shard occupancy plus the continuous-health summary
+    // (alert counts and model-drift score) from the health engine.
     let health = http_get(addr, "/healthz");
     assert!(health.starts_with("HTTP/1.1 200"), "{health}");
     assert!(health.contains("\"status\":\"ok\""), "{health}");
     assert!(health.contains("\"shards\":2"), "{health}");
     assert!(health.contains("\"shard_occupancy\":["), "{health}");
     assert!(health.contains("\"budget_bytes\""), "{health}");
-    assert!(health.contains("\"coalescer\":{"), "{health}");
-    assert!(health.contains("\"coalesced_fetches\""), "{health}");
-    assert!(health.contains("\"buffered_bytes\""), "{health}");
     assert!(health.contains("\"health\":{"), "{health}");
     assert!(health.contains("\"firing\""), "{health}");
     assert!(health.contains("\"drift_score\""), "{health}");
@@ -306,6 +305,58 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     let oversized = http_raw(addr, &big);
     assert!(oversized.starts_with("HTTP/1.1 400"), "{oversized}");
 
+    server.shutdown();
+    dep.shutdown();
+}
+
+/// A stalled cluster must not stall the health probe: with the broker
+/// thread inside cluster round trips (500 ms each at compression 1),
+/// `/healthz` still answers at once, because it reads only shared state
+/// and never queues behind the broker.
+#[test]
+fn healthz_answers_while_the_broker_waits_on_the_cluster() {
+    let cluster = build_emergency_cluster().unwrap();
+    let dep = Deployment::start(PolicyName::Lsc, BrokerConfig::default(), cluster, 1.0);
+    let rtt = BrokerConfig::default().net.cluster.rtt;
+    let server = dep
+        .serve_scrape("127.0.0.1:0")
+        .expect("bind scrape endpoint");
+    let addr = server.local_addr();
+
+    // Two new backend subscriptions: after its 250-ms subscriber leg,
+    // each holds the broker thread for one cluster round trip, so the
+    // broker is busy from ≈ 250 ms to ≈ 1250 ms.
+    let subscribers: Vec<_> = ["flood", "fire"]
+        .into_iter()
+        .enumerate()
+        .map(|(i, etype)| {
+            let client = dep.client(SubscriberId::new(i as u64 + 1));
+            thread::spawn(move || {
+                client
+                    .subscribe(
+                        "EmergenciesOfType",
+                        ParamBindings::from_pairs([("etype", DataValue::from(etype))]),
+                    )
+                    .unwrap()
+            })
+        })
+        .collect();
+    thread::sleep(Duration::from_millis(400));
+
+    let started = Instant::now();
+    let health = http_get(addr, "/healthz");
+    let elapsed = started.elapsed();
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
+    assert!(
+        elapsed.as_secs_f64() < rtt.as_secs_f64() / 2.0,
+        "/healthz took {elapsed:?} with the broker in a {} ms cluster round trip",
+        rtt.as_millis_f64()
+    );
+
+    for subscriber in subscribers {
+        subscriber.join().unwrap();
+    }
     server.shutdown();
     dep.shutdown();
 }

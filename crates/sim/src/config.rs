@@ -48,10 +48,6 @@ pub struct SimConfig {
     pub net: NetworkModel,
     /// Cache-manager knobs other than the budget.
     pub cache: CacheConfig,
-    /// Optional size-based admission control: objects larger than
-    /// `num/den` of the budget are not cached (extension experiment;
-    /// `None` reproduces the paper).
-    pub admission_max_budget_fraction: Option<(u64, u64)>,
     /// Optional subscription churn (Table II's "Subscription duration"):
     /// each frontend subscription lives this long, then moves to a fresh
     /// Zipf-sampled stream. `None` keeps subscriptions for the whole run.
@@ -106,7 +102,6 @@ impl SimConfig {
             sample_interval: SimDuration::from_secs(60),
             net: NetworkModel::paper_defaults(),
             cache: CacheConfig::default(),
-            admission_max_budget_fraction: None,
             subscription_lifetime: None,
             shards: 1,
             shadow_sample_every_n: 0,
@@ -154,7 +149,6 @@ impl SimConfig {
             sample_interval: SimDuration::from_secs(10),
             net: NetworkModel::paper_defaults(),
             cache: CacheConfig::default(),
-            admission_max_budget_fraction: None,
             subscription_lifetime: None,
             shards: 1,
             shadow_sample_every_n: 0,

@@ -145,7 +145,7 @@ impl Simulation {
                 ..bad_telemetry::SketchConfig::default()
             }),
         };
-        let mut broker = Broker::new(
+        let broker = Broker::new(
             policy,
             BrokerConfig {
                 cache,
@@ -153,14 +153,8 @@ impl Simulation {
                 shards: config.shards,
                 shadow,
                 sketches,
-                ..BrokerConfig::default()
             },
         );
-        if let Some((num, den)) = config.admission_max_budget_fraction {
-            broker.set_admission(bad_cache::AdmissionControl::all_of([
-                bad_cache::AdmissionRule::MaxBudgetFraction { num, den },
-            ]));
-        }
 
         let subscription_lifetime = match &config.subscription_lifetime {
             Some(spec) => Some(spec.validate()?),

@@ -182,7 +182,6 @@ impl Event {
                 SpanKind::Drop => "span.drop",
                 SpanKind::Expire => "span.expire",
                 SpanKind::FullyConsumed => "span.fully_consumed",
-                SpanKind::CoalescedFetch => "span.coalesced_fetch",
             },
             Event::AlertTransition { .. } => "health.alert_transition",
         }

@@ -33,7 +33,7 @@
 //!   top-K-only delivery-lag quantiles, merged order-independently
 //!   across cache shards at read time.
 //! - [`profile`]: the continuous hot-path profiler — instrumented
-//!   shard/coalescer lock acquisition (wait/hold/contention per
+//!   cache shard lock acquisition (wait/hold/contention per
 //!   [`LockSite`]), per-operation stage timers folded into a
 //!   flamegraph-exportable call tree, and per-bucket trace-id
 //!   exemplars linking latency outliers to the flight recorder.

@@ -3,8 +3,8 @@
 //!
 //! Three layers, all std-only and cheap enough to leave on:
 //!
-//! - **Instrumented locks** — [`LockSite::lock`] wraps a shard mutex
-//!   (or the coalescer mutex) acquisition. The uncontended fast path is
+//! - **Instrumented locks** — [`LockSite::lock`] wraps a cache shard
+//!   mutex acquisition. The uncontended fast path is
 //!   one `try_lock` plus one tick pair for hold time, no allocation and
 //!   no atomic read-modify-write beyond the mutex's own; only when
 //!   `try_lock` would block does the site count a contention and time
@@ -35,7 +35,7 @@
 //! which is what keeps full profiling inside the ≤10 % overhead gate.
 //!
 //! The profiler is metadata-only: no instrumentation point influences
-//! an admission, eviction or TTL decision, so a profiled `shards = 1`
+//! an insert, eviction or TTL decision, so a profiled `shards = 1`
 //! manager stays byte-identical to the monolithic oracle (pinned by
 //! `oracle_parity`).
 
@@ -154,9 +154,7 @@ pub enum StagePath {
     GetLookup,
     /// Ghost-cache shadow replay of the GET access.
     GetShadowReplay,
-    /// Serving misses out of the coalescer's sideline buffer.
-    GetCoalesceHold,
-    /// The cluster round trip for deduplicated primary fetches.
+    /// The one batched cluster round trip for the missed ranges.
     GetClusterRtt,
     /// Post-delivery consume acknowledgement under the shard lock.
     GetAck,
@@ -173,7 +171,7 @@ pub enum StagePath {
     InsertTotal,
     /// Waiting on (and acquiring) the shard mutex on the insert path.
     InsertLockWait,
-    /// Admission + map insert + policy reindex.
+    /// Map insert + policy reindex.
     InsertApply,
     /// The `enforce_budget` victim-selection/eviction loop.
     InsertVictimScan,
@@ -191,7 +189,7 @@ pub enum StagePath {
 
 impl StagePath {
     /// Number of stage paths (array sizes).
-    pub const COUNT: usize = 20;
+    pub const COUNT: usize = 19;
 
     /// Every path, in render order.
     pub const ALL: [StagePath; Self::COUNT] = [
@@ -200,7 +198,6 @@ impl StagePath {
         StagePath::GetLockWait,
         StagePath::GetLookup,
         StagePath::GetShadowReplay,
-        StagePath::GetCoalesceHold,
         StagePath::GetClusterRtt,
         StagePath::GetAck,
         StagePath::GetOptimisticRead,
@@ -225,7 +222,6 @@ impl StagePath {
             StagePath::GetLockWait => "get_all_pending;lock_wait",
             StagePath::GetLookup => "get_all_pending;lookup",
             StagePath::GetShadowReplay => "get_all_pending;shadow_replay",
-            StagePath::GetCoalesceHold => "get_all_pending;coalesce_hold",
             StagePath::GetClusterRtt => "get_all_pending;cluster_rtt",
             StagePath::GetAck => "get_all_pending;ack_consume",
             StagePath::GetOptimisticRead => "get_all_pending;optimistic_read",
@@ -251,7 +247,6 @@ impl StagePath {
             | StagePath::GetLockWait
             | StagePath::GetLookup
             | StagePath::GetShadowReplay
-            | StagePath::GetCoalesceHold
             | StagePath::GetClusterRtt
             | StagePath::GetAck
             | StagePath::GetOptimisticRead
@@ -755,8 +750,8 @@ impl Profiler {
 // Lock sites
 // ---------------------------------------------------------------------------
 
-/// One instrumented mutex acquisition point (a cache shard, the
-/// coalescer). Clones share the underlying series.
+/// One instrumented mutex acquisition point (a cache shard). Clones
+/// share the underlying series.
 #[derive(Clone, Debug)]
 pub struct LockSite {
     name: Arc<str>,
@@ -780,7 +775,7 @@ impl LockSite {
         }
     }
 
-    /// The site name (`shard0`, `coalescer`, …).
+    /// The site name (`cache_shard0`, …).
     pub fn name(&self) -> &str {
         &self.name
     }

@@ -444,8 +444,9 @@ impl SketchRecorder {
     /// The sampling decision: `Some(weight)` to record with that
     /// weight, `None` to skip. The skip path is a racy load/store pair
     /// rather than an atomic RMW: a `lock`ed increment costs ~20 cycles
-    /// even uncontended, which at a coalescer batch's 32 hook calls per
-    /// op is most of the sampled-mode budget the overhead bench gates.
+    /// even uncontended, which at a 32-request batched GET's 32 hook
+    /// calls per op is most of the sampled-mode budget the overhead
+    /// bench gates.
     /// Concurrent recorders may lose increments or double-sample a
     /// tick; that only jitters the sampling phase — the `weight = n`
     /// compensation keeps totals unbiased in expectation, and

@@ -113,14 +113,11 @@ pub enum SpanKind {
     Expire = 6,
     /// Every pending subscriber consumed the object, releasing it.
     FullyConsumed = 7,
-    /// A miss was served from an in-flight coalesced fetch instead of
-    /// issuing its own cluster round trip.
-    CoalescedFetch = 8,
 }
 
 impl SpanKind {
     /// All kinds, in discriminant order (indexes the per-kind counters).
-    pub const ALL: [SpanKind; 9] = [
+    pub const ALL: [SpanKind; 8] = [
         SpanKind::ResultProduced,
         SpanKind::CacheInsert,
         SpanKind::RetrieveHit,
@@ -129,7 +126,6 @@ impl SpanKind {
         SpanKind::Drop,
         SpanKind::Expire,
         SpanKind::FullyConsumed,
-        SpanKind::CoalescedFetch,
     ];
 
     /// Stable lowercase label (metric label values, JSON `kind`).
@@ -143,7 +139,6 @@ impl SpanKind {
             SpanKind::Drop => "drop",
             SpanKind::Expire => "expire",
             SpanKind::FullyConsumed => "fully_consumed",
-            SpanKind::CoalescedFetch => "coalesced_fetch",
         }
     }
 }
@@ -524,7 +519,7 @@ pub struct Tracer {
     slo: SloConfig,
     sink: SharedSink,
     recorder: Arc<FlightRecorder>,
-    spans_total: [Counter; 9],
+    spans_total: [Counter; 8],
     insert_lag_us: Histogram,
     delivery_lag_us: Histogram,
     staleness_us: Histogram,
@@ -777,44 +772,6 @@ impl Tracer {
             span: SpanId::derive(trace, SpanKind::BackendFetch, subscriber),
             parent: Some(SpanId::derive(trace, SpanKind::RetrieveMiss, subscriber)),
             kind: SpanKind::BackendFetch,
-            t_us,
-            cache,
-            object,
-            subscriber,
-            bytes,
-            lag_us,
-            policy: "",
-            drop_kind: "",
-            score: 0.0,
-        });
-    }
-
-    /// `subscriber`'s miss on `object` was served from a coalesced
-    /// fetch already in flight (or still held in the sideline buffer)
-    /// instead of issuing its own cluster round trip; `lag_us` is the
-    /// cluster latency the subscriber would otherwise have paid.
-    pub fn on_coalesced_fetch(
-        &self,
-        t_us: u64,
-        cache: u64,
-        object: u64,
-        subscriber: u64,
-        bytes: u64,
-        lag_us: u64,
-    ) {
-        if !self.on {
-            return;
-        }
-        self.spans_total[SpanKind::CoalescedFetch as usize].inc();
-        let trace = TraceId::for_object(object);
-        if !self.sampled(trace) {
-            return;
-        }
-        self.emit(Span {
-            trace,
-            span: SpanId::derive(trace, SpanKind::CoalescedFetch, subscriber),
-            parent: Some(SpanId::derive(trace, SpanKind::RetrieveMiss, subscriber)),
-            kind: SpanKind::CoalescedFetch,
             t_us,
             cache,
             object,

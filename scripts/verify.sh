@@ -26,7 +26,7 @@ cargo build --release --locked
 cargo test -q --locked
 # The suites of the crates the benchmark drives, again under --release:
 # the cache's thread stress and scaling guards with debug assertions
-# off, the fused GET under paper_claims and coalesce, and the cluster,
+# off, the fused GET under paper_claims and miss_path, and the cluster,
 # query, storage and types oracles and property loops as the benchmark
 # builds them (the enrichment join's index lives in storage).
 cargo test -q --release --locked -p bad-cache -p bad-broker -p bad-cluster -p bad-query \
