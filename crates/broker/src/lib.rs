@@ -56,18 +56,14 @@
 //! # Ok::<(), bad_types::BadError>(())
 //! ```
 
-pub mod bcs;
 pub mod broker;
-pub mod failover;
 pub mod subscriptions;
 pub mod telemetry;
 
-pub use bcs::{BrokerCoordinationService, BrokerRecord};
 #[doc(hidden)]
 pub use broker::CoalesceStats;
 pub use broker::{
     Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics, NotificationOutcome,
 };
-pub use failover::{BrokerFleet, FleetSubId};
 pub use subscriptions::{BackendEntry, FrontendSub, PendingRange, SubscriptionTable};
 pub use telemetry::BrokerTelemetry;

@@ -268,11 +268,6 @@ impl SubscriptionTable {
         })
     }
 
-    /// Iterates over all backend entries.
-    pub fn iter_backends(&self) -> impl Iterator<Item = &BackendEntry> {
-        self.backends.values()
-    }
-
     /// Advances a backend's `bts` marker (after a notification/fetch)
     /// and returns the entry, whose `frontends` are whom to notify.
     ///

@@ -1,5 +1,5 @@
-//! Broker-side telemetry: retrieval/delivery counters, a delivery
-//! latency histogram and the failover event hook.
+//! Broker-side telemetry: retrieval/delivery counters and a delivery
+//! latency histogram.
 //!
 //! Mirrors [`bad_cache::CacheTelemetry`]: detached by default — every
 //! hook returns after one branch, since nothing could read what it
@@ -7,12 +7,11 @@
 //! [`crate::Broker::attach_telemetry`].
 
 use bad_telemetry::{Counter, Event, Histogram, Registry, SharedSink, SharedTracer, Tracer};
-use bad_types::{BrokerId, SubscriberId, Timestamp};
+use bad_types::{SubscriberId, Timestamp};
 
 use crate::broker::Delivery;
 
-/// Metric handles + event sink for one [`crate::Broker`] (or a whole
-/// [`crate::BrokerFleet`], for fleet-level failover events).
+/// Metric handles + event sink for one [`crate::Broker`].
 #[derive(Clone, Debug)]
 pub struct BrokerTelemetry {
     /// Whether a caller-held [`Registry`] backs the handles below.
@@ -23,8 +22,6 @@ pub struct BrokerTelemetry {
     deliveries: Counter,
     delivered_objects: Counter,
     delivered_bytes: Counter,
-    failovers: Counter,
-    migrated_subscriptions: Counter,
     delivery_latency_us: Histogram,
 }
 
@@ -53,8 +50,6 @@ impl BrokerTelemetry {
             deliveries: registry.counter("bad_broker_deliveries_total"),
             delivered_objects: registry.counter("bad_broker_delivered_objects_total"),
             delivered_bytes: registry.counter("bad_broker_delivered_bytes_total"),
-            failovers: registry.counter("bad_broker_failovers_total"),
-            migrated_subscriptions: registry.counter("bad_broker_migrated_subscriptions_total"),
             delivery_latency_us: registry.histogram("bad_broker_delivery_latency_us"),
         }
     }
@@ -117,22 +112,6 @@ impl BrokerTelemetry {
                 objects: delivery.total_objects(),
                 bytes: delivery.total_bytes().as_u64(),
                 latency_us: delivery.latency.as_micros(),
-            });
-        }
-    }
-
-    /// Records one completed failover.
-    pub(crate) fn on_failover(&self, now: Timestamp, failed: BrokerId, migrated: u64) {
-        if !self.attached {
-            return;
-        }
-        self.failovers.inc();
-        self.migrated_subscriptions.add(migrated);
-        if self.sink.enabled() {
-            self.sink.record(&Event::BrokerFailover {
-                t_us: now.as_micros(),
-                failed_broker: failed.as_u64(),
-                migrated,
             });
         }
     }

@@ -154,8 +154,8 @@ impl CacheMetrics {
     /// paper's "maximum cache size" is the largest *settled* size. Call
     /// [`CacheMetrics::observe_peak`] once an operation completes.
     ///
-    /// `now` values are allowed to arrive out of order (a failover
-    /// replays another broker's drops, threads race on a shared clock):
+    /// `now` values are allowed to arrive out of order (threads race on
+    /// a shared clock):
     /// a `now` earlier than the latest one seen contributes zero
     /// elapsed time instead of rewinding, so the size integral is
     /// monotonically non-decreasing and the internal clock never moves

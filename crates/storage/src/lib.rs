@@ -8,8 +8,7 @@
 //!   *closed* schemas and a timestamp index, holding publications,
 //! * [`ResultStore`] — per-backend-subscription, timestamp-ordered result
 //!   datasets supporting the `fetch(bs, ts1, ts2, closed)` retrieval of
-//!   the paper's Algorithm 1,
-//! * [`DataFeed`] — a buffered ingestion front mimicking AsterixDB feeds.
+//!   the paper's Algorithm 1.
 //!
 //! # Examples
 //!
@@ -24,11 +23,9 @@
 //! ```
 
 pub mod dataset;
-pub mod feed;
 pub mod result_store;
 pub mod schema;
 
 pub use dataset::{Dataset, StoredRecord};
-pub use feed::DataFeed;
 pub use result_store::{ResultObject, ResultStore};
 pub use schema::{FieldDef, FieldType, Schema};

@@ -113,12 +113,6 @@ pub enum Event {
         bytes: u64,
         latency_us: u64,
     },
-    /// A failed broker's subscribers were migrated to survivors.
-    BrokerFailover {
-        t_us: u64,
-        failed_broker: u64,
-        migrated: u64,
-    },
     /// A continuous/repetitive channel matched and produced results.
     ClusterChannelFire {
         t_us: u64,
@@ -169,7 +163,6 @@ impl Event {
             Event::TtlRetune { .. } => "cache.ttl_retune",
             Event::BrokerRetrieve { .. } => "broker.retrieve",
             Event::BrokerDeliver { .. } => "broker.deliver",
-            Event::BrokerFailover { .. } => "broker.failover",
             Event::ClusterChannelFire { .. } => "cluster.channel_fire",
             Event::ClusterEnrich { .. } => "cluster.enrich",
             Event::EpochSample { .. } => "sim.epoch_sample",
@@ -200,7 +193,6 @@ impl Event {
             | Event::TtlRetune { t_us, .. }
             | Event::BrokerRetrieve { t_us, .. }
             | Event::BrokerDeliver { t_us, .. }
-            | Event::BrokerFailover { t_us, .. }
             | Event::ClusterChannelFire { t_us, .. }
             | Event::ClusterEnrich { t_us, .. }
             | Event::EpochSample { t_us, .. }
@@ -322,14 +314,6 @@ impl Event {
                 obj.field_u64("objects", objects);
                 obj.field_u64("bytes", bytes);
                 obj.field_u64("latency_us", latency_us);
-            }
-            Event::BrokerFailover {
-                failed_broker,
-                migrated,
-                ..
-            } => {
-                obj.field_u64("failed_broker", failed_broker);
-                obj.field_u64("migrated", migrated);
             }
             Event::ClusterChannelFire {
                 channel,
@@ -603,10 +587,12 @@ mod tests {
         }
 
         let sink = JsonlSink::new(Box::new(Shared(buffer.clone())));
-        sink.record(&Event::BrokerFailover {
+        sink.record(&Event::BrokerDeliver {
             t_us: 5,
-            failed_broker: 1,
-            migrated: 12,
+            subscriber: 1,
+            objects: 12,
+            bytes: 4096,
+            latency_us: 250,
         });
         sink.record(&Event::ClusterEnrich {
             t_us: 6,
@@ -617,7 +603,7 @@ mod tests {
         let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with(r#"{"kind":"broker.failover""#));
+        assert!(lines[0].starts_with(r#"{"kind":"broker.deliver""#));
         assert!(lines[1].contains(r#""rules":1"#));
     }
 

@@ -12,7 +12,7 @@
 //!   distributions with `p50/p90/p99/max` readout.
 //! - [`Event`] + [`EventSink`]: a typed taxonomy of per-decision
 //!   events (cache insert/hit/miss/evict/expire/consume/ttl-retune,
-//!   broker retrieve/deliver/failover, cluster channel-fire/enrich,
+//!   broker retrieve/deliver, cluster channel-fire/enrich,
 //!   sim epoch samples) with [`RingBufferSink`] (tests, post-mortem)
 //!   and [`JsonlSink`] (trace files) implementations. The default
 //!   [`NullSink`] reports `enabled() == false`, so instrumented code

@@ -83,11 +83,6 @@ define_id!(
     ObjectId,
     "obj-"
 );
-define_id!(
-    /// A broker node registered with the Broker Coordination Service.
-    BrokerId,
-    "broker-"
-);
 
 /// The splitmix64 finalizer: a bijection on `u64` whose every output
 /// bit depends on every input bit, so consecutive identifiers spread
@@ -232,7 +227,6 @@ mod tests {
     fn display_includes_prefix() {
         assert_eq!(SubscriberId::new(7).to_string(), "sub-7");
         assert_eq!(BackendSubId::new(0).to_string(), "bsub-0");
-        assert_eq!(BrokerId::new(3).to_string(), "broker-3");
     }
 
     #[test]

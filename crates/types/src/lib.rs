@@ -30,9 +30,7 @@ pub mod value;
 
 pub use error::{BadError, Result};
 pub use geo::{BoundingBox, GeoPoint};
-pub use ids::{
-    BackendSubId, BrokerId, ChannelId, FrontendSubId, ObjectId, PublisherId, SubscriberId,
-};
+pub use ids::{BackendSubId, ChannelId, FrontendSubId, ObjectId, PublisherId, SubscriberId};
 pub use size::ByteSize;
 pub use time::{SimDuration, TimeRange, Timestamp};
 pub use value::DataValue;

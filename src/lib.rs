@@ -11,11 +11,11 @@
 //! |---|---|---|
 //! | [`types`] | `bad-types` | ids, virtual time, records, geo, sizes |
 //! | [`query`] | `bad-query` | BQL: the parameterized channel language |
-//! | [`storage`] | `bad-storage` | datasets, result stores, feeds |
+//! | [`storage`] | `bad-storage` | datasets, result stores |
 //! | [`net`] | `bad-net` | RTT/bandwidth latency model (Table II) |
 //! | [`cache`] | `bad-cache` | ★ result caches + LRU/LSC/LSCz/LSD/EXP/TTL/NC policies |
 //! | [`cluster`] | `bad-cluster` | channels runtime, matching, enrichment, webhooks |
-//! | [`broker`] | `bad-broker` | subscription merging, Algorithm-1 delivery, BCS |
+//! | [`broker`] | `bad-broker` | subscription merging, Algorithm-1 delivery |
 //! | [`workload`] | `bad-workload` | Zipf popularity, churn, traces, emergency city |
 //! | [`sim`] | `bad-sim` | Section V discrete-event evaluation |
 //! | [`proto`] | `bad-proto` | Section VI full-stack prototype (DES + threads) |
@@ -65,7 +65,7 @@ pub use bad_workload as workload;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use bad_broker::{Broker, BrokerConfig, BrokerCoordinationService, Delivery};
+    pub use bad_broker::{Broker, BrokerConfig, Delivery};
     pub use bad_cache::{CacheConfig, CacheManager, PolicyName};
     pub use bad_cluster::{DataCluster, EnrichmentRule, Notification};
     pub use bad_net::NetworkModel;

@@ -134,24 +134,18 @@ fn eviction_causes_misses_that_are_refetched_exactly_once() {
 }
 
 #[test]
-fn bcs_routes_subscribers_across_brokers() {
+fn two_brokers_share_one_cluster() {
     let mut cluster = city_cluster();
-    let mut bcs = BrokerCoordinationService::new();
-    let broker_ids = [
-        bcs.register_broker("broker-a"),
-        bcs.register_broker("broker-b"),
-    ];
     let mut brokers = [
         Broker::new(PolicyName::Lsc, BrokerConfig::default()),
         Broker::new(PolicyName::Lsc, BrokerConfig::default()),
     ];
 
-    // Four subscribers get spread across the two brokers.
+    // Four subscribers, placed alternately on the two brokers.
     let mut fss = Vec::new();
     for i in 0..4u64 {
         let subscriber = SubscriberId::new(i);
-        let assigned = bcs.assign(subscriber).unwrap();
-        let idx = broker_ids.iter().position(|b| *b == assigned).unwrap();
+        let idx = (i % 2) as usize;
         let fs = brokers[idx]
             .subscribe(
                 &mut cluster,
