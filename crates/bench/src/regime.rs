@@ -1,7 +1,7 @@
-//! A regime-shift tape for the shadow ghost fleet, used by the
-//! `regime_shift` test.
+//! A regime-shift tape, used by the `regime_shift` test to compare
+//! fixed policies on the same trace.
 //!
-//! Two segments of `rounds` rounds each drive one fleet cache:
+//! Two segments of `rounds` rounds each drive one cache tier:
 //!
 //! 1. **Hot fan-out (stationary).** A few high-fanout streams produce
 //!    and their subscribers replay the latest objects. Every reasonable
@@ -12,10 +12,7 @@
 //!
 //! No randomness and fixed clocks; one maintenance tick per round.
 
-use bad_cache::{
-    CacheConfig, CacheMetrics, NewObject, PolicyName, ShadowConfig, ShadowSnapshot,
-    ShardedCacheManager,
-};
+use bad_cache::{CacheConfig, CacheMetrics, NewObject, PolicyName, ShardedCacheManager};
 use bad_types::{
     BackendSubId, ByteSize, ObjectId, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
@@ -31,21 +28,6 @@ const SCAN_CACHES: u64 = 48;
 const SCAN_BURST: u64 = 16;
 const SCAN_OBJECT: u64 = 5_000;
 const BUDGET: u64 = 40_000;
-
-/// One tape execution.
-pub struct RegimeRun {
-    /// The live cache's final metrics.
-    pub live: CacheMetrics,
-    /// The ghost fleet at the end (every run shadows every policy).
-    pub shadow: ShadowSnapshot,
-}
-
-impl RegimeRun {
-    /// The live hit ratio (0 with no requests).
-    pub fn hit_ratio(&self) -> f64 {
-        self.live.hit_ratio().unwrap_or(0.0)
-    }
-}
 
 /// Creates one cache of the tape with its subscribers.
 fn create(mgr: &ShardedCacheManager, bs: u64, subs: impl Iterator<Item = u64>) {
@@ -116,21 +98,13 @@ impl Tape {
     }
 }
 
-/// Runs the tape under `policy` with every policy shadowed on every
-/// access.
-pub fn run_tape(policy: PolicyName, rounds: u64) -> RegimeRun {
+/// Runs the tape under `policy` and returns the cache's final metrics.
+pub fn run_tape(policy: PolicyName, rounds: u64) -> CacheMetrics {
     let config = CacheConfig {
         budget: ByteSize::new(BUDGET),
         ..CacheConfig::default()
     };
     let mgr = ShardedCacheManager::new(policy, config, 1);
-    mgr.enable_shadow(
-        ShadowConfig {
-            sample_every_n: 1,
-            audit_capacity: 64,
-        },
-        Timestamp::ZERO,
-    );
     for h in 0..HOT_CACHES {
         create(&mgr, h, (0..HOT_SUBS).map(|s| h * 100 + s));
     }
@@ -169,8 +143,5 @@ pub fn run_tape(policy: PolicyName, rounds: u64) -> RegimeRun {
             tape.mgr.maintain(now);
         }
     }
-    RegimeRun {
-        live: tape.mgr.metrics(),
-        shadow: tape.mgr.shadow_snapshot().expect("shadow enabled"),
-    }
+    tape.mgr.metrics()
 }

@@ -90,9 +90,6 @@ pub struct BrokerConfig {
     /// paper's monolithic cache manager; more shards let runtime
     /// worker threads operate on the cache concurrently.
     pub shards: usize,
-    /// Shadow-policy ghost caches (`bad_cache::shadow`). `None` (the
-    /// default) disables counterfactual evaluation entirely.
-    pub shadow: Option<bad_cache::ShadowConfig>,
     /// Hot-key attribution sketches (`bad_telemetry::sketch`): per-
     /// shard Space-Saving heavy hitters, a distinct-active estimator
     /// and top-K delivery-lag quantiles, merged at read time behind
@@ -106,7 +103,6 @@ impl Default for BrokerConfig {
             cache: CacheConfig::default(),
             net: NetworkModel::paper_defaults(),
             shards: 1,
-            shadow: None,
             sketches: None,
         }
     }
@@ -217,9 +213,6 @@ impl Broker {
     /// Creates a broker with the given caching policy and configuration.
     pub fn new(policy: PolicyName, config: BrokerConfig) -> Self {
         let cache = ShardedCacheManager::new(policy, config.cache, config.shards);
-        if let Some(shadow) = config.shadow {
-            cache.enable_shadow(shadow, Timestamp::ZERO);
-        }
         if let Some(sketches) = config.sketches {
             cache.enable_sketches(sketches);
         }
@@ -274,7 +267,6 @@ impl Broker {
             bad_cache::CacheTelemetry::traced(registry, sink.clone(), Arc::clone(&tracer))
                 .with_profiler(profiler.clone()),
         );
-        self.cache.set_shadow_telemetry(registry);
         self.telemetry = BrokerTelemetry::traced(registry, sink, tracer);
         self.profiler = profiler;
     }

@@ -22,11 +22,7 @@
 //! * the aggregate [`CacheManager`] gluing it all together,
 //! * a lock-striped [`ShardedCacheManager`] partitioning the caches
 //!   across N mutex-guarded shards for concurrent broker workers
-//!   (`shards = 1` reproduces the monolith byte-for-byte),
-//! * a metadata-only [`ShadowEvaluator`] replaying the live access
-//!   stream through a ghost of every catalog policy (counterfactual hit
-//!   ratio, regret and eviction audit; the live policy never changes),
-//!   and
+//!   (`shards = 1` reproduces the monolith byte-for-byte), and
 //! * [`CacheMetrics`] capturing every quantity the evaluation plots
 //!   (hit ratio, hit/miss bytes, holding times, time-averaged and
 //!   maximum cache size).
@@ -69,7 +65,6 @@ pub mod object;
 pub mod policy;
 pub mod rate;
 pub mod result_cache;
-pub mod shadow;
 pub mod sharded;
 pub mod telemetry;
 pub mod ttl;
@@ -81,10 +76,6 @@ pub use object::{CachedObject, NewObject};
 pub use policy::{policy_catalog, EvictionPolicy, PolicyInfo, PolicyKind, PolicyName};
 pub use rate::RateEstimator;
 pub use result_cache::{GetPlan, ResultCache};
-pub use shadow::{
-    AuditChoice, AuditRecord, GhostCounters, GhostReport, ShadowConfig, ShadowEvaluator,
-    ShadowSnapshot,
-};
 pub use sharded::{ShardHealth, ShardedCacheManager};
 pub use telemetry::CacheTelemetry;
 pub use ttl::TtlComputer;

@@ -19,7 +19,6 @@ pub use crate::metrics::DropKind as DropReason;
 use crate::object::{CachedObject, NewObject};
 use crate::policy::{EvictionPolicy, PolicyKind, PolicyName};
 use crate::result_cache::{GetPlan, ResultCache};
-use crate::shadow::{ShadowConfig, ShadowEvaluator, ShadowSnapshot};
 use crate::telemetry::CacheTelemetry;
 use crate::ttl::TtlComputer;
 
@@ -88,9 +87,6 @@ pub struct CacheManager {
     last_ttl_recompute: Timestamp,
     metrics: CacheMetrics,
     telemetry: CacheTelemetry,
-    /// Ghost-cache evaluator ([`crate::shadow`]); `None` (the default)
-    /// keeps every live path at one branch of overhead.
-    shadow: Option<Box<ShadowEvaluator>>,
     /// Hot-key attribution sketches ([`bad_telemetry::sketch`]).
     /// Strictly metadata-only — never consulted by any caching
     /// decision, so enabling sketches cannot perturb oracle parity.
@@ -113,7 +109,6 @@ struct Books<'a> {
     metrics: &'a mut CacheMetrics,
     telemetry: &'a CacheTelemetry,
     sketches: Option<&'a SketchRecorder>,
-    shadow: Option<&'a mut ShadowEvaluator>,
 }
 
 impl Books<'_> {
@@ -140,9 +135,9 @@ impl Books<'_> {
         plan
     }
 
-    /// The `ACK` routine on one cache: ghosts and sketches see the ack
-    /// whether or not the cache exists, then `sub`'s consumption up to
-    /// `up_to` is applied and the objects it completed are dropped.
+    /// The `ACK` routine on one cache: sketches see the ack whether or
+    /// not the cache exists, then `sub`'s consumption up to `up_to` is
+    /// applied and the objects it completed are dropped.
     fn ack(
         &mut self,
         cache: Option<&mut ResultCache>,
@@ -151,9 +146,6 @@ impl Books<'_> {
         up_to: Timestamp,
         now: Timestamp,
     ) -> Result<Vec<DroppedObject>> {
-        if let Some(shadow) = self.shadow.as_deref_mut() {
-            shadow.on_ack_consume(bs, sub, up_to, now);
-        }
         // Activity signal only (distinct-active estimator) — acks mark
         // a subscription live even when it never hits or misses.
         if let Some(sketches) = self.sketches {
@@ -222,38 +214,7 @@ impl CacheManager {
             last_ttl_recompute: Timestamp::ZERO,
             metrics: CacheMetrics::new(Timestamp::ZERO),
             telemetry: CacheTelemetry::detached(),
-            shadow: None,
             sketches: None,
-        }
-    }
-
-    /// Enables shadow-policy evaluation ([`crate::shadow`]): every
-    /// catalog policy runs as a metadata-only ghost replaying this
-    /// manager's access stream. Caches that already exist are seeded
-    /// (empty) into the ghosts at `now`.
-    pub fn enable_shadow(&mut self, config: ShadowConfig, now: Timestamp) {
-        let mut shadow = Box::new(ShadowEvaluator::new(self.policy_name, self.config, config));
-        shadow.seed(&self.caches, now);
-        self.shadow = Some(shadow);
-    }
-
-    /// The shadow evaluator, when enabled.
-    pub fn shadow(&self) -> Option<&ShadowEvaluator> {
-        self.shadow.as_deref()
-    }
-
-    /// A snapshot of the shadow evaluator's counterfactual state, when
-    /// enabled.
-    pub fn shadow_snapshot(&self) -> Option<ShadowSnapshot> {
-        self.shadow.as_ref().map(|s| s.snapshot())
-    }
-
-    /// Registers the `bad_cache_shadow_*` series on `registry` (no-op
-    /// until [`CacheManager::enable_shadow`]). Call before traffic:
-    /// counters are not backfilled.
-    pub fn set_shadow_telemetry(&mut self, registry: &bad_telemetry::Registry) {
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.set_telemetry(registry);
         }
     }
 
@@ -316,9 +277,6 @@ impl CacheManager {
     pub fn set_budget(&mut self, budget: ByteSize) {
         self.config.budget = budget;
         self.ttl.budget = budget;
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_set_budget(budget);
-        }
     }
 
     /// Current aggregate size across all caches.
@@ -350,9 +308,6 @@ impl CacheManager {
         if let Some(sketches) = &self.sketches {
             sketches.record_miss(bs.as_u64(), objects);
         }
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_record_miss_fetch(bs, objects, bytes, now);
-        }
     }
 
     /// Records bytes pulled from the cluster to populate caches (`Vol`).
@@ -374,9 +329,6 @@ impl CacheManager {
     ///
     /// Creating a cache that already exists is a no-op.
     pub fn create_cache(&mut self, bs: BackendSubId, now: Timestamp) {
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_create_cache(bs, now);
-        }
         let config = &self.config;
         self.caches.entry(bs).or_insert_with(|| {
             let mut cache = ResultCache::new(bs, now, config.rate_window);
@@ -387,9 +339,6 @@ impl CacheManager {
 
     /// Tears down a backend subscription's cache, dropping its objects.
     pub fn remove_cache(&mut self, bs: BackendSubId, now: Timestamp) -> Vec<DroppedObject> {
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_remove_cache(bs, now);
-        }
         let Some(mut cache) = self.caches.remove(&bs) else {
             return Vec::new();
         };
@@ -428,9 +377,6 @@ impl CacheManager {
     ///
     /// Returns [`BadError::NotFound`] when no cache exists for `bs`.
     pub fn add_subscriber(&mut self, bs: BackendSubId, sub: SubscriberId) -> Result<()> {
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_add_subscriber(bs, sub);
-        }
         let cache = self.cache_mut(bs)?;
         cache.add_subscriber(sub);
         Ok(())
@@ -448,9 +394,6 @@ impl CacheManager {
         sub: SubscriberId,
         now: Timestamp,
     ) -> Result<Vec<DroppedObject>> {
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_remove_subscriber(bs, sub, now);
-        }
         let cache = self.cache_mut(bs)?;
         let removed = cache.remove_subscriber(sub);
         let mut dropped = Vec::new();
@@ -501,11 +444,10 @@ impl CacheManager {
     }
 
     /// [`CacheManager::insert`] with profiler stage boundaries —
-    /// shadow-replay / apply / victim-scan attribution on the caller's
-    /// [`OpTimer`]. The sharded manager threads its per-op timer
-    /// through here so the insert envelope includes the lock wait.
-    /// Stage calls are metadata-only; behaviour is identical to the
-    /// plain `insert`.
+    /// apply / victim-scan attribution on the caller's [`OpTimer`]. The
+    /// sharded manager threads its per-op timer through here so the
+    /// insert envelope includes the lock wait. Stage calls are
+    /// metadata-only; behaviour is identical to the plain `insert`.
     pub(crate) fn insert_staged(
         &mut self,
         bs: BackendSubId,
@@ -520,12 +462,6 @@ impl CacheManager {
             Some(_) => bad_telemetry::TraceId::for_object(desc.id.as_u64()).as_u64(),
             None => 0,
         };
-        // Before the live NC short-circuit: ghosts apply
-        // their own policy's logic to the raw insert stream.
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_insert(bs, desc, now);
-            profiler.stage(timer, StagePath::InsertShadowReplay, trace);
-        }
         if self.policy.kind() == PolicyKind::NoCache {
             // The baseline broker delivers straight through.
             self.cache_mut(bs)?; // still validate the subscription
@@ -554,11 +490,6 @@ impl CacheManager {
     /// rebalance shrinks this manager's share below its occupancy.
     pub fn enforce_budget(&mut self, now: Timestamp) -> Vec<DroppedObject> {
         let mut dropped = Vec::new();
-        // Ghosts settle under their own (possibly rebalanced) budgets;
-        // a cheap no-op when they are already within bounds.
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_enforce_budget(now);
-        }
         if self.policy.kind() != PolicyKind::Eviction {
             return dropped;
         }
@@ -566,11 +497,6 @@ impl CacheManager {
             let Some(victim) = self.choose_victim(now) else {
                 break;
             };
-            // Audit (sampled): what would the other policies have
-            // picked, given the exact same caches?
-            if let Some(shadow) = self.shadow.as_mut() {
-                shadow.pre_evict_audit(&self.caches, now);
-            }
             let cache = self.caches.get_mut(&victim).expect("victim exists");
             // The victim cache's φ/s score, captured before the drop
             // mutates it — this is the quantity the policy minimised.
@@ -594,9 +520,6 @@ impl CacheManager {
                 SimDuration::ZERO,
             );
             self.reindex(victim, now);
-            if let Some(shadow) = self.shadow.as_mut() {
-                shadow.record_audit(victim, &object, score, now);
-            }
             dropped.push(DroppedObject {
                 cache: victim,
                 reason: DropReason::Evicted,
@@ -614,49 +537,6 @@ impl CacheManager {
     /// A missing cache (NC policy or unknown subscription) misses the
     /// whole range.
     pub fn plan_get(&mut self, bs: BackendSubId, range: TimeRange, now: Timestamp) -> GetPlan {
-        self.plan_get_staged(bs, range, now, &Profiler::disabled(), &mut None)
-    }
-
-    /// [`CacheManager::plan_get`] with profiler stage boundaries
-    /// (lookup / shadow-replay) on the caller's [`OpTimer`]. The
-    /// *trailing* boundary is the caller's: release the shard through
-    /// [`bad_telemetry::ProfiledGuard::unlock_staged`] with
-    /// [`CacheManager::tail_get_stage`], so the hold-time read doubles
-    /// as the final stage boundary.
-    pub(crate) fn plan_get_staged(
-        &mut self,
-        bs: BackendSubId,
-        range: TimeRange,
-        now: Timestamp,
-        profiler: &Profiler,
-        timer: &mut Option<OpTimer>,
-    ) -> GetPlan {
-        let plan = self.plan_get_live(bs, range, now);
-        // Shadow replay runs after the live plan, so the ghosts diff
-        // against exactly what the real cache served (all-missed
-        // branches included); the lookup/replay split only needs its
-        // own boundary when a replay actually follows.
-        if let Some(shadow) = self.shadow.as_mut() {
-            profiler.stage(timer, StagePath::GetLookup, 0);
-            shadow.on_plan_get(bs, range, &plan, now);
-        }
-        plan
-    }
-
-    /// The stage the caller should attribute the under-lock tail of a
-    /// GET plan to when releasing the shard: shadow replay when ghosts
-    /// are live, the lookup itself otherwise.
-    pub(crate) fn tail_get_stage(&self) -> StagePath {
-        if self.shadow.is_some() {
-            StagePath::GetShadowReplay
-        } else {
-            StagePath::GetLookup
-        }
-    }
-
-    /// The live half of [`CacheManager::plan_get`], without the shadow
-    /// replay.
-    fn plan_get_live(&mut self, bs: BackendSubId, range: TimeRange, now: Timestamp) -> GetPlan {
         let (mut cache, mut books) = self.cache_and_books(bs);
         let plan = books.plan(cache.as_deref_mut(), range, now);
         if let Some(cache) = cache {
@@ -691,7 +571,7 @@ impl CacheManager {
     /// One retrieval: [`CacheManager::plan_get`] of `range` followed by
     /// [`CacheManager::ack_consume`] of `sub` up to `up_to`, with one
     /// lookup of the cache and one re-scoring for the pair. Metrics,
-    /// telemetry, sketches and ghosts see the access, then the ack,
+    /// telemetry and sketches see the access, then the ack,
     /// exactly as from the two calls. An unknown cache misses the whole
     /// range and drops nothing.
     pub fn get_and_ack(
@@ -705,10 +585,10 @@ impl CacheManager {
         self.get_and_ack_staged(bs, sub, range, up_to, now, &Profiler::disabled(), &mut None)
     }
 
-    /// [`CacheManager::get_and_ack`] with the stage boundaries between
-    /// its halves on the caller's [`OpTimer`]: lookup, then shadow
-    /// replay when ghosts are live. The ack is the tail, which the
-    /// caller books as [`StagePath::GetAck`] when it releases the shard.
+    /// [`CacheManager::get_and_ack`] with the stage boundary between
+    /// its halves on the caller's [`OpTimer`]: the lookup. The ack is
+    /// the tail, which the caller books as [`StagePath::GetAck`] when it
+    /// releases the shard.
     #[allow(clippy::too_many_arguments)] // the call's five plus the staged pair
     pub(crate) fn get_and_ack_staged(
         &mut self,
@@ -723,10 +603,6 @@ impl CacheManager {
         let (mut cache, mut books) = self.cache_and_books(bs);
         let plan = books.plan(cache.as_deref_mut(), range, now);
         profiler.stage(timer, StagePath::GetLookup, 0);
-        if let Some(shadow) = books.shadow.as_deref_mut() {
-            shadow.on_plan_get(bs, range, &plan, now);
-            profiler.stage(timer, StagePath::GetShadowReplay, 0);
-        }
         let dropped = books
             .ack(cache.as_deref_mut(), bs, sub, up_to, now)
             .unwrap_or_default();
@@ -747,35 +623,10 @@ impl CacheManager {
         requests: &[(BackendSubId, TimeRange)],
         now: Timestamp,
     ) -> Vec<GetPlan> {
-        self.plan_get_batch_staged(requests, now, &Profiler::disabled(), &mut None)
-    }
-
-    /// [`CacheManager::plan_get_batch`] with one stage boundary per
-    /// batch phase (all lookups, then all shadow replays) on the
-    /// caller's [`OpTimer`] — a whole batch costs at most one tick
-    /// read here plus the caller's shared release read (see
-    /// [`CacheManager::tail_get_stage`]), not two per request, so full
-    /// profiling stays affordable on large pending sets. The plans
-    /// (and the replay order the ghosts see) are identical to the
-    /// per-request sequence.
-    pub(crate) fn plan_get_batch_staged(
-        &mut self,
-        requests: &[(BackendSubId, TimeRange)],
-        now: Timestamp,
-        profiler: &Profiler,
-        timer: &mut Option<OpTimer>,
-    ) -> Vec<GetPlan> {
-        let plans: Vec<GetPlan> = requests
+        requests
             .iter()
-            .map(|&(bs, range)| self.plan_get_live(bs, range, now))
-            .collect();
-        if let Some(shadow) = self.shadow.as_mut() {
-            profiler.stage(timer, StagePath::GetLookup, 0);
-            for (&(bs, range), plan) in requests.iter().zip(&plans) {
-                shadow.on_plan_get(bs, range, plan, now);
-            }
-        }
-        plans
+            .map(|&(bs, range)| self.plan_get(bs, range, now))
+            .collect()
     }
 
     /// Applies a batch of `ACK`s in request order, concatenating the
@@ -822,9 +673,6 @@ impl CacheManager {
 
     fn maintain_inner(&mut self, now: Timestamp) -> Vec<DroppedObject> {
         let mut dropped = Vec::new();
-        if let Some(shadow) = self.shadow.as_mut() {
-            shadow.on_maintain(now);
-        }
         if self.policy.uses_ttl()
             && now.since(self.last_ttl_recompute) >= self.ttl.recompute_interval
         {
@@ -953,7 +801,6 @@ impl CacheManager {
             metrics: &mut self.metrics,
             telemetry: &self.telemetry,
             sketches: self.sketches.as_deref(),
-            shadow: self.shadow.as_deref_mut(),
         };
         (self.caches.get_mut(&bs), books)
     }

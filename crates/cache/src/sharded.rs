@@ -43,7 +43,6 @@ use crate::metrics::CacheMetrics;
 use crate::object::NewObject;
 use crate::policy::{PolicyKind, PolicyName};
 use crate::result_cache::{GetPlan, ResultCache};
-use crate::shadow::{ShadowConfig, ShadowSnapshot};
 use crate::telemetry::CacheTelemetry;
 
 /// Splits `budget` into `n` shares that sum to `budget` exactly, the
@@ -323,44 +322,6 @@ impl ShardedCacheManager {
         }
     }
 
-    /// Enables shadow-policy evaluation ([`crate::shadow`]) on every
-    /// shard: each shard gets its own ghost fleet replaying that
-    /// shard's slice of the access stream, merged at read time by
-    /// [`ShardedCacheManager::shadow_snapshot`].
-    pub fn enable_shadow(&self, config: ShadowConfig, now: Timestamp) {
-        for i in 0..self.shards.len() {
-            self.lock(i).enable_shadow(config, now);
-        }
-    }
-
-    /// Registers the `bad_cache_shadow_*` series on `registry` (no-op
-    /// until [`ShardedCacheManager::enable_shadow`]). The labeled
-    /// handles are registry-backed and shared, so per-shard ghost
-    /// bumps aggregate automatically.
-    pub fn set_shadow_telemetry(&self, registry: &bad_telemetry::Registry) {
-        for i in 0..self.shards.len() {
-            self.lock(i).set_shadow_telemetry(registry);
-        }
-    }
-
-    /// The fold of every shard's [`ShadowSnapshot`] — per-policy
-    /// counters sum, audits concatenate in eviction-time order. `None`
-    /// until [`ShardedCacheManager::enable_shadow`]. Locks one shard
-    /// at a time, like [`ShardedCacheManager::metrics`].
-    pub fn shadow_snapshot(&self) -> Option<ShadowSnapshot> {
-        let mut out: Option<ShadowSnapshot> = None;
-        for i in 0..self.shards.len() {
-            let Some(snap) = self.lock(i).shadow_snapshot() else {
-                continue;
-            };
-            match out.as_mut() {
-                Some(merged) => merged.merge(&snap),
-                None => out = Some(snap),
-            }
-        }
-        out
-    }
-
     /// Creates an empty cache for a new backend subscription.
     pub fn create_cache(&self, bs: BackendSubId, now: Timestamp) {
         self.shard(bs).create_cache(bs, now);
@@ -436,9 +397,8 @@ impl ShardedCacheManager {
         let mut timer = p.profiler.op();
         let idx = self.shard_index(bs);
         let mut shard = self.lock_staged(idx, &mut timer, StagePath::GetLockWait, 0);
-        let plan = shard.plan_get_staged(bs, range, now, &p.profiler, &mut timer);
-        let tail = shard.tail_get_stage();
-        shard.unlock_staged(&mut timer, tail);
+        let plan = shard.plan_get(bs, range, now);
+        shard.unlock_staged(&mut timer, StagePath::GetLookup);
         p.profiler.finish(timer, StagePath::GetTotal, 0);
         plan
     }
@@ -543,7 +503,7 @@ impl ShardedCacheManager {
         timer: &mut Option<OpTimer>,
     ) -> Vec<GetPlan> {
         if self.shards.len() == 1 {
-            return self.plan_shard_group(0, requests, now, profiler, timer);
+            return self.plan_shard_group(0, requests, now, timer);
         }
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, &(bs, _)) in requests.iter().enumerate() {
@@ -557,7 +517,7 @@ impl ShardedCacheManager {
             }
             let group: Vec<(BackendSubId, TimeRange)> =
                 indices.iter().map(|&i| requests[i]).collect();
-            let group_plans = self.plan_shard_group(idx, &group, now, profiler, timer);
+            let group_plans = self.plan_shard_group(idx, &group, now, timer);
             for (&i, plan) in indices.iter().zip(group_plans) {
                 plans[i] = Some(plan);
             }
@@ -573,13 +533,11 @@ impl ShardedCacheManager {
         idx: usize,
         group: &[(BackendSubId, TimeRange)],
         now: Timestamp,
-        profiler: &Profiler,
         timer: &mut Option<OpTimer>,
     ) -> Vec<GetPlan> {
         let mut shard = self.lock_staged(idx, timer, StagePath::GetLockWait, 0);
-        let plans = shard.plan_get_batch_staged(group, now, profiler, timer);
-        let tail = shard.tail_get_stage();
-        shard.unlock_staged(timer, tail);
+        let plans = shard.plan_get_batch(group, now);
+        shard.unlock_staged(timer, StagePath::GetLookup);
         plans
     }
 
@@ -1034,7 +992,6 @@ mod tests {
 
     #[test]
     fn fused_get_is_one_acquisition_with_the_ack_as_its_last_stage() {
-        use crate::shadow::ShadowConfig;
         use bad_telemetry::{ProfileConfig, Registry};
 
         let registry = Registry::new();
@@ -1070,17 +1027,6 @@ mod tests {
         let folded = profiler.render_folded();
         assert!(folded.contains("get_all_pending;lookup "), "{folded}");
         assert!(folded.contains("get_all_pending;ack_consume "), "{folded}");
-        assert!(!folded.contains("shadow_replay"), "{folded}");
-
-        // With ghosts live the replay gets its own stage in between.
-        mgr.enable_shadow(ShadowConfig::default(), t(6));
-        mgr.get_and_ack(bs, sub, TimeRange::closed(t(3), t(3)), t(3), t(7));
-        profiler.flush_thread();
-        let folded = profiler.render_folded();
-        assert!(
-            folded.contains("get_all_pending;shadow_replay "),
-            "{folded}"
-        );
     }
 
     #[test]

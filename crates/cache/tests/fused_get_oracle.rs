@@ -4,8 +4,7 @@
 //! drops of the step, on `metrics()`, `total_bytes()`, every cache's
 //! contents and the victim the policy would evict next — under every
 //! policy, with a budget that evicts and one that never does, with
-//! sketches on, with shadow ghosts on, and monolith against
-//! `shards = 1`.
+//! sketches on, and monolith against `shards = 1`.
 //!
 //! The split side reports its miss fetch *between* the plan and the
 //! ack, which is where `Broker::get_results` used to do it; the fused
@@ -14,9 +13,7 @@
 
 mod common;
 
-use bad_cache::{
-    CacheConfig, CacheManager, GetPlan, PolicyName, ResultCache, ShadowConfig, ShardedCacheManager,
-};
+use bad_cache::{CacheConfig, CacheManager, GetPlan, PolicyName, ResultCache, ShardedCacheManager};
 use bad_telemetry::SketchConfig;
 use bad_types::{
     BackendSubId, ByteSize, ObjectId, SimDuration, SubscriberId, TimeRange, Timestamp,
@@ -305,44 +302,6 @@ fn fused_matches_plan_then_ack_with_sketches() {
                 "{label} seed {seed}: the sketches saw different streams"
             );
             assert!(hot_fused.totals().requests > 0);
-        }
-    }
-}
-
-#[test]
-fn fused_matches_plan_then_ack_with_shadow_ghosts() {
-    let shadow = ShadowConfig {
-        sample_every_n: 1,
-        ..ShadowConfig::default()
-    };
-    let ghosted = |policy, budget| {
-        let mut mgr = CacheManager::new(policy, config(budget));
-        mgr.enable_shadow(shadow, Timestamp::ZERO);
-        mgr
-    };
-    for policy in PolicyName::ALL {
-        // Seven ghost managers replay every step: a quarter of the
-        // seeds keeps the debug run in seconds.
-        for seed in 1..=SEEDS / 4 {
-            for budget in [TIGHT, AMPLE] {
-                let label = format!("{policy:?} budget {budget} shadow");
-                let (fused, split, _) = assert_lockstep(
-                    &label,
-                    seed,
-                    Side::new(ghosted(policy, budget), Retrieval::Fused),
-                    Side::new(ghosted(policy, budget), Retrieval::Split),
-                );
-                let report = |mgr: &CacheManager| {
-                    mgr.shadow_snapshot()
-                        .expect("shadow enabled")
-                        .to_json(mgr.metrics())
-                };
-                assert_eq!(
-                    report(&fused),
-                    report(&split),
-                    "{label} seed {seed}: ghost reports"
-                );
-            }
         }
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bad_cache::{CacheConfig, CacheManager, CacheTelemetry, PolicyName, ShardedCacheManager};
 use bad_telemetry::{ProfileConfig, Profiler, Registry, RingBufferSink, SharedSink};
-use bad_types::{ByteSize, SimDuration, Timestamp};
+use bad_types::{ByteSize, SimDuration};
 use common::{gen_ops, replay, Driver};
 
 const SEEDS: [u64; 4] = [7, 21, 42, 1009];
@@ -60,16 +60,15 @@ fn single_shard_matches_monolith_dropped_streams_and_metrics() {
 }
 
 /// Replays one tape into a monolith and a one-shard manager — each
-/// with telemetry on a registry and event ring of its own, and armed by
-/// the caller — and holds the two to byte parity: replay log, metrics,
-/// telemetry event stream, rendered cache registry. Returns both
-/// managers for whatever else the caller wants to compare.
+/// with telemetry on a registry and event ring of its own, the shard
+/// armed by the caller — and holds the two to byte parity: replay log,
+/// metrics, telemetry event stream, rendered cache registry. Returns the
+/// sharded manager for whatever else the caller wants to check.
 fn assert_single_shard_parity(
     policy: PolicyName,
     seed: u64,
-    arm_mono: impl FnOnce(&mut CacheManager),
     arm_sharded: impl FnOnce(&mut ShardedCacheManager),
-) -> (CacheManager, ShardedCacheManager) {
+) -> ShardedCacheManager {
     let ops = gen_ops(seed, OPS_PER_SEED, 4, 8);
 
     let mono_registry = Registry::new();
@@ -79,7 +78,6 @@ fn assert_single_shard_parity(
         &mono_registry,
         mono_ring.clone() as SharedSink,
     ));
-    arm_mono(&mut mono);
     let mono_log = replay(&mut mono, &ops, 4);
 
     let sharded_registry = Registry::new();
@@ -108,13 +106,13 @@ fn assert_single_shard_parity(
         sharded_registry.render(),
         "{policy:?}: rendered registries diverged"
     );
-    (mono, sharded)
+    sharded
 }
 
 #[test]
 fn single_shard_matches_monolith_telemetry() {
     for policy in policies() {
-        assert_single_shard_parity(policy, 42, |_| {}, |_| {});
+        assert_single_shard_parity(policy, 42, |_| {});
     }
 }
 
@@ -127,12 +125,7 @@ fn single_shard_with_full_profiling_matches_monolith() {
     for policy in policies() {
         let profile_registry = Registry::new();
         let profiler = Profiler::new(&profile_registry, ProfileConfig { sample_every_n: 1 });
-        assert_single_shard_parity(
-            policy,
-            1009,
-            |_| {},
-            |sharded| sharded.set_profiler(&profiler),
-        );
+        assert_single_shard_parity(policy, 1009, |sharded| sharded.set_profiler(&profiler));
 
         // And the profiler really was live: it attributed lock
         // acquisitions to the single shard and folded stage samples.
@@ -161,12 +154,9 @@ fn single_shard_with_sketches_matches_monolith() {
     use bad_telemetry::SketchConfig;
 
     for policy in policies() {
-        let (_, sharded) = assert_single_shard_parity(
-            policy,
-            21,
-            |_| {},
-            |sharded| sharded.enable_sketches(SketchConfig::default()),
-        );
+        let sharded = assert_single_shard_parity(policy, 21, |sharded| {
+            sharded.enable_sketches(SketchConfig::default())
+        });
 
         // And the sketches really were live: the replay's requests
         // landed in the heavy-hitter axes.
@@ -174,34 +164,6 @@ fn single_shard_with_sketches_matches_monolith() {
         assert!(
             snapshot.totals().requests > 0,
             "{policy:?}: sketches saw no requests"
-        );
-    }
-}
-
-/// Shadow evaluation replays every access into the ghost fleet under
-/// the shard lock: with ghosts live on both sides a single shard must
-/// still match the monolith byte for byte, ghost counters included.
-#[test]
-fn single_shard_with_shadow_matches_monolith() {
-    use bad_cache::ShadowConfig;
-
-    let shadow = ShadowConfig {
-        sample_every_n: 1,
-        ..ShadowConfig::default()
-    };
-    for policy in policies() {
-        let (mono, sharded) = assert_single_shard_parity(
-            policy,
-            7,
-            |mono| mono.enable_shadow(shadow, Timestamp::ZERO),
-            |sharded| sharded.enable_shadow(shadow, Timestamp::ZERO),
-        );
-        let mono_snap = mono.shadow_snapshot().expect("shadow enabled");
-        let sharded_snap = sharded.shadow_snapshot().expect("shadow enabled");
-        assert_eq!(
-            mono_snap.to_json(mono.metrics()),
-            sharded_snap.to_json(&sharded.metrics()),
-            "{policy:?}: shadow reports diverged"
         );
     }
 }

@@ -414,17 +414,13 @@ impl Deployment {
         // what is running — crate version plus the feature knobs that
         // change hot-path behaviour. Scrapes join it against any other
         // series to tell "which build/config produced these numbers".
-        let build_labels: [(&str, String); 6] = [
+        let build_labels: [(&str, String); 5] = [
             ("version", env!("CARGO_PKG_VERSION").to_owned()),
             ("policy", policy.as_str().to_owned()),
             ("shards", config.shards.to_string()),
             (
                 "profile",
                 if profiler.enabled() { "on" } else { "off" }.to_owned(),
-            ),
-            (
-                "shadow",
-                if config.shadow.is_some() { "on" } else { "off" }.to_owned(),
             ),
             (
                 "sketches",
@@ -523,14 +519,15 @@ impl Deployment {
 
     /// Binds a scrape endpoint (use port `0` for an ephemeral port)
     /// serving `/metrics` (Prometheus text), `/healthz` (per-shard cache
-    /// occupancy, build info and top contended locks as
-    /// JSON), `/policies` (live vs. shadow-policy counterfactuals, when
-    /// shadow evaluation is enabled), `/trace/recent` (the flight
-    /// recorder's span ring as JSON, capped by `?limit=`), `/profile`
-    /// (the continuous profiler's folded-stack stage tree plus per-site
-    /// lock wait/hold breakdown, when booted via
-    /// [`Deployment::start_observed`]) and `/hot` (sketch-based
-    /// heavy-hitter attribution, when sketches are enabled).
+    /// occupancy, build info and top contended locks as JSON),
+    /// `/trace/recent` (the flight recorder's span ring as JSON, capped
+    /// by `?limit=`), `/timeseries` and `/alerts` (the health engine's
+    /// windowed history and alert states), `/profile` (the continuous
+    /// profiler's folded-stack stage tree plus per-site lock wait/hold
+    /// breakdown) — those three when booted via
+    /// [`Deployment::start_observed`] — and `/hot` (sketch-based
+    /// heavy-hitter attribution, when sketches are enabled). Any other
+    /// path answers a JSON `404`.
     ///
     /// # Errors
     ///
@@ -611,15 +608,8 @@ impl Deployment {
             }
             out
         });
-        let policy_cache = Arc::clone(&self.cache);
-        let policies: bad_telemetry::PoliciesFn =
-            Arc::new(move || match policy_cache.shadow_snapshot() {
-                Some(snapshot) => snapshot.to_json(&policy_cache.metrics()),
-                None => r#"{"error":"shadow evaluation disabled"}"#.to_owned(),
-            });
         let endpoints = bad_telemetry::ScrapeEndpoints {
             health,
-            policies: Some(policies),
             timeseries: self.health.as_ref().map(|engine| {
                 let engine = Arc::clone(engine);
                 Arc::new(move || engine.timeseries_json()) as bad_telemetry::EndpointFn

@@ -1,10 +1,10 @@
 //! Scrape-endpoint smoke test: boots an *observed* deployment (live
-//! lifecycle tracer, shadow-policy ghosts, continuous health engine),
-//! drives one publish → notify → retrieve round through the threaded
-//! runtime, then scrapes `/metrics`, `/healthz`, `/trace/recent`
-//! (including its `?limit=` cap), `/policies`, `/timeseries`,
-//! `/alerts` and `/hot` over a real TCP socket like Prometheus would —
-//! and checks malformed request lines get a clean 400. A second test
+//! lifecycle tracer, continuous health engine), drives one publish →
+//! notify → retrieve round through the threaded runtime, then scrapes
+//! `/metrics`, `/healthz`, `/trace/recent` (including its `?limit=`
+//! cap), `/timeseries`, `/alerts` and `/hot` over a real TCP socket
+//! like Prometheus would — and checks that an unknown path gets a JSON
+//! 404 and malformed request lines a clean 400. A second test
 //! checks that `/healthz` answers while the broker is stuck in a cluster
 //! round trip.
 
@@ -14,7 +14,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bad_broker::BrokerConfig;
-use bad_cache::{PolicyName, ShadowConfig};
+use bad_cache::PolicyName;
 use bad_proto::harness::build_emergency_cluster;
 use bad_proto::Deployment;
 use bad_query::ParamBindings;
@@ -54,10 +54,6 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     let cluster = build_emergency_cluster().unwrap();
     let config = BrokerConfig {
         shards: 2,
-        shadow: Some(ShadowConfig {
-            sample_every_n: 1,
-            audit_capacity: 16,
-        }),
         ..BrokerConfig::default()
     };
     let dep = Deployment::start_observed(
@@ -121,13 +117,6 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     assert!(metrics.contains("bad_delivery_latency_slo_violations_total"));
     assert!(metrics.contains("bad_staleness_slo_violations_total"));
     assert!(metrics.contains("bad_cache_hit_objects_total"));
-    // Shadow ghosts publish per-policy counterfactual series on the
-    // same registry.
-    assert!(
-        metrics.contains("bad_cache_shadow_hit_objects_total{policy=\"LSC\"}"),
-        "missing ghost hit counter:\n{metrics}"
-    );
-    assert!(metrics.contains("bad_cache_shadow_sampled_accesses_total"));
     // The profiler publishes its stage/lock series on the same registry,
     // and the build-info gauge identifies what is running.
     assert!(
@@ -143,9 +132,7 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         "missing build-info gauge:\n{metrics}"
     );
     assert!(
-        metrics.contains("policy=\"LSC\"")
-            && metrics.contains("profile=\"on\"")
-            && metrics.contains("shadow=\"on\""),
+        metrics.contains("policy=\"LSC\"") && metrics.contains("profile=\"on\""),
         "build-info labels incomplete:\n{metrics}"
     );
     assert!(
@@ -166,12 +153,11 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     assert!(health.contains("\"health\":{"), "{health}");
     assert!(health.contains("\"firing\""), "{health}");
     assert!(health.contains("\"drift_score\""), "{health}");
-    // Build info (the ghost fleet's state among its knobs) and the
-    // profiler's top-contended summary ride the same body.
+    // Build info and the profiler's top-contended summary ride the
+    // same body.
     assert!(health.contains("\"build\":{"), "{health}");
     assert!(health.contains("\"policy\":\"LSC\""), "{health}");
     assert!(health.contains("\"profile\":\"on\""), "{health}");
-    assert!(health.contains("\"shadow\":\"on\""), "{health}");
     assert!(health.contains("\"top_contended\":["), "{health}");
     // The sketches' top-5 summary rides the same body: the "who is
     // eating the cache" answer from one probe.
@@ -203,20 +189,14 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         "no shard lock site:\n{profile}"
     );
 
-    // /policies: live-vs-ghost counterfactual hit ratios as JSON, with
-    // the ghost of the live policy in exact agreement (zero regret).
+    // /policies is not a route: it gets the JSON 404 that every unknown
+    // path gets.
     let policies = http_get(addr, "/policies");
-    assert!(policies.starts_with("HTTP/1.1 200"), "{policies}");
-    assert!(policies.contains("application/json"), "{policies}");
-    assert!(policies.contains("\"live_policy\":\"LSC\""), "{policies}");
-    assert!(policies.contains("\"ghosts\":["), "{policies}");
-    assert!(policies.contains("\"policy\":\"LRU\""), "{policies}");
-    assert!(policies.contains("\"best_policy\""), "{policies}");
+    assert!(policies.starts_with("HTTP/1.1 404"), "{policies}");
     assert!(
-        policies.contains("\"regret_live_hit_ghost_miss\":0"),
+        policies.ends_with(r#"{"error":"not found","path":"/policies"}"#),
         "{policies}"
     );
-    assert!(policies.contains("\"sample_every_n\":1"), "{policies}");
 
     // /trace/recent: the flight recorder saw the lifecycle (at minimum
     // the produced-result root spans and the cache inserts).

@@ -59,11 +59,6 @@ pub struct SimConfig {
     /// here; the knob exists so sweep configs can be shared with the
     /// threaded prototype.
     pub shards: usize,
-    /// Shadow-policy ghost caches (`bad_cache::shadow`): evaluate every
-    /// catalog policy counterfactually on each `n`-th sampled access.
-    /// `0` (the default) disables shadow evaluation; `1` shadows every
-    /// access (full parity with the live cache's counters).
-    pub shadow_sample_every_n: u32,
     /// Continuous hot-path profiler (`bad_telemetry::profile`): `0`
     /// (the default) disables profiling, `n` samples every `n`-th
     /// operation's stage breakdown (`1` = every op; lock sites are
@@ -104,7 +99,6 @@ impl SimConfig {
             cache: CacheConfig::default(),
             subscription_lifetime: None,
             shards: 1,
-            shadow_sample_every_n: 0,
             profile: 0,
             sketch_sample_every_n: 0,
         }
@@ -151,7 +145,6 @@ impl SimConfig {
             cache: CacheConfig::default(),
             subscription_lifetime: None,
             shards: 1,
-            shadow_sample_every_n: 0,
             profile: 0,
             sketch_sample_every_n: 0,
         }

@@ -131,13 +131,6 @@ impl Simulation {
 
         let mut cache = config.cache;
         cache.budget = config.cache_budget;
-        let shadow = match config.shadow_sample_every_n {
-            0 => None,
-            n => Some(bad_cache::ShadowConfig {
-                sample_every_n: n,
-                ..bad_cache::ShadowConfig::default()
-            }),
-        };
         let sketches = match config.sketch_sample_every_n {
             0 => None,
             n => Some(bad_telemetry::SketchConfig {
@@ -151,7 +144,6 @@ impl Simulation {
                 cache,
                 net: config.net,
                 shards: config.shards,
-                shadow,
                 sketches,
             },
         );
@@ -178,13 +170,6 @@ impl Simulation {
             subscription_lifetime,
             health: None,
         })
-    }
-
-    /// A shared handle to the broker's cache tier. Lets callers read
-    /// shadow-policy snapshots ([`bad_cache::ShadowSnapshot`]) after
-    /// [`Simulation::run`] consumed the simulation itself.
-    pub fn cache_handle(&self) -> std::sync::Arc<bad_cache::ShardedCacheManager> {
-        self.broker.cache_handle()
     }
 
     /// Routes the run's telemetry — cache and broker metric families on
@@ -610,73 +595,6 @@ mod tests {
         assert!(report.mean_holding > SimDuration::ZERO);
         // The per-epoch series backs the scalar: its mean is the report value.
         assert!(report.samples.iter().any(|s| s.expected_ttl_bytes > 0.0));
-    }
-
-    #[test]
-    fn shadow_ghost_of_live_policy_matches_live_cache_exactly() {
-        // Acceptance: with full sampling (n = 1) the ghost running the
-        // live policy replays the identical access stream, so its
-        // hit/miss counters are byte-identical to the real cache's and
-        // both regret directions are exactly 0 — for 1 and 4 shards.
-        for (policy, shards) in [
-            (PolicyName::Lru, 1),
-            (PolicyName::Lru, 4),
-            (PolicyName::Lsc, 1),
-            (PolicyName::Lsc, 4),
-            (PolicyName::Ttl, 1),
-        ] {
-            let mut config = SimConfig::smoke().with_budget(ByteSize::from_kib(200));
-            config.shards = shards;
-            config.shadow_sample_every_n = 1;
-            let sim = Simulation::new(policy, config, 21).unwrap();
-            let cache = sim.cache_handle();
-            let _report = sim.run();
-
-            let live = cache.metrics();
-            let snapshot = cache.shadow_snapshot().expect("shadow enabled");
-            let ghost = snapshot.ghost(policy).expect("ghost of live policy");
-            assert_eq!(
-                ghost.counters.hit_objects, live.hit_objects,
-                "{policy}/{shards}: ghost hit objects"
-            );
-            assert_eq!(
-                ghost.counters.hit_bytes,
-                live.hit_bytes.as_u64(),
-                "{policy}/{shards}: ghost hit bytes"
-            );
-            assert_eq!(
-                ghost.counters.miss_objects, live.miss_objects,
-                "{policy}/{shards}: ghost miss objects"
-            );
-            assert_eq!(
-                ghost.counters.miss_bytes,
-                live.miss_bytes.as_u64(),
-                "{policy}/{shards}: ghost miss bytes"
-            );
-            assert_eq!(
-                ghost.counters.regret_live_hit_ghost_miss, 0,
-                "{policy}/{shards}: live-hit/ghost-miss regret"
-            );
-            assert_eq!(
-                ghost.counters.regret_ghost_hit_live_miss, 0,
-                "{policy}/{shards}: ghost-hit/live-miss regret"
-            );
-        }
-    }
-
-    #[test]
-    fn shadow_runs_stay_deterministic_and_leave_baseline_untouched() {
-        let mut config = SimConfig::smoke().with_budget(ByteSize::from_kib(200));
-        config.shadow_sample_every_n = 8;
-        let a = Simulation::new(PolicyName::Lsc, config.clone(), 7)
-            .unwrap()
-            .run();
-        let b = Simulation::new(PolicyName::Lsc, config, 7).unwrap().run();
-        assert_eq!(a, b, "shadowed runs are deterministic");
-        // The ghosts are pure observers: the live run's report matches a
-        // run with shadow evaluation off.
-        let baseline = run(PolicyName::Lsc, 200, 7);
-        assert_eq!(a, baseline, "shadow evaluation perturbs the live run");
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   violation counters) with a [`FlightRecorder`] ring for post-mortem
 //!   dumps and a [`Tracer`] emission point shared by every layer.
 //! - [`ScrapeServer`]: a std-only TCP endpoint serving `/metrics`
-//!   (Prometheus text), `/healthz`, `/trace/recent`, `/policies`,
-//!   `/timeseries`, `/alerts`, `/profile` and `/hot` live.
+//!   (Prometheus text), `/healthz`, `/trace/recent`, `/timeseries`,
+//!   `/alerts`, `/profile` and `/hot` live.
 //! - [`sketch`]: fixed-memory hot-key attribution — Space-Saving
 //!   heavy hitters along four axes (requests / bytes / misses / SLO
 //!   violations), a HyperLogLog-style distinct-active estimator and
@@ -93,7 +93,7 @@ pub use profile::{LockSite, OpTimer, ProfileConfig, ProfiledGuard, Profiler, Sta
 pub use registry::{escape_label_value, Counter, Gauge, Registry};
 pub use sampler::{Sample, Sampler};
 pub use scrape::{
-    EndpointFn, HealthFn, LimitFn, PoliciesFn, ScrapeEndpoints, ScrapeServer, DEFAULT_SCRAPE_LIMIT,
+    EndpointFn, HealthFn, LimitFn, ScrapeEndpoints, ScrapeServer, DEFAULT_SCRAPE_LIMIT,
 };
 pub use sketch::{
     DistinctEstimator, HotSnapshot, LagHist, SketchConfig, SketchRecorder, SketchTotals,

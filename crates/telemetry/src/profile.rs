@@ -152,8 +152,6 @@ pub enum StagePath {
     GetLockWait,
     /// In-cache range lookup under the shard lock.
     GetLookup,
-    /// Ghost-cache shadow replay of the GET access.
-    GetShadowReplay,
     /// The one batched cluster round trip for the missed ranges.
     GetClusterRtt,
     /// Post-delivery consume acknowledgement under the shard lock.
@@ -175,8 +173,6 @@ pub enum StagePath {
     InsertApply,
     /// The `enforce_budget` victim-selection/eviction loop.
     InsertVictimScan,
-    /// Ghost-cache shadow replay of the insert.
-    InsertShadowReplay,
     /// Whole `maintain` operation (root).
     MaintainTotal,
     /// Waiting on (and acquiring) shard mutexes during maintenance.
@@ -189,7 +185,7 @@ pub enum StagePath {
 
 impl StagePath {
     /// Number of stage paths (array sizes).
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 17;
 
     /// Every path, in render order.
     pub const ALL: [StagePath; Self::COUNT] = [
@@ -197,7 +193,6 @@ impl StagePath {
         StagePath::GetRoute,
         StagePath::GetLockWait,
         StagePath::GetLookup,
-        StagePath::GetShadowReplay,
         StagePath::GetClusterRtt,
         StagePath::GetAck,
         StagePath::GetOptimisticRead,
@@ -207,7 +202,6 @@ impl StagePath {
         StagePath::InsertLockWait,
         StagePath::InsertApply,
         StagePath::InsertVictimScan,
-        StagePath::InsertShadowReplay,
         StagePath::MaintainTotal,
         StagePath::MaintainLockWait,
         StagePath::MaintainTtlExpiry,
@@ -221,7 +215,6 @@ impl StagePath {
             StagePath::GetRoute => "get_all_pending;route",
             StagePath::GetLockWait => "get_all_pending;lock_wait",
             StagePath::GetLookup => "get_all_pending;lookup",
-            StagePath::GetShadowReplay => "get_all_pending;shadow_replay",
             StagePath::GetClusterRtt => "get_all_pending;cluster_rtt",
             StagePath::GetAck => "get_all_pending;ack_consume",
             StagePath::GetOptimisticRead => "get_all_pending;optimistic_read",
@@ -231,7 +224,6 @@ impl StagePath {
             StagePath::InsertLockWait => "insert;lock_wait",
             StagePath::InsertApply => "insert;apply",
             StagePath::InsertVictimScan => "insert;victim_scan",
-            StagePath::InsertShadowReplay => "insert;shadow_replay",
             StagePath::MaintainTotal => "maintain",
             StagePath::MaintainLockWait => "maintain;lock_wait",
             StagePath::MaintainTtlExpiry => "maintain;ttl_expiry",
@@ -246,7 +238,6 @@ impl StagePath {
             | StagePath::GetRoute
             | StagePath::GetLockWait
             | StagePath::GetLookup
-            | StagePath::GetShadowReplay
             | StagePath::GetClusterRtt
             | StagePath::GetAck
             | StagePath::GetOptimisticRead
@@ -255,8 +246,7 @@ impl StagePath {
             StagePath::InsertTotal
             | StagePath::InsertLockWait
             | StagePath::InsertApply
-            | StagePath::InsertVictimScan
-            | StagePath::InsertShadowReplay => StagePath::InsertTotal,
+            | StagePath::InsertVictimScan => StagePath::InsertTotal,
             StagePath::MaintainTotal
             | StagePath::MaintainLockWait
             | StagePath::MaintainTtlExpiry
@@ -931,9 +921,9 @@ impl<'a, T> ProfiledGuard<'a, T> {
     /// Releases the guard, recording the hold time *and* crossing the
     /// sampled op's `path` boundary with one shared tick read — the
     /// release-side counterpart of [`LockSite::lock_staged`]. `path`
-    /// is the stage the under-lock tail belongs to (lookup,
-    /// shadow-replay, ack); callers that let the guard drop implicitly
-    /// instead pay a separate read for the next boundary.
+    /// is the stage the under-lock tail belongs to (lookup or ack);
+    /// callers that let the guard drop implicitly instead pay a
+    /// separate read for the next boundary.
     #[inline]
     pub fn unlock_staged(mut self, timer: &mut Option<OpTimer>, path: StagePath) {
         let hold = self.hold.take();

@@ -1,6 +1,6 @@
 //! A std-only TCP scrape endpoint: live `/metrics`, `/healthz`,
-//! `/trace/recent`, `/policies`, `/timeseries`, `/alerts`, `/profile`
-//! and `/hot` while a runtime is up.
+//! `/trace/recent`, `/timeseries`, `/alerts`, `/profile` and `/hot`
+//! while a runtime is up.
 //!
 //! The growable bodies (`/trace/recent` spans, `/profile` lock sites)
 //! accept a `?limit=N` query parameter and default to
@@ -55,11 +55,6 @@ use crate::trace::FlightRecorder;
 /// occupancy here without `bad-telemetry` depending on the cache tier.
 pub type HealthFn = Arc<dyn Fn() -> String + Send + Sync>;
 
-/// Renders the `/policies` JSON body (shadow-policy counterfactuals);
-/// like [`HealthFn`] this keeps `bad-telemetry` free of a cache-tier
-/// dependency.
-pub type PoliciesFn = Arc<dyn Fn() -> String + Send + Sync>;
-
 /// Renders an optional JSON endpoint body (`/timeseries`, `/alerts`,
 /// `/hot`).
 pub type EndpointFn = Arc<dyn Fn() -> String + Send + Sync>;
@@ -76,15 +71,12 @@ pub const DEFAULT_SCRAPE_LIMIT: usize = 512;
 
 /// The closure set behind the server's routes. Only `health` is
 /// mandatory; absent optional endpoints answer `200` with an
-/// explanatory `{"error": …}` body (same contract as `/policies`
-/// before this struct existed) so probes can distinguish "disabled"
-/// from "no such route".
+/// explanatory `{"error": …}` body so probes can distinguish
+/// "disabled" from "no such route" (a `404`).
 #[derive(Clone)]
 pub struct ScrapeEndpoints {
     /// `/healthz`.
     pub health: HealthFn,
-    /// `/policies` (shadow-policy counterfactuals), if enabled.
-    pub policies: Option<PoliciesFn>,
     /// `/timeseries` (windowed registry history), if enabled.
     pub timeseries: Option<EndpointFn>,
     /// `/alerts` (burn-rate/drift alert states), if enabled.
@@ -101,7 +93,6 @@ impl ScrapeEndpoints {
     pub fn health_only(health: HealthFn) -> Self {
         Self {
             health,
-            policies: None,
             timeseries: None,
             alerts: None,
             profile: None,
@@ -140,27 +131,6 @@ impl ScrapeServer {
             registry,
             recorder,
             ScrapeEndpoints::health_only(health),
-        )
-    }
-
-    /// Like [`bind`](Self::bind), but also serves a `/policies` JSON view
-    /// rendered by `policies` (live vs. ghost hit ratios, regret, best
-    /// policy — see `bad_cache::shadow`).
-    pub fn bind_with_policies(
-        addr: impl ToSocketAddrs,
-        registry: Registry,
-        recorder: Arc<FlightRecorder>,
-        health: HealthFn,
-        policies: PoliciesFn,
-    ) -> io::Result<Self> {
-        Self::bind_with_endpoints(
-            addr,
-            registry,
-            recorder,
-            ScrapeEndpoints {
-                policies: Some(policies),
-                ..ScrapeEndpoints::health_only(health)
-            },
         )
     }
 
@@ -257,11 +227,6 @@ fn serve_one(
                     "200 OK",
                     "application/json",
                     recorder.to_json_limit(limit.unwrap_or(DEFAULT_SCRAPE_LIMIT)),
-                ),
-                "/policies" => (
-                    "200 OK",
-                    "application/json",
-                    optional(endpoints.policies.as_ref(), "shadow evaluation disabled"),
                 ),
                 "/timeseries" => (
                     "200 OK",
@@ -492,33 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn policies_endpoint_serves_injected_body_and_defaults_to_disabled() {
-        let (server, _registry, _recorder) = test_server();
-        // The 4-arg `bind` has no policies closure: the route still
-        // answers 200 with an explanatory body.
-        let (head, body) = get(server.local_addr(), "/policies");
-        assert!(head.starts_with("HTTP/1.1 200 OK"));
-        assert_eq!(body, r#"{"error":"shadow evaluation disabled"}"#);
-        server.shutdown();
-
-        let registry = Registry::new();
-        let recorder = Arc::new(FlightRecorder::new(1, 16));
-        let server = ScrapeServer::bind_with_policies(
-            "127.0.0.1:0",
-            registry.clone(),
-            Arc::clone(&recorder),
-            Arc::new(|| "{}".to_owned()),
-            Arc::new(|| r#"{"live_policy":"LRU"}"#.to_owned()),
-        )
-        .unwrap();
-        let (head, body) = get(server.local_addr(), "/policies");
-        assert!(head.starts_with("HTTP/1.1 200 OK"));
-        assert_framing(&head, &body, "application/json");
-        assert_eq!(body, r#"{"live_policy":"LRU"}"#);
-        server.shutdown();
-    }
-
-    #[test]
     fn timeseries_and_alerts_routes_serve_injected_bodies() {
         let registry = Registry::new();
         let recorder = Arc::new(FlightRecorder::new(1, 16));
@@ -528,7 +466,6 @@ mod tests {
             Arc::clone(&recorder),
             ScrapeEndpoints {
                 health: Arc::new(|| "{}".to_owned()),
-                policies: None,
                 timeseries: Some(Arc::new(|| r#"{"windows":3}"#.to_owned())),
                 alerts: Some(Arc::new(|| r#"{"firing":1}"#.to_owned())),
                 profile: None,
@@ -710,21 +647,12 @@ mod tests {
     }
 
     #[test]
-    fn policies_survives_a_byte_by_byte_slow_client() {
-        let registry = Registry::new();
-        let recorder = Arc::new(FlightRecorder::new(1, 16));
-        let server = ScrapeServer::bind_with_policies(
-            "127.0.0.1:0",
-            registry,
-            recorder,
-            Arc::new(|| "{}".to_owned()),
-            Arc::new(|| r#"{"best_policy":"LSC"}"#.to_owned()),
-        )
-        .unwrap();
+    fn healthz_survives_a_byte_by_byte_slow_client() {
+        let (server, _registry, _recorder) = test_server();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // Dribble the request line one byte at a time; `read_request_line`
         // must keep reading until it sees the newline.
-        for byte in b"GET /policies HTTP/1.1\r\nHost: test\r\n\r\n" {
+        for byte in b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n" {
             stream.write_all(std::slice::from_ref(byte)).unwrap();
             stream.flush().unwrap();
         }
@@ -732,7 +660,7 @@ mod tests {
         stream.read_to_string(&mut response).unwrap();
         let (head, body) = response.split_once("\r\n\r\n").unwrap();
         assert!(head.starts_with("HTTP/1.1 200 OK"));
-        assert_eq!(body, r#"{"best_policy":"LSC"}"#);
+        assert_eq!(body, r#"{"shards":2}"#);
         server.shutdown();
     }
 

@@ -87,7 +87,7 @@ define_id!(
 /// The splitmix64 finalizer: a bijection on `u64` whose every output
 /// bit depends on every input bit, so consecutive identifiers spread
 /// evenly whichever bits a consumer reads. Routes caches to shards,
-/// samples shadowed streams and hashes [`IdMap`] keys.
+/// drives [`crate::rng::Rng`] and hashes [`IdMap`] keys.
 pub const fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
