@@ -3,12 +3,12 @@
 
 use std::sync::Arc;
 
-use bad_cache::{CacheConfig, NewObject, PolicyName, ShardedCacheManager};
+use bad_cache::{CacheConfig, GetPlan, NewObject, PolicyName, ShardedCacheManager};
 use bad_cluster::{DataCluster, Notification};
 use bad_net::NetworkModel;
 use bad_query::ParamBindings;
 use bad_storage::ResultObject;
-use bad_telemetry::{Profiler, StagePath, TraceId};
+use bad_telemetry::{Profiler, StagePath, TraceId, Tracer};
 use bad_types::{
     BackendSubId, ByteSize, FrontendSubId, Result, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
@@ -461,31 +461,15 @@ impl Broker {
             .cache
             .get_and_ack(backend_id, subscriber, range, last_seen, now);
 
-        let tracer = self.telemetry.tracer();
-        if tracer.enabled() {
-            // One hit span per cached object: the end-to-end lag a
-            // subscriber observes is produce→deliver.
-            for &(object, ts, size) in &plan.cached {
-                tracer.on_retrieve_hit(
-                    now.as_micros(),
-                    backend_id.as_u64(),
-                    object.as_u64(),
-                    subscriber.as_u64(),
-                    size.as_u64(),
-                    now.as_micros().saturating_sub(ts.as_micros()),
-                );
-            }
-        }
-        // Hot-key attribution: the same produce→deliver lag per served
-        // object feeds the per-key quantiles and SLO-violation axis.
-        if self.cache.sketches_enabled() {
-            for &(_, ts, _) in &plan.cached {
-                self.cache.record_delivery_lag(
-                    backend_id,
-                    now.as_micros().saturating_sub(ts.as_micros()),
-                );
-            }
-        }
+        // One hit span per cached object: the end-to-end lag a
+        // subscriber observes is produce→deliver. (The cache fed the
+        // same lags to the sketches while it held the shard.)
+        self.telemetry.tracer().on_retrieve_hits(
+            now.as_micros(),
+            backend_id.as_u64(),
+            subscriber.as_u64(),
+            served_objects(&plan, now),
+        );
 
         // Each miss range goes to the cluster, and is not re-cached.
         let mut miss_objects = 0u64;
@@ -493,7 +477,15 @@ impl Broker {
         for &missed_range in &plan.missed {
             let objects = cluster.cluster_fetch(backend_id, missed_range);
             miss_objects += objects.len() as u64;
-            miss_bytes += self.record_misses(backend_id, subscriber, &objects, now);
+            miss_bytes += record_misses(
+                &self.cache,
+                self.telemetry.tracer(),
+                &self.net,
+                backend_id,
+                subscriber,
+                &objects,
+                now,
+            );
         }
 
         let latency = self.net.delivery_latency(plan.cached_bytes, miss_bytes);
@@ -536,10 +528,19 @@ impl Broker {
         subscriber: SubscriberId,
         now: Timestamp,
     ) -> Result<Vec<Delivery>> {
+        // The fields are borrowed apart: the profiler is read all along
+        // while the subscription table and the delivery books change.
+        let Self {
+            subs,
+            cache,
+            net,
+            delivery: books,
+            telemetry,
+            profiler,
+        } = self;
         // Envelope for the whole batched retrieval; leaves recorded by
         // the cache tier (route/lock-wait/lookup) and the cluster round
         // trip below fold under `get_all_pending` in the call tree.
-        let profiler = self.profiler.clone();
         let mut timer = profiler.op();
         let trace_id = match timer {
             Some(_) => TraceId::for_object(subscriber.as_u64()).as_u64(),
@@ -548,8 +549,7 @@ impl Broker {
 
         // Gather every pending subscription's context in one pass over
         // the subscriber's frontends (Copy fields only).
-        let pending: Vec<(FrontendSubId, BackendSubId, TimeRange, Timestamp)> = self
-            .subs
+        let pending: Vec<(FrontendSubId, BackendSubId, TimeRange, Timestamp)> = subs
             .pending_of(subscriber)
             .map(|p| {
                 let range =
@@ -571,35 +571,16 @@ impl Broker {
         // The gather loop above is envelope self-time; start the stage
         // clock at the cache boundary so route/lock-wait stay honest.
         profiler.stage_skip(&mut timer);
-        let plans = self
-            .cache
-            .plan_get_batch_staged(&requests, now, &profiler, &mut timer);
+        let plans = cache.plan_get_batch_staged(&requests, now, profiler, &mut timer);
 
-        let tracer = self.telemetry.tracer();
-        if tracer.enabled() {
-            for (&(_, backend_id, _, _), plan) in pending.iter().zip(&plans) {
-                for &(object, ts, size) in &plan.cached {
-                    tracer.on_retrieve_hit(
-                        now.as_micros(),
-                        backend_id.as_u64(),
-                        object.as_u64(),
-                        subscriber.as_u64(),
-                        size.as_u64(),
-                        now.as_micros().saturating_sub(ts.as_micros()),
-                    );
-                }
-            }
-        }
-        let sketches_on = self.cache.sketches_enabled();
-        if sketches_on {
-            for (&(_, backend_id, _, _), plan) in pending.iter().zip(&plans) {
-                for &(_, ts, _) in &plan.cached {
-                    self.cache.record_delivery_lag(
-                        backend_id,
-                        now.as_micros().saturating_sub(ts.as_micros()),
-                    );
-                }
-            }
+        let tracer = telemetry.tracer();
+        for (&(_, backend_id, _, _), plan) in pending.iter().zip(&plans) {
+            tracer.on_retrieve_hits(
+                now.as_micros(),
+                backend_id.as_u64(),
+                subscriber.as_u64(),
+                served_objects(plan, now),
+            );
         }
 
         // Flatten the missed ranges across the batch, remembering which
@@ -623,7 +604,7 @@ impl Broker {
             let results = cluster.cluster_fetch_batch(&miss_requests);
             profiler.stage(&mut timer, StagePath::GetClusterRtt, trace_id);
             for ((&(bs, _), &i), objects) in miss_requests.iter().zip(&owner_of).zip(&results) {
-                let bytes = self.record_misses(bs, subscriber, objects, now);
+                let bytes = record_misses(cache, tracer, net, bs, subscriber, objects, now);
                 miss_objects[i] += objects.len() as u64;
                 miss_bytes[i] += bytes;
                 fetched_bytes += bytes;
@@ -632,22 +613,18 @@ impl Broker {
 
         // One shared cluster leg for the whole batch: a single RTT over
         // every missed byte.
-        let batch_leg = self
-            .net
-            .cluster_fetch_batch_latency(miss_requests.len() as u64, fetched_bytes);
+        let batch_leg = net.cluster_fetch_batch_latency(miss_requests.len() as u64, fetched_bytes);
 
         let mut out = Vec::with_capacity(pending.len());
         for (i, &(fs, _, _, last_seen)) in pending.iter().enumerate() {
             let plan = &plans[i];
             let latency = if miss_bytes[i].is_zero() {
-                self.net.delivery_latency(plan.cached_bytes, ByteSize::ZERO)
+                net.delivery_latency(plan.cached_bytes, ByteSize::ZERO)
             } else {
                 // Processing + own subscriber leg + the shared batch
                 // cluster leg (instead of a private cluster RTT each).
-                self.net.processing
-                    + self
-                        .net
-                        .subscriber_latency(plan.cached_bytes + miss_bytes[i])
+                net.processing
+                    + net.subscriber_latency(plan.cached_bytes + miss_bytes[i])
                     + batch_leg
             };
             let delivery = Delivery {
@@ -659,15 +636,15 @@ impl Broker {
                 latency,
                 up_to: last_seen,
             };
-            self.subs.advance_frontend_marker(fs, last_seen)?;
-            self.delivery.deliveries += 1;
+            subs.advance_frontend_marker(fs, last_seen)?;
+            books.deliveries += 1;
             if delivery.total_objects() > 0 {
-                self.delivery.non_empty_deliveries += 1;
-                self.delivery.total_latency += latency;
+                books.non_empty_deliveries += 1;
+                books.total_latency += latency;
             }
-            self.delivery.delivered_objects += delivery.total_objects();
-            self.delivery.delivered_bytes += delivery.total_bytes();
-            self.telemetry.on_retrieval(now, subscriber, &delivery);
+            books.delivered_objects += delivery.total_objects();
+            books.delivered_bytes += delivery.total_bytes();
+            telemetry.on_retrieval(now, subscriber, &delivery);
             out.push(delivery);
         }
 
@@ -679,55 +656,9 @@ impl Broker {
         // Delivery accounting above is envelope self-time, not ack
         // lock-wait: reset the stage clock before the staged acks.
         profiler.stage_skip(&mut timer);
-        let _ = self
-            .cache
-            .ack_consume_batch_staged(&acks, now, &profiler, &mut timer);
+        let _ = cache.ack_consume_batch_staged(&acks, now, profiler, &mut timer);
         profiler.finish(timer, StagePath::GetTotal, trace_id);
         Ok(out)
-    }
-
-    /// Books one fetched miss range and returns its size: the
-    /// per-retrieval miss accounting (hit + miss == requested), the
-    /// delivery lag of each object for the sketches, and its miss and
-    /// backend-fetch spans.
-    fn record_misses(
-        &self,
-        bs: BackendSubId,
-        subscriber: SubscriberId,
-        objects: &[ResultObject],
-        now: Timestamp,
-    ) -> ByteSize {
-        let bytes: ByteSize = objects.iter().map(|o| o.size).sum();
-        self.cache
-            .record_miss_fetch(bs, objects.len() as u64, bytes, now);
-        if self.cache.sketches_enabled() {
-            for object in objects {
-                self.cache
-                    .record_delivery_lag(bs, now.as_micros().saturating_sub(object.ts.as_micros()));
-            }
-        }
-        let tracer = self.telemetry.tracer();
-        if tracer.enabled() {
-            for object in objects {
-                tracer.on_retrieve_miss(
-                    now.as_micros(),
-                    bs.as_u64(),
-                    object.id.as_u64(),
-                    subscriber.as_u64(),
-                    object.size.as_u64(),
-                    now.as_micros().saturating_sub(object.ts.as_micros()),
-                );
-                tracer.on_backend_fetch(
-                    now.as_micros(),
-                    bs.as_u64(),
-                    object.id.as_u64(),
-                    subscriber.as_u64(),
-                    object.size.as_u64(),
-                    self.net.cluster_fetch_latency(object.size).as_micros(),
-                );
-            }
-        }
-        bytes
     }
 
     /// Periodic maintenance: TTL recomputation and expiration.
@@ -737,6 +668,47 @@ impl Broker {
         // since the last tick) into the global call-tree aggregates.
         self.profiler.flush_thread();
     }
+}
+
+/// `(object, bytes, lag_us)` of every object `plan` served from the
+/// cache — what the tracer's retrieve-hit spans carry.
+fn served_objects(plan: &GetPlan, now: Timestamp) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    plan.cached
+        .iter()
+        .map(move |&(object, ts, size)| (object.as_u64(), size.as_u64(), now.since(ts).as_micros()))
+}
+
+/// Books one fetched miss range and returns its size: the
+/// per-retrieval miss accounting (hit + miss == requested) with each
+/// object's delivery lag for the sketches, and its miss and
+/// backend-fetch spans.
+fn record_misses(
+    cache: &ShardedCacheManager,
+    tracer: &Tracer,
+    net: &NetworkModel,
+    bs: BackendSubId,
+    subscriber: SubscriberId,
+    objects: &[ResultObject],
+    now: Timestamp,
+) -> ByteSize {
+    let bytes: ByteSize = objects.iter().map(|o| o.size).sum();
+    let lags_us = objects.iter().map(|o| now.since(o.ts).as_micros());
+    cache.record_miss_fetch_with_lags(bs, bytes, now, lags_us);
+    tracer.on_retrieve_misses(
+        now.as_micros(),
+        bs.as_u64(),
+        subscriber.as_u64(),
+        objects.iter().map(|o| {
+            let fetch_us = net.cluster_fetch_latency(o.size).as_micros();
+            (
+                o.id.as_u64(),
+                o.size.as_u64(),
+                now.since(o.ts).as_micros(),
+                fetch_us,
+            )
+        }),
+    );
+    bytes
 }
 
 #[cfg(test)]

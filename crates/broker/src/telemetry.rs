@@ -4,9 +4,13 @@
 //! Mirrors [`bad_cache::CacheTelemetry`]: detached by default — every
 //! hook returns after one branch, since nothing could read what it
 //! would count — and a shared registry + sink when attached via
-//! [`crate::Broker::attach_telemetry`].
+//! [`crate::Broker::attach_telemetry`]. The hooks run under
+//! `&mut Broker`, so the counters and the histogram are owner cells
+//! ([`bad_telemetry::OwnerCounter`]): plain stores, summed at render.
 
-use bad_telemetry::{Counter, Event, Histogram, Registry, SharedSink, SharedTracer, Tracer};
+use bad_telemetry::{
+    Event, OwnerCounter, OwnerHistogram, Registry, SharedSink, SharedTracer, Tracer,
+};
 use bad_types::{SubscriberId, Timestamp};
 
 use crate::broker::Delivery;
@@ -18,11 +22,11 @@ pub struct BrokerTelemetry {
     attached: bool,
     sink: SharedSink,
     tracer: SharedTracer,
-    retrievals: Counter,
-    deliveries: Counter,
-    delivered_objects: Counter,
-    delivered_bytes: Counter,
-    delivery_latency_us: Histogram,
+    retrievals: OwnerCounter,
+    deliveries: OwnerCounter,
+    delivered_objects: OwnerCounter,
+    delivered_bytes: OwnerCounter,
+    delivery_latency_us: OwnerHistogram,
 }
 
 impl Default for BrokerTelemetry {
@@ -46,11 +50,11 @@ impl BrokerTelemetry {
             attached: true,
             sink,
             tracer,
-            retrievals: registry.counter("bad_broker_retrievals_total"),
-            deliveries: registry.counter("bad_broker_deliveries_total"),
-            delivered_objects: registry.counter("bad_broker_delivered_objects_total"),
-            delivered_bytes: registry.counter("bad_broker_delivered_bytes_total"),
-            delivery_latency_us: registry.histogram("bad_broker_delivery_latency_us"),
+            retrievals: registry.owner_counter("bad_broker_retrievals_total"),
+            deliveries: registry.owner_counter("bad_broker_deliveries_total"),
+            delivered_objects: registry.owner_counter("bad_broker_delivered_objects_total"),
+            delivered_bytes: registry.owner_counter("bad_broker_delivered_bytes_total"),
+            delivery_latency_us: registry.owner_histogram("bad_broker_delivery_latency_us"),
         }
     }
 

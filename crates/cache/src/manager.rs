@@ -99,7 +99,8 @@ pub struct CacheManager {
 /// What a GET or an ACK writes besides the [`ResultCache`] itself,
 /// borrowed apart from the cache map: `plan_get`, `ack_consume` and the
 /// fused `get_and_ack` are these bodies in different combinations, over
-/// one lookup of the cache.
+/// one lookup of the cache. The sketches are fed by the callers, once
+/// per retrieval (see [`CacheManager::sketch_served`]).
 struct Books<'a> {
     policy: &'a dyn EvictionPolicy,
     policy_name: PolicyName,
@@ -108,13 +109,12 @@ struct Books<'a> {
     index: &'a mut VictimIndex,
     metrics: &'a mut CacheMetrics,
     telemetry: &'a CacheTelemetry,
-    sketches: Option<&'a SketchRecorder>,
 }
 
 impl Books<'_> {
-    /// Algorithm 1 `GET` on one cache, hits entered in the metrics,
-    /// telemetry and sketches. No cache (unknown subscription) and the
-    /// NC policy miss the whole range.
+    /// Algorithm 1 `GET` on one cache, hits entered in the metrics and
+    /// telemetry. No cache (unknown subscription) and the NC policy
+    /// miss the whole range.
     fn plan(
         &mut self,
         cache: Option<&mut ResultCache>,
@@ -129,15 +129,11 @@ impl Books<'_> {
         let (objects, bytes) = (plan.cached.len() as u64, plan.cached_bytes);
         self.metrics.record_hits(objects, bytes);
         self.telemetry.on_hits(now, cache.id(), objects, bytes);
-        if let Some(sketches) = self.sketches {
-            sketches.record_hit(cache.id().as_u64(), objects, bytes.as_u64());
-        }
         plan
     }
 
-    /// The `ACK` routine on one cache: sketches see the ack whether or
-    /// not the cache exists, then `sub`'s consumption up to `up_to` is
-    /// applied and the objects it completed are dropped.
+    /// The `ACK` routine on one cache: `sub`'s consumption up to
+    /// `up_to` is applied and the objects it completed are dropped.
     fn ack(
         &mut self,
         cache: Option<&mut ResultCache>,
@@ -146,11 +142,6 @@ impl Books<'_> {
         up_to: Timestamp,
         now: Timestamp,
     ) -> Result<Vec<DroppedObject>> {
-        // Activity signal only (distinct-active estimator) — acks mark
-        // a subscription live even when it never hits or misses.
-        if let Some(sketches) = self.sketches {
-            sketches.record_ack(bs.as_u64());
-        }
         let cache = cache.ok_or_else(|| BadError::not_found("cache", bs.to_string()))?;
         if !self.config.drop_on_full_consumption {
             cache.mark_retrieved_up_to(sub, up_to);
@@ -230,10 +221,11 @@ impl CacheManager {
         &self.telemetry
     }
 
-    /// Attaches a hot-key sketch recorder. The hooks it feeds
-    /// (`plan_get` hits, `record_miss_fetch`, `ack_consume`) are
-    /// pure observation: one sampling RMW per skipped op, and never an
-    /// input to any caching decision.
+    /// Attaches a hot-key sketch recorder. The hooks it feeds (hits and
+    /// the served objects' delivery lags at plan time,
+    /// `record_miss_fetch`, acks) are pure observation: a sampling
+    /// load/store pair per skipped op, at most one recorder lock per
+    /// retrieval, and never an input to any caching decision.
     pub fn set_sketches(&mut self, recorder: Arc<SketchRecorder>) {
         self.sketches = Some(recorder);
     }
@@ -303,10 +295,36 @@ impl CacheManager {
         bytes: ByteSize,
         now: Timestamp,
     ) {
+        self.book_misses(bs, objects, bytes, now, std::iter::empty());
+    }
+
+    /// [`CacheManager::record_miss_fetch`] of a fetch whose objects'
+    /// produce→deliver lags (`lags_us`, one per object) are known: the
+    /// sketches see the miss and every lag under one recorder lock.
+    pub fn record_miss_fetch_with_lags(
+        &mut self,
+        bs: BackendSubId,
+        bytes: ByteSize,
+        now: Timestamp,
+        lags_us: impl ExactSizeIterator<Item = u64>,
+    ) {
+        self.book_misses(bs, lags_us.len() as u64, bytes, now, lags_us);
+    }
+
+    fn book_misses(
+        &mut self,
+        bs: BackendSubId,
+        objects: u64,
+        bytes: ByteSize,
+        now: Timestamp,
+        lags_us: impl Iterator<Item = u64>,
+    ) {
         self.metrics.record_misses(objects, bytes);
         self.telemetry.on_misses(now, bs, objects, bytes);
         if let Some(sketches) = &self.sketches {
-            sketches.record_miss(bs.as_u64(), objects);
+            let mut batch = sketches.batch();
+            batch.miss(bs.as_u64(), objects);
+            batch.delivery_lags(bs.as_u64(), lags_us);
         }
     }
 
@@ -537,12 +555,50 @@ impl CacheManager {
     /// A missing cache (NC policy or unknown subscription) misses the
     /// whole range.
     pub fn plan_get(&mut self, bs: BackendSubId, range: TimeRange, now: Timestamp) -> GetPlan {
+        let plan = self.plan_unsketched(bs, range, now);
+        self.sketch_served(std::iter::once((bs, &plan)), None, now);
+        plan
+    }
+
+    fn plan_unsketched(&mut self, bs: BackendSubId, range: TimeRange, now: Timestamp) -> GetPlan {
         let (mut cache, mut books) = self.cache_and_books(bs);
         let plan = books.plan(cache.as_deref_mut(), range, now);
         if let Some(cache) = cache {
             books.reindex(cache, now);
         }
         plan
+    }
+
+    /// Tells the sketches what retrievals served, under one recorder
+    /// lock: every plan's hit, the ack of `acked` (a fused retrieval's
+    /// cache), then each served object's produce→deliver lag. A
+    /// sampled recorder ticks in that order — hits, ack, lags.
+    fn sketch_served<'p>(
+        &self,
+        served: impl Iterator<Item = (BackendSubId, &'p GetPlan)> + Clone,
+        acked: Option<BackendSubId>,
+        now: Timestamp,
+    ) {
+        let Some(sketches) = &self.sketches else {
+            return;
+        };
+        let mut batch = sketches.batch();
+        for (bs, plan) in served.clone() {
+            let objects = plan.cached.len() as u64;
+            batch.hit(bs.as_u64(), objects, plan.cached_bytes.as_u64());
+        }
+        // Activity signal only (distinct-active estimator) — acks mark
+        // a subscription live even when it never hits or misses.
+        if let Some(bs) = acked {
+            batch.ack(bs.as_u64());
+        }
+        for (bs, plan) in served {
+            let lags_us = plan
+                .cached
+                .iter()
+                .map(|&(_, ts, _)| now.since(ts).as_micros());
+            batch.delivery_lags(bs.as_u64(), lags_us);
+        }
     }
 
     /// Marks everything up to `up_to` as retrieved by `sub` (the `ACK`
@@ -560,6 +616,19 @@ impl CacheManager {
     ) -> Result<Vec<DroppedObject>> {
         // The whole body is one profiler stage (`…;ack_consume`); the
         // sharded caller attributes it when releasing the shard.
+        if let Some(sketches) = &self.sketches {
+            sketches.record_ack(bs.as_u64());
+        }
+        self.ack_unsketched(bs, sub, up_to, now)
+    }
+
+    fn ack_unsketched(
+        &mut self,
+        bs: BackendSubId,
+        sub: SubscriberId,
+        up_to: Timestamp,
+        now: Timestamp,
+    ) -> Result<Vec<DroppedObject>> {
         let (mut cache, mut books) = self.cache_and_books(bs);
         let dropped = books.ack(cache.as_deref_mut(), bs, sub, up_to, now)?;
         if let Some(cache) = cache {
@@ -570,10 +639,11 @@ impl CacheManager {
 
     /// One retrieval: [`CacheManager::plan_get`] of `range` followed by
     /// [`CacheManager::ack_consume`] of `sub` up to `up_to`, with one
-    /// lookup of the cache and one re-scoring for the pair. Metrics,
-    /// telemetry and sketches see the access, then the ack,
-    /// exactly as from the two calls. An unknown cache misses the whole
-    /// range and drops nothing.
+    /// lookup of the cache and one re-scoring for the pair. Metrics and
+    /// telemetry see the access, then the ack, exactly as from the two
+    /// calls; the sketches see the hit, the ack and the served lags
+    /// under one recorder lock. An unknown cache misses the whole range
+    /// and drops nothing.
     pub fn get_and_ack(
         &mut self,
         bs: BackendSubId,
@@ -609,6 +679,7 @@ impl CacheManager {
         if let Some(cache) = cache {
             books.reindex(cache, now);
         }
+        self.sketch_served(std::iter::once((bs, &plan)), Some(bs), now);
         (plan, dropped)
     }
 
@@ -617,16 +688,20 @@ impl CacheManager {
     /// [`crate::ShardedCacheManager::plan_get_batch`], so the `shards =
     /// 1` oracle parity extends to the batched `GET` path. Each plan is
     /// exactly what [`CacheManager::plan_get`] would have returned for
-    /// that request in sequence.
+    /// that request in sequence; the sketches see the whole batch under
+    /// one recorder lock.
     pub fn plan_get_batch(
         &mut self,
         requests: &[(BackendSubId, TimeRange)],
         now: Timestamp,
     ) -> Vec<GetPlan> {
-        requests
+        let plans: Vec<GetPlan> = requests
             .iter()
-            .map(|&(bs, range)| self.plan_get(bs, range, now))
-            .collect()
+            .map(|&(bs, range)| self.plan_unsketched(bs, range, now))
+            .collect();
+        let served = requests.iter().map(|&(bs, _)| bs).zip(&plans);
+        self.sketch_served(served, None, now);
+        plans
     }
 
     /// Applies a batch of `ACK`s in request order, concatenating the
@@ -640,9 +715,15 @@ impl CacheManager {
     ) -> Vec<DroppedObject> {
         // Like `ack_consume`, the whole batch is one profiler stage,
         // attributed by the sharded caller at shard release.
+        if let Some(sketches) = &self.sketches {
+            let mut batch = sketches.batch();
+            for &(bs, _, _) in requests {
+                batch.ack(bs.as_u64());
+            }
+        }
         let mut dropped = Vec::new();
         for &(bs, sub, up_to) in requests {
-            if let Ok(batch) = self.ack_consume(bs, sub, up_to, now) {
+            if let Ok(batch) = self.ack_unsketched(bs, sub, up_to, now) {
                 dropped.extend(batch);
             }
         }
@@ -800,7 +881,6 @@ impl CacheManager {
             index: &mut self.index,
             metrics: &mut self.metrics,
             telemetry: &self.telemetry,
-            sketches: self.sketches.as_deref(),
         };
         (self.caches.get_mut(&bs), books)
     }

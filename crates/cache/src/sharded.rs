@@ -92,9 +92,9 @@ pub struct ShardedCacheManager {
     /// Hot-key sketch recorders, one per shard, index-aligned with
     /// `shards` (write-once, like `profile`). Each shard's hooks feed
     /// its own recorder under the shard lock (so the recorder mutex is
-    /// uncontended); [`ShardedCacheManager::hot_snapshot`] merges the
-    /// per-shard states at read time, order-independently. Delivery-lag
-    /// recording routes here directly, *without* the shard mutex.
+    /// uncontended), delivery lags included;
+    /// [`ShardedCacheManager::hot_snapshot`] merges the per-shard
+    /// states at read time, order-independently.
     sketch: OnceLock<Vec<Arc<SketchRecorder>>>,
 }
 
@@ -312,16 +312,6 @@ impl ShardedCacheManager {
         HotSnapshot::merge(&snapshots)
     }
 
-    /// Attributes one delivered object's end-to-end lag to `bs`'s
-    /// shard recorder. No-op until sketches are enabled. Takes no
-    /// shard mutex: the broker calls this per delivered object, after
-    /// the plan's shard has been released.
-    pub fn record_delivery_lag(&self, bs: BackendSubId, lag_us: u64) {
-        if let Some(recorders) = self.sketch.get() {
-            recorders[self.shard_index(bs)].record_delivery_lag(bs.as_u64(), lag_us);
-        }
-    }
-
     /// Creates an empty cache for a new backend subscription.
     pub fn create_cache(&self, bs: BackendSubId, now: Timestamp) {
         self.shard(bs).create_cache(bs, now);
@@ -399,7 +389,7 @@ impl ShardedCacheManager {
         let mut shard = self.lock_staged(idx, &mut timer, StagePath::GetLockWait, 0);
         let plan = shard.plan_get(bs, range, now);
         shard.unlock_staged(&mut timer, StagePath::GetLookup);
-        p.profiler.finish(timer, StagePath::GetTotal, 0);
+        p.profiler.finish_at_boundary(timer, StagePath::GetTotal, 0);
         plan
     }
 
@@ -441,7 +431,7 @@ impl ShardedCacheManager {
         let mut shard = self.lock_staged(idx, &mut timer, StagePath::GetLockWait, 0);
         let out = shard.get_and_ack_staged(bs, sub, range, up_to, now, &p.profiler, &mut timer);
         shard.unlock_staged(&mut timer, StagePath::GetAck);
-        p.profiler.finish(timer, StagePath::GetTotal, 0);
+        p.profiler.finish_at_boundary(timer, StagePath::GetTotal, 0);
         out
     }
 
@@ -616,6 +606,19 @@ impl ShardedCacheManager {
         now: Timestamp,
     ) {
         self.shard(bs).record_miss_fetch(bs, objects, bytes, now);
+    }
+
+    /// Records a miss fetch with each fetched object's produce→deliver
+    /// lag (see [`CacheManager::record_miss_fetch_with_lags`]).
+    pub fn record_miss_fetch_with_lags(
+        &self,
+        bs: BackendSubId,
+        bytes: ByteSize,
+        now: Timestamp,
+        lags_us: impl ExactSizeIterator<Item = u64>,
+    ) {
+        self.shard(bs)
+            .record_miss_fetch_with_lags(bs, bytes, now, lags_us);
     }
 
     /// Records bytes pulled from the cluster to populate `bs`'s cache

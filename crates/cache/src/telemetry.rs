@@ -6,10 +6,16 @@
 //! default is detached: no registry a caller could read, the null sink
 //! and no tracer, so every hook of an unconfigured manager returns
 //! after one branch.
+//!
+//! Its counters and histograms are owner cells
+//! ([`bad_telemetry::OwnerCounter`]): every hook runs under the
+//! manager's `&mut` (a shard's mutex, in the sharded manager), so a
+//! bump is a plain load and store. Each clone — one per shard — owns
+//! cells of its own, and the registry sums them at render.
 
 use bad_telemetry::{
-    Counter, Event, Gauge, Histogram, Profiler, Registry, SharedSink, SharedTracer, SpanKind,
-    Tracer,
+    Event, Gauge, OwnerCounter, OwnerHistogram, Profiler, Registry, SharedSink, SharedTracer,
+    SpanKind, Tracer,
 };
 use bad_types::{BackendSubId, ByteSize, ObjectId, SimDuration, Timestamp};
 
@@ -24,17 +30,17 @@ pub struct CacheTelemetry {
     sink: SharedSink,
     tracer: SharedTracer,
     profiler: Profiler,
-    hit_objects: Counter,
-    miss_objects: Counter,
-    inserted_objects: Counter,
-    consumed_objects: Counter,
-    evicted_objects: Counter,
-    expired_objects: Counter,
-    unsubscribed_objects: Counter,
-    ttl_retunes: Counter,
+    hit_objects: OwnerCounter,
+    miss_objects: OwnerCounter,
+    inserted_objects: OwnerCounter,
+    consumed_objects: OwnerCounter,
+    evicted_objects: OwnerCounter,
+    expired_objects: OwnerCounter,
+    unsubscribed_objects: OwnerCounter,
+    ttl_retunes: OwnerCounter,
     occupancy_bytes: Gauge,
-    object_bytes: Histogram,
-    holding_us: Histogram,
+    object_bytes: OwnerHistogram,
+    holding_us: OwnerHistogram,
 }
 
 impl Default for CacheTelemetry {
@@ -59,17 +65,17 @@ impl CacheTelemetry {
             sink,
             tracer,
             profiler: Profiler::disabled(),
-            hit_objects: registry.counter("bad_cache_hit_objects_total"),
-            miss_objects: registry.counter("bad_cache_miss_objects_total"),
-            inserted_objects: registry.counter("bad_cache_inserted_objects_total"),
-            consumed_objects: registry.counter("bad_cache_consumed_objects_total"),
-            evicted_objects: registry.counter("bad_cache_evicted_objects_total"),
-            expired_objects: registry.counter("bad_cache_expired_objects_total"),
-            unsubscribed_objects: registry.counter("bad_cache_unsubscribed_objects_total"),
-            ttl_retunes: registry.counter("bad_cache_ttl_retunes_total"),
+            hit_objects: registry.owner_counter("bad_cache_hit_objects_total"),
+            miss_objects: registry.owner_counter("bad_cache_miss_objects_total"),
+            inserted_objects: registry.owner_counter("bad_cache_inserted_objects_total"),
+            consumed_objects: registry.owner_counter("bad_cache_consumed_objects_total"),
+            evicted_objects: registry.owner_counter("bad_cache_evicted_objects_total"),
+            expired_objects: registry.owner_counter("bad_cache_expired_objects_total"),
+            unsubscribed_objects: registry.owner_counter("bad_cache_unsubscribed_objects_total"),
+            ttl_retunes: registry.owner_counter("bad_cache_ttl_retunes_total"),
             occupancy_bytes: registry.gauge("bad_cache_occupancy_bytes"),
-            object_bytes: registry.histogram("bad_cache_object_bytes"),
-            holding_us: registry.histogram("bad_cache_holding_us"),
+            object_bytes: registry.owner_histogram("bad_cache_object_bytes"),
+            holding_us: registry.owner_histogram("bad_cache_holding_us"),
         }
     }
 

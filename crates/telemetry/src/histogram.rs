@@ -6,9 +6,14 @@
 //! the histogram is safe to touch from hot paths; readout walks the 65
 //! buckets and reports each quantile as the upper bound of the bucket
 //! it falls in, clamped to the largest value actually recorded.
+//!
+//! A series can also carry owner cells
+//! ([`crate::Registry::owner_histogram`]): registers
+//! written by one owner with plain stores and summed into every readout,
+//! for state that a single writer already serializes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const BUCKETS: usize = 65;
 
@@ -17,11 +22,28 @@ const BUCKETS: usize = 65;
 /// store sparse per-bucket deltas without guessing the layout.
 pub const BUCKET_COUNT: usize = BUCKETS;
 
+/// One set of histogram registers: the shared set every [`Histogram`]
+/// handle writes with atomic adds, or one [`OwnerHistogram`]'s cell.
 #[derive(Debug)]
-struct HistogramData {
+struct Registers {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
     max: AtomicU64,
+}
+
+impl Registers {
+    fn new() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+#[derive(Debug)]
+struct HistogramData {
+    shared: Registers,
     /// Per-bucket exemplar slots (most recent trace id to land in the
     /// bucket, 0 = none yet). Allocated only by
     /// [`Histogram::with_exemplars`]: ordinary histograms carry no
@@ -29,6 +51,9 @@ struct HistogramData {
     /// a plain [`Histogram::record`], so quantile math and the
     /// Prometheus render are byte-identical either way.
     exemplars: Option<Box<[AtomicU64; BUCKETS]>>,
+    /// Owner cells ([`OwnerHistogram`]), each written by one owner
+    /// with plain stores and summed into every readout.
+    cells: Mutex<Vec<Arc<Registers>>>,
 }
 
 /// A cheap, thread-safe, log-bucketed histogram handle.
@@ -56,6 +81,36 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
+/// The shared registers and every owner cell, summed (max taken).
+struct Readout {
+    buckets: [u64; BUCKETS],
+    sum: u64,
+    max: u64,
+}
+
+impl Readout {
+    fn count(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
+    fn quantile(&self, q: f64) -> u64 {
+        let count = self.count();
+        if count == 0 {
+            return 0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let target = ((q * count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, &bucket) in self.buckets.iter().enumerate() {
+            seen += bucket;
+            if seen >= target {
+                return Histogram::bucket_upper(i).min(self.max);
+            }
+        }
+        self.max
+    }
+}
+
 impl Default for Histogram {
     fn default() -> Self {
         Self::new()
@@ -63,16 +118,19 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
+    fn with_storage(exemplars: Option<Box<[AtomicU64; BUCKETS]>>) -> Self {
         Self {
             data: Arc::new(HistogramData {
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-                exemplars: None,
+                shared: Registers::new(),
+                exemplars,
+                cells: Mutex::new(Vec::new()),
             }),
         }
+    }
+
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self::with_storage(None)
     }
 
     /// Creates an empty histogram with per-bucket exemplar retention:
@@ -80,14 +138,7 @@ impl Histogram {
     /// id that landed in each bucket, linking a latency outlier back to
     /// the flight-recorder spans that produced it.
     pub fn with_exemplars() -> Self {
-        Self {
-            data: Arc::new(HistogramData {
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-                exemplars: Some(Box::new(std::array::from_fn(|_| AtomicU64::new(0)))),
-            }),
-        }
+        Self::with_storage(Some(Box::new(std::array::from_fn(|_| AtomicU64::new(0)))))
     }
 
     /// Whether this histogram retains per-bucket exemplars.
@@ -96,7 +147,7 @@ impl Histogram {
     }
 
     #[inline]
-    fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -125,12 +176,8 @@ impl Histogram {
     /// emission sits on the cache hot path, so every atomic counts.
     #[inline]
     pub fn record(&self, value: u64) {
-        let data = &self.data;
-        data.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        data.sum.fetch_add(value, Ordering::Relaxed);
-        if value > data.max.load(Ordering::Relaxed) {
-            data.max.fetch_max(value, Ordering::Relaxed);
-        }
+        self.add_to_bucket(Self::bucket_index(value), 1, 0);
+        self.add_sum_max(value, value);
     }
 
     /// [`Histogram::record`] with plain loads and stores instead of
@@ -139,19 +186,7 @@ impl Histogram {
     /// observations to each other, never corrupt a register.
     #[inline]
     pub(crate) fn record_under_lock(&self, value: u64) {
-        let data = &self.data;
-        let bucket = &data.buckets[Self::bucket_index(value)];
-        bucket.store(
-            bucket.load(Ordering::Relaxed).wrapping_add(1),
-            Ordering::Relaxed,
-        );
-        data.sum.store(
-            data.sum.load(Ordering::Relaxed).wrapping_add(value),
-            Ordering::Relaxed,
-        );
-        if value > data.max.load(Ordering::Relaxed) {
-            data.max.store(value, Ordering::Relaxed);
-        }
+        store_record(&self.data.shared, value);
     }
 
     /// Records one observation tagged with the trace id that produced
@@ -163,17 +198,62 @@ impl Histogram {
     /// "no exemplar yet" sentinel.
     #[inline]
     pub fn record_exemplar(&self, value: u64, trace: u64) {
+        self.add_to_bucket(Self::bucket_index(value), 1, trace);
+        self.add_sum_max(value, value);
+    }
+
+    /// Adds `n` observations to bucket `index` — one relaxed RMW however
+    /// large `n` is — and, on an exemplar-enabled histogram, tags the
+    /// bucket with `trace` unless it is 0. With
+    /// [`Histogram::add_sum_max`] this folds samples gathered elsewhere
+    /// (the profiler's per-thread accumulators, a [`HistogramBatch`]).
+    #[inline]
+    pub(crate) fn add_to_bucket(&self, index: usize, n: u64, trace: u64) {
         let data = &self.data;
-        let bucket = Self::bucket_index(value);
-        data.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        data.sum.fetch_add(value, Ordering::Relaxed);
-        if value > data.max.load(Ordering::Relaxed) {
-            data.max.fetch_max(value, Ordering::Relaxed);
-        }
+        data.shared.buckets[index].fetch_add(n, Ordering::Relaxed);
         if trace != 0 {
             if let Some(exemplars) = &data.exemplars {
-                exemplars[bucket].store(trace, Ordering::Relaxed);
+                exemplars[index].store(trace, Ordering::Relaxed);
             }
+        }
+    }
+
+    /// Adds `sum` to the running sum and raises the max to `max`: the
+    /// other half of a fold (see [`Histogram::add_to_bucket`]).
+    #[inline]
+    pub(crate) fn add_sum_max(&self, sum: u64, max: u64) {
+        let shared = &self.data.shared;
+        shared.sum.fetch_add(sum, Ordering::Relaxed);
+        if max > shared.max.load(Ordering::Relaxed) {
+            shared.max.fetch_max(max, Ordering::Relaxed);
+        }
+    }
+
+    /// Starts a batch of observations: buckets are bumped as values
+    /// arrive (a run of values in one bucket shares one RMW), the sum
+    /// and the max once, when the batch drops. For a caller recording
+    /// a whole retrieval's worth of values in one go.
+    pub(crate) fn batch(&self) -> HistogramBatch<'_> {
+        HistogramBatch {
+            histogram: self,
+            run: None,
+            sum: 0,
+            max: 0,
+        }
+    }
+
+    /// Registers a new owner cell on this histogram's series (see
+    /// [`OwnerHistogram`]).
+    pub(crate) fn owner(&self) -> OwnerHistogram {
+        let cell = Arc::new(Registers::new());
+        self.data
+            .cells
+            .lock()
+            .expect("histogram cells poisoned")
+            .push(Arc::clone(&cell));
+        OwnerHistogram {
+            series: self.clone(),
+            cell,
         }
     }
 
@@ -188,63 +268,151 @@ impl Histogram {
         }
     }
 
+    /// The shared registers plus every owner cell.
+    fn readout(&self) -> Readout {
+        let data = &self.data;
+        let load = |registers: &Registers, out: &mut Readout| {
+            for (total, bucket) in out.buckets.iter_mut().zip(&registers.buckets) {
+                *total += bucket.load(Ordering::Relaxed);
+            }
+            out.sum = out.sum.wrapping_add(registers.sum.load(Ordering::Relaxed));
+            out.max = out.max.max(registers.max.load(Ordering::Relaxed));
+        };
+        let mut out = Readout {
+            buckets: [0; BUCKETS],
+            sum: 0,
+            max: 0,
+        };
+        load(&data.shared, &mut out);
+        for cell in data.cells.lock().expect("histogram cells poisoned").iter() {
+            load(cell, &mut out);
+        }
+        out
+    }
+
     /// Number of observations so far (a 65-bucket sum — readout-path
     /// cost traded for a cheaper `record`).
     pub fn count(&self) -> u64 {
-        self.data
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
+        self.readout().count()
     }
 
     /// Sum of observations so far.
     pub fn sum(&self) -> u64 {
-        self.data.sum.load(Ordering::Relaxed)
+        self.readout().sum
     }
 
     /// Largest observation so far (0 when empty).
     pub fn max(&self) -> u64 {
-        self.data.max.load(Ordering::Relaxed)
+        self.readout().max
     }
 
     /// Approximate quantile `q` in `[0, 1]`: the upper bound of the
     /// bucket containing the `ceil(q * count)`-th observation, clamped
     /// to the recorded maximum. Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.data.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= target {
-                return Self::bucket_upper(i).min(self.max());
-            }
-        }
-        self.max()
+        self.readout().quantile(q)
     }
 
     /// Reads every bucket at once (relaxed loads). The timeseries
     /// snapshotter diffs consecutive readouts to reconstruct windowed
     /// distributions, so this is the raw material — not a quantile.
     pub fn bucket_counts(&self) -> [u64; BUCKETS] {
-        std::array::from_fn(|i| self.data.buckets[i].load(Ordering::Relaxed))
+        self.readout().buckets
     }
 
     /// Reads count, sum, max and the p50/p90/p99 quantiles at once.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let readout = self.readout();
         HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            max: self.max(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
+            count: readout.count(),
+            sum: readout.sum,
+            max: readout.max,
+            p50: readout.quantile(0.50),
+            p90: readout.quantile(0.90),
+            p99: readout.quantile(0.99),
         }
+    }
+}
+
+/// One observation into `registers` with plain loads and stores.
+#[inline]
+fn store_record(registers: &Registers, value: u64) {
+    let bucket = &registers.buckets[Histogram::bucket_index(value)];
+    bucket.store(
+        bucket.load(Ordering::Relaxed).wrapping_add(1),
+        Ordering::Relaxed,
+    );
+    registers.sum.store(
+        registers.sum.load(Ordering::Relaxed).wrapping_add(value),
+        Ordering::Relaxed,
+    );
+    if value > registers.max.load(Ordering::Relaxed) {
+        registers.max.store(value, Ordering::Relaxed);
+    }
+}
+
+/// A batch of observations in flight (see [`Histogram::batch`]).
+#[derive(Debug)]
+pub(crate) struct HistogramBatch<'a> {
+    histogram: &'a Histogram,
+    /// The current run of values in one bucket: `(bucket, values)`.
+    run: Option<(usize, u64)>,
+    sum: u64,
+    max: u64,
+}
+
+impl HistogramBatch<'_> {
+    /// Records one observation.
+    #[inline]
+    pub(crate) fn record(&mut self, value: u64) {
+        let bucket = Histogram::bucket_index(value);
+        match &mut self.run {
+            Some((run_bucket, n)) if *run_bucket == bucket => *n += 1,
+            run => {
+                if let Some((run_bucket, n)) = run.replace((bucket, 1)) {
+                    self.histogram.add_to_bucket(run_bucket, n, 0);
+                }
+            }
+        }
+        self.sum = self.sum.wrapping_add(value);
+        self.max = self.max.max(value);
+    }
+}
+
+impl Drop for HistogramBatch<'_> {
+    fn drop(&mut self) {
+        if let Some((bucket, n)) = self.run.take() {
+            self.histogram.add_to_bucket(bucket, n, 0);
+            self.histogram.add_sum_max(self.sum, self.max);
+        }
+    }
+}
+
+/// One owner's cell of a histogram series: [`OwnerHistogram::record`]
+/// is a plain load and store per register, no atomic read-modify-write,
+/// and every readout of the series sums the cell in. For state with a
+/// single writer — a broker under `&mut`, a cache shard under its mutex
+/// — so no increment is ever lost.
+///
+/// Cloning registers a *new* cell on the same series: a clone is a new
+/// owner, never a second writer of this cell.
+#[derive(Debug)]
+pub struct OwnerHistogram {
+    series: Histogram,
+    cell: Arc<Registers>,
+}
+
+impl OwnerHistogram {
+    /// Records one observation into this owner's cell.
+    #[inline]
+    pub fn record(&self, value: u64) {
+        store_record(&self.cell, value);
+    }
+}
+
+impl Clone for OwnerHistogram {
+    fn clone(&self) -> Self {
+        self.series.owner()
     }
 }
 
@@ -421,6 +589,40 @@ mod tests {
         }
         // Quantile math is untouched by the extra exemplar store.
         assert_eq!(h.count(), threads as u64 * 1000 * 15);
+    }
+
+    #[test]
+    fn a_batch_records_what_single_records_would() {
+        let values = [0u64, 5, 6, 7, 7, 4_000, 3, 0, 1 << 40];
+        let one_by_one = Histogram::new();
+        let batched = Histogram::new();
+        for &v in &values {
+            one_by_one.record(v);
+        }
+        {
+            let mut batch = batched.batch();
+            for &v in &values {
+                batch.record(v);
+            }
+        }
+        assert_eq!(batched.bucket_counts(), one_by_one.bucket_counts());
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
+        // An empty batch touches nothing.
+        drop(batched.batch());
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
+    }
+
+    #[test]
+    fn owner_cells_read_as_one_histogram() {
+        let merged = Histogram::new();
+        let cells = [merged.owner(), merged.owner()];
+        let reference = Histogram::new();
+        for v in 0..200u64 {
+            cells[(v % 2) as usize].record(v * 37);
+            reference.record(v * 37);
+        }
+        assert_eq!(merged.bucket_counts(), reference.bucket_counts());
+        assert_eq!(merged.snapshot(), reference.snapshot());
     }
 
     #[test]

@@ -88,16 +88,16 @@ pub use drift::{
 };
 pub use event::{null_sink, Event, EventSink, JsonlSink, NullSink, RingBufferSink, SharedSink};
 pub use health::{HealthConfig, HealthEngine, HealthObservation};
-pub use histogram::{Histogram, HistogramSnapshot};
+pub use histogram::{Histogram, HistogramSnapshot, OwnerHistogram};
 pub use profile::{LockSite, OpTimer, ProfileConfig, ProfiledGuard, Profiler, StagePath};
-pub use registry::{escape_label_value, Counter, Gauge, Registry};
+pub use registry::{escape_label_value, Counter, Gauge, OwnerCounter, Registry};
 pub use sampler::{Sample, Sampler};
 pub use scrape::{
     EndpointFn, HealthFn, LimitFn, ScrapeEndpoints, ScrapeServer, DEFAULT_SCRAPE_LIMIT,
 };
 pub use sketch::{
-    DistinctEstimator, HotSnapshot, LagHist, SketchConfig, SketchRecorder, SketchTotals,
-    SpaceSaving, SsEntry,
+    DistinctEstimator, HotSnapshot, LagHist, SketchBatch, SketchConfig, SketchRecorder,
+    SketchTotals, SpaceSaving, SsEntry,
 };
 pub use timeseries::{SeriesStats, TimeSeriesConfig, TimeSeriesStore};
 pub use trace::{

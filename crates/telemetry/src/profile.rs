@@ -15,11 +15,12 @@
 //!   the time since the previous boundary to a static [`StagePath`]
 //!   (`get_all_pending;lock_wait`, `insert;victim_scan`, …). Deltas
 //!   accumulate *inside* the timer (a boundary is one tick read and
-//!   two stores); [`Profiler::finish`] drains one entry per touched
-//!   path into a fixed-capacity per-thread ring, which folds into the
-//!   shared per-path histograms in batches when it fills — the
-//!   shared-memory traffic is amortized over [`RING_CAPACITY`]
-//!   records. Every boundary also notes its path in a thread-local
+//!   two stores); [`Profiler::finish`] adds one sample per touched
+//!   path to per-thread, per-path bucket accumulators, which fold into
+//!   the shared per-path histograms every [`RING_CAPACITY`] samples
+//!   (and on [`Profiler::flush_thread`]) with one read-modify-write
+//!   per touched bucket — the sampled-op count folds with them. Every
+//!   boundary also notes its path in a thread-local
 //!   ([`last_stage_path`]), the "what was this thread doing" hook for
 //!   anomaly dumps.
 //! - **Exemplars** — every stage histogram bucket retains the most
@@ -48,8 +49,9 @@ use crate::histogram::{Histogram, BUCKET_COUNT};
 use crate::json::ObjectWriter;
 use crate::registry::{Counter, Registry};
 
-/// Capacity of the per-thread stage-sample ring. Folding into the
-/// shared histograms happens at most once per this many records.
+/// Stage samples a thread gathers before folding them into the shared
+/// histograms: a fold happens at most once per this many samples (or
+/// on [`Profiler::flush_thread`]).
 pub const RING_CAPACITY: usize = 64;
 
 // ---------------------------------------------------------------------------
@@ -265,72 +267,141 @@ impl StagePath {
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread sample ring
+// Per-thread sample accumulators
 // ---------------------------------------------------------------------------
 
+/// One path's samples since the last fold, bucketed as the shared
+/// histogram buckets them.
 #[derive(Clone, Copy)]
-struct RingEntry {
-    path: StagePath,
-    /// Raw tick delta — converted to nanoseconds only at flush time,
-    /// keeping the float multiply off the per-stage hot path.
-    raw: u64,
-    trace: u64,
+struct PathAcc {
+    buckets: [u64; BUCKET_COUNT],
+    /// Per bucket, the most recent nonzero trace id to land in it.
+    exemplars: [u64; BUCKET_COUNT],
+    /// Bitmask of buckets with samples.
+    touched: u128,
+    sum: u64,
+    max: u64,
 }
 
-struct ThreadRing {
-    /// `Arc::as_ptr` of the profiler the buffered entries belong to.
+impl PathAcc {
+    const EMPTY: Self = Self {
+        buckets: [0; BUCKET_COUNT],
+        exemplars: [0; BUCKET_COUNT],
+        touched: 0,
+        sum: 0,
+        max: 0,
+    };
+
+    #[inline]
+    fn add(&mut self, ns: u64, trace: u64) {
+        let bucket = Histogram::bucket_index(ns);
+        self.buckets[bucket] += 1;
+        if trace != 0 {
+            self.exemplars[bucket] = trace;
+        }
+        self.touched |= 1 << bucket;
+        self.sum = self.sum.wrapping_add(ns);
+        self.max = self.max.max(ns);
+    }
+
+    /// Adds these samples to `hist`: one RMW per touched bucket, one
+    /// for the sum, and the max only when it rises.
+    fn fold_into(&mut self, hist: &Histogram) {
+        let mut touched = self.touched;
+        while touched != 0 {
+            let bucket = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            hist.add_to_bucket(bucket, self.buckets[bucket], self.exemplars[bucket]);
+        }
+        hist.add_sum_max(self.sum, self.max);
+        *self = Self::EMPTY;
+    }
+}
+
+/// The calling thread's samples for one profiler, between folds.
+struct ThreadAcc {
+    /// `Arc::as_ptr` of the profiler the samples belong to.
     owner: usize,
     owner_weak: Weak<ProfilerInner>,
-    entries: Vec<RingEntry>,
+    /// Allocated when the thread first records for a profiler.
+    paths: Vec<PathAcc>,
+    /// Bitmask of paths with samples.
+    touched: u32,
+    /// Samples since the last fold.
+    samples: usize,
+    /// Operations [`Profiler::op`] sampled since the last fold.
+    sampled_ops: u64,
 }
 
-impl ThreadRing {
+impl ThreadAcc {
     const fn new() -> Self {
         Self {
             owner: 0,
             owner_weak: Weak::new(),
-            entries: Vec::new(),
+            paths: Vec::new(),
+            touched: 0,
+            samples: 0,
+            sampled_ops: 0,
         }
     }
 
-    fn flush(&mut self) {
-        if self.entries.is_empty() {
+    /// Points the accumulators at `inner`, first handing a different
+    /// profiler's samples back (tests and in-process deployments run
+    /// several profilers on one thread). A dead owner never matches, so
+    /// a new profiler allocated at a dropped one's address rebinds.
+    #[inline]
+    fn bind(&mut self, inner: &Arc<ProfilerInner>) -> &mut Self {
+        let owner = Arc::as_ptr(inner) as usize;
+        if self.owner != owner || self.owner_weak.strong_count() == 0 {
+            self.fold();
+            self.owner = owner;
+            self.owner_weak = Arc::downgrade(inner);
+            if self.paths.is_empty() {
+                self.paths = vec![PathAcc::EMPTY; StagePath::COUNT];
+            }
+        }
+        self
+    }
+
+    #[inline]
+    fn add(&mut self, path: StagePath, raw: u64, trace: u64) {
+        self.paths[path as usize].add(ticks_to_ns(raw), trace);
+        self.touched |= 1 << path as usize;
+        self.samples += 1;
+    }
+
+    /// Folds every touched path, and the sampled-op count, into the
+    /// owner's shared series.
+    fn fold(&mut self) {
+        if self.touched == 0 && self.sampled_ops == 0 {
             return;
         }
         if let Some(inner) = self.owner_weak.upgrade() {
-            for entry in &self.entries {
-                inner.stages[entry.path as usize]
-                    .record_exemplar(ticks_to_ns(entry.raw), entry.trace);
+            let mut touched = self.touched;
+            while touched != 0 {
+                let i = touched.trailing_zeros() as usize;
+                touched &= touched - 1;
+                self.paths[i].fold_into(&inner.stages[i]);
             }
+            if self.sampled_ops != 0 {
+                inner.sampled.add(self.sampled_ops);
+            }
+        } else {
+            self.paths.fill(PathAcc::EMPTY);
         }
-        self.entries.clear();
-    }
-
-    fn push(&mut self, inner: &Arc<ProfilerInner>, entry: RingEntry) {
-        let owner = Arc::as_ptr(inner) as usize;
-        if self.owner != owner {
-            // A different profiler was active on this thread (tests,
-            // multiple deployments in-process): hand its buffered
-            // samples back before rebinding.
-            self.flush();
-            self.owner = owner;
-            self.owner_weak = Arc::downgrade(inner);
-            self.entries.reserve_exact(RING_CAPACITY);
-        }
-        self.entries.push(entry);
-        if self.entries.len() >= RING_CAPACITY {
-            self.flush();
-        }
+        self.touched = 0;
+        self.samples = 0;
+        self.sampled_ops = 0;
     }
 }
 
 thread_local! {
-    static RING: RefCell<ThreadRing> = const { RefCell::new(ThreadRing::new()) };
+    static ACC: RefCell<ThreadAcc> = const { RefCell::new(ThreadAcc::new()) };
     /// Per-thread operation sequence for 1-in-`n` sampling.
     static OP_SEQ: Cell<u64> = const { Cell::new(0) };
     /// The stage this thread most recently crossed a boundary into —
-    /// written at every boundary (a plain TLS store, no ring borrow)
-    /// so a thread stuck *mid-op* still reports where it was.
+    /// written at every boundary (a plain TLS store, no accumulator
+    /// borrow) so a thread stuck *mid-op* still reports where it was.
     static LAST_PATH: Cell<Option<StagePath>> = const { Cell::new(None) };
 }
 
@@ -349,9 +420,9 @@ pub fn last_stage_path() -> Option<&'static str> {
 /// A running per-operation timestamp chain. One is issued per sampled
 /// operation by [`Profiler::op`]; each [`Profiler::stage`] boundary
 /// costs one [`ticks`] read plus two plain stores — deltas accumulate
-/// *inside* the timer, per path, and reach the thread ring only once
-/// at [`Profiler::finish`]. A batched GET that crosses four shards
-/// therefore pays four tick reads but buffers two ring entries, not
+/// *inside* the timer, per path, and reach the thread's accumulators
+/// only once at [`Profiler::finish`]. A batched GET that crosses four
+/// shards therefore pays four tick reads but adds two samples, not
 /// eight.
 #[derive(Clone, Copy, Debug)]
 pub struct OpTimer {
@@ -457,7 +528,7 @@ impl Profiler {
     /// unsampled op — exactly the cost sampling exists to avoid.
     #[inline]
     pub fn op(&self) -> Option<OpTimer> {
-        let inner = self.inner.as_deref()?;
+        let inner = self.inner.as_ref()?;
         match inner.sample_every_n {
             0 => return None,
             1 => {}
@@ -472,7 +543,7 @@ impl Profiler {
                 }
             }
         }
-        inner.sampled.inc();
+        ACC.with(|acc| acc.borrow_mut().bind(inner).sampled_ops += 1);
         let now = ticks();
         Some(OpTimer {
             start: now,
@@ -486,7 +557,7 @@ impl Profiler {
     /// Attributes the time since the previous boundary to `path`,
     /// tagged with `trace` (0 = no exemplar). No-op when `timer` is
     /// `None`. The delta accumulates inside the timer; nothing touches
-    /// the thread ring until [`Profiler::finish`].
+    /// the thread's accumulators until [`Profiler::finish`].
     #[inline]
     pub fn stage(&self, timer: &mut Option<OpTimer>, path: StagePath, trace: u64) {
         if let Some(timer) = timer.as_mut() {
@@ -504,42 +575,28 @@ impl Profiler {
         }
     }
 
-    /// Ends the operation: drains the timer's per-path accumulators
-    /// into the thread ring (one entry per *touched* path — the
-    /// breakdown) and attributes the whole duration since
-    /// [`Profiler::op`] to the root path (the envelope). One ring
-    /// borrow covers every entry.
+    /// Ends the operation: adds the timer's per-path deltas to the
+    /// thread's accumulators (one sample per *touched* path — the
+    /// breakdown) and the whole duration since [`Profiler::op`] to the
+    /// root path (the envelope). One borrow of the accumulators covers
+    /// every sample.
     #[inline]
     pub fn finish(&self, timer: Option<OpTimer>, root: StagePath, trace: u64) {
-        let (Some(inner), Some(timer)) = (self.inner.as_ref(), timer) else {
-            return;
-        };
-        let raw = ticks().wrapping_sub(timer.start);
-        let trace = if trace != 0 { trace } else { timer.trace };
-        RING.with(|ring| {
-            let mut ring = ring.borrow_mut();
-            let mut touched = timer.touched;
-            while touched != 0 {
-                let i = touched.trailing_zeros() as usize;
-                touched &= touched - 1;
-                ring.push(
-                    inner,
-                    RingEntry {
-                        path: StagePath::ALL[i],
-                        raw: timer.acc[i],
-                        trace,
-                    },
-                );
-            }
-            ring.push(
-                inner,
-                RingEntry {
-                    path: root,
-                    raw,
-                    trace,
-                },
-            );
-        });
+        if let (Some(inner), Some(timer)) = (&self.inner, timer) {
+            finish_at(inner, timer, root, trace, ticks());
+        }
+    }
+
+    /// [`Profiler::finish`] with the envelope ending at the op's last
+    /// stage boundary instead of at a fresh clock read — for callers
+    /// whose last act was crossing one (a
+    /// [`ProfiledGuard::unlock_staged`]), so the read it took serves
+    /// twice.
+    #[inline]
+    pub fn finish_at_boundary(&self, timer: Option<OpTimer>, root: StagePath, trace: u64) {
+        if let (Some(inner), Some(timer)) = (&self.inner, timer) {
+            finish_at(inner, timer, root, trace, timer.last);
+        }
     }
 
     /// Registers (or re-fetches) the named lock site. A disabled
@@ -574,15 +631,16 @@ impl Profiler {
         site
     }
 
-    /// Force-folds the calling thread's sample ring into the shared
-    /// histograms. Called from maintenance paths (and tests) so scrape
-    /// readouts lag a thread by at most one maintenance interval, not
-    /// by up to [`RING_CAPACITY`] samples forever.
+    /// Force-folds the calling thread's samples and sampled-op count
+    /// into the shared series. Called from maintenance paths (and
+    /// tests) so scrape readouts lag a thread by at most one
+    /// maintenance interval, not by up to [`RING_CAPACITY`] samples
+    /// forever.
     pub fn flush_thread(&self) {
         if self.inner.is_none() {
             return;
         }
-        RING.with(|ring| ring.borrow_mut().flush());
+        ACC.with(|acc| acc.borrow_mut().fold());
     }
 
     /// Snapshot of every lock site (for `/healthz` top-k summaries).
@@ -734,6 +792,27 @@ impl Profiler {
         }
         out
     }
+}
+
+/// Adds `timer`'s samples, its envelope ending at `end`, to the
+/// calling thread's accumulators for `inner`.
+#[inline]
+fn finish_at(inner: &Arc<ProfilerInner>, timer: OpTimer, root: StagePath, trace: u64, end: u64) {
+    let trace = if trace != 0 { trace } else { timer.trace };
+    ACC.with(|acc| {
+        let mut acc = acc.borrow_mut();
+        let acc = acc.bind(inner);
+        let mut touched = timer.touched;
+        while touched != 0 {
+            let i = touched.trailing_zeros() as usize;
+            touched &= touched - 1;
+            acc.add(StagePath::ALL[i], timer.acc[i], trace);
+        }
+        acc.add(root, end.wrapping_sub(timer.start), trace);
+        if acc.samples >= RING_CAPACITY {
+            acc.fold();
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1066,14 +1145,19 @@ mod tests {
             profiler.stage(&mut timer, StagePath::GetLookup, 3);
             profiler.finish(timer, StagePath::GetTotal, 3);
         }
-        // Each op buffered two entries (leaf + root), so the ring
-        // wrapped exactly twice: all samples are visible without an
-        // explicit flush.
+        // Each op added two samples (leaf + root), so the thread's
+        // accumulators folded exactly twice: all samples, and the
+        // sampled-op count with them, are visible without an explicit
+        // flush.
         let hist = registry.histogram_with(
             "bad_profile_stage_ns",
             &[("stage", "get_all_pending;lookup")],
         );
         assert_eq!(hist.count(), RING_CAPACITY as u64);
+        assert_eq!(
+            registry.counter("bad_profile_sampled_ops_total").get(),
+            RING_CAPACITY as u64
+        );
         // The boundary write (not the op envelope) is what the
         // anomaly-dump attribution reads back.
         assert_eq!(last_stage_path(), Some("get_all_pending;lookup"));

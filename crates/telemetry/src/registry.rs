@@ -5,31 +5,46 @@
 //! increment is a single relaxed atomic op, so hot paths register once
 //! and keep the handle. The registry itself is cheaply cloneable and
 //! all clones share the same metric store.
+//!
+//! State with a single writer — a broker under `&mut`, a cache shard
+//! under its mutex — pays no atomic read-modify-write at all: it takes
+//! an owner cell of the series ([`Registry::owner_counter`],
+//! [`Registry::owner_histogram`]) and bumps it with a plain load and
+//! store. Every read of the series (handles, [`Registry::render`],
+//! [`Registry::counter_values`]) sums its cells in.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, OwnerHistogram};
+
+/// One counter series: the register [`Counter`] handles add to
+/// atomically, plus the cells of its [`OwnerCounter`]s.
+#[derive(Debug, Default)]
+struct CounterSeries {
+    shared: AtomicU64,
+    cells: Mutex<Vec<Arc<AtomicU64>>>,
+}
 
 /// A monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
-    value: Arc<AtomicU64>,
+    series: Arc<CounterSeries>,
 }
 
 impl Counter {
     /// Increments by one.
     #[inline]
     pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
+        self.series.shared.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Increments by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.series.shared.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increments by one with a plain load and store instead of an
@@ -38,13 +53,72 @@ impl Counter {
     /// increments to each other, never corrupt the value.
     #[inline]
     pub(crate) fn inc_under_lock(&self) {
-        let v = self.value.load(Ordering::Relaxed);
-        self.value.store(v.wrapping_add(1), Ordering::Relaxed);
+        store_add(&self.series.shared, 1);
     }
 
-    /// Current value.
+    /// Current value: the shared register plus every owner cell.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        let cells = self.series.cells.lock().expect("counter cells poisoned");
+        cells
+            .iter()
+            .fold(self.series.shared.load(Ordering::Relaxed), |sum, cell| {
+                sum.wrapping_add(cell.load(Ordering::Relaxed))
+            })
+    }
+
+    /// Registers a new owner cell on this counter's series (see
+    /// [`OwnerCounter`]).
+    pub(crate) fn owner(&self) -> OwnerCounter {
+        let cell = Arc::new(AtomicU64::new(0));
+        self.series
+            .cells
+            .lock()
+            .expect("counter cells poisoned")
+            .push(Arc::clone(&cell));
+        OwnerCounter {
+            series: self.clone(),
+            cell,
+        }
+    }
+}
+
+/// Adds `n` to `register` with a plain load and store.
+#[inline]
+fn store_add(register: &AtomicU64, n: u64) {
+    let v = register.load(Ordering::Relaxed);
+    register.store(v.wrapping_add(n), Ordering::Relaxed);
+}
+
+/// One owner's cell of a counter series: [`OwnerCounter::add`] is a
+/// plain load and store, no atomic read-modify-write, and every read of
+/// the series sums the cell in. For state with a single writer, so no
+/// increment is ever lost.
+///
+/// Cloning registers a *new* cell on the same series: a clone is a new
+/// owner, never a second writer of this cell.
+#[derive(Debug)]
+pub struct OwnerCounter {
+    series: Counter,
+    cell: Arc<AtomicU64>,
+}
+
+impl OwnerCounter {
+    /// Increments by one.
+    #[inline]
+    pub fn inc(&self) {
+        store_add(&self.cell, 1);
+    }
+
+    /// Increments by `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        store_add(&self.cell, n);
+    }
+}
+
+impl Clone for OwnerCounter {
+    fn clone(&self) -> Self {
+        self.series.owner()
     }
 }
 
@@ -207,6 +281,18 @@ impl Registry {
         map.entry(labeled_key(name, labels)).or_default().clone()
     }
 
+    /// A new owner cell of the counter named `name` (see
+    /// [`OwnerCounter`]), creating the series on first use.
+    pub fn owner_counter(&self, name: &str) -> OwnerCounter {
+        self.counter(name).owner()
+    }
+
+    /// A new owner cell of the histogram named `name` (see
+    /// [`OwnerHistogram`]), creating the series on first use.
+    pub fn owner_histogram(&self, name: &str) -> OwnerHistogram {
+        self.histogram(name).owner()
+    }
+
     /// Returns the histogram named `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
         self.histogram_with(name, &[])
@@ -355,6 +441,40 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(registry.counter("bad_test_total").get(), 3);
+    }
+
+    #[test]
+    fn owner_cells_sum_into_every_read_of_the_series() {
+        let registry = Registry::new();
+        let shared = registry.counter("bad_cells_total");
+        let a = registry.owner_counter("bad_cells_total");
+        // A clone is a second owner with a cell of its own.
+        let b = a.clone();
+        shared.add(1);
+        a.add(10);
+        b.inc();
+        b.add(100);
+        assert_eq!(shared.get(), 112);
+        assert_eq!(registry.counter("bad_cells_total").get(), 112);
+        assert!(registry.render().contains("bad_cells_total 112\n"));
+        assert_eq!(
+            registry.counter_values(),
+            vec![("bad_cells_total".to_owned(), 112)]
+        );
+        // A dropped owner's counts stay in the series.
+        drop(b);
+        assert_eq!(shared.get(), 112);
+
+        let h = registry.owner_histogram("bad_cells_us");
+        let h2 = h.clone();
+        h.record(3);
+        h2.record(300);
+        registry.histogram("bad_cells_us").record(30);
+        let snap = registry.histogram("bad_cells_us").snapshot();
+        assert_eq!((snap.count, snap.sum, snap.max), (3, 333, 300));
+        let text = registry.render();
+        assert!(text.contains("bad_cells_us_count 3\n"), "{text}");
+        assert!(text.contains("bad_cells_us_max 300\n"), "{text}");
     }
 
     #[test]

@@ -23,19 +23,22 @@
 //!   keys currently tracked by the requests sketch *only* — bounding
 //!   lag memory by `capacity × buckets` instead of by key cardinality.
 //!
-//! The write side is [`SketchRecorder`]: a sampling gate (one relaxed
-//! RMW per op when skipping; recorded ops weight their increments by
-//! the sampling period so estimates stay unbiased) in front of a
-//! mutex-protected sketch state. The intended deployment is one
-//! recorder per cache shard — the shard mutex already serializes the
-//! hot path, so the recorder's own mutex is uncontended — merged at
-//! read time by [`HotSnapshot::merge`], whose result is independent of
-//! shard order (see `merge_is_order_independent` below; the scrape
-//! endpoint's `/hot` body is byte-identical under shard permutation).
+//! The write side is [`SketchRecorder`]: a sampling gate (a relaxed
+//! load/store pair per op when skipping; recorded ops weight their
+//! increments by the sampling period so estimates stay unbiased) in
+//! front of a mutex-protected sketch state. A [`SketchBatch`] takes
+//! that mutex once for everything one retrieval records — its hit, its
+//! ack and each served object's delivery lag. The intended deployment
+//! is one recorder per cache shard — the shard mutex already
+//! serializes the hot path, so the recorder's own mutex is
+//! uncontended — merged at read time by [`HotSnapshot::merge`], whose
+//! result is independent of shard order (see
+//! `merge_is_order_independent` below; the scrape endpoint's `/hot`
+//! body is byte-identical under shard permutation).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// The same splitmix64 finalizer the cache tier routes shards with —
 /// deterministic across runs and platforms.
@@ -57,7 +60,7 @@ pub struct SketchConfig {
     /// Keys rendered per axis in JSON views (≤ `capacity`).
     pub top_k: usize,
     /// Record 1 in N ops, weighting increments by N (`≤ 1` records
-    /// every op). Skipped ops cost one relaxed RMW.
+    /// every op). Skipped ops cost a relaxed load/store pair.
     pub sample_every_n: u32,
     /// Delivery-lag threshold feeding the SLO-violations axis, in
     /// virtual microseconds. Mirrors the tracer's delivery-lag SLO.
@@ -467,62 +470,35 @@ impl SketchRecorder {
         }
     }
 
-    /// Attributes a cache hit: `objects` served (`bytes` of them) for
-    /// `key`. No-op when `objects == 0`.
+    /// Starts a batch: everything recorded through it shares one lock
+    /// of the sketch state, taken at the first sampled record and held
+    /// until the batch drops. Each record still takes its own sampling
+    /// tick, in call order.
+    pub fn batch(&self) -> SketchBatch<'_> {
+        SketchBatch {
+            recorder: self,
+            state: None,
+        }
+    }
+
+    /// [`SketchBatch::hit`] on a batch of its own.
     pub fn record_hit(&self, key: u64, objects: u64, bytes: u64) {
-        if objects == 0 {
-            return;
-        }
-        let Some(w) = self.sample() else { return };
-        let mut state = self.state.lock().expect("sketch state poisoned");
-        state.track_requests(key, w * objects);
-        state.bytes.record(key, w * bytes);
-        state.distinct.observe(key);
-        state.totals.requests += w * objects;
-        state.totals.bytes += w * bytes;
+        self.batch().hit(key, objects, bytes);
     }
 
-    /// Attributes a miss fetch: `objects` fetched from the cluster for
-    /// `key`. Misses count into the requests axis too (requests =
-    /// hit + miss objects). No-op when `objects == 0`.
+    /// [`SketchBatch::miss`] on a batch of its own.
     pub fn record_miss(&self, key: u64, objects: u64) {
-        if objects == 0 {
-            return;
-        }
-        let Some(w) = self.sample() else { return };
-        let mut state = self.state.lock().expect("sketch state poisoned");
-        state.track_requests(key, w * objects);
-        state.misses.record(key, w * objects);
-        state.distinct.observe(key);
-        state.totals.requests += w * objects;
-        state.totals.misses += w * objects;
+        self.batch().miss(key, objects);
     }
 
-    /// Attributes an ACK (consumption marker advance) — activity only:
-    /// feeds the distinct-active estimator without touching the
-    /// heavy-hitter axes.
+    /// [`SketchBatch::ack`] on a batch of its own.
     pub fn record_ack(&self, key: u64) {
-        if self.sample().is_none() {
-            return;
-        }
-        let mut state = self.state.lock().expect("sketch state poisoned");
-        state.distinct.observe(key);
+        self.batch().ack(key);
     }
 
-    /// Attributes one delivered object's end-to-end lag: feeds the
-    /// per-key quantiles (if `key` is currently tracked by the
-    /// requests sketch) and the SLO-violations axis when `lag_us`
-    /// exceeds the configured threshold.
+    /// [`SketchBatch::delivery_lags`] of one lag, on a batch of its own.
     pub fn record_delivery_lag(&self, key: u64, lag_us: u64) {
-        let Some(w) = self.sample() else { return };
-        let mut state = self.state.lock().expect("sketch state poisoned");
-        if state.requests.entries().contains_key(&key) {
-            state.lags.entry(key).or_default().record(lag_us, w);
-        }
-        if lag_us > self.config.slo_lag_us {
-            state.slo.record(key, w);
-            state.totals.slo_violations += w;
-        }
+        self.batch().delivery_lags(key, [lag_us]);
     }
 
     /// A point-in-time copy of the sketch state.
@@ -538,6 +514,109 @@ impl SketchRecorder {
             totals: state.totals,
             top_k: self.config.top_k,
             sample_every_n: self.config.sample_every_n.max(1),
+        }
+    }
+}
+
+/// Records into one [`SketchRecorder`] under a single lock of its state
+/// (see [`SketchRecorder::batch`]).
+#[derive(Debug)]
+pub struct SketchBatch<'a> {
+    recorder: &'a SketchRecorder,
+    state: Option<MutexGuard<'a, SketchState>>,
+}
+
+impl SketchBatch<'_> {
+    /// Takes one sampling tick; when it is due, returns the weight and
+    /// the (now locked) state.
+    #[inline]
+    fn sampled(&mut self) -> Option<(u64, &mut SketchState)> {
+        let weight = self.recorder.sample()?;
+        let recorder = self.recorder;
+        let state = self
+            .state
+            .get_or_insert_with(|| recorder.state.lock().expect("sketch state poisoned"));
+        Some((weight, state))
+    }
+
+    /// Attributes a cache hit: `objects` served (`bytes` of them) for
+    /// `key`. No-op (and no tick) when `objects == 0`.
+    pub fn hit(&mut self, key: u64, objects: u64, bytes: u64) {
+        if objects == 0 {
+            return;
+        }
+        let Some((w, state)) = self.sampled() else {
+            return;
+        };
+        state.track_requests(key, w * objects);
+        state.bytes.record(key, w * bytes);
+        state.distinct.observe(key);
+        state.totals.requests += w * objects;
+        state.totals.bytes += w * bytes;
+    }
+
+    /// Attributes a miss fetch: `objects` fetched from the cluster for
+    /// `key`. Misses count into the requests axis too (requests =
+    /// hit + miss objects). No-op (and no tick) when `objects == 0`.
+    pub fn miss(&mut self, key: u64, objects: u64) {
+        if objects == 0 {
+            return;
+        }
+        let Some((w, state)) = self.sampled() else {
+            return;
+        };
+        state.track_requests(key, w * objects);
+        state.misses.record(key, w * objects);
+        state.distinct.observe(key);
+        state.totals.requests += w * objects;
+        state.totals.misses += w * objects;
+    }
+
+    /// Attributes an ACK (consumption marker advance) — activity only:
+    /// feeds the distinct-active estimator without touching the
+    /// heavy-hitter axes.
+    pub fn ack(&mut self, key: u64) {
+        if let Some((_, state)) = self.sampled() {
+            state.distinct.observe(key);
+        }
+    }
+
+    /// Attributes delivered objects' end-to-end lags, all for `key`:
+    /// feeds the per-key quantiles (if `key` is currently tracked by
+    /// the requests sketch) and the SLO-violations axis with every lag
+    /// over the configured threshold. Each lag takes its own sampling
+    /// tick; the key's lookups and its SLO-axis update happen once for
+    /// the lot (one Space-Saving update of weight `w + w + …` equals
+    /// that many updates of weight `w`, with nothing in between).
+    pub fn delivery_lags(&mut self, key: u64, lags_us: impl IntoIterator<Item = u64>) {
+        let recorder = self.recorder;
+        let mut sampled = lags_us
+            .into_iter()
+            .filter_map(|lag_us| Some((lag_us, recorder.sample()?)))
+            .peekable();
+        if sampled.peek().is_none() {
+            return;
+        }
+        let state = &mut **self
+            .state
+            .get_or_insert_with(|| recorder.state.lock().expect("sketch state poisoned"));
+        let mut hist = state
+            .requests
+            .entries()
+            .contains_key(&key)
+            .then(|| state.lags.entry(key).or_default());
+        let mut violations = 0;
+        for (lag_us, w) in sampled {
+            if let Some(hist) = hist.as_mut() {
+                hist.record(lag_us, w);
+            }
+            if lag_us > recorder.config.slo_lag_us {
+                violations += w;
+            }
+        }
+        if violations > 0 {
+            state.slo.record(key, violations);
+            state.totals.slo_violations += violations;
         }
     }
 }
@@ -907,6 +986,40 @@ mod tests {
         // match exactly on a uniform tape.
         assert_eq!(s.requests, 8000);
         assert_eq!(s.bytes, f.bytes);
+    }
+
+    #[test]
+    fn a_batch_samples_and_records_what_single_calls_would() {
+        // Same records, same order: one recorder takes each through its
+        // own lock, the other through one batch per retrieval, a
+        // retrieval's lags in one call. Every record takes its own tick
+        // either way, so even a sampled recorder ends in the same state
+        // — on a capacity small enough that the SLO axis replaces keys.
+        let config = SketchConfig {
+            capacity: 4,
+            sample_every_n: 3,
+            slo_lag_us: 1_000,
+            ..SketchConfig::default()
+        };
+        let single = SketchRecorder::new(config);
+        let batched = SketchRecorder::new(config);
+        for i in 0..300u64 {
+            let key = i % 7;
+            let lags = [i * 10, i * 20 + 5, 3];
+            single.record_hit(key, 1 + i % 3, 64);
+            single.record_ack(key);
+            for lag in lags {
+                single.record_delivery_lag(key, lag);
+            }
+            single.record_miss(key, i % 2);
+            let mut batch = batched.batch();
+            batch.hit(key, 1 + i % 3, 64);
+            batch.ack(key);
+            batch.delivery_lags(key, lags);
+            batch.miss(key, i % 2);
+        }
+        assert_eq!(single.snapshot().to_json(), batched.snapshot().to_json());
+        assert!(batched.snapshot().totals().slo_violations > 0);
     }
 
     #[test]

@@ -672,116 +672,112 @@ impl Tracer {
         });
     }
 
-    /// `subscriber`'s retrieval was served `object` from `cache`;
-    /// `lag_us` is the end-to-end produce→deliver lag, checked against
-    /// the delivery SLO.
-    pub fn on_retrieve_hit(
+    /// `subscriber`'s retrieval was served `hits` from `cache`, each an
+    /// `(object, bytes, lag_us)` triple whose lag is the end-to-end
+    /// produce→deliver lag, checked against the delivery SLO. One
+    /// retrieve-hit span per object; the span counter, the SLO
+    /// violation counter and the lag histogram's sum are updated once
+    /// for the lot.
+    pub fn on_retrieve_hits(
         &self,
         t_us: u64,
         cache: u64,
-        object: u64,
         subscriber: u64,
-        bytes: u64,
-        lag_us: u64,
+        hits: impl IntoIterator<Item = (u64, u64, u64)>,
     ) {
         if !self.on {
             return;
         }
-        self.spans_total[SpanKind::RetrieveHit as usize].inc();
-        self.check_delivery_slo(t_us, lag_us);
-        let trace = TraceId::for_object(object);
-        if !self.sampled(trace) {
-            return;
+        let mut lags = self.delivery_lag_us.batch();
+        let (mut spans, mut violations) = (0, 0);
+        for (object, bytes, lag_us) in hits {
+            spans += 1;
+            lags.record(lag_us);
+            violations += u64::from(self.check_delivery_slo(t_us, lag_us));
+            let trace = TraceId::for_object(object);
+            if self.sampled(trace) {
+                self.emit(Span {
+                    trace,
+                    span: SpanId::derive(trace, SpanKind::RetrieveHit, subscriber),
+                    parent: Some(SpanId::derive(trace, SpanKind::CacheInsert, cache)),
+                    kind: SpanKind::RetrieveHit,
+                    t_us,
+                    cache,
+                    object,
+                    subscriber,
+                    bytes,
+                    lag_us,
+                    policy: "",
+                    drop_kind: "",
+                    score: 0.0,
+                });
+            }
         }
-        self.emit(Span {
-            trace,
-            span: SpanId::derive(trace, SpanKind::RetrieveHit, subscriber),
-            parent: Some(SpanId::derive(trace, SpanKind::CacheInsert, cache)),
-            kind: SpanKind::RetrieveHit,
-            t_us,
-            cache,
-            object,
-            subscriber,
-            bytes,
-            lag_us,
-            policy: "",
-            drop_kind: "",
-            score: 0.0,
-        });
+        if spans > 0 {
+            self.spans_total[SpanKind::RetrieveHit as usize].add(spans);
+        }
+        self.count_delivery_violations(violations);
     }
 
-    /// `subscriber`'s retrieval missed `object` in `cache` (never
-    /// admitted, or already dropped); same delivery-SLO accounting as a
-    /// hit — the subscriber does not care why delivery was late.
-    pub fn on_retrieve_miss(
+    /// `subscriber`'s retrieval missed `misses` in `cache` (never
+    /// admitted, or already dropped) and re-fetched them from the
+    /// durable backend store. Each is an `(object, bytes, lag_us,
+    /// fetch_us)` tuple: `lag_us` is the produce→deliver lag, with the
+    /// same delivery-SLO accounting as a hit (the subscriber does not
+    /// care why delivery was late), and `fetch_us` the modeled cluster
+    /// fetch latency. Per object, a retrieve-miss span and its
+    /// backend-fetch child; the span counters, the SLO violation
+    /// counter and the lag histogram's sum are updated once for the
+    /// lot.
+    pub fn on_retrieve_misses(
         &self,
         t_us: u64,
         cache: u64,
-        object: u64,
         subscriber: u64,
-        bytes: u64,
-        lag_us: u64,
+        misses: impl IntoIterator<Item = (u64, u64, u64, u64)>,
     ) {
         if !self.on {
             return;
         }
-        self.spans_total[SpanKind::RetrieveMiss as usize].inc();
-        self.check_delivery_slo(t_us, lag_us);
-        let trace = TraceId::for_object(object);
-        if !self.sampled(trace) {
-            return;
+        let mut lags = self.delivery_lag_us.batch();
+        let (mut spans, mut violations) = (0, 0);
+        for (object, bytes, lag_us, fetch_us) in misses {
+            spans += 1;
+            lags.record(lag_us);
+            violations += u64::from(self.check_delivery_slo(t_us, lag_us));
+            let trace = TraceId::for_object(object);
+            if !self.sampled(trace) {
+                continue;
+            }
+            let miss = Span {
+                trace,
+                span: SpanId::derive(trace, SpanKind::RetrieveMiss, subscriber),
+                parent: Some(SpanId::derive(trace, SpanKind::ResultProduced, cache)),
+                kind: SpanKind::RetrieveMiss,
+                t_us,
+                cache,
+                object,
+                subscriber,
+                bytes,
+                lag_us,
+                policy: "",
+                drop_kind: "",
+                score: 0.0,
+            };
+            self.emit(miss);
+            self.emit(Span {
+                span: SpanId::derive(trace, SpanKind::BackendFetch, subscriber),
+                parent: Some(miss.span),
+                kind: SpanKind::BackendFetch,
+                lag_us: fetch_us,
+                ..miss
+            });
         }
-        self.emit(Span {
-            trace,
-            span: SpanId::derive(trace, SpanKind::RetrieveMiss, subscriber),
-            parent: Some(SpanId::derive(trace, SpanKind::ResultProduced, cache)),
-            kind: SpanKind::RetrieveMiss,
-            t_us,
-            cache,
-            object,
-            subscriber,
-            bytes,
-            lag_us,
-            policy: "",
-            drop_kind: "",
-            score: 0.0,
-        });
-    }
-
-    /// A miss was re-fetched from the durable backend store for
-    /// `subscriber`; `lag_us` is the modeled cluster fetch latency.
-    pub fn on_backend_fetch(
-        &self,
-        t_us: u64,
-        cache: u64,
-        object: u64,
-        subscriber: u64,
-        bytes: u64,
-        lag_us: u64,
-    ) {
-        if !self.on {
-            return;
+        if spans > 0 {
+            self.spans_total[SpanKind::RetrieveMiss as usize].add(spans);
+            self.spans_total[SpanKind::BackendFetch as usize].add(spans);
         }
-        self.spans_total[SpanKind::BackendFetch as usize].inc();
-        let trace = TraceId::for_object(object);
-        if !self.sampled(trace) {
-            return;
-        }
-        self.emit(Span {
-            trace,
-            span: SpanId::derive(trace, SpanKind::BackendFetch, subscriber),
-            parent: Some(SpanId::derive(trace, SpanKind::RetrieveMiss, subscriber)),
-            kind: SpanKind::BackendFetch,
-            t_us,
-            cache,
-            object,
-            subscriber,
-            bytes,
-            lag_us,
-            policy: "",
-            drop_kind: "",
-            score: 0.0,
-        });
+        self.count_delivery_violations(violations);
     }
 
     /// `object` left `cache`. `kind` must be one of [`SpanKind::Drop`],
@@ -836,11 +832,21 @@ impl Tracer {
         });
     }
 
-    fn check_delivery_slo(&self, t_us: u64, lag_us: u64) {
-        self.delivery_lag_us.record(lag_us);
-        if lag_us > self.slo.delivery_latency_us {
-            self.delivery_slo_violations.inc();
+    /// Notes a delivery that broke the SLO in the flight recorder and
+    /// says whether it did; the caller records the lag and counts the
+    /// violations ([`Tracer::count_delivery_violations`]).
+    #[inline]
+    fn check_delivery_slo(&self, t_us: u64, lag_us: u64) -> bool {
+        let late = lag_us > self.slo.delivery_latency_us;
+        if late {
             self.recorder.note_anomaly("delivery_latency_slo", t_us);
+        }
+        late
+    }
+
+    fn count_delivery_violations(&self, violations: u64) {
+        if violations > 0 {
+            self.delivery_slo_violations.add(violations);
         }
     }
 }
@@ -879,7 +885,7 @@ mod tests {
         let (tracer, _) = tracer_with(&registry, recorder.clone(), TraceConfig::default());
         tracer.on_result_produced(1, 9, 77, 100);
         tracer.on_cache_insert(2, 9, 77, 100, 1);
-        tracer.on_retrieve_hit(3, 9, 77, 1001, 100, 2);
+        tracer.on_retrieve_hits(3, 9, 1001, [(77, 100, 2)]);
         tracer.on_drop(
             4,
             9,
@@ -965,9 +971,9 @@ mod tests {
             ..TraceConfig::default()
         };
         let (tracer, _) = tracer_with(&registry, recorder.clone(), config);
-        tracer.on_retrieve_hit(1, 1, 5, 9, 10, 50); // within SLO
-        tracer.on_retrieve_hit(2, 1, 5, 9, 10, 500); // violation
-        tracer.on_retrieve_miss(3, 1, 6, 9, 10, 900); // violation
+        tracer.on_retrieve_hits(1, 1, 9, [(5, 10, 50)]); // within SLO
+        tracer.on_retrieve_hits(2, 1, 9, [(5, 10, 500)]); // violation
+        tracer.on_retrieve_misses(3, 1, 9, [(6, 10, 900, 0)]); // violation
         tracer.on_drop(
             4,
             1,
@@ -986,12 +992,65 @@ mod tests {
     }
 
     #[test]
+    fn batched_retrievals_count_and_link_every_object() {
+        let registry = Registry::new();
+        let recorder = Arc::new(FlightRecorder::new(1, 64));
+        let (tracer, ring) = tracer_with(&registry, recorder.clone(), TraceConfig::default());
+        tracer.on_retrieve_hits(10, 3, 7, [(1, 100, 5), (2, 200, 6), (3, 300, 4_000)]);
+        tracer.on_retrieve_misses(11, 3, 7, [(4, 400, 9, 500), (5, 500, 1, 600)]);
+        tracer.on_retrieve_hits(12, 3, 7, []);
+
+        let text = registry.render();
+        for line in [
+            "bad_trace_spans_total{kind=\"retrieve_hit\"} 3\n",
+            "bad_trace_spans_total{kind=\"retrieve_miss\"} 2\n",
+            "bad_trace_spans_total{kind=\"backend_fetch\"} 2\n",
+            "bad_trace_delivery_lag_us_sum 4021\n",
+            "bad_trace_delivery_lag_us_count 5\n",
+            "bad_trace_delivery_lag_us_max 4000\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in\n{text}");
+        }
+        // One span per object (two per miss), in object order, each
+        // fetch the child of its miss.
+        let spans: Vec<Span> = ring
+            .events()
+            .into_iter()
+            .map(|event| match event {
+                Event::Span(span) => span,
+                other => panic!("not a span: {other:?}"),
+            })
+            .collect();
+        let kinds: Vec<(SpanKind, u64)> = spans.iter().map(|s| (s.kind, s.object)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (SpanKind::RetrieveHit, 1),
+                (SpanKind::RetrieveHit, 2),
+                (SpanKind::RetrieveHit, 3),
+                (SpanKind::RetrieveMiss, 4),
+                (SpanKind::BackendFetch, 4),
+                (SpanKind::RetrieveMiss, 5),
+                (SpanKind::BackendFetch, 5),
+            ]
+        );
+        assert_eq!(spans[4].parent, Some(spans[3].span));
+        assert_eq!((spans[4].lag_us, spans[3].lag_us), (500, 9));
+        assert_eq!(
+            spans[0].parent,
+            Some(SpanId::derive(spans[0].trace, SpanKind::CacheInsert, 3))
+        );
+        assert_eq!(recorder.len(), 7);
+    }
+
+    #[test]
     fn disabled_tracer_emits_nothing() {
         let tracer = Tracer::disabled();
         assert!(!tracer.enabled());
         tracer.on_result_produced(1, 1, 1, 1);
         tracer.on_cache_insert(1, 1, 1, 1, 1);
-        tracer.on_retrieve_hit(1, 1, 1, 1, 1, u64::MAX);
+        tracer.on_retrieve_hits(1, 1, 1, [(1, 1, u64::MAX)]);
+        tracer.on_retrieve_misses(1, 1, 1, [(1, 1, u64::MAX, 1)]);
         assert!(tracer.recorder().is_empty());
         assert_eq!(tracer.recorder().anomalies(), 0);
     }

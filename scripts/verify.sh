@@ -5,9 +5,9 @@
 #   scripts/verify.sh
 #
 # Runs, in order: the zero-dependency guard, the release build and every
-# crate's tests, the cache, broker, cluster, query, storage and types
-# suites again under --release, formatting, lints and rustdoc, and the
-# benchmark smoke.
+# crate's tests, the cache, broker, cluster, query, storage, types and
+# telemetry suites again under --release, formatting, lints and rustdoc,
+# and the benchmark smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,11 +26,13 @@ cargo build --release --locked
 cargo test -q --locked
 # The suites of the crates the benchmark drives, again under --release:
 # the cache's thread stress and scaling guards with debug assertions
-# off, the fused GET under paper_claims and miss_path, and the cluster,
+# off, the fused GET under paper_claims and miss_path, the cluster,
 # query, storage and types oracles and property loops as the benchmark
-# builds them (the enrichment join's index lives in storage).
+# builds them (the enrichment join's index lives in storage), and the
+# telemetry crate's profiler fold, histogram fold and sketch recorder,
+# which sit on the benchmark's observed hot path.
 cargo test -q --release --locked -p bad-cache -p bad-broker -p bad-cluster -p bad-query \
-  -p bad-storage -p bad-types
+  -p bad-storage -p bad-types -p bad-telemetry
 cargo fmt --check
 cargo clippy --locked --workspace --all-targets -- -D warnings
 # A dangling or private intra-doc link (say, to an item a change
