@@ -226,37 +226,21 @@ impl Broker {
         }
     }
 
-    /// Wires this broker (and its cache manager) to a shared metric
-    /// registry and event sink. The default is detached: a private
-    /// registry and the allocation-free null sink.
+    /// Wires this broker and its cache manager to a shared metric
+    /// registry, an event sink, a lifecycle [`bad_telemetry::Tracer`]
+    /// and the continuous hot-path [`Profiler`]. The default is
+    /// detached: a private registry, the allocation-free null sink and
+    /// the disabled tracer and profiler. Pass
+    /// [`bad_telemetry::Tracer::disabled`] or [`Profiler::disabled`] for
+    /// an observer you do not want.
+    ///
+    /// The tracer makes retrievals, inserts and drops emit causally
+    /// linked spans (see `bad_telemetry::trace`). The profiler
+    /// registers per-shard lock sites and decomposes `get_all_pending`
+    /// into stage timings (route, lock-wait, lookup, cluster-RTT, ack).
+    /// Both are metadata-only: delivery plans are byte-identical.
+    /// [`crate::Observability`] bundles one of each.
     pub fn attach_telemetry(
-        &mut self,
-        registry: &bad_telemetry::Registry,
-        sink: bad_telemetry::SharedSink,
-    ) {
-        self.attach_telemetry_traced(registry, sink, bad_telemetry::Tracer::disabled());
-    }
-
-    /// Like [`Broker::attach_telemetry`], but additionally threads a
-    /// lifecycle [`bad_telemetry::Tracer`] through the broker *and* its
-    /// cache manager, so retrievals, inserts and drops emit causally
-    /// linked spans (see `bad_telemetry::trace`).
-    pub fn attach_telemetry_traced(
-        &mut self,
-        registry: &bad_telemetry::Registry,
-        sink: bad_telemetry::SharedSink,
-        tracer: bad_telemetry::SharedTracer,
-    ) {
-        self.attach_telemetry_profiled(registry, sink, tracer, Profiler::disabled());
-    }
-
-    /// Like [`Broker::attach_telemetry_traced`], but additionally
-    /// attaches the continuous hot-path profiler: the cache tier
-    /// registers per-shard lock sites through it, and the broker
-    /// decomposes `get_all_pending` into stage timings (route,
-    /// lock-wait, lookup, cluster-RTT, ack). Profiling
-    /// is metadata-only — delivery plans are byte-identical.
-    pub fn attach_telemetry_profiled(
         &mut self,
         registry: &bad_telemetry::Registry,
         sink: bad_telemetry::SharedSink,
@@ -269,6 +253,19 @@ impl Broker {
         );
         self.telemetry = BrokerTelemetry::traced(registry, sink, tracer);
         self.profiler = profiler;
+    }
+
+    /// [`Broker::attach_telemetry`] under its old name, kept only for
+    /// callers that still use it.
+    #[doc(hidden)]
+    pub fn attach_telemetry_profiled(
+        &mut self,
+        registry: &bad_telemetry::Registry,
+        sink: bad_telemetry::SharedSink,
+        tracer: bad_telemetry::SharedTracer,
+        profiler: Profiler,
+    ) {
+        self.attach_telemetry(registry, sink, tracer, profiler);
     }
 
     /// The profiler in force ([`Profiler::disabled`] by default).

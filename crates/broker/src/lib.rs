@@ -11,7 +11,8 @@
 //! The broker is written against a [`ClusterHandle`] abstraction and a
 //! virtual clock, so the exact same code runs inside the discrete-event
 //! simulator (Section V of the paper) and the threaded prototype
-//! (Section VI).
+//! (Section VI). Observers are metadata-only; [`Observability`] bundles
+//! the ones a runtime attaches to a broker and its cluster.
 //!
 //! # Examples
 //!
@@ -57,6 +58,7 @@
 //! ```
 
 pub mod broker;
+pub mod observability;
 pub mod subscriptions;
 pub mod telemetry;
 
@@ -65,5 +67,6 @@ pub use broker::CoalesceStats;
 pub use broker::{
     Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics, NotificationOutcome,
 };
+pub use observability::Observability;
 pub use subscriptions::{BackendEntry, FrontendSub, PendingRange, SubscriptionTable};
 pub use telemetry::BrokerTelemetry;

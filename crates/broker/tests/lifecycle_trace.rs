@@ -53,7 +53,12 @@ fn traced_setup(budget: Option<ByteSize>) -> (DataCluster, Broker, SharedTracer)
         TraceConfig::default(),
     );
     cluster.set_tracer(Arc::clone(&tracer));
-    broker.attach_telemetry_traced(&registry, bad_telemetry::null_sink(), Arc::clone(&tracer));
+    broker.attach_telemetry(
+        &registry,
+        bad_telemetry::null_sink(),
+        Arc::clone(&tracer),
+        bad_telemetry::Profiler::disabled(),
+    );
     (cluster, broker, tracer)
 }
 

@@ -18,8 +18,10 @@
 //! * every event the sink received, as JSON, in order.
 //!
 //! The digests were taken on the commit before retrievals were recorded
-//! in batches and owner-written metrics became owner cells; the test
-//! file itself is unchanged since.
+//! in batches and owner-written metrics became owner cells. The tape is
+//! unchanged since; the observers are wired through
+//! `Broker::attach_telemetry`, and once more through the hidden
+//! `attach_telemetry_profiled` forwarder that older callers still use.
 
 use std::sync::Arc;
 
@@ -29,8 +31,8 @@ use bad_cluster::DataCluster;
 use bad_query::ParamBindings;
 use bad_storage::Schema;
 use bad_telemetry::{
-    FlightRecorder, ProfileConfig, Profiler, Registry, RingBufferSink, SketchConfig, TraceConfig,
-    Tracer,
+    FlightRecorder, ProfileConfig, Profiler, Registry, RingBufferSink, SharedSink, SharedTracer,
+    SketchConfig, TraceConfig, Tracer,
 };
 use bad_types::rng::Rng;
 use bad_types::{ByteSize, DataValue, FrontendSubId, SubscriberId, Timestamp};
@@ -74,7 +76,10 @@ fn is_ns_sample(line: &str) -> bool {
     })
 }
 
-fn run_tape() -> Observed {
+/// How a test wires the observers to the broker.
+type Attach = fn(&mut Broker, &Registry, SharedSink, SharedTracer, Profiler);
+
+fn run_tape(attach: Attach) -> Observed {
     let registry = Registry::new();
     let sink = Arc::new(RingBufferSink::new(EVENT_CAPACITY));
     let recorder = Arc::new(FlightRecorder::new(8, 128));
@@ -95,7 +100,13 @@ fn run_tape() -> Observed {
     config.cache.budget = ByteSize::new(24_000);
     config.sketches = Some(SketchConfig::default());
     let mut broker = Broker::new(PolicyName::Lsc, config);
-    broker.attach_telemetry_profiled(&registry, sink.clone(), Arc::clone(&tracer), profiler);
+    attach(
+        &mut broker,
+        &registry,
+        sink.clone(),
+        Arc::clone(&tracer),
+        profiler,
+    );
 
     let mut held: Vec<Vec<FrontendSubId>> = vec![Vec::new(); SUBSCRIBERS as usize];
     for s in 0..SUBSCRIBERS {
@@ -221,7 +232,15 @@ const PARENT_DIGESTS: (u64, u64, u64, u64, usize) = (
 
 #[test]
 fn every_observer_reports_what_it_reported_before() {
-    let observed = run_tape();
+    assert_parent_digests(run_tape(Broker::attach_telemetry));
+}
+
+#[test]
+fn the_profiled_forwarder_wires_the_same_observers() {
+    assert_parent_digests(run_tape(Broker::attach_telemetry_profiled));
+}
+
+fn assert_parent_digests(observed: Observed) {
     let (churned, slo_violations, hits, misses, evictions) = observed.coverage;
     assert!(churned > 0, "no Space-Saving slot was ever replaced");
     assert!(slo_violations > 0, "no delivery broke the SLO");

@@ -4,7 +4,8 @@
 //! is exactly the sum of what each broker counted itself. The shared
 //! profiler folds each thread's samples and sampled-op count on
 //! `flush_thread`; after it, the sampled-op counter equals the number of
-//! operations the threads finished.
+//! operations the threads finished. With more than one shard, that
+//! includes each maintenance pass's budget rebalance.
 
 use std::sync::Barrier;
 use std::thread;
@@ -27,11 +28,18 @@ struct Tally {
     delivery: DeliveryMetrics,
     cache: CacheMetrics,
     /// Profiled operations finished: inserts, single retrievals,
-    /// batched retrievals and maintenance passes (one shard each).
+    /// batched retrievals and maintenance passes (one per shard, plus
+    /// the rebalance when there are several).
     ops: u64,
 }
 
-fn run_broker(seed: u64, registry: &Registry, profiler: &Profiler, start: &Barrier) -> Tally {
+fn run_broker(
+    seed: u64,
+    shards: usize,
+    registry: &Registry,
+    profiler: &Profiler,
+    start: &Barrier,
+) -> Tally {
     let mut cluster = DataCluster::new();
     cluster.create_dataset("Posts", Schema::open()).unwrap();
     cluster
@@ -41,8 +49,9 @@ fn run_broker(seed: u64, registry: &Registry, profiler: &Profiler, start: &Barri
         .unwrap();
     let mut config = BrokerConfig::default();
     config.cache.budget = ByteSize::new(6_000);
+    config.shards = shards;
     let mut broker = Broker::new(PolicyName::Lsc, config);
-    broker.attach_telemetry_profiled(
+    broker.attach_telemetry(
         registry,
         bad_telemetry::null_sink(),
         Tracer::disabled(),
@@ -100,7 +109,7 @@ fn run_broker(seed: u64, registry: &Registry, profiler: &Profiler, start: &Barri
             }
             _ => {
                 broker.maintain(now);
-                ops += broker.cache().shard_count() as u64;
+                ops += shards as u64 + u64::from(shards > 1);
                 continue;
             }
         }
@@ -122,21 +131,14 @@ fn two_brokers_on_two_threads_render_the_sum_of_their_books() {
     let tallies: Vec<Tally> = thread::scope(|scope| {
         let threads = [0xA1, 0xB2].map(|seed| {
             let (registry, profiler, start) = (&registry, &profiler, &start);
-            scope.spawn(move || run_broker(seed, registry, profiler, start))
+            scope.spawn(move || run_broker(seed, 1, registry, profiler, start))
         });
         threads.map(|handle| handle.join().unwrap()).into()
     });
 
     let sum = |f: fn(&Tally) -> u64| tallies.iter().map(f).sum::<u64>();
     let text = registry.render();
-    let value = |series: &str| -> u64 {
-        let prefix = format!("{series} ");
-        let line = text
-            .lines()
-            .find(|line| line.starts_with(&prefix))
-            .unwrap_or_else(|| panic!("no {series} in\n{text}"));
-        line[prefix.len()..].parse().unwrap()
-    };
+    let value = |series: &str| value(&text, series);
     let expected = [
         (
             "bad_broker_retrievals_total",
@@ -195,10 +197,45 @@ fn two_brokers_on_two_threads_render_the_sum_of_their_books() {
         assert!(m.consumed_objects > 0);
     }
 
-    // Every finished operation closed one root envelope.
-    let roots: u64 = ["get_all_pending", "insert", "maintain"]
+    assert_eq!(roots(&text), sum(|t| t.ops));
+}
+
+#[test]
+fn a_sharded_maintenance_pass_finishes_its_rebalance() {
+    let registry = Registry::new();
+    let profiler = Profiler::new(&registry, ProfileConfig::default());
+    let tally = run_broker(0xC3, 4, &registry, &profiler, &Barrier::new(1));
+    let text = registry.render();
+    assert_eq!(value(&text, "bad_profile_sampled_ops_total"), tally.ops);
+    assert_eq!(roots(&text), tally.ops);
+    assert!(
+        value(
+            &text,
+            "bad_profile_stage_ns_count{stage=\"maintain;rebalance\"}"
+        ) > 0,
+        "no rebalance sample in\n{text}"
+    );
+}
+
+/// The value of `series` in a registry render.
+fn value(text: &str, series: &str) -> u64 {
+    let prefix = format!("{series} ");
+    let line = text
+        .lines()
+        .find(|line| line.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("no {series} in\n{text}"));
+    line[prefix.len()..].parse().unwrap()
+}
+
+/// Root envelopes closed: every finished operation closes one.
+fn roots(text: &str) -> u64 {
+    ["get_all_pending", "insert", "maintain"]
         .iter()
-        .map(|root| value(&format!("bad_profile_stage_ns_count{{stage=\"{root}\"}}")))
-        .sum();
-    assert_eq!(roots, sum(|t| t.ops));
+        .map(|root| {
+            value(
+                text,
+                &format!("bad_profile_stage_ns_count{{stage=\"{root}\"}}"),
+            )
+        })
+        .sum()
 }

@@ -250,7 +250,12 @@ const PARENT_SERIES: &str = r#"
 fn attached_counts_as_before_and_detached_changes_no_outcome() {
     let registry = Registry::new();
     let mut attached = broker();
-    attached.attach_telemetry(&registry, bad_telemetry::null_sink());
+    attached.attach_telemetry(
+        &registry,
+        bad_telemetry::null_sink(),
+        bad_telemetry::Tracer::disabled(),
+        bad_telemetry::Profiler::disabled(),
+    );
     let with_registry = run_tape(&mut attached);
 
     let got = series(&registry);

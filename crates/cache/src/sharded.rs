@@ -654,6 +654,7 @@ impl ShardedCacheManager {
                     dropped.extend(self.rebalance(now));
                     p.profiler
                         .stage(&mut timer, StagePath::MaintainRebalance, 0);
+                    p.profiler.finish(timer, StagePath::MaintainTotal, 0);
                 }
                 None => dropped.extend(self.rebalance(now)),
             }

@@ -22,6 +22,11 @@
 //!   the access streams match) produces byte-identical `/hot` JSON —
 //!   the read-time merge of per-shard recorders reports exactly what a
 //!   single recorder would have seen.
+//! - **Zipf accuracy** (estimation quality): on a Zipf(1.0) tape, one
+//!   recorder and four per-shard recorders merged at read time each
+//!   report at least 9 of the exact top 10, every reported count is an
+//!   upper bound within `N / capacity`, and the distinct-active
+//!   estimate lands within 20 % of the true key count.
 
 mod common;
 
@@ -29,7 +34,7 @@ use std::collections::BTreeMap;
 
 use bad_cache::{CacheConfig, PolicyName, ShardedCacheManager};
 use bad_telemetry::{HotSnapshot, SketchConfig, SketchRecorder, SpaceSaving};
-use bad_types::rng::Rng;
+use bad_types::rng::{Rng, Zipf};
 use bad_types::ByteSize;
 use common::{gen_ops, replay};
 
@@ -221,6 +226,67 @@ fn sharded_hot_snapshot_matches_single_shard_byte_for_byte() {
         assert!(
             single.contains("\"top\"") && single.contains("\"requests\""),
             "seed {seed}: /hot body missing axes: {single}"
+        );
+    }
+}
+
+#[test]
+fn zipf_top_ten_and_distinct_count_hold_single_and_merged() {
+    const OPS: u64 = 100_000;
+    const KEYS: usize = 10_000;
+    const SHARDS: u64 = 4;
+    const TOP: usize = 10;
+    const CAPACITY: usize = 256;
+    let config = SketchConfig {
+        capacity: CAPACITY,
+        top_k: TOP,
+        ..SketchConfig::default()
+    };
+    let single = SketchRecorder::new(config);
+    let shards: Vec<SketchRecorder> = (0..SHARDS).map(|_| SketchRecorder::new(config)).collect();
+    let mut exact: BTreeMap<u64, u64> = BTreeMap::new();
+    let zipf = Zipf::new(KEYS, 1.0);
+    let mut rng = Rng::new(0x5eed);
+    for _ in 0..OPS {
+        let key = zipf.sample(&mut rng) as u64;
+        *exact.entry(key).or_insert(0) += 1;
+        single.record_hit(key, 1, 64);
+        // Routed by key modulo the shard count, as the sharded manager
+        // routes subscriptions.
+        shards[(key % SHARDS) as usize].record_hit(key, 1, 64);
+    }
+    let mut ranked: Vec<(u64, u64)> = exact.iter().map(|(&k, &c)| (k, c)).collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let exact_top: Vec<u64> = ranked.iter().take(TOP).map(|&(k, _)| k).collect();
+
+    let snapshots: Vec<HotSnapshot> = shards.iter().map(|r| r.snapshot()).collect();
+    let merged = HotSnapshot::merge(&snapshots).expect("non-empty shard set");
+    let epsilon = OPS / CAPACITY as u64;
+    for (name, snapshot) in [("single", single.snapshot()), ("merged", merged)] {
+        let reported = snapshot.top_requests(TOP);
+        let overlap = exact_top
+            .iter()
+            .filter(|k| reported.iter().any(|(key, _)| key == *k))
+            .count();
+        assert!(overlap >= 9, "{name}: top-10 overlap {overlap}/10");
+        for (key, entry) in &reported {
+            let truth = exact.get(key).copied().unwrap_or(0);
+            assert!(
+                entry.count >= truth && entry.count - truth <= epsilon,
+                "{name}: key {key} reported {} against {truth} (epsilon {epsilon})",
+                entry.count
+            );
+            assert!(
+                entry.count - entry.err <= truth,
+                "{name}: key {key} lower bound"
+            );
+        }
+        let estimate = snapshot.distinct_active() as f64;
+        let error = estimate / exact.len() as f64 - 1.0;
+        assert!(
+            error.abs() <= 0.2,
+            "{name}: distinct estimate {estimate} against {} keys",
+            exact.len()
         );
     }
 }

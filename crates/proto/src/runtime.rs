@@ -14,16 +14,12 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use bad_broker::{Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics};
+use bad_broker::{Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics, Observability};
 use bad_cache::{PolicyName, ShardedCacheManager};
 use bad_cluster::{DataCluster, Notification};
 use bad_query::ParamBindings;
 use bad_storage::ResultObject;
-use bad_telemetry::{
-    FlightRecorder, Gauge, HealthConfig, HealthEngine, HealthObservation, ProfileConfig, Profiler,
-    Registry, ScrapeServer, SharedSink, SharedTracer, SketchConfig, TraceConfig, Tracer,
-    DEFAULT_SCRAPE_LIMIT,
-};
+use bad_telemetry::{Gauge, ScrapeServer, DEFAULT_SCRAPE_LIMIT};
 use bad_types::{
     BackendSubId, BadError, FrontendSubId, Result, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
@@ -279,158 +275,59 @@ pub struct Deployment {
     clock: VirtualClock,
     subscriber_rtt: SimDuration,
     handles: Vec<JoinHandle<()>>,
-    registry: Registry,
+    obs: Observability,
     cache: Arc<ShardedCacheManager>,
-    tracer: SharedTracer,
-    health: Option<Arc<HealthEngine>>,
-    profiler: Profiler,
     /// Pre-rendered `bad_build_info` labels as a JSON object, embedded
     /// in every `/healthz` body.
     build_info: String,
 }
 
 impl Deployment {
-    /// Boots the cluster and broker threads.
+    /// Boots the cluster and broker threads with the observers in
+    /// `obs` attached to both nodes.
     ///
-    /// `build_cluster` constructs the initial cluster state (datasets,
-    /// channels, enrichments); `compression` is the virtual-time speedup.
+    /// `cluster` is the initial cluster state (datasets, channels,
+    /// enrichments); `compression` is the virtual-time speedup. Metric
+    /// counters are registered whatever `obs` is and rendered by
+    /// [`Deployment::metrics_text`]. With [`Observability::full`] the
+    /// event streams of both nodes (cache/broker events on the broker
+    /// thread, channel-fire/enrich events on the cluster thread) reach
+    /// its sink, every tier emits causally linked lifecycle spans (see
+    /// `bad_telemetry::trace`), and each maintenance pass runs
+    /// [`Observability::after_maintain`]. Pair it with
+    /// [`Deployment::serve_scrape`] to expose the whole picture over
+    /// HTTP.
     pub fn start(
-        policy: PolicyName,
-        config: BrokerConfig,
-        cluster: DataCluster,
-        compression: f64,
-    ) -> Self {
-        Self::start_traced(
-            policy,
-            config,
-            cluster,
-            compression,
-            bad_telemetry::null_sink(),
-        )
-    }
-
-    /// Like [`Deployment::start`], but routes the structured event
-    /// streams of both nodes (cache/broker events on the broker thread,
-    /// channel-fire/enrich events on the cluster thread) into `sink`.
-    /// Metric counters are registered either way and rendered by
-    /// [`Deployment::metrics_text`].
-    pub fn start_traced(
-        policy: PolicyName,
-        config: BrokerConfig,
-        cluster: DataCluster,
-        compression: f64,
-        sink: SharedSink,
-    ) -> Self {
-        Self::boot(
-            policy,
-            config,
-            cluster,
-            compression,
-            sink,
-            Registry::new(),
-            Tracer::disabled(),
-            None,
-            Profiler::disabled(),
-        )
-    }
-
-    /// Like [`Deployment::start_traced`], but also threads a lifecycle
-    /// [`Tracer`] through every tier: the cluster stamps
-    /// `result_produced` root spans, the cache emits insert/drop/expire
-    /// spans, and the broker emits hit/miss/backend-fetch spans — all
-    /// causally linked by deterministic ids (see `bad_telemetry::trace`).
-    /// The maintenance path additionally checks the cache for budget
-    /// overruns and shard imbalance and notes anomalies on the tracer's
-    /// flight recorder. Pair with [`Deployment::serve_scrape`] to expose
-    /// the whole picture over HTTP.
-    pub fn start_observed(
-        policy: PolicyName,
-        mut config: BrokerConfig,
-        cluster: DataCluster,
-        compression: f64,
-        sink: SharedSink,
-        trace: TraceConfig,
-    ) -> Self {
-        // Observed deployments attribute hot keys by default: the
-        // sketches are metadata-only (caching decisions stay
-        // byte-identical, pinned by the cache crate's parity tests), and
-        // `/hot` plus the `/healthz` top-5 summary are only useful with
-        // them on.
-        if config.sketches.is_none() {
-            config.sketches = Some(SketchConfig::default());
-        }
-        let registry = Registry::new();
-        let recorder = Arc::new(FlightRecorder::new(
-            FLIGHT_RECORDER_STRIPES,
-            FLIGHT_RECORDER_STRIPE_CAPACITY,
-        ));
-        // The continuous health engine shares the tracer's registry,
-        // flight recorder and event sink: its windowed snapshots, burn
-        // rates and drift scores read the same counters the tracer and
-        // cache telemetry write, and its alert transitions land in the
-        // same post-mortem ring as span anomalies.
-        let health = HealthEngine::new(
-            &registry,
-            Arc::clone(&recorder),
-            sink.clone(),
-            HealthConfig::default(),
-        );
-        let tracer = Tracer::new(&registry, sink.clone(), recorder, trace);
-        // The observed deployment profiles continuously: every op is
-        // sampled (`sample_every_n == 1`) and every shard mutex gets a
-        // lock site. Profiling is metadata-only — caching decisions are
-        // byte-identical (pinned by the cache crate's parity tests).
-        let profiler = Profiler::new(&registry, ProfileConfig::default());
-        Self::boot(
-            policy,
-            config,
-            cluster,
-            compression,
-            sink,
-            registry,
-            tracer,
-            Some(health),
-            profiler,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn boot(
         policy: PolicyName,
         config: BrokerConfig,
         mut cluster: DataCluster,
         compression: f64,
-        sink: SharedSink,
-        registry: Registry,
-        tracer: SharedTracer,
-        health: Option<Arc<HealthEngine>>,
-        profiler: Profiler,
+        obs: Observability,
     ) -> Self {
         let clock = VirtualClock::new(compression);
         let (cluster_tx, cluster_rx) = channel::<ClusterRequest>();
         let (broker_tx, broker_rx) = channel::<BrokerRequest>();
+        let registry = obs.registry();
+
+        // Build the broker on this thread so the deployment can keep a
+        // shared cache handle (for `/healthz` shard occupancy) before the
+        // broker node takes ownership.
+        let mut broker = Broker::new(policy, config);
+        obs.attach(&mut cluster, &mut broker);
+        let cache = broker.cache_handle();
+        let cluster_handle = thread::spawn(move || cluster_node(cluster, cluster_rx));
 
         // `bad_build_info`: one constant-1 gauge whose labels identify
         // what is running — crate version plus the feature knobs that
         // change hot-path behaviour. Scrapes join it against any other
         // series to tell "which build/config produced these numbers".
+        let on_off = |on: bool| if on { "on" } else { "off" }.to_owned();
         let build_labels: [(&str, String); 5] = [
             ("version", env!("CARGO_PKG_VERSION").to_owned()),
             ("policy", policy.as_str().to_owned()),
             ("shards", config.shards.to_string()),
-            (
-                "profile",
-                if profiler.enabled() { "on" } else { "off" }.to_owned(),
-            ),
-            (
-                "sketches",
-                if config.sketches.is_some() {
-                    "on"
-                } else {
-                    "off"
-                }
-                .to_owned(),
-            ),
+            ("profile", on_off(obs.profiler().enabled())),
+            ("sketches", on_off(cache.sketches_enabled())),
         ];
         let label_refs: Vec<(&str, &str)> =
             build_labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
@@ -443,34 +340,12 @@ impl Deployment {
             }
         }
 
-        cluster.set_event_sink(sink.clone());
-        cluster.set_tracer(Arc::clone(&tracer));
-        let cluster_handle = thread::spawn(move || cluster_node(cluster, cluster_rx));
-
         let cluster_client = ClusterClient {
             tx: cluster_tx.clone(),
             clock: clock.clone(),
             rtt: config.net.cluster.rtt,
             inflight: registry.gauge("bad_proto_cluster_inflight_rpcs"),
         };
-
-        // Build the broker on this thread so the deployment can keep a
-        // shared cache handle (for `/healthz` shard occupancy) before the
-        // broker node takes ownership.
-        let mut broker = Broker::new(policy, config);
-        broker.attach_telemetry_profiled(&registry, sink, Arc::clone(&tracer), profiler.clone());
-        let cache = broker.cache_handle();
-        // Anomaly dumps stamp "who was hot right then": when
-        // `note_anomaly` triggers a cold dump, the flight recorder pulls
-        // the sketches' current top-K summary into the dump header.
-        if cache.sketches_enabled() {
-            let hot_cache = Arc::clone(&cache);
-            tracer.recorder().set_anomaly_context(Arc::new(move || {
-                hot_cache
-                    .hot_snapshot()
-                    .map_or_else(|| "null".to_owned(), |snapshot| snapshot.summary_json(5))
-            }));
-        }
         registry
             .gauge("bad_broker_cache_shards")
             .set(cache.shard_count() as u64);
@@ -486,18 +361,14 @@ impl Deployment {
             .collect();
 
         let broker_clock = clock.clone();
-        let broker_tracer = Arc::clone(&tracer);
-        let broker_health = health.clone();
-        let broker_profiler = profiler.clone();
+        let broker_obs = obs.clone();
         let broker_handle = thread::spawn(move || {
             broker_node(
                 broker,
                 cluster_client,
                 broker_rx,
                 broker_clock,
-                broker_tracer,
-                broker_health,
-                broker_profiler,
+                broker_obs,
                 shard_queue_depth,
             )
         });
@@ -508,11 +379,8 @@ impl Deployment {
             clock,
             subscriber_rtt: config.net.subscriber.rtt,
             handles: vec![cluster_handle, broker_handle],
-            registry,
+            obs,
             cache,
-            tracer,
-            health,
-            profiler,
             build_info,
         }
     }
@@ -524,8 +392,8 @@ impl Deployment {
     /// by `?limit=`), `/timeseries` and `/alerts` (the health engine's
     /// windowed history and alert states), `/profile` (the continuous
     /// profiler's folded-stack stage tree plus per-site lock wait/hold
-    /// breakdown) — those three when booted via
-    /// [`Deployment::start_observed`] — and `/hot` (sketch-based
+    /// breakdown) — those three with [`Observability::full`] — and
+    /// `/hot` (sketch-based
     /// heavy-hitter attribution, when sketches are enabled). Any other
     /// path answers a JSON `404`.
     ///
@@ -537,10 +405,10 @@ impl Deployment {
         addr: impl std::net::ToSocketAddrs,
     ) -> std::io::Result<ScrapeServer> {
         let cache = Arc::clone(&self.cache);
-        let recorder = Arc::clone(self.tracer.recorder());
-        let anomaly_recorder = Arc::clone(self.tracer.recorder());
-        let health_engine = self.health.clone();
-        let health_profiler = self.profiler.clone();
+        let recorder = Arc::clone(self.obs.tracer().recorder());
+        let anomaly_recorder = Arc::clone(&recorder);
+        let health_engine = self.obs.health().cloned();
+        let health_profiler = self.obs.profiler().clone();
         let build_info = self.build_info.clone();
         // Everything `/healthz` reads is shared state: it never waits on
         // the broker thread, so a broker stuck in a cluster round trip
@@ -610,16 +478,16 @@ impl Deployment {
         });
         let endpoints = bad_telemetry::ScrapeEndpoints {
             health,
-            timeseries: self.health.as_ref().map(|engine| {
+            timeseries: self.obs.health().map(|engine| {
                 let engine = Arc::clone(engine);
                 Arc::new(move || engine.timeseries_json()) as bad_telemetry::EndpointFn
             }),
-            alerts: self.health.as_ref().map(|engine| {
+            alerts: self.obs.health().map(|engine| {
                 let engine = Arc::clone(engine);
                 Arc::new(move || engine.alerts_json()) as bad_telemetry::EndpointFn
             }),
-            profile: self.profiler.enabled().then(|| {
-                let profiler = self.profiler.clone();
+            profile: self.obs.profiler().enabled().then(|| {
+                let profiler = self.obs.profiler().clone();
                 Arc::new(move |limit: Option<usize>| {
                     profiler.render_json_limit(limit.unwrap_or(DEFAULT_SCRAPE_LIMIT))
                 }) as bad_telemetry::LimitFn
@@ -633,37 +501,24 @@ impl Deployment {
                 }) as bad_telemetry::EndpointFn
             }),
         };
-        ScrapeServer::bind_with_endpoints(addr, self.registry.clone(), recorder, endpoints)
+        ScrapeServer::bind_with_endpoints(addr, self.obs.registry().clone(), recorder, endpoints)
     }
 
-    /// The continuous health engine ([`None`] unless the deployment was
-    /// booted via [`Deployment::start_observed`]).
-    pub fn health_engine(&self) -> Option<&Arc<HealthEngine>> {
-        self.health.as_ref()
-    }
-
-    /// The continuous hot-path profiler ([`Profiler::disabled`] unless
-    /// the deployment was booted via [`Deployment::start_observed`]).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+    /// The observers the deployment was started with.
+    pub fn observability(&self) -> &Observability {
+        &self.obs
     }
 
     /// Prometheus-text snapshot of every metric family the deployment
     /// has registered (cache hit/miss/eviction counters, broker
     /// retrieval/delivery counters, latency/size histograms).
     pub fn metrics_text(&self) -> String {
-        self.registry.render()
+        self.obs.registry().render()
     }
 
     /// The deployment's virtual clock.
     pub fn clock(&self) -> &VirtualClock {
         &self.clock
-    }
-
-    /// The lifecycle tracer in force ([`Tracer::disabled`] unless the
-    /// deployment was booted via [`Deployment::start_observed`]).
-    pub fn tracer(&self) -> &SharedTracer {
-        &self.tracer
     }
 
     /// Creates a connected client for `subscriber`.
@@ -828,28 +683,12 @@ fn shard_worker(
     }
 }
 
-/// Occupancy slack before a max/min shard skew counts as an imbalance
-/// anomaly: tiny absolute differences on a near-empty cache are noise.
-const SHARD_IMBALANCE_SLACK_BYTES: u64 = 1 << 20;
-
-/// Flight-recorder geometry for [`Deployment::start_observed`]: eight
-/// lock stripes (producer threads: cluster, broker, shard workers) of
-/// 128 spans each — a ~1k-span ring, enough to reconstruct the recent
-/// lifecycle neighbourhood of any anomaly while keeping the ring's
-/// working set small enough (~140 KiB) that full-rate span emission
-/// stays cache-resident on the data path.
-const FLIGHT_RECORDER_STRIPES: usize = 8;
-const FLIGHT_RECORDER_STRIPE_CAPACITY: usize = 128;
-
-#[allow(clippy::too_many_arguments)]
 fn broker_node(
     mut broker: Broker,
     mut cluster: ClusterClient,
     rx: Receiver<BrokerRequest>,
     clock: VirtualClock,
-    tracer: SharedTracer,
-    health: Option<Arc<HealthEngine>>,
-    profiler: Profiler,
+    obs: Observability,
     shard_queue_depth: Vec<Gauge>,
 ) {
     // One maintenance worker per cache shard: a Maintain request fans
@@ -940,56 +779,12 @@ fn broker_node(
                     let _ = done_rx.recv();
                 }
                 let _ = broker.cache().rebalance(now);
-                // Fold the broker thread's stage ring (the retrieval
-                // envelopes recorded since the last tick) into the
-                // global aggregates; shard workers self-flush when
-                // their rings fill.
-                profiler.flush_thread();
-                if tracer.enabled() {
-                    // Post-maintenance invariant checks: either anomaly
-                    // dumps the flight recorder's recent spans so the
-                    // run can be reconstructed offline.
-                    let health = cache.shard_health();
-                    let occupancy: u64 = health.iter().map(|s| s.occupancy_bytes).sum();
-                    let budget: u64 = health.iter().map(|s| s.budget_bytes).sum();
-                    if occupancy > budget {
-                        tracer
-                            .recorder()
-                            .note_anomaly("budget_overrun", now.as_micros());
-                    }
-                    if health.len() > 1 {
-                        let max_occ = health.iter().map(|s| s.occupancy_bytes).max().unwrap_or(0);
-                        let min_occ = health.iter().map(|s| s.occupancy_bytes).min().unwrap_or(0);
-                        if max_occ > 4 * min_occ + SHARD_IMBALANCE_SLACK_BYTES {
-                            tracer
-                                .recorder()
-                                .note_anomaly("shard_imbalance", now.as_micros());
-                        }
-                    }
-                }
-                // Window-gated health evaluation rides the maintenance
-                // cadence: snapshot the registry into the time-series
-                // ring, evaluate burn-rate alerts, and score the eq. 5–7
-                // prediction against what actually happened. `due` keeps
-                // the whole block free when the window hasn't closed.
-                if let Some(engine) = &health {
-                    let t_us = now.as_micros();
-                    if engine.due(t_us) {
-                        let shard_health = cache.shard_health();
-                        let occupancy: u64 = shard_health.iter().map(|s| s.occupancy_bytes).sum();
-                        let budget: u64 = shard_health.iter().map(|s| s.budget_bytes).sum();
-                        let model = bad_telemetry::drift::predict(&cache.model_inputs(now));
-                        engine.tick(
-                            t_us,
-                            HealthObservation {
-                                occupancy_bytes: occupancy,
-                                budget_bytes: budget,
-                                model: Some(model),
-                                hot_skew: cache.hot_snapshot().map(|snapshot| snapshot.skew()),
-                            },
-                        );
-                    }
-                }
+                // Fold the broker thread's stage accumulators (the
+                // retrieval envelopes recorded since the last tick) into
+                // the global aggregates; shard workers self-flush when
+                // they fill.
+                obs.profiler().flush_thread();
+                obs.after_maintain(&cache, now);
             }
             BrokerRequest::Metrics { reply } => {
                 let hit = broker.cache().metrics().hit_ratio().unwrap_or(0.0);
@@ -1019,7 +814,13 @@ mod tests {
     fn deployment(policy: PolicyName) -> Deployment {
         let cluster = build_emergency_cluster().unwrap();
         // Strong compression: virtual RTTs cost microseconds of real time.
-        Deployment::start(policy, BrokerConfig::default(), cluster, 100_000.0)
+        Deployment::start(
+            policy,
+            BrokerConfig::default(),
+            cluster,
+            100_000.0,
+            Observability::detached(),
+        )
     }
 
     #[test]
@@ -1108,12 +909,12 @@ mod tests {
     fn traced_deployment_streams_events_and_renders_metrics() {
         let cluster = build_emergency_cluster().unwrap();
         let ring = std::sync::Arc::new(bad_telemetry::RingBufferSink::new(65536));
-        let dep = Deployment::start_traced(
+        let dep = Deployment::start(
             PolicyName::Lsc,
             BrokerConfig::default(),
             cluster,
             100_000.0,
-            ring.clone(),
+            Observability::full(ring.clone(), bad_telemetry::TraceConfig::default()),
         );
         let alice = dep.client(SubscriberId::new(1));
         let fs = alice
@@ -1162,7 +963,13 @@ mod tests {
             shards: 4,
             ..BrokerConfig::default()
         };
-        let dep = Deployment::start(PolicyName::Lsc, config, cluster, 100_000.0);
+        let dep = Deployment::start(
+            PolicyName::Lsc,
+            config,
+            cluster,
+            100_000.0,
+            Observability::detached(),
+        );
         let alice = dep.client(SubscriberId::new(1));
         let fs = alice
             .subscribe(

@@ -13,7 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bad_broker::BrokerConfig;
+use bad_broker::{BrokerConfig, Observability};
 use bad_cache::PolicyName;
 use bad_proto::harness::build_emergency_cluster;
 use bad_proto::Deployment;
@@ -56,13 +56,12 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         shards: 2,
         ..BrokerConfig::default()
     };
-    let dep = Deployment::start_observed(
+    let dep = Deployment::start(
         PolicyName::Lsc,
         config,
         cluster,
         100_000.0,
-        bad_telemetry::null_sink(),
-        TraceConfig::default(),
+        Observability::full(bad_telemetry::null_sink(), TraceConfig::default()),
     );
 
     let alice = dep.client(SubscriberId::new(1));
@@ -296,7 +295,13 @@ fn observed_deployment_serves_metrics_health_and_traces() {
 #[test]
 fn healthz_answers_while_the_broker_waits_on_the_cluster() {
     let cluster = build_emergency_cluster().unwrap();
-    let dep = Deployment::start(PolicyName::Lsc, BrokerConfig::default(), cluster, 1.0);
+    let dep = Deployment::start(
+        PolicyName::Lsc,
+        BrokerConfig::default(),
+        cluster,
+        1.0,
+        Observability::detached(),
+    );
     let rtt = BrokerConfig::default().net.cluster.rtt;
     let server = dep
         .serve_scrape("127.0.0.1:0")

@@ -59,13 +59,6 @@ pub struct SimConfig {
     /// here; the knob exists so sweep configs can be shared with the
     /// threaded prototype.
     pub shards: usize,
-    /// Continuous hot-path profiler (`bad_telemetry::profile`): `0`
-    /// (the default) disables profiling, `n` samples every `n`-th
-    /// operation's stage breakdown (`1` = every op; lock sites are
-    /// registered either way when non-zero). Profiling is
-    /// metadata-only — the simulated caching decisions and the report
-    /// are byte-identical with it on or off.
-    pub profile: u32,
     /// Hot-key attribution sketches (`bad_telemetry::sketch`): `0` (the
     /// default) disables them, `n` samples every `n`-th cache operation
     /// into the per-shard Space-Saving / distinct-count / lag-quantile
@@ -99,7 +92,6 @@ impl SimConfig {
             cache: CacheConfig::default(),
             subscription_lifetime: None,
             shards: 1,
-            profile: 0,
             sketch_sample_every_n: 0,
         }
     }
@@ -145,7 +137,6 @@ impl SimConfig {
             cache: CacheConfig::default(),
             subscription_lifetime: None,
             shards: 1,
-            profile: 0,
             sketch_sample_every_n: 0,
         }
     }

@@ -79,9 +79,6 @@ pub struct Simulation {
     popularity: ZipfPopularity,
     /// Subscription lifetime sampler (churn), when enabled.
     subscription_lifetime: Option<LognormalSpec>,
-    /// Continuous health engine (timeseries ring, burn-rate alerts,
-    /// model-drift scoring), when attached. Ticked on sampler epochs.
-    health: Option<std::sync::Arc<bad_telemetry::HealthEngine>>,
 }
 
 impl Simulation {
@@ -168,53 +165,31 @@ impl Simulation {
             sink: bad_telemetry::null_sink(),
             popularity,
             subscription_lifetime,
-            health: None,
         })
     }
 
-    /// Routes the run's telemetry — cache and broker metric families on
-    /// `registry`, plus the full event stream (including per-epoch
-    /// `sim.epoch_sample` snapshots) into `sink`.
-    pub fn attach_telemetry(&mut self, registry: &Registry, sink: SharedSink) {
-        self.attach_telemetry_traced(registry, sink, bad_telemetry::Tracer::disabled());
-    }
-
-    /// Like [`Simulation::attach_telemetry`], but also threads a
-    /// lifecycle tracer through the synthetic backend (virtual-time
-    /// `result_produced` root spans), the broker and the cache tier,
-    /// so a run's notification lifecycles are reconstructable by
-    /// `TraceId`.
-    pub fn attach_telemetry_traced(
+    /// Routes the run's telemetry: cache and broker metric families
+    /// on `registry`, the full event stream (including per-epoch
+    /// `sim.epoch_sample` snapshots) into `sink`, lifecycle spans from
+    /// the synthetic backend (virtual-time `result_produced` roots),
+    /// the broker and the cache tier through `tracer`, so a run's
+    /// notification lifecycles are reconstructable by `TraceId`, and
+    /// stage samples and lock-site series through `profiler`. Pass
+    /// [`bad_telemetry::Tracer::disabled`] or
+    /// [`bad_telemetry::Profiler::disabled`] for an observer you do not
+    /// want. Every observer is metadata-only: the report is
+    /// byte-identical with or without them.
+    pub fn attach_telemetry(
         &mut self,
         registry: &Registry,
         sink: SharedSink,
         tracer: bad_telemetry::SharedTracer,
+        profiler: bad_telemetry::Profiler,
     ) {
         self.backend.set_tracer(std::sync::Arc::clone(&tracer));
-        // The profiler knob rides the telemetry attachment: stage
-        // samples and lock-site series land on the same registry as
-        // the metric families (`bad_profile_*`).
-        let profiler = match self.config.profile {
-            0 => bad_telemetry::Profiler::disabled(),
-            n => bad_telemetry::Profiler::new(
-                registry,
-                bad_telemetry::ProfileConfig { sample_every_n: n },
-            ),
-        };
         self.broker
-            .attach_telemetry_profiled(registry, sink.clone(), tracer, profiler);
+            .attach_telemetry(registry, sink.clone(), tracer, profiler);
         self.sink = sink;
-    }
-
-    /// Attaches a continuous health engine: on each sampler epoch where
-    /// the engine's window has closed, the run snapshots the registry
-    /// into the time-series ring, evaluates burn-rate alerts, and
-    /// scores the eq. 5–7 prediction (built from live per-subscription
-    /// λ̂/η̂/ρ̂/TTL measurements) against the observed hit ratio and
-    /// occupancy. Build the engine over the same [`Registry`] passed to
-    /// [`Simulation::attach_telemetry`].
-    pub fn attach_health(&mut self, health: std::sync::Arc<bad_telemetry::HealthEngine>) {
-        self.health = Some(health);
     }
 
     /// Runs the simulation to completion and reports the measurements.
@@ -415,20 +390,6 @@ impl Simulation {
             });
         }
         self.sampler.record(sample);
-        if let Some(engine) = &self.health {
-            if engine.due(sample.t_us) {
-                let model = bad_telemetry::drift::predict(&cache.model_inputs(now));
-                engine.tick(
-                    sample.t_us,
-                    bad_telemetry::HealthObservation {
-                        occupancy_bytes: sample.occupancy_bytes,
-                        budget_bytes: cache.budget().as_u64(),
-                        model: Some(model),
-                        hot_skew: cache.hot_snapshot().map(|snapshot| snapshot.skew()),
-                    },
-                );
-            }
-        }
     }
 
     fn next_interarrival(&mut self, stream: usize) -> SimDuration {
@@ -483,6 +444,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bad_telemetry::{ProfileConfig, Profiler};
 
     fn run(policy: PolicyName, budget_kib: u64, seed: u64) -> SimReport {
         let config = SimConfig::smoke().with_budget(ByteSize::from_kib(budget_kib));
@@ -603,11 +565,15 @@ mod tests {
         // (every op sampled) produces the byte-identical report of an
         // unprofiled run with the same seed, while the registry carries
         // the stage-latency and lock-site series.
-        let mut config = SimConfig::smoke().with_budget(ByteSize::from_kib(200));
-        config.profile = 1;
+        let config = SimConfig::smoke().with_budget(ByteSize::from_kib(200));
         let mut sim = Simulation::new(PolicyName::Lsc, config, 7).unwrap();
         let registry = Registry::new();
-        sim.attach_telemetry(&registry, bad_telemetry::null_sink());
+        sim.attach_telemetry(
+            &registry,
+            bad_telemetry::null_sink(),
+            bad_telemetry::Tracer::disabled(),
+            Profiler::new(&registry, ProfileConfig { sample_every_n: 1 }),
+        );
         let profiled = sim.run();
 
         let baseline = run(PolicyName::Lsc, 200, 7);
@@ -665,7 +631,12 @@ mod tests {
         let registry = Registry::new();
         // Large enough that no event of the smoke run is ever dropped.
         let ring = Arc::new(bad_telemetry::RingBufferSink::new(1 << 17));
-        sim.attach_telemetry(&registry, ring.clone());
+        sim.attach_telemetry(
+            &registry,
+            ring.clone(),
+            bad_telemetry::Tracer::disabled(),
+            Profiler::disabled(),
+        );
         let report = sim.run();
 
         assert!(

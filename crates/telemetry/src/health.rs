@@ -17,9 +17,8 @@
 //!   λ/η/ρ/TTL measurement; the engine never reaches into a cache).
 //!
 //! Everything happens inside `tick`, which is deadline-gated exactly
-//! like [`crate::Sampler`]: hot paths pay nothing, the per-window work
-//! is two registry sweeps and a handful of subtractions, and the
-//! `health_overhead` bench gates the total at ≤10%.
+//! like [`crate::Sampler`]: hot paths pay nothing, and the per-window
+//! work is two registry sweeps and a handful of subtractions.
 
 use std::sync::{Arc, Mutex};
 

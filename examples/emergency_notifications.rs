@@ -24,7 +24,13 @@ fn main() -> Result<(), BadError> {
     }
 
     // Boot the two nodes with 10 000x time compression.
-    let deployment = Deployment::start(PolicyName::Ttl, BrokerConfig::default(), cluster, 10_000.0);
+    let deployment = Deployment::start(
+        PolicyName::Ttl,
+        BrokerConfig::default(),
+        cluster,
+        10_000.0,
+        Observability::detached(),
+    );
 
     // Three residents subscribe to different interests.
     let mut city = EmergencyCity::new(EmergencyCityConfig::default(), 7)?;

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use big_active_data::cache::PolicyName;
 use big_active_data::prelude::*;
+use big_active_data::telemetry::{Profiler, Tracer};
 use big_active_data::types::BadError;
 
 fn main() -> Result<(), BadError> {
@@ -47,7 +48,12 @@ fn main() -> Result<(), BadError> {
     for policy in PolicyName::ALL {
         let mut sim = Simulation::new(policy, config.clone(), 42)?;
         if matches!(policy, PolicyName::Lsc | PolicyName::Ttl) {
-            sim.attach_telemetry(&registry, jsonl.clone());
+            sim.attach_telemetry(
+                &registry,
+                jsonl.clone(),
+                Tracer::disabled(),
+                Profiler::disabled(),
+            );
         }
         let report = sim.run();
         println!(

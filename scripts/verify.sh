@@ -5,9 +5,9 @@
 #   scripts/verify.sh
 #
 # Runs, in order: the zero-dependency guard, the release build and every
-# crate's tests, the cache, broker, cluster, query, storage, types and
-# telemetry suites again under --release, formatting, lints and rustdoc,
-# and the benchmark smoke.
+# crate's tests, the cache, broker, cluster, query, storage, types,
+# telemetry, proto and sim suites again under --release, formatting,
+# lints and rustdoc, and the benchmark smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,9 +30,11 @@ cargo test -q --locked
 # query, storage and types oracles and property loops as the benchmark
 # builds them (the enrichment join's index lives in storage), and the
 # telemetry crate's profiler fold, histogram fold and sketch recorder,
-# which sit on the benchmark's observed hot path.
+# which sit on the benchmark's observed hot path, and the threaded
+# runtime's maintenance path and the simulator's observer attach, which
+# wire those observers.
 cargo test -q --release --locked -p bad-cache -p bad-broker -p bad-cluster -p bad-query \
-  -p bad-storage -p bad-types -p bad-telemetry
+  -p bad-storage -p bad-types -p bad-telemetry -p bad-proto -p bad-sim
 cargo fmt --check
 cargo clippy --locked --workspace --all-targets -- -D warnings
 # A dangling or private intra-doc link (say, to an item a change

@@ -65,7 +65,7 @@ pub use bad_workload as workload;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use bad_broker::{Broker, BrokerConfig, Delivery};
+    pub use bad_broker::{Broker, BrokerConfig, Delivery, Observability};
     pub use bad_cache::{CacheConfig, CacheManager, PolicyName};
     pub use bad_cluster::{DataCluster, EnrichmentRule, Notification};
     pub use bad_net::NetworkModel;

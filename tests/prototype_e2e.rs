@@ -41,7 +41,13 @@ fn harness_prototype_replays_trace_for_all_policies() {
 #[test]
 fn threaded_deployment_serves_many_clients() {
     let cluster = build_emergency_cluster().unwrap();
-    let deployment = Deployment::start(PolicyName::Lsc, BrokerConfig::default(), cluster, 50_000.0);
+    let deployment = Deployment::start(
+        PolicyName::Lsc,
+        BrokerConfig::default(),
+        cluster,
+        50_000.0,
+        Observability::detached(),
+    );
 
     // Ten clients share one hot interest.
     let params = ParamBindings::from_pairs([("etype", DataValue::from("tornado"))]);
@@ -92,7 +98,13 @@ fn threaded_deployment_serves_many_clients() {
 #[test]
 fn threaded_deployment_survives_churny_clients() {
     let cluster = build_emergency_cluster().unwrap();
-    let deployment = Deployment::start(PolicyName::Ttl, BrokerConfig::default(), cluster, 50_000.0);
+    let deployment = Deployment::start(
+        PolicyName::Ttl,
+        BrokerConfig::default(),
+        cluster,
+        50_000.0,
+        Observability::detached(),
+    );
     for i in 0..20u64 {
         let client = deployment.client(SubscriberId::new(i));
         let fs = client
