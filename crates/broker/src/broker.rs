@@ -1128,4 +1128,164 @@ mod tests {
         assert_eq!(served, vec![fs[0], fs[2], fs[3]]);
         assert!(fs.iter().all(|&f| !broker.has_pending(f)));
     }
+
+    /// A freed frontend's id is dead for good, even once another
+    /// subscriber holds its slot, and an id nobody minted is refused
+    /// the same way: neither moves a marker, the cache or a table.
+    #[test]
+    fn stale_and_hostile_handles_change_nothing() {
+        use bad_types::BadError;
+        let (mut cluster, mut broker) = setup();
+        let (alice, bob, carol) = (
+            SubscriberId::new(1),
+            SubscriberId::new(2),
+            SubscriberId::new(3),
+        );
+        let fire = |broker: &mut Broker, cluster: &mut DataCluster, who, secs| {
+            broker
+                .subscribe(cluster, who, "ByKind", params("fire"), t(secs))
+                .unwrap()
+        };
+        let carols = fire(&mut broker, &mut cluster, carol, 0);
+        let alices = fire(&mut broker, &mut cluster, alice, 0);
+        let n = publish(&mut cluster, 1, "fire");
+        broker.on_notification(&mut cluster, n[0], t(1));
+        broker
+            .unsubscribe(&mut cluster, alice, alices, t(2))
+            .unwrap();
+        let bobs = fire(&mut broker, &mut cluster, bob, 3);
+        assert_eq!(bobs.slot(), alices.slot(), "bob reuses alice's slot");
+        assert_ne!(bobs, alices);
+        let n = publish(&mut cluster, 4, "fire");
+        broker.on_notification(&mut cluster, n[0], t(4));
+        let backend = n[0].backend_sub;
+
+        let observe = |broker: &Broker, cluster: &DataCluster| {
+            let table = broker.subscriptions();
+            (
+                broker.cache().metrics(),
+                broker.cache().with_cache(backend, |c| format!("{c:?}")),
+                table.frontend(bobs).cloned(),
+                table.frontend(carols).cloned(),
+                broker.delivery_metrics(),
+                (table.frontend_slots(), table.frontend_count()),
+                (table.backend_count(), broker.cache().cache_count()),
+                cluster.subscription_count(),
+            )
+        };
+        let before = observe(&broker, &cluster);
+        fn not_found<T>(r: Result<T>) -> bool {
+            matches!(r, Err(BadError::NotFound { .. }))
+        }
+        for who in [alice, bob] {
+            assert!(not_found(broker.get_results(
+                &mut cluster,
+                who,
+                alices,
+                t(5)
+            )));
+        }
+        assert!(not_found(broker.unsubscribe(
+            &mut cluster,
+            alice,
+            alices,
+            t(5)
+        )));
+        assert!(!broker.has_pending(alices));
+
+        let hostile_fs = FrontendSubId::new(u64::MAX);
+        assert!(not_found(broker.get_results(
+            &mut cluster,
+            alice,
+            hostile_fs,
+            t(5)
+        )));
+        assert!(not_found(broker.unsubscribe(
+            &mut cluster,
+            alice,
+            hostile_fs,
+            t(5)
+        )));
+        assert!(broker.subscriptions().frontend(hostile_fs).is_none());
+        let hostile_bs = BackendSubId::new(u64::MAX);
+        assert!(broker.subscriptions().backend(hostile_bs).is_none());
+        assert!(not_found(broker.cache().add_subscriber(hostile_bs, alice)));
+        assert!(not_found(broker.cache().remove_subscriber(
+            hostile_bs,
+            alice,
+            t(5)
+        )));
+        assert!(not_found(cluster.unsubscribe(hostile_bs)));
+        let stray = Notification {
+            backend_sub: hostile_bs,
+            latest_ts: t(5),
+            count: 1,
+            bytes: ByteSize::new(1),
+        };
+        assert!(broker
+            .on_notification(&mut cluster, stray, t(5))
+            .notify
+            .is_empty());
+        assert_eq!(observe(&broker, &cluster), before);
+
+        // Bob is owed what came after his subscription, carol both.
+        let d = broker.get_results(&mut cluster, bob, bobs, t(6)).unwrap();
+        assert_eq!((d.hit_objects, d.miss_objects), (1, 0));
+        let d = broker
+            .get_results(&mut cluster, carol, carols, t(6))
+            .unwrap();
+        assert_eq!(d.total_objects(), 2);
+    }
+
+    /// 100 000 subscribe / unsubscribe cycles among ten subscribers: the
+    /// frontend slab stays as long as the peak number of live frontends,
+    /// and every subscription left standing is owed exactly the results
+    /// published on its kind since it was made.
+    #[test]
+    fn churn_keeps_the_frontend_slab_bounded() {
+        let (mut cluster, mut broker) = setup();
+        let kinds = ["fire", "flood", "quake"];
+        let mut rng = bad_types::rng::Rng::new(39);
+        // subscriber -> (frontend, kind, published on that kind since).
+        let mut live: [Option<(FrontendSubId, usize, u64)>; 10] = [None; 10];
+        for cycle in 0..100_000u64 {
+            let k = rng.below(10) as usize;
+            let who = SubscriberId::new(k as u64);
+            let now = t(2 * cycle);
+            if let Some((fs, _, _)) = live[k].take() {
+                broker.unsubscribe(&mut cluster, who, fs, now).unwrap();
+            }
+            let kind = rng.below(kinds.len() as u64) as usize;
+            let fs = broker
+                .subscribe(&mut cluster, who, "ByKind", params(kinds[kind]), now)
+                .unwrap();
+            live[k] = Some((fs, kind, 0));
+            if cycle % 1_000 == 999 {
+                let published = t(2 * cycle + 1);
+                for (i, name) in kinds.iter().enumerate() {
+                    for n in publish(&mut cluster, 2 * cycle + 1, name) {
+                        broker.on_notification(&mut cluster, n, published);
+                    }
+                    for (_, held, owed) in live.iter_mut().flatten() {
+                        *owed += u64::from(*held == i);
+                    }
+                }
+            }
+        }
+        let table = broker.subscriptions();
+        assert_eq!(table.frontend_count(), 10);
+        assert!(
+            table.frontend_slots() <= 10,
+            "{} slots",
+            table.frontend_slots()
+        );
+        let end = t(200_001);
+        for (k, entry) in live.iter().enumerate() {
+            let (fs, _, owed) = entry.expect("every subscriber holds one");
+            let d = broker
+                .get_results(&mut cluster, SubscriberId::new(k as u64), fs, end)
+                .unwrap();
+            assert_eq!(d.total_objects(), owed, "subscriber {k}");
+        }
+    }
 }

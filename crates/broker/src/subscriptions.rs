@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use bad_query::ParamBindings;
-use bad_types::ids::{IdGen, IdMap};
+use bad_types::ids::IdSlab;
 use bad_types::{BackendSubId, BadError, FrontendSubId, Result, SubscriberId, Timestamp};
 
 /// One subscriber-facing subscription.
@@ -60,16 +60,91 @@ pub struct PendingRange {
     pub last_seen: Timestamp,
 }
 
+/// One slot of the frontend slab: the subscription living in it, if
+/// any, and how many times the slot was freed.
+#[derive(Clone, Debug)]
+struct FrontendSlot {
+    generation: u32,
+    sub: Option<FrontendSub>,
+}
+
+/// The frontend subscriptions, one slot each, minting their ids: a
+/// [`FrontendSubId`] is its slot and the slot's generation
+/// ([`FrontendSubId::from_parts`]). Freeing a slot bumps its
+/// generation, so the freed id stops resolving; the next subscription
+/// takes the most recently freed slot. The slab is therefore as long
+/// as the peak number of live frontends, not the number ever minted.
+#[derive(Clone, Debug, Default)]
+struct FrontendSlab {
+    slots: Vec<FrontendSlot>,
+    /// Freed slots, the most recently freed last.
+    free: Vec<u32>,
+    live: usize,
+}
+
+impl FrontendSlab {
+    /// The slot `fs` names, if its generation is current.
+    fn slot_mut(&mut self, fs: FrontendSubId) -> Option<&mut FrontendSlot> {
+        self.slots
+            .get_mut(fs.slot() as usize)
+            .filter(|slot| slot.generation == fs.generation())
+    }
+
+    fn get(&self, fs: FrontendSubId) -> Option<&FrontendSub> {
+        self.slots
+            .get(fs.slot() as usize)
+            .filter(|slot| slot.generation == fs.generation())?
+            .sub
+            .as_ref()
+    }
+
+    fn get_mut(&mut self, fs: FrontendSubId) -> Option<&mut FrontendSub> {
+        self.slot_mut(fs)?.sub.as_mut()
+    }
+
+    /// Stores the subscription `make` builds for its freshly minted id.
+    fn insert(&mut self, make: impl FnOnce(FrontendSubId) -> FrontendSub) -> FrontendSubId {
+        let index = self.free.pop().unwrap_or_else(|| {
+            let index = u32::try_from(self.slots.len()).expect("fewer than 2^32 live frontends");
+            self.slots.push(FrontendSlot {
+                generation: 0,
+                sub: None,
+            });
+            index
+        });
+        let slot = &mut self.slots[index as usize];
+        let id = FrontendSubId::from_parts(index, slot.generation);
+        slot.sub = Some(make(id));
+        self.live += 1;
+        id
+    }
+
+    /// Frees `fs`'s slot. A slot whose generation would wrap is retired
+    /// instead of reused, so no id is ever minted twice.
+    fn remove(&mut self, fs: FrontendSubId) -> Option<FrontendSub> {
+        let slot = self.slot_mut(fs)?;
+        let sub = slot.sub.take()?;
+        if let Some(next) = slot.generation.checked_add(1) {
+            slot.generation = next;
+            self.free.push(fs.slot());
+        }
+        self.live -= 1;
+        Some(sub)
+    }
+}
+
 /// The broker's subscription state.
 ///
 /// `frontends` and `backends` are read on every retrieval and keyed
-/// only by identifiers the system mints, so they are [`IdMap`]s; the
-/// other three maps have a client-chosen subscriber id, channel name or
-/// parameter string in their key and stay on the keyed default hasher.
+/// only by identifiers the system mints, so they are slabs indexed by
+/// the id; the other three maps have a client-chosen subscriber id,
+/// channel name or parameter string in their key and stay on the keyed
+/// default hasher.
 #[derive(Clone, Debug, Default)]
 pub struct SubscriptionTable {
-    frontends: IdMap<FrontendSubId, FrontendSub>,
-    backends: IdMap<BackendSubId, BackendEntry>,
+    frontends: FrontendSlab,
+    /// Boxed: a retired backend leaves an 8-byte slot behind.
+    backends: IdSlab<BackendSubId, Box<BackendEntry>>,
     /// `(channel, canonical params) -> backend` merge map.
     merge_keys: HashMap<(String, String), BackendSubId>,
     /// Subscriber -> its frontend subscriptions.
@@ -78,7 +153,6 @@ pub struct SubscriptionTable {
     /// one frontend per backend, because consumption in the cache is
     /// keyed by subscriber.
     by_pair: HashMap<(SubscriberId, BackendSubId), FrontendSubId>,
-    fs_ids: IdGen,
 }
 
 impl SubscriptionTable {
@@ -89,7 +163,13 @@ impl SubscriptionTable {
 
     /// Number of frontend subscriptions.
     pub fn frontend_count(&self) -> usize {
-        self.frontends.len()
+        self.frontends.live
+    }
+
+    /// Number of frontend slots: the peak number of frontend
+    /// subscriptions live at once, however many were ever made.
+    pub fn frontend_slots(&self) -> usize {
+        self.frontends.slots.len()
     }
 
     /// Number of backend subscriptions.
@@ -127,13 +207,13 @@ impl SubscriptionTable {
         self.merge_keys.insert(key, id);
         self.backends.insert(
             id,
-            BackendEntry {
+            Box::new(BackendEntry {
                 id,
                 channel: channel.to_owned(),
                 params,
                 frontends: BTreeMap::new(),
                 last_seen: now,
-            },
+            }),
         );
         Ok(())
     }
@@ -169,33 +249,29 @@ impl SubscriptionTable {
         }
         let entry = self
             .backends
-            .get_mut(&backend)
+            .get_mut(backend)
             .ok_or_else(|| BadError::not_found("backend subscription", backend.to_string()))?;
-        let id: FrontendSubId = self.fs_ids.next_id();
+        let id = self.frontends.insert(|id| FrontendSub {
+            id,
+            subscriber,
+            backend,
+            last_delivered: now,
+            created_at: now,
+        });
         entry.frontends.insert(id, subscriber);
         self.by_pair.insert((subscriber, backend), id);
-        self.frontends.insert(
-            id,
-            FrontendSub {
-                id,
-                subscriber,
-                backend,
-                last_delivered: now,
-                created_at: now,
-            },
-        );
         self.by_subscriber.entry(subscriber).or_default().insert(id);
         Ok(id)
     }
 
     /// Looks up a frontend subscription.
     pub fn frontend(&self, fs: FrontendSubId) -> Option<&FrontendSub> {
-        self.frontends.get(&fs)
+        self.frontends.get(fs)
     }
 
     /// Looks up a backend subscription.
     pub fn backend(&self, bs: BackendSubId) -> Option<&BackendEntry> {
-        self.backends.get(&bs)
+        self.backends.get(bs).map(Box::as_ref)
     }
 
     /// The frontend subscriptions of one subscriber.
@@ -214,10 +290,10 @@ impl SubscriptionTable {
             .into_iter()
             .flatten()
             .filter_map(|fs| {
-                let frontend = self.frontends.get(fs).expect("consistent table");
+                let frontend = self.frontends.get(*fs).expect("consistent table");
                 let backend = self
                     .backends
-                    .get(&frontend.backend)
+                    .get(frontend.backend)
                     .expect("consistent table");
                 (backend.last_seen > frontend.last_delivered).then_some(PendingRange {
                     frontend: *fs,
@@ -245,7 +321,7 @@ impl SubscriptionTable {
     ) -> Result<PendingRange> {
         let frontend = self
             .frontends
-            .get_mut(&fs)
+            .get_mut(fs)
             .ok_or_else(|| BadError::not_found("frontend subscription", fs.to_string()))?;
         if frontend.subscriber != subscriber {
             return Err(BadError::InvalidArgument(format!(
@@ -255,7 +331,7 @@ impl SubscriptionTable {
         }
         let last_seen = self
             .backends
-            .get(&frontend.backend)
+            .get(frontend.backend)
             .expect("consistent table")
             .last_seen;
         let last_delivered = frontend.last_delivered;
@@ -281,7 +357,7 @@ impl SubscriptionTable {
     ) -> Result<&BackendEntry> {
         let entry = self
             .backends
-            .get_mut(&bs)
+            .get_mut(bs)
             .ok_or_else(|| BadError::not_found("backend subscription", bs.to_string()))?;
         entry.last_seen = entry.last_seen.max(to);
         Ok(entry)
@@ -295,7 +371,7 @@ impl SubscriptionTable {
     pub fn advance_frontend_marker(&mut self, fs: FrontendSubId, to: Timestamp) -> Result<()> {
         let sub = self
             .frontends
-            .get_mut(&fs)
+            .get_mut(fs)
             .ok_or_else(|| BadError::not_found("frontend subscription", fs.to_string()))?;
         sub.last_delivered = sub.last_delivered.max(to);
         Ok(())
@@ -315,7 +391,7 @@ impl SubscriptionTable {
     ) -> Result<(BackendSubId, bool)> {
         let sub = self
             .frontends
-            .get(&fs)
+            .get(fs)
             .ok_or_else(|| BadError::not_found("frontend subscription", fs.to_string()))?;
         if sub.subscriber != subscriber {
             return Err(BadError::InvalidArgument(format!(
@@ -324,7 +400,7 @@ impl SubscriptionTable {
             )));
         }
         let backend = sub.backend;
-        self.frontends.remove(&fs);
+        self.frontends.remove(fs);
         self.by_pair.remove(&(subscriber, backend));
         if let Some(set) = self.by_subscriber.get_mut(&subscriber) {
             set.remove(&fs);
@@ -332,12 +408,12 @@ impl SubscriptionTable {
                 self.by_subscriber.remove(&subscriber);
             }
         }
-        let entry = self.backends.get_mut(&backend).expect("consistent table");
+        let entry = self.backends.get_mut(backend).expect("consistent table");
         entry.frontends.remove(&fs);
         let orphaned = entry.frontends.is_empty();
         if orphaned {
             let key = (entry.channel.clone(), entry.params.canonical_key());
-            self.backends.remove(&backend);
+            self.backends.remove(backend);
             self.merge_keys.remove(&key);
         }
         Ok((backend, orphaned))
@@ -496,6 +572,50 @@ mod tests {
         // Nothing new: an empty range, marker unchanged.
         let again = table.take_pending(alice, fs).unwrap();
         assert_eq!((again.last_delivered, again.last_seen), (t(9), t(9)));
+    }
+
+    #[test]
+    fn freed_slots_are_reused_newest_first_under_a_new_generation() {
+        let mut table = SubscriptionTable::new();
+        let bs = BackendSubId::new(1);
+        table.add_backend(bs, "C", params("x"), t(0)).unwrap();
+        let ids: Vec<FrontendSubId> = (1..=3)
+            .map(|s| table.add_frontend(SubscriberId::new(s), bs, t(0)).unwrap())
+            .collect();
+        assert_eq!(ids, (0..3).map(FrontendSubId::new).collect::<Vec<_>>());
+        table.remove_frontend(SubscriberId::new(1), ids[0]).unwrap();
+        table.remove_frontend(SubscriberId::new(3), ids[2]).unwrap();
+        // The most recently freed slot goes first.
+        let reused = table.add_frontend(SubscriberId::new(4), bs, t(1)).unwrap();
+        assert_eq!(reused, FrontendSubId::from_parts(2, 1));
+        let reused = table.add_frontend(SubscriberId::new(5), bs, t(1)).unwrap();
+        assert_eq!(reused, FrontendSubId::from_parts(0, 1));
+        assert_eq!(table.frontend_slots(), 3);
+        assert!(table.frontend(ids[0]).is_none());
+        assert_eq!(
+            table.frontend(reused).unwrap().subscriber,
+            SubscriberId::new(5)
+        );
+    }
+
+    #[test]
+    fn a_slot_whose_generation_would_wrap_is_retired() {
+        let mut slab = FrontendSlab::default();
+        let sub = |id| FrontendSub {
+            id,
+            subscriber: SubscriberId::new(1),
+            backend: BackendSubId::new(1),
+            last_delivered: t(0),
+            created_at: t(0),
+        };
+        let first = slab.insert(sub);
+        slab.slots[0].generation = u32::MAX;
+        let last = FrontendSubId::from_parts(0, u32::MAX);
+        assert!(slab.remove(first).is_none(), "stale generation");
+        assert!(slab.remove(last).is_some());
+        assert!(slab.free.is_empty());
+        assert_eq!(slab.insert(sub), FrontendSubId::from_parts(1, 0));
+        assert_eq!((slab.slots.len(), slab.live), (2, 1));
     }
 
     #[test]

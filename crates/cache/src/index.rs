@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use bad_types::ids::IdMap;
+use bad_types::ids::IdSlab;
 use bad_types::BackendSubId;
 
 /// Total-order wrapper over `f64` scores (NaN sorts last).
@@ -49,7 +49,7 @@ impl Ord for OrderedScore {
 #[derive(Clone, Debug, Default)]
 pub struct VictimIndex {
     ordered: BTreeSet<(OrderedScore, BackendSubId)>,
-    current: IdMap<BackendSubId, f64>,
+    current: IdSlab<BackendSubId, f64>,
 }
 
 impl VictimIndex {
@@ -78,12 +78,12 @@ impl VictimIndex {
         // rarely moved; an equal key leaves the ordered set as it is.
         if self
             .current
-            .get(&id)
+            .get(id)
             .is_some_and(|old| old.to_bits() == score.to_bits())
         {
             return;
         }
-        if let Some(old) = self.current.remove(&id) {
+        if let Some(old) = self.current.remove(id) {
             self.ordered.remove(&(OrderedScore(old), id));
         }
         if score.is_finite() || score == f64::NEG_INFINITY {
@@ -94,7 +94,7 @@ impl VictimIndex {
 
     /// Removes a cache from the index entirely.
     pub fn remove(&mut self, id: BackendSubId) {
-        if let Some(old) = self.current.remove(&id) {
+        if let Some(old) = self.current.remove(id) {
             self.ordered.remove(&(OrderedScore(old), id));
         }
     }
@@ -106,7 +106,7 @@ impl VictimIndex {
 
     /// The currently indexed score of a cache.
     pub fn score_of(&self, id: BackendSubId) -> Option<f64> {
-        self.current.get(&id).copied()
+        self.current.get(id).copied()
     }
 }
 

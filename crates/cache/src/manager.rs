@@ -5,10 +5,10 @@
 //! configured policy, runs the periodic TTL recomputation, and feeds
 //! [`CacheMetrics`].
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bad_telemetry::{OpTimer, Profiler, SketchRecorder, StagePath};
+use bad_types::ids::IdSlab;
 use bad_types::{
     BackendSubId, BadError, ByteSize, Result, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
@@ -77,10 +77,13 @@ pub struct CacheManager {
     policy: Box<dyn EvictionPolicy>,
     policy_name: PolicyName,
     config: CacheConfig,
-    /// Ordered so that every iteration (TTL recomputation, expiry, the
-    /// linear victim scan) is deterministic — float accumulation order
-    /// matters for bit-exact reproducibility.
-    caches: BTreeMap<BackendSubId, ResultCache>,
+    /// Indexed by the cluster-minted id, so every iteration (TTL
+    /// recomputation, expiry, the linear victim scan) is in id order —
+    /// float accumulation order matters for bit-exact reproducibility.
+    /// Boxed: a shard's slab spans every id up to the largest it holds,
+    /// the other shards' ids and retired ones included, and an empty
+    /// slot costs 8 bytes instead of a whole cache.
+    caches: IdSlab<BackendSubId, Box<ResultCache>>,
     total_bytes: ByteSize,
     index: VictimIndex,
     ttl: TtlComputer,
@@ -198,7 +201,7 @@ impl CacheManager {
             policy: policy.build(),
             policy_name: policy,
             config,
-            caches: BTreeMap::new(),
+            caches: IdSlab::new(),
             total_bytes: ByteSize::ZERO,
             index: VictimIndex::new(),
             ttl,
@@ -335,12 +338,12 @@ impl CacheManager {
 
     /// Looks up a cache.
     pub fn cache(&self, bs: BackendSubId) -> Option<&ResultCache> {
-        self.caches.get(&bs)
+        self.caches.get(bs).map(Box::as_ref)
     }
 
     /// Iterates over all caches.
     pub fn iter_caches(&self) -> impl Iterator<Item = &ResultCache> {
-        self.caches.values()
+        self.caches.values().map(Box::as_ref)
     }
 
     /// Creates an empty cache for a new backend subscription.
@@ -348,16 +351,16 @@ impl CacheManager {
     /// Creating a cache that already exists is a no-op.
     pub fn create_cache(&mut self, bs: BackendSubId, now: Timestamp) {
         let config = &self.config;
-        self.caches.entry(bs).or_insert_with(|| {
+        self.caches.get_or_insert_with(bs, || {
             let mut cache = ResultCache::new(bs, now, config.rate_window);
             cache.set_ttl(config.initial_ttl);
-            cache
+            Box::new(cache)
         });
     }
 
     /// Tears down a backend subscription's cache, dropping its objects.
     pub fn remove_cache(&mut self, bs: BackendSubId, now: Timestamp) -> Vec<DroppedObject> {
-        let Some(mut cache) = self.caches.remove(&bs) else {
+        let Some(mut cache) = self.caches.remove(bs) else {
             return Vec::new();
         };
         self.index.remove(bs);
@@ -515,7 +518,7 @@ impl CacheManager {
             let Some(victim) = self.choose_victim(now) else {
                 break;
             };
-            let cache = self.caches.get_mut(&victim).expect("victim exists");
+            let cache = self.caches.get_mut(victim).expect("victim exists");
             // The victim cache's φ/s score, captured before the drop
             // mutates it — this is the quantity the policy minimised.
             let score = self.policy.score(cache, now);
@@ -757,7 +760,8 @@ impl CacheManager {
         if self.policy.uses_ttl()
             && now.since(self.last_ttl_recompute) >= self.ttl.recompute_interval
         {
-            self.ttl.recompute(self.caches.values_mut(), now);
+            self.ttl
+                .recompute(self.caches.values_mut().map(Box::as_mut), now);
             self.last_ttl_recompute = now;
             self.telemetry.on_ttl_recompute();
             if self.telemetry.tracing() {
@@ -776,7 +780,7 @@ impl CacheManager {
                 // EXP scores are expiry instants; refresh them all in
                 // one pass over the map (inlined `reindex` — the id
                 // list is never materialized).
-                for (&bs, cache) in self.caches.iter() {
+                for (bs, cache) in self.caches.iter() {
                     if cache.is_empty() {
                         self.index.remove(bs);
                     } else {
@@ -786,7 +790,7 @@ impl CacheManager {
             }
         }
         if self.policy.kind() == PolicyKind::TtlExpiry {
-            for (&bs, cache) in self.caches.iter_mut() {
+            for (bs, cache) in self.caches.iter_mut() {
                 let ttl = cache.ttl();
                 for object in cache.expire_tail(now) {
                     self.total_bytes -= object.size;
@@ -821,7 +825,8 @@ impl CacheManager {
     /// The expected aggregate size `Σ ρ_i · T_i` under current TTLs
     /// (Fig. 5a overlay).
     pub fn expected_ttl_size(&self, now: Timestamp) -> ByteSize {
-        self.ttl.expected_total_size(self.caches.values(), now)
+        self.ttl
+            .expected_total_size(self.caches.values().map(Box::as_ref), now)
     }
 
     /// Per-subscription analytical-model inputs for the drift detector:
@@ -882,12 +887,13 @@ impl CacheManager {
             metrics: &mut self.metrics,
             telemetry: &self.telemetry,
         };
-        (self.caches.get_mut(&bs), books)
+        (self.caches.get_mut(bs).map(Box::as_mut), books)
     }
 
     fn cache_mut(&mut self, bs: BackendSubId) -> Result<&mut ResultCache> {
         self.caches
-            .get_mut(&bs)
+            .get_mut(bs)
+            .map(Box::as_mut)
             .ok_or_else(|| BadError::not_found("cache", bs.to_string()))
     }
 }

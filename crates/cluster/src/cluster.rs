@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings, SelectClause};
 use bad_storage::{Dataset, ResultObject, ResultStore, Schema, StoredRecord};
 use bad_telemetry::{Event, SharedSink};
-use bad_types::ids::{IdGen, IdMap};
+use bad_types::ids::{IdGen, IdSlab};
 use bad_types::{
     BackendSubId, BadError, ByteSize, ChannelId, DataValue, Result, TimeRange, Timestamp,
 };
@@ -127,7 +127,7 @@ pub struct DataCluster {
     /// Ordered so publish/tick iterate channels deterministically.
     channels: BTreeMap<String, ChannelRuntime>,
     /// `subscription -> channel name` reverse map.
-    subscriptions: IdMap<BackendSubId, String>,
+    subscriptions: IdSlab<BackendSubId, String>,
     results: ResultStore,
     sub_ids: IdGen,
     channel_ids: IdGen,
@@ -148,7 +148,7 @@ impl DataCluster {
         Self {
             datasets: HashMap::new(),
             channels: BTreeMap::new(),
-            subscriptions: IdMap::default(),
+            subscriptions: IdSlab::new(),
             results: ResultStore::new(),
             sub_ids: IdGen::new(),
             channel_ids: IdGen::new(),
@@ -320,7 +320,7 @@ impl DataCluster {
     pub fn unsubscribe(&mut self, bs: BackendSubId) -> Result<()> {
         let channel = self
             .subscriptions
-            .remove(&bs)
+            .remove(bs)
             .ok_or_else(|| BadError::not_found("subscription", bs.to_string()))?;
         if let Some(runtime) = self.channels.get_mut(&channel) {
             runtime.index.remove(bs);

@@ -10,7 +10,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bad_types::ids::{IdGen, IdMap};
+use bad_types::ids::{IdGen, IdSlab};
 use bad_types::{BackendSubId, ByteSize, DataValue, ObjectId, TimeRange, Timestamp};
 
 /// One enriched notification result produced for a backend subscription.
@@ -46,7 +46,7 @@ pub struct ResultObject {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ResultStore {
-    stores: IdMap<BackendSubId, Vec<ResultObject>>,
+    stores: IdSlab<BackendSubId, Vec<ResultObject>>,
     ids: IdGen,
     total_objects: u64,
     total_bytes: ByteSize,
@@ -84,7 +84,7 @@ impl ResultStore {
         };
         self.total_objects += 1;
         self.total_bytes += size;
-        let list = self.stores.entry(bs).or_default();
+        let list = self.stores.get_or_insert_with(bs, Vec::new);
         // Results are produced in timestamp order in the common case;
         // binary search keeps late arrivals ordered too.
         let pos = list.partition_point(|o| (o.ts, o.id) <= (ts, id));
@@ -109,7 +109,7 @@ impl ResultStore {
     /// The results of `bs` inside `range`: one contiguous run, because
     /// each list is kept ordered by `(ts, id)`.
     fn slice(&self, bs: BackendSubId, range: TimeRange) -> &[ResultObject] {
-        let Some(list) = self.stores.get(&bs) else {
+        let Some(list) = self.stores.get(bs) else {
             return &[];
         };
         let tail = &list[list.partition_point(|o| o.ts < range.from)..];
@@ -123,15 +123,18 @@ impl ResultStore {
 
     /// The newest result timestamp for `bs`, if any result exists.
     pub fn latest_ts(&self, bs: BackendSubId) -> Option<Timestamp> {
-        self.stores.get(&bs).and_then(|l| l.last()).map(|o| o.ts)
+        self.stores.get(bs).and_then(|l| l.last()).map(|o| o.ts)
     }
 
     /// Number of results stored for `bs`.
     pub fn len_of(&self, bs: BackendSubId) -> usize {
-        self.stores.get(&bs).map_or(0, Vec::len)
+        self.stores.get(bs).map_or(0, Vec::len)
     }
 
-    /// Total number of results across all subscriptions.
+    /// Total number of results ever stored, across all subscriptions.
+    /// Like [`ResultStore::total_bytes`] it only grows:
+    /// [`ResultStore::remove_subscription`] does not take a retired
+    /// subscription's results off it.
     pub fn total_objects(&self) -> u64 {
         self.total_objects
     }
@@ -145,7 +148,7 @@ impl ResultStore {
     /// Drops all results for a subscription (used when the last frontend
     /// subscription detaches and the backend subscription is retired).
     pub fn remove_subscription(&mut self, bs: BackendSubId) {
-        self.stores.remove(&bs);
+        self.stores.remove(bs);
     }
 }
 
@@ -240,6 +243,26 @@ mod tests {
         assert_eq!(s.len_of(b), 1);
         let got = s.fetch(a, TimeRange::closed(t(0), t(9)));
         assert_eq!(*got[0].payload, DataValue::from(1i64));
+    }
+
+    #[test]
+    fn totals_count_every_result_ever_stored() {
+        let mut s = ResultStore::new();
+        let (a, b) = (BackendSubId::new(1), BackendSubId::new(2));
+        s.append(a, t(1), DataValue::Null, Some(ByteSize::new(10)));
+        s.append(a, t(2), DataValue::Null, Some(ByteSize::new(10)));
+        s.append(b, t(1), DataValue::Null, Some(ByteSize::new(5)));
+        s.remove_subscription(a);
+        assert_eq!(s.len_of(a), 0);
+        assert_eq!(s.total_objects(), 3);
+        assert_eq!(s.total_bytes(), ByteSize::new(25));
+        assert_eq!(
+            s.to_string(),
+            "result store (1 subscriptions, 3 objects, 25B)"
+        );
+        // A retired id never comes back; an unknown one is a no-op.
+        s.remove_subscription(BackendSubId::new(u64::MAX));
+        assert_eq!(s.total_objects(), 3);
     }
 
     #[test]

@@ -6,14 +6,21 @@
 //! expected — the distinction between the two is the heart of the broker's
 //! subscription-merging logic.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, Hasher};
 use std::marker::PhantomData;
 
 /// Defines a `u64`-backed identifier newtype with the common trait set.
 macro_rules! define_id {
     ($(#[$meta:meta])* $name:ident, $prefix:expr) => {
+        define_id!(@type $(#[$meta])* $name);
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, concat!($prefix, "{}"), self.0)
+            }
+        }
+    };
+    (@type $(#[$meta:meta])* $name:ident) => {
         $(#[$meta])*
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(u64);
@@ -41,12 +48,6 @@ macro_rules! define_id {
                 id.0
             }
         }
-
-        impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($prefix, "{}"), self.0)
-            }
-        }
     };
 }
 
@@ -72,11 +73,44 @@ define_id!(
     "bsub-"
 );
 define_id!(
+    @type
     /// An individual subscriber-facing subscription; many frontend
     /// subscriptions may share one [`BackendSubId`].
-    FrontendSubId,
-    "fsub-"
+    ///
+    /// The broker's subscription table mints it as `generation << 32 |
+    /// slot`: the slot it occupies, and how many times that slot was
+    /// freed before, so a handle to a freed subscription never names
+    /// the one that reused its slot.
+    FrontendSubId
 );
+
+impl FrontendSubId {
+    /// The id of `slot` at `generation`.
+    pub const fn from_parts(slot: u32, generation: u32) -> Self {
+        Self(((generation as u64) << 32) | slot as u64)
+    }
+
+    /// The slot: the low 32 bits.
+    pub const fn slot(self) -> u32 {
+        self.0 as u32
+    }
+
+    /// The generation: the high 32 bits.
+    pub const fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
+
+/// `fsub-<slot>`, with `.<generation>` appended once the slot was reused.
+impl fmt::Display for FrontendSubId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.generation() {
+            0 => write!(f, "fsub-{}", self.slot()),
+            generation => write!(f, "fsub-{}.{generation}", self.slot()),
+        }
+    }
+}
+
 define_id!(
     /// A result object produced by the data cluster for one backend
     /// subscription.
@@ -86,8 +120,8 @@ define_id!(
 
 /// The splitmix64 finalizer: a bijection on `u64` whose every output
 /// bit depends on every input bit, so consecutive identifiers spread
-/// evenly whichever bits a consumer reads. Routes caches to shards,
-/// drives [`crate::rng::Rng`] and hashes [`IdMap`] keys.
+/// evenly whichever bits a consumer reads. Routes caches to shards
+/// and drives [`crate::rng::Rng`].
 pub const fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -95,92 +129,149 @@ pub const fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A [`Hasher`] for identifier keys: each `u64` written goes through
-/// [`mix64`] together with the state so far, so the parts of a tuple
-/// key chain (`(a, b)` and `(b, a)` hash differently). Unkeyed — see
-/// [`IdMap`] for which tables may use it.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdHasher(u64);
+/// A table keyed by an identifier the system mints (a [`BackendSubId`]
+/// off the cluster's counter, say): a `Vec` indexed by the raw id, so a
+/// lookup is one bounds check — no hash, no tree walk — and iteration
+/// is in id order.
+///
+/// A lookup never grows the slab: an id nobody minted, even
+/// `u64::MAX`, reads as absent. Only [`IdSlab::insert`] and
+/// [`IdSlab::get_or_insert_with`] grow it, to the id they are given, so
+/// they must only ever see ids off the system's own counters. A removed
+/// entry leaves its slot behind (`size_of::<Option<V>>()` bytes); box
+/// `V` when it is large.
+///
+/// # Examples
+///
+/// ```
+/// use bad_types::ids::IdSlab;
+/// use bad_types::BackendSubId;
+///
+/// let mut slab: IdSlab<BackendSubId, &str> = IdSlab::new();
+/// slab.insert(BackendSubId::new(3), "c");
+/// slab.insert(BackendSubId::new(1), "a");
+/// assert_eq!(slab.get(BackendSubId::new(3)), Some(&"c"));
+/// assert_eq!(slab.get(BackendSubId::new(u64::MAX)), None);
+/// let ids: Vec<u64> = slab.iter().map(|(id, _)| id.as_u64()).collect();
+/// assert_eq!(ids, [1, 3]);
+/// ```
+#[derive(Clone)]
+pub struct IdSlab<K, V> {
+    slots: Vec<Option<V>>,
+    len: usize,
+    key: PhantomData<fn(K) -> K>,
+}
 
-impl Hasher for IdHasher {
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.0 = mix64(self.0 ^ x);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+impl<K, V> Default for IdSlab<K, V> {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            len: 0,
+            key: PhantomData,
         }
     }
+}
 
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
+impl<K: Copy + Into<u64> + From<u64>, V> IdSlab<K, V> {
+    /// Creates an empty slab.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of occupied slots.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no slot is occupied.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The slot index of `id`, if it fits the address space.
+    fn index(id: K) -> Option<usize> {
+        usize::try_from(id.into()).ok()
+    }
+
+    /// The value under `id`, if any.
+    pub fn get(&self, id: K) -> Option<&V> {
+        self.slots.get(Self::index(id)?)?.as_ref()
+    }
+
+    /// The value under `id`, mutably, if any.
+    pub fn get_mut(&mut self, id: K) -> Option<&mut V> {
+        self.slots.get_mut(Self::index(id)?)?.as_mut()
+    }
+
+    /// The slot of a minted `id` in `slots`, growing them up to it.
+    fn slot_in(slots: &mut Vec<Option<V>>, id: K) -> &mut Option<V> {
+        let index = Self::index(id).expect("a minted id fits the address space");
+        if index >= slots.len() {
+            slots.resize_with(index + 1, || None);
+        }
+        &mut slots[index]
+    }
+
+    /// Stores `value` under the minted `id`, returning what it replaced.
+    pub fn insert(&mut self, id: K, value: V) -> Option<V> {
+        let old = Self::slot_in(&mut self.slots, id).replace(value);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
+    }
+
+    /// The value under the minted `id`, stored first from `make` when
+    /// the slot is empty.
+    pub fn get_or_insert_with(&mut self, id: K, make: impl FnOnce() -> V) -> &mut V {
+        let slot = Self::slot_in(&mut self.slots, id);
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot.get_or_insert_with(make)
+    }
+
+    /// Takes the value out of `id`'s slot; the slot stays, empty.
+    pub fn remove(&mut self, id: K) -> Option<V> {
+        let old = self.slots.get_mut(Self::index(id)?)?.take();
+        if old.is_some() {
+            self.len -= 1;
+        }
+        old
+    }
+
+    /// The occupied slots, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((K::from(i as u64), slot.as_ref()?)))
+    }
+
+    /// The occupied slots, mutably, in id order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (K, &mut V)> {
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((K::from(i as u64), slot.as_mut()?)))
+    }
+
+    /// The values, in id order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().filter_map(Option::as_ref)
+    }
+
+    /// The values, mutably, in id order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.slots.iter_mut().filter_map(Option::as_mut)
     }
 }
 
-/// Identifiers the system mints itself, from an [`IdGen`] counter a
-/// client cannot steer: the only keys an [`IdMap`] accepts.
-pub trait MintedId {}
-
-impl MintedId for FrontendSubId {}
-impl MintedId for BackendSubId {}
-impl MintedId for ObjectId {}
-
-/// Builds [`IdHasher`]s — but only for [`MintedId`] keys, which is what
-/// keeps an `IdMap<SubscriberId, _>` from compiling.
-pub struct IdBuildHasher<K>(PhantomData<fn(K)>);
-
-impl<K: MintedId> BuildHasher for IdBuildHasher<K> {
-    type Hasher = IdHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> IdHasher {
-        IdHasher::default()
-    }
-}
-
-impl<K: MintedId> Default for IdBuildHasher<K> {
-    fn default() -> Self {
-        Self(PhantomData)
-    }
-}
-
-impl<K> Clone for IdBuildHasher<K> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<K> Copy for IdBuildHasher<K> {}
-
-impl<K> fmt::Debug for IdBuildHasher<K> {
+impl<K: Copy + Into<u64> + From<u64> + fmt::Debug, V: fmt::Debug> fmt::Debug for IdSlab<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("IdBuildHasher")
+        f.debug_map().entries(self.iter()).finish()
     }
 }
-
-/// A `HashMap` hashed by [`IdHasher`] instead of SipHash, for tables on
-/// the per-request path whose keys are all [`MintedId`]s.
-///
-/// The rule: splitmix64 is a public bijection, so whoever chooses the
-/// keys can choose the buckets. A table keyed — even in part — by a
-/// value a client supplies ([`SubscriberId`], channel names, parameter
-/// strings) must stay on the keyed default hasher; `IdMap` is for keys
-/// that come off the system's own counters and nothing else.
-///
-/// ```compile_fail
-/// use bad_types::ids::IdMap;
-/// use bad_types::SubscriberId;
-///
-/// // A client picks its own subscriber id: not a minted key.
-/// let mut by_subscriber: IdMap<SubscriberId, u32> = IdMap::default();
-/// by_subscriber.insert(SubscriberId::new(1), 1);
-/// ```
-pub type IdMap<K, V> = HashMap<K, V, IdBuildHasher<K>>;
 
 /// A monotonically increasing generator for any of the identifier types.
 ///
@@ -252,72 +343,56 @@ mod tests {
         assert_eq!(id.as_u64(), 10);
     }
 
-    fn id_hash<T: std::hash::Hash>(key: T) -> u64 {
-        let mut hasher = IdHasher::default();
-        key.hash(&mut hasher);
-        hasher.finish()
-    }
-
-    /// Pearson's χ² of `counts` against a uniform spread.
-    fn chi_squared(counts: &[u32]) -> f64 {
-        let total: u32 = counts.iter().sum();
-        let expected = f64::from(total) / counts.len() as f64;
-        counts
-            .iter()
-            .map(|&c| (f64::from(c) - expected).powi(2) / expected)
-            .sum()
-    }
-
-    /// hashbrown picks the bucket from the low bits of the hash and the
-    /// control byte from its top seven, so both ends must spread the
-    /// ids an [`IdGen`] hands out: 0, 1, 2, … Bound: five standard
-    /// deviations above the mean of a χ² with `buckets − 1` degrees of
-    /// freedom (mean `d`, variance `2d`).
     #[test]
-    fn sequential_ids_spread_over_low_and_top_bits() {
-        const IDS: u64 = 1 << 16;
-        let bound = |buckets: usize| {
-            let d = (buckets - 1) as f64;
-            d + 5.0 * (2.0 * d).sqrt()
-        };
-        for k in [4u32, 8, 10, 12] {
-            let mut low = vec![0u32; 1 << k];
-            for raw in 0..IDS {
-                low[(id_hash(BackendSubId::new(raw)) & ((1 << k) - 1)) as usize] += 1;
-            }
-            let chi = chi_squared(&low);
-            assert!(chi < bound(1 << k), "low {k} bits: χ² = {chi}");
+    fn slab_lookups_never_grow_it() {
+        let mut slab: IdSlab<BackendSubId, u32> = IdSlab::new();
+        slab.insert(BackendSubId::new(2), 20);
+        for raw in [0, 1, 3, 1 << 40, u64::MAX] {
+            assert_eq!(slab.get(BackendSubId::new(raw)), None);
+            assert_eq!(slab.get_mut(BackendSubId::new(raw)), None);
+            assert_eq!(slab.remove(BackendSubId::new(raw)), None);
         }
-        let mut top = vec![0u32; 128];
-        for raw in 0..IDS {
-            top[(id_hash(FrontendSubId::new(raw)) >> 57) as usize] += 1;
-        }
-        let chi = chi_squared(&top);
-        assert!(chi < bound(128), "top 7 bits: χ² = {chi}");
+        assert_eq!(slab.slots.len(), 3);
+        assert_eq!(slab.len(), 1);
     }
 
     #[test]
-    fn id_hash_is_the_mix_and_tuple_parts_chain() {
-        assert_eq!(id_hash(ObjectId::new(5)), mix64(5));
-        let (a, b) = (FrontendSubId::new(1), FrontendSubId::new(2));
-        assert_eq!(id_hash((a, b)), mix64(mix64(1) ^ 2));
-        assert_ne!(id_hash((a, b)), id_hash((b, a)));
-        // Bytes fold through the same mix, a word at a time.
-        let mut hasher = IdHasher::default();
-        hasher.write(&7u64.to_le_bytes());
-        assert_eq!(hasher.finish(), mix64(7));
+    fn slab_is_a_map_in_id_order() {
+        let mut slab: IdSlab<BackendSubId, u32> = IdSlab::new();
+        for raw in [5u64, 1, 3] {
+            assert_eq!(slab.insert(BackendSubId::new(raw), raw as u32), None);
+        }
+        assert_eq!(slab.insert(BackendSubId::new(3), 30), Some(3));
+        assert_eq!(slab.len(), 3);
+        *slab.get_or_insert_with(BackendSubId::new(1), || 99) += 10;
+        *slab.get_or_insert_with(BackendSubId::new(0), || 7) += 1;
+        assert_eq!(slab.len(), 4);
+        let all: Vec<(u64, u32)> = slab.iter().map(|(id, &v)| (id.as_u64(), v)).collect();
+        assert_eq!(all, [(0, 8), (1, 11), (3, 30), (5, 5)]);
+        assert_eq!(slab.remove(BackendSubId::new(1)), Some(11));
+        assert_eq!(slab.get(BackendSubId::new(1)), None);
+        assert_eq!(slab.len(), 3);
+        for v in slab.values_mut() {
+            *v += 1;
+        }
+        assert_eq!(slab.values().copied().collect::<Vec<_>>(), [9, 31, 6]);
+        assert_eq!(
+            format!("{slab:?}"),
+            "{BackendSubId(0): 9, BackendSubId(3): 31, BackendSubId(5): 6}"
+        );
     }
 
     #[test]
-    fn id_map_is_a_hash_map_over_minted_keys() {
-        let mut map: IdMap<BackendSubId, u32> = IdMap::default();
-        for raw in 0..1000 {
-            map.insert(BackendSubId::new(raw), raw as u32);
-        }
-        assert_eq!(map.len(), 1000);
-        assert_eq!(map.get(&BackendSubId::new(999)), Some(&999));
-        assert_eq!(map.remove(&BackendSubId::new(0)), Some(0));
-        assert!(!map.contains_key(&BackendSubId::new(0)));
+    fn frontend_ids_pack_slot_and_generation() {
+        let id = FrontendSubId::from_parts(7, 0);
+        assert_eq!((id.slot(), id.generation()), (7, 0));
+        assert_eq!(id, FrontendSubId::new(7));
+        assert_eq!(id.to_string(), "fsub-7");
+        let reused = FrontendSubId::from_parts(7, 3);
+        assert_eq!(reused.as_u64(), (3 << 32) | 7);
+        assert_eq!((reused.slot(), reused.generation()), (7, 3));
+        assert_eq!(reused.to_string(), "fsub-7.3");
+        assert_eq!(FrontendSubId::new(u64::MAX).slot(), u32::MAX);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 #
 # Runs, in order: the zero-dependency guard, the release build and every
 # crate's tests, the cache, broker, cluster, query, storage, types,
-# telemetry, proto and sim suites again under --release, formatting,
-# lints and rustdoc, and the benchmark smoke.
+# telemetry, proto, sim, net and workload suites again under --release,
+# formatting, lints and rustdoc, and the benchmark smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,9 +32,12 @@ cargo test -q --locked
 # telemetry crate's profiler fold, histogram fold and sketch recorder,
 # which sit on the benchmark's observed hot path, and the threaded
 # runtime's maintenance path and the simulator's observer attach, which
-# wire those observers.
+# wire those observers, and the network model, whose delivery latency
+# every GET computes, with the workload generators (Zipf popularity,
+# ON/OFF churn) the simulator draws from.
 cargo test -q --release --locked -p bad-cache -p bad-broker -p bad-cluster -p bad-query \
-  -p bad-storage -p bad-types -p bad-telemetry -p bad-proto -p bad-sim
+  -p bad-storage -p bad-types -p bad-telemetry -p bad-proto -p bad-sim -p bad-net \
+  -p bad-workload
 cargo fmt --check
 cargo clippy --locked --workspace --all-targets -- -D warnings
 # A dangling or private intra-doc link (say, to an item a change
