@@ -14,9 +14,9 @@
 //! - **Merge order-independence** (regression): permuting the order in
 //!   which per-shard snapshots reach the read-time merge yields a
 //!   byte-identical `/hot` JSON body. The merge is symmetric by
-//!   construction (BTreeMap state, total order on (count desc, key
-//!   asc) truncation); this pins it against a future "fold left into
-//!   the first shard" rewrite.
+//!   construction (every input's keys enter one union, truncated on
+//!   the total order (count desc, key asc)); this pins it against a
+//!   future "fold left into the first shard" rewrite.
 //! - **Deployment parity** (integration): replaying one op tape into a
 //!   1-shard and a 4-shard [`ShardedCacheManager`] (ample budget, so
 //!   the access streams match) produces byte-identical `/hot` JSON —

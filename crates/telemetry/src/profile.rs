@@ -32,8 +32,10 @@
 //! Timestamps come from [`ticks`]: the TSC on `x86_64` (calibrated
 //! against `Instant` once per process, assuming the constant-TSC
 //! behaviour of every post-2008 part), a monotonic `Instant` delta
-//! elsewhere. Reading the TSC costs a fraction of a `clock_gettime`,
-//! which is what keeps full profiling inside the ≤10 % overhead gate.
+//! elsewhere. Reading the TSC costs a fraction of a `clock_gettime`:
+//! when a standalone overhead bench (since deleted) timed a 4-shard
+//! manager's batched GETs, inserts and acks with and without stages
+//! on every op, full profiling cost ~5–8 % against a 10 % budget.
 //!
 //! The profiler is metadata-only: no instrumentation point influences
 //! an insert, eviction or TTL decision, so a profiled `shards = 1`

@@ -36,7 +36,6 @@
 //! `merge_is_order_independent` below; the scrape endpoint's `/hot`
 //! body is byte-identical under shard permutation).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -87,69 +86,174 @@ pub struct SsEntry {
     pub err: u64,
 }
 
+/// An empty slot in a [`SpaceSaving`] index.
+const NO_SLOT: u32 = u32::MAX;
+
 /// The Space-Saving heavy-hitter sketch over `u64` keys.
 ///
-/// Backed by a `BTreeMap` rather than a hash map so iteration (and
-/// therefore min-slot eviction and JSON rendering) is deterministic —
-/// `std`'s `HashMap` is randomly seeded per process, which would make
-/// two replays of the same tape render different tie-breaks.
+/// Keys and their entries live in flat slot arrays (`keys[s]` owns
+/// `entries[s]`), filled in arrival order and never compacted: a
+/// full-axis eviction reuses the victim's slot in place. An
+/// open-addressed index (twice the capacity rounded up to a power of
+/// two, `mix64` hash, linear probing, backward-shift deletion) maps a
+/// key to its slot, so recording a tracked key is one probe and a new
+/// key in a full axis is one scan of the slot entries for its victim.
+///
+/// Nothing observable depends on slot order or hashing, so the sketch
+/// stays deterministic — unlike a map behind `std`'s per-process random
+/// hasher, with which two replays of one tape could render different
+/// tie-breaks. The victim is the minimum by `(count, key)`, a total
+/// order; [`SpaceSaving::top`] sorts by `(count desc, key asc)`; and
+/// [`SpaceSaving::entries`] iterates key-ascending.
 #[derive(Clone, Debug)]
 pub struct SpaceSaving {
     capacity: usize,
-    entries: BTreeMap<u64, SsEntry>,
+    /// The key in each occupied slot (`len ≤ capacity`).
+    keys: Vec<u64>,
+    /// Each occupied slot's entry, aligned with `keys`.
+    entries: Vec<SsEntry>,
+    /// Open-addressed key → slot index; `NO_SLOT` marks a free cell.
+    index: Vec<u32>,
     /// Total weight recorded (the `N` in the `N / capacity` bound).
     total: u64,
 }
 
 impl SpaceSaving {
     /// An empty sketch with `capacity.max(1)` slots.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` does not fit a `u32` slot number.
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        assert!(
+            capacity < NO_SLOT as usize,
+            "Space-Saving capacity {capacity} exceeds the slot index"
+        );
         Self {
-            capacity: capacity.max(1),
-            entries: BTreeMap::new(),
+            capacity,
+            keys: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
+            index: vec![NO_SLOT; (2 * capacity).next_power_of_two()],
             total: 0,
         }
     }
 
     /// Records `weight` occurrences of `key`. Returns the key evicted
-    /// to make room, if any — callers tracking per-key side state (the
-    /// lag histograms) prune on eviction.
+    /// to make room, if any.
     pub fn record(&mut self, key: u64, weight: u64) -> Option<u64> {
         if weight == 0 {
             return None;
         }
+        self.record_slot(key, weight).1
+    }
+
+    /// [`SpaceSaving::record`] of a positive `weight`, also returning the
+    /// slot `key` now occupies — callers keeping per-slot side state
+    /// (the lag histograms) reset it when the slot changes key.
+    pub(crate) fn record_slot(&mut self, key: u64, weight: u64) -> (usize, Option<u64>) {
+        debug_assert!(weight > 0, "a zero weight records nothing");
         self.total += weight;
-        if let Some(entry) = self.entries.get_mut(&key) {
-            entry.count += weight;
-            return None;
+        let (cell, slot) = self.probe(key);
+        if let Some(slot) = slot {
+            self.entries[slot].count += weight;
+            return (slot, None);
         }
-        if self.entries.len() < self.capacity {
-            self.entries.insert(
-                key,
-                SsEntry {
-                    count: weight,
-                    err: 0,
-                },
-            );
-            return None;
+        if self.keys.len() < self.capacity {
+            let slot = self.keys.len();
+            self.keys.push(key);
+            self.entries.push(SsEntry {
+                count: weight,
+                err: 0,
+            });
+            self.index[cell] = slot as u32;
+            return (slot, None);
         }
         // Classic Space-Saving: the new key inherits the min slot's
-        // count as its overestimate. BTreeMap iterates key-ascending,
-        // so `<` (not `<=`) picks the smallest-keyed min deterministically.
-        let (&victim, &min) = self
+        // count as its overestimate. Ties go to the smallest key.
+        let victim = self.min_slot();
+        let evicted = self.keys[victim];
+        let min = self.entries[victim].count;
+        self.unindex(evicted);
+        self.keys[victim] = key;
+        self.entries[victim] = SsEntry {
+            count: min + weight,
+            err: min,
+        };
+        self.index_slot(victim);
+        (victim, Some(evicted))
+    }
+
+    /// The slot holding `key`, if it is tracked.
+    pub(crate) fn slot_of(&self, key: u64) -> Option<usize> {
+        self.probe(key).1
+    }
+
+    /// Walks `key`'s probe sequence: its slot if tracked, and the index
+    /// cell holding it (or the free cell that ends the walk).
+    #[inline]
+    fn probe(&self, key: u64) -> (usize, Option<usize>) {
+        let mask = self.index.len() - 1;
+        let mut cell = mix64(key) as usize & mask;
+        loop {
+            match self.index[cell] {
+                NO_SLOT => return (cell, None),
+                slot if self.keys[slot as usize] == key => return (cell, Some(slot as usize)),
+                _ => cell = (cell + 1) & mask,
+            }
+        }
+    }
+
+    /// Enters the key in `slot` into the index (it must not be there).
+    fn index_slot(&mut self, slot: usize) {
+        let (cell, found) = self.probe(self.keys[slot]);
+        debug_assert!(found.is_none(), "key indexed twice");
+        self.index[cell] = slot as u32;
+    }
+
+    /// Removes tracked `key` from the index by backward-shift deletion:
+    /// later cells of the run move back into the hole whenever their
+    /// home cell does not lie between the hole and them, so every
+    /// remaining key stays reachable without tombstones.
+    fn unindex(&mut self, key: u64) {
+        let mask = self.index.len() - 1;
+        let (mut hole, found) = self.probe(key);
+        debug_assert!(found.is_some(), "unindexing an untracked key");
+        let mut cell = (hole + 1) & mask;
+        loop {
+            let slot = self.index[cell];
+            if slot == NO_SLOT {
+                break;
+            }
+            let home = mix64(self.keys[slot as usize]) as usize & mask;
+            if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
+                self.index[hole] = slot;
+                hole = cell;
+            }
+            cell = (cell + 1) & mask;
+        }
+        self.index[hole] = NO_SLOT;
+    }
+
+    /// The occupied slot with the smallest `(count, key)`: the minimum
+    /// count, then the smallest key holding it, in two passes of
+    /// selects rather than branches — a Zipf tail keeps many slots tied
+    /// at the minimum, so a compare per slot would mispredict often.
+    fn min_slot(&self) -> usize {
+        let min = self
             .entries
             .iter()
-            .reduce(|a, b| if b.1.count < a.1.count { b } else { a })
-            .expect("capacity ≥ 1");
-        self.entries.remove(&victim);
-        self.entries.insert(
-            key,
-            SsEntry {
-                count: min.count + weight,
-                err: min.count,
-            },
-        );
-        Some(victim)
+            .map(|e| e.count)
+            .min()
+            .expect("a full axis");
+        let mut best = 0;
+        let mut best_key = u64::MAX;
+        for (slot, (entry, &key)) in self.entries.iter().zip(&self.keys).enumerate() {
+            let better = (entry.count == min) & (key <= best_key);
+            best = if better { slot } else { best };
+            best_key = if better { key } else { best_key };
+        }
+        best
     }
 
     /// Total weight recorded.
@@ -166,22 +270,27 @@ impl SpaceSaving {
     /// The count floor for keys *not* in the sketch: when full, a
     /// missing key's true count is at most the minimum slot count.
     pub fn absent_bound(&self) -> u64 {
-        if self.entries.len() < self.capacity {
+        if self.keys.len() < self.capacity {
             0
         } else {
-            self.entries.values().map(|e| e.count).min().unwrap_or(0)
+            self.entries.iter().map(|e| e.count).min().unwrap_or(0)
         }
     }
 
     /// The tracked entries (≤ capacity), key-ascending.
-    pub fn entries(&self) -> &BTreeMap<u64, SsEntry> {
-        &self.entries
+    pub fn entries(&self) -> Entries<'_> {
+        Entries { sketch: self }
     }
 
     /// The top `k` entries ordered by count descending, key ascending
     /// on ties — a total order, so renders are deterministic.
     pub fn top(&self, k: usize) -> Vec<(u64, SsEntry)> {
-        let mut all: Vec<(u64, SsEntry)> = self.entries.iter().map(|(&k, &e)| (k, e)).collect();
+        let mut all: Vec<(u64, SsEntry)> = self
+            .keys
+            .iter()
+            .copied()
+            .zip(self.entries.iter().copied())
+            .collect();
         all.sort_by(|a, b| b.1.count.cmp(&a.1.count).then(a.0.cmp(&b.0)));
         all.truncate(k);
         all
@@ -199,38 +308,119 @@ impl SpaceSaving {
     /// guarantees carry over with the summed totals.
     pub fn merge(inputs: &[&SpaceSaving]) -> SpaceSaving {
         let capacity = inputs.iter().map(|s| s.capacity).max().unwrap_or(1);
-        let mut out = SpaceSaving::new(capacity);
-        out.total = inputs.iter().map(|s| s.total).sum();
         let bounds: Vec<u64> = inputs.iter().map(|s| s.absent_bound()).collect();
-        let mut merged: BTreeMap<u64, SsEntry> = BTreeMap::new();
+        // The union, built in a sketch sized to hold all of it, whose
+        // index dedups keys seen in more than one input.
+        let mut union = SpaceSaving::new(inputs.iter().map(|s| s.keys.len()).sum());
         for sketch in inputs {
-            for &key in sketch.entries.keys() {
-                if merged.contains_key(&key) {
+            for &key in &sketch.keys {
+                let (cell, None) = union.probe(key) else {
                     continue;
-                }
+                };
                 let mut entry = SsEntry::default();
                 for (other, &bound) in inputs.iter().zip(&bounds) {
-                    match other.entries.get(&key) {
-                        Some(e) => {
-                            entry.count += e.count;
-                            entry.err += e.err;
-                        }
-                        None => {
-                            entry.count += bound;
-                            entry.err += bound;
-                        }
-                    }
+                    let e = other.slot_of(key).map_or(
+                        SsEntry {
+                            count: bound,
+                            err: bound,
+                        },
+                        |slot| other.entries[slot],
+                    );
+                    entry.count += e.count;
+                    entry.err += e.err;
                 }
-                merged.insert(key, entry);
+                union.index[cell] = union.keys.len() as u32;
+                union.keys.push(key);
+                union.entries.push(entry);
             }
         }
-        let mut ranked: Vec<(u64, SsEntry)> = merged.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.count.cmp(&a.1.count).then(a.0.cmp(&b.0)));
+        let mut ranked: Vec<usize> = (0..union.keys.len()).collect();
+        ranked.sort_by(|&a, &b| {
+            let (ka, kb) = (union.keys[a], union.keys[b]);
+            union.entries[b]
+                .count
+                .cmp(&union.entries[a].count)
+                .then(ka.cmp(&kb))
+        });
         ranked.truncate(capacity);
-        out.entries = ranked.into_iter().collect();
+        let mut out = SpaceSaving::new(capacity);
+        out.total = inputs.iter().map(|s| s.total).sum();
+        for slot in ranked {
+            out.keys.push(union.keys[slot]);
+            out.entries.push(union.entries[slot]);
+            out.index_slot(out.keys.len() - 1);
+        }
         out
     }
 }
+
+/// A key-ascending view of a [`SpaceSaving`]'s tracked entries (see
+/// [`SpaceSaving::entries`]). Lookups go through the sketch's index;
+/// only iteration orders the slots.
+#[derive(Clone, Copy, Debug)]
+pub struct Entries<'a> {
+    sketch: &'a SpaceSaving,
+}
+
+impl<'a> Entries<'a> {
+    /// `key`'s entry, if tracked.
+    pub fn get(&self, key: &u64) -> Option<&'a SsEntry> {
+        let sketch = self.sketch;
+        sketch.slot_of(*key).map(|slot| &sketch.entries[slot])
+    }
+
+    /// Whether `key` is tracked.
+    pub fn contains_key(&self, key: &u64) -> bool {
+        self.sketch.slot_of(*key).is_some()
+    }
+
+    /// How many keys are tracked.
+    pub fn len(&self) -> usize {
+        self.sketch.keys.len()
+    }
+
+    /// Whether no key is tracked.
+    pub fn is_empty(&self) -> bool {
+        self.sketch.keys.is_empty()
+    }
+}
+
+impl<'a> IntoIterator for Entries<'a> {
+    type Item = (&'a u64, &'a SsEntry);
+    type IntoIter = EntriesIter<'a>;
+
+    fn into_iter(self) -> EntriesIter<'a> {
+        let sketch = self.sketch;
+        let mut slots: Vec<usize> = (0..sketch.keys.len()).collect();
+        slots.sort_unstable_by_key(|&slot| sketch.keys[slot]);
+        EntriesIter {
+            sketch,
+            slots: slots.into_iter(),
+        }
+    }
+}
+
+/// Iterator over [`Entries`], key-ascending.
+#[derive(Debug)]
+pub struct EntriesIter<'a> {
+    sketch: &'a SpaceSaving,
+    slots: std::vec::IntoIter<usize>,
+}
+
+impl<'a> Iterator for EntriesIter<'a> {
+    type Item = (&'a u64, &'a SsEntry);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let slot = self.slots.next()?;
+        Some((&self.sketch.keys[slot], &self.sketch.entries[slot]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
+    }
+}
+
+impl ExactSizeIterator for EntriesIter<'_> {}
 
 /// HyperLogLog register count (`b = 8` index bits). 256 registers give
 /// ~6.5% standard error — ample for "tens vs. thousands vs. millions
@@ -386,8 +576,8 @@ struct SketchState {
     misses: SpaceSaving,
     slo: SpaceSaving,
     distinct: DistinctEstimator,
-    /// Lag histograms for keys currently tracked by `requests` only.
-    lags: BTreeMap<u64, LagHist>,
+    /// Lag histograms of the keys `requests` tracks, slot for slot.
+    lags: LagTable,
     totals: SketchTotals,
 }
 
@@ -399,17 +589,70 @@ impl SketchState {
             misses: SpaceSaving::new(capacity),
             slo: SpaceSaving::new(capacity),
             distinct: DistinctEstimator::new(),
-            lags: BTreeMap::new(),
+            lags: LagTable::with_capacity(capacity),
             totals: SketchTotals::default(),
         }
     }
 
     fn track_requests(&mut self, key: u64, weight: u64) {
-        if let Some(evicted) = self.requests.record(key, weight) {
-            // The lag map follows the requests sketch's key set, so
-            // memory stays bounded by capacity, not cardinality.
-            self.lags.remove(&evicted);
+        let (slot, evicted) = self.requests.record_slot(key, weight);
+        // The lag table follows the requests sketch's slots, so memory
+        // stays bounded by capacity, not cardinality: a key entering a
+        // slot starts with an empty histogram.
+        if slot == self.lags.hists.len() || evicted.is_some() {
+            self.lags.assign(slot, key);
         }
+    }
+}
+
+/// Per-key delivery-lag histograms aligned with a requests axis's
+/// slots: `hists[s]` belongs to `keys[s]`, the key in slot `s`. An
+/// empty histogram reads as absent — no lag recorded since the key
+/// took the slot.
+#[derive(Clone, Debug)]
+struct LagTable {
+    keys: Vec<u64>,
+    hists: Vec<LagHist>,
+}
+
+impl LagTable {
+    fn with_capacity(capacity: usize) -> Self {
+        Self {
+            keys: Vec::with_capacity(capacity),
+            hists: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// `key` now holds `slot` (the next free one, or a reused one):
+    /// its histogram starts empty.
+    fn assign(&mut self, slot: usize, key: u64) {
+        if slot == self.hists.len() {
+            self.keys.push(key);
+            self.hists.push(LagHist::default());
+        } else {
+            self.keys[slot] = key;
+            self.hists[slot] = LagHist::default();
+        }
+    }
+
+    /// `key`'s histogram, if it has one with observations.
+    fn get(&self, key: &u64) -> Option<&LagHist> {
+        let slot = self.keys.iter().position(|k| k == key)?;
+        Some(&self.hists[slot]).filter(|hist| hist.count() > 0)
+    }
+
+    #[cfg(test)]
+    fn contains_key(&self, key: &u64) -> bool {
+        self.get(key).is_some()
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Index<&u64> for LagTable {
+    type Output = LagHist;
+
+    fn index(&self, key: &u64) -> &LagHist {
+        self.get(key).expect("no lag histogram for key")
     }
 }
 
@@ -447,9 +690,10 @@ impl SketchRecorder {
     /// The sampling decision: `Some(weight)` to record with that
     /// weight, `None` to skip. The skip path is a racy load/store pair
     /// rather than an atomic RMW: a `lock`ed increment costs ~20 cycles
-    /// even uncontended, which at a 32-request batched GET's 32 hook
-    /// calls per op is most of the sampled-mode budget the overhead
-    /// bench gates.
+    /// even uncontended, and a 32-request batched GET takes 32 ticks.
+    /// On a one-core host that alone broke the 2 % budget a sharded
+    /// GET had for 1-in-16 sampling, when a standalone overhead bench
+    /// (since deleted) timed sketched GETs against unsketched ones.
     /// Concurrent recorders may lose increments or double-sample a
     /// tick; that only jitters the sampling phase — the `weight = n`
     /// compensation keeps totals unbiased in expectation, and
@@ -602,9 +846,8 @@ impl SketchBatch<'_> {
             .get_or_insert_with(|| recorder.state.lock().expect("sketch state poisoned"));
         let mut hist = state
             .requests
-            .entries()
-            .contains_key(&key)
-            .then(|| state.lags.entry(key).or_default());
+            .slot_of(key)
+            .map(|slot| &mut state.lags.hists[slot]);
         let mut violations = 0;
         for (lag_us, w) in sampled {
             if let Some(hist) = hist.as_mut() {
@@ -630,7 +873,8 @@ pub struct HotSnapshot {
     misses: SpaceSaving,
     slo: SpaceSaving,
     distinct: DistinctEstimator,
-    lags: BTreeMap<u64, LagHist>,
+    /// Aligned with `requests`' slots, as in the recorder.
+    lags: LagTable,
     totals: SketchTotals,
     top_k: usize,
     sample_every_n: u32,
@@ -642,29 +886,39 @@ impl HotSnapshot {
     /// total sums) is commutative and the final render orders keys by
     /// `(count desc, key asc)`, so the result — down to the JSON bytes
     /// — is independent of shard order.
+    ///
+    /// One snapshot merges to itself: it already holds at most
+    /// `capacity` entries per axis, so the union changes nothing.
     pub fn merge(snapshots: &[HotSnapshot]) -> Option<HotSnapshot> {
         let first = snapshots.first()?;
+        if snapshots.len() == 1 {
+            return Some(first.clone());
+        }
         let axis = |pick: fn(&HotSnapshot) -> &SpaceSaving| {
             let refs: Vec<&SpaceSaving> = snapshots.iter().map(pick).collect();
             SpaceSaving::merge(&refs)
         };
         let requests = axis(|s| &s.requests);
         let mut distinct = DistinctEstimator::new();
-        let mut lags: BTreeMap<u64, LagHist> = BTreeMap::new();
         let mut totals = SketchTotals::default();
         for snap in snapshots {
             distinct.merge(&snap.distinct);
-            for (&key, hist) in &snap.lags {
-                lags.entry(key).or_default().merge(hist);
-            }
             totals.requests += snap.totals.requests;
             totals.bytes += snap.totals.bytes;
             totals.misses += snap.totals.misses;
             totals.slo_violations += snap.totals.slo_violations;
         }
-        // Keep lag memory bounded after the union: only keys the merged
-        // requests sketch still tracks.
-        lags.retain(|key, _| requests.entries().contains_key(key));
+        // Lag memory stays bounded after the union: only the keys the
+        // merged requests sketch tracks, each the sum of its inputs'.
+        let mut lags = LagTable::with_capacity(requests.keys.len());
+        for (slot, &key) in requests.keys.iter().enumerate() {
+            lags.assign(slot, key);
+            for snap in snapshots {
+                if let Some(theirs) = snap.requests.slot_of(key) {
+                    lags.hists[slot].merge(&snap.lags.hists[theirs]);
+                }
+            }
+        }
         Some(HotSnapshot {
             requests,
             bytes: axis(|s| &s.bytes),
@@ -764,9 +1018,6 @@ impl HotSnapshot {
                 let Some(hist) = self.lags.get(&key) else {
                     continue;
                 };
-                if hist.count() == 0 {
-                    continue;
-                }
                 if !first {
                     lags.push(',');
                 }
@@ -801,6 +1052,8 @@ impl HotSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     #[test]

@@ -7,7 +7,9 @@
 # Runs, in order: the zero-dependency guard, the release build and every
 # crate's tests, the cache, broker, cluster, query, storage, types,
 # telemetry, proto, sim, net and workload suites again under --release,
-# formatting, lints and rustdoc, and the benchmark smoke.
+# formatting, lints and rustdoc, the benchmark package's own unit tests,
+# formatting and lints (it is a workspace of its own, which the
+# workspace-wide commands never see), and the benchmark smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +45,11 @@ cargo clippy --locked --workspace --all-targets -- -D warnings
 # A dangling or private intra-doc link (say, to an item a change
 # deleted) fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked
+# The benchmark package, built where benchmark/run.sh builds it.
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target/benchmark}"
+cargo test -q --locked --manifest-path benchmark/Cargo.toml
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+cargo clippy --locked --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 # End-to-end benchmark smoke: every workload once, deliveries checked
 # against the benchmark's own reference model.
 benchmark/run.sh --smoke
