@@ -68,5 +68,5 @@ pub use broker::{
     Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics, NotificationOutcome,
 };
 pub use observability::Observability;
-pub use subscriptions::{BackendEntry, FrontendSub, PendingRange, SubscriptionTable};
+pub use subscriptions::{BackendEntry, FrontendList, FrontendSub, PendingRange, SubscriptionTable};
 pub use telemetry::BrokerTelemetry;

@@ -9,7 +9,7 @@
 //! delivered to its subscriber (`fts`), each backend subscription the
 //! newest result fetched from the cluster (`bts`).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use bad_query::ParamBindings;
 use bad_types::ids::IdSlab;
@@ -41,9 +41,52 @@ pub struct BackendEntry {
     pub params: ParamBindings,
     /// The frontend subscriptions sharing it, each with its owner: in
     /// id order this is the list a notification fans out to.
-    pub frontends: BTreeMap<FrontendSubId, SubscriberId>,
+    pub frontends: FrontendList,
     /// `bts`: newest result timestamp the broker has fetched/seen.
     pub last_seen: Timestamp,
+}
+
+/// A backend subscription's fan-out list: its frontend subscriptions,
+/// each with its owner, in one array kept sorted by frontend id. A
+/// notification copies the owners off it in one pass; subscribe and
+/// unsubscribe binary-search it and shift the tail.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FrontendList(Vec<(FrontendSubId, SubscriberId)>);
+
+impl FrontendList {
+    /// Number of frontend subscriptions.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no frontend subscription is attached.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The frontend subscriptions, in id order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &FrontendSubId> {
+        self.0.iter().map(|(fs, _)| fs)
+    }
+
+    /// Their owners, in frontend id order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &SubscriberId> {
+        self.0.iter().map(|(_, owner)| owner)
+    }
+
+    /// Adds `fs`, owned by `owner`, unless it is listed already.
+    fn insert(&mut self, fs: FrontendSubId, owner: SubscriberId) {
+        if let Err(at) = self.0.binary_search_by_key(&fs, |&(id, _)| id) {
+            self.0.insert(at, (fs, owner));
+        }
+    }
+
+    /// Removes `fs`, if listed.
+    fn remove(&mut self, fs: FrontendSubId) {
+        if let Ok(at) = self.0.binary_search_by_key(&fs, |&(id, _)| id) {
+            self.0.remove(at);
+        }
+    }
 }
 
 /// The range one frontend subscription has yet to retrieve: `(fts, bts]`
@@ -211,7 +254,7 @@ impl SubscriptionTable {
                 id,
                 channel: channel.to_owned(),
                 params,
-                frontends: BTreeMap::new(),
+                frontends: FrontendList::default(),
                 last_seen: now,
             }),
         );
@@ -409,7 +452,7 @@ impl SubscriptionTable {
             }
         }
         let entry = self.backends.get_mut(backend).expect("consistent table");
-        entry.frontends.remove(&fs);
+        entry.frontends.remove(fs);
         let orphaned = entry.frontends.is_empty();
         if orphaned {
             let key = (entry.channel.clone(), entry.params.canonical_key());

@@ -129,9 +129,7 @@ impl Books<'_> {
             _ => return GetPlan::all_missed(range),
         };
         let plan = cache.plan_get(range, now);
-        let (objects, bytes) = (plan.cached.len() as u64, plan.cached_bytes);
-        self.metrics.record_hits(objects, bytes);
-        self.telemetry.on_hits(now, cache.id(), objects, bytes);
+        self.record_hits(cache.id(), &plan, now);
         plan
     }
 
@@ -150,8 +148,54 @@ impl Books<'_> {
             cache.mark_retrieved_up_to(sub, up_to);
             return Ok(Vec::new());
         }
-        let mut dropped = Vec::new();
-        for object in cache.consume_up_to(sub, up_to, now) {
+        let consumed = cache.consume_up_to(sub, up_to, now);
+        Ok(self.record_consumed(bs, consumed, now))
+    }
+
+    /// [`Books::plan`] then [`Books::ack`] as one
+    /// [`ResultCache::get_and_consume`]: hits are entered before the
+    /// drops, as from the two calls. No cache misses the whole range
+    /// and drops nothing; under NC the plan misses it all and the ack
+    /// still applies.
+    fn get_and_ack(
+        &mut self,
+        cache: Option<&mut ResultCache>,
+        bs: BackendSubId,
+        sub: SubscriberId,
+        range: TimeRange,
+        up_to: Timestamp,
+        now: Timestamp,
+    ) -> (GetPlan, Vec<DroppedObject>) {
+        let Some(cache) = cache else {
+            return (GetPlan::all_missed(range), Vec::new());
+        };
+        if self.policy.kind() == PolicyKind::NoCache {
+            let dropped = self.ack(Some(cache), bs, sub, up_to, now);
+            return (GetPlan::all_missed(range), dropped.unwrap_or_default());
+        }
+        let consume = self.config.drop_on_full_consumption;
+        let (plan, consumed) = cache.get_and_consume(sub, range, up_to, now, consume);
+        self.record_hits(cache.id(), &plan, now);
+        let dropped = self.record_consumed(bs, consumed, now);
+        (plan, dropped)
+    }
+
+    /// Enters a plan's cache-served part in the metrics and telemetry.
+    fn record_hits(&mut self, bs: BackendSubId, plan: &GetPlan, now: Timestamp) {
+        let (objects, bytes) = (plan.cached.len() as u64, plan.cached_bytes);
+        self.metrics.record_hits(objects, bytes);
+        self.telemetry.on_hits(now, bs, objects, bytes);
+    }
+
+    /// Books the objects an ack completed as consumption drops.
+    fn record_consumed(
+        &mut self,
+        bs: BackendSubId,
+        consumed: Vec<CachedObject>,
+        now: Timestamp,
+    ) -> Vec<DroppedObject> {
+        let mut dropped = Vec::with_capacity(consumed.len());
+        for object in consumed {
             *self.total_bytes -= object.size;
             self.metrics.record_drop(
                 DropReason::Consumed,
@@ -175,7 +219,7 @@ impl Books<'_> {
                 object,
             });
         }
-        Ok(dropped)
+        dropped
     }
 
     /// Re-scores `cache` in the victim index after it changed.
@@ -658,10 +702,10 @@ impl CacheManager {
         self.get_and_ack_staged(bs, sub, range, up_to, now, &Profiler::disabled(), &mut None)
     }
 
-    /// [`CacheManager::get_and_ack`] with the stage boundary between
-    /// its halves on the caller's [`OpTimer`]: the lookup. The ack is
-    /// the tail, which the caller books as [`StagePath::GetAck`] when it
-    /// releases the shard.
+    /// [`CacheManager::get_and_ack`] with a stage boundary on the
+    /// caller's [`OpTimer`] after the fused plan and ack: that is the
+    /// lookup. The re-scoring and the sketches are the tail, which the
+    /// caller books as [`StagePath::GetAck`] when it releases the shard.
     #[allow(clippy::too_many_arguments)] // the call's five plus the staged pair
     pub(crate) fn get_and_ack_staged(
         &mut self,
@@ -674,11 +718,8 @@ impl CacheManager {
         timer: &mut Option<OpTimer>,
     ) -> (GetPlan, Vec<DroppedObject>) {
         let (mut cache, mut books) = self.cache_and_books(bs);
-        let plan = books.plan(cache.as_deref_mut(), range, now);
+        let (plan, dropped) = books.get_and_ack(cache.as_deref_mut(), bs, sub, range, up_to, now);
         profiler.stage(timer, StagePath::GetLookup, 0);
-        let dropped = books
-            .ack(cache.as_deref_mut(), bs, sub, up_to, now)
-            .unwrap_or_default();
         if let Some(cache) = cache {
             books.reindex(cache, now);
         }

@@ -22,8 +22,14 @@
 //! and acks are prefixes, so has not passed `k` either. Fully consumed
 //! objects are therefore always a prefix of the deque and entries only
 //! ever leave from the front.
+//!
+//! A retrieval by one subscriber ([`ResultCache::get_and_consume`])
+//! looks its cursor up once, in a hashed map, and starts the plan at
+//! the cursor's position: the first object the subscriber has not
+//! retrieved is, in the common case, the first object of the range it
+//! asks for, so the plan needs no search of the deque.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 use bad_types::{
@@ -80,8 +86,89 @@ fn index_of(cursor: u64, base_seq: u64) -> usize {
     cursor.saturating_sub(base_seq) as usize
 }
 
+/// Whether `h` is the partition point of `entries` at `from`: every
+/// object before it is older than `from`, and it is either the end or
+/// an object not older than `from`.
+fn starts_at(entries: &VecDeque<CachedObject>, h: usize, from: Timestamp) -> bool {
+    h <= entries.len()
+        && (h == 0 || entries[h - 1].ts < from)
+        && entries.get(h).is_none_or(|o| from <= o.ts)
+}
+
+/// Algorithm 1 `GET` over `entries`, covered from `coverage_from`. The
+/// first candidate is `hint` when that is the partition point at
+/// `range.from` (see [`starts_at`]), and is found by binary search
+/// otherwise; either way the plan is the same.
+fn plan_in(
+    entries: &VecDeque<CachedObject>,
+    coverage_from: Timestamp,
+    range: TimeRange,
+    hint: Option<usize>,
+) -> GetPlan {
+    if range.is_empty() {
+        return GetPlan {
+            cached: Vec::new(),
+            cached_bytes: ByteSize::ZERO,
+            missed: Vec::new(),
+        };
+    }
+    if range.to < coverage_from || (range.to == coverage_from && !range.closed_right) {
+        // Case 3: the whole request lies before the covered region.
+        return GetPlan::all_missed(range);
+    }
+
+    // Case 1/2: the covered part of the range is served from the
+    // cache; anything before the coverage watermark is missed.
+    let mut missed = Vec::new();
+    if range.from < coverage_from {
+        missed.push(TimeRange::half_open(range.from, coverage_from));
+    }
+    let mut cached = Vec::new();
+    let mut cached_bytes = ByteSize::ZERO;
+    let first = match hint {
+        Some(h) if starts_at(entries, h, range.from) => h,
+        _ => entries.partition_point(|o| o.ts < range.from),
+    };
+    for o in entries.range(first..) {
+        if o.ts > range.to {
+            break;
+        }
+        if range.contains(o.ts) {
+            cached.push((o.id, o.ts, o.size));
+            cached_bytes += o.size;
+        }
+    }
+    GetPlan {
+        cached,
+        cached_bytes,
+        missed,
+    }
+}
+
+/// Marks every object from `cursor` with `ts <= up_to` as retrieved
+/// and moves `cursor` past them: one forward pass, so an ack that
+/// advances by `k` objects touches `k` entries however long the cache
+/// is.
+fn mark_in(
+    entries: &mut VecDeque<CachedObject>,
+    base_seq: u64,
+    cursor: &mut u64,
+    up_to: Timestamp,
+) {
+    let start = index_of(*cursor, base_seq);
+    let mut passed = start;
+    for entry in entries.range_mut(start..) {
+        if entry.ts > up_to {
+            break;
+        }
+        entry.pending -= 1;
+        passed += 1;
+    }
+    *cursor = base_seq + passed as u64;
+}
+
 /// One backend subscription's in-memory result cache.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct ResultCache {
     id: BackendSubId,
     /// Oldest (tail) at the front, newest (head) at the back.
@@ -91,8 +178,9 @@ pub struct ResultCache {
     base_seq: u64,
     /// Subscribers currently attached to the cache (`S(i)`), each with
     /// its retrieval cursor. A cursor left behind `base_seq` by eviction
-    /// or expiry means "at the tail".
-    subs: BTreeMap<SubscriberId, u64>,
+    /// or expiry means "at the tail". Hashed on the keyed default
+    /// hasher, because a client chooses its `SubscriberId`.
+    subs: HashMap<SubscriberId, u64>,
     total_bytes: ByteSize,
     /// Last time a subscriber retrieved from this cache (LRU key).
     last_access: Timestamp,
@@ -118,7 +206,7 @@ impl ResultCache {
             id,
             entries: VecDeque::new(),
             base_seq: 0,
-            subs: BTreeMap::new(),
+            subs: HashMap::new(),
             total_bytes: ByteSize::ZERO,
             last_access: now,
             arrivals: RateEstimator::new(rate_window),
@@ -150,8 +238,10 @@ impl ResultCache {
     }
 
     /// Attached subscribers (`S(i)`), in id order.
-    pub fn subscribers(&self) -> impl Iterator<Item = SubscriberId> + '_ {
-        self.subs.keys().copied()
+    pub fn subscribers(&self) -> impl Iterator<Item = SubscriberId> {
+        let mut subs: Vec<SubscriberId> = self.subs.keys().copied().collect();
+        subs.sort_unstable();
+        subs.into_iter()
     }
 
     /// Number of attached subscribers (`n_i`).
@@ -283,45 +373,49 @@ impl ResultCache {
     /// The request asks for objects with `ts ∈ range`. Returns which
     /// objects are servable from the cache and which sub-range (if any)
     /// must be fetched from the data cluster. The first candidate is
-    /// found by binary search, so a plan costs `O(log n + k)`.
+    /// found by binary search, so a plan costs `O(log n + k)`;
+    /// [`ResultCache::get_and_consume`] starts at the subscriber's
+    /// cursor instead.
     pub fn plan_get(&mut self, range: TimeRange, now: Timestamp) -> GetPlan {
         self.last_access = now;
-        if range.is_empty() {
-            return GetPlan {
-                cached: Vec::new(),
-                cached_bytes: ByteSize::ZERO,
-                missed: Vec::new(),
-            };
-        }
-        let coverage_from = self.coverage_from;
-        if range.to < coverage_from || (range.to == coverage_from && !range.closed_right) {
-            // Case 3: the whole request lies before the covered region.
-            return GetPlan::all_missed(range);
-        }
+        plan_in(&self.entries, self.coverage_from, range, None)
+    }
 
-        // Case 1/2: the covered part of the range is served from the
-        // cache; anything before the coverage watermark is missed.
-        let mut missed = Vec::new();
-        if range.from < coverage_from {
-            missed.push(TimeRange::half_open(range.from, coverage_from));
+    /// One retrieval by `sub`: [`ResultCache::plan_get`] of `range`,
+    /// then [`ResultCache::consume_up_to`] of `sub` up to `up_to` when
+    /// `consume` is set, or [`ResultCache::mark_retrieved_up_to`] when it
+    /// is not. Returns the plan and the dropped objects, exactly as
+    /// the two calls would.
+    ///
+    /// The cursor is looked up once. Its position is the plan's first
+    /// candidate whenever it is the partition point at `range.from` —
+    /// the subscriber asks for what follows what it retrieved — so the
+    /// plan costs `O(k)`. Otherwise (a subscriber attached between two
+    /// results of one tick, a cursor clamped behind the tail, an
+    /// unattached subscriber) the plan binary-searches as `plan_get`
+    /// does.
+    pub fn get_and_consume(
+        &mut self,
+        sub: SubscriberId,
+        range: TimeRange,
+        up_to: Timestamp,
+        now: Timestamp,
+        consume: bool,
+    ) -> (GetPlan, Vec<CachedObject>) {
+        self.last_access = now;
+        let base_seq = self.base_seq;
+        let cursor = self.subs.get_mut(&sub);
+        let hint = cursor.as_deref().map(|&c| index_of(c, base_seq));
+        let plan = plan_in(&self.entries, self.coverage_from, range, hint);
+        if let Some(cursor) = cursor {
+            mark_in(&mut self.entries, base_seq, cursor, up_to);
         }
-        let mut cached = Vec::new();
-        let mut cached_bytes = ByteSize::ZERO;
-        let first = self.entries.partition_point(|o| o.ts < range.from);
-        for o in self.entries.range(first..) {
-            if o.ts > range.to {
-                break;
-            }
-            if range.contains(o.ts) {
-                cached.push((o.id, o.ts, o.size));
-                cached_bytes += o.size;
-            }
-        }
-        GetPlan {
-            cached,
-            cached_bytes,
-            missed,
-        }
+        let dropped = if consume {
+            self.drop_consumed(up_to, now)
+        } else {
+            Vec::new()
+        };
+        (plan, dropped)
     }
 
     /// Marks every object with `ts ∈ (·, up_to]` as retrieved by `sub`,
@@ -334,11 +428,7 @@ impl ResultCache {
         now: Timestamp,
     ) -> Vec<CachedObject> {
         self.mark_retrieved_up_to(sub, up_to);
-        let dropped = self.pop_consumed(up_to);
-        for object in &dropped {
-            self.consumption.record(now, object.size.as_u64());
-        }
-        dropped
+        self.drop_consumed(up_to, now)
     }
 
     /// Marks objects up to `up_to` as retrieved by `sub` *without*
@@ -350,19 +440,9 @@ impl ResultCache {
     /// cache is. A subscriber that is not attached is pending on
     /// nothing.
     pub fn mark_retrieved_up_to(&mut self, sub: SubscriberId, up_to: Timestamp) {
-        let Some(cursor) = self.subs.get_mut(&sub) else {
-            return;
-        };
-        let start = index_of(*cursor, self.base_seq);
-        let mut passed = start;
-        for entry in self.entries.range_mut(start..) {
-            if entry.ts > up_to {
-                break;
-            }
-            entry.pending -= 1;
-            passed += 1;
+        if let Some(cursor) = self.subs.get_mut(&sub) {
+            mark_in(&mut self.entries, self.base_seq, cursor, up_to);
         }
-        *cursor = self.base_seq + passed as u64;
     }
 
     /// Removes and returns the tail (oldest) object, if any — the only
@@ -403,6 +483,16 @@ impl ResultCache {
         Some(object)
     }
 
+    /// [`ResultCache::pop_consumed`] as far as `up_to`, recording the
+    /// dropped bytes for `η_i`.
+    fn drop_consumed(&mut self, up_to: Timestamp, now: Timestamp) -> Vec<CachedObject> {
+        let dropped = self.pop_consumed(up_to);
+        for object in &dropped {
+            self.consumption.record(now, object.size.as_u64());
+        }
+        dropped
+    }
+
     /// Pops the fully consumed prefix — objects with a pending count of
     /// zero — as far as `up_to`. Coverage does not move: a consumed
     /// object was served to everyone it was owed to.
@@ -424,6 +514,28 @@ impl ResultCache {
     fn advance_coverage_past(&mut self, ts: Timestamp) {
         let past = ts + SimDuration::from_micros(1);
         self.coverage_from = self.coverage_from.max(past);
+    }
+}
+
+/// The derived layout, with the cursors in subscriber order so that
+/// two caches in the same state print the same whatever order their
+/// subscribers attached in.
+impl fmt::Debug for ResultCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let subs: BTreeMap<&SubscriberId, &u64> = self.subs.iter().collect();
+        f.debug_struct("ResultCache")
+            .field("id", &self.id)
+            .field("entries", &self.entries)
+            .field("base_seq", &self.base_seq)
+            .field("subs", &subs)
+            .field("total_bytes", &self.total_bytes)
+            .field("last_access", &self.last_access)
+            .field("arrivals", &self.arrivals)
+            .field("consumption", &self.consumption)
+            .field("ttl", &self.ttl)
+            .field("created_at", &self.created_at)
+            .field("coverage_from", &self.coverage_from)
+            .finish()
     }
 }
 
@@ -716,6 +828,163 @@ mod tests {
             };
             assert_eq!(c.plan_get(range, t(100)), want, "range {range:?}");
         }
+    }
+
+    /// One fused retrieval on `c`, checked against `plan_get` followed
+    /// by `consume_up_to` (or `mark_retrieved_up_to`) on a clone: same
+    /// plan, same drops, same state. Returns the plan and the drops.
+    fn fused_as_unfused(
+        c: &mut ResultCache,
+        sub: u64,
+        range: TimeRange,
+        up_to: u64,
+        now: u64,
+        consume: bool,
+    ) -> (GetPlan, Vec<CachedObject>) {
+        let (sub, up_to, now) = (SubscriberId::new(sub), t(up_to), t(now));
+        let mut twin = c.clone();
+        let want_plan = twin.plan_get(range, now);
+        let want_dropped = if consume {
+            twin.consume_up_to(sub, up_to, now)
+        } else {
+            twin.mark_retrieved_up_to(sub, up_to);
+            Vec::new()
+        };
+        let (plan, dropped) = c.get_and_consume(sub, range, up_to, now, consume);
+        assert_eq!(plan, want_plan, "plan of {range:?}");
+        assert_eq!(dropped, want_dropped, "drops of {range:?}");
+        assert_eq!(
+            format!("{c:?}"),
+            format!("{twin:?}"),
+            "state after {range:?}"
+        );
+        (plan, dropped)
+    }
+
+    #[test]
+    fn fused_retrieval_starts_at_the_cursor() {
+        let mut c = cache_with(&[1, 2]);
+        for s in 1..=6 {
+            c.insert(obj(s, s, 10), t(s));
+        }
+        // Each subscriber asks for what follows what it retrieved.
+        let (plan, _) = fused_as_unfused(&mut c, 1, TimeRange::closed(t(0), t(3)), 3, 7, true);
+        assert_eq!(plan.cached.len(), 3);
+        let (plan, dropped) =
+            fused_as_unfused(&mut c, 2, TimeRange::closed(t(0), t(4)), 4, 8, true);
+        assert_eq!((plan.cached.len(), dropped.len()), (4, 3));
+        let (plan, dropped) =
+            fused_as_unfused(&mut c, 1, TimeRange::half_open(t(4), t(7)), 6, 9, true);
+        assert_eq!((plan.cached.len(), dropped.len()), (3, 1));
+        assert_eq!(c.len(), 2);
+    }
+
+    /// A subscriber attached between two results of one tick at one
+    /// `ts`: its cursor points at the second, but the partition point at
+    /// that `ts` is the first.
+    #[test]
+    fn fused_retrieval_of_a_subscriber_attached_mid_tick() {
+        let mut c = cache_with(&[1]);
+        c.insert(obj(0, 5, 10), t(5));
+        c.add_subscriber(SubscriberId::new(2));
+        c.insert(obj(1, 5, 10), t(5));
+        c.insert(obj(2, 6, 10), t(6));
+        let (plan, dropped) =
+            fused_as_unfused(&mut c, 2, TimeRange::closed(t(5), t(6)), 6, 7, true);
+        assert_eq!(plan.cached.len(), 3);
+        assert!(dropped.is_empty());
+        let (_, dropped) = fused_as_unfused(&mut c, 1, TimeRange::closed(t(5), t(6)), 6, 8, true);
+        assert_eq!(dropped.len(), 3);
+    }
+
+    /// Eviction and expiry leave cursors behind the tail; the plan must
+    /// still start at the right object and miss the lost range.
+    #[test]
+    fn fused_retrieval_of_a_cursor_clamped_behind_the_tail() {
+        for expire in [false, true] {
+            let mut c = cache_with(&[1, 2]);
+            c.set_ttl(SimDuration::from_secs(10));
+            for s in 1..=5 {
+                c.insert(obj(s, s, 10), t(s));
+            }
+            fused_as_unfused(&mut c, 1, TimeRange::closed(t(0), t(1)), 1, 1, true);
+            if expire {
+                assert_eq!(c.expire_tail(t(12)).len(), 2);
+            } else {
+                c.drop_tail();
+                c.drop_tail();
+            }
+            let (plan, _) = fused_as_unfused(&mut c, 2, TimeRange::closed(t(0), t(4)), 4, 13, true);
+            assert_eq!(plan.missed.len(), 1, "expire {expire}");
+            assert_eq!(plan.cached.len(), 2, "expire {expire}");
+            let (plan, _) = fused_as_unfused(&mut c, 1, TimeRange::closed(t(2), t(5)), 5, 14, true);
+            assert_eq!(plan.cached.len(), 3, "expire {expire}");
+        }
+    }
+
+    /// An unattached subscriber is owed nothing, but its retrieval still
+    /// plans the range and pops a prefix nobody is pending on.
+    #[test]
+    fn fused_retrieval_of_an_unattached_subscriber() {
+        let mut c = cache_with(&[]);
+        c.insert(obj(0, 1, 10), t(1));
+        c.insert(obj(1, 2, 10), t(2));
+        c.add_subscriber(SubscriberId::new(1));
+        c.insert(obj(2, 3, 10), t(3));
+        let (plan, dropped) =
+            fused_as_unfused(&mut c, 9, TimeRange::closed(t(1), t(3)), 3, 4, true);
+        assert_eq!((plan.cached.len(), dropped.len()), (3, 2));
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn fused_retrieval_of_an_empty_range_or_one_before_coverage() {
+        let mut c = cache_with(&[1, 2]);
+        for s in 1..=4 {
+            c.insert(obj(s, s, 10), t(s));
+        }
+        let (plan, _) = fused_as_unfused(&mut c, 1, TimeRange::half_open(t(2), t(2)), 2, 5, true);
+        assert!(plan.is_full_hit() && plan.cached.is_empty());
+        c.drop_tail();
+        c.drop_tail();
+        let range = TimeRange::closed(t(0), t(2));
+        let (plan, _) = fused_as_unfused(&mut c, 2, range, 2, 6, true);
+        assert_eq!(plan, GetPlan::all_missed(range));
+    }
+
+    /// `consume = false` marks without dropping, as
+    /// `mark_retrieved_up_to` does.
+    #[test]
+    fn fused_retrieval_without_consumption_drops() {
+        let mut c = cache_with(&[1]);
+        for s in 1..=3 {
+            c.insert(obj(s, s, 10), t(s));
+        }
+        let (plan, dropped) =
+            fused_as_unfused(&mut c, 1, TimeRange::closed(t(0), t(3)), 3, 4, false);
+        assert_eq!((plan.cached.len(), dropped.len()), (3, 0));
+        assert_eq!(c.len(), 3);
+        assert!(c.iter().all(|o| o.fanout() == 0));
+        let (plan, _) = fused_as_unfused(&mut c, 1, TimeRange::half_open(t(4), t(5)), 5, 6, false);
+        assert!(plan.cached.is_empty());
+    }
+
+    /// Cursors are hashed; what the cache shows of them is not.
+    #[test]
+    fn attach_order_does_not_show() {
+        let order = [7, 3, 11, 1, 5, 2, 13];
+        let mut a = cache_with(&order);
+        let mut b = cache_with(&order.iter().rev().copied().collect::<Vec<_>>());
+        for c in [&mut a, &mut b] {
+            c.insert(obj(0, 1, 10), t(1));
+            c.consume_up_to(SubscriberId::new(3), t(1), t(2));
+        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let ids: Vec<SubscriberId> = a.subscribers().collect();
+        assert_eq!(ids, b.subscribers().collect::<Vec<_>>());
+        let mut sorted = order.map(SubscriberId::new);
+        sorted.sort();
+        assert_eq!(ids, sorted);
     }
 
     #[test]

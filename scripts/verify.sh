@@ -4,7 +4,8 @@
 #
 #   scripts/verify.sh
 #
-# Runs, in order: the zero-dependency guard, the release build and every
+# Runs, in order: the zero-dependency guard, a syntax check of every
+# script under scripts/, the release build and every
 # crate's tests, the cache, broker, cluster, query, storage, types,
 # telemetry, proto, sim, net and workload suites again under --release,
 # formatting, lints and rustdoc, the benchmark package's own unit tests,
@@ -23,6 +24,10 @@ if grep -q '"source":"' <<<"$meta"; then
   grep -o '"source":"[^"]*"' <<<"$meta" | sort -u >&2
   exit 1
 fi
+
+for script in scripts/*.sh; do
+  bash -n "$script"
+done
 
 cargo build --release --locked
 cargo test -q --locked
