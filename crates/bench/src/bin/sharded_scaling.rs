@@ -63,7 +63,7 @@ fn worker(mgr: &ShardedCacheManager, threads: u64, t: u64) {
                     Timestamp::from_secs(from + rng.below(100)),
                 );
                 let plan = mgr.plan_get(bs, range, now);
-                mgr.record_miss_fetch(bs, plan.missed.len() as u64, ByteSize::new(64), now);
+                mgr.record_miss_fetch(bs, plan.missed.len() as u64, ByteSize::new(64));
             }
             _ => {
                 let c = rng.below(CACHES);

@@ -84,8 +84,7 @@ impl Tape {
             .collect();
         if !missed.is_empty() {
             let bytes = ByteSize::new(missed.iter().sum());
-            self.mgr
-                .record_miss_fetch(bs, missed.len() as u64, bytes, now);
+            self.mgr.record_miss_fetch(bs, missed.len() as u64, bytes);
         }
         if from > Timestamp::ZERO {
             let consumed = Timestamp::from_micros(from.as_micros() - 1);
@@ -135,7 +134,7 @@ pub fn run_tape(policy: PolicyName, rounds: u64) -> CacheMetrics {
                     let plan = tape.mgr.plan_get(bs, TimeRange::closed(now, now), now);
                     if !plan.missed.is_empty() {
                         let bytes = ByteSize::new(SCAN_OBJECT);
-                        tape.mgr.record_miss_fetch(bs, 1, bytes, now);
+                        tape.mgr.record_miss_fetch(bs, 1, bytes);
                     }
                 }
             }

@@ -227,15 +227,16 @@ impl Broker {
     }
 
     /// Wires this broker and its cache manager to a shared metric
-    /// registry, an event sink, a lifecycle [`bad_telemetry::Tracer`]
-    /// and the continuous hot-path [`Profiler`]. The default is
-    /// detached: a private registry, the allocation-free null sink and
-    /// the disabled tracer and profiler. Pass
+    /// registry, a lifecycle [`bad_telemetry::Tracer`] and the
+    /// continuous hot-path [`Profiler`]. The default is detached: a
+    /// private registry and the disabled tracer (whose sink is the
+    /// allocation-free null sink) and profiler. Pass
     /// [`bad_telemetry::Tracer::disabled`] or [`Profiler::disabled`] for
     /// an observer you do not want.
     ///
     /// The tracer makes retrievals, inserts and drops emit causally
-    /// linked spans (see `bad_telemetry::trace`). The profiler
+    /// linked spans (see `bad_telemetry::trace`), and writes them, the
+    /// retrieval summaries and the TTL retunes to its sink. The profiler
     /// registers per-shard lock sites and decomposes `get_all_pending`
     /// into stage timings (route, lock-wait, lookup, cluster-RTT, ack).
     /// Both are metadata-only: delivery plans are byte-identical.
@@ -243,20 +244,21 @@ impl Broker {
     pub fn attach_telemetry(
         &mut self,
         registry: &bad_telemetry::Registry,
-        sink: bad_telemetry::SharedSink,
         tracer: bad_telemetry::SharedTracer,
         profiler: Profiler,
     ) {
         self.cache.set_telemetry(
-            bad_cache::CacheTelemetry::traced(registry, sink.clone(), Arc::clone(&tracer))
+            bad_cache::CacheTelemetry::new(registry, Arc::clone(&tracer))
                 .with_profiler(profiler.clone()),
         );
-        self.telemetry = BrokerTelemetry::traced(registry, sink, tracer);
+        self.telemetry = BrokerTelemetry::new(registry, tracer);
         self.profiler = profiler;
     }
 
-    /// [`Broker::attach_telemetry`] under its old name, kept only for
-    /// callers that still use it.
+    /// [`Broker::attach_telemetry`] under its old name and with the
+    /// event sink it once took beside the tracer, kept only for callers
+    /// that still use it. `sink` must be the tracer's own: every record
+    /// reaches the sink through the tracer.
     #[doc(hidden)]
     pub fn attach_telemetry_profiled(
         &mut self,
@@ -265,7 +267,11 @@ impl Broker {
         tracer: bad_telemetry::SharedTracer,
         profiler: Profiler,
     ) {
-        self.attach_telemetry(registry, sink, tracer, profiler);
+        debug_assert!(
+            std::ptr::addr_eq(Arc::as_ptr(&sink), Arc::as_ptr(tracer.sink())),
+            "the sink must be the tracer's own"
+        );
+        self.attach_telemetry(registry, tracer, profiler);
     }
 
     /// The profiler in force ([`Profiler::disabled`] by default).
@@ -677,8 +683,8 @@ fn served_objects(plan: &GetPlan, now: Timestamp) -> impl Iterator<Item = (u64, 
 
 /// Books one fetched miss range and returns its size: the
 /// per-retrieval miss accounting (hit + miss == requested) with each
-/// object's delivery lag for the sketches, and its miss and
-/// backend-fetch spans.
+/// object's delivery lag for the sketches, and one miss span per
+/// object carrying its modeled fetch latency.
 fn record_misses(
     cache: &ShardedCacheManager,
     tracer: &Tracer,
@@ -690,7 +696,7 @@ fn record_misses(
 ) -> ByteSize {
     let bytes: ByteSize = objects.iter().map(|o| o.size).sum();
     let lags_us = objects.iter().map(|o| now.since(o.ts).as_micros());
-    cache.record_miss_fetch_with_lags(bs, bytes, now, lags_us);
+    cache.record_miss_fetch_with_lags(bs, bytes, lags_us);
     tracer.on_retrieve_misses(
         now.as_micros(),
         bs.as_u64(),

@@ -1,9 +1,9 @@
 //! What an observed broker is.
 //!
 //! An [`Observability`] bundles every observer a runtime can attach to
-//! one broker and its cluster: the metric registry, the event sink, the
-//! lifecycle tracer with its flight recorder, the continuous profiler,
-//! the health engine and the hot-key sketches. It has two shapes —
+//! one broker and its cluster: the metric registry, the lifecycle
+//! tracer with its flight recorder and event sink, the continuous
+//! profiler, the health engine and the hot-key sketches. It has two shapes —
 //! [`Observability::detached`] and [`Observability::full`] — and it owns
 //! the checks an observed broker runs after each maintenance pass
 //! ([`Observability::after_maintain`]). Every observer is
@@ -40,7 +40,6 @@ const SHARD_IMBALANCE_SLACK_BYTES: u64 = 1 << 20;
 #[derive(Clone)]
 pub struct Observability {
     registry: Registry,
-    sink: SharedSink,
     tracer: SharedTracer,
     profiler: Profiler,
     health: Option<Arc<HealthEngine>>,
@@ -51,13 +50,12 @@ pub struct Observability {
 
 impl Observability {
     /// Nothing observed: a private registry (metric families are still
-    /// registered on it), the null sink, the disabled tracer and
-    /// profiler, no health engine, and sketches only as
+    /// registered on it), the disabled tracer (whose sink is the null
+    /// sink) and profiler, no health engine, and sketches only as
     /// `BrokerConfig::sketches` asks.
     pub fn detached() -> Self {
         Self {
             registry: Registry::new(),
-            sink: bad_telemetry::null_sink(),
             tracer: Tracer::disabled(),
             profiler: Profiler::disabled(),
             health: None,
@@ -65,7 +63,8 @@ impl Observability {
         }
     }
 
-    /// Everything on, events into `sink`. The tracer, the profiler and
+    /// Everything on, records into `sink`, which only the tracer and
+    /// the health engine's alerts write. The tracer, the profiler and
     /// the health engine share one registry; the health engine also
     /// shares the tracer's flight recorder and `sink`, so its windowed
     /// snapshots, burn rates and drift scores read the counters the
@@ -86,11 +85,10 @@ impl Observability {
             sink.clone(),
             HealthConfig::default(),
         );
-        let tracer = Tracer::new(&registry, sink.clone(), recorder, trace);
+        let tracer = Tracer::new(&registry, sink, recorder, trace);
         let profiler = Profiler::new(&registry, ProfileConfig::default());
         Self {
             registry,
-            sink,
             tracer,
             profiler,
             health: Some(health),
@@ -98,16 +96,14 @@ impl Observability {
         }
     }
 
-    /// Wires `cluster` (channel-fire and enrich events, `result_produced`
-    /// root spans) and `broker` (cache and broker metrics, events, spans
-    /// and stage timings) to the bundle. With sketches on, an anomaly
+    /// Wires `cluster` (`result_produced` root spans and enrich events)
+    /// and `broker` (cache and broker metrics, records and stage
+    /// timings) to the bundle's tracer and registry. With sketches on, an anomaly
     /// dump also names the hot subscriptions of that moment.
     pub fn attach(&self, cluster: &mut DataCluster, broker: &mut Broker) {
-        cluster.set_event_sink(self.sink.clone());
         cluster.set_tracer(Arc::clone(&self.tracer));
         broker.attach_telemetry(
             &self.registry,
-            self.sink.clone(),
             Arc::clone(&self.tracer),
             self.profiler.clone(),
         );

@@ -1,26 +1,23 @@
-//! Broker-side telemetry: retrieval/delivery counters and a delivery
-//! latency histogram.
+//! Broker-side telemetry: retrieval/delivery counters, a delivery
+//! latency histogram and the one summary record per retrieval.
 //!
 //! Mirrors [`bad_cache::CacheTelemetry`]: detached by default — every
 //! hook returns after one branch, since nothing could read what it
-//! would count — and a shared registry + sink when attached via
+//! would count — and a shared registry + tracer when attached via
 //! [`crate::Broker::attach_telemetry`]. The hooks run under
 //! `&mut Broker`, so the counters and the histogram are owner cells
 //! ([`bad_telemetry::OwnerCounter`]): plain stores, summed at render.
 
-use bad_telemetry::{
-    Event, OwnerCounter, OwnerHistogram, Registry, SharedSink, SharedTracer, Tracer,
-};
+use bad_telemetry::{Event, OwnerCounter, OwnerHistogram, Registry, SharedTracer, Tracer};
 use bad_types::{SubscriberId, Timestamp};
 
 use crate::broker::Delivery;
 
-/// Metric handles + event sink for one [`crate::Broker`].
+/// Metric handles + lifecycle tracer for one [`crate::Broker`].
 #[derive(Clone, Debug)]
 pub struct BrokerTelemetry {
     /// Whether a caller-held [`Registry`] backs the handles below.
     attached: bool,
-    sink: SharedSink,
     tracer: SharedTracer,
     retrievals: OwnerCounter,
     deliveries: OwnerCounter,
@@ -36,19 +33,13 @@ impl Default for BrokerTelemetry {
 }
 
 impl BrokerTelemetry {
-    /// Registers the broker metric family on `registry` and routes
-    /// events to `sink`. Lifecycle tracing stays off; use
-    /// [`BrokerTelemetry::traced`] to thread a live tracer through.
-    pub fn new(registry: &Registry, sink: SharedSink) -> Self {
-        Self::traced(registry, sink, Tracer::disabled())
-    }
-
-    /// Like [`BrokerTelemetry::new`], but retrieval paths also emit
-    /// lifecycle spans (hit / miss / backend fetch) through `tracer`.
-    pub fn traced(registry: &Registry, sink: SharedSink, tracer: SharedTracer) -> Self {
+    /// Registers the broker metric family on `registry`; retrieval
+    /// paths emit their hit / miss spans and one `broker.retrieve`
+    /// summary per retrieval through `tracer` ([`Tracer::disabled`] for
+    /// metrics alone).
+    pub fn new(registry: &Registry, tracer: SharedTracer) -> Self {
         Self {
             attached: true,
-            sink,
             tracer,
             retrievals: registry.owner_counter("bad_broker_retrievals_total"),
             deliveries: registry.owner_counter("bad_broker_deliveries_total"),
@@ -63,23 +54,19 @@ impl BrokerTelemetry {
     pub fn detached() -> Self {
         Self {
             attached: false,
-            ..Self::new(&Registry::new(), bad_telemetry::null_sink())
+            ..Self::new(&Registry::new(), Tracer::disabled())
         }
     }
 
-    /// The event sink in force.
-    pub fn sink(&self) -> &SharedSink {
-        &self.sink
-    }
-
-    /// The lifecycle tracer in force ([`Tracer::disabled`] unless
-    /// constructed via [`BrokerTelemetry::traced`]).
+    /// The lifecycle tracer in force ([`Tracer::disabled`] when
+    /// detached).
     pub fn tracer(&self) -> &SharedTracer {
         &self.tracer
     }
 
-    /// Records one served retrieval: the hit/miss split and, when it
-    /// delivered anything, the delivery itself with its latency.
+    /// Records one served retrieval: the hit/miss split, the delivery
+    /// itself with its latency when it delivered anything, and the
+    /// retrieval's summary record.
     pub(crate) fn on_retrieval(
         &self,
         now: Timestamp,
@@ -97,26 +84,14 @@ impl BrokerTelemetry {
             self.delivery_latency_us
                 .record(delivery.latency.as_micros());
         }
-        if !self.sink.enabled() {
-            return;
-        }
-        let t_us = now.as_micros();
-        self.sink.record(&Event::BrokerRetrieve {
-            t_us,
+        self.tracer.record(&Event::BrokerRetrieve {
+            t_us: now.as_micros(),
             subscriber: subscriber.as_u64(),
             hit_objects: delivery.hit_objects,
             miss_objects: delivery.miss_objects,
             hit_bytes: delivery.hit_bytes.as_u64(),
             miss_bytes: delivery.miss_bytes.as_u64(),
+            latency_us: delivery.latency.as_micros(),
         });
-        if delivery.total_objects() > 0 {
-            self.sink.record(&Event::BrokerDeliver {
-                t_us,
-                subscriber: subscriber.as_u64(),
-                objects: delivery.total_objects(),
-                bytes: delivery.total_bytes().as_u64(),
-                latency_us: delivery.latency.as_micros(),
-            });
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end lifecycle reconstruction: a notification's entire story —
 //! produced at the cluster, admitted into the broker cache, retrieved
-//! by its subscribers, and released (consumed, evicted, or re-fetched
-//! after a miss) — must be reconstructable from the flight recorder by
+//! by its subscribers (or missed and re-fetched from the durable
+//! store), and released (consumed or evicted) — must be reconstructable from the flight recorder by
 //! `TraceId` alone, with causally consistent parent links, even though
 //! no layer passes span ids to any other layer (every id is derived
 //! deterministically from the object id).
@@ -55,7 +55,6 @@ fn traced_setup(budget: Option<ByteSize>) -> (DataCluster, Broker, SharedTracer)
     cluster.set_tracer(Arc::clone(&tracer));
     broker.attach_telemetry(
         &registry,
-        bad_telemetry::null_sink(),
         Arc::clone(&tracer),
         bad_telemetry::Profiler::disabled(),
     );
@@ -167,7 +166,8 @@ fn full_lifecycle_reconstructs_by_trace_id() {
 #[test]
 fn cache_miss_traces_through_the_backend_fetch() {
     // A budget too small for even one object: the insert is refused, so
-    // the retrieval misses and re-fetches from the durable store.
+    // the retrieval misses and re-fetches from the durable store. The
+    // miss is one record, carrying the modeled fetch latency.
     let (mut cluster, mut broker, tracer) = traced_setup(Some(ByteSize::new(8)));
     let alice = SubscriberId::new(1);
     let fa = broker
@@ -184,20 +184,22 @@ fn cache_miss_traces_through_the_backend_fetch() {
         .iter()
         .find(|s| s.kind == SpanKind::ResultProduced)
         .unwrap();
-    let miss = trace
+    let misses: Vec<_> = trace
         .iter()
-        .find(|s| s.kind == SpanKind::RetrieveMiss)
-        .unwrap();
-    let fetch = trace
-        .iter()
-        .find(|s| s.kind == SpanKind::BackendFetch)
-        .unwrap();
+        .filter(|s| s.kind == SpanKind::RetrieveMiss)
+        .collect();
+    assert_eq!(misses.len(), 1, "one record per missed object");
+    let miss = misses[0];
 
     assert_eq!(miss.parent, Some(produced.span), "miss hangs off produce");
-    assert_eq!(fetch.parent, Some(miss.span), "fetch hangs off the miss");
     assert_eq!(miss.subscriber, alice.as_u64());
-    assert_eq!(fetch.object, produced.object);
-    assert!(fetch.lag_us > 0, "backend fetch has a modeled latency");
+    assert_eq!(miss.object, produced.object);
+    let fetch_us = broker
+        .net()
+        .cluster_fetch_latency(ByteSize::new(miss.bytes))
+        .as_micros();
+    assert!(fetch_us > 0, "the backend fetch has a modeled latency");
+    assert_eq!(miss.detail, fetch_us, "the miss carries its fetch latency");
 }
 
 #[test]

@@ -51,12 +51,7 @@ fn run_broker(
     config.cache.budget = ByteSize::new(6_000);
     config.shards = shards;
     let mut broker = Broker::new(PolicyName::Lsc, config);
-    broker.attach_telemetry(
-        registry,
-        bad_telemetry::null_sink(),
-        Tracer::disabled(),
-        profiler.clone(),
-    );
+    broker.attach_telemetry(registry, Tracer::disabled(), profiler.clone());
 
     let mut held: Vec<Vec<FrontendSubId>> = Vec::new();
     for s in 0..SUBSCRIBERS {

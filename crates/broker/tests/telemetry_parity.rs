@@ -5,11 +5,11 @@
 //! things must follow, on a fixed tape that hits, misses (pairs miss the
 //! same range), evicts, consumes and unsubscribes:
 //!
-//! * a broker attached to a registry — here with the null sink — reports
-//!   the `bad_broker_*` / `bad_cache_*` values pinned below (first read
-//!   off the commit before the hooks learned to return early, then
-//!   re-derived on the `bad_types::rng` tape with the code under test
-//!   unchanged);
+//! * a broker attached to a registry — here with the disabled tracer —
+//!   reports the `bad_broker_*` / `bad_cache_*` values pinned below
+//!   (first read off the commit before the hooks learned to return
+//!   early, then re-derived on the `bad_types::rng` tape with the code
+//!   under test unchanged);
 //! * the detached broker's deliveries, `CacheMetrics` and
 //!   `DeliveryMetrics` equal the attached one's field for field.
 
@@ -252,7 +252,6 @@ fn attached_counts_as_before_and_detached_changes_no_outcome() {
     let mut attached = broker();
     attached.attach_telemetry(
         &registry,
-        bad_telemetry::null_sink(),
         bad_telemetry::Tracer::disabled(),
         bad_telemetry::Profiler::disabled(),
     );

@@ -129,7 +129,7 @@ impl Books<'_> {
             _ => return GetPlan::all_missed(range),
         };
         let plan = cache.plan_get(range, now);
-        self.record_hits(cache.id(), &plan, now);
+        self.record_hits(&plan);
         plan
     }
 
@@ -175,16 +175,16 @@ impl Books<'_> {
         }
         let consume = self.config.drop_on_full_consumption;
         let (plan, consumed) = cache.get_and_consume(sub, range, up_to, now, consume);
-        self.record_hits(cache.id(), &plan, now);
+        self.record_hits(&plan);
         let dropped = self.record_consumed(bs, consumed, now);
         (plan, dropped)
     }
 
     /// Enters a plan's cache-served part in the metrics and telemetry.
-    fn record_hits(&mut self, bs: BackendSubId, plan: &GetPlan, now: Timestamp) {
+    fn record_hits(&mut self, plan: &GetPlan) {
         let (objects, bytes) = (plan.cached.len() as u64, plan.cached_bytes);
         self.metrics.record_hits(objects, bytes);
-        self.telemetry.on_hits(now, bs, objects, bytes);
+        self.telemetry.on_hits(objects);
     }
 
     /// Books the objects an ack completed as consumption drops.
@@ -256,9 +256,10 @@ impl CacheManager {
         }
     }
 
-    /// Installs shared telemetry (registry-backed counters plus an
-    /// event sink). The default is a detached bundle with the null
-    /// sink, which keeps every instrumented path allocation-free.
+    /// Installs shared telemetry (registry-backed counters plus a
+    /// lifecycle tracer). The default is a detached bundle with the
+    /// disabled tracer, which keeps every instrumented path
+    /// allocation-free.
     pub fn set_telemetry(&mut self, telemetry: CacheTelemetry) {
         self.telemetry = telemetry;
     }
@@ -335,14 +336,8 @@ impl CacheManager {
 
     /// Records objects fetched from the cluster due to a cache miss
     /// (called by the broker after it completes the fetch).
-    pub fn record_miss_fetch(
-        &mut self,
-        bs: BackendSubId,
-        objects: u64,
-        bytes: ByteSize,
-        now: Timestamp,
-    ) {
-        self.book_misses(bs, objects, bytes, now, std::iter::empty());
+    pub fn record_miss_fetch(&mut self, bs: BackendSubId, objects: u64, bytes: ByteSize) {
+        self.book_misses(bs, objects, bytes, std::iter::empty());
     }
 
     /// [`CacheManager::record_miss_fetch`] of a fetch whose objects'
@@ -352,10 +347,9 @@ impl CacheManager {
         &mut self,
         bs: BackendSubId,
         bytes: ByteSize,
-        now: Timestamp,
         lags_us: impl ExactSizeIterator<Item = u64>,
     ) {
-        self.book_misses(bs, lags_us.len() as u64, bytes, now, lags_us);
+        self.book_misses(bs, lags_us.len() as u64, bytes, lags_us);
     }
 
     fn book_misses(
@@ -363,11 +357,10 @@ impl CacheManager {
         bs: BackendSubId,
         objects: u64,
         bytes: ByteSize,
-        now: Timestamp,
         lags_us: impl Iterator<Item = u64>,
     ) {
         self.metrics.record_misses(objects, bytes);
-        self.telemetry.on_misses(now, bs, objects, bytes);
+        self.telemetry.on_misses(objects);
         if let Some(sketches) = &self.sketches {
             let mut batch = sketches.batch();
             batch.miss(bs.as_u64(), objects);
@@ -1074,7 +1067,7 @@ mod tests {
         mgr.insert(bs, obj(1, 1, 100), t(1)).unwrap();
         let plan = mgr.plan_get(bs, TimeRange::closed(t(0), t(1)), t(2));
         assert_eq!(plan.cached.len(), 1);
-        mgr.record_miss_fetch(bs, 2, ByteSize::new(50), t(2));
+        mgr.record_miss_fetch(bs, 2, ByteSize::new(50));
         let m = mgr.metrics();
         assert_eq!(m.requested_objects, 3);
         assert_eq!(m.hit_objects, 1);

@@ -598,14 +598,8 @@ impl ShardedCacheManager {
     }
 
     /// Records objects fetched from the cluster due to a cache miss.
-    pub fn record_miss_fetch(
-        &self,
-        bs: BackendSubId,
-        objects: u64,
-        bytes: ByteSize,
-        now: Timestamp,
-    ) {
-        self.shard(bs).record_miss_fetch(bs, objects, bytes, now);
+    pub fn record_miss_fetch(&self, bs: BackendSubId, objects: u64, bytes: ByteSize) {
+        self.shard(bs).record_miss_fetch(bs, objects, bytes);
     }
 
     /// Records a miss fetch with each fetched object's produce→deliver
@@ -614,11 +608,10 @@ impl ShardedCacheManager {
         &self,
         bs: BackendSubId,
         bytes: ByteSize,
-        now: Timestamp,
         lags_us: impl ExactSizeIterator<Item = u64>,
     ) {
         self.shard(bs)
-            .record_miss_fetch_with_lags(bs, bytes, now, lags_us);
+            .record_miss_fetch_with_lags(bs, bytes, lags_us);
     }
 
     /// Records bytes pulled from the cluster to populate `bs`'s cache

@@ -1,11 +1,13 @@
 //! Cache-side telemetry wiring: named counters/gauges/histograms plus
-//! the structured per-decision event stream.
+//! the lifecycle records of every cached object.
 //!
 //! A [`CacheTelemetry`] bundles the metric handles one broker's cache
-//! manager touches with the [`SharedSink`] its events go to. The
-//! default is detached: no registry a caller could read, the null sink
-//! and no tracer, so every hook of an unconfigured manager returns
-//! after one branch.
+//! manager touches with the [`SharedTracer`] its records go through:
+//! one span per insert and per dropped object, and the TTL retunes,
+//! all into the tracer's sink. The default is detached: no registry a
+//! caller could read and the disabled tracer (whose sink is the null
+//! sink), so every hook of an unconfigured manager returns after one
+//! branch.
 //!
 //! Its counters and histograms are owner cells
 //! ([`bad_telemetry::OwnerCounter`]): every hook runs under the
@@ -14,20 +16,18 @@
 //! cells of its own, and the registry sums them at render.
 
 use bad_telemetry::{
-    Event, Gauge, OwnerCounter, OwnerHistogram, Profiler, Registry, SharedSink, SharedTracer,
-    SpanKind, Tracer,
+    Event, Gauge, OwnerCounter, OwnerHistogram, Profiler, Registry, SharedTracer, SpanKind, Tracer,
 };
 use bad_types::{BackendSubId, ByteSize, ObjectId, SimDuration, Timestamp};
 
 use crate::metrics::DropKind;
 use crate::object::CachedObject;
 
-/// Metric handles + event sink for one [`crate::CacheManager`].
+/// Metric handles + lifecycle tracer for one [`crate::CacheManager`].
 #[derive(Clone, Debug)]
 pub struct CacheTelemetry {
     /// Whether a caller-held [`Registry`] backs the handles below.
     attached: bool,
-    sink: SharedSink,
     tracer: SharedTracer,
     profiler: Profiler,
     hit_objects: OwnerCounter,
@@ -50,19 +50,13 @@ impl Default for CacheTelemetry {
 }
 
 impl CacheTelemetry {
-    /// Registers the cache metric family on `registry` and routes
-    /// events to `sink`. Lifecycle tracing stays off; use
-    /// [`CacheTelemetry::traced`] to thread a live tracer through.
-    pub fn new(registry: &Registry, sink: SharedSink) -> Self {
-        Self::traced(registry, sink, Tracer::disabled())
-    }
-
-    /// Like [`CacheTelemetry::new`], but also emits lifecycle spans
-    /// (insert / drop / expire / fully-consumed) through `tracer`.
-    pub fn traced(registry: &Registry, sink: SharedSink, tracer: SharedTracer) -> Self {
+    /// Registers the cache metric family on `registry` and emits the
+    /// lifecycle spans (insert / drop / expire / fully-consumed) and
+    /// TTL retunes through `tracer` ([`Tracer::disabled`] for metrics
+    /// alone).
+    pub fn new(registry: &Registry, tracer: SharedTracer) -> Self {
         Self {
             attached: true,
-            sink,
             tracer,
             profiler: Profiler::disabled(),
             hit_objects: registry.owner_counter("bad_cache_hit_objects_total"),
@@ -86,7 +80,7 @@ impl CacheTelemetry {
     pub fn detached() -> Self {
         Self {
             attached: false,
-            ..Self::new(&Registry::new(), bad_telemetry::null_sink())
+            ..Self::new(&Registry::new(), Tracer::disabled())
         }
     }
 
@@ -107,24 +101,20 @@ impl CacheTelemetry {
         &self.profiler
     }
 
-    /// The event sink in force.
-    pub fn sink(&self) -> &SharedSink {
-        &self.sink
-    }
-
-    /// The lifecycle tracer in force ([`Tracer::disabled`] unless
-    /// constructed via [`CacheTelemetry::traced`]).
+    /// The lifecycle tracer in force ([`Tracer::disabled`] when
+    /// detached).
     pub fn tracer(&self) -> &SharedTracer {
         &self.tracer
     }
 
     /// Whether event construction is worth the trouble at all.
     pub fn tracing(&self) -> bool {
-        self.sink.enabled()
+        self.tracer.sink().enabled()
     }
 
     /// `produced` is the object's result timestamp; the tracer turns
-    /// the difference into the produce→insert stage lag.
+    /// the difference into the produce→insert stage lag. `total` is the
+    /// occupancy after the insert, the span's detail.
     #[allow(clippy::too_many_arguments)] // mirrors the insert call's full context
     pub(crate) fn on_insert(
         &self,
@@ -141,15 +131,6 @@ impl CacheTelemetry {
         self.inserted_objects.inc();
         self.object_bytes.record(bytes.as_u64());
         self.occupancy_bytes.set(total.as_u64());
-        if self.sink.enabled() {
-            self.sink.record(&Event::CacheInsert {
-                t_us: now.as_micros(),
-                cache: cache.as_u64(),
-                object: object.as_u64(),
-                bytes: bytes.as_u64(),
-                total_bytes: total.as_u64(),
-            });
-        }
         if self.tracer.enabled() {
             let lag_us = now.as_micros().saturating_sub(produced.as_micros());
             self.tracer.on_cache_insert(
@@ -158,58 +139,33 @@ impl CacheTelemetry {
                 object.as_u64(),
                 bytes.as_u64(),
                 lag_us,
+                total.as_u64(),
             );
         }
     }
 
-    pub(crate) fn on_hits(
-        &self,
-        now: Timestamp,
-        cache: BackendSubId,
-        objects: u64,
-        bytes: ByteSize,
-    ) {
-        if !self.attached || objects == 0 {
-            return;
-        }
-        self.hit_objects.add(objects);
-        if self.sink.enabled() {
-            self.sink.record(&Event::CacheHit {
-                t_us: now.as_micros(),
-                cache: cache.as_u64(),
-                objects,
-                bytes: bytes.as_u64(),
-            });
+    /// Counts a retrieval's cache-served objects. Their records are the
+    /// broker's per-object `retrieve_hit` spans.
+    pub(crate) fn on_hits(&self, objects: u64) {
+        if self.attached {
+            self.hit_objects.add(objects);
         }
     }
 
-    pub(crate) fn on_misses(
-        &self,
-        now: Timestamp,
-        cache: BackendSubId,
-        objects: u64,
-        bytes: ByteSize,
-    ) {
-        if !self.attached || objects == 0 {
-            return;
-        }
-        self.miss_objects.add(objects);
-        if self.sink.enabled() {
-            self.sink.record(&Event::CacheMiss {
-                t_us: now.as_micros(),
-                cache: cache.as_u64(),
-                objects,
-                bytes: bytes.as_u64(),
-            });
+    /// Counts a retrieval's re-fetched objects. Their records are the
+    /// broker's per-object `retrieve_miss` spans.
+    pub(crate) fn on_misses(&self, objects: u64) {
+        if self.attached {
+            self.miss_objects.add(objects);
         }
     }
 
     /// Records one dropped object: bumps the per-cause counter, the
-    /// holding-time histogram and the occupancy gauge, then emits the
-    /// event variant whose kind is `cache.<DropKind::label()>`.
+    /// holding-time histogram and the occupancy gauge, then emits its
+    /// one drop span, whose `drop_kind` is [`DropKind::label`].
     ///
     /// `score` is the victim's policy score φ/s (evictions only);
-    /// `ttl` the TTL in force (expiries only).
+    /// `ttl` the TTL in force (expiries only, the span's detail).
     #[allow(clippy::too_many_arguments)] // single fan-in for all four drop causes
     pub(crate) fn on_drop(
         &self,
@@ -235,11 +191,10 @@ impl CacheTelemetry {
         self.holding_us.record(age_us);
         self.occupancy_bytes.set(total.as_u64());
         if self.tracer.enabled() {
-            let (span_kind, drop_label) = match kind {
-                DropKind::Consumed => (SpanKind::FullyConsumed, "consume"),
-                DropKind::Evicted => (SpanKind::Drop, "evict"),
-                DropKind::Expired => (SpanKind::Expire, "expire"),
-                DropKind::Unsubscribed => (SpanKind::Drop, "unsubscribe"),
+            let span_kind = match kind {
+                DropKind::Consumed => SpanKind::FullyConsumed,
+                DropKind::Evicted | DropKind::Unsubscribed => SpanKind::Drop,
+                DropKind::Expired => SpanKind::Expire,
             };
             self.tracer.on_drop(
                 now.as_micros(),
@@ -247,52 +202,17 @@ impl CacheTelemetry {
                 object.id.as_u64(),
                 object.size.as_u64(),
                 span_kind,
-                drop_label,
+                kind.label(),
                 policy,
                 score,
                 age_us,
+                ttl.as_micros(),
             );
         }
-        if !self.sink.enabled() {
-            return;
-        }
-        let t_us = now.as_micros();
-        let cache = cache.as_u64();
-        let bytes = object.size.as_u64();
-        let event = match kind {
-            DropKind::Consumed => Event::CacheConsume {
-                t_us,
-                cache,
-                objects: 1,
-                bytes,
-            },
-            DropKind::Evicted => Event::CacheEvict {
-                t_us,
-                cache,
-                object: object.id.as_u64(),
-                bytes,
-                policy,
-                score,
-            },
-            DropKind::Expired => Event::CacheExpire {
-                t_us,
-                cache,
-                object: object.id.as_u64(),
-                bytes,
-                ttl_us: ttl.as_micros(),
-            },
-            DropKind::Unsubscribed => Event::CacheUnsubscribe {
-                t_us,
-                cache,
-                objects: 1,
-                bytes,
-            },
-        };
-        self.sink.record(&event);
     }
 
     /// One TTL recomputation pass completed (counter only; the
-    /// per-cache [`Event::TtlRetune`] events go through
+    /// per-cache [`Event::TtlRetune`] records go through
     /// [`CacheTelemetry::on_ttl_retune`] when tracing is enabled).
     pub(crate) fn on_ttl_recompute(&self) {
         if !self.attached {
@@ -310,15 +230,13 @@ impl CacheTelemetry {
         rho: f64,
         ttl: SimDuration,
     ) {
-        if self.sink.enabled() {
-            self.sink.record(&Event::TtlRetune {
-                t_us: now.as_micros(),
-                cache: cache.as_u64(),
-                lambda,
-                eta,
-                rho,
-                ttl_us: ttl.as_micros(),
-            });
-        }
+        self.tracer.record(&Event::TtlRetune {
+            t_us: now.as_micros(),
+            cache: cache.as_u64(),
+            lambda,
+            eta,
+            rho,
+            ttl_us: ttl.as_micros(),
+        });
     }
 }

@@ -115,13 +115,7 @@ pub trait Driver {
         up_to: Timestamp,
         now: Timestamp,
     ) -> (GetPlan, Vec<DroppedObject>);
-    fn record_miss_fetch(
-        &mut self,
-        bs: BackendSubId,
-        objects: u64,
-        bytes: ByteSize,
-        now: Timestamp,
-    );
+    fn record_miss_fetch(&mut self, bs: BackendSubId, objects: u64, bytes: ByteSize);
     fn maintain(&mut self, now: Timestamp) -> Vec<DroppedObject>;
     fn metrics_snapshot(&self) -> CacheMetrics;
     fn total_bytes(&self) -> ByteSize;
@@ -175,14 +169,8 @@ impl Driver for CacheManager {
     ) -> (GetPlan, Vec<DroppedObject>) {
         CacheManager::get_and_ack(self, bs, sub, range, up_to, now)
     }
-    fn record_miss_fetch(
-        &mut self,
-        bs: BackendSubId,
-        objects: u64,
-        bytes: ByteSize,
-        now: Timestamp,
-    ) {
-        CacheManager::record_miss_fetch(self, bs, objects, bytes, now);
+    fn record_miss_fetch(&mut self, bs: BackendSubId, objects: u64, bytes: ByteSize) {
+        CacheManager::record_miss_fetch(self, bs, objects, bytes);
     }
     fn maintain(&mut self, now: Timestamp) -> Vec<DroppedObject> {
         CacheManager::maintain(self, now)
@@ -246,14 +234,8 @@ impl Driver for ShardedCacheManager {
     ) -> (GetPlan, Vec<DroppedObject>) {
         ShardedCacheManager::get_and_ack(self, bs, sub, range, up_to, now)
     }
-    fn record_miss_fetch(
-        &mut self,
-        bs: BackendSubId,
-        objects: u64,
-        bytes: ByteSize,
-        now: Timestamp,
-    ) {
-        ShardedCacheManager::record_miss_fetch(self, bs, objects, bytes, now);
+    fn record_miss_fetch(&mut self, bs: BackendSubId, objects: u64, bytes: ByteSize) {
+        ShardedCacheManager::record_miss_fetch(self, bs, objects, bytes);
     }
     fn maintain(&mut self, now: Timestamp) -> Vec<DroppedObject> {
         ShardedCacheManager::maintain(self, now)
@@ -314,13 +296,7 @@ impl Tape {
     /// The broker's half of a retrieval: fetches `plan`'s missed
     /// sub-ranges of `cache` from the cluster and reports back what
     /// they held. Returns the number of objects fetched.
-    pub fn fetch_misses<D: Driver>(
-        &self,
-        mgr: &mut D,
-        cache: u64,
-        plan: &GetPlan,
-        now: Timestamp,
-    ) -> u64 {
+    pub fn fetch_misses<D: Driver>(&self, mgr: &mut D, cache: u64, plan: &GetPlan) -> u64 {
         let fetched = self.produced[cache as usize]
             .iter()
             .filter(|&&ts| plan.missed.iter().any(|m| m.contains(ts)))
@@ -329,7 +305,6 @@ impl Tape {
             BackendSubId::new(cache),
             fetched,
             ByteSize::new(fetched * 64),
-            now,
         );
         fetched
     }
@@ -363,7 +338,7 @@ impl Tape {
                 );
                 let plan = mgr.plan_get(BackendSubId::new(cache), range, now);
                 log.hits += plan.cached.len() as u64;
-                log.misses += self.fetch_misses(mgr, cache, &plan, now);
+                log.misses += self.fetch_misses(mgr, cache, &plan);
             }
             Op::Ack {
                 cache,

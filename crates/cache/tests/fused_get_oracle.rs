@@ -136,12 +136,12 @@ impl<D: Driver> Side<D> {
             Retrieval::Fused => {
                 let (plan, dropped) = self.mgr.get_and_ack(bs, sub, range, up_to, now);
                 log.dropped.extend(dropped);
-                log.misses += self.tape.fetch_misses(&mut self.mgr, cache, &plan, now);
+                log.misses += self.tape.fetch_misses(&mut self.mgr, cache, &plan);
                 plan
             }
             Retrieval::Split => {
                 let plan = self.mgr.plan_get(bs, range, now);
-                log.misses += self.tape.fetch_misses(&mut self.mgr, cache, &plan, now);
+                log.misses += self.tape.fetch_misses(&mut self.mgr, cache, &plan);
                 if let Ok(dropped) = self.mgr.ack_consume(bs, sub, up_to, now) {
                     log.dropped.extend(dropped);
                 }

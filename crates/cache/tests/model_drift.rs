@@ -17,6 +17,7 @@ use std::sync::Arc;
 use bad_cache::{CacheConfig, CacheTelemetry, NewObject, PolicyName, ShardedCacheManager};
 use bad_telemetry::{
     drift, AlertState, FlightRecorder, HealthConfig, HealthEngine, HealthObservation, Registry,
+    Tracer,
 };
 use bad_types::rng::Rng;
 use bad_types::{
@@ -48,7 +49,7 @@ fn model_drift_fires_after_consumption_stops_and_not_before() {
         },
         1,
     );
-    mgr.set_telemetry(CacheTelemetry::new(&registry, bad_telemetry::null_sink()));
+    mgr.set_telemetry(CacheTelemetry::new(&registry, Tracer::disabled()));
     let engine = HealthEngine::new(
         &registry,
         Arc::new(FlightRecorder::new(1, 64)),
@@ -88,7 +89,7 @@ fn model_drift_fires_after_consumption_stops_and_not_before() {
             if stopped {
                 let plan = mgr.plan_get(bs, TimeRange::closed(Timestamp::ZERO, now), now);
                 let missed = plan.missed.len().max(1) as u64;
-                mgr.record_miss_fetch(bs, missed, ByteSize::new(64), now);
+                mgr.record_miss_fetch(bs, missed, ByteSize::new(64));
             } else {
                 let _ = mgr.plan_get(bs, TimeRange::closed(now, now), now);
                 for s in 0..SUBSCRIBERS {

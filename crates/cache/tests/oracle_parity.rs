@@ -8,11 +8,17 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use bad_cache::{CacheConfig, CacheManager, CacheTelemetry, PolicyName, ShardedCacheManager};
-use bad_telemetry::{ProfileConfig, Profiler, Registry, RingBufferSink, SharedSink};
-use bad_types::{ByteSize, SimDuration};
+use bad_cache::{
+    CacheConfig, CacheManager, CacheTelemetry, DroppedObject, PolicyName, ShardedCacheManager,
+};
+use bad_telemetry::{
+    Event, FlightRecorder, ProfileConfig, Profiler, Registry, RingBufferSink, SharedTracer,
+    TraceConfig, Tracer,
+};
+use bad_types::{BackendSubId, ByteSize, SimDuration, SubscriberId, Timestamp};
 use common::{gen_ops, replay, Driver};
 
 const SEEDS: [u64; 4] = [7, 21, 42, 1009];
@@ -59,36 +65,68 @@ fn single_shard_matches_monolith_dropped_streams_and_metrics() {
     }
 }
 
+/// Retires every cache's subscribers after a replay of `ops` ops:
+/// the tape's subscribers (`0..8`) ack everything, then the permanent
+/// one acks too on the first half of the caches and just leaves on the
+/// second. The tape's caches never lose their permanent subscriber, so
+/// this is where consumption and unsubscription drops happen.
+fn retire<D: Driver>(mgr: &mut D, n_caches: u64, ops: usize) -> Vec<DroppedObject> {
+    let end = Timestamp::from_secs(ops as u64 + 1);
+    let mut dropped = Vec::new();
+    for c in 0..n_caches {
+        let bs = BackendSubId::new(c);
+        for sub in (0..8).map(SubscriberId::new) {
+            dropped.extend(mgr.ack_consume(bs, sub, end, end).unwrap_or_default());
+        }
+        let permanent = SubscriberId::new(1000 + c);
+        let last = if c < n_caches / 2 {
+            mgr.ack_consume(bs, permanent, end, end)
+        } else {
+            mgr.remove_subscriber(bs, permanent, end)
+        };
+        dropped.extend(last.unwrap_or_default());
+    }
+    dropped
+}
+
+/// A live tracer on `registry` whose sink is a ring of its own, so the
+/// stream holds every lifecycle record (insert, evict, expire, consume,
+/// unsubscribe) and every TTL retune.
+fn traced(registry: &Registry) -> (SharedTracer, Arc<RingBufferSink>) {
+    let ring = Arc::new(RingBufferSink::new(100_000));
+    let recorder = Arc::new(FlightRecorder::new(1, 1));
+    let tracer = Tracer::new(registry, ring.clone(), recorder, TraceConfig::default());
+    (tracer, ring)
+}
+
 /// Replays one tape into a monolith and a one-shard manager — each
-/// with telemetry on a registry and event ring of its own, the shard
-/// armed by the caller — and holds the two to byte parity: replay log,
-/// metrics, telemetry event stream, rendered cache registry. Returns the
-/// sharded manager for whatever else the caller wants to check.
+/// with telemetry on a registry, tracer and event ring of its own, the
+/// shard armed by the caller — and holds the two to byte parity: replay
+/// log, metrics, telemetry event stream, rendered cache registry.
+/// Returns the sharded manager and the event stream for whatever else
+/// the caller wants to check.
 fn assert_single_shard_parity(
     policy: PolicyName,
     seed: u64,
     arm_sharded: impl FnOnce(&mut ShardedCacheManager),
-) -> ShardedCacheManager {
+) -> (ShardedCacheManager, Vec<Event>) {
     let ops = gen_ops(seed, OPS_PER_SEED, 4, 8);
 
     let mono_registry = Registry::new();
-    let mono_ring = Arc::new(RingBufferSink::new(100_000));
+    let (mono_tracer, mono_ring) = traced(&mono_registry);
     let mut mono = CacheManager::new(policy, config(10_000));
-    mono.set_telemetry(CacheTelemetry::new(
-        &mono_registry,
-        mono_ring.clone() as SharedSink,
-    ));
-    let mono_log = replay(&mut mono, &ops, 4);
+    mono.set_telemetry(CacheTelemetry::new(&mono_registry, mono_tracer));
+    let mono_log = (replay(&mut mono, &ops, 4), retire(&mut mono, 4, ops.len()));
 
     let sharded_registry = Registry::new();
-    let sharded_ring = Arc::new(RingBufferSink::new(100_000));
+    let (sharded_tracer, sharded_ring) = traced(&sharded_registry);
     let mut sharded = ShardedCacheManager::new(policy, config(10_000), 1);
-    sharded.set_telemetry(CacheTelemetry::new(
-        &sharded_registry,
-        sharded_ring.clone() as SharedSink,
-    ));
+    sharded.set_telemetry(CacheTelemetry::new(&sharded_registry, sharded_tracer));
     arm_sharded(&mut sharded);
-    let sharded_log = replay(&mut sharded, &ops, 4);
+    let sharded_log = (
+        replay(&mut sharded, &ops, 4),
+        retire(&mut sharded, 4, ops.len()),
+    );
 
     assert_eq!(mono_log, sharded_log, "{policy:?}: replay logs diverged");
     assert_eq!(
@@ -96,8 +134,9 @@ fn assert_single_shard_parity(
         Driver::metrics_snapshot(&sharded),
         "{policy:?}: metrics diverged"
     );
+    let events = mono_ring.events();
     assert_eq!(
-        mono_ring.events(),
+        events,
         sharded_ring.events(),
         "{policy:?}: telemetry event streams diverged"
     );
@@ -106,13 +145,30 @@ fn assert_single_shard_parity(
         sharded_registry.render(),
         "{policy:?}: rendered registries diverged"
     );
-    sharded
+    (sharded, events)
 }
 
 #[test]
 fn single_shard_matches_monolith_telemetry() {
+    // Which records the compared streams held, over all policies: the
+    // parity must cover every lifecycle step the cache writes.
+    let mut seen = BTreeSet::new();
     for policy in policies() {
-        assert_single_shard_parity(policy, 42, |_| {});
+        let (_, events) = assert_single_shard_parity(policy, 42, |_| {});
+        seen.extend(events.iter().map(|event| match event {
+            Event::Span(span) if !span.drop_kind.is_empty() => span.drop_kind,
+            other => other.kind(),
+        }));
+    }
+    for kind in [
+        "span.cache_insert",
+        "evict",
+        "expire",
+        "consume",
+        "unsubscribe",
+        "cache.ttl_retune",
+    ] {
+        assert!(seen.contains(kind), "no {kind} record compared: {seen:?}");
     }
 }
 
@@ -154,7 +210,7 @@ fn single_shard_with_sketches_matches_monolith() {
     use bad_telemetry::SketchConfig;
 
     for policy in policies() {
-        let sharded = assert_single_shard_parity(policy, 21, |sharded| {
+        let (sharded, _) = assert_single_shard_parity(policy, 21, |sharded| {
             sharded.enable_sketches(SketchConfig::default())
         });
 

@@ -80,7 +80,7 @@ fn worker(mgr: Arc<ShardedCacheManager>, t: u64) -> Tally {
                     .filter(|&&ts| plan.missed.iter().any(|m| m.contains(ts)))
                     .count() as u64;
                 tally.misses += fetched;
-                mgr.record_miss_fetch(bs, fetched, ByteSize::new(fetched * 64), now);
+                mgr.record_miss_fetch(bs, fetched, ByteSize::new(fetched * 64));
             }
             // Ack from the permanent subscriber of any cache.
             9..=10 => {

@@ -1,16 +1,25 @@
 //! Std-only integration test: every dropped object emits exactly one
-//! structured telemetry event whose kind is `cache.<DropKind::label()>`,
-//! and the per-cause counters in [`CacheMetrics`] agree with the event
-//! stream.
+//! drop record — a lifecycle span whose `drop_kind` is
+//! [`DropKind::label`] — and the per-cause counters in
+//! [`bad_cache::CacheMetrics`] agree with the record stream.
 
 use std::sync::Arc;
 
 use bad_cache::{CacheConfig, CacheManager, CacheTelemetry, DropKind, NewObject, PolicyName};
-use bad_telemetry::{Event, Registry, RingBufferSink};
+use bad_telemetry::{
+    Event, FlightRecorder, Registry, RingBufferSink, Span, SpanKind, TraceConfig, Tracer,
+};
 use bad_types::{BackendSubId, ByteSize, ObjectId, SimDuration, SubscriberId, Timestamp};
 
-fn count_kind(events: &[Event], kind: &str) -> u64 {
-    events.iter().filter(|e| e.kind() == kind).count() as u64
+/// The drop records of `kind` in the stream.
+fn drops_of(events: &[Event], kind: DropKind) -> Vec<Span> {
+    events
+        .iter()
+        .filter_map(|event| match event {
+            Event::Span(span) if span.drop_kind == kind.label() => Some(*span),
+            _ => None,
+        })
+        .collect()
 }
 
 fn insert(mgr: &mut CacheManager, bs: BackendSubId, id: u64, sec: u64, size: u64) {
@@ -29,12 +38,19 @@ fn insert(mgr: &mut CacheManager, bs: BackendSubId, id: u64, sec: u64, size: u64
 }
 
 /// Drives one scenario per [`DropKind`] through two managers sharing a
-/// ring-buffer sink, then cross-checks the event stream against the
-/// metrics counters: one event per drop, no more, no less.
+/// tracer whose sink is a ring buffer, then cross-checks the record
+/// stream against the metrics counters: one record per drop, no more,
+/// no less.
 #[test]
 fn every_drop_kind_emits_exactly_one_event() {
     let registry = Registry::new();
     let ring = Arc::new(RingBufferSink::new(4096));
+    let tracer = Tracer::new(
+        &registry,
+        ring.clone(),
+        Arc::new(FlightRecorder::new(1, 16)),
+        TraceConfig::default(),
+    );
 
     // Manager 1 (LSC, tight budget): evictions, consumption drops and
     // unsubscription drops.
@@ -45,7 +61,7 @@ fn every_drop_kind_emits_exactly_one_event() {
             ..CacheConfig::default()
         },
     );
-    lsc.set_telemetry(CacheTelemetry::new(&registry, ring.clone()));
+    lsc.set_telemetry(CacheTelemetry::new(&registry, Arc::clone(&tracer)));
 
     // Cache 0: single subscriber; budget pressure forces evictions.
     let c0 = BackendSubId::new(0);
@@ -91,7 +107,7 @@ fn every_drop_kind_emits_exactly_one_event() {
             ..CacheConfig::default()
         },
     );
-    ttl.set_telemetry(CacheTelemetry::new(&registry, ring.clone()));
+    ttl.set_telemetry(CacheTelemetry::new(&registry, Arc::clone(&tracer)));
     let c2 = BackendSubId::new(2);
     ttl.create_cache(c2, Timestamp::ZERO);
     ttl.add_subscriber(c2, SubscriberId::new(4)).unwrap();
@@ -100,7 +116,7 @@ fn every_drop_kind_emits_exactly_one_event() {
     let expired = ttl.maintain(Timestamp::from_secs(100));
     assert_eq!(expired.len(), 2, "both objects outlived the 30s TTL");
 
-    // Event stream vs. metrics counters: exact agreement per DropKind.
+    // Record stream vs. metrics counters: exact agreement per DropKind.
     let events = ring.events();
     let lsc_m = lsc.metrics();
     let ttl_m = ttl.metrics();
@@ -123,13 +139,29 @@ fn every_drop_kind_emits_exactly_one_event() {
         ),
     ];
     for (kind, counted) in drops {
-        let kind_str = format!("cache.{}", kind.label());
-        let emitted = count_kind(&events, &kind_str);
-        assert!(counted > 0, "scenario never exercised {kind_str}");
+        let emitted = drops_of(&events, kind).len() as u64;
+        assert!(counted > 0, "scenario never exercised {kind}");
         assert_eq!(
             emitted, counted,
-            "{kind_str}: {emitted} events vs {counted} metric drops"
+            "{kind}: {emitted} records vs {counted} metric drops"
         );
+    }
+
+    // An eviction records the evicting policy and the victim cache's
+    // φ/s score; an expiry the 30 s TTL in force, as its detail.
+    for evict in drops_of(&events, DropKind::Evicted) {
+        assert_eq!(
+            (evict.kind, evict.policy),
+            (SpanKind::Drop, PolicyName::Lsc.as_str())
+        );
+        assert!(evict.score.is_finite() && evict.score > 0.0, "{evict:?}");
+    }
+    for expire in drops_of(&events, DropKind::Expired) {
+        assert_eq!(
+            (expire.kind, expire.policy),
+            (SpanKind::Expire, PolicyName::Ttl.as_str())
+        );
+        assert_eq!(expire.detail, SimDuration::from_secs(30).as_micros());
     }
 
     // The shared registry's counters line up with the same totals.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings, SelectClause};
 use bad_storage::{Dataset, ResultObject, ResultStore, Schema, StoredRecord};
-use bad_telemetry::{Event, SharedSink};
+use bad_telemetry::{Event, SharedSink, SharedTracer};
 use bad_types::ids::{IdGen, IdSlab};
 use bad_types::{
     BackendSubId, BadError, ByteSize, ChannelId, DataValue, Result, TimeRange, Timestamp,
@@ -73,12 +73,10 @@ impl ChannelRuntime {
     /// result of `bs` and reports it: the object id, the accounted size
     /// and the telemetry are per result, however many subscriptions
     /// share the payload (and its size, computed once).
-    #[allow(clippy::too_many_arguments)]
     fn emit_result(
         &self,
         results: &mut ResultStore,
-        sink: &SharedSink,
-        tracer: &bad_telemetry::SharedTracer,
+        tracer: &SharedTracer,
         bs: BackendSubId,
         result_ts: Timestamp,
         payload: Arc<DataValue>,
@@ -88,23 +86,14 @@ impl ChannelRuntime {
         if tracer.enabled() {
             tracer.on_result_produced(
                 result_ts.as_micros(),
+                self.id.as_u64(),
                 bs.as_u64(),
                 object.id.as_u64(),
                 object.size.as_u64(),
             );
-        }
-        if sink.enabled() {
-            let t_us = result_ts.as_micros();
-            sink.record(&Event::ClusterChannelFire {
-                t_us,
-                channel: self.id.as_u64(),
-                subscription: bs.as_u64(),
-                results: 1,
-                bytes: object.size.as_u64(),
-            });
             if !self.enrichments.is_empty() {
-                sink.record(&Event::ClusterEnrich {
-                    t_us,
+                tracer.record(&Event::ClusterEnrich {
+                    t_us: result_ts.as_micros(),
                     channel: self.id.as_u64(),
                     rules: self.enrichments.len() as u64,
                 });
@@ -135,11 +124,10 @@ pub struct DataCluster {
     /// When true, repetitive-channel results reuse the record timestamp
     /// instead of the execution timestamp (useful for deterministic tests).
     partition_matching: bool,
-    /// Structured event sink (null by default: zero-cost).
-    sink: SharedSink,
-    /// Lifecycle tracer emitting `result_produced` root spans
-    /// (disabled by default: one branch per result).
-    tracer: bad_telemetry::SharedTracer,
+    /// Lifecycle tracer emitting `result_produced` root spans and
+    /// `cluster.enrich` records (disabled by default: one branch per
+    /// result).
+    tracer: SharedTracer,
 }
 
 impl DataCluster {
@@ -154,21 +142,22 @@ impl DataCluster {
             channel_ids: IdGen::new(),
             stats: ClusterStats::default(),
             partition_matching: true,
-            sink: bad_telemetry::null_sink(),
             tracer: bad_telemetry::Tracer::disabled(),
         }
     }
 
-    /// Routes `cluster.channel_fire` / `cluster.enrich` events to
-    /// `sink` (default: the null sink, which costs nothing).
-    pub fn set_event_sink(&mut self, sink: SharedSink) {
-        self.sink = sink;
-    }
+    /// Does nothing: the cluster's records reach a sink only through
+    /// its tracer ([`DataCluster::set_tracer`]). Kept only for callers
+    /// that still wire a sink beside the tracer; that sink must be the
+    /// tracer's own.
+    #[doc(hidden)]
+    pub fn set_event_sink(&mut self, _sink: SharedSink) {}
 
-    /// Emits a `result_produced` root span for every appended result
-    /// through `tracer` — the cluster end of the notification
-    /// lifecycle (default: the disabled tracer, one branch per result).
-    pub fn set_tracer(&mut self, tracer: bad_telemetry::SharedTracer) {
+    /// Emits a `result_produced` root span for every appended result,
+    /// and a `cluster.enrich` record for every enriched one, through
+    /// `tracer` — the cluster end of the notification lifecycle
+    /// (default: the disabled tracer, one branch per result).
+    pub fn set_tracer(&mut self, tracer: SharedTracer) {
         self.tracer = tracer;
     }
 
@@ -363,7 +352,6 @@ impl DataCluster {
             datasets,
             channels,
             results,
-            sink,
             tracer,
             ..
         } = self;
@@ -383,7 +371,6 @@ impl DataCluster {
             for bs in matched {
                 notifications.push(runtime.emit_result(
                     results,
-                    sink,
                     tracer,
                     bs,
                     ts,
@@ -408,7 +395,6 @@ impl DataCluster {
             datasets,
             channels,
             results,
-            sink,
             tracer,
             ..
         } = self;
@@ -433,15 +419,8 @@ impl DataCluster {
                 for bs in matched {
                     // Results of a repetitive execution are stamped with
                     // the execution time, like a periodic query output.
-                    let n = runtime.emit_result(
-                        results,
-                        sink,
-                        tracer,
-                        bs,
-                        now,
-                        Arc::clone(&payload),
-                        size,
-                    );
+                    let n =
+                        runtime.emit_result(results, tracer, bs, now, Arc::clone(&payload), size);
                     notifications
                         .entry(bs)
                         .and_modify(|agg| {

@@ -289,11 +289,12 @@ impl Deployment {
     /// `cluster` is the initial cluster state (datasets, channels,
     /// enrichments); `compression` is the virtual-time speedup. Metric
     /// counters are registered whatever `obs` is and rendered by
-    /// [`Deployment::metrics_text`]. With [`Observability::full`] the
-    /// event streams of both nodes (cache/broker events on the broker
-    /// thread, channel-fire/enrich events on the cluster thread) reach
-    /// its sink, every tier emits causally linked lifecycle spans (see
-    /// `bad_telemetry::trace`), and each maintenance pass runs
+    /// [`Deployment::metrics_text`]. With [`Observability::full`] every
+    /// tier emits causally linked lifecycle spans (see
+    /// `bad_telemetry::trace`) through the bundle's tracer, which writes
+    /// them and the other records of both nodes (retrieval summaries
+    /// and TTL retunes on the broker thread, enrich records on the
+    /// cluster thread) to its sink, and each maintenance pass runs
     /// [`Observability::after_maintain`]. Pair it with
     /// [`Deployment::serve_scrape`] to expose the whole picture over
     /// HTTP.
@@ -945,11 +946,14 @@ mod tests {
         assert!(text.contains("bad_cache_evicted_objects_total"));
         assert!(text.contains("bad_broker_retrievals_total"));
 
-        // And the structured event stream saw both tiers.
+        // And the structured event stream saw both tiers: the cluster's
+        // result_produced root spans and the broker's retrieval summary.
         let events = ring.events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, bad_telemetry::Event::ClusterChannelFire { .. })));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            bad_telemetry::Event::Span(span)
+                if span.kind == bad_telemetry::SpanKind::ResultProduced
+        )));
         assert!(events
             .iter()
             .any(|e| matches!(e, bad_telemetry::Event::BrokerRetrieve { .. })));

@@ -75,8 +75,11 @@ impl SimBackend {
             .store
             .append(bs, ts, Arc::clone(&self.null), Some(size));
         if self.tracer.enabled() {
+            // A stream is a channel of its own with one subscription,
+            // so the subscription id also names the channel.
             self.tracer.on_result_produced(
                 ts.as_micros(),
+                bs.as_u64(),
                 bs.as_u64(),
                 object.id.as_u64(),
                 object.size.as_u64(),

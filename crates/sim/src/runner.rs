@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use bad_broker::{Broker, BrokerConfig};
 use bad_cache::{PolicyKind, PolicyName};
 use bad_query::ParamBindings;
-use bad_telemetry::{Registry, Sample, Sampler, SharedSink};
+use bad_telemetry::{Registry, Sample, Sampler, SharedTracer, Tracer};
 use bad_types::rng::Rng;
 use bad_types::{
     BackendSubId, ByteSize, FrontendSubId, Result, SimDuration, SubscriberId, Timestamp,
@@ -73,8 +73,9 @@ pub struct Simulation {
     frontends: HashMap<(u32, BackendSubId), FrontendSubId>,
     /// Periodic occupancy / hit-ratio / `Σ ρ_i·T_i` snapshots.
     sampler: Sampler,
-    /// Event sink for epoch samples (null unless telemetry is attached).
-    sink: SharedSink,
+    /// Tracer whose sink takes the epoch samples (disabled unless
+    /// telemetry is attached).
+    tracer: SharedTracer,
     /// Popularity sampler, retained for subscription churn.
     popularity: ZipfPopularity,
     /// Subscription lifetime sampler (churn), when enabled.
@@ -162,19 +163,20 @@ impl Simulation {
             streams,
             frontends: HashMap::new(),
             sampler,
-            sink: bad_telemetry::null_sink(),
+            tracer: Tracer::disabled(),
             popularity,
             subscription_lifetime,
         })
     }
 
     /// Routes the run's telemetry: cache and broker metric families
-    /// on `registry`, the full event stream (including per-epoch
-    /// `sim.epoch_sample` snapshots) into `sink`, lifecycle spans from
-    /// the synthetic backend (virtual-time `result_produced` roots),
-    /// the broker and the cache tier through `tracer`, so a run's
-    /// notification lifecycles are reconstructable by `TraceId`, and
-    /// stage samples and lock-site series through `profiler`. Pass
+    /// on `registry`; lifecycle spans from the synthetic backend
+    /// (virtual-time `result_produced` roots), the broker and the cache
+    /// tier through `tracer`, so a run's notification lifecycles are
+    /// reconstructable by `TraceId`; the rest of the record stream
+    /// (retrieval summaries, TTL retunes, per-epoch `sim.epoch_sample`
+    /// snapshots) into the tracer's sink too; and stage samples and
+    /// lock-site series through `profiler`. Pass
     /// [`bad_telemetry::Tracer::disabled`] or
     /// [`bad_telemetry::Profiler::disabled`] for an observer you do not
     /// want. Every observer is metadata-only: the report is
@@ -182,14 +184,13 @@ impl Simulation {
     pub fn attach_telemetry(
         &mut self,
         registry: &Registry,
-        sink: SharedSink,
-        tracer: bad_telemetry::SharedTracer,
+        tracer: SharedTracer,
         profiler: bad_telemetry::Profiler,
     ) {
         self.backend.set_tracer(std::sync::Arc::clone(&tracer));
         self.broker
-            .attach_telemetry(registry, sink.clone(), tracer, profiler);
-        self.sink = sink;
+            .attach_telemetry(registry, std::sync::Arc::clone(&tracer), profiler);
+        self.tracer = tracer;
     }
 
     /// Runs the simulation to completion and reports the measurements.
@@ -380,15 +381,13 @@ impl Simulation {
             hit_ratio: cache.metrics().hit_ratio().unwrap_or(0.0),
             expected_ttl_bytes,
         };
-        if self.sink.enabled() {
-            self.sink.record(&bad_telemetry::Event::EpochSample {
-                t_us: sample.t_us,
-                broker: 0,
-                occupancy_bytes: sample.occupancy_bytes,
-                hit_ratio: sample.hit_ratio,
-                expected_ttl_bytes: sample.expected_ttl_bytes,
-            });
-        }
+        self.tracer.record(&bad_telemetry::Event::EpochSample {
+            t_us: sample.t_us,
+            broker: 0,
+            occupancy_bytes: sample.occupancy_bytes,
+            hit_ratio: sample.hit_ratio,
+            expected_ttl_bytes: sample.expected_ttl_bytes,
+        });
         self.sampler.record(sample);
     }
 
@@ -570,8 +569,7 @@ mod tests {
         let registry = Registry::new();
         sim.attach_telemetry(
             &registry,
-            bad_telemetry::null_sink(),
-            bad_telemetry::Tracer::disabled(),
+            Tracer::disabled(),
             Profiler::new(&registry, ProfileConfig { sample_every_n: 1 }),
         );
         let profiled = sim.run();
@@ -629,14 +627,20 @@ mod tests {
         let config = SimConfig::smoke().with_budget(ByteSize::from_kib(200));
         let mut sim = Simulation::new(PolicyName::Ttl, config, 12).unwrap();
         let registry = Registry::new();
-        // Large enough that no event of the smoke run is ever dropped.
+        // Large enough that no event of the smoke run is ever dropped;
+        // the tracer keeps no span, so the ring holds only the records
+        // no span carries.
         let ring = Arc::new(bad_telemetry::RingBufferSink::new(1 << 17));
-        sim.attach_telemetry(
+        let tracer = Tracer::new(
             &registry,
             ring.clone(),
-            bad_telemetry::Tracer::disabled(),
-            Profiler::disabled(),
+            Arc::new(bad_telemetry::FlightRecorder::new(1, 1)),
+            bad_telemetry::TraceConfig {
+                trace_sample_every_n: 0,
+                ..Default::default()
+            },
         );
+        sim.attach_telemetry(&registry, tracer, Profiler::disabled());
         let report = sim.run();
 
         assert!(

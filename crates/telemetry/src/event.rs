@@ -1,5 +1,13 @@
-//! The structured event layer: a typed taxonomy of per-decision events
-//! and the sinks that record them.
+//! The structured event layer: the record taxonomy and the sinks that
+//! keep it.
+//!
+//! A lifecycle step (a result produced, cached, retrieved or missed,
+//! dropped) is one [`Event::Span`]; the other variants are the records
+//! no span carries: the retrieval summary, TTL retunes, enrichment
+//! runs, sampler epochs and alert transitions. Instrumented layers
+//! hold no sink: they reach it through their [`crate::Tracer`], whose
+//! span helpers and [`crate::Tracer::record`] both write to the sink
+//! the tracer was built with.
 //!
 //! Every variant is `Copy` (timestamps in virtual microseconds, raw
 //! `u64` ids, `&'static str` labels) so constructing an event never
@@ -10,7 +18,7 @@
 //! use bad_telemetry::{null_sink, Event};
 //! let sink = null_sink();
 //! if sink.enabled() {
-//!     sink.record(&Event::CacheConsume { t_us: 0, cache: 1, objects: 1, bytes: 64 });
+//!     sink.record(&Event::ClusterEnrich { t_us: 0, channel: 1, rules: 2 });
 //! }
 //! ```
 //!
@@ -32,60 +40,6 @@ use crate::trace::{Span, SpanKind};
 /// the typed id newtypes, byte quantities are raw bytes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Event {
-    /// An object was admitted into a backend-subscription cache.
-    CacheInsert {
-        t_us: u64,
-        cache: u64,
-        object: u64,
-        bytes: u64,
-        total_bytes: u64,
-    },
-    /// A retrieval was served (partly) from cache.
-    CacheHit {
-        t_us: u64,
-        cache: u64,
-        objects: u64,
-        bytes: u64,
-    },
-    /// A retrieval missed and had to fetch from the backend.
-    CacheMiss {
-        t_us: u64,
-        cache: u64,
-        objects: u64,
-        bytes: u64,
-    },
-    /// The eviction policy dropped a victim to make room; `score` is
-    /// the victim cache's φ/s utility-per-byte at eviction time.
-    CacheEvict {
-        t_us: u64,
-        cache: u64,
-        object: u64,
-        bytes: u64,
-        policy: &'static str,
-        score: f64,
-    },
-    /// A TTL policy expired an object; `ttl_us` is the TTL in force.
-    CacheExpire {
-        t_us: u64,
-        cache: u64,
-        object: u64,
-        bytes: u64,
-        ttl_us: u64,
-    },
-    /// All pending subscribers consumed an object, releasing it.
-    CacheConsume {
-        t_us: u64,
-        cache: u64,
-        objects: u64,
-        bytes: u64,
-    },
-    /// Objects were dropped because their cache lost its subscribers.
-    CacheUnsubscribe {
-        t_us: u64,
-        cache: u64,
-        objects: u64,
-        bytes: u64,
-    },
     /// The TTL tuner recomputed a cache's TTL from its measured
     /// arrival rate λ, consumption rate η and growth rate ρ = (λ−η)⁺.
     TtlRetune {
@@ -96,7 +50,9 @@ pub enum Event {
         rho: f64,
         ttl_us: u64,
     },
-    /// A subscriber retrieval was classified into hits and misses.
+    /// One subscriber retrieval, summarized: its hit/miss split and the
+    /// modeled delivery latency. Its per-object `retrieve_hit` and
+    /// `retrieve_miss` spans carry the same timestamp and subscriber.
     BrokerRetrieve {
         t_us: u64,
         subscriber: u64,
@@ -104,22 +60,7 @@ pub enum Event {
         miss_objects: u64,
         hit_bytes: u64,
         miss_bytes: u64,
-    },
-    /// A batch of results left the broker for a subscriber.
-    BrokerDeliver {
-        t_us: u64,
-        subscriber: u64,
-        objects: u64,
-        bytes: u64,
         latency_us: u64,
-    },
-    /// A continuous/repetitive channel matched and produced results.
-    ClusterChannelFire {
-        t_us: u64,
-        channel: u64,
-        subscription: u64,
-        results: u64,
-        bytes: u64,
     },
     /// Enrichment rules ran over a channel's freshly produced results.
     ClusterEnrich { t_us: u64, channel: u64, rules: u64 },
@@ -131,9 +72,11 @@ pub enum Event {
         hit_ratio: f64,
         expected_ttl_bytes: f64,
     },
-    /// One notification-lifecycle span (see [`crate::trace`]). Sampled
-    /// spans flow through the same sinks as every other event so one
-    /// JSONL trace interleaves decisions and lifecycles in time order.
+    /// One notification-lifecycle span (see [`crate::trace`]): the
+    /// record of every lifecycle step, from `result_produced` to the
+    /// object's drop. Sampled spans flow through the same sinks as
+    /// every other event so one JSONL trace interleaves decisions and
+    /// lifecycles in time order.
     Span(Span),
     /// An alert rule changed state (see [`crate::alert`]). `value_milli`
     /// is the rule's triggering measurement ×1000 (burn rate or drift
@@ -153,17 +96,8 @@ impl Event {
     /// JSONL `kind` field and for filtering traces.
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::CacheInsert { .. } => "cache.insert",
-            Event::CacheHit { .. } => "cache.hit",
-            Event::CacheMiss { .. } => "cache.miss",
-            Event::CacheEvict { .. } => "cache.evict",
-            Event::CacheExpire { .. } => "cache.expire",
-            Event::CacheConsume { .. } => "cache.consume",
-            Event::CacheUnsubscribe { .. } => "cache.unsubscribe",
             Event::TtlRetune { .. } => "cache.ttl_retune",
             Event::BrokerRetrieve { .. } => "broker.retrieve",
-            Event::BrokerDeliver { .. } => "broker.deliver",
-            Event::ClusterChannelFire { .. } => "cluster.channel_fire",
             Event::ClusterEnrich { .. } => "cluster.enrich",
             Event::EpochSample { .. } => "sim.epoch_sample",
             Event::Span(span) => match span.kind {
@@ -171,7 +105,6 @@ impl Event {
                 SpanKind::CacheInsert => "span.cache_insert",
                 SpanKind::RetrieveHit => "span.retrieve_hit",
                 SpanKind::RetrieveMiss => "span.retrieve_miss",
-                SpanKind::BackendFetch => "span.backend_fetch",
                 SpanKind::Drop => "span.drop",
                 SpanKind::Expire => "span.expire",
                 SpanKind::FullyConsumed => "span.fully_consumed",
@@ -183,17 +116,8 @@ impl Event {
     /// The event's virtual-time timestamp in microseconds.
     pub fn t_us(&self) -> u64 {
         match *self {
-            Event::CacheInsert { t_us, .. }
-            | Event::CacheHit { t_us, .. }
-            | Event::CacheMiss { t_us, .. }
-            | Event::CacheEvict { t_us, .. }
-            | Event::CacheExpire { t_us, .. }
-            | Event::CacheConsume { t_us, .. }
-            | Event::CacheUnsubscribe { t_us, .. }
-            | Event::TtlRetune { t_us, .. }
+            Event::TtlRetune { t_us, .. }
             | Event::BrokerRetrieve { t_us, .. }
-            | Event::BrokerDeliver { t_us, .. }
-            | Event::ClusterChannelFire { t_us, .. }
             | Event::ClusterEnrich { t_us, .. }
             | Event::EpochSample { t_us, .. }
             | Event::AlertTransition { t_us, .. } => t_us,
@@ -209,72 +133,6 @@ impl Event {
         obj.field_str("kind", self.kind());
         obj.field_u64("t_us", self.t_us());
         match *self {
-            Event::CacheInsert {
-                cache,
-                object,
-                bytes,
-                total_bytes,
-                ..
-            } => {
-                obj.field_u64("cache", cache);
-                obj.field_u64("object", object);
-                obj.field_u64("bytes", bytes);
-                obj.field_u64("total_bytes", total_bytes);
-            }
-            Event::CacheHit {
-                cache,
-                objects,
-                bytes,
-                ..
-            }
-            | Event::CacheMiss {
-                cache,
-                objects,
-                bytes,
-                ..
-            }
-            | Event::CacheConsume {
-                cache,
-                objects,
-                bytes,
-                ..
-            }
-            | Event::CacheUnsubscribe {
-                cache,
-                objects,
-                bytes,
-                ..
-            } => {
-                obj.field_u64("cache", cache);
-                obj.field_u64("objects", objects);
-                obj.field_u64("bytes", bytes);
-            }
-            Event::CacheEvict {
-                cache,
-                object,
-                bytes,
-                policy,
-                score,
-                ..
-            } => {
-                obj.field_u64("cache", cache);
-                obj.field_u64("object", object);
-                obj.field_u64("bytes", bytes);
-                obj.field_str("policy", policy);
-                obj.field_f64("score", score);
-            }
-            Event::CacheExpire {
-                cache,
-                object,
-                bytes,
-                ttl_us,
-                ..
-            } => {
-                obj.field_u64("cache", cache);
-                obj.field_u64("object", object);
-                obj.field_u64("bytes", bytes);
-                obj.field_u64("ttl_us", ttl_us);
-            }
             Event::TtlRetune {
                 cache,
                 lambda,
@@ -295,6 +153,7 @@ impl Event {
                 miss_objects,
                 hit_bytes,
                 miss_bytes,
+                latency_us,
                 ..
             } => {
                 obj.field_u64("subscriber", subscriber);
@@ -302,30 +161,7 @@ impl Event {
                 obj.field_u64("miss_objects", miss_objects);
                 obj.field_u64("hit_bytes", hit_bytes);
                 obj.field_u64("miss_bytes", miss_bytes);
-            }
-            Event::BrokerDeliver {
-                subscriber,
-                objects,
-                bytes,
-                latency_us,
-                ..
-            } => {
-                obj.field_u64("subscriber", subscriber);
-                obj.field_u64("objects", objects);
-                obj.field_u64("bytes", bytes);
                 obj.field_u64("latency_us", latency_us);
-            }
-            Event::ClusterChannelFire {
-                channel,
-                subscription,
-                results,
-                bytes,
-                ..
-            } => {
-                obj.field_u64("channel", channel);
-                obj.field_u64("subscription", subscription);
-                obj.field_u64("results", results);
-                obj.field_u64("bytes", bytes);
             }
             Event::ClusterEnrich { channel, rules, .. } => {
                 obj.field_u64("channel", channel);
@@ -507,16 +343,19 @@ impl EventSink for JsonlSink {
 mod tests {
     use super::*;
 
+    fn enrich(t_us: u64) -> Event {
+        Event::ClusterEnrich {
+            t_us,
+            channel: 2,
+            rules: 1,
+        }
+    }
+
     #[test]
     fn null_sink_is_disabled() {
         let sink = null_sink();
         assert!(!sink.enabled());
-        sink.record(&Event::CacheConsume {
-            t_us: 1,
-            cache: 2,
-            objects: 3,
-            bytes: 4,
-        });
+        sink.record(&enrich(1));
     }
 
     #[test]
@@ -524,12 +363,7 @@ mod tests {
         let sink = RingBufferSink::new(2);
         assert!(sink.enabled());
         for i in 0..3 {
-            sink.record(&Event::CacheHit {
-                t_us: i,
-                cache: 0,
-                objects: 1,
-                bytes: 1,
-            });
+            sink.record(&enrich(i));
         }
         let events = sink.events();
         assert_eq!(events.len(), 2);
@@ -538,20 +372,43 @@ mod tests {
     }
 
     #[test]
-    fn evict_event_serializes_policy_and_score() {
-        let event = Event::CacheEvict {
-            t_us: 1_000_000,
-            cache: 7,
-            object: 9,
-            bytes: 512,
-            policy: "lsc",
-            score: 0.125,
+    fn retrieve_event_carries_the_delivery_latency() {
+        let event = Event::BrokerRetrieve {
+            t_us: 5,
+            subscriber: 1,
+            hit_objects: 12,
+            miss_objects: 2,
+            hit_bytes: 4096,
+            miss_bytes: 512,
+            latency_us: 250,
         };
-        assert_eq!(event.kind(), "cache.evict");
+        assert_eq!(event.kind(), "broker.retrieve");
         assert_eq!(
             event.to_json(),
-            r#"{"kind":"cache.evict","t_us":1000000,"cache":7,"object":9,"bytes":512,"policy":"lsc","score":0.125}"#
+            r#"{"kind":"broker.retrieve","t_us":5,"subscriber":1,"hit_objects":12,"miss_objects":2,"hit_bytes":4096,"miss_bytes":512,"latency_us":250}"#
         );
+    }
+
+    #[test]
+    fn evict_event_serializes_policy_and_score() {
+        use crate::trace::{SpanKind, TraceId};
+
+        let event = Event::Span(Span {
+            t_us: 1_000_000,
+            bytes: 512,
+            lag_us: 40,
+            policy: "lsc",
+            drop_kind: "evict",
+            score: 0.125,
+            ..Span::new(TraceId::for_object(9), SpanKind::Drop, 7, 9, 0)
+        });
+        assert_eq!(event.kind(), "span.drop");
+        assert!(event
+            .to_json()
+            .starts_with(r#"{"kind":"span.drop","t_us":1000000,"#));
+        assert!(event.to_json().ends_with(
+            r#""cache":7,"object":9,"bytes":512,"lag_us":40,"drop_kind":"evict","policy":"lsc","score":0.125}"#
+        ));
     }
 
     #[test]
@@ -587,23 +444,19 @@ mod tests {
         }
 
         let sink = JsonlSink::new(Box::new(Shared(buffer.clone())));
-        sink.record(&Event::BrokerDeliver {
+        sink.record(&Event::EpochSample {
             t_us: 5,
-            subscriber: 1,
-            objects: 12,
-            bytes: 4096,
-            latency_us: 250,
+            broker: 0,
+            occupancy_bytes: 4096,
+            hit_ratio: 0.5,
+            expected_ttl_bytes: 0.0,
         });
-        sink.record(&Event::ClusterEnrich {
-            t_us: 6,
-            channel: 2,
-            rules: 1,
-        });
+        sink.record(&enrich(6));
         sink.flush().unwrap();
         let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with(r#"{"kind":"broker.deliver""#));
+        assert!(lines[0].starts_with(r#"{"kind":"sim.epoch_sample""#));
         assert!(lines[1].contains(r#""rules":1"#));
     }
 
@@ -618,45 +471,31 @@ mod tests {
         ));
         {
             let sink = JsonlSink::create(&path).unwrap();
-            sink.record(&Event::CacheConsume {
-                t_us: 1,
-                cache: 2,
-                objects: 3,
-                bytes: 4,
-            });
+            sink.record(&enrich(1));
             // No explicit flush: the event sits in the BufWriter until
             // the sink is dropped here.
         }
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
-        assert!(text.starts_with(r#"{"kind":"cache.consume","t_us":1"#));
+        assert!(text.starts_with(r#"{"kind":"cluster.enrich","t_us":1"#));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn span_events_share_the_jsonl_taxonomy() {
-        use crate::trace::{SpanId, SpanKind, TraceId};
+        use crate::trace::{SpanKind, TraceId};
 
-        let trace = TraceId::for_object(9);
-        let event = Event::Span(crate::trace::Span {
-            trace,
-            span: SpanId::derive(trace, SpanKind::BackendFetch, 5),
-            parent: Some(SpanId::derive(trace, SpanKind::RetrieveMiss, 5)),
-            kind: SpanKind::BackendFetch,
+        let event = Event::Span(Span {
             t_us: 12,
-            cache: 4,
-            object: 9,
-            subscriber: 5,
             bytes: 128,
             lag_us: 900,
-            policy: "",
-            drop_kind: "",
-            score: 0.0,
+            detail: 300,
+            ..Span::new(TraceId::for_object(9), SpanKind::RetrieveMiss, 4, 9, 5)
         });
-        assert_eq!(event.kind(), "span.backend_fetch");
+        assert_eq!(event.kind(), "span.retrieve_miss");
         assert_eq!(event.t_us(), 12);
         let json = event.to_json();
-        assert!(json.starts_with(r#"{"kind":"span.backend_fetch","t_us":12,"trace":"#));
-        assert!(json.contains(r#""lag_us":900"#));
+        assert!(json.starts_with(r#"{"kind":"span.retrieve_miss","t_us":12,"trace":"#));
+        assert!(json.ends_with(r#""lag_us":900,"fetch_us":300}"#));
     }
 }

@@ -60,11 +60,11 @@ pub fn number(v: f64) -> String {
 /// let mut buf = String::new();
 /// {
 ///     let mut obj = bad_telemetry::json::ObjectWriter::new(&mut buf);
-///     obj.field_str("kind", "cache.evict");
+///     obj.field_str("kind", "span.drop");
 ///     obj.field_u64("bytes", 42);
 ///     obj.field_f64("score", 0.5);
 /// }
-/// assert_eq!(buf, r#"{"kind":"cache.evict","bytes":42,"score":0.5}"#);
+/// assert_eq!(buf, r#"{"kind":"span.drop","bytes":42,"score":0.5}"#);
 /// ```
 pub struct ObjectWriter<'a> {
     out: &'a mut String,

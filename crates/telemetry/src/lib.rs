@@ -10,11 +10,11 @@
 //!   Prometheus text exposition format by [`Registry::render`].
 //! - [`Histogram`]: log-bucketed (power-of-two buckets) latency/size
 //!   distributions with `p50/p90/p99/max` readout.
-//! - [`Event`] + [`EventSink`]: a typed taxonomy of per-decision
-//!   events (cache insert/hit/miss/evict/expire/consume/ttl-retune,
-//!   broker retrieve/deliver, cluster channel-fire/enrich,
-//!   sim epoch samples) with [`RingBufferSink`] (tests, post-mortem)
-//!   and [`JsonlSink`] (trace files) implementations. The default
+//! - [`Event`] + [`EventSink`]: one record per decision — a lifecycle
+//!   [`Span`] per step, plus the records no span carries (retrieval
+//!   summaries, TTL retunes, enrichment runs, sim epoch samples, alert
+//!   transitions) — with [`RingBufferSink`] (tests, post-mortem) and
+//!   [`JsonlSink`] (trace files) implementations. The default
 //!   [`NullSink`] reports `enabled() == false`, so instrumented code
 //!   skips event construction entirely when tracing is off.
 //! - [`Sampler`]: periodic virtual-time snapshots of occupancy, hit
@@ -23,7 +23,8 @@
 //!   ([`TraceId`]/[`SpanId`] derived deterministically via splitmix64,
 //!   causal parent links, per-stage lag + staleness histograms, SLO
 //!   violation counters) with a [`FlightRecorder`] ring for post-mortem
-//!   dumps and a [`Tracer`] emission point shared by every layer.
+//!   dumps and a [`Tracer`] emission point shared by every layer —
+//!   each layer's only way to the event sink.
 //! - [`ScrapeServer`]: a std-only TCP endpoint serving `/metrics`
 //!   (Prometheus text), `/healthz`, `/trace/recent`, `/timeseries`,
 //!   `/alerts`, `/profile` and `/hot` live.
@@ -51,7 +52,7 @@
 //!   window-gated `tick`, driven from maintenance paths.
 //!
 //! ```
-//! use bad_telemetry::{Event, Registry, RingBufferSink, SharedSink};
+//! use bad_telemetry::{Event, FlightRecorder, Registry, RingBufferSink, TraceConfig, Tracer};
 //! use std::sync::Arc;
 //!
 //! let registry = Registry::new();
@@ -59,11 +60,19 @@
 //! hits.add(3);
 //!
 //! let ring = Arc::new(RingBufferSink::new(16));
-//! let sink: SharedSink = ring.clone();
-//! if sink.enabled() {
-//!     sink.record(&Event::CacheHit { t_us: 42, cache: 1, objects: 3, bytes: 96 });
-//! }
-//! assert_eq!(ring.len(), 1);
+//! let recorder = Arc::new(FlightRecorder::new(1, 16));
+//! let tracer = Tracer::new(&registry, ring.clone(), recorder, TraceConfig::default());
+//! tracer.on_retrieve_hits(42, 1, 7, [(9, 96, 1_000)]);
+//! tracer.record(&Event::BrokerRetrieve {
+//!     t_us: 42,
+//!     subscriber: 7,
+//!     hit_objects: 1,
+//!     miss_objects: 0,
+//!     hit_bytes: 96,
+//!     miss_bytes: 0,
+//!     latency_us: 250,
+//! });
+//! assert_eq!(ring.len(), 2);
 //! assert!(registry.render().contains("bad_cache_hit_objects_total 3"));
 //! ```
 

@@ -387,6 +387,19 @@ mod tests {
         assert!(head.contains("Connection: close"));
     }
 
+    /// A 64-byte object's `cache_insert` span.
+    fn inserted(t_us: u64, cache: u64, object: u64) -> crate::trace::Span {
+        use crate::trace::{Span, SpanKind, TraceId};
+        let trace = TraceId::for_object(object);
+        Span {
+            t_us,
+            bytes: 64,
+            lag_us: 1,
+            detail: 64,
+            ..Span::new(trace, SpanKind::CacheInsert, cache, object, 0)
+        }
+    }
+
     fn test_server() -> (ScrapeServer, Registry, Arc<FlightRecorder>) {
         let registry = Registry::new();
         let recorder = Arc::new(FlightRecorder::new(2, 32));
@@ -404,25 +417,7 @@ mod tests {
     fn serves_metrics_health_and_recent_traces() {
         let (server, registry, recorder) = test_server();
         registry.counter("bad_scrape_test_total").add(7);
-        recorder.record(&crate::trace::Span {
-            trace: crate::trace::TraceId::for_object(1),
-            span: crate::trace::SpanId::derive(
-                crate::trace::TraceId::for_object(1),
-                crate::trace::SpanKind::CacheInsert,
-                2,
-            ),
-            parent: None,
-            kind: crate::trace::SpanKind::CacheInsert,
-            t_us: 5,
-            cache: 2,
-            object: 1,
-            subscriber: 0,
-            bytes: 64,
-            lag_us: 1,
-            policy: "",
-            drop_kind: "",
-            score: 0.0,
-        });
+        recorder.record(&inserted(5, 2, 1));
         let addr = server.local_addr();
 
         let (head, body) = get(addr, "/metrics");
@@ -563,25 +558,7 @@ mod tests {
     fn trace_recent_is_capped_by_the_limit_parameter() {
         let (server, _registry, recorder) = test_server();
         for object in 0..8u64 {
-            recorder.record(&crate::trace::Span {
-                trace: crate::trace::TraceId::for_object(object),
-                span: crate::trace::SpanId::derive(
-                    crate::trace::TraceId::for_object(object),
-                    crate::trace::SpanKind::CacheInsert,
-                    1,
-                ),
-                parent: None,
-                kind: crate::trace::SpanKind::CacheInsert,
-                t_us: object,
-                cache: 1,
-                object,
-                subscriber: 0,
-                bytes: 64,
-                lag_us: 1,
-                policy: "",
-                drop_kind: "",
-                score: 0.0,
-            });
+            recorder.record(&inserted(object, 1, object));
         }
         let addr = server.local_addr();
         // Unlimited (default cap ≫ 8): all spans come back.

@@ -14,16 +14,23 @@
 //! ResultProduced ─┬─ CacheInsert ─┬─ RetrieveHit   (one per subscriber)
 //!                 │               ├─ Drop / Expire (policy decision, φ/s score)
 //!                 │               └─ FullyConsumed
-//!                 └─ RetrieveMiss ── BackendFetch  (one per missing subscriber)
+//!                 └─ RetrieveMiss                  (one per missing subscriber,
+//!                                                   re-fetched from the backend)
 //! ```
+//!
+//! A span is the one record of its step: what a step knows beyond the
+//! common fields rides in [`Span::detail`] (see
+//! [`SpanKind::detail_name`]).
 //!
 //! The [`Tracer`] is the single emission point: it bumps per-kind span
 //! counters, feeds the stage-latency / staleness histograms and their
 //! SLO-violation counters on *every* span, and forwards the span record
 //! itself to the [`FlightRecorder`] and the event sink only for sampled
 //! traces (`trace_sample_every_n`), keeping the hot path allocation
-//! free. [`Tracer::disabled`] is the default wiring everywhere and
-//! costs one branch per call site.
+//! free. It is also every layer's only way to the sink:
+//! [`Tracer::record`] writes the records no span carries.
+//! [`Tracer::disabled`] is the default wiring everywhere, holds the
+//! null sink and costs one branch per call site.
 
 use std::fmt;
 use std::fs::OpenOptions;
@@ -94,7 +101,9 @@ impl SpanId {
     }
 }
 
-/// The lifecycle stage a [`Span`] records.
+/// The lifecycle stage a [`Span`] records. The discriminants feed
+/// [`SpanId::derive`], so they never change; 4 belonged to a retired
+/// kind and stays unused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {
     /// A channel execution appended the result object (cluster side).
@@ -103,10 +112,9 @@ pub enum SpanKind {
     CacheInsert = 1,
     /// A subscriber retrieval was served from cache.
     RetrieveHit = 2,
-    /// A subscriber retrieval missed the cache.
+    /// A subscriber retrieval missed the cache and re-fetched the
+    /// object from the durable backend store.
     RetrieveMiss = 3,
-    /// A miss was re-fetched from the durable backend store.
-    BackendFetch = 4,
     /// The eviction policy dropped the object (`score` is φ/s).
     Drop = 5,
     /// The TTL policy expired the object.
@@ -116,13 +124,12 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// All kinds, in discriminant order (indexes the per-kind counters).
-    pub const ALL: [SpanKind; 8] = [
+    /// All kinds, in discriminant order (the per-kind counters follow it).
+    pub const ALL: [SpanKind; 7] = [
         SpanKind::ResultProduced,
         SpanKind::CacheInsert,
         SpanKind::RetrieveHit,
         SpanKind::RetrieveMiss,
-        SpanKind::BackendFetch,
         SpanKind::Drop,
         SpanKind::Expire,
         SpanKind::FullyConsumed,
@@ -135,11 +142,31 @@ impl SpanKind {
             SpanKind::CacheInsert => "cache_insert",
             SpanKind::RetrieveHit => "retrieve_hit",
             SpanKind::RetrieveMiss => "retrieve_miss",
-            SpanKind::BackendFetch => "backend_fetch",
             SpanKind::Drop => "drop",
             SpanKind::Expire => "expire",
             SpanKind::FullyConsumed => "fully_consumed",
         }
+    }
+
+    /// What [`Span::detail`] holds for this kind, as its JSON field
+    /// name: the cache's occupancy after an insert, the TTL in force at
+    /// an expiry, the producing channel of a result, the modeled
+    /// backend fetch latency of a miss. `None` (and a zero detail) for
+    /// the other kinds.
+    pub fn detail_name(self) -> Option<&'static str> {
+        match self {
+            SpanKind::CacheInsert => Some("total_bytes"),
+            SpanKind::Expire => Some("ttl_us"),
+            SpanKind::ResultProduced => Some("channel"),
+            SpanKind::RetrieveMiss => Some("fetch_us"),
+            SpanKind::RetrieveHit | SpanKind::Drop | SpanKind::FullyConsumed => None,
+        }
+    }
+
+    /// This kind's position in [`SpanKind::ALL`].
+    fn index(self) -> usize {
+        let discriminant = self as usize;
+        discriminant - usize::from(discriminant > 4)
     }
 }
 
@@ -148,11 +175,11 @@ impl SpanKind {
 ///
 /// `lag_us` is the stage latency: produce→insert lag for
 /// [`SpanKind::CacheInsert`], end-to-end produce→deliver lag for
-/// retrievals, the modeled backend fetch latency for
-/// [`SpanKind::BackendFetch`], and the time-in-cache (staleness) for
-/// the drop kinds. `policy`/`drop_kind`/`score` are only meaningful on
-/// drop spans (empty / 0 elsewhere); `subscriber` is 0 on spans not
-/// attributable to one subscriber.
+/// retrievals, and the time-in-cache (staleness) for the drop kinds.
+/// `detail` depends on the kind ([`SpanKind::detail_name`]).
+/// `policy`/`drop_kind`/`score` are only meaningful on drop spans
+/// (empty / 0 elsewhere); `subscriber` is 0 on spans not attributable
+/// to one subscriber.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Span {
     /// The notification lifecycle this span belongs to.
@@ -175,6 +202,9 @@ pub struct Span {
     pub bytes: u64,
     /// Stage latency / staleness in microseconds (see type docs).
     pub lag_us: u64,
+    /// The kind's extra value, named by [`SpanKind::detail_name`]
+    /// (0 for kinds without one).
+    pub detail: u64,
     /// Evicting policy name (drop spans only, else empty).
     pub policy: &'static str,
     /// Drop cause label (drop spans only, else empty).
@@ -184,6 +214,39 @@ pub struct Span {
 }
 
 impl Span {
+    /// The `kind` span of `object`'s notification in `trace`, its id
+    /// and causal parent derived from the lifecycle tree in the
+    /// [module docs](self): retrievals are per `subscriber`, every
+    /// other span per `cache`. The timestamp and payload are zero /
+    /// empty; callers fill in what they know.
+    pub fn new(trace: TraceId, kind: SpanKind, cache: u64, object: u64, subscriber: u64) -> Self {
+        let (actor, parent) = match kind {
+            SpanKind::ResultProduced => (cache, None),
+            SpanKind::CacheInsert => (cache, Some(SpanKind::ResultProduced)),
+            SpanKind::RetrieveHit => (subscriber, Some(SpanKind::CacheInsert)),
+            SpanKind::RetrieveMiss => (subscriber, Some(SpanKind::ResultProduced)),
+            SpanKind::Drop | SpanKind::Expire | SpanKind::FullyConsumed => {
+                (cache, Some(SpanKind::CacheInsert))
+            }
+        };
+        Self {
+            trace,
+            span: SpanId::derive(trace, kind, actor),
+            parent: parent.map(|parent| SpanId::derive(trace, parent, cache)),
+            kind,
+            t_us: 0,
+            cache,
+            object,
+            subscriber,
+            bytes: 0,
+            lag_us: 0,
+            detail: 0,
+            policy: "",
+            drop_kind: "",
+            score: 0.0,
+        }
+    }
+
     /// Appends this span as one JSON object (no trailing newline).
     pub fn write_json(&self, out: &mut String) {
         let mut obj = ObjectWriter::new(out);
@@ -208,6 +271,9 @@ impl Span {
         }
         obj.field_u64("bytes", self.bytes);
         obj.field_u64("lag_us", self.lag_us);
+        if let Some(name) = self.kind.detail_name() {
+            obj.field_u64(name, self.detail);
+        }
         if !self.drop_kind.is_empty() {
             obj.field_str("drop_kind", self.drop_kind);
             obj.field_str("policy", self.policy);
@@ -519,7 +585,7 @@ pub struct Tracer {
     slo: SloConfig,
     sink: SharedSink,
     recorder: Arc<FlightRecorder>,
-    spans_total: [Counter; 8],
+    spans_total: [Counter; SpanKind::ALL.len()],
     insert_lag_us: Histogram,
     delivery_lag_us: Histogram,
     staleness_us: Histogram,
@@ -603,6 +669,29 @@ impl Tracer {
         }
     }
 
+    /// The sink this tracer writes to ([`crate::null_sink`] when
+    /// disabled).
+    pub fn sink(&self) -> &SharedSink {
+        &self.sink
+    }
+
+    /// Writes one record no span carries (a retrieval summary, a TTL
+    /// retune, an enrichment run, a sampler epoch) to the tracer's
+    /// sink. A disabled tracer holds the null sink, so this is one
+    /// branch there.
+    #[inline]
+    pub fn record(&self, event: &Event) {
+        if self.sink.enabled() {
+            self.sink.record(event);
+        }
+    }
+
+    /// The per-kind span counter of `kind`.
+    #[inline]
+    fn spans_of(&self, kind: SpanKind) -> &Counter {
+        &self.spans_total[kind.index()]
+    }
+
     /// Forwards one *sampled* span to the recorder and the sink. The
     /// per-kind counter and the stage metrics are bumped by the caller
     /// *before* the sampling decision, so unsampled traces never pay
@@ -615,69 +704,59 @@ impl Tracer {
         }
     }
 
-    /// A channel execution appended result `object` for `cache` — the
+    /// Channel `channel` appended result `object` for `cache` — the
     /// root span of the notification's trace.
-    pub fn on_result_produced(&self, t_us: u64, cache: u64, object: u64, bytes: u64) {
+    pub fn on_result_produced(&self, t_us: u64, channel: u64, cache: u64, object: u64, bytes: u64) {
         if !self.on {
             return;
         }
-        self.spans_total[SpanKind::ResultProduced as usize].inc();
+        self.spans_of(SpanKind::ResultProduced).inc();
         let trace = TraceId::for_object(object);
         if !self.sampled(trace) {
             return;
         }
         self.emit(Span {
-            trace,
-            span: SpanId::derive(trace, SpanKind::ResultProduced, cache),
-            parent: None,
-            kind: SpanKind::ResultProduced,
             t_us,
-            cache,
-            object,
-            subscriber: 0,
             bytes,
-            lag_us: 0,
-            policy: "",
-            drop_kind: "",
-            score: 0.0,
+            detail: channel,
+            ..Span::new(trace, SpanKind::ResultProduced, cache, object, 0)
         });
     }
 
     /// The broker admitted `object` into `cache`; `lag_us` is the
-    /// produce→insert lag.
-    pub fn on_cache_insert(&self, t_us: u64, cache: u64, object: u64, bytes: u64, lag_us: u64) {
+    /// produce→insert lag and `total_bytes` the cache tier's occupancy
+    /// after the insert.
+    pub fn on_cache_insert(
+        &self,
+        t_us: u64,
+        cache: u64,
+        object: u64,
+        bytes: u64,
+        lag_us: u64,
+        total_bytes: u64,
+    ) {
         if !self.on {
             return;
         }
-        self.spans_total[SpanKind::CacheInsert as usize].inc();
+        self.spans_of(SpanKind::CacheInsert).inc();
         self.insert_lag_us.record(lag_us);
         let trace = TraceId::for_object(object);
         if !self.sampled(trace) {
             return;
         }
         self.emit(Span {
-            trace,
-            span: SpanId::derive(trace, SpanKind::CacheInsert, cache),
-            parent: Some(SpanId::derive(trace, SpanKind::ResultProduced, cache)),
-            kind: SpanKind::CacheInsert,
             t_us,
-            cache,
-            object,
-            subscriber: 0,
             bytes,
             lag_us,
-            policy: "",
-            drop_kind: "",
-            score: 0.0,
+            detail: total_bytes,
+            ..Span::new(trace, SpanKind::CacheInsert, cache, object, 0)
         });
     }
 
     /// `subscriber`'s retrieval was served `hits` from `cache`, each an
     /// `(object, bytes, lag_us)` triple whose lag is the end-to-end
     /// produce→deliver lag, checked against the delivery SLO. One
-    /// retrieve-hit span per object; the span counter, the SLO
-    /// violation counter and the lag histogram's sum are updated once
-    /// for the lot.
+    /// retrieve-hit span per object.
     pub fn on_retrieve_hits(
         &self,
         t_us: u64,
@@ -685,38 +764,10 @@ impl Tracer {
         subscriber: u64,
         hits: impl IntoIterator<Item = (u64, u64, u64)>,
     ) {
-        if !self.on {
-            return;
-        }
-        let mut lags = self.delivery_lag_us.batch();
-        let (mut spans, mut violations) = (0, 0);
-        for (object, bytes, lag_us) in hits {
-            spans += 1;
-            lags.record(lag_us);
-            violations += u64::from(self.check_delivery_slo(t_us, lag_us));
-            let trace = TraceId::for_object(object);
-            if self.sampled(trace) {
-                self.emit(Span {
-                    trace,
-                    span: SpanId::derive(trace, SpanKind::RetrieveHit, subscriber),
-                    parent: Some(SpanId::derive(trace, SpanKind::CacheInsert, cache)),
-                    kind: SpanKind::RetrieveHit,
-                    t_us,
-                    cache,
-                    object,
-                    subscriber,
-                    bytes,
-                    lag_us,
-                    policy: "",
-                    drop_kind: "",
-                    score: 0.0,
-                });
-            }
-        }
-        if spans > 0 {
-            self.spans_total[SpanKind::RetrieveHit as usize].add(spans);
-        }
-        self.count_delivery_violations(violations);
+        let hits = hits
+            .into_iter()
+            .map(|(object, bytes, lag)| (object, bytes, lag, 0));
+        self.on_retrievals(SpanKind::RetrieveHit, t_us, cache, subscriber, hits);
     }
 
     /// `subscriber`'s retrieval missed `misses` in `cache` (never
@@ -725,10 +776,8 @@ impl Tracer {
     /// fetch_us)` tuple: `lag_us` is the produce→deliver lag, with the
     /// same delivery-SLO accounting as a hit (the subscriber does not
     /// care why delivery was late), and `fetch_us` the modeled cluster
-    /// fetch latency. Per object, a retrieve-miss span and its
-    /// backend-fetch child; the span counters, the SLO violation
-    /// counter and the lag histogram's sum are updated once for the
-    /// lot.
+    /// fetch latency, the span's detail. One retrieve-miss span per
+    /// object.
     pub fn on_retrieve_misses(
         &self,
         t_us: u64,
@@ -736,55 +785,57 @@ impl Tracer {
         subscriber: u64,
         misses: impl IntoIterator<Item = (u64, u64, u64, u64)>,
     ) {
+        self.on_retrievals(SpanKind::RetrieveMiss, t_us, cache, subscriber, misses);
+    }
+
+    /// One `kind` span per `(object, bytes, lag_us, detail)`; the span
+    /// counter, the SLO violation counter and the lag histogram's sum
+    /// are updated once for the lot.
+    fn on_retrievals(
+        &self,
+        kind: SpanKind,
+        t_us: u64,
+        cache: u64,
+        subscriber: u64,
+        items: impl IntoIterator<Item = (u64, u64, u64, u64)>,
+    ) {
         if !self.on {
             return;
         }
         let mut lags = self.delivery_lag_us.batch();
         let (mut spans, mut violations) = (0, 0);
-        for (object, bytes, lag_us, fetch_us) in misses {
+        for (object, bytes, lag_us, detail) in items {
             spans += 1;
             lags.record(lag_us);
-            violations += u64::from(self.check_delivery_slo(t_us, lag_us));
-            let trace = TraceId::for_object(object);
-            if !self.sampled(trace) {
-                continue;
+            if lag_us > self.slo.delivery_latency_us {
+                violations += 1;
+                self.recorder.note_anomaly("delivery_latency_slo", t_us);
             }
-            let miss = Span {
-                trace,
-                span: SpanId::derive(trace, SpanKind::RetrieveMiss, subscriber),
-                parent: Some(SpanId::derive(trace, SpanKind::ResultProduced, cache)),
-                kind: SpanKind::RetrieveMiss,
-                t_us,
-                cache,
-                object,
-                subscriber,
-                bytes,
-                lag_us,
-                policy: "",
-                drop_kind: "",
-                score: 0.0,
-            };
-            self.emit(miss);
-            self.emit(Span {
-                span: SpanId::derive(trace, SpanKind::BackendFetch, subscriber),
-                parent: Some(miss.span),
-                kind: SpanKind::BackendFetch,
-                lag_us: fetch_us,
-                ..miss
-            });
+            let trace = TraceId::for_object(object);
+            if self.sampled(trace) {
+                self.emit(Span {
+                    t_us,
+                    bytes,
+                    lag_us,
+                    detail,
+                    ..Span::new(trace, kind, cache, object, subscriber)
+                });
+            }
         }
         if spans > 0 {
-            self.spans_total[SpanKind::RetrieveMiss as usize].add(spans);
-            self.spans_total[SpanKind::BackendFetch as usize].add(spans);
+            self.spans_of(kind).add(spans);
         }
-        self.count_delivery_violations(violations);
+        if violations > 0 {
+            self.delivery_slo_violations.add(violations);
+        }
     }
 
     /// `object` left `cache`. `kind` must be one of [`SpanKind::Drop`],
     /// [`SpanKind::Expire`] or [`SpanKind::FullyConsumed`];
     /// `staleness_us` is its time in cache, `policy`/`drop_kind`/`score`
-    /// the audited policy decision (φ/s for evictions). Full
-    /// consumption is checked against the staleness SLO.
+    /// the audited policy decision (φ/s for evictions) and `ttl_us` the
+    /// TTL in force, kept as an expiry's detail. Full consumption is
+    /// checked against the staleness SLO.
     #[allow(clippy::too_many_arguments)] // single fan-in for all drop causes
     pub fn on_drop(
         &self,
@@ -797,6 +848,7 @@ impl Tracer {
         policy: &'static str,
         score: f64,
         staleness_us: u64,
+        ttl_us: u64,
     ) {
         if !self.on {
             return;
@@ -805,7 +857,7 @@ impl Tracer {
             kind,
             SpanKind::Drop | SpanKind::Expire | SpanKind::FullyConsumed
         ));
-        self.spans_total[kind as usize].inc();
+        self.spans_of(kind).inc();
         self.staleness_us.record(staleness_us);
         if kind == SpanKind::FullyConsumed && staleness_us > self.slo.staleness_us {
             self.staleness_slo_violations.inc();
@@ -816,38 +868,15 @@ impl Tracer {
             return;
         }
         self.emit(Span {
-            trace,
-            span: SpanId::derive(trace, kind, cache),
-            parent: Some(SpanId::derive(trace, SpanKind::CacheInsert, cache)),
-            kind,
             t_us,
-            cache,
-            object,
-            subscriber: 0,
             bytes,
             lag_us: staleness_us,
+            detail: if kind == SpanKind::Expire { ttl_us } else { 0 },
             policy,
             drop_kind,
             score,
+            ..Span::new(trace, kind, cache, object, 0)
         });
-    }
-
-    /// Notes a delivery that broke the SLO in the flight recorder and
-    /// says whether it did; the caller records the lag and counts the
-    /// violations ([`Tracer::count_delivery_violations`]).
-    #[inline]
-    fn check_delivery_slo(&self, t_us: u64, lag_us: u64) -> bool {
-        let late = lag_us > self.slo.delivery_latency_us;
-        if late {
-            self.recorder.note_anomaly("delivery_latency_slo", t_us);
-        }
-        late
-    }
-
-    fn count_delivery_violations(&self, violations: u64) {
-        if violations > 0 {
-            self.delivery_slo_violations.add(violations);
-        }
     }
 }
 
@@ -883,8 +912,8 @@ mod tests {
         let registry = Registry::new();
         let recorder = Arc::new(FlightRecorder::new(2, 64));
         let (tracer, _) = tracer_with(&registry, recorder.clone(), TraceConfig::default());
-        tracer.on_result_produced(1, 9, 77, 100);
-        tracer.on_cache_insert(2, 9, 77, 100, 1);
+        tracer.on_result_produced(1, 3, 9, 77, 100);
+        tracer.on_cache_insert(2, 9, 77, 100, 1, 100);
         tracer.on_retrieve_hits(3, 9, 1001, [(77, 100, 2)]);
         tracer.on_drop(
             4,
@@ -896,6 +925,7 @@ mod tests {
             "lsc",
             0.0,
             2,
+            0,
         );
         let spans = recorder.recent();
         assert_eq!(spans.len(), 4);
@@ -921,8 +951,8 @@ mod tests {
         };
         let (tracer, _) = tracer_with(&registry, recorder.clone(), config);
         for object in 0..64u64 {
-            tracer.on_result_produced(1, 1, object, 10);
-            tracer.on_cache_insert(2, 1, object, 10, 1);
+            tracer.on_result_produced(1, 1, 1, object, 10);
+            tracer.on_cache_insert(2, 1, object, 10, 1, 10);
         }
         let spans = recorder.recent();
         assert!(!spans.is_empty());
@@ -951,7 +981,7 @@ mod tests {
             ..TraceConfig::default()
         };
         let (tracer, ring) = tracer_with(&registry, recorder.clone(), config);
-        tracer.on_result_produced(1, 1, 5, 10);
+        tracer.on_result_produced(1, 1, 1, 5, 10);
         assert!(recorder.is_empty());
         assert!(ring.is_empty());
         assert!(registry
@@ -984,6 +1014,7 @@ mod tests {
             "lsc",
             0.0,
             5_000, // stale
+            0,
         );
         let text = registry.render();
         assert!(text.contains("bad_delivery_latency_slo_violations_total 2"));
@@ -1004,15 +1035,14 @@ mod tests {
         for line in [
             "bad_trace_spans_total{kind=\"retrieve_hit\"} 3\n",
             "bad_trace_spans_total{kind=\"retrieve_miss\"} 2\n",
-            "bad_trace_spans_total{kind=\"backend_fetch\"} 2\n",
             "bad_trace_delivery_lag_us_sum 4021\n",
             "bad_trace_delivery_lag_us_count 5\n",
             "bad_trace_delivery_lag_us_max 4000\n",
         ] {
             assert!(text.contains(line), "missing {line:?} in\n{text}");
         }
-        // One span per object (two per miss), in object order, each
-        // fetch the child of its miss.
+        // One span per object, in object order; a miss carries its
+        // fetch latency.
         let spans: Vec<Span> = ring
             .events()
             .into_iter()
@@ -1029,26 +1059,25 @@ mod tests {
                 (SpanKind::RetrieveHit, 2),
                 (SpanKind::RetrieveHit, 3),
                 (SpanKind::RetrieveMiss, 4),
-                (SpanKind::BackendFetch, 4),
                 (SpanKind::RetrieveMiss, 5),
-                (SpanKind::BackendFetch, 5),
             ]
         );
-        assert_eq!(spans[4].parent, Some(spans[3].span));
-        assert_eq!((spans[4].lag_us, spans[3].lag_us), (500, 9));
+        assert_eq!((spans[3].lag_us, spans[3].detail), (9, 500));
+        assert_eq!((spans[4].lag_us, spans[4].detail), (1, 600));
+        assert_eq!(spans[0].detail, 0);
         assert_eq!(
             spans[0].parent,
             Some(SpanId::derive(spans[0].trace, SpanKind::CacheInsert, 3))
         );
-        assert_eq!(recorder.len(), 7);
+        assert_eq!(recorder.len(), 5);
     }
 
     #[test]
     fn disabled_tracer_emits_nothing() {
         let tracer = Tracer::disabled();
         assert!(!tracer.enabled());
-        tracer.on_result_produced(1, 1, 1, 1);
-        tracer.on_cache_insert(1, 1, 1, 1, 1);
+        tracer.on_result_produced(1, 1, 1, 1, 1);
+        tracer.on_cache_insert(1, 1, 1, 1, 1, 1);
         tracer.on_retrieve_hits(1, 1, 1, [(1, 1, u64::MAX)]);
         tracer.on_retrieve_misses(1, 1, 1, [(1, 1, u64::MAX, 1)]);
         assert!(tracer.recorder().is_empty());
@@ -1061,19 +1090,8 @@ mod tests {
         let trace = TraceId::for_object(1);
         for t in 0..5u64 {
             recorder.record(&Span {
-                trace,
-                span: SpanId::derive(trace, SpanKind::ResultProduced, t),
-                parent: None,
-                kind: SpanKind::ResultProduced,
                 t_us: t,
-                cache: 1,
-                object: 1,
-                subscriber: 0,
-                bytes: 1,
-                lag_us: 0,
-                policy: "",
-                drop_kind: "",
-                score: 0.0,
+                ..Span::new(trace, SpanKind::ResultProduced, 1, 1, 0)
             });
         }
         let spans = recorder.recent();
@@ -1095,19 +1113,13 @@ mod tests {
         recorder.set_dump_path(&dir);
         let trace = TraceId::for_object(3);
         recorder.record(&Span {
-            trace,
-            span: SpanId::derive(trace, SpanKind::Expire, 2),
-            parent: None,
-            kind: SpanKind::Expire,
             t_us: 9,
-            cache: 2,
-            object: 3,
-            subscriber: 0,
             bytes: 64,
             lag_us: 1000,
+            detail: 30_000,
             policy: "ttl",
             drop_kind: "expire",
-            score: 0.0,
+            ..Span::new(trace, SpanKind::Expire, 2, 3, 0)
         });
         recorder.note_anomaly("budget_overrun", 10);
         assert_eq!(recorder.anomalies(), 2);
@@ -1116,7 +1128,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains(r#""kind":"anomaly","reason":"budget_overrun"#));
         assert!(lines[1].contains(r#""kind":"expire""#));
-        assert!(lines[1].contains(r#""drop_kind":"expire","policy":"ttl""#));
+        assert!(lines[1].contains(r#""ttl_us":30000,"drop_kind":"expire","policy":"ttl""#));
         let _ = std::fs::remove_file(&dir);
     }
 
@@ -1148,19 +1160,8 @@ mod tests {
                         for i in 0..per_thread {
                             let trace = TraceId::for_object(t * per_thread + i);
                             recorder.record(&Span {
-                                trace,
-                                span: SpanId::derive(trace, SpanKind::CacheInsert, i),
-                                parent: None,
-                                kind: SpanKind::CacheInsert,
                                 t_us: i,
-                                cache: t,
-                                object: i,
-                                subscriber: 0,
-                                bytes: 1,
-                                lag_us: 0,
-                                policy: "",
-                                drop_kind: "",
-                                score: 0.0,
+                                ..Span::new(trace, SpanKind::CacheInsert, t, i, 0)
                             });
                         }
                     })
@@ -1220,24 +1221,64 @@ mod tests {
     fn span_json_is_stable() {
         let trace = TraceId::for_object(11);
         let span = Span {
-            trace,
-            span: SpanId::derive(trace, SpanKind::RetrieveHit, 42),
-            parent: Some(SpanId::derive(trace, SpanKind::CacheInsert, 2)),
-            kind: SpanKind::RetrieveHit,
             t_us: 1_000,
-            cache: 2,
-            object: 11,
-            subscriber: 42,
             bytes: 256,
             lag_us: 77,
-            policy: "",
-            drop_kind: "",
-            score: 0.0,
+            ..Span::new(trace, SpanKind::RetrieveHit, 2, 11, 42)
         };
         let json = span.to_json();
         assert!(json.starts_with(r#"{"kind":"retrieve_hit","t_us":1000,"trace":"#));
         assert!(json.contains(r#""subscriber":42"#));
         assert!(json.contains(r#""lag_us":77"#));
         assert!(!json.contains("drop_kind"));
+    }
+
+    /// The exact JSON of a `kind` span on object 11 whose detail is
+    /// `detail`, with no parent (drop fields only on an expiry).
+    fn detail_json(kind: SpanKind, detail: u64) -> String {
+        let expire = kind == SpanKind::Expire;
+        Span {
+            parent: None,
+            t_us: 1_000,
+            bytes: 256,
+            lag_us: 77,
+            detail,
+            policy: if expire { "ttl" } else { "" },
+            drop_kind: if expire { "expire" } else { "" },
+            ..Span::new(TraceId::for_object(11), kind, 2, 11, 0)
+        }
+        .to_json()
+    }
+
+    #[test]
+    fn cache_insert_json_names_its_detail_total_bytes() {
+        assert_eq!(
+            detail_json(SpanKind::CacheInsert, 4_096),
+            r#"{"kind":"cache_insert","t_us":1000,"trace":15575214822844273363,"span":10212145161074951364,"cache":2,"object":11,"bytes":256,"lag_us":77,"total_bytes":4096}"#
+        );
+    }
+
+    #[test]
+    fn expire_json_names_its_detail_ttl_us() {
+        assert_eq!(
+            detail_json(SpanKind::Expire, 30_000_000),
+            r#"{"kind":"expire","t_us":1000,"trace":15575214822844273363,"span":5789813082746134069,"cache":2,"object":11,"bytes":256,"lag_us":77,"ttl_us":30000000,"drop_kind":"expire","policy":"ttl","score":0}"#
+        );
+    }
+
+    #[test]
+    fn result_produced_json_names_its_detail_channel() {
+        assert_eq!(
+            detail_json(SpanKind::ResultProduced, 5),
+            r#"{"kind":"result_produced","t_us":1000,"trace":15575214822844273363,"span":8885108097813721509,"cache":2,"object":11,"bytes":256,"lag_us":77,"channel":5}"#
+        );
+    }
+
+    #[test]
+    fn retrieve_miss_json_names_its_detail_fetch_us() {
+        assert_eq!(
+            detail_json(SpanKind::RetrieveMiss, 1_250),
+            r#"{"kind":"retrieve_miss","t_us":1000,"trace":15575214822844273363,"span":2328304605329950337,"cache":2,"object":11,"bytes":256,"lag_us":77,"fetch_us":1250}"#
+        );
     }
 }

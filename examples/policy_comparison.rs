@@ -3,16 +3,17 @@
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 //!
-//! The LSC and TTL runs are traced: their structured event streams
-//! (inserts, hits, evictions with victim scores, TTL retunes, epoch
-//! samples, ...) are written as JSON Lines to `BAD_TRACE` (default
+//! The LSC and TTL runs are traced: their record streams (lifecycle
+//! spans — inserts, hits, drops with the evicting policy's victim
+//! score or the TTL in force — plus retrieval summaries, TTL retunes
+//! and epoch samples) are written as JSON Lines to `BAD_TRACE` (default
 //! `target/experiments/policy_comparison.trace.jsonl`).
 
 use std::sync::Arc;
 
 use big_active_data::cache::PolicyName;
 use big_active_data::prelude::*;
-use big_active_data::telemetry::{Profiler, Tracer};
+use big_active_data::telemetry::{FlightRecorder, Profiler, TraceConfig, Tracer};
 use big_active_data::types::BadError;
 
 fn main() -> Result<(), BadError> {
@@ -43,17 +44,18 @@ fn main() -> Result<(), BadError> {
     }
     let jsonl = Arc::new(JsonlSink::create(&trace_path).expect("create trace file"));
     let registry = Registry::new();
+    let tracer = Tracer::new(
+        &registry,
+        jsonl.clone(),
+        Arc::new(FlightRecorder::new(1, 64)),
+        TraceConfig::default(),
+    );
 
     let mut results = Vec::new();
     for policy in PolicyName::ALL {
         let mut sim = Simulation::new(policy, config.clone(), 42)?;
         if matches!(policy, PolicyName::Lsc | PolicyName::Ttl) {
-            sim.attach_telemetry(
-                &registry,
-                jsonl.clone(),
-                Tracer::disabled(),
-                Profiler::disabled(),
-            );
+            sim.attach_telemetry(&registry, Arc::clone(&tracer), Profiler::disabled());
         }
         let report = sim.run();
         println!(
@@ -98,26 +100,27 @@ fn main() -> Result<(), BadError> {
     // Summarize the captured trace.
     jsonl.flush().expect("flush trace");
     let trace = std::fs::read_to_string(&trace_path).expect("read trace back");
-    let count_kind = |kind: &str| {
-        let needle = format!("\"kind\":\"{kind}\"");
+    let count = |field: &str, value: &str| {
+        let needle = format!("\"{field}\":\"{value}\"");
         trace.lines().filter(|line| line.contains(&needle)).count()
     };
+    let count_kind = |kind: &str| count("kind", kind);
     println!(
         "\ntrace: {} events -> {}",
         trace.lines().count(),
         trace_path
     );
     println!(
-        "  cache.evict (victim score φ/s):  {}",
-        count_kind("cache.evict")
+        "  evict drops (victim score φ/s):  {}",
+        count("drop_kind", "evict")
     );
     println!(
         "  cache.ttl_retune (λ, η, ρ, T):   {}",
         count_kind("cache.ttl_retune")
     );
     println!(
-        "  cache.expire (TTL expiries):     {}",
-        count_kind("cache.expire")
+        "  expire drops (TTL in force):     {}",
+        count("drop_kind", "expire")
     );
     println!(
         "  sim.epoch_sample (Fig. 5a data): {}",
