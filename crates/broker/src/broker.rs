@@ -141,6 +141,26 @@ pub struct Delivery {
 }
 
 impl Delivery {
+    /// What `frontend` got: `plan`'s hits, `misses` (objects, bytes)
+    /// from the cluster, at `latency`, acknowledged up to `up_to`.
+    fn of(
+        frontend: FrontendSubId,
+        plan: &GetPlan,
+        (miss_objects, miss_bytes): (u64, ByteSize),
+        latency: SimDuration,
+        up_to: Timestamp,
+    ) -> Self {
+        Self {
+            frontend,
+            hit_objects: plan.cached.len() as u64,
+            hit_bytes: plan.cached_bytes,
+            miss_objects,
+            miss_bytes,
+            latency,
+            up_to,
+        }
+    }
+
     /// Total objects delivered.
     pub fn total_objects(&self) -> u64 {
         self.hit_objects + self.miss_objects
@@ -168,6 +188,17 @@ pub struct DeliveryMetrics {
 }
 
 impl DeliveryMetrics {
+    /// Counts one served retrieval.
+    fn record(&mut self, delivery: &Delivery) {
+        self.deliveries += 1;
+        if delivery.total_objects() > 0 {
+            self.non_empty_deliveries += 1;
+            self.total_latency += delivery.latency;
+        }
+        self.delivered_objects += delivery.total_objects();
+        self.delivered_bytes += delivery.total_bytes();
+    }
+
     /// Mean subscriber latency over non-empty deliveries.
     pub fn mean_latency(&self) -> Option<SimDuration> {
         if self.non_empty_deliveries == 0 {
@@ -196,6 +227,12 @@ pub struct CoalesceStats {
 /// the broker itself holds no clock and spawns no threads, which is what
 /// lets the simulator and the prototype share it. See the [crate-level
 /// example](crate).
+///
+/// Every retrieval, of one subscription ([`Broker::get_results`]) or of
+/// all of a subscriber's ([`Broker::get_all_pending`]), is the cache's
+/// fused GET + ACK per subscription, booked by the same hit-span,
+/// miss and delivery code; the two differ only in how many shard
+/// acquisitions and cluster round trips they take.
 #[derive(Debug)]
 pub struct Broker {
     subs: SubscriptionTable,
@@ -205,7 +242,8 @@ pub struct Broker {
     telemetry: BrokerTelemetry,
     /// Continuous hot-path profiler ([`Profiler::disabled`] unless
     /// attached). The broker owns the `get_all_pending` envelope and
-    /// threads its stage timer through the sharded cache's batch paths.
+    /// threads its stage timer through the sharded cache's one batch
+    /// call, `get_and_ack_batch_staged`.
     profiler: Profiler,
 }
 
@@ -448,67 +486,38 @@ impl Broker {
         // Ownership is checked and `fts` advanced in one lookup per
         // table: nothing below can fail, so delivery and ack are one
         // step here as they are in the cache.
-        let PendingRange {
-            backend: backend_id,
-            last_delivered,
-            last_seen,
-            ..
-        } = self.subs.take_pending(subscriber, fs)?;
+        let pending = self.subs.take_pending(subscriber, fs)?;
+        let (bs, up_to) = (pending.backend, pending.last_seen);
 
         // GET + ACK under one acquisition of the cache's shard: the
         // plan, and `subscriber`'s consumption up to the range's end.
         // The miss fetch below reads no cache state, so acking first
         // changes no outcome.
-        let range = TimeRange::closed(last_delivered + SimDuration::from_micros(1), last_seen);
         let (plan, _) = self
             .cache
-            .get_and_ack(backend_id, subscriber, range, last_seen, now);
-
-        // One hit span per cached object: the end-to-end lag a
-        // subscriber observes is produce→deliver. (The cache fed the
-        // same lags to the sketches while it held the shard.)
-        self.telemetry.tracer().on_retrieve_hits(
-            now.as_micros(),
-            backend_id.as_u64(),
-            subscriber.as_u64(),
-            served_objects(&plan, now),
-        );
+            .get_and_ack(bs, subscriber, owed(&pending), up_to, now);
+        let tracer = self.telemetry.tracer();
+        trace_hits(tracer, bs, subscriber, &plan, now);
 
         // Each miss range goes to the cluster, and is not re-cached.
-        let mut miss_objects = 0u64;
-        let mut miss_bytes = ByteSize::ZERO;
+        let mut misses = (0u64, ByteSize::ZERO);
         for &missed_range in &plan.missed {
-            let objects = cluster.cluster_fetch(backend_id, missed_range);
-            miss_objects += objects.len() as u64;
-            miss_bytes += record_misses(
+            let objects = cluster.cluster_fetch(bs, missed_range);
+            misses.0 += objects.len() as u64;
+            misses.1 += record_misses(
                 &self.cache,
-                self.telemetry.tracer(),
+                tracer,
                 &self.net,
-                backend_id,
+                bs,
                 subscriber,
                 &objects,
                 now,
             );
         }
 
-        let latency = self.net.delivery_latency(plan.cached_bytes, miss_bytes);
-        let delivery = Delivery {
-            frontend: fs,
-            hit_objects: plan.cached.len() as u64,
-            hit_bytes: plan.cached_bytes,
-            miss_objects,
-            miss_bytes,
-            latency,
-            up_to: last_seen,
-        };
-
-        self.delivery.deliveries += 1;
-        if delivery.total_objects() > 0 {
-            self.delivery.non_empty_deliveries += 1;
-            self.delivery.total_latency += latency;
-        }
-        self.delivery.delivered_objects += delivery.total_objects();
-        self.delivery.delivered_bytes += delivery.total_bytes();
+        let latency = self.net.delivery_latency(plan.cached_bytes, misses.1);
+        let delivery = Delivery::of(fs, &plan, misses, latency, up_to);
+        self.delivery.record(&delivery);
         self.telemetry.on_retrieval(now, subscriber, &delivery);
         Ok(delivery)
     }
@@ -516,11 +525,12 @@ impl Broker {
     /// Retrieves all pending results across a subscriber's subscriptions
     /// (what a client does when it comes back online).
     ///
-    /// Unlike looping over [`Broker::get_results`], this is the batched
-    /// hot path: one [`ShardedCacheManager::plan_get_batch`] locking
-    /// each cache shard once, and every missed range shipped in a single
-    /// [`ClusterHandle::cluster_fetch_batch`] round trip whose RTT is
-    /// amortized over the whole batch.
+    /// Each subscription is served as by [`Broker::get_results`], with
+    /// two differences that make this the batched hot path: one
+    /// [`ShardedCacheManager::get_and_ack_batch_staged`] locks each
+    /// cache shard once for the whole subscriber, and every missed
+    /// range ships in a single [`ClusterHandle::cluster_fetch_batch`]
+    /// round trip whose RTT is shared by the whole batch.
     ///
     /// # Errors
     ///
@@ -542,64 +552,44 @@ impl Broker {
             profiler,
         } = self;
         // Envelope for the whole batched retrieval; leaves recorded by
-        // the cache tier (route/lock-wait/lookup) and the cluster round
-        // trip below fold under `get_all_pending` in the call tree.
+        // the cache tier (route/lock-wait/lookup/ack) and the cluster
+        // round trip below fold under `get_all_pending` in the call tree.
         let mut timer = profiler.op();
         let trace_id = match timer {
             Some(_) => TraceId::for_object(subscriber.as_u64()).as_u64(),
             None => 0,
         };
 
-        // Gather every pending subscription's context in one pass over
-        // the subscriber's frontends (Copy fields only).
-        let pending: Vec<(FrontendSubId, BackendSubId, TimeRange, Timestamp)> = subs
+        // Every pending subscription's frontend and `(cache, range,
+        // ack marker)`, in one pass over the subscriber's frontends.
+        let (frontends, requests): (Vec<FrontendSubId>, Vec<_>) = subs
             .pending_of(subscriber)
-            .map(|p| {
-                let range =
-                    TimeRange::closed(p.last_delivered + SimDuration::from_micros(1), p.last_seen);
-                (p.frontend, p.backend, range, p.last_seen)
-            })
-            .collect();
-        if pending.is_empty() {
+            .map(|p| (p.frontend, (p.backend, owed(&p), p.last_seen)))
+            .unzip();
+        if requests.is_empty() {
             profiler.finish(timer, StagePath::GetTotal, trace_id);
             return Ok(Vec::new());
         }
 
-        // One batched plan: each cache shard is locked once for the
-        // whole subscriber, not once per subscription.
-        let requests: Vec<(BackendSubId, TimeRange)> = pending
-            .iter()
-            .map(|&(_, bs, range, _)| (bs, range))
-            .collect();
         // The gather loop above is envelope self-time; start the stage
         // clock at the cache boundary so route/lock-wait stay honest.
         profiler.stage_skip(&mut timer);
-        let plans = cache.plan_get_batch_staged(&requests, now, profiler, &mut timer);
+        let served =
+            cache.get_and_ack_batch_staged(subscriber, &requests, now, profiler, &mut timer);
 
+        // Hit spans, and the missed ranges flattened across the batch
+        // with the subscription each one belongs to.
         let tracer = telemetry.tracer();
-        for (&(_, backend_id, _, _), plan) in pending.iter().zip(&plans) {
-            tracer.on_retrieve_hits(
-                now.as_micros(),
-                backend_id.as_u64(),
-                subscriber.as_u64(),
-                served_objects(plan, now),
-            );
-        }
-
-        // Flatten the missed ranges across the batch, remembering which
-        // subscription each one belongs to.
         let mut miss_requests: Vec<(BackendSubId, TimeRange)> = Vec::new();
         let mut owner_of: Vec<usize> = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            for missed in &plan.missed {
-                miss_requests.push((pending[i].1, *missed));
-                owner_of.push(i);
-            }
+        for (i, (&(bs, _, _), (plan, _))) in requests.iter().zip(&served).enumerate() {
+            trace_hits(tracer, bs, subscriber, plan, now);
+            miss_requests.extend(plan.missed.iter().map(|&missed| (bs, missed)));
+            owner_of.resize(miss_requests.len(), i);
         }
 
         // Every missed range rides one batched cluster round trip.
-        let mut miss_objects = vec![0u64; pending.len()];
-        let mut miss_bytes = vec![ByteSize::ZERO; pending.len()];
+        let mut misses = vec![(0u64, ByteSize::ZERO); requests.len()];
         let mut fetched_bytes = ByteSize::ZERO;
         if !miss_requests.is_empty() {
             // Don't bill the tracer spans above to the cluster leg.
@@ -608,8 +598,8 @@ impl Broker {
             profiler.stage(&mut timer, StagePath::GetClusterRtt, trace_id);
             for ((&(bs, _), &i), objects) in miss_requests.iter().zip(&owner_of).zip(&results) {
                 let bytes = record_misses(cache, tracer, net, bs, subscriber, objects, now);
-                miss_objects[i] += objects.len() as u64;
-                miss_bytes[i] += bytes;
+                misses[i].0 += objects.len() as u64;
+                misses[i].1 += bytes;
                 fetched_bytes += bytes;
             }
         }
@@ -618,48 +608,26 @@ impl Broker {
         // every missed byte.
         let batch_leg = net.cluster_fetch_batch_latency(miss_requests.len() as u64, fetched_bytes);
 
-        let mut out = Vec::with_capacity(pending.len());
-        for (i, &(fs, _, _, last_seen)) in pending.iter().enumerate() {
-            let plan = &plans[i];
-            let latency = if miss_bytes[i].is_zero() {
+        let mut out = Vec::with_capacity(requests.len());
+        let batch = frontends
+            .into_iter()
+            .zip(&requests)
+            .zip(&served)
+            .zip(misses);
+        for (((fs, &(_, _, up_to)), (plan, _)), misses) in batch {
+            let latency = if misses.1.is_zero() {
                 net.delivery_latency(plan.cached_bytes, ByteSize::ZERO)
             } else {
                 // Processing + own subscriber leg + the shared batch
                 // cluster leg (instead of a private cluster RTT each).
-                net.processing
-                    + net.subscriber_latency(plan.cached_bytes + miss_bytes[i])
-                    + batch_leg
+                net.processing + net.subscriber_latency(plan.cached_bytes + misses.1) + batch_leg
             };
-            let delivery = Delivery {
-                frontend: fs,
-                hit_objects: plan.cached.len() as u64,
-                hit_bytes: plan.cached_bytes,
-                miss_objects: miss_objects[i],
-                miss_bytes: miss_bytes[i],
-                latency,
-                up_to: last_seen,
-            };
-            subs.advance_frontend_marker(fs, last_seen)?;
-            books.deliveries += 1;
-            if delivery.total_objects() > 0 {
-                books.non_empty_deliveries += 1;
-                books.total_latency += latency;
-            }
-            books.delivered_objects += delivery.total_objects();
-            books.delivered_bytes += delivery.total_bytes();
+            let delivery = Delivery::of(fs, plan, misses, latency, up_to);
+            subs.advance_frontend_marker(fs, up_to)?;
+            books.record(&delivery);
             telemetry.on_retrieval(now, subscriber, &delivery);
             out.push(delivery);
         }
-
-        // Batched ACK: again one lock acquisition per cache shard.
-        let acks: Vec<(BackendSubId, SubscriberId, Timestamp)> = pending
-            .iter()
-            .map(|&(_, bs, _, last_seen)| (bs, subscriber, last_seen))
-            .collect();
-        // Delivery accounting above is envelope self-time, not ack
-        // lock-wait: reset the stage clock before the staged acks.
-        profiler.stage_skip(&mut timer);
-        let _ = cache.ack_consume_batch_staged(&acks, now, profiler, &mut timer);
         profiler.finish(timer, StagePath::GetTotal, trace_id);
         Ok(out)
     }
@@ -673,12 +641,29 @@ impl Broker {
     }
 }
 
-/// `(object, bytes, lag_us)` of every object `plan` served from the
-/// cache — what the tracer's retrieve-hit spans carry.
-fn served_objects(plan: &GetPlan, now: Timestamp) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-    plan.cached
+/// The range `(fts, bts]` a pending subscription is owed.
+fn owed(pending: &PendingRange) -> TimeRange {
+    TimeRange::closed(
+        pending.last_delivered + SimDuration::from_micros(1),
+        pending.last_seen,
+    )
+}
+
+/// One hit span per object `plan` served from `bs`'s cache: the
+/// end-to-end lag a subscriber observes is produce→deliver. (The cache
+/// fed the same lags to the sketches while it held the shard.)
+fn trace_hits(
+    tracer: &Tracer,
+    bs: BackendSubId,
+    subscriber: SubscriberId,
+    plan: &GetPlan,
+    now: Timestamp,
+) {
+    let served = plan
+        .cached
         .iter()
-        .map(move |&(object, ts, size)| (object.as_u64(), size.as_u64(), now.since(ts).as_micros()))
+        .map(|&(object, ts, size)| (object.as_u64(), size.as_u64(), now.since(ts).as_micros()));
+    tracer.on_retrieve_hits(now.as_micros(), bs.as_u64(), subscriber.as_u64(), served);
 }
 
 /// Books one fetched miss range and returns its size: the

@@ -30,6 +30,19 @@
 //! span's `detail` and no `backend_fetch`, through the same ring
 //! geometry (checked first to reproduce its own recorder).
 //!
+//! Two digests were re-derived once more, on the commit before a
+//! batched retrieval became fused GETs under one lock per shard, from
+//! its own run of this tape. The render is its render with two lines
+//! lowered by 251, one per `get_all_pending` that had anything pending:
+//! `bad_profile_lock_acquisitions_total` and
+//! `bad_profile_lock_hold_ns_count` of `cache_shard0` (the batch no
+//! longer takes the shard a second time for its acks). The ordered
+//! spans are its stream with each batched retrieval's `fully_consumed`
+//! spans moved ahead of the rest of its call, as a single GET's already
+//! were; the same replay without the move reproduces its own digests,
+//! and the moved stream replayed through the recorder's geometry
+//! leaves the recorder digest as it was.
+//!
 //! The observers are wired through `Broker::attach_telemetry`, and once
 //! more through the hidden `attach_telemetry_profiled` and
 //! `DataCluster::set_event_sink` shims that older callers still use.
@@ -353,7 +366,7 @@ fn project(events: &[Event]) -> Vec<String> {
 
 /// `(metrics, hot, recorder)` digests, taken as the module docs say.
 const PARENT_DIGESTS: (u64, u64, u64) = (
-    0x863e_9804_ac9f_52e7,
+    0x158c_931c_fafe_0464,
     0x0a6c_c1ef_7e3b_37c2,
     0x493f_a2b5_02de_f5b2,
 );
@@ -379,7 +392,7 @@ const PARENT_KINDS: [(&str, usize, u64); 15] = [
 ];
 
 /// `(lines, digest)` of the earlier commit's span lines, in order.
-const PARENT_SPANS: (usize, u64) = (11_882, 0x9cd5_6e7e_5562_3c66);
+const PARENT_SPANS: (usize, u64) = (11_882, 0x922e_4aa5_471e_c352);
 
 /// Records the sink receives now: the earlier commit's 23 548 less the
 /// 11 467 twins, `broker.deliver`s and `backend_fetch`es.

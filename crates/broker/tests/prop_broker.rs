@@ -4,8 +4,10 @@
 //! * frontends with equal `(channel, params)` always share one backend,
 //! * the cluster's subscription count equals the broker's backend count,
 //! * cache manager caches exist exactly for live backends,
-//! * retrieval is exactly-once: the same object is never delivered twice
-//!   to the same frontend subscription.
+//! * retrieval is exactly-once: every frontend subscription is
+//!   delivered each result published on its kind since it was made,
+//!   once — whether it is retrieved alone (`get_results`) or with all
+//!   of its subscriber's others (`get_all_pending`).
 //!
 //! `CASES` generated interleavings, one seeded [`Rng`] per case; a
 //! failing case names its seed.
@@ -28,11 +30,13 @@ enum Op {
     Unsubscribe { nth: usize },
     Publish { kind: u8 },
     Retrieve { nth: usize },
+    RetrieveAll { sub: u64 },
 }
 
-/// One op, weighted Subscribe 3, Unsubscribe 1, Publish 3, Retrieve 3.
+/// One op, weighted Subscribe 3, Unsubscribe 1, Publish 3, Retrieve 3,
+/// RetrieveAll 2.
 fn op(rng: &mut Rng) -> Op {
-    match rng.below(10) {
+    match rng.below(12) {
         0..=2 => Op::Subscribe {
             sub: rng.below(6),
             kind: rng.below(4) as u8,
@@ -43,9 +47,10 @@ fn op(rng: &mut Rng) -> Op {
         4..=6 => Op::Publish {
             kind: rng.below(4) as u8,
         },
-        _ => Op::Retrieve {
+        7..=9 => Op::Retrieve {
             nth: rng.below(64) as usize,
         },
+        _ => Op::RetrieveAll { sub: rng.below(6) },
     }
 }
 
@@ -79,8 +84,11 @@ fn broker_invariants_under_random_interleavings() {
 
         // Live frontend subscriptions: (owner, fs).
         let mut live: Vec<(SubscriberId, FrontendSubId)> = Vec::new();
-        // Exactly-once tracking: per frontend, count of delivered objects.
+        // Exactly-once tracking, per frontend: objects delivered, and
+        // objects published on its kind since it was made.
         let mut delivered: HashMap<FrontendSubId, u64> = HashMap::new();
+        let mut owed: HashMap<FrontendSubId, u64> = HashMap::new();
+        let mut kind_of: HashMap<FrontendSubId, u8> = HashMap::new();
         let mut now = Timestamp::ZERO;
 
         for op in &ops {
@@ -96,6 +104,7 @@ fn broker_invariants_under_random_interleavings() {
                     // Subscribing is idempotent per (subscriber, params).
                     if !live.contains(&(subscriber, fs)) {
                         live.push((subscriber, fs));
+                        kind_of.insert(fs, kind);
                     }
                 }
                 Op::Unsubscribe { nth } => {
@@ -106,7 +115,9 @@ fn broker_invariants_under_random_interleavings() {
                     broker
                         .unsubscribe(&mut cluster, subscriber, fs, now)
                         .unwrap();
-                    delivered.remove(&fs);
+                    let (got, due) = (delivered.remove(&fs), owed.remove(&fs));
+                    assert!(got.unwrap_or(0) <= due.unwrap_or(0), "seed {seed}: {fs}");
+                    kind_of.remove(&fs);
                 }
                 Op::Publish { kind } => {
                     let record = DataValue::object([
@@ -115,6 +126,9 @@ fn broker_invariants_under_random_interleavings() {
                     ]);
                     for n in cluster.publish("Reports", now, record).unwrap() {
                         broker.on_notification(&mut cluster, n, now);
+                    }
+                    for (fs, _) in kind_of.iter().filter(|&(_, &k)| k == kind) {
+                        *owed.entry(*fs).or_insert(0) += 1;
                     }
                 }
                 Op::Retrieve { nth } => {
@@ -126,6 +140,17 @@ fn broker_invariants_under_random_interleavings() {
                         .get_results(&mut cluster, subscriber, fs, now)
                         .unwrap();
                     *delivered.entry(fs).or_insert(0) += delivery.total_objects();
+                }
+                Op::RetrieveAll { sub } => {
+                    let subscriber = SubscriberId::new(sub);
+                    for delivery in broker
+                        .get_all_pending(&mut cluster, subscriber, now)
+                        .unwrap()
+                    {
+                        assert!(live.contains(&(subscriber, delivery.frontend)));
+                        *delivered.entry(delivery.frontend).or_insert(0) +=
+                            delivery.total_objects();
+                    }
                 }
             }
 
@@ -165,9 +190,15 @@ fn broker_invariants_under_random_interleavings() {
 
         // Exactly-once: drain everything, then re-retrieving yields zero.
         for &(subscriber, fs) in &live {
-            let _ = broker
+            let last = broker
                 .get_results(&mut cluster, subscriber, fs, now)
                 .unwrap();
+            *delivered.entry(fs).or_insert(0) += last.total_objects();
+            assert_eq!(
+                delivered.get(&fs).copied().unwrap_or(0),
+                owed.get(&fs).copied().unwrap_or(0),
+                "seed {seed}: {fs} was not delivered what it is owed"
+            );
             let again = broker
                 .get_results(
                     &mut cluster,

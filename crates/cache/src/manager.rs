@@ -99,11 +99,13 @@ pub struct CacheManager {
     sketches: Option<Arc<SketchRecorder>>,
 }
 
-/// What a GET or an ACK writes besides the [`ResultCache`] itself,
-/// borrowed apart from the cache map: `plan_get`, `ack_consume` and the
-/// fused `get_and_ack` are these bodies in different combinations, over
-/// one lookup of the cache. The sketches are fed by the callers, once
-/// per retrieval (see [`CacheManager::sketch_served`]).
+/// What a GET, an ACK or a drop writes besides the [`ResultCache`]
+/// itself, borrowed apart from the cache map: `plan_get`, `ack_consume`
+/// and the fused `get_and_ack` are these bodies in different
+/// combinations, over one lookup of the cache, and every drop cause
+/// books its objects through [`Books::drop_object`]. The sketches are
+/// fed by the callers, once per retrieval (see
+/// [`CacheManager::sketch_served`]).
 struct Books<'a> {
     policy: &'a dyn EvictionPolicy,
     policy_name: PolicyName,
@@ -115,48 +117,9 @@ struct Books<'a> {
 }
 
 impl Books<'_> {
-    /// Algorithm 1 `GET` on one cache, hits entered in the metrics and
-    /// telemetry. No cache (unknown subscription) and the NC policy
-    /// miss the whole range.
-    fn plan(
-        &mut self,
-        cache: Option<&mut ResultCache>,
-        range: TimeRange,
-        now: Timestamp,
-    ) -> GetPlan {
-        let cache = match cache {
-            Some(cache) if self.policy.kind() != PolicyKind::NoCache => cache,
-            _ => return GetPlan::all_missed(range),
-        };
-        let plan = cache.plan_get(range, now);
-        self.record_hits(&plan);
-        plan
-    }
-
-    /// The `ACK` routine on one cache: `sub`'s consumption up to
-    /// `up_to` is applied and the objects it completed are dropped.
-    fn ack(
-        &mut self,
-        cache: Option<&mut ResultCache>,
-        bs: BackendSubId,
-        sub: SubscriberId,
-        up_to: Timestamp,
-        now: Timestamp,
-    ) -> Result<Vec<DroppedObject>> {
-        let cache = cache.ok_or_else(|| BadError::not_found("cache", bs.to_string()))?;
-        if !self.config.drop_on_full_consumption {
-            cache.mark_retrieved_up_to(sub, up_to);
-            return Ok(Vec::new());
-        }
-        let consumed = cache.consume_up_to(sub, up_to, now);
-        Ok(self.record_consumed(bs, consumed, now))
-    }
-
-    /// [`Books::plan`] then [`Books::ack`] as one
+    /// Algorithm 1 `GET` + `ACK` on one cache as one
     /// [`ResultCache::get_and_consume`]: hits are entered before the
-    /// drops, as from the two calls. No cache misses the whole range
-    /// and drops nothing; under NC the plan misses it all and the ack
-    /// still applies.
+    /// drops, as from `plan_get` then `ack_consume`.
     fn get_and_ack(
         &mut self,
         cache: Option<&mut ResultCache>,
@@ -166,13 +129,12 @@ impl Books<'_> {
         up_to: Timestamp,
         now: Timestamp,
     ) -> (GetPlan, Vec<DroppedObject>) {
-        let Some(cache) = cache else {
-            return (GetPlan::all_missed(range), Vec::new());
+        let cache = match cache {
+            Some(cache) if self.policy.kind() != PolicyKind::NoCache => cache,
+            // No cache, or NC, which stores nothing: the whole range
+            // misses, and there is nothing for the ack to pass or drop.
+            _ => return (GetPlan::all_missed(range), Vec::new()),
         };
-        if self.policy.kind() == PolicyKind::NoCache {
-            let dropped = self.ack(Some(cache), bs, sub, up_to, now);
-            return (GetPlan::all_missed(range), dropped.unwrap_or_default());
-        }
         let consume = self.config.drop_on_full_consumption;
         let (plan, consumed) = cache.get_and_consume(sub, range, up_to, now, consume);
         self.record_hits(&plan);
@@ -194,32 +156,46 @@ impl Books<'_> {
         consumed: Vec<CachedObject>,
         now: Timestamp,
     ) -> Vec<DroppedObject> {
-        let mut dropped = Vec::with_capacity(consumed.len());
-        for object in consumed {
-            *self.total_bytes -= object.size;
-            self.metrics.record_drop(
-                DropReason::Consumed,
-                object.age(now),
-                *self.total_bytes,
-                now,
-            );
-            self.telemetry.on_drop(
-                now,
-                bs,
-                DropReason::Consumed,
-                &object,
-                *self.total_bytes,
-                self.policy_name.as_str(),
-                0.0,
-                SimDuration::ZERO,
-            );
-            dropped.push(DroppedObject {
-                cache: bs,
-                reason: DropReason::Consumed,
-                object,
-            });
+        consumed
+            .into_iter()
+            .map(|object| {
+                let zero = SimDuration::ZERO;
+                self.drop_object(bs, DropReason::Consumed, object, 0.0, zero, now)
+            })
+            .collect()
+    }
+
+    /// Books one object leaving cache `bs`, whatever the cause: the
+    /// occupancy, the metrics and the telemetry. `score` is the
+    /// victim's φ/s (evictions only), `ttl` the TTL in force (expiries
+    /// only).
+    fn drop_object(
+        &mut self,
+        bs: BackendSubId,
+        reason: DropReason,
+        object: CachedObject,
+        score: f64,
+        ttl: SimDuration,
+        now: Timestamp,
+    ) -> DroppedObject {
+        *self.total_bytes -= object.size;
+        self.metrics
+            .record_drop(reason, object.age(now), *self.total_bytes, now);
+        self.telemetry.on_drop(
+            now,
+            bs,
+            reason,
+            &object,
+            *self.total_bytes,
+            self.policy_name.as_str(),
+            score,
+            ttl,
+        );
+        DroppedObject {
+            cache: bs,
+            reason,
+            object,
         }
-        dropped
     }
 
     /// Re-scores `cache` in the victim index after it changed.
@@ -397,36 +373,17 @@ impl CacheManager {
 
     /// Tears down a backend subscription's cache, dropping its objects.
     pub fn remove_cache(&mut self, bs: BackendSubId, now: Timestamp) -> Vec<DroppedObject> {
-        let Some(mut cache) = self.caches.remove(bs) else {
+        let (caches, mut books) = self.caches_and_books();
+        let Some(mut cache) = caches.remove(bs) else {
             return Vec::new();
         };
-        self.index.remove(bs);
-        let mut dropped = Vec::new();
-        while let Some(object) = cache.drop_tail() {
-            self.total_bytes -= object.size;
-            self.metrics.record_drop(
-                DropReason::Unsubscribed,
-                object.age(now),
-                self.total_bytes,
-                now,
-            );
-            self.telemetry.on_drop(
-                now,
-                bs,
-                DropReason::Unsubscribed,
-                &object,
-                self.total_bytes,
-                self.policy_name.as_str(),
-                0.0,
-                SimDuration::ZERO,
-            );
-            dropped.push(DroppedObject {
-                cache: bs,
-                reason: DropReason::Unsubscribed,
-                object,
-            });
-        }
-        dropped
+        books.index.remove(bs);
+        std::iter::from_fn(|| cache.drop_tail())
+            .map(|object| {
+                let zero = SimDuration::ZERO;
+                books.drop_object(bs, DropReason::Unsubscribed, object, 0.0, zero, now)
+            })
+            .collect()
     }
 
     /// Attaches a subscriber to a cache.
@@ -452,34 +409,17 @@ impl CacheManager {
         sub: SubscriberId,
         now: Timestamp,
     ) -> Result<Vec<DroppedObject>> {
-        let cache = self.cache_mut(bs)?;
-        let removed = cache.remove_subscriber(sub);
-        let mut dropped = Vec::new();
-        for object in removed {
-            self.total_bytes -= object.size;
-            self.metrics.record_drop(
-                DropReason::Unsubscribed,
-                object.age(now),
-                self.total_bytes,
-                now,
-            );
-            self.telemetry.on_drop(
-                now,
-                bs,
-                DropReason::Unsubscribed,
-                &object,
-                self.total_bytes,
-                self.policy_name.as_str(),
-                0.0,
-                SimDuration::ZERO,
-            );
-            dropped.push(DroppedObject {
-                cache: bs,
-                reason: DropReason::Unsubscribed,
-                object,
-            });
-        }
-        self.reindex(bs, now);
+        let (cache, mut books) = self.cache_and_books(bs);
+        let cache = cache.ok_or_else(|| no_cache(bs))?;
+        let dropped = cache
+            .remove_subscriber(sub)
+            .into_iter()
+            .map(|object| {
+                let zero = SimDuration::ZERO;
+                books.drop_object(bs, DropReason::Unsubscribed, object, 0.0, zero, now)
+            })
+            .collect();
+        books.reindex(cache, now);
         Ok(dropped)
     }
 
@@ -525,13 +465,16 @@ impl CacheManager {
             self.cache_mut(bs)?; // still validate the subscription
             return Ok(Vec::new());
         }
-        let cache = self.cache_mut(bs)?;
+        let (cache, mut books) = self.cache_and_books(bs);
+        let cache = cache.ok_or_else(|| no_cache(bs))?;
         cache.insert(desc, now);
-        self.total_bytes += desc.size;
-        self.metrics.record_insert(desc.size, self.total_bytes, now);
-        self.telemetry
-            .on_insert(now, bs, desc.id, desc.ts, desc.size, self.total_bytes);
-        self.reindex(bs, now);
+        *books.total_bytes += desc.size;
+        let total = *books.total_bytes;
+        books.metrics.record_insert(desc.size, total, now);
+        books
+            .telemetry
+            .on_insert(now, bs, desc.id, desc.ts, desc.size, total);
+        books.reindex(cache, now);
         profiler.stage(timer, StagePath::InsertApply, trace);
 
         let dropped = self.enforce_budget(now);
@@ -555,34 +498,20 @@ impl CacheManager {
             let Some(victim) = self.choose_victim(now) else {
                 break;
             };
-            let cache = self.caches.get_mut(victim).expect("victim exists");
+            let (cache, mut books) = self.cache_and_books(victim);
+            let cache = cache.expect("victim exists");
             // The victim cache's φ/s score, captured before the drop
             // mutates it — this is the quantity the policy minimised.
-            let score = self.policy.score(cache, now);
+            let score = books.policy.score(cache, now);
             let Some(object) = cache.drop_tail() else {
                 // Stale index entry for an empty cache; fix and retry.
-                self.index.remove(victim);
+                books.index.remove(victim);
                 continue;
             };
-            self.total_bytes -= object.size;
-            self.metrics
-                .record_drop(DropReason::Evicted, object.age(now), self.total_bytes, now);
-            self.telemetry.on_drop(
-                now,
-                victim,
-                DropReason::Evicted,
-                &object,
-                self.total_bytes,
-                self.policy_name.as_str(),
-                score,
-                SimDuration::ZERO,
-            );
-            self.reindex(victim, now);
-            dropped.push(DroppedObject {
-                cache: victim,
-                reason: DropReason::Evicted,
-                object,
-            });
+            let zero = SimDuration::ZERO;
+            let evicted = books.drop_object(victim, DropReason::Evicted, object, score, zero, now);
+            books.reindex(cache, now);
+            dropped.push(evicted);
         }
         dropped
     }
@@ -595,50 +524,44 @@ impl CacheManager {
     /// A missing cache (NC policy or unknown subscription) misses the
     /// whole range.
     pub fn plan_get(&mut self, bs: BackendSubId, range: TimeRange, now: Timestamp) -> GetPlan {
-        let plan = self.plan_unsketched(bs, range, now);
-        self.sketch_served(std::iter::once((bs, &plan)), None, now);
+        let (cache, mut books) = self.cache_and_books(bs);
+        let plan = match cache {
+            Some(cache) if books.policy.kind() != PolicyKind::NoCache => {
+                let plan = cache.plan_get(range, now);
+                books.record_hits(&plan);
+                books.reindex(cache, now);
+                plan
+            }
+            _ => GetPlan::all_missed(range),
+        };
+        self.sketch_served(bs, &plan, false, now);
         plan
     }
 
-    fn plan_unsketched(&mut self, bs: BackendSubId, range: TimeRange, now: Timestamp) -> GetPlan {
-        let (mut cache, mut books) = self.cache_and_books(bs);
-        let plan = books.plan(cache.as_deref_mut(), range, now);
-        if let Some(cache) = cache {
-            books.reindex(cache, now);
-        }
-        plan
-    }
-
-    /// Tells the sketches what retrievals served, under one recorder
-    /// lock: every plan's hit, the ack of `acked` (a fused retrieval's
-    /// cache), then each served object's produce→deliver lag. A
-    /// sampled recorder ticks in that order — hits, ack, lags.
-    fn sketch_served<'p>(
-        &self,
-        served: impl Iterator<Item = (BackendSubId, &'p GetPlan)> + Clone,
-        acked: Option<BackendSubId>,
-        now: Timestamp,
-    ) {
+    /// Tells the sketches what one retrieval served, under one recorder
+    /// lock: the plan's hit, the ack (when the retrieval acked `bs`),
+    /// then each served object's produce→deliver lag. A sampled
+    /// recorder ticks in that order — hit, ack, lags.
+    fn sketch_served(&self, bs: BackendSubId, plan: &GetPlan, acked: bool, now: Timestamp) {
         let Some(sketches) = &self.sketches else {
             return;
         };
         let mut batch = sketches.batch();
-        for (bs, plan) in served.clone() {
-            let objects = plan.cached.len() as u64;
-            batch.hit(bs.as_u64(), objects, plan.cached_bytes.as_u64());
-        }
+        batch.hit(
+            bs.as_u64(),
+            plan.cached.len() as u64,
+            plan.cached_bytes.as_u64(),
+        );
         // Activity signal only (distinct-active estimator) — acks mark
         // a subscription live even when it never hits or misses.
-        if let Some(bs) = acked {
+        if acked {
             batch.ack(bs.as_u64());
         }
-        for (bs, plan) in served {
-            let lags_us = plan
-                .cached
-                .iter()
-                .map(|&(_, ts, _)| now.since(ts).as_micros());
-            batch.delivery_lags(bs.as_u64(), lags_us);
-        }
+        let lags_us = plan
+            .cached
+            .iter()
+            .map(|&(_, ts, _)| now.since(ts).as_micros());
+        batch.delivery_lags(bs.as_u64(), lags_us);
     }
 
     /// Marks everything up to `up_to` as retrieved by `sub` (the `ACK`
@@ -659,21 +582,16 @@ impl CacheManager {
         if let Some(sketches) = &self.sketches {
             sketches.record_ack(bs.as_u64());
         }
-        self.ack_unsketched(bs, sub, up_to, now)
-    }
-
-    fn ack_unsketched(
-        &mut self,
-        bs: BackendSubId,
-        sub: SubscriberId,
-        up_to: Timestamp,
-        now: Timestamp,
-    ) -> Result<Vec<DroppedObject>> {
-        let (mut cache, mut books) = self.cache_and_books(bs);
-        let dropped = books.ack(cache.as_deref_mut(), bs, sub, up_to, now)?;
-        if let Some(cache) = cache {
-            books.reindex(cache, now);
-        }
+        let (cache, mut books) = self.cache_and_books(bs);
+        let cache = cache.ok_or_else(|| no_cache(bs))?;
+        let dropped = if books.config.drop_on_full_consumption {
+            let consumed = cache.consume_up_to(sub, up_to, now);
+            books.record_consumed(bs, consumed, now)
+        } else {
+            cache.mark_retrieved_up_to(sub, up_to);
+            Vec::new()
+        };
+        books.reindex(cache, now);
         Ok(dropped)
     }
 
@@ -698,7 +616,8 @@ impl CacheManager {
     /// [`CacheManager::get_and_ack`] with a stage boundary on the
     /// caller's [`OpTimer`] after the fused plan and ack: that is the
     /// lookup. The re-scoring and the sketches are the tail, which the
-    /// caller books as [`StagePath::GetAck`] when it releases the shard.
+    /// caller books as [`StagePath::GetAck`] (at the next request of a
+    /// batch, or when it releases the shard).
     #[allow(clippy::too_many_arguments)] // the call's five plus the staged pair
     pub(crate) fn get_and_ack_staged(
         &mut self,
@@ -716,55 +635,8 @@ impl CacheManager {
         if let Some(cache) = cache {
             books.reindex(cache, now);
         }
-        self.sketch_served(std::iter::once((bs, &plan)), Some(bs), now);
+        self.sketch_served(bs, &plan, true, now);
         (plan, dropped)
-    }
-
-    /// Plans a batch of range retrievals in request order — the
-    /// monolithic counterpart of
-    /// [`crate::ShardedCacheManager::plan_get_batch`], so the `shards =
-    /// 1` oracle parity extends to the batched `GET` path. Each plan is
-    /// exactly what [`CacheManager::plan_get`] would have returned for
-    /// that request in sequence; the sketches see the whole batch under
-    /// one recorder lock.
-    pub fn plan_get_batch(
-        &mut self,
-        requests: &[(BackendSubId, TimeRange)],
-        now: Timestamp,
-    ) -> Vec<GetPlan> {
-        let plans: Vec<GetPlan> = requests
-            .iter()
-            .map(|&(bs, range)| self.plan_unsketched(bs, range, now))
-            .collect();
-        let served = requests.iter().map(|&(bs, _)| bs).zip(&plans);
-        self.sketch_served(served, None, now);
-        plans
-    }
-
-    /// Applies a batch of `ACK`s in request order, concatenating the
-    /// consumption drops. Unknown caches are skipped (a concurrent
-    /// unsubscribe may have removed them mid-batch) rather than failing
-    /// the whole batch.
-    pub fn ack_consume_batch(
-        &mut self,
-        requests: &[(BackendSubId, SubscriberId, Timestamp)],
-        now: Timestamp,
-    ) -> Vec<DroppedObject> {
-        // Like `ack_consume`, the whole batch is one profiler stage,
-        // attributed by the sharded caller at shard release.
-        if let Some(sketches) = &self.sketches {
-            let mut batch = sketches.batch();
-            for &(bs, _, _) in requests {
-                batch.ack(bs.as_u64());
-            }
-        }
-        let mut dropped = Vec::new();
-        for &(bs, sub, up_to) in requests {
-            if let Ok(batch) = self.ack_unsketched(bs, sub, up_to, now) {
-                dropped.extend(batch);
-            }
-        }
-        dropped
     }
 
     /// Periodic maintenance: recomputes TTLs on schedule (TTL and EXP
@@ -824,31 +696,11 @@ impl CacheManager {
             }
         }
         if self.policy.kind() == PolicyKind::TtlExpiry {
-            for (bs, cache) in self.caches.iter_mut() {
+            let (caches, mut books) = self.caches_and_books();
+            for (bs, cache) in caches.iter_mut() {
                 let ttl = cache.ttl();
                 for object in cache.expire_tail(now) {
-                    self.total_bytes -= object.size;
-                    self.metrics.record_drop(
-                        DropReason::Expired,
-                        object.age(now),
-                        self.total_bytes,
-                        now,
-                    );
-                    self.telemetry.on_drop(
-                        now,
-                        bs,
-                        DropReason::Expired,
-                        &object,
-                        self.total_bytes,
-                        self.policy_name.as_str(),
-                        0.0,
-                        ttl,
-                    );
-                    dropped.push(DroppedObject {
-                        cache: bs,
-                        reason: DropReason::Expired,
-                        object,
-                    });
+                    dropped.push(books.drop_object(bs, DropReason::Expired, object, 0.0, ttl, now));
                 }
             }
         }
@@ -901,17 +753,15 @@ impl CacheManager {
             .map(|(_, id)| id)
     }
 
-    fn reindex(&mut self, bs: BackendSubId, now: Timestamp) {
-        let (cache, mut books) = self.cache_and_books(bs);
-        match cache {
-            Some(cache) => books.reindex(cache, now),
-            None => books.index.remove(bs),
-        }
-    }
-
     /// Looks `bs`'s cache up once and borrows, apart from it, everything
     /// a GET or an ACK on it writes.
     fn cache_and_books(&mut self, bs: BackendSubId) -> (Option<&mut ResultCache>, Books<'_>) {
+        let (caches, books) = self.caches_and_books();
+        (caches.get_mut(bs).map(Box::as_mut), books)
+    }
+
+    /// The cache map and, borrowed apart from it, the books.
+    fn caches_and_books(&mut self) -> (&mut IdSlab<BackendSubId, Box<ResultCache>>, Books<'_>) {
         let books = Books {
             policy: self.policy.as_ref(),
             policy_name: self.policy_name,
@@ -921,15 +771,19 @@ impl CacheManager {
             metrics: &mut self.metrics,
             telemetry: &self.telemetry,
         };
-        (self.caches.get_mut(bs).map(Box::as_mut), books)
+        (&mut self.caches, books)
     }
 
     fn cache_mut(&mut self, bs: BackendSubId) -> Result<&mut ResultCache> {
         self.caches
             .get_mut(bs)
             .map(Box::as_mut)
-            .ok_or_else(|| BadError::not_found("cache", bs.to_string()))
+            .ok_or_else(|| no_cache(bs))
     }
+}
+
+fn no_cache(bs: BackendSubId) -> BadError {
+    BadError::not_found("cache", bs.to_string())
 }
 
 #[cfg(test)]

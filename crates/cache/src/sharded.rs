@@ -427,12 +427,108 @@ impl ShardedCacheManager {
             return self.shard(bs).get_and_ack(bs, sub, range, up_to, now);
         };
         let mut timer = p.profiler.op();
-        let idx = self.shard_index(bs);
-        let mut shard = self.lock_staged(idx, &mut timer, StagePath::GetLockWait, 0);
-        let out = shard.get_and_ack_staged(bs, sub, range, up_to, now, &p.profiler, &mut timer);
-        shard.unlock_staged(&mut timer, StagePath::GetAck);
+        let mut served = None;
+        let request = [(bs, range, up_to)];
+        self.get_and_ack_on(self.shard_index(bs), sub, request, now, &mut timer, |got| {
+            served = Some(got);
+        });
         p.profiler.finish_at_boundary(timer, StagePath::GetTotal, 0);
-        out
+        served.expect("one request, one retrieval")
+    }
+
+    /// `sub`'s retrievals over several caches, each a
+    /// [`ShardedCacheManager::get_and_ack`] of `(cache, range, up_to)`,
+    /// with each shard locked once however many of the caches it owns.
+    /// Results come back in request order. Within a shard the requests
+    /// run in request order, and caches on different shards are
+    /// independent, so each result is the one a sequence of single
+    /// calls would have returned.
+    pub fn get_and_ack_batch(
+        &self,
+        sub: SubscriberId,
+        requests: &[(BackendSubId, TimeRange, Timestamp)],
+        now: Timestamp,
+    ) -> Vec<(GetPlan, Vec<DroppedObject>)> {
+        let Some(p) = self.profile.get() else {
+            return self.get_and_ack_batch_staged(
+                sub,
+                requests,
+                now,
+                &Profiler::disabled(),
+                &mut None,
+            );
+        };
+        let mut timer = p.profiler.op();
+        let served = self.get_and_ack_batch_staged(sub, requests, now, &p.profiler, &mut timer);
+        p.profiler.finish(timer, StagePath::GetTotal, 0);
+        served
+    }
+
+    /// [`ShardedCacheManager::get_and_ack_batch`] recording its route,
+    /// lock-wait, lookup and ack stages on a caller-owned [`OpTimer`]:
+    /// the broker threads its `get_all_pending` timer through here, so
+    /// one envelope spans the broker and the cache.
+    pub fn get_and_ack_batch_staged(
+        &self,
+        sub: SubscriberId,
+        requests: &[(BackendSubId, TimeRange, Timestamp)],
+        now: Timestamp,
+        profiler: &Profiler,
+        timer: &mut Option<OpTimer>,
+    ) -> Vec<(GetPlan, Vec<DroppedObject>)> {
+        if self.shards.len() == 1 {
+            let mut served = Vec::with_capacity(requests.len());
+            let requests = requests.iter().copied();
+            self.get_and_ack_on(0, sub, requests, now, timer, |got| served.push(got));
+            return served;
+        }
+        // `(shard, request)` pairs sorted: each shard's requests in a
+        // run, in request order.
+        let mut routed: Vec<(usize, usize)> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, &(bs, _, _))| (self.shard_index(bs), i))
+            .collect();
+        routed.sort_unstable();
+        profiler.stage(timer, StagePath::GetRoute, 0);
+        let mut served: Vec<Option<_>> = (0..requests.len()).map(|_| None).collect();
+        for run in routed.chunk_by(|a, b| a.0 == b.0) {
+            let mut slots = run.iter().map(|&(_, i)| i);
+            let group = run.iter().map(|&(_, i)| requests[i]);
+            self.get_and_ack_on(run[0].0, sub, group, now, timer, |got| {
+                served[slots.next().expect("one slot per request")] = Some(got);
+            });
+        }
+        served
+            .into_iter()
+            .map(|got| got.expect("every request served"))
+            .collect()
+    }
+
+    /// Shard `idx` locked once, then per request the fused body of every
+    /// retrieval, [`CacheManager::get_and_ack`] (the GET, the ACK, the
+    /// re-scoring and the sketches), each result handed to `served` in
+    /// request order. Every request must route to `idx`.
+    fn get_and_ack_on(
+        &self,
+        idx: usize,
+        sub: SubscriberId,
+        requests: impl IntoIterator<Item = (BackendSubId, TimeRange, Timestamp)>,
+        now: Timestamp,
+        timer: &mut Option<OpTimer>,
+        mut served: impl FnMut((GetPlan, Vec<DroppedObject>)),
+    ) {
+        let disabled = Profiler::disabled();
+        let profiler = self.profile.get().map_or(&disabled, |p| &p.profiler);
+        let mut shard = self.lock_staged(idx, timer, StagePath::GetLockWait, 0);
+        for (i, (bs, range, up_to)) in requests.into_iter().enumerate() {
+            if i > 0 {
+                // The previous request's tail.
+                profiler.stage(timer, StagePath::GetAck, 0);
+            }
+            served(shard.get_and_ack_staged(bs, sub, range, up_to, now, profiler, timer));
+        }
+        shard.unlock_staged(timer, StagePath::GetAck);
     }
 
     /// Always empty: every operation returns its own drops before it
@@ -455,144 +551,6 @@ impl ShardedCacheManager {
             let mut shard = self.lock(idx);
             shard.set_budget(share);
             dropped.extend(shard.enforce_budget(now));
-        }
-        dropped
-    }
-
-    /// Plans a batch of range retrievals, locking each shard exactly
-    /// once no matter how many of the batch's caches it owns. Plans
-    /// come back in request order; within a shard the requests are
-    /// applied in request order, and caches on different shards are
-    /// independent, so each plan is identical to what a sequence of
-    /// [`ShardedCacheManager::plan_get`] calls would have produced
-    /// (and, with `shards = 1`, to [`CacheManager::plan_get_batch`]).
-    pub fn plan_get_batch(
-        &self,
-        requests: &[(BackendSubId, TimeRange)],
-        now: Timestamp,
-    ) -> Vec<GetPlan> {
-        let Some(p) = self.profile.get() else {
-            return self.plan_get_batch_staged(requests, now, &Profiler::disabled(), &mut None);
-        };
-        let mut timer = p.profiler.op();
-        let plans = self.plan_get_batch_staged(requests, now, &p.profiler, &mut timer);
-        p.profiler.finish(timer, StagePath::GetTotal, 0);
-        plans
-    }
-
-    /// [`ShardedCacheManager::plan_get_batch`] recording its
-    /// route / lock-wait / lookup stages on a caller-owned
-    /// [`OpTimer`] — the broker threads its `get_all_pending` timer
-    /// through here so one operation envelope spans broker and cache
-    /// layers. Plans are identical to the plain batch call.
-    pub fn plan_get_batch_staged(
-        &self,
-        requests: &[(BackendSubId, TimeRange)],
-        now: Timestamp,
-        profiler: &Profiler,
-        timer: &mut Option<OpTimer>,
-    ) -> Vec<GetPlan> {
-        if self.shards.len() == 1 {
-            return self.plan_shard_group(0, requests, now, timer);
-        }
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &(bs, _)) in requests.iter().enumerate() {
-            by_shard[self.shard_index(bs)].push(i);
-        }
-        profiler.stage(timer, StagePath::GetRoute, 0);
-        let mut plans: Vec<Option<GetPlan>> = (0..requests.len()).map(|_| None).collect();
-        for (idx, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let group: Vec<(BackendSubId, TimeRange)> =
-                indices.iter().map(|&i| requests[i]).collect();
-            let group_plans = self.plan_shard_group(idx, &group, now, timer);
-            for (&i, plan) in indices.iter().zip(group_plans) {
-                plans[i] = Some(plan);
-            }
-        }
-        plans.into_iter().map(|p| p.expect("planned")).collect()
-    }
-
-    /// Plans one shard's slice of a batch, in slice order, under one
-    /// lock acquisition: stage-timer cost per operation is bounded by
-    /// the shard count, not the batch size.
-    fn plan_shard_group(
-        &self,
-        idx: usize,
-        group: &[(BackendSubId, TimeRange)],
-        now: Timestamp,
-        timer: &mut Option<OpTimer>,
-    ) -> Vec<GetPlan> {
-        let mut shard = self.lock_staged(idx, timer, StagePath::GetLockWait, 0);
-        let plans = shard.plan_get_batch(group, now);
-        shard.unlock_staged(timer, StagePath::GetLookup);
-        plans
-    }
-
-    /// Applies a batch of `ACK`s, locking each shard exactly once.
-    /// Unknown caches are skipped (mirroring
-    /// [`CacheManager::ack_consume_batch`]); drops come back grouped by
-    /// shard, in request order within a shard.
-    pub fn ack_consume_batch(
-        &self,
-        requests: &[(BackendSubId, SubscriberId, Timestamp)],
-        now: Timestamp,
-    ) -> Vec<DroppedObject> {
-        let Some(p) = self.profile.get() else {
-            return self.ack_consume_batch_staged(requests, now, &Profiler::disabled(), &mut None);
-        };
-        let mut timer = p.profiler.op();
-        let out = self.ack_consume_batch_staged(requests, now, &p.profiler, &mut timer);
-        p.profiler.finish(timer, StagePath::GetTotal, 0);
-        out
-    }
-
-    /// [`ShardedCacheManager::ack_consume_batch`] recording lock-wait
-    /// and ack-consume stages on a caller-owned [`OpTimer`].
-    pub fn ack_consume_batch_staged(
-        &self,
-        requests: &[(BackendSubId, SubscriberId, Timestamp)],
-        now: Timestamp,
-        profiler: &Profiler,
-        timer: &mut Option<OpTimer>,
-    ) -> Vec<DroppedObject> {
-        if self.shards.len() == 1 {
-            let mut shard = self.lock_staged(0, timer, StagePath::GetLockWait, 0);
-            let dropped = shard.ack_consume_batch(requests, now);
-            shard.unlock_staged(timer, StagePath::GetAck);
-            return dropped;
-        }
-        if requests.len() <= 1 {
-            let mut dropped = Vec::new();
-            for &(bs, sub, up_to) in requests {
-                let idx = self.shard_index(bs);
-                let mut shard = self.lock_staged(idx, timer, StagePath::GetLockWait, 0);
-                let batch = shard.ack_consume(bs, sub, up_to, now);
-                shard.unlock_staged(timer, StagePath::GetAck);
-                if let Ok(batch) = batch {
-                    dropped.extend(batch);
-                }
-            }
-            return dropped;
-        }
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &(bs, _, _)) in requests.iter().enumerate() {
-            by_shard[self.shard_index(bs)].push(i);
-        }
-        profiler.stage(timer, StagePath::GetRoute, 0);
-        let mut dropped = Vec::new();
-        for (idx, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let group: Vec<(BackendSubId, SubscriberId, Timestamp)> =
-                indices.iter().map(|&i| requests[i]).collect();
-            let mut shard = self.lock_staged(idx, timer, StagePath::GetLockWait, 0);
-            let batch = shard.ack_consume_batch(&group, now);
-            shard.unlock_staged(timer, StagePath::GetAck);
-            dropped.extend(batch);
         }
         dropped
     }
@@ -936,9 +894,15 @@ mod tests {
         let profiler = Profiler::new(&registry, ProfileConfig::default());
         let mgr = sharded(PolicyName::Lsc, 400, 2);
         mgr.set_profiler(&profiler);
-        with_caches(&mgr, 8);
         let twin = sharded(PolicyName::Lsc, 400, 2);
-        with_caches(&twin, 8);
+        // One subscriber on every cache, retrieving them all at once.
+        let reader = SubscriberId::new(7);
+        for side in [&mgr, &twin] {
+            for c in 0..8u64 {
+                side.create_cache(BackendSubId::new(c), Timestamp::ZERO);
+                side.add_subscriber(BackendSubId::new(c), reader).unwrap();
+            }
+        }
 
         let mut id = 0u64;
         for sec in 1..=5u64 {
@@ -950,10 +914,16 @@ mod tests {
             }
         }
         let requests: Vec<_> = (0..8u64)
-            .map(|c| (BackendSubId::new(c), TimeRange::closed(t(0), t(5))))
+            .map(|c| (BackendSubId::new(c), TimeRange::closed(t(0), t(5)), t(5)))
             .collect();
-        let plans = mgr.plan_get_batch(&requests, t(6));
-        let twin_plans = twin.plan_get_batch(&requests, t(6));
+        let sites = profiler.lock_sites();
+        let before: Vec<u64> = sites.iter().map(LockSite::acquisitions).collect();
+        let served = mgr.get_and_ack_batch(reader, &requests, t(6));
+        let twin_served = twin.get_and_ack_batch(reader, &requests, t(6));
+        // Each shard was locked once for the whole batch.
+        for (site, before) in sites.iter().zip(before) {
+            assert_eq!(site.acquisitions() - before, 1, "{}", site.name());
+        }
         mgr.maintain(t(7));
         twin.maintain(t(7));
         profiler.flush_thread();
@@ -965,7 +935,9 @@ mod tests {
         let folded = profiler.render_folded();
         assert!(folded.contains("insert;apply "), "{folded}");
         assert!(!folded.contains("lock_wait"), "{folded}");
+        assert!(folded.contains("get_all_pending;route "), "{folded}");
         assert!(folded.contains("get_all_pending;lookup "), "{folded}");
+        assert!(folded.contains("get_all_pending;ack_consume "), "{folded}");
         assert!(folded.contains("maintain;ttl_expiry "), "{folded}");
         // …the per-shard lock sites are registered and counting…
         let text = registry.render();
@@ -978,8 +950,12 @@ mod tests {
             "{text}"
         );
         // …and profiling is metadata-only: an unprofiled twin fed the
-        // same tape lands in the same state with the same plans.
-        assert_eq!(plans, twin_plans);
+        // same tape lands in the same state with the same plans and
+        // drops.
+        assert_eq!(served, twin_served);
+        assert!(served
+            .iter()
+            .any(|(plan, dropped)| !plan.cached.is_empty() && !dropped.is_empty()));
         assert_eq!(mgr.total_bytes(), twin.total_bytes());
         assert_eq!(
             mgr.metrics().evicted_objects,

@@ -10,10 +10,17 @@
 //! ack, which is where `Broker::get_results` used to do it; the fused
 //! side can only report it afterwards. Agreement at every step is the
 //! evidence that the miss report reads no cache state the ack writes.
+//!
+//! A third side sends a subscriber's retrievals over several caches as
+//! one `ShardedCacheManager::get_and_ack_batch` — what
+//! `Broker::get_all_pending` does — at one shard and at four, against
+//! the split side issuing the same retrievals cache by cache.
 
 mod common;
 
-use bad_cache::{CacheConfig, CacheManager, GetPlan, PolicyName, ResultCache, ShardedCacheManager};
+use bad_cache::{
+    CacheConfig, CacheManager, DroppedObject, GetPlan, PolicyName, ResultCache, ShardedCacheManager,
+};
 use bad_telemetry::SketchConfig;
 use bad_types::{
     BackendSubId, ByteSize, ObjectId, SimDuration, SubscriberId, TimeRange, Timestamp,
@@ -45,6 +52,7 @@ fn config(budget: u64) -> CacheConfig {
 enum Retrieval {
     Fused,
     Split,
+    Batched,
 }
 
 /// What the public API shows of one cache, cheap enough for every step.
@@ -66,6 +74,13 @@ trait Inspect: Driver {
     fn visit_caches(&self, f: impl FnMut(&ResultCache));
     /// `None` where the manager does not expose its victim.
     fn victim(&self, now: Timestamp) -> Option<Option<BackendSubId>>;
+    /// `sub`'s retrievals of `(cache, range, up_to)`, in request order.
+    fn get_and_ack_batch(
+        &mut self,
+        sub: SubscriberId,
+        requests: &[(BackendSubId, TimeRange, Timestamp)],
+        now: Timestamp,
+    ) -> Vec<(GetPlan, Vec<DroppedObject>)>;
 }
 
 impl Inspect for CacheManager {
@@ -75,6 +90,18 @@ impl Inspect for CacheManager {
     fn victim(&self, now: Timestamp) -> Option<Option<BackendSubId>> {
         Some(self.choose_victim(now))
     }
+    /// The monolith has no batch call: its batch is its single calls.
+    fn get_and_ack_batch(
+        &mut self,
+        sub: SubscriberId,
+        requests: &[(BackendSubId, TimeRange, Timestamp)],
+        now: Timestamp,
+    ) -> Vec<(GetPlan, Vec<DroppedObject>)> {
+        requests
+            .iter()
+            .map(|&(bs, range, up_to)| self.get_and_ack(bs, sub, range, up_to, now))
+            .collect()
+    }
 }
 
 impl Inspect for ShardedCacheManager {
@@ -83,6 +110,14 @@ impl Inspect for ShardedCacheManager {
     }
     fn victim(&self, _now: Timestamp) -> Option<Option<BackendSubId>> {
         None
+    }
+    fn get_and_ack_batch(
+        &mut self,
+        sub: SubscriberId,
+        requests: &[(BackendSubId, TimeRange, Timestamp)],
+        now: Timestamp,
+    ) -> Vec<(GetPlan, Vec<DroppedObject>)> {
+        ShardedCacheManager::get_and_ack_batch(self, sub, requests, now)
     }
 }
 
@@ -115,39 +150,59 @@ struct Side<D> {
     tape: Tape,
 }
 
-impl<D: Driver> Side<D> {
+impl<D: Inspect> Side<D> {
     fn new(mut mgr: D, how: Retrieval) -> Self {
         let tape = Tape::start(&mut mgr, CACHES);
         Self { mgr, how, tape }
     }
 
-    /// One retrieval of `range` by `sub`, acknowledged up to `up_to`.
+    /// `sub`'s retrievals of `range` from each of `caches`, each
+    /// acknowledged up to `up_to`. Plans come back in `caches` order.
     fn retrieve(
         &mut self,
-        cache: u64,
+        caches: &[u64],
         sub: SubscriberId,
         range: TimeRange,
         up_to: Timestamp,
         now: Timestamp,
         log: &mut Replay,
-    ) -> GetPlan {
-        let bs = BackendSubId::new(cache);
+    ) -> Vec<GetPlan> {
+        let mut plans = Vec::new();
         match self.how {
             Retrieval::Fused => {
-                let (plan, dropped) = self.mgr.get_and_ack(bs, sub, range, up_to, now);
-                log.dropped.extend(dropped);
-                log.misses += self.tape.fetch_misses(&mut self.mgr, cache, &plan);
-                plan
+                for &cache in caches {
+                    let bs = BackendSubId::new(cache);
+                    let (plan, dropped) = self.mgr.get_and_ack(bs, sub, range, up_to, now);
+                    log.dropped.extend(dropped);
+                    log.misses += self.tape.fetch_misses(&mut self.mgr, cache, &plan);
+                    plans.push(plan);
+                }
             }
             Retrieval::Split => {
-                let plan = self.mgr.plan_get(bs, range, now);
-                log.misses += self.tape.fetch_misses(&mut self.mgr, cache, &plan);
-                if let Ok(dropped) = self.mgr.ack_consume(bs, sub, up_to, now) {
-                    log.dropped.extend(dropped);
+                for &cache in caches {
+                    let bs = BackendSubId::new(cache);
+                    let plan = self.mgr.plan_get(bs, range, now);
+                    log.misses += self.tape.fetch_misses(&mut self.mgr, cache, &plan);
+                    if let Ok(dropped) = self.mgr.ack_consume(bs, sub, up_to, now) {
+                        log.dropped.extend(dropped);
+                    }
+                    plans.push(plan);
                 }
-                plan
+            }
+            Retrieval::Batched => {
+                let requests: Vec<_> = caches
+                    .iter()
+                    .map(|&cache| (BackendSubId::new(cache), range, up_to))
+                    .collect();
+                let served = self.mgr.get_and_ack_batch(sub, &requests, now);
+                for (&cache, (plan, dropped)) in caches.iter().zip(served) {
+                    log.dropped.extend(dropped);
+                    log.misses += self.tape.fetch_misses(&mut self.mgr, cache, &plan);
+                    plans.push(plan);
+                }
             }
         }
+        plans
     }
 }
 
@@ -187,11 +242,13 @@ fn retrieval_of(
 }
 
 /// Drives `a` and `b` through the tape of `seed` in lockstep and holds
-/// them to agreement after every step. Returns the two managers and the
+/// them to agreement after every step. A `Get` retrieves from `fan`
+/// caches, its own and the next ones. Returns the two managers and the
 /// number of objects the retrievals' acks dropped.
 fn assert_lockstep<A: Inspect, B: Inspect>(
     label: &str,
     seed: u64,
+    fan: u64,
     mut a: Side<A>,
     mut b: Side<B>,
 ) -> (A, B, usize) {
@@ -210,9 +267,10 @@ fn assert_lockstep<A: Inspect, B: Inspect>(
         } = op
         {
             let (sub, range, up_to) = retrieval_of(cache, from_sec, len_sec, now, &mut fts);
-            let plan_a = a.retrieve(cache, sub, range, up_to, now, &mut log_a);
-            let plan_b = b.retrieve(cache, sub, range, up_to, now, &mut log_b);
-            assert_eq!(plan_a, plan_b, "{at}: plans");
+            let caches: Vec<u64> = (0..fan).map(|k| (cache + k) % CACHES).collect();
+            let plans_a = a.retrieve(&caches, sub, range, up_to, now, &mut log_a);
+            let plans_b = b.retrieve(&caches, sub, range, up_to, now, &mut log_b);
+            assert_eq!(plans_a, plans_b, "{at}: plans");
             retrievals += 1;
             ack_drops += log_a.dropped.len();
         } else {
@@ -248,6 +306,7 @@ fn fused_matches_plan_then_ack_under_every_policy() {
                 ack_drops += assert_lockstep(
                     &label,
                     seed,
+                    1,
                     Side::new(CacheManager::new(policy, config(budget)), Retrieval::Fused),
                     Side::new(CacheManager::new(policy, config(budget)), Retrieval::Split),
                 )
@@ -272,6 +331,7 @@ fn fused_matches_plan_then_ack_without_consumption_drops() {
             let (fused, _, ack_drops) = assert_lockstep(
                 &format!("{policy:?} keep consumed"),
                 seed,
+                1,
                 Side::new(CacheManager::new(policy, config), Retrieval::Fused),
                 Side::new(CacheManager::new(policy, config), Retrieval::Split),
             );
@@ -293,7 +353,7 @@ fn fused_matches_plan_then_ack_with_sketches() {
             let fused = Side::new(sketched(policy, TIGHT), Retrieval::Fused);
             let split = Side::new(sketched(policy, TIGHT), Retrieval::Split);
             let label = format!("{policy:?} sketches");
-            let (fused, split, _) = assert_lockstep(&label, seed, fused, split);
+            let (fused, split, _) = assert_lockstep(&label, seed, 1, fused, split);
             let hot_fused = fused.hot_snapshot().expect("sketches enabled");
             let hot_split = split.hot_snapshot().expect("sketches enabled");
             assert_eq!(
@@ -313,6 +373,7 @@ fn fused_monolith_matches_fused_single_shard() {
             assert_lockstep(
                 &format!("{policy:?} mono vs shards=1"),
                 seed,
+                1,
                 Side::new(CacheManager::new(policy, config(TIGHT)), Retrieval::Fused),
                 Side::new(
                     ShardedCacheManager::new(policy, config(TIGHT), 1),
@@ -321,4 +382,47 @@ fn fused_monolith_matches_fused_single_shard() {
             );
         }
     }
+}
+
+/// A subscriber's retrievals over three of the four caches in one batch
+/// call, against the same retrievals split cache by cache, with
+/// sketches on, on a manager of `shards` shards.
+fn assert_batched_matches_split(shards: usize) {
+    let sketched = |policy, budget| {
+        let mgr = ShardedCacheManager::new(policy, config(budget), shards);
+        mgr.enable_sketches(SketchConfig::default());
+        mgr
+    };
+    for policy in PolicyName::ALL {
+        for budget in [TIGHT, AMPLE] {
+            let label = format!("{policy:?} budget {budget} shards {shards} batched");
+            let mut ack_drops = 0;
+            for seed in 1..=SEEDS {
+                let batched = Side::new(sketched(policy, budget), Retrieval::Batched);
+                let split = Side::new(sketched(policy, budget), Retrieval::Split);
+                let (batched, split, drops) = assert_lockstep(&label, seed, 3, batched, split);
+                ack_drops += drops;
+                let hot_batched = batched.hot_snapshot().expect("sketches enabled");
+                let hot_split = split.hot_snapshot().expect("sketches enabled");
+                assert_eq!(
+                    hot_batched.to_json(),
+                    hot_split.to_json(),
+                    "{label} seed {seed}: the sketches saw different streams"
+                );
+            }
+            assert_eq!(ack_drops > 100, policy != PolicyName::Nc, "{label}");
+        }
+    }
+}
+
+/// The whole batch takes the one lock.
+#[test]
+fn batched_matches_plan_then_ack_on_one_shard() {
+    assert_batched_matches_split(1);
+}
+
+/// The batch is routed across the shards, each locked once.
+#[test]
+fn batched_matches_plan_then_ack_on_four_shards() {
+    assert_batched_matches_split(4);
 }

@@ -160,21 +160,21 @@ pub fn predict(models: &[SubscriptionModel]) -> ModelPrediction {
     }
 }
 
+/// Weights of the |predicted − observed| hit-ratio error, of the
+/// occupancy error (normalised by the budget) and of the staleness
+/// error (normalised by the larger of the two values).
+const HIT_WEIGHT: f64 = 0.6;
+const SIZE_WEIGHT: f64 = 0.3;
+const STALENESS_WEIGHT: f64 = 0.1;
+/// Score at or above which the `model_drift` alert condition holds.
+pub(crate) const THRESHOLD: f64 = 0.25;
+
 /// Drift-score tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct DriftConfig {
     /// EWMA smoothing factor for the score (weight of the newest
     /// window's error).
     pub alpha: f64,
-    /// Weight of the |predicted − observed| hit-ratio error.
-    pub hit_weight: f64,
-    /// Weight of the occupancy error (normalised by the budget).
-    pub size_weight: f64,
-    /// Weight of the staleness error (normalised by the larger of the
-    /// two values).
-    pub staleness_weight: f64,
-    /// Score at or above which the `model_drift` alert condition holds.
-    pub threshold: f64,
     /// Windows to observe before the score is considered meaningful
     /// (estimators and TTLs need to warm up).
     pub warmup_windows: u64,
@@ -184,10 +184,6 @@ impl Default for DriftConfig {
     fn default() -> Self {
         Self {
             alpha: 0.3,
-            hit_weight: 0.6,
-            size_weight: 0.3,
-            staleness_weight: 0.1,
-            threshold: 0.25,
             warmup_windows: 3,
         }
     }
@@ -261,9 +257,9 @@ impl DriftDetector {
                 }
             })
             .unwrap_or(0.0);
-        let error = (c.hit_weight * self.last_hit_error
-            + c.size_weight * self.last_size_error
-            + c.staleness_weight * self.last_staleness_error)
+        let error = (HIT_WEIGHT * self.last_hit_error
+            + SIZE_WEIGHT * self.last_size_error
+            + STALENESS_WEIGHT * self.last_staleness_error)
             .min(1.0);
         if self.windows <= c.warmup_windows {
             // Warm-up: track the error without letting early estimator
@@ -282,7 +278,7 @@ impl DriftDetector {
 
     /// Whether the score is at or above the alert threshold.
     pub fn breached(&self) -> bool {
-        self.score >= self.config.threshold
+        self.score >= THRESHOLD
     }
 
     /// Windows observed so far.
@@ -292,7 +288,7 @@ impl DriftDetector {
 
     /// The configured alert threshold.
     pub fn threshold(&self) -> f64 {
-        self.config.threshold
+        THRESHOLD
     }
 
     /// Renders the detector state (score + last per-component errors)
@@ -302,7 +298,7 @@ impl DriftDetector {
         {
             let mut obj = ObjectWriter::new(&mut body);
             obj.field_f64("score", self.score);
-            obj.field_f64("threshold", self.config.threshold);
+            obj.field_f64("threshold", THRESHOLD);
             obj.field_u64("windows", self.windows);
             obj.field_f64("hit_error", self.last_hit_error);
             obj.field_f64("size_error", self.last_size_error);

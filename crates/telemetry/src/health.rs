@@ -29,54 +29,41 @@ use crate::registry::{Counter, Gauge, Registry};
 use crate::timeseries::{TimeSeriesConfig, TimeSeriesStore};
 use crate::trace::FlightRecorder;
 
-/// Health-engine tuning: window cadence, SLO budgets, burn-rate
-/// windows (all in virtual time) and drift scoring.
+/// SLO error budget: the fraction of requests allowed to violate.
+const SLO_BUDGET: f64 = 0.01;
+/// Burn-rate windows, in health windows: the classic multi-window
+/// pairing scaled to virtual minutes. A 5-window fast burn catches
+/// regressions within minutes, the 30-window slow burn suppresses
+/// blips.
+const FAST_WINDOWS: u64 = 5;
+const SLOW_WINDOWS: u64 = 30;
+/// Burn thresholds of the fast and the slow window.
+const FAST_FACTOR: f64 = 14.4;
+const SLOW_FACTOR: f64 = 6.0;
+/// Dwell before Pending → Firing, and linger in Resolved, in health
+/// windows.
+const PENDING_WINDOWS: u64 = 1;
+const RESOLVE_HOLD_WINDOWS: u64 = 2;
+/// `hot_skew` alert threshold: the top-K share of all requests (from
+/// the sketch layer's heavy-hitter readout) above which the
+/// demand-concentration alert arms.
+const HOT_SKEW_THRESHOLD: f64 = 0.9;
+
+/// Health-engine tuning: the window cadence (virtual time) and drift
+/// scoring.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthConfig {
     /// Snapshot / evaluation window in virtual microseconds.
     pub window_us: u64,
-    /// Retained windows in the timeseries ring.
-    pub timeseries_capacity: usize,
-    /// SLO error budget (fraction of requests allowed to violate).
-    pub slo_budget: f64,
-    /// Fast burn window, in health windows.
-    pub fast_windows: u32,
-    /// Slow burn window, in health windows.
-    pub slow_windows: u32,
-    /// Fast-window burn threshold.
-    pub fast_factor: f64,
-    /// Slow-window burn threshold.
-    pub slow_factor: f64,
-    /// Dwell before Pending → Firing, in health windows.
-    pub pending_windows: u32,
-    /// Linger in Resolved, in health windows.
-    pub resolve_hold_windows: u32,
     /// Drift scoring knobs.
     pub drift: DriftConfig,
-    /// `hot_skew` alert threshold: the top-K share of all requests
-    /// (from the sketch layer's heavy-hitter readout) above which the
-    /// demand-concentration alert arms. `≥ 1.0` effectively disables
-    /// it on non-degenerate workloads.
-    pub hot_skew_threshold: f64,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         Self {
             window_us: TimeSeriesConfig::default().window_us,
-            timeseries_capacity: TimeSeriesConfig::default().capacity,
-            slo_budget: 0.01,
-            // The classic multi-window pairing scaled to virtual
-            // minutes: a 5-window fast burn catches regressions within
-            // minutes, the 30-window slow burn suppresses blips.
-            fast_windows: 5,
-            slow_windows: 30,
-            fast_factor: 14.4,
-            slow_factor: 6.0,
-            pending_windows: 1,
-            resolve_hold_windows: 2,
             drift: DriftConfig::default(),
-            hot_skew_threshold: 0.9,
         }
     }
 }
@@ -141,8 +128,7 @@ impl HealthEngine {
         sink: SharedSink,
         config: HealthConfig,
     ) -> Arc<Self> {
-        let w = config.window_us;
-        let windows = |n: u32| w.saturating_mul(n as u64);
+        let windows = |n: u64| config.window_us.saturating_mul(n);
         let alerts = AlertManager::new(registry, recorder, sink);
         let delivery_violations = registry.counter("bad_delivery_latency_slo_violations_total");
         let delivery_volume = registry.histogram("bad_trace_delivery_lag_us");
@@ -151,13 +137,13 @@ impl HealthEngine {
         alerts.add_burn_rate(
             BurnRateRule {
                 name: "delivery_latency_burn",
-                budget: config.slo_budget,
-                fast_window_us: windows(config.fast_windows),
-                slow_window_us: windows(config.slow_windows),
-                fast_factor: config.fast_factor,
-                slow_factor: config.slow_factor,
-                pending_for_us: windows(config.pending_windows),
-                resolve_hold_us: windows(config.resolve_hold_windows),
+                budget: SLO_BUDGET,
+                fast_window_us: windows(FAST_WINDOWS),
+                slow_window_us: windows(SLOW_WINDOWS),
+                fast_factor: FAST_FACTOR,
+                slow_factor: SLOW_FACTOR,
+                pending_for_us: windows(PENDING_WINDOWS),
+                resolve_hold_us: windows(RESOLVE_HOLD_WINDOWS),
             },
             ValueSource::Counter(delivery_violations),
             ValueSource::HistogramCount(delivery_volume),
@@ -165,13 +151,13 @@ impl HealthEngine {
         alerts.add_burn_rate(
             BurnRateRule {
                 name: "staleness_burn",
-                budget: config.slo_budget,
-                fast_window_us: windows(config.fast_windows),
-                slow_window_us: windows(config.slow_windows),
-                fast_factor: config.fast_factor,
-                slow_factor: config.slow_factor,
-                pending_for_us: windows(config.pending_windows),
-                resolve_hold_us: windows(config.resolve_hold_windows),
+                budget: SLO_BUDGET,
+                fast_window_us: windows(FAST_WINDOWS),
+                slow_window_us: windows(SLOW_WINDOWS),
+                fast_factor: FAST_FACTOR,
+                slow_factor: SLOW_FACTOR,
+                pending_for_us: windows(PENDING_WINDOWS),
+                resolve_hold_us: windows(RESOLVE_HOLD_WINDOWS),
             },
             ValueSource::Counter(staleness_violations),
             ValueSource::HistogramCount(staleness_volume.clone()),
@@ -180,24 +166,24 @@ impl HealthEngine {
         alerts.add_gauge_above(
             "model_drift",
             drift_score_milli.clone(),
-            config.drift.threshold,
-            windows(config.pending_windows),
-            windows(config.resolve_hold_windows),
+            crate::drift::THRESHOLD,
+            windows(PENDING_WINDOWS),
+            windows(RESOLVE_HOLD_WINDOWS),
         );
         let hot_skew_milli = registry.gauge("bad_health_hot_skew_milli");
         alerts.add_gauge_above(
             "hot_skew",
             hot_skew_milli.clone(),
-            config.hot_skew_threshold,
-            windows(config.pending_windows),
-            windows(config.resolve_hold_windows),
+            HOT_SKEW_THRESHOLD,
+            windows(PENDING_WINDOWS),
+            windows(RESOLVE_HOLD_WINDOWS),
         );
         Arc::new(Self {
             timeseries: TimeSeriesStore::new(
                 registry.clone(),
                 TimeSeriesConfig {
                     window_us: config.window_us,
-                    capacity: config.timeseries_capacity,
+                    ..TimeSeriesConfig::default()
                 },
             ),
             alerts,
@@ -361,7 +347,6 @@ mod tests {
             drift: DriftConfig {
                 warmup_windows: 0,
                 alpha: 0.5,
-                ..DriftConfig::default()
             },
             ..HealthConfig::default()
         };

@@ -9,7 +9,9 @@
 # after. Counts are physical lines of every `*.rs` file: a crate's
 # `src` includes its `src/bin`, its `tests` every file under `tests/`
 # (helpers included). The root package's `src` is `src/`, its `tests`
-# are `tests/` and `examples/`.
+# are `tests/` and `examples/`. The last line is the physical lines of
+# the five files ROADMAP item 5 bounds (`manager.rs`, `sharded.rs`,
+# `broker.rs`, `runtime.rs` and `scrape.rs`), tests included.
 set -euo pipefail
 root="${1:-$(dirname "$0")/..}"
 cd "$root"
@@ -37,3 +39,7 @@ src="$(lines benchmark/src)" tests="$(lines benchmark/tests)"
 printf '%-12s %7d %7d %7d\n' benchmark "$src" "$tests" $((src + tests))
 src="$(lines src)" tests="$(lines tests examples)"
 printf '%-12s %7d %7d %7d\n' root "$src" "$tests" $((src + tests))
+item5=(crates/cache/src/manager.rs crates/cache/src/sharded.rs
+  crates/broker/src/broker.rs crates/proto/src/runtime.rs
+  crates/telemetry/src/scrape.rs)
+printf '%-12s %7d\n' 'item 5' "$(cat "${item5[@]}" | wc -l)"
