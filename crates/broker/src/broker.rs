@@ -327,8 +327,8 @@ impl Broker {
         &self.cache
     }
 
-    /// A shared handle to the cache tier, for runtimes that fan cache
-    /// maintenance out to shard worker threads.
+    /// A shared handle to the cache tier, for readers outside the broker
+    /// (a deployment's `/healthz` shard occupancy and `/hot` endpoint).
     pub fn cache_handle(&self) -> Arc<ShardedCacheManager> {
         Arc::clone(&self.cache)
     }

@@ -23,7 +23,7 @@ use bad_types::Timestamp;
 use crate::Broker;
 
 /// Flight-recorder geometry of [`Observability::full`]: eight lock
-/// stripes (producer threads: cluster, broker, shard workers) of 128
+/// stripes (producer threads: the cluster and broker nodes) of 128
 /// spans each — a ~1k-span ring, enough to reconstruct the recent
 /// lifecycle neighbourhood of any anomaly while keeping the ring's
 /// working set small enough (~140 KiB) that full-rate span emission

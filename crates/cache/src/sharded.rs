@@ -618,11 +618,9 @@ impl ShardedCacheManager {
         dropped
     }
 
-    /// Runs one shard's maintenance pass — the unit of work the
-    /// prototype runtime fans out to its shard workers. TTL retuning
-    /// uses the shard-local `Σ n_j·ρ_j` against the shard's budget
-    /// share.
-    pub fn maintain_shard(&self, idx: usize, now: Timestamp) -> Vec<DroppedObject> {
+    /// Runs one shard's maintenance pass. TTL retuning uses the
+    /// shard-local `Σ n_j·ρ_j` against the shard's budget share.
+    fn maintain_shard(&self, idx: usize, now: Timestamp) -> Vec<DroppedObject> {
         let Some(p) = self.profile.get() else {
             return self.lock(idx).maintain(now);
         };

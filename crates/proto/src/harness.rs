@@ -1,22 +1,25 @@
-//! Deterministic full-stack prototype harness (regenerates Fig. 7).
-//!
-//! Unlike the Section V simulator (which synthesizes results), this
-//! harness runs the complete pipeline: trace activities are replayed
-//! into the real [`DataCluster`] (BQL parsing, repetitive channel
-//! execution, matching, enrichment, result datasets) fronted by the real
-//! [`Broker`]; "for each setting, we provide the same trace to all
-//! competing caching schemes".
+//! The Fig. 7 replay: [`run_prototype`] drives the Section VI trace
+//! through a [`Deployment`] of the full stack on [`Exec::seeded`]; "for
+//! each setting, we provide the same trace to all competing caching
+//! schemes".
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
-use bad_broker::{Broker, BrokerConfig};
+use bad_broker::{BrokerConfig, Observability};
 use bad_cache::{CacheConfig, PolicyName};
 use bad_cluster::{DataCluster, EnrichmentRule};
-use bad_net::NetworkModel;
-use bad_sim::EventQueue;
 use bad_storage::Schema;
-use bad_types::{ByteSize, FrontendSubId, Result, SimDuration, SubscriberId, Timestamp};
+use bad_types::{ByteSize, Result, SimDuration, SubscriberId, Timestamp};
 use bad_workload::{Activity, ActivityKind, TraceConfig, TraceGenerator, TABLE_III_CHANNELS};
+
+use crate::exec::Exec;
+use crate::runtime::Deployment;
+
+/// The repetitive channels' execution tick.
+const CLUSTER_TICK: SimDuration = SimDuration::from_secs(5);
+
+/// The broker's cache maintenance period.
+const MAINTAIN_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 /// Configuration of a prototype run.
 #[derive(Clone, Debug)]
@@ -25,19 +28,10 @@ pub struct PrototypeConfig {
     pub trace: TraceConfig,
     /// Cache settings; `cache.budget` is the swept quantity of Fig. 7.
     pub cache: CacheConfig,
-    /// Network constants.
-    pub net: NetworkModel,
-    /// Repetitive-channel execution tick.
-    pub cluster_tick: SimDuration,
-    /// Cache maintenance tick.
-    pub maintain_interval: SimDuration,
-    /// Lock-striped cache shards per broker (`1` = paper-faithful
-    /// monolithic behaviour).
-    pub shards: usize,
 }
 
 impl PrototypeConfig {
-    /// The Section VI setup: 400 subscribers, ~3.5k frontend
+    /// The Section VI setup: 400 subscribers, ~3k frontend
     /// subscriptions, a 1 h trace, publications every ~10 s.
     pub fn section_vi() -> Self {
         Self {
@@ -46,10 +40,6 @@ impl PrototypeConfig {
                 budget: ByteSize::from_kib(100),
                 ..CacheConfig::default()
             },
-            net: NetworkModel::paper_defaults(),
-            cluster_tick: SimDuration::from_secs(5),
-            maintain_interval: SimDuration::from_secs(1),
-            shards: 1,
         }
     }
 
@@ -67,10 +57,6 @@ impl PrototypeConfig {
                 budget: ByteSize::from_kib(64),
                 ..CacheConfig::default()
             },
-            net: NetworkModel::paper_defaults(),
-            cluster_tick: SimDuration::from_secs(5),
-            maintain_interval: SimDuration::from_secs(1),
-            shards: 1,
         }
     }
 
@@ -99,7 +85,8 @@ pub struct PrototypeReport {
     pub fetched_bytes: ByteSize,
     /// Total result bytes the cluster produced.
     pub vol_bytes: ByteSize,
-    /// Frontend subscriptions created over the run.
+    /// Distinct frontend subscriptions the broker created over the run
+    /// (a repeated interest reuses the subscriber's frontend).
     pub frontend_subscriptions: u64,
     /// Peak backend subscriptions.
     pub backend_subscriptions: u64,
@@ -109,44 +96,6 @@ pub struct PrototypeReport {
     pub delivered_objects: u64,
     /// Publications ingested.
     pub publications: u64,
-}
-
-impl PrototypeReport {
-    /// CSV header matching [`PrototypeReport::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "policy,cache_kb,seed,hit_ratio,latency_ms,fetched_mb,vol_mb,\
-         frontend_subs,backend_subs,deliveries,delivered_objects,publications"
-    }
-
-    /// One CSV row.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{:.1},{},{:.4},{:.1},{:.3},{:.3},{},{},{},{},{}",
-            self.policy,
-            self.cache_budget.as_kib_f64(),
-            self.seed,
-            self.hit_ratio,
-            self.mean_latency.as_millis_f64(),
-            self.fetched_bytes.as_mib_f64(),
-            self.vol_bytes.as_mib_f64(),
-            self.frontend_subscriptions,
-            self.backend_subscriptions,
-            self.deliveries,
-            self.delivered_objects,
-            self.publications,
-        )
-    }
-}
-
-#[derive(Clone, Debug)]
-enum Event {
-    Activity(usize),
-    ClusterTick,
-    Maintain,
-    Retrieve {
-        sub: SubscriberId,
-        fs: FrontendSubId,
-    },
 }
 
 /// Builds the Section VI cluster: datasets, Table III channels and the
@@ -165,27 +114,24 @@ pub fn build_emergency_cluster() -> Result<DataCluster> {
     }
     // Enriched notifications: district alerts embed the district's
     // shelters; severe alerts embed shelters of the report's district.
-    cluster.add_enrichment(EnrichmentRule::join(
-        "DistrictEmergencies",
-        "Shelters",
-        "district",
-        "district",
-        "shelters",
-        3,
-    ))?;
-    cluster.add_enrichment(EnrichmentRule::join(
-        "SevereEmergencies",
-        "Shelters",
-        "district",
-        "district",
-        "shelters",
-        3,
-    ))?;
+    for channel in ["DistrictEmergencies", "SevereEmergencies"] {
+        let shelters =
+            EnrichmentRule::join(channel, "Shelters", "district", "district", "shelters", 3);
+        cluster.add_enrichment(shelters)?;
+    }
     Ok(cluster)
 }
 
-/// Replays the seeded trace against a fresh full stack under `policy`
+/// Replays the seeded trace through a fresh deployment under `policy`
 /// and reports the Fig. 7 measurements.
+///
+/// The deployment runs on [`Exec::seeded`]`(seed)`; the calling thread
+/// is its one replay actor. Each trace activity, cluster tick and
+/// maintenance pass is issued at its due virtual time, or as soon after
+/// as the actor's previous call returns. A push schedules a retrieval
+/// `notify_latency` later, issued only if the subscriber is then
+/// online and the frontend live; the broker serves it only if results
+/// are owed. Steps due at or after the trace's end are not issued.
 ///
 /// # Errors
 ///
@@ -196,137 +142,117 @@ pub fn run_prototype(
     seed: u64,
 ) -> Result<PrototypeReport> {
     let trace = TraceGenerator::new(config.trace.clone(), seed).generate()?;
-    let mut cluster = build_emergency_cluster()?;
-    let mut broker = Broker::new(
+    let exec = Exec::seeded(seed);
+    let broker = BrokerConfig {
+        cache: config.cache,
+        ..BrokerConfig::default()
+    };
+    let notify_latency = broker.net.notify_latency();
+    let cluster = build_emergency_cluster()?;
+    let dep = Deployment::start(
         policy,
-        BrokerConfig {
-            cache: config.cache,
-            net: config.net,
-            shards: config.shards,
-            ..BrokerConfig::default()
-        },
+        broker,
+        cluster,
+        exec.clone(),
+        Observability::detached(),
     );
 
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for (idx, activity) in trace.iter().enumerate() {
-        queue.push(activity.at, Event::Activity(idx));
-    }
-    queue.push(Timestamp::ZERO + config.cluster_tick, Event::ClusterTick);
-    queue.push(Timestamp::ZERO + config.maintain_interval, Event::Maintain);
-
-    let end = Timestamp::ZERO + config.trace.duration;
-    let mut online: HashSet<SubscriberId> = HashSet::new();
-    let mut handle_to_fs: HashMap<u64, FrontendSubId> = HashMap::new();
-    let mut fs_of: HashMap<(SubscriberId, bad_types::BackendSubId), FrontendSubId> = HashMap::new();
+    // One client per subscriber (the generator numbers them from 0),
+    // all pushing to the replay actor.
+    let (events_tx, events) = exec.channel();
+    let clients: Vec<_> = (0..config.trace.subscribers)
+        .map(|s| dep.client(SubscriberId::new(s), &events_tx))
+        .collect();
+    let client = |sub: &SubscriberId| &clients[sub.as_u64() as usize];
+    let mut online = HashSet::new();
+    let mut live = HashSet::new();
+    let mut handles = HashMap::new();
+    let mut retrievals = VecDeque::new();
     let mut frontend_subscriptions = 0u64;
-    let mut peak_backends = 0u64;
-
-    while let Some((now, event)) = queue.pop() {
-        if now >= end {
+    let mut activities = trace.iter().peekable();
+    let mut tick_at = Timestamp::ZERO + CLUSTER_TICK;
+    let mut maintain_at = Timestamp::ZERO + MAINTAIN_INTERVAL;
+    let end = Timestamp::ZERO + config.trace.duration;
+    loop {
+        let activity_at = activities.peek().map_or(Timestamp::MAX, |a| a.at);
+        let retrieval_at = retrievals.front().map_or(Timestamp::MAX, |&(at, _, _)| at);
+        let due = activity_at.min(tick_at).min(maintain_at).min(retrieval_at);
+        if due >= end {
             break;
         }
-        match event {
-            Event::Activity(idx) => {
-                let Activity { kind, .. } = &trace[idx];
-                match kind {
-                    ActivityKind::Login(sub) => {
-                        online.insert(*sub);
-                        let _ = broker.get_all_pending(&mut cluster, *sub, now)?;
-                    }
-                    ActivityKind::Logout(sub) => {
-                        online.remove(sub);
-                    }
-                    ActivityKind::Subscribe {
-                        subscriber,
-                        channel,
-                        params,
-                        handle,
-                    } => {
-                        let fs = broker.subscribe(
-                            &mut cluster,
-                            *subscriber,
-                            channel,
-                            params.clone(),
-                            now,
-                        )?;
-                        frontend_subscriptions += 1;
-                        handle_to_fs.insert(*handle, fs);
-                        let backend = broker
-                            .subscriptions()
-                            .frontend(fs)
-                            .expect("just created")
-                            .backend;
-                        fs_of.insert((*subscriber, backend), fs);
-                        peak_backends =
-                            peak_backends.max(broker.subscriptions().backend_count() as u64);
-                    }
-                    ActivityKind::Unsubscribe { subscriber, handle } => {
-                        if let Some(fs) = handle_to_fs.remove(handle) {
-                            // The frontend may already be gone if the trace
-                            // unsubscribed it twice; ignore stale handles.
-                            if let Some(front) = broker.subscriptions().frontend(fs) {
-                                let backend = front.backend;
-                                broker.unsubscribe(&mut cluster, *subscriber, fs, now)?;
-                                fs_of.remove(&(*subscriber, backend));
-                            }
-                        }
-                    }
-                    ActivityKind::PublishReport(record) => {
-                        // Table III channels are repetitive; publications
-                        // surface at the next cluster tick.
-                        cluster.publish("EmergencyReports", now, record.clone())?;
-                    }
-                    ActivityKind::PublishShelter(record) => {
-                        cluster.publish("Shelters", now, record.clone())?;
+        // Take pushes until the step is due.
+        if let Some(push) = events.recv_timeout(due.since(exec.now())) {
+            let at = exec.now() + notify_latency;
+            retrievals.push_back((at, push.subscriber, push.frontend));
+            continue;
+        }
+        if due == activity_at {
+            let Activity { kind, .. } = activities.next().expect("peeked");
+            match kind {
+                ActivityKind::Login(sub) => {
+                    online.insert(*sub);
+                    client(sub).get_all_pending()?;
+                }
+                ActivityKind::Logout(sub) => {
+                    online.remove(sub);
+                }
+                ActivityKind::Subscribe {
+                    subscriber,
+                    channel,
+                    params,
+                    handle,
+                } => {
+                    // A repeated interest returns the frontend the
+                    // subscriber already holds.
+                    let fs = client(subscriber).subscribe(channel, params.clone())?;
+                    frontend_subscriptions += u64::from(live.insert(fs));
+                    handles.insert(*handle, fs);
+                }
+                ActivityKind::Unsubscribe { subscriber, handle } => {
+                    // Two handles on one frontend: the first takes it.
+                    if let Some(fs) = handles.remove(handle).filter(|fs| live.remove(fs)) {
+                        client(subscriber).unsubscribe(fs)?;
                     }
                 }
-            }
-            Event::ClusterTick => {
-                let notifications = cluster.tick(now)?;
-                for notification in notifications {
-                    let outcome = broker.on_notification(&mut cluster, notification, now);
-                    let at = now + config.net.notify_latency();
-                    for sub in outcome.notify {
-                        if online.contains(&sub) {
-                            if let Some(&fs) = fs_of.get(&(sub, notification.backend_sub)) {
-                                queue.push(at, Event::Retrieve { sub, fs });
-                            }
-                        }
-                    }
+                // Table III channels are repetitive; publications
+                // surface at the next cluster tick.
+                ActivityKind::PublishReport(record) => {
+                    dep.publish("EmergencyReports", record.clone())?;
                 }
-                queue.push(now + config.cluster_tick, Event::ClusterTick);
-            }
-            Event::Maintain => {
-                broker.maintain(now);
-                queue.push(now + config.maintain_interval, Event::Maintain);
-            }
-            Event::Retrieve { sub, fs } => {
-                if online.contains(&sub)
-                    && broker.subscriptions().frontend(fs).is_some()
-                    && broker.has_pending(fs)
-                {
-                    let _ = broker.get_results(&mut cluster, sub, fs, now)?;
+                ActivityKind::PublishShelter(record) => {
+                    dep.publish("Shelters", record.clone())?;
                 }
+            }
+        } else if due == tick_at {
+            dep.tick()?;
+            tick_at += CLUSTER_TICK;
+        } else if due == maintain_at {
+            dep.maintain();
+            maintain_at += MAINTAIN_INTERVAL;
+        } else {
+            let (_, sub, fs) = retrievals.pop_front().expect("a retrieval is due");
+            if online.contains(&sub) && live.contains(&fs) {
+                client(&sub).get_results(fs)?;
             }
         }
     }
 
-    let metrics = broker.cache().metrics();
-    let delivery = broker.delivery_metrics();
-    let stats = cluster.stats();
+    let broker = dep.broker_stats()?;
+    let cluster = dep.cluster_stats()?;
+    dep.shutdown();
     Ok(PrototypeReport {
         policy,
         cache_budget: config.cache.budget,
         seed,
-        hit_ratio: metrics.hit_ratio().unwrap_or(0.0),
-        mean_latency: delivery.mean_latency().unwrap_or(SimDuration::ZERO),
-        fetched_bytes: metrics.fetched_bytes(),
-        vol_bytes: stats.result_bytes,
+        hit_ratio: broker.cache.hit_ratio().unwrap_or(0.0),
+        mean_latency: broker.delivery.mean_latency().unwrap_or(SimDuration::ZERO),
+        fetched_bytes: broker.cache.fetched_bytes(),
+        vol_bytes: cluster.result_bytes,
         frontend_subscriptions,
-        backend_subscriptions: peak_backends,
-        deliveries: delivery.deliveries,
-        delivered_objects: delivery.delivered_objects,
-        publications: stats.publications,
+        backend_subscriptions: broker.peak_backends,
+        deliveries: broker.delivery.deliveries,
+        delivered_objects: broker.delivery.delivered_objects,
+        publications: cluster.publications,
     })
 }
 
@@ -378,16 +304,6 @@ mod tests {
             "cached {} !< nc {}",
             cached.mean_latency,
             nc.mean_latency
-        );
-    }
-
-    #[test]
-    fn csv_row_matches_header() {
-        let config = PrototypeConfig::smoke();
-        let report = run_prototype(PolicyName::Lru, &config, 5).unwrap();
-        assert_eq!(
-            PrototypeReport::csv_header().split(',').count(),
-            report.csv_row().split(',').count()
         );
     }
 }

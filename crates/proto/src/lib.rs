@@ -1,19 +1,23 @@
-//! The BAD prototype (Section VI), reproduced two ways.
+//! The BAD prototype (Section VI): one deployment, two executors.
 //!
 //! The paper's prototype is a three-node AsterixDB cluster plus a Tornado
 //! HTTP broker, driven by a replayed subscriber-interaction trace of an
-//! emergency-notification scenario. This crate provides:
+//! emergency-notification scenario. This crate deploys the **full
+//! stack** (BQL channels, matching, enrichment, result stores, broker,
+//! caches) as two actors, a data-cluster node and a broker node, that
+//! talk over channels like the REST/AQL calls they stand for:
 //!
-//! * [`harness`] — a deterministic, virtually-clocked deployment of the
-//!   **full stack** (BQL channels, matching, enrichment, result stores,
-//!   broker, caches) replaying a [`bad_workload::TraceGenerator`] trace.
-//!   This is what regenerates Fig. 7: same trace, every caching scheme.
-//! * [`runtime`] — a genuinely multi-threaded deployment: the data
-//!   cluster and the broker run on their own threads and talk over
-//!   channels, clients block on retrievals, and a [`runtime::VirtualClock`]
-//!   compresses the network model's latencies into real sleeps. This is
-//!   the "it actually runs as a system" configuration used by the
-//!   examples and end-to-end tests.
+//! * [`runtime`] — the [`Deployment`]: the two nodes, clients that
+//!   subscribe and retrieve through the broker, and push notifications
+//!   back to connected clients.
+//! * [`exec`] — what the actors run on. [`Exec::threads`] gives them OS
+//!   threads and compressed wall-clock sleeps (the examples, the scrape
+//!   endpoint); [`Exec::seeded`] runs one actor at a time in virtual
+//!   time under a schedule drawn from a seed, so a run replays exactly.
+//! * [`harness`] — [`run_prototype`], which replays a
+//!   [`bad_workload::TraceGenerator`] trace through a deployment on
+//!   [`Exec::seeded`]. This is what regenerates Fig. 7: same trace,
+//!   every caching scheme.
 //!
 //! # Examples
 //!
@@ -27,8 +31,10 @@
 //! # Ok::<(), bad_types::BadError>(())
 //! ```
 
+pub mod exec;
 pub mod harness;
 pub mod runtime;
 
+pub use exec::Exec;
 pub use harness::{run_prototype, PrototypeConfig, PrototypeReport};
-pub use runtime::{BrokerClient, ClientEvent, Deployment, VirtualClock};
+pub use runtime::{BrokerClient, BrokerStats, ClientEvent, Deployment};

@@ -1,22 +1,19 @@
-//! The threaded prototype runtime.
+//! The prototype deployment: the shape of the paper's Fig. 6.
 //!
-//! This is the deployment shape of the paper's Fig. 6: a data-cluster
-//! node and a broker node running independently (here: OS threads
-//! communicating over channels, standing in for REST/AQL calls), clients
-//! that subscribe and retrieve through the broker, and push notifications
-//! flowing back to connected clients (the WebSocket path). A
-//! [`VirtualClock`] maps the network model's virtual latencies onto
-//! (compressed) wall-clock sleeps so an hour-long scenario can run in
-//! seconds without changing any broker logic.
+//! A data-cluster node and a broker node run as actors (standing in for
+//! the REST/AQL calls between them); clients subscribe and retrieve
+//! through the broker, which pushes news back to connected clients (the
+//! WebSocket path). A message to a node is a job it runs on its state at
+//! the virtual time it picks the job up. Only the broker→cluster leg is
+//! slept (its RTT, per round trip); the subscriber legs are accounted in
+//! [`Delivery::latency`].
 
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::Instant;
 
 use bad_broker::{Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics, Observability};
-use bad_cache::{PolicyName, ShardedCacheManager};
-use bad_cluster::{DataCluster, Notification};
+use bad_cache::{CacheMetrics, PolicyName, ShardedCacheManager};
+use bad_cluster::{ClusterStats, DataCluster, Notification};
 use bad_query::ParamBindings;
 use bad_storage::ResultObject;
 use bad_telemetry::{Gauge, ScrapeServer, DEFAULT_SCRAPE_LIMIT};
@@ -24,98 +21,91 @@ use bad_types::{
     BackendSubId, BadError, FrontendSubId, Result, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
 
-/// A wall-clock-backed virtual clock with time compression.
-///
-/// With a compression factor of `60.0`, one real second advances the
-/// virtual clock by one minute, and a virtual 250 ms sleep takes ~4 ms of
-/// real time.
-#[derive(Clone, Debug)]
-pub struct VirtualClock {
-    start: Instant,
-    compression: f64,
+use crate::exec::{Exec, Rx, Tx};
+
+/// A job for a node holding state `S`, run at the virtual time the
+/// node picks it up.
+type Job<S> = Box<dyn FnOnce(&mut S, Timestamp) + Send>;
+
+/// The address of a node holding state `S`: its job queue (`None` stops
+/// the node) and the executor its callers block on.
+struct Mailbox<S> {
+    jobs: Tx<Option<Job<S>>>,
+    exec: Exec,
 }
 
-impl VirtualClock {
-    /// Creates a clock that compresses time by `compression` (>= 1.0
-    /// makes virtual time run faster than real time).
-    pub fn new(compression: f64) -> Self {
+impl<S> Clone for Mailbox<S> {
+    fn clone(&self) -> Self {
         Self {
-            start: Instant::now(),
-            compression: compression.max(1e-9),
-        }
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> Timestamp {
-        let real = self.start.elapsed().as_secs_f64();
-        Timestamp::ZERO + SimDuration::from_secs_f64(real * self.compression)
-    }
-
-    /// Sleeps for a *virtual* duration (compressed into real time).
-    pub fn sleep(&self, virtual_duration: SimDuration) {
-        let real = virtual_duration.as_secs_f64() / self.compression;
-        if real > 0.0 {
-            thread::sleep(std::time::Duration::from_secs_f64(real));
+            jobs: self.jobs.clone(),
+            exec: self.exec.clone(),
         }
     }
 }
 
-enum ClusterRequest {
-    Subscribe {
-        channel: String,
-        params: ParamBindings,
-        now: Timestamp,
-        reply: SyncSender<Result<BackendSubId>>,
-    },
-    Unsubscribe {
-        bs: BackendSubId,
-        reply: SyncSender<Result<()>>,
-    },
-    Fetch {
-        bs: BackendSubId,
-        range: TimeRange,
-        reply: SyncSender<Vec<ResultObject>>,
-    },
-    FetchBatch {
-        requests: Vec<(BackendSubId, TimeRange)>,
-        reply: SyncSender<Vec<Vec<ResultObject>>>,
-    },
-    Publish {
-        dataset: String,
-        ts: Timestamp,
-        record: bad_types::DataValue,
-        reply: SyncSender<Result<Vec<Notification>>>,
-    },
-    Tick {
-        now: Timestamp,
-        reply: SyncSender<Result<Vec<Notification>>>,
-    },
-    Stop,
+impl<S: Send + 'static> Mailbox<S> {
+    /// Starts an actor named `name` that runs each job on `state`, in
+    /// arrival order, until stopped.
+    fn spawn(exec: Exec, name: &str, mut state: S) -> (Self, Rx<()>) {
+        let (jobs, queue) = exec.channel::<Option<Job<S>>>();
+        let clock = exec.clone();
+        let actor = exec.spawn(name, move || {
+            while let Some(Some(job)) = queue.recv() {
+                job(&mut state, clock.now());
+            }
+        });
+        (Self { jobs, exec }, actor)
+    }
+
+    /// Queues `job` without waiting for it.
+    fn tell(&self, job: impl FnOnce(&mut S, Timestamp) + Send + 'static) {
+        let _ = self.jobs.send(Some(Box::new(job)));
+    }
+
+    /// Runs `job` on the node and waits for its answer.
+    fn ask<T: Send + 'static>(
+        &self,
+        job: impl FnOnce(&mut S, Timestamp) -> T + Send + 'static,
+    ) -> Result<T> {
+        let (reply, answer) = self.exec.channel();
+        self.tell(move |state, now| {
+            let _ = reply.send(job(state, now));
+        });
+        answer
+            .recv()
+            .ok_or_else(|| BadError::InvalidState("node stopped".into()))
+    }
 }
 
-/// The broker thread's remote handle to the cluster node: each call is a
-/// channel round trip plus the virtual cluster-link RTT.
+/// The cluster node's state.
+struct ClusterNode {
+    cluster: DataCluster,
+    /// The last channel run. A run reads the records stamped after the
+    /// previous one, so a record arriving at (or, late, before) this
+    /// instant is stamped just after it rather than never read.
+    last_run: Timestamp,
+}
+
+/// The broker node's remote handle to the cluster node: each call is a
+/// round trip after a virtual cluster-link RTT.
 struct ClusterClient {
-    tx: Sender<ClusterRequest>,
-    clock: VirtualClock,
+    mailbox: Mailbox<ClusterNode>,
     rtt: SimDuration,
     /// `bad_proto_cluster_inflight_rpcs`: broker→cluster requests sent
-    /// but not yet answered (the fetch worker channel's live depth).
+    /// but not yet answered.
     inflight: Gauge,
 }
 
 impl ClusterClient {
-    fn roundtrip<T>(&self, build: impl FnOnce(SyncSender<T>) -> ClusterRequest) -> T
-    where
-        T: Send,
-    {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.clock.sleep(self.rtt);
+    fn roundtrip<T: Send + 'static>(
+        &self,
+        job: impl FnOnce(&mut DataCluster) -> T + Send + 'static,
+    ) -> T {
+        self.mailbox.exec.sleep(self.rtt);
         self.inflight.inc();
-        self.tx.send(build(reply_tx)).expect("cluster thread alive");
-        let reply = reply_rx.recv().expect("cluster thread replies");
+        let reply = self.mailbox.ask(|node, _| job(&mut node.cluster));
         self.inflight.dec();
-        reply
+        reply.expect("cluster node replies")
     }
 }
 
@@ -127,82 +117,92 @@ impl ClusterHandle for ClusterClient {
         now: Timestamp,
     ) -> Result<BackendSubId> {
         let channel = channel.to_owned();
-        self.roundtrip(|reply| ClusterRequest::Subscribe {
-            channel,
-            params,
-            now,
-            reply,
-        })
+        self.roundtrip(move |cluster| cluster.subscribe(&channel, params, now))
     }
 
     fn cluster_unsubscribe(&mut self, bs: BackendSubId) -> Result<()> {
-        self.roundtrip(|reply| ClusterRequest::Unsubscribe { bs, reply })
+        self.roundtrip(move |cluster| cluster.unsubscribe(bs))
     }
 
     fn cluster_fetch(&mut self, bs: BackendSubId, range: TimeRange) -> Vec<ResultObject> {
-        self.roundtrip(|reply| ClusterRequest::Fetch { bs, range, reply })
+        self.roundtrip(move |cluster| cluster.fetch(bs, range))
     }
 
     fn cluster_fetch_batch(
         &mut self,
         requests: &[(BackendSubId, TimeRange)],
     ) -> Vec<Vec<ResultObject>> {
-        // One channel round trip — and one virtual RTT — for the whole
-        // batch, matching `NetworkModel::cluster_fetch_batch_latency`.
+        // One round trip — and one virtual RTT — for the whole batch,
+        // matching `NetworkModel::cluster_fetch_batch_latency`.
         let requests = requests.to_vec();
-        self.roundtrip(|reply| ClusterRequest::FetchBatch { requests, reply })
+        self.roundtrip(move |cluster| {
+            requests
+                .into_iter()
+                .map(|(bs, r)| cluster.fetch(bs, r))
+                .collect()
+        })
     }
 }
 
-enum BrokerRequest {
-    RegisterClient {
-        subscriber: SubscriberId,
-        events: Sender<ClientEvent>,
-    },
-    Subscribe {
-        subscriber: SubscriberId,
-        channel: String,
-        params: ParamBindings,
-        reply: SyncSender<Result<FrontendSubId>>,
-    },
-    Unsubscribe {
-        subscriber: SubscriberId,
-        fs: FrontendSubId,
-        reply: SyncSender<Result<()>>,
-    },
-    GetResults {
-        subscriber: SubscriberId,
-        fs: FrontendSubId,
-        reply: SyncSender<Result<Delivery>>,
-    },
-    Notify(Notification),
-    Maintain,
-    Metrics {
-        reply: SyncSender<(DeliveryMetrics, f64)>,
-    },
-    Stop,
+/// The broker node's state.
+struct BrokerNode {
+    broker: Broker,
+    cluster: ClusterClient,
+    clients: HashMap<SubscriberId, Tx<ClientEvent>>,
+    peak_backends: u64,
+    obs: Observability,
 }
 
-/// A push event delivered to a connected client (the WebSocket path).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ClientEvent {
-    /// New results are available on one of the client's subscriptions.
-    ResultsAvailable {
-        /// The frontend subscription with news.
-        frontend: FrontendSubId,
-        /// Timestamp of the newest result.
-        latest_ts: Timestamp,
-    },
+impl BrokerNode {
+    /// Pulls a notification's results in and pushes the news to every
+    /// connected subscriber of its backend subscription.
+    fn notify(&mut self, notification: Notification, now: Timestamp) {
+        let outcome = self
+            .broker
+            .on_notification(&mut self.cluster, notification, now);
+        for subscriber in outcome.notify {
+            let table = self.broker.subscriptions();
+            let frontend = table.find_frontend(subscriber, notification.backend_sub);
+            if let (Some(events), Some(frontend)) = (self.clients.get(&subscriber), frontend) {
+                let _ = events.send(ClientEvent {
+                    subscriber,
+                    frontend,
+                    latest_ts: notification.latest_ts,
+                });
+            }
+        }
+    }
 }
 
-/// A client-side handle to the broker node.
+/// A push to a connected client (the WebSocket path): new results are
+/// available on one of its subscriptions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ClientEvent {
+    /// The subscriber pushed to.
+    pub subscriber: SubscriberId,
+    /// The frontend subscription with news.
+    pub frontend: FrontendSubId,
+    /// Timestamp of the newest result.
+    pub latest_ts: Timestamp,
+}
+
+/// A snapshot of the broker node's books.
+#[derive(Clone, Debug)]
+pub struct BrokerStats {
+    /// Retrievals served and what they delivered.
+    pub delivery: DeliveryMetrics,
+    /// The cache's counters (hit ratio, bytes fetched, ...).
+    pub cache: CacheMetrics,
+    /// The most backend subscriptions held at once.
+    pub peak_backends: u64,
+}
+
+/// A subscriber's handle to the broker node. Every call is one round
+/// trip to the broker actor; the subscriber leg is not slept.
+#[derive(Clone)]
 pub struct BrokerClient {
     subscriber: SubscriberId,
-    tx: Sender<BrokerRequest>,
-    /// Push notifications from the broker.
-    pub events: Receiver<ClientEvent>,
-    clock: VirtualClock,
-    subscriber_rtt: SimDuration,
+    mailbox: Mailbox<BrokerNode>,
 }
 
 impl BrokerClient {
@@ -212,18 +212,15 @@ impl BrokerClient {
     ///
     /// Propagates broker/cluster-side subscription errors.
     pub fn subscribe(&self, channel: &str, params: ParamBindings) -> Result<FrontendSubId> {
-        let (reply, rx) = sync_channel(1);
-        self.clock.sleep(self.subscriber_rtt);
-        self.tx
-            .send(BrokerRequest::Subscribe {
-                subscriber: self.subscriber,
-                channel: channel.to_owned(),
-                params,
-                reply,
-            })
-            .map_err(|_| BadError::InvalidState("broker stopped".into()))?;
-        rx.recv()
-            .map_err(|_| BadError::InvalidState("broker stopped".into()))?
+        let channel = channel.to_owned();
+        self.ask(move |node, subscriber, now| {
+            let fs = node
+                .broker
+                .subscribe(&mut node.cluster, subscriber, &channel, params, now);
+            let backends = node.broker.subscriptions().backend_count() as u64;
+            node.peak_backends = node.peak_backends.max(backends);
+            fs
+        })
     }
 
     /// Cancels a subscription.
@@ -232,49 +229,56 @@ impl BrokerClient {
     ///
     /// Unknown subscription or wrong owner.
     pub fn unsubscribe(&self, fs: FrontendSubId) -> Result<()> {
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .send(BrokerRequest::Unsubscribe {
-                subscriber: self.subscriber,
-                fs,
-                reply,
-            })
-            .map_err(|_| BadError::InvalidState("broker stopped".into()))?;
-        rx.recv()
-            .map_err(|_| BadError::InvalidState("broker stopped".into()))?
+        self.ask(move |node, subscriber, now| {
+            node.broker
+                .unsubscribe(&mut node.cluster, subscriber, fs, now)
+        })
     }
 
-    /// Retrieves pending results on one subscription, blocking for the
-    /// (compressed) delivery latency.
+    /// Retrieves what one subscription is owed; `None` when it is live
+    /// and owed nothing (no delivery is booked then).
     ///
     /// # Errors
     ///
     /// Unknown subscription or wrong owner.
-    pub fn get_results(&self, fs: FrontendSubId) -> Result<Delivery> {
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .send(BrokerRequest::GetResults {
-                subscriber: self.subscriber,
-                fs,
-                reply,
-            })
-            .map_err(|_| BadError::InvalidState("broker stopped".into()))?;
-        let delivery = rx
-            .recv()
-            .map_err(|_| BadError::InvalidState("broker stopped".into()))??;
-        // The subscriber experiences the delivery latency.
-        self.clock.sleep(delivery.latency);
-        Ok(delivery)
+    pub fn get_results(&self, fs: FrontendSubId) -> Result<Option<Delivery>> {
+        self.ask(move |node, subscriber, now| {
+            // An unknown frontend goes through, to get its error.
+            let broker = &mut node.broker;
+            let owed = broker.has_pending(fs) || broker.subscriptions().frontend(fs).is_none();
+            let delivery = owed.then(|| broker.get_results(&mut node.cluster, subscriber, fs, now));
+            delivery.transpose()
+        })
+    }
+
+    /// Retrieves everything the subscriber is owed across its
+    /// subscriptions: what a client does when it logs in.
+    ///
+    /// # Errors
+    ///
+    /// Propagates marker-advance errors.
+    pub fn get_all_pending(&self) -> Result<Vec<Delivery>> {
+        self.ask(|node, subscriber, now| {
+            node.broker
+                .get_all_pending(&mut node.cluster, subscriber, now)
+        })
+    }
+
+    fn ask<T: Send + 'static>(
+        &self,
+        job: impl FnOnce(&mut BrokerNode, SubscriberId, Timestamp) -> Result<T> + Send + 'static,
+    ) -> Result<T> {
+        let subscriber = self.subscriber;
+        self.mailbox
+            .ask(move |node, now| job(node, subscriber, now))?
     }
 }
 
-/// A running two-node deployment (cluster thread + broker thread).
+/// A running two-node deployment (cluster actor + broker actor).
 pub struct Deployment {
-    cluster_tx: Sender<ClusterRequest>,
-    broker_tx: Sender<BrokerRequest>,
-    clock: VirtualClock,
-    subscriber_rtt: SimDuration,
-    handles: Vec<JoinHandle<()>>,
+    cluster: Mailbox<ClusterNode>,
+    broker: Mailbox<BrokerNode>,
+    actors: Vec<Rx<()>>,
     obs: Observability,
     cache: Arc<ShardedCacheManager>,
     /// Pre-rendered `bad_build_info` labels as a JSON object, embedded
@@ -283,40 +287,36 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Boots the cluster and broker threads with the observers in
-    /// `obs` attached to both nodes.
+    /// Starts the cluster and broker actors on `exec`, from the initial
+    /// cluster state `cluster`, with the observers in `obs` attached to
+    /// both nodes.
     ///
-    /// `cluster` is the initial cluster state (datasets, channels,
-    /// enrichments); `compression` is the virtual-time speedup. Metric
-    /// counters are registered whatever `obs` is and rendered by
-    /// [`Deployment::metrics_text`]. With [`Observability::full`] every
-    /// tier emits causally linked lifecycle spans (see
-    /// `bad_telemetry::trace`) through the bundle's tracer, which writes
-    /// them and the other records of both nodes (retrieval summaries
-    /// and TTL retunes on the broker thread, enrich records on the
-    /// cluster thread) to its sink, and each maintenance pass runs
-    /// [`Observability::after_maintain`]. Pair it with
-    /// [`Deployment::serve_scrape`] to expose the whole picture over
-    /// HTTP.
+    /// Metric counters are registered whatever `obs` is and rendered by
+    /// [`Deployment::metrics_text`]. With [`Observability::full`] both
+    /// nodes' causally linked spans and records reach the bundle's sink
+    /// through its tracer (see `bad_telemetry::trace`), and each
+    /// maintenance pass runs [`Observability::after_maintain`];
+    /// [`Deployment::serve_scrape`] serves the picture over HTTP.
     pub fn start(
         policy: PolicyName,
         config: BrokerConfig,
         mut cluster: DataCluster,
-        compression: f64,
+        exec: Exec,
         obs: Observability,
     ) -> Self {
-        let clock = VirtualClock::new(compression);
-        let (cluster_tx, cluster_rx) = channel::<ClusterRequest>();
-        let (broker_tx, broker_rx) = channel::<BrokerRequest>();
         let registry = obs.registry();
 
-        // Build the broker on this thread so the deployment can keep a
-        // shared cache handle (for `/healthz` shard occupancy) before the
+        // Build the broker here so the deployment can keep a shared
+        // cache handle (for `/healthz` shard occupancy) before the
         // broker node takes ownership.
         let mut broker = Broker::new(policy, config);
         obs.attach(&mut cluster, &mut broker);
         let cache = broker.cache_handle();
-        let cluster_handle = thread::spawn(move || cluster_node(cluster, cluster_rx));
+        let cluster = ClusterNode {
+            cluster,
+            last_run: Timestamp::ZERO,
+        };
+        let (cluster, cluster_actor) = Mailbox::spawn(exec.clone(), "cluster", cluster);
 
         // `bad_build_info`: one constant-1 gauge whose labels identify
         // what is running — crate version plus the feature knobs that
@@ -340,46 +340,27 @@ impl Deployment {
                 obj.field_str(key, value);
             }
         }
-
-        let cluster_client = ClusterClient {
-            tx: cluster_tx.clone(),
-            clock: clock.clone(),
-            rtt: config.net.cluster.rtt,
-            inflight: registry.gauge("bad_proto_cluster_inflight_rpcs"),
-        };
         registry
             .gauge("bad_broker_cache_shards")
             .set(cache.shard_count() as u64);
-        // One queue-depth gauge per shard maintenance worker: jobs
-        // enqueued but not yet drained by `shard_worker`.
-        let shard_queue_depth: Vec<Gauge> = (0..cache.shard_count())
-            .map(|idx| {
-                registry.gauge_with(
-                    "bad_proto_shard_queue_depth",
-                    &[("shard", &idx.to_string())],
-                )
-            })
-            .collect();
 
-        let broker_clock = clock.clone();
-        let broker_obs = obs.clone();
-        let broker_handle = thread::spawn(move || {
-            broker_node(
-                broker,
-                cluster_client,
-                broker_rx,
-                broker_clock,
-                broker_obs,
-                shard_queue_depth,
-            )
-        });
+        let broker = BrokerNode {
+            broker,
+            cluster: ClusterClient {
+                mailbox: cluster.clone(),
+                rtt: config.net.cluster.rtt,
+                inflight: registry.gauge("bad_proto_cluster_inflight_rpcs"),
+            },
+            clients: HashMap::new(),
+            peak_backends: 0,
+            obs: obs.clone(),
+        };
+        let (broker, broker_actor) = Mailbox::spawn(exec, "broker", broker);
 
         Self {
-            cluster_tx,
-            broker_tx,
-            clock,
-            subscriber_rtt: config.net.subscriber.rtt,
-            handles: vec![cluster_handle, broker_handle],
+            cluster,
+            broker,
+            actors: vec![cluster_actor, broker_actor],
             obs,
             cache,
             build_info,
@@ -456,15 +437,9 @@ impl Deployment {
                 // Top-k contended lock sites: the "which shard mutex is
                 // hot right now" answer without walking `/profile`.
                 if health_profiler.enabled() {
-                    let mut sites = String::from("[");
-                    for (i, site) in health_profiler.top_contended(3).iter().enumerate() {
-                        if i > 0 {
-                            sites.push(',');
-                        }
-                        sites.push_str(&site.render_json());
-                    }
-                    sites.push(']');
-                    obj.field_raw("top_contended", &sites);
+                    let top = health_profiler.top_contended(3);
+                    let sites: Vec<String> = top.iter().map(|site| site.render_json()).collect();
+                    obj.field_raw("top_contended", &format!("[{}]", sites.join(",")));
                 } else {
                     obj.field_raw("top_contended", "null");
                 }
@@ -505,11 +480,6 @@ impl Deployment {
         ScrapeServer::bind_with_endpoints(addr, self.obs.registry().clone(), recorder, endpoints)
     }
 
-    /// The observers the deployment was started with.
-    pub fn observability(&self) -> &Observability {
-        &self.obs
-    }
-
     /// Prometheus-text snapshot of every metric family the deployment
     /// has registered (cache hit/miss/eviction counters, broker
     /// retrieval/delivery counters, latency/size histograms).
@@ -517,26 +487,21 @@ impl Deployment {
         self.obs.registry().render()
     }
 
-    /// The deployment's virtual clock.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
+    /// The executor the deployment's actors run on.
+    pub fn exec(&self) -> &Exec {
+        &self.broker.exec
     }
 
-    /// Creates a connected client for `subscriber`.
-    pub fn client(&self, subscriber: SubscriberId) -> BrokerClient {
-        let (events_tx, events_rx) = channel();
-        self.broker_tx
-            .send(BrokerRequest::RegisterClient {
-                subscriber,
-                events: events_tx,
-            })
-            .expect("broker thread alive");
+    /// Connects a client for `subscriber` whose push events go to
+    /// `events` (several clients may share one).
+    pub fn client(&self, subscriber: SubscriberId, events: &Tx<ClientEvent>) -> BrokerClient {
+        let events = events.clone();
+        self.broker.tell(move |node, _| {
+            node.clients.insert(subscriber, events);
+        });
         BrokerClient {
             subscriber,
-            tx: self.broker_tx.clone(),
-            events: events_rx,
-            clock: self.clock.clone(),
-            subscriber_rtt: self.subscriber_rtt,
+            mailbox: self.broker.clone(),
         }
     }
 
@@ -550,19 +515,11 @@ impl Deployment {
         dataset: &str,
         record: bad_types::DataValue,
     ) -> Result<Vec<Notification>> {
-        let (reply, rx) = sync_channel(1);
-        let now = self.clock.now();
-        self.cluster_tx
-            .send(ClusterRequest::Publish {
-                dataset: dataset.to_owned(),
-                ts: now,
-                record,
-                reply,
-            })
-            .map_err(|_| BadError::InvalidState("cluster stopped".into()))?;
-        let notifications = rx
-            .recv()
-            .map_err(|_| BadError::InvalidState("cluster stopped".into()))??;
+        let dataset = dataset.to_owned();
+        let notifications = self.cluster.ask(move |node, now| {
+            let ts = now.max(node.last_run + SimDuration::from_micros(1));
+            node.cluster.publish(&dataset, ts, record)
+        })??;
         self.dispatch(&notifications);
         Ok(notifications)
     }
@@ -574,231 +531,58 @@ impl Deployment {
     ///
     /// Propagates channel evaluation errors.
     pub fn tick(&self) -> Result<usize> {
-        let (reply, rx) = sync_channel(1);
-        let now = self.clock.now();
-        self.cluster_tx
-            .send(ClusterRequest::Tick { now, reply })
-            .map_err(|_| BadError::InvalidState("cluster stopped".into()))?;
-        let notifications = rx
-            .recv()
-            .map_err(|_| BadError::InvalidState("cluster stopped".into()))??;
+        let notifications = self.cluster.ask(|node, now| {
+            node.last_run = now;
+            node.cluster.tick(now)
+        })??;
         self.dispatch(&notifications);
         Ok(notifications.len())
     }
 
-    /// Runs a cache maintenance pass on the broker.
+    /// Queues a cache maintenance pass on the broker.
     pub fn maintain(&self) {
-        let _ = self.broker_tx.send(BrokerRequest::Maintain);
+        self.broker.tell(|node, now| {
+            node.broker.maintain(now);
+            node.obs.after_maintain(node.broker.cache(), now);
+        });
     }
 
-    /// Snapshot of the broker's delivery metrics and hit ratio.
-    pub fn broker_metrics(&self) -> (DeliveryMetrics, f64) {
-        let (reply, rx) = sync_channel(1);
-        self.broker_tx
-            .send(BrokerRequest::Metrics { reply })
-            .expect("broker thread alive");
-        rx.recv().expect("broker thread replies")
+    /// Snapshot of the broker's books, after every job queued before it.
+    ///
+    /// # Errors
+    ///
+    /// The broker node has stopped.
+    pub fn broker_stats(&self) -> Result<BrokerStats> {
+        self.broker.ask(|node, _| BrokerStats {
+            delivery: node.broker.delivery_metrics(),
+            cache: node.broker.cache().metrics(),
+            peak_backends: node.peak_backends,
+        })
     }
 
-    /// Stops both nodes and joins their threads.
-    pub fn shutdown(mut self) {
-        let _ = self.broker_tx.send(BrokerRequest::Stop);
-        let _ = self.cluster_tx.send(ClusterRequest::Stop);
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+    /// Snapshot of the cluster's counters.
+    ///
+    /// # Errors
+    ///
+    /// The cluster node has stopped.
+    pub fn cluster_stats(&self) -> Result<ClusterStats> {
+        self.cluster.ask(|node, _| node.cluster.stats())
+    }
+
+    /// Stops both nodes and joins their actors.
+    pub fn shutdown(self) {
+        let _ = self.broker.jobs.send(None);
+        let _ = self.cluster.jobs.send(None);
+        for actor in self.actors {
+            actor.recv();
         }
     }
 
     fn dispatch(&self, notifications: &[Notification]) {
-        for n in notifications {
-            let _ = self.broker_tx.send(BrokerRequest::Notify(*n));
+        for &notification in notifications {
+            self.broker
+                .tell(move |node, now| node.notify(notification, now));
         }
-    }
-}
-
-fn cluster_node(mut cluster: DataCluster, rx: Receiver<ClusterRequest>) {
-    while let Ok(request) = rx.recv() {
-        match request {
-            ClusterRequest::Subscribe {
-                channel,
-                params,
-                now,
-                reply,
-            } => {
-                let _ = reply.send(cluster.subscribe(&channel, params, now));
-            }
-            ClusterRequest::Unsubscribe { bs, reply } => {
-                let _ = reply.send(cluster.unsubscribe(bs));
-            }
-            ClusterRequest::Fetch { bs, range, reply } => {
-                let _ = reply.send(cluster.fetch(bs, range));
-            }
-            ClusterRequest::FetchBatch { requests, reply } => {
-                let results = requests
-                    .iter()
-                    .map(|&(bs, range)| cluster.fetch(bs, range))
-                    .collect();
-                let _ = reply.send(results);
-            }
-            ClusterRequest::Publish {
-                dataset,
-                ts,
-                record,
-                reply,
-            } => {
-                let _ = reply.send(cluster.publish(&dataset, ts, record));
-            }
-            ClusterRequest::Tick { now, reply } => {
-                let _ = reply.send(cluster.tick(now));
-            }
-            ClusterRequest::Stop => break,
-        }
-    }
-}
-
-/// Work dispatched to one cache-shard maintenance worker.
-enum ShardJob {
-    /// Run the shard's TTL retune/expiry pass, then signal `done`.
-    Maintain {
-        now: Timestamp,
-        done: SyncSender<()>,
-    },
-    Stop,
-}
-
-fn shard_worker(
-    cache: std::sync::Arc<bad_cache::ShardedCacheManager>,
-    idx: usize,
-    rx: Receiver<ShardJob>,
-    queue_depth: Gauge,
-) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            ShardJob::Maintain { now, done } => {
-                let _ = cache.maintain_shard(idx, now);
-                queue_depth.dec();
-                let _ = done.send(());
-            }
-            ShardJob::Stop => break,
-        }
-    }
-}
-
-fn broker_node(
-    mut broker: Broker,
-    mut cluster: ClusterClient,
-    rx: Receiver<BrokerRequest>,
-    clock: VirtualClock,
-    obs: Observability,
-    shard_queue_depth: Vec<Gauge>,
-) {
-    // One maintenance worker per cache shard: a Maintain request fans
-    // the per-shard TTL retune/expiry passes out in parallel (the whole
-    // point of lock striping), then the broker thread runs the global
-    // budget rebalance once every shard has reported in.
-    let cache = broker.cache_handle();
-    let mut shard_txs: Vec<Sender<ShardJob>> = Vec::with_capacity(cache.shard_count());
-    let mut shard_handles = Vec::with_capacity(cache.shard_count());
-    for (idx, depth) in shard_queue_depth.iter().enumerate() {
-        let (tx, shard_rx) = channel::<ShardJob>();
-        let cache = broker.cache_handle();
-        let depth = depth.clone();
-        shard_handles.push(thread::spawn(move || {
-            shard_worker(cache, idx, shard_rx, depth)
-        }));
-        shard_txs.push(tx);
-    }
-
-    let mut clients: std::collections::HashMap<SubscriberId, Sender<ClientEvent>> =
-        std::collections::HashMap::new();
-    while let Ok(request) = rx.recv() {
-        let now = clock.now();
-        match request {
-            BrokerRequest::RegisterClient { subscriber, events } => {
-                clients.insert(subscriber, events);
-            }
-            BrokerRequest::Subscribe {
-                subscriber,
-                channel,
-                params,
-                reply,
-            } => {
-                let _ =
-                    reply.send(broker.subscribe(&mut cluster, subscriber, &channel, params, now));
-            }
-            BrokerRequest::Unsubscribe {
-                subscriber,
-                fs,
-                reply,
-            } => {
-                let _ = reply.send(broker.unsubscribe(&mut cluster, subscriber, fs, now));
-            }
-            BrokerRequest::GetResults {
-                subscriber,
-                fs,
-                reply,
-            } => {
-                let _ = reply.send(broker.get_results(&mut cluster, subscriber, fs, now));
-            }
-            BrokerRequest::Notify(notification) => {
-                let outcome = broker.on_notification(&mut cluster, notification, now);
-                for subscriber in outcome.notify {
-                    if let Some(events) = clients.get(&subscriber) {
-                        // Find the frontend sub of this subscriber for the
-                        // notified backend subscription.
-                        let fs = broker
-                            .subscriptions()
-                            .subscriptions_of(subscriber)
-                            .into_iter()
-                            .find(|fs| {
-                                broker
-                                    .subscriptions()
-                                    .frontend(*fs)
-                                    .map(|f| f.backend == notification.backend_sub)
-                                    .unwrap_or(false)
-                            });
-                        if let Some(fs) = fs {
-                            let _ = events.send(ClientEvent::ResultsAvailable {
-                                frontend: fs,
-                                latest_ts: notification.latest_ts,
-                            });
-                        }
-                    }
-                }
-            }
-            BrokerRequest::Maintain => {
-                let (done_tx, done_rx) = sync_channel(shard_txs.len());
-                for (idx, tx) in shard_txs.iter().enumerate() {
-                    shard_queue_depth[idx].inc();
-                    let _ = tx.send(ShardJob::Maintain {
-                        now,
-                        done: done_tx.clone(),
-                    });
-                }
-                drop(done_tx);
-                for _ in 0..shard_txs.len() {
-                    let _ = done_rx.recv();
-                }
-                let _ = broker.cache().rebalance(now);
-                // Fold the broker thread's stage accumulators (the
-                // retrieval envelopes recorded since the last tick) into
-                // the global aggregates; shard workers self-flush when
-                // they fill.
-                obs.profiler().flush_thread();
-                obs.after_maintain(&cache, now);
-            }
-            BrokerRequest::Metrics { reply } => {
-                let hit = broker.cache().metrics().hit_ratio().unwrap_or(0.0);
-                let _ = reply.send((broker.delivery_metrics(), hit));
-            }
-            BrokerRequest::Stop => break,
-        }
-    }
-    for tx in &shard_txs {
-        let _ = tx.send(ShardJob::Stop);
-    }
-    for handle in shard_handles {
-        let _ = handle.join();
     }
 }
 
@@ -807,216 +591,160 @@ mod tests {
     use super::*;
     use crate::harness::build_emergency_cluster;
     use bad_types::DataValue;
-    use std::time::Duration;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// How long a test waits for a push event after each tick.
-    const WAIT: Duration = Duration::from_millis(2);
+    /// Runs `scenario` on 64 seeded schedules, naming the seed that fails.
+    fn on_seeds(scenario: impl Fn(Exec)) {
+        for seed in 0..64 {
+            if catch_unwind(AssertUnwindSafe(|| scenario(Exec::seeded(seed)))).is_err() {
+                panic!("failed on Exec::seeded({seed})");
+            }
+        }
+    }
 
-    fn deployment(policy: PolicyName) -> Deployment {
+    fn deployment(policy: PolicyName, shards: usize, exec: Exec, obs: Observability) -> Deployment {
         let cluster = build_emergency_cluster().unwrap();
-        // Strong compression: virtual RTTs cost microseconds of real time.
-        Deployment::start(
-            policy,
-            BrokerConfig::default(),
-            cluster,
-            100_000.0,
-            Observability::detached(),
-        )
+        let config = BrokerConfig {
+            shards,
+            ..BrokerConfig::default()
+        };
+        Deployment::start(policy, config, cluster, exec, obs)
+    }
+
+    fn etype(kind: &str) -> ParamBindings {
+        ParamBindings::from_pairs([("etype", DataValue::from(kind))])
+    }
+
+    /// Publishes a `kind` report, then ticks the cluster and runs a
+    /// maintenance pass once a virtual second until a push arrives.
+    fn publish_until_pushed(dep: &Deployment, kind: &str, events: &Rx<ClientEvent>) -> ClientEvent {
+        let report = DataValue::object([
+            ("kind", DataValue::from(kind)),
+            ("severity", DataValue::from(3i64)),
+            ("district", DataValue::from("district-1")),
+        ]);
+        dep.publish("EmergencyReports", report).unwrap();
+        for _ in 0..120 {
+            dep.tick().unwrap();
+            dep.maintain();
+            if let Some(event) = events.recv_timeout(SimDuration::from_secs(1)) {
+                return event;
+            }
+        }
+        panic!("no push within two virtual minutes");
+    }
+
+    /// One subscriber's flood alert, from subscribe to retrieval.
+    fn deliver_one_flood_alert(dep: &Deployment) {
+        let (events_tx, events) = dep.exec().channel();
+        let alice = dep.client(SubscriberId::new(1), &events_tx);
+        let fs = alice
+            .subscribe("EmergenciesOfType", etype("flood"))
+            .unwrap();
+        assert_eq!(publish_until_pushed(dep, "flood", &events).frontend, fs);
+        let delivery = alice.get_results(fs).unwrap().expect("results are owed");
+        assert!(delivery.total_objects() >= 1);
+        assert_eq!(alice.get_results(fs).unwrap(), None, "nothing more is owed");
+        let stats = dep.broker_stats().unwrap();
+        assert_eq!(stats.delivery.deliveries, 1);
+        assert!(stats.cache.hit_ratio().unwrap() > 0.0, "the retrieval hits");
     }
 
     #[test]
     fn end_to_end_publish_subscribe_deliver() {
-        let dep = deployment(PolicyName::Lsc);
-        let alice = dep.client(SubscriberId::new(1));
-        let fs = alice
-            .subscribe(
-                "EmergenciesOfType",
-                ParamBindings::from_pairs([("etype", DataValue::from("flood"))]),
-            )
-            .unwrap();
-
-        dep.publish(
-            "EmergencyReports",
-            DataValue::object([
-                ("kind", DataValue::from("flood")),
-                ("severity", DataValue::from(3i64)),
-                ("district", DataValue::from("district-1")),
-            ]),
-        )
-        .unwrap();
-
-        // Repetitive channels fire on tick; tick until the notification
-        // arrives (bounded by the compressed channel period).
-        let notified = (0..200).find_map(|_| {
-            dep.tick().unwrap();
-            alice.events.recv_timeout(WAIT).ok()
+        on_seeds(|exec| {
+            let dep = deployment(PolicyName::Lsc, 1, exec, Observability::detached());
+            deliver_one_flood_alert(&dep);
+            dep.shutdown();
         });
-        let ClientEvent::ResultsAvailable { frontend, .. } = notified.expect("client was notified");
-        assert_eq!(frontend, fs);
-
-        let delivery = alice.get_results(fs).unwrap();
-        assert!(delivery.total_objects() >= 1);
-        let (metrics, hit) = dep.broker_metrics();
-        assert!(metrics.deliveries >= 1);
-        assert!(hit > 0.0, "first retrieval should hit the cache");
-        dep.shutdown();
     }
 
     #[test]
     fn unsubscribe_via_client() {
-        let dep = deployment(PolicyName::Lru);
-        let bob = dep.client(SubscriberId::new(2));
-        let fs = bob
-            .subscribe(
-                "SevereEmergencies",
-                ParamBindings::from_pairs([("minsev", DataValue::from(4i64))]),
-            )
-            .unwrap();
-        bob.unsubscribe(fs).unwrap();
-        assert!(bob.unsubscribe(fs).is_err());
-        assert!(bob.get_results(fs).is_err());
-        dep.shutdown();
+        on_seeds(|exec| {
+            let dep = deployment(PolicyName::Lru, 1, exec, Observability::detached());
+            let (events_tx, _events) = dep.exec().channel();
+            let bob = dep.client(SubscriberId::new(2), &events_tx);
+            let minsev = ParamBindings::from_pairs([("minsev", DataValue::from(4i64))]);
+            let fs = bob.subscribe("SevereEmergencies", minsev).unwrap();
+            bob.unsubscribe(fs).unwrap();
+            assert!(bob.unsubscribe(fs).is_err());
+            assert!(bob.get_results(fs).is_err());
+            dep.shutdown();
+        });
     }
 
     #[test]
     fn clients_share_backend_subscriptions() {
-        let dep = deployment(PolicyName::Lsc);
-        let a = dep.client(SubscriberId::new(1));
-        let b = dep.client(SubscriberId::new(2));
-        let params = ParamBindings::from_pairs([("etype", DataValue::from("fire"))]);
-        let fa = a.subscribe("EmergenciesOfType", params.clone()).unwrap();
-        let fb = b.subscribe("EmergenciesOfType", params).unwrap();
-        assert_ne!(fa, fb);
-        dep.publish(
-            "EmergencyReports",
-            DataValue::object([
-                ("kind", DataValue::from("fire")),
-                ("severity", DataValue::from(2i64)),
-                ("district", DataValue::from("district-0")),
-            ]),
-        )
-        .unwrap();
-        for (name, client) in [("a", &a), ("b", &b)] {
-            let notified = (0..200).any(|_| {
-                dep.tick().unwrap();
-                client.events.recv_timeout(WAIT).is_ok()
-            });
-            assert!(notified, "{name} not notified");
-        }
-        dep.shutdown();
+        on_seeds(|exec| {
+            let dep = deployment(PolicyName::Lsc, 1, exec, Observability::detached());
+            let (events_tx, events) = dep.exec().channel();
+            let a = dep.client(SubscriberId::new(1), &events_tx);
+            let b = dep.client(SubscriberId::new(2), &events_tx);
+            let fa = a.subscribe("EmergenciesOfType", etype("fire")).unwrap();
+            let fb = b.subscribe("EmergenciesOfType", etype("fire")).unwrap();
+            assert_ne!(fa, fb);
+            let first = publish_until_pushed(&dep, "fire", &events);
+            let second = events
+                .recv_timeout(SimDuration::from_secs(1))
+                .expect("both");
+            let mut fronts = [first.frontend, second.frontend];
+            fronts.sort();
+            assert_eq!(fronts, [fa, fb], "one notification reaches both");
+            assert_eq!(dep.broker_stats().unwrap().peak_backends, 1);
+            dep.shutdown();
+        });
     }
 
     #[test]
     fn traced_deployment_streams_events_and_renders_metrics() {
-        let cluster = build_emergency_cluster().unwrap();
-        let ring = std::sync::Arc::new(bad_telemetry::RingBufferSink::new(65536));
-        let dep = Deployment::start(
-            PolicyName::Lsc,
-            BrokerConfig::default(),
-            cluster,
-            100_000.0,
-            Observability::full(ring.clone(), bad_telemetry::TraceConfig::default()),
-        );
-        let alice = dep.client(SubscriberId::new(1));
-        let fs = alice
-            .subscribe(
-                "EmergenciesOfType",
-                ParamBindings::from_pairs([("etype", DataValue::from("flood"))]),
-            )
-            .unwrap();
-        dep.publish(
-            "EmergencyReports",
-            DataValue::object([
-                ("kind", DataValue::from("flood")),
-                ("severity", DataValue::from(3i64)),
-                ("district", DataValue::from("district-2")),
-            ]),
-        )
-        .unwrap();
-        let _ = (0..200).any(|_| {
-            dep.tick().unwrap();
-            alice.events.recv_timeout(WAIT).is_ok()
+        on_seeds(|exec| {
+            let ring = Arc::new(bad_telemetry::RingBufferSink::new(65536));
+            let obs = Observability::full(ring.clone(), bad_telemetry::TraceConfig::default());
+            let dep = deployment(PolicyName::Lsc, 1, exec, obs);
+            deliver_one_flood_alert(&dep);
+
+            // The Prometheus snapshot renders the hit/miss/eviction counters.
+            let text = dep.metrics_text();
+            assert!(text.contains("bad_cache_hit_objects_total"));
+            assert!(text.contains("bad_cache_miss_objects_total"));
+            assert!(text.contains("bad_cache_evicted_objects_total"));
+            assert!(text.contains("bad_broker_retrievals_total"));
+
+            // And the structured event stream saw both tiers: the cluster's
+            // result_produced root spans and the broker's retrieval summary.
+            let events = ring.events();
+            assert!(events.iter().any(|e| matches!(
+                e,
+                bad_telemetry::Event::Span(span)
+                    if span.kind == bad_telemetry::SpanKind::ResultProduced
+            )));
+            assert!(events
+                .iter()
+                .any(|e| matches!(e, bad_telemetry::Event::BrokerRetrieve { .. })));
+            dep.shutdown();
         });
-        let _ = alice.get_results(fs);
-
-        // The Prometheus snapshot renders the hit/miss/eviction counters.
-        let text = dep.metrics_text();
-        assert!(text.contains("bad_cache_hit_objects_total"));
-        assert!(text.contains("bad_cache_miss_objects_total"));
-        assert!(text.contains("bad_cache_evicted_objects_total"));
-        assert!(text.contains("bad_broker_retrievals_total"));
-
-        // And the structured event stream saw both tiers: the cluster's
-        // result_produced root spans and the broker's retrieval summary.
-        let events = ring.events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            bad_telemetry::Event::Span(span)
-                if span.kind == bad_telemetry::SpanKind::ResultProduced
-        )));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, bad_telemetry::Event::BrokerRetrieve { .. })));
-        dep.shutdown();
     }
 
     #[test]
     fn sharded_deployment_delivers_and_aggregates_metrics() {
-        let cluster = build_emergency_cluster().unwrap();
-        let config = BrokerConfig {
-            shards: 4,
-            ..BrokerConfig::default()
-        };
-        let dep = Deployment::start(
-            PolicyName::Lsc,
-            config,
-            cluster,
-            100_000.0,
-            Observability::detached(),
-        );
-        let alice = dep.client(SubscriberId::new(1));
-        let fs = alice
-            .subscribe(
-                "EmergenciesOfType",
-                ParamBindings::from_pairs([("etype", DataValue::from("flood"))]),
-            )
-            .unwrap();
-        dep.publish(
-            "EmergencyReports",
-            DataValue::object([
-                ("kind", DataValue::from("flood")),
-                ("severity", DataValue::from(3i64)),
-                ("district", DataValue::from("district-1")),
-            ]),
-        )
-        .unwrap();
-        let notified = (0..200).any(|_| {
-            dep.tick().unwrap();
-            // Exercise the fan-out maintenance path while waiting.
-            dep.maintain();
-            alice.events.recv_timeout(WAIT).is_ok()
+        on_seeds(|exec| {
+            let dep = deployment(PolicyName::Lsc, 4, exec, Observability::detached());
+            deliver_one_flood_alert(&dep);
+            // metrics_text aggregates across shards: the shard-count gauge
+            // and the shared cache counter family are both present.
+            let text = dep.metrics_text();
+            assert!(text.contains("bad_broker_cache_shards 4"));
+            assert!(text.contains("bad_cache_hit_objects_total"));
+            dep.shutdown();
         });
-        assert!(notified, "client was not notified");
-        let delivery = alice.get_results(fs).unwrap();
-        assert!(delivery.total_objects() >= 1);
-
-        // metrics_text aggregates across shards: the shard-count gauge
-        // and the shared cache counter family are both present.
-        let text = dep.metrics_text();
-        assert!(text.contains("bad_broker_cache_shards 4"));
-        assert!(text.contains("bad_cache_hit_objects_total"));
-        let (metrics, hit) = dep.broker_metrics();
-        assert!(metrics.deliveries >= 1);
-        assert!(hit > 0.0);
-        dep.shutdown();
     }
 
     #[test]
     fn virtual_clock_compresses_time() {
-        let clock = VirtualClock::new(1000.0);
-        let before = clock.now();
-        clock.sleep(SimDuration::from_secs(1)); // ~1 ms real
-        let after = clock.now();
-        assert!(after - before >= SimDuration::from_millis(900));
+        let exec = Exec::threads(1000.0);
+        let before = exec.now();
+        exec.sleep(SimDuration::from_secs(1)); // ~1 ms real
+        assert!(exec.now() - before >= SimDuration::from_millis(900));
     }
 }

@@ -1,10 +1,14 @@
 //! Pins the exact `PrototypeReport` of NC, LRU, LSC and TTL on the
 //! smoke trace, seeds 1 and 2, so any change to what the prototype
-//! measures shows up as a diff of the table below. `hit_ratio` is
-//! pinned by its bit pattern.
+//! measures shows up as a diff of the table below (`hit_ratio` is
+//! pinned by its bit pattern), and checks what the frontend count
+//! counts.
+
+use std::collections::HashSet;
 
 use bad_cache::PolicyName;
 use bad_proto::{run_prototype, PrototypeConfig, PrototypeReport};
+use bad_workload::{ActivityKind, TraceGenerator};
 
 /// `(policy, seed, hit_ratio bits, mean latency µs, fetched bytes,
 /// vol bytes, frontends, peak backends, deliveries, delivered objects,
@@ -13,14 +17,14 @@ type Row = (PolicyName, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64);
 
 #[rustfmt::skip]
 const PINNED: [Row; 8] = [
-    (PolicyName::Nc, 1, 0x0, 755869, 253511, 111076, 100, 49, 306, 349, 116),
-    (PolicyName::Nc, 2, 0x0, 756037, 274865, 153943, 100, 49, 278, 352, 118),
-    (PolicyName::Lru, 1, 0x3ff0000000000000, 255790, 111076, 111076, 100, 49, 306, 349, 116),
-    (PolicyName::Lru, 2, 0x3ff0000000000000, 255942, 153943, 153943, 100, 49, 278, 352, 118),
-    (PolicyName::Lsc, 1, 0x3ff0000000000000, 255790, 111076, 111076, 100, 49, 306, 349, 116),
-    (PolicyName::Lsc, 2, 0x3ff0000000000000, 255942, 153943, 153943, 100, 49, 278, 352, 118),
-    (PolicyName::Ttl, 1, 0x3ff0000000000000, 255790, 111076, 111076, 100, 49, 306, 349, 116),
-    (PolicyName::Ttl, 2, 0x3ff0000000000000, 255942, 153943, 153943, 100, 49, 278, 352, 118),
+    (PolicyName::Nc, 1, 0x0, 755853, 254724, 111750, 91, 49, 313, 352, 116),
+    (PolicyName::Nc, 2, 0x0, 756056, 274865, 153943, 91, 49, 273, 352, 118),
+    (PolicyName::Lru, 1, 0x3ff0000000000000, 255774, 112205, 112205, 91, 49, 314, 351, 116),
+    (PolicyName::Lru, 2, 0x3ff0000000000000, 255942, 153943, 153943, 91, 49, 277, 351, 118),
+    (PolicyName::Lsc, 1, 0x3ff0000000000000, 255774, 112205, 112205, 91, 49, 314, 351, 116),
+    (PolicyName::Lsc, 2, 0x3ff0000000000000, 255942, 153943, 153943, 91, 49, 277, 351, 118),
+    (PolicyName::Ttl, 1, 0x3ff0000000000000, 255774, 112205, 112205, 91, 49, 314, 351, 116),
+    (PolicyName::Ttl, 2, 0x3ff0000000000000, 255942, 153943, 153943, 91, 49, 277, 351, 118),
 ];
 
 fn row(r: &PrototypeReport) -> Row {
@@ -47,4 +51,27 @@ fn smoke_reports_are_pinned() {
         assert_eq!(report.cache_budget, config.cache.budget);
         assert_eq!(row(&report), pinned, "{} seed {}", pinned.0, pinned.1);
     }
+}
+
+#[test]
+fn frontends_are_the_traces_distinct_interests() {
+    // The generator schedules every unsubscribe after every subscribe,
+    // so no frontend is freed and made again.
+    let config = PrototypeConfig::smoke();
+    let trace = TraceGenerator::new(config.trace.clone(), 1)
+        .generate()
+        .unwrap();
+    let interests: HashSet<_> = (trace.iter())
+        .filter_map(|activity| match &activity.kind {
+            ActivityKind::Subscribe {
+                subscriber,
+                channel,
+                params,
+                ..
+            } => Some((*subscriber, channel.clone(), params.canonical_key())),
+            _ => None,
+        })
+        .collect();
+    let report = run_prototype(PolicyName::Lsc, &config, 1).unwrap();
+    assert_eq!(report.frontend_subscriptions, interests.len() as u64);
 }

@@ -1,6 +1,7 @@
 //! Scrape-endpoint smoke test: boots an *observed* deployment (live
-//! lifecycle tracer, continuous health engine), drives one publish →
-//! notify → retrieve round through the threaded runtime, then scrapes
+//! lifecycle tracer, continuous health engine) on OS threads
+//! (`Exec::threads`), drives one publish → notify → retrieve round
+//! through it, then scrapes
 //! `/metrics`, `/healthz`, `/trace/recent` (including its `?limit=`
 //! cap), `/timeseries`, `/alerts` and `/hot` over a real TCP socket
 //! like Prometheus would — and checks that an unknown path gets a JSON
@@ -16,10 +17,10 @@ use std::time::{Duration, Instant};
 use bad_broker::{BrokerConfig, Observability};
 use bad_cache::PolicyName;
 use bad_proto::harness::build_emergency_cluster;
-use bad_proto::Deployment;
+use bad_proto::{Deployment, Exec};
 use bad_query::ParamBindings;
 use bad_telemetry::TraceConfig;
-use bad_types::{DataValue, SubscriberId};
+use bad_types::{DataValue, SimDuration, SubscriberId};
 
 fn http_get(addr: SocketAddr, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect to scrape endpoint");
@@ -60,11 +61,12 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         PolicyName::Lsc,
         config,
         cluster,
-        100_000.0,
+        Exec::threads(100_000.0),
         Observability::full(bad_telemetry::null_sink(), TraceConfig::default()),
     );
 
-    let alice = dep.client(SubscriberId::new(1));
+    let (events_tx, events) = dep.exec().channel();
+    let alice = dep.client(SubscriberId::new(1), &events_tx);
     let fs = alice
         .subscribe(
             "EmergenciesOfType",
@@ -83,17 +85,18 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     let notified = (0..200).any(|_| {
         dep.tick().unwrap();
         dep.maintain();
-        alice.events.recv_timeout(Duration::from_millis(2)).is_ok()
+        // A virtual minute: 0.6 ms of wall time.
+        events.recv_timeout(SimDuration::from_mins(1)).is_some()
     });
     assert!(notified, "client was not notified");
-    let delivery = alice.get_results(fs).unwrap();
+    let delivery = alice.get_results(fs).unwrap().expect("results are owed");
     assert!(delivery.total_objects() >= 1);
     // One more maintenance pass folds the broker thread's profiler ring
     // (the retrieval stages above) into the global aggregates; the
-    // metrics round trip rendezvouses with the broker node so the flush
+    // stats round trip rendezvouses with the broker node so the flush
     // has definitely happened before the scrape below.
     dep.maintain();
-    let _ = dep.broker_metrics();
+    let _ = dep.broker_stats().unwrap();
 
     let server = dep
         .serve_scrape("127.0.0.1:0")
@@ -138,7 +141,6 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         metrics.contains("sketches=\"on\""),
         "observed deployments default the sketches on:\n{metrics}"
     );
-    assert!(metrics.contains("bad_proto_shard_queue_depth{shard=\"0\"}"));
     assert!(metrics.contains("bad_proto_cluster_inflight_rpcs"));
 
     // /healthz: per-shard occupancy plus the continuous-health summary
@@ -299,7 +301,7 @@ fn healthz_answers_while_the_broker_waits_on_the_cluster() {
         PolicyName::Lsc,
         BrokerConfig::default(),
         cluster,
-        1.0,
+        Exec::threads(1.0),
         Observability::detached(),
     );
     let rtt = BrokerConfig::default().net.cluster.rtt;
@@ -308,14 +310,15 @@ fn healthz_answers_while_the_broker_waits_on_the_cluster() {
         .expect("bind scrape endpoint");
     let addr = server.local_addr();
 
-    // Two new backend subscriptions: after its 250-ms subscriber leg,
-    // each holds the broker thread for one cluster round trip, so the
-    // broker is busy from ≈ 250 ms to ≈ 1250 ms.
+    // Two new backend subscriptions: each holds the broker thread for
+    // one cluster round trip, so the broker is busy from ≈ 0 ms to
+    // ≈ 1000 ms.
+    let (events_tx, _events) = dep.exec().channel();
     let subscribers: Vec<_> = ["flood", "fire"]
         .into_iter()
         .enumerate()
         .map(|(i, etype)| {
-            let client = dep.client(SubscriberId::new(i as u64 + 1));
+            let client = dep.client(SubscriberId::new(i as u64 + 1), &events_tx);
             thread::spawn(move || {
                 client
                     .subscribe(

@@ -1,13 +1,13 @@
 //! The emergency-notification scenario of the paper's prototype
-//! (Section VI), running on the **threaded** deployment: a data-cluster
-//! thread and a broker thread connected by channels, real clients
-//! receiving push notifications, and virtual time compressed 10 000×
-//! so the repetitive channels' periods pass in milliseconds.
+//! (Section VI), running the deployment on OS threads
+//! (`Exec::threads`): a data-cluster thread and a broker thread
+//! connected by channels, real clients receiving push notifications,
+//! and virtual time compressed 10 000× so the repetitive channels'
+//! periods pass in milliseconds.
 //!
 //! Run with: `cargo run --example emergency_notifications`
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use big_active_data::broker::BrokerConfig;
 use big_active_data::prelude::*;
@@ -28,14 +28,15 @@ fn main() -> Result<(), BadError> {
         PolicyName::Ttl,
         BrokerConfig::default(),
         cluster,
-        10_000.0,
+        Exec::threads(10_000.0),
         Observability::detached(),
     );
 
     // Three residents subscribe to different interests.
     let mut city = EmergencyCity::new(EmergencyCityConfig::default(), 7)?;
+    let (events_tx, events) = deployment.exec().channel();
     let clients: Vec<_> = (0..3)
-        .map(|i| deployment.client(SubscriberId::new(i)))
+        .map(|i| deployment.client(SubscriberId::new(i), &events_tx))
         .collect();
     for (i, client) in clients.iter().enumerate() {
         let (channel, params) = city.random_interest();
@@ -67,28 +68,34 @@ fn main() -> Result<(), BadError> {
         deployment.tick()?;
         deployment.maintain();
 
-        // Drain client notifications and retrieve.
-        for (i, client) in clients.iter().enumerate() {
-            while let Ok(event) = client.events.try_recv() {
-                let ClientEvent::ResultsAvailable { frontend, .. } = event;
-                let delivery = client.get_results(frontend)?;
-                delivered += delivery.total_objects();
-                if delivery.total_objects() > 0 && delivered % 50 == 1 {
-                    println!(
-                        "subscriber {i}: {} object(s) on {frontend} \
-                         ({} hit / {} miss, latency {})",
-                        delivery.total_objects(),
-                        delivery.hit_objects,
-                        delivery.miss_objects,
-                        delivery.latency
-                    );
-                }
+        // Wait up to three virtual seconds (300 µs) for pushes, and
+        // retrieve what each one announces.
+        while let Some(event) = events.recv_timeout(SimDuration::from_secs(3)) {
+            let ClientEvent {
+                subscriber,
+                frontend,
+                ..
+            } = event;
+            let client = &clients[subscriber.as_u64() as usize];
+            let Some(delivery) = client.get_results(frontend)? else {
+                continue;
+            };
+            delivered += delivery.total_objects();
+            if delivery.total_objects() > 0 && delivered % 50 == 1 {
+                println!(
+                    "{subscriber}: {} object(s) on {frontend} \
+                     ({} hit / {} miss, latency {})",
+                    delivery.total_objects(),
+                    delivery.hit_objects,
+                    delivery.miss_objects,
+                    delivery.latency
+                );
             }
         }
-        std::thread::sleep(Duration::from_micros(300));
     }
 
-    let (metrics, hit_ratio) = deployment.broker_metrics();
+    let stats = deployment.broker_stats()?;
+    let (metrics, hit_ratio) = (stats.delivery, stats.cache.hit_ratio().unwrap_or(0.0));
     println!("\n--- after 400 publications ---");
     println!("deliveries:        {}", metrics.deliveries);
     println!("objects delivered: {}", metrics.delivered_objects);

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use bad_cache::{CacheConfig, CacheManager, PolicyName};
     pub use bad_cluster::{DataCluster, EnrichmentRule, Notification};
     pub use bad_net::NetworkModel;
-    pub use bad_proto::{run_prototype, Deployment, PrototypeConfig};
+    pub use bad_proto::{run_prototype, Deployment, Exec, PrototypeConfig};
     pub use bad_query::{ChannelSpec, ParamBindings};
     pub use bad_sim::{SimConfig, Simulation};
     pub use bad_storage::{Dataset, ResultStore, Schema};

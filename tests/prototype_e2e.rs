@@ -1,12 +1,33 @@
-//! End-to-end tests of the prototype deployments: the deterministic
-//! full-stack harness and the threaded runtime.
+//! End-to-end tests of the prototype: the Fig. 7 trace replay and the
+//! deployed actors under seeded schedules.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use big_active_data::broker::BrokerConfig;
 use big_active_data::cache::PolicyName;
 use big_active_data::prelude::*;
 use big_active_data::proto::harness::build_emergency_cluster;
-use big_active_data::proto::ClientEvent;
-use std::time::Duration;
+use big_active_data::proto::Exec;
+
+/// Runs `scenario` on 64 seeded schedules, naming the seed that fails.
+fn on_seeds(scenario: impl Fn(Exec)) {
+    for seed in 0..64 {
+        if catch_unwind(AssertUnwindSafe(|| scenario(Exec::seeded(seed)))).is_err() {
+            panic!("failed on Exec::seeded({seed})");
+        }
+    }
+}
+
+fn deployment(policy: PolicyName, exec: Exec) -> Deployment {
+    let cluster = build_emergency_cluster().unwrap();
+    Deployment::start(
+        policy,
+        BrokerConfig::default(),
+        cluster,
+        exec,
+        Observability::detached(),
+    )
+}
 
 #[test]
 fn harness_prototype_replays_trace_for_all_policies() {
@@ -40,97 +61,99 @@ fn harness_prototype_replays_trace_for_all_policies() {
 
 #[test]
 fn threaded_deployment_serves_many_clients() {
-    let cluster = build_emergency_cluster().unwrap();
-    let deployment = Deployment::start(
-        PolicyName::Lsc,
-        BrokerConfig::default(),
-        cluster,
-        50_000.0,
-        Observability::detached(),
-    );
+    on_seeds(|exec| {
+        let deployment = deployment(PolicyName::Lsc, exec);
 
-    // Ten clients share one hot interest.
-    let params = ParamBindings::from_pairs([("etype", DataValue::from("tornado"))]);
-    let clients: Vec<_> = (0..10)
-        .map(|i| {
-            let client = deployment.client(SubscriberId::new(i));
-            let fs = client
-                .subscribe("EmergenciesOfType", params.clone())
-                .unwrap();
-            (client, fs)
-        })
-        .collect();
+        // Ten clients share one hot interest.
+        let (events_tx, events) = deployment.exec().channel();
+        let params = ParamBindings::from_pairs([("etype", DataValue::from("tornado"))]);
+        let clients: Vec<_> = (0..10)
+            .map(|i| {
+                let client = deployment.client(SubscriberId::new(i), &events_tx);
+                let fs = client
+                    .subscribe("EmergenciesOfType", params.clone())
+                    .unwrap();
+                (client, fs)
+            })
+            .collect();
 
-    deployment
-        .publish(
-            "EmergencyReports",
-            DataValue::object([
-                ("kind", DataValue::from("tornado")),
-                ("severity", DataValue::from(5i64)),
-                ("district", DataValue::from("district-2")),
-            ]),
-        )
-        .unwrap();
+        deployment
+            .publish(
+                "EmergencyReports",
+                DataValue::object([
+                    ("kind", DataValue::from("tornado")),
+                    ("severity", DataValue::from(5i64)),
+                    ("district", DataValue::from("district-2")),
+                ]),
+            )
+            .unwrap();
 
-    // Pump ticks until each client has been notified (compressed periods).
-    let mut total = 0u64;
-    for (i, (client, fs)) in clients.iter().enumerate() {
-        let notified = (0..500).find_map(|_| {
+        // Tick once a virtual second until every client was pushed to.
+        let mut pushed = Vec::new();
+        for _ in 0..120 {
+            if pushed.len() == clients.len() {
+                break;
+            }
             deployment.tick().unwrap();
-            client.events.recv_timeout(Duration::from_millis(2)).ok()
-        });
-        let Some(ClientEvent::ResultsAvailable { frontend, .. }) = notified else {
-            panic!("client {i} was not notified");
-        };
-        assert_eq!(frontend, *fs);
-        total += client.get_results(*fs).unwrap().total_objects();
-    }
-    assert_eq!(total, 10, "each client received the tornado alert once");
+            while let Some(event) = events.recv_timeout(SimDuration::from_secs(1)) {
+                pushed.push(event);
+            }
+        }
+        assert_eq!(pushed.len(), clients.len(), "one push per client");
+        let mut total = 0u64;
+        for event in pushed {
+            let (client, fs) = &clients[event.subscriber.as_u64() as usize];
+            assert_eq!(event.frontend, *fs);
+            total += client.get_results(*fs).unwrap().unwrap().total_objects();
+        }
+        assert_eq!(total, 10, "each client received the tornado alert once");
 
-    let (metrics, hit_ratio) = deployment.broker_metrics();
-    assert_eq!(metrics.deliveries, 10);
-    // One backend fetch, ten deliveries: the shared cache turned nine of
-    // them into hits.
-    assert!(hit_ratio > 0.85, "hit ratio {hit_ratio}");
-    deployment.shutdown();
+        let stats = deployment.broker_stats().unwrap();
+        assert_eq!(stats.delivery.deliveries, 10);
+        // One backend fetch, ten deliveries: the shared cache turned nine of
+        // them into hits.
+        let hit_ratio = stats.cache.hit_ratio().unwrap();
+        assert!(hit_ratio > 0.85, "hit ratio {hit_ratio}");
+        deployment.shutdown();
+    });
 }
 
 #[test]
 fn threaded_deployment_survives_churny_clients() {
-    let cluster = build_emergency_cluster().unwrap();
-    let deployment = Deployment::start(
-        PolicyName::Ttl,
-        BrokerConfig::default(),
-        cluster,
-        50_000.0,
-        Observability::detached(),
-    );
-    for i in 0..20u64 {
-        let client = deployment.client(SubscriberId::new(i));
-        let fs = client
-            .subscribe(
-                "SevereEmergencies",
-                ParamBindings::from_pairs([("minsev", DataValue::from(1i64))]),
+    on_seeds(|exec| {
+        let deployment = deployment(PolicyName::Ttl, exec);
+        for i in 0..20u64 {
+            // Every client disconnects at the end of its iteration: its
+            // handle and its push channel are dropped.
+            let (events_tx, _events) = deployment.exec().channel();
+            let client = deployment.client(SubscriberId::new(i), &events_tx);
+            let fs = client
+                .subscribe(
+                    "SevereEmergencies",
+                    ParamBindings::from_pairs([("minsev", DataValue::from(1i64))]),
+                )
+                .unwrap();
+            if i % 2 == 0 {
+                client.unsubscribe(fs).unwrap();
+            }
+        }
+        deployment
+            .publish(
+                "EmergencyReports",
+                DataValue::object([
+                    ("kind", DataValue::from("fire")),
+                    ("severity", DataValue::from(3i64)),
+                    ("district", DataValue::from("district-0")),
+                ]),
             )
             .unwrap();
-        if i % 2 == 0 {
-            client.unsubscribe(fs).unwrap();
+        for _ in 0..50 {
+            deployment.tick().unwrap();
+            deployment.exec().sleep(SimDuration::from_secs(1));
         }
-        // Half the clients disconnect immediately (handles dropped).
-    }
-    deployment
-        .publish(
-            "EmergencyReports",
-            DataValue::object([
-                ("kind", DataValue::from("fire")),
-                ("severity", DataValue::from(3i64)),
-                ("district", DataValue::from("district-0")),
-            ]),
-        )
-        .unwrap();
-    for _ in 0..50 {
-        deployment.tick().unwrap();
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    deployment.shutdown();
+        let stats = deployment.broker_stats().unwrap();
+        assert_eq!(stats.peak_backends, 1);
+        assert_eq!(stats.delivery.deliveries, 0);
+        deployment.shutdown();
+    });
 }
