@@ -16,6 +16,7 @@
 //!   exactly. When no actor is runnable and none sleeps, every actor
 //!   panics with the blocked actors' names and the seed.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -77,12 +78,7 @@ impl Exec {
     pub fn sleep(&self, duration: SimDuration) {
         match &self.0 {
             Mode::Threads { compression, .. } => thread::sleep(real(duration, *compression)),
-            Mode::Seeded(sched) => {
-                let until = self.now() + duration;
-                while self.now() < until {
-                    sched.block(Some(until));
-                }
-            }
+            Mode::Seeded(sched) => sched.block(Some(self.now() + duration)),
         }
     }
 
@@ -98,10 +94,14 @@ impl Exec {
     }
 
     /// Starts `body` as an actor named `name`. The returned receiver
-    /// closes once the body has returned (or unwound): `recv` on it
-    /// joins the actor.
-    pub fn spawn(&self, name: &str, body: impl FnOnce() + Send + 'static) -> Rx<()> {
-        let (done_tx, done) = self.channel::<()>();
+    /// gets the body's outcome, `Err` with the payload if it panicked:
+    /// `recv` on it joins the actor.
+    pub fn spawn(
+        &self,
+        name: &str,
+        body: impl FnOnce() + Send + 'static,
+    ) -> Rx<thread::Result<()>> {
+        let (done_tx, done) = self.channel();
         let turn = match &self.0 {
             Mode::Threads { .. } => None,
             Mode::Seeded(sched) => {
@@ -113,14 +113,12 @@ impl Exec {
         thread::Builder::new()
             .name(name.to_owned())
             .spawn(move || {
-                // Dropped in reverse order, also when `body` unwinds:
-                // `done` closes, then the turn passes on.
+                // The turn passes on (`_exit` drops) after the outcome is sent.
                 let _exit = turn.map(|(sched, me)| {
                     sched.wait_turn(sched.lock(), me);
                     Exit(sched, me)
                 });
-                let _done = done_tx;
-                body();
+                let _ = done_tx.send(panic::catch_unwind(AssertUnwindSafe(body)));
             })
             .expect("spawn an actor thread");
         done
@@ -198,11 +196,8 @@ impl State {
     fn hand_off(&mut self) {
         loop {
             let now = self.now;
-            let runnable = |run: &Run| match *run {
-                Run::Ready => true,
-                Run::Blocked(until) => until.is_some_and(|t| t <= now),
-                Run::Done => false,
-            };
+            let runnable =
+                |run: &Run| *run == Run::Ready || matches!(*run, Run::Blocked(Some(t)) if t <= now);
             let count = self.actors.iter().filter(|(_, run)| runnable(run)).count();
             if count > 0 {
                 let pick = self.rng.below(count as u64) as usize;

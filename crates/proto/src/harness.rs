@@ -10,7 +10,7 @@ use bad_cache::{CacheConfig, PolicyName};
 use bad_cluster::{DataCluster, EnrichmentRule};
 use bad_storage::Schema;
 use bad_types::{ByteSize, Result, SimDuration, SubscriberId, Timestamp};
-use bad_workload::{Activity, ActivityKind, TraceConfig, TraceGenerator, TABLE_III_CHANNELS};
+use bad_workload::{ActivityKind, TraceConfig, TraceGenerator, TABLE_III_CHANNELS};
 
 use crate::exec::Exec;
 use crate::runtime::Deployment;
@@ -187,8 +187,7 @@ pub fn run_prototype(
             continue;
         }
         if due == activity_at {
-            let Activity { kind, .. } = activities.next().expect("peeked");
-            match kind {
+            match &activities.next().expect("peeked").kind {
                 ActivityKind::Login(sub) => {
                     online.insert(*sub);
                     client(sub).get_all_pending()?;

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::thread;
 
 use bad_broker::{Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics, Observability};
 use bad_cache::{CacheMetrics, PolicyName, ShardedCacheManager};
@@ -46,7 +47,7 @@ impl<S> Clone for Mailbox<S> {
 impl<S: Send + 'static> Mailbox<S> {
     /// Starts an actor named `name` that runs each job on `state`, in
     /// arrival order, until stopped.
-    fn spawn(exec: Exec, name: &str, mut state: S) -> (Self, Rx<()>) {
+    fn spawn(exec: Exec, name: &str, mut state: S) -> (Self, Rx<thread::Result<()>>) {
         let (jobs, queue) = exec.channel::<Option<Job<S>>>();
         let clock = exec.clone();
         let actor = exec.spawn(name, move || {
@@ -278,7 +279,7 @@ impl BrokerClient {
 pub struct Deployment {
     cluster: Mailbox<ClusterNode>,
     broker: Mailbox<BrokerNode>,
-    actors: Vec<Rx<()>>,
+    actors: Vec<Rx<thread::Result<()>>>,
     obs: Observability,
     cache: Arc<ShardedCacheManager>,
     /// Pre-rendered `bad_build_info` labels as a JSON object, embedded
@@ -569,12 +570,15 @@ impl Deployment {
         self.cluster.ask(|node, _| node.cluster.stats())
     }
 
-    /// Stops both nodes and joins their actors.
+    /// Stops both nodes and joins their actors, re-raising a node's
+    /// panic.
     pub fn shutdown(self) {
         let _ = self.broker.jobs.send(None);
         let _ = self.cluster.jobs.send(None);
         for actor in self.actors {
-            actor.recv();
+            if let Some(Err(panic)) = actor.recv() {
+                std::panic::resume_unwind(panic);
+            }
         }
     }
 

@@ -39,7 +39,7 @@ fn virtual_time_jumps_to_the_earliest_sleeper() {
         assert_eq!(rx.recv_timeout(SimDuration::from_secs(1)), None);
         assert_eq!(exec.now(), Timestamp::from_secs(1), "seed {seed}");
         assert_eq!(rx.recv(), Some(Timestamp::from_secs(3)), "seed {seed}");
-        actor.recv();
+        assert!(matches!(actor.recv(), Some(Ok(()))), "seed {seed}");
         assert_eq!(rx.recv(), None, "seed {seed}: the sender is gone");
     }
 }

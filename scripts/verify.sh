@@ -8,7 +8,8 @@
 # script under scripts/, the release build and every
 # crate's tests, the cache, broker, cluster, query, storage, types,
 # telemetry, proto, sim, net and workload suites again under --release,
-# formatting, lints and rustdoc, the benchmark package's own unit tests,
+# one tiny Fig. 7 run, formatting, lints and rustdoc, the benchmark
+# package's own unit tests,
 # formatting and lints (it is a workspace of its own, which the
 # workspace-wide commands never see), and the benchmark smoke.
 set -euo pipefail
@@ -45,6 +46,15 @@ cargo test -q --locked
 cargo test -q --release --locked -p bad-cache -p bad-broker -p bad-cluster -p bad-query \
   -p bad-storage -p bad-types -p bad-telemetry -p bad-proto -p bad-sim -p bad-net \
   -p bad-workload
+# Fig. 7 replays a trace through the deployed actors on the seeded
+# executor; once, at a tiny scale, from a scratch directory so that
+# target/experiments keeps the outputs of a full run.
+root=$PWD
+smoke=$(mktemp -d)
+(cd "$smoke" && BAD_SUBSCRIBERS=25 BAD_MINUTES=10 BAD_SEEDS=1 \
+  cargo run -q --release --locked --manifest-path "$root/Cargo.toml" -p bad-bench --bin fig7 \
+  >fig7.log 2>&1) || { cat "$smoke/fig7.log" >&2; exit 1; }
+rm -rf "$smoke"
 cargo fmt --check
 cargo clippy --locked --workspace --all-targets -- -D warnings
 # A dangling or private intra-doc link (say, to an item a change
