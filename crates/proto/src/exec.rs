@@ -113,11 +113,13 @@ impl Exec {
         thread::Builder::new()
             .name(name.to_owned())
             .spawn(move || {
-                // The turn passes on (`_exit` drops) after the outcome is sent.
+                // Locals drop in reverse: the outcome is sent and
+                // `done_tx` closed before the turn passes on (`_exit`).
                 let _exit = turn.map(|(sched, me)| {
                     sched.wait_turn(sched.lock(), me);
                     Exit(sched, me)
                 });
+                let done_tx = done_tx;
                 let _ = done_tx.send(panic::catch_unwind(AssertUnwindSafe(body)));
             })
             .expect("spawn an actor thread");

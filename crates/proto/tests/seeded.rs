@@ -1,8 +1,9 @@
-//! The seeded executor: a schedule is a function of its seed, virtual
-//! time moves only when every actor waits, and a wait nothing can end
-//! is a named deadlock, not a hang.
+//! The seeded executor: a schedule is a function of its seed (and the
+//! seed picks it), virtual time moves only when every actor waits, and a
+//! wait nothing can end is a named deadlock, not a hang.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 
 use bad_broker::{BrokerConfig, Observability};
 use bad_cache::PolicyName;
@@ -44,9 +45,10 @@ fn virtual_time_jumps_to_the_earliest_sleeper() {
     }
 }
 
-/// Four subscribers on two interests, twenty publications, and every
-/// push retrieved at once: the `(time, delivery)` sequence.
-fn deliveries(seed: u64) -> Vec<(Timestamp, Option<bad_broker::Delivery>)> {
+/// Four client actors on two interests retrieve every push they get
+/// while the calling actor publishes and ticks: the `(time, subscriber,
+/// delivery)` sequence, in the order the retrievals returned.
+fn deliveries(seed: u64) -> Vec<(Timestamp, u64, Option<bad_broker::Delivery>)> {
     let cluster = build_emergency_cluster().unwrap();
     let exec = Exec::seeded(seed);
     let dep = Deployment::start(
@@ -56,18 +58,24 @@ fn deliveries(seed: u64) -> Vec<(Timestamp, Option<bad_broker::Delivery>)> {
         exec.clone(),
         Observability::detached(),
     );
-    let (events_tx, events) = exec.channel();
+    let log = Arc::new(Mutex::new(Vec::new()));
     let kinds = ["flood", "fire"];
     let clients: Vec<_> = (0..4u64)
         .map(|i| {
+            let (events_tx, events) = exec.channel();
             let client = dep.client(SubscriberId::new(i), &events_tx);
-            let interest =
-                ParamBindings::from_pairs([("etype", DataValue::from(kinds[i as usize % 2]))]);
-            client.subscribe("EmergenciesOfType", interest).unwrap();
-            client
+            let (exec, log) = (exec.clone(), Arc::clone(&log));
+            exec.clone().spawn(&format!("client-{i}"), move || {
+                let interest = [("etype", DataValue::from(kinds[i as usize % 2]))];
+                let interest = ParamBindings::from_pairs(interest);
+                client.subscribe("EmergenciesOfType", interest).unwrap();
+                while let Some(event) = events.recv_timeout(SimDuration::from_secs(60)) {
+                    let delivery = client.get_results(event.frontend).unwrap();
+                    log.lock().unwrap().push((exec.now(), i, delivery));
+                }
+            })
         })
         .collect();
-    let mut log = Vec::new();
     for round in 0..20 {
         let report = DataValue::object([
             ("kind", DataValue::from(kinds[round % 2])),
@@ -76,20 +84,25 @@ fn deliveries(seed: u64) -> Vec<(Timestamp, Option<bad_broker::Delivery>)> {
         ]);
         dep.publish("EmergencyReports", report).unwrap();
         dep.tick().unwrap();
-        while let Some(event) = events.recv_timeout(SimDuration::from_secs(2)) {
-            let client = &clients[event.subscriber.as_u64() as usize];
-            log.push((exec.now(), client.get_results(event.frontend).unwrap()));
-        }
+        exec.sleep(SimDuration::from_secs(5));
+    }
+    for client in clients {
+        assert!(matches!(client.recv(), Some(Ok(()))));
     }
     dep.shutdown();
+    let log = log.lock().unwrap().clone();
     log
 }
 
 #[test]
 fn one_seed_replays_one_delivery_sequence() {
+    let mut schedules = Vec::new();
     for seed in 0..64 {
         let first = deliveries(seed);
-        assert!(first.iter().any(|(_, d)| d.is_some()), "seed {seed}");
+        assert!(first.iter().any(|(_, _, d)| d.is_some()), "seed {seed}");
         assert_eq!(first, deliveries(seed), "seed {seed} replayed differently");
+        schedules.push(first);
     }
+    // And the seed is what decides: the interleavings differ.
+    assert!(schedules.iter().any(|s| *s != schedules[0]));
 }
