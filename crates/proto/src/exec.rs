@@ -57,10 +57,8 @@ impl Exec {
             actors: vec![("main".to_owned(), Run::Ready)],
             deadlock: None,
         };
-        Self(Mode::Seeded(Arc::new(Sched(
-            Mutex::new(state),
-            Condvar::new(),
-        ))))
+        let sched = Sched(Mutex::new(state), Condvar::new());
+        Self(Mode::Seeded(Arc::new(sched)))
     }
 
     /// The current virtual time.

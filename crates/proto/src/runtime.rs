@@ -244,10 +244,13 @@ impl BrokerClient {
     /// Unknown subscription or wrong owner.
     pub fn get_results(&self, fs: FrontendSubId) -> Result<Option<Delivery>> {
         self.ask(move |node, subscriber, now| {
-            // An unknown frontend goes through, to get its error.
+            // A live frontend of this subscriber owed nothing books no
+            // delivery; an unknown or foreign one goes through, to err.
             let broker = &mut node.broker;
-            let owed = broker.has_pending(fs) || broker.subscriptions().frontend(fs).is_none();
-            let delivery = owed.then(|| broker.get_results(&mut node.cluster, subscriber, fs, now));
+            let front = broker.subscriptions().frontend(fs);
+            let idle = front.is_some_and(|f| f.subscriber == subscriber) && !broker.has_pending(fs);
+            let delivery =
+                (!idle).then(|| broker.get_results(&mut node.cluster, subscriber, fs, now));
             delivery.transpose()
         })
     }
@@ -628,14 +631,13 @@ mod tests {
             ("district", DataValue::from("district-1")),
         ]);
         dep.publish("EmergencyReports", report).unwrap();
-        for _ in 0..120 {
-            dep.tick().unwrap();
-            dep.maintain();
-            if let Some(event) = events.recv_timeout(SimDuration::from_secs(1)) {
-                return event;
-            }
-        }
-        panic!("no push within two virtual minutes");
+        (0..120)
+            .find_map(|_| {
+                dep.tick().unwrap();
+                dep.maintain();
+                events.recv_timeout(SimDuration::from_secs(1))
+            })
+            .expect("a push within two virtual minutes")
     }
 
     /// One subscriber's flood alert, from subscribe to retrieval.
@@ -688,6 +690,7 @@ mod tests {
             let fa = a.subscribe("EmergenciesOfType", etype("fire")).unwrap();
             let fb = b.subscribe("EmergenciesOfType", etype("fire")).unwrap();
             assert_ne!(fa, fb);
+            assert!(b.get_results(fa).is_err(), "fa is not b's");
             let first = publish_until_pushed(&dep, "fire", &events);
             let second = events
                 .recv_timeout(SimDuration::from_secs(1))
