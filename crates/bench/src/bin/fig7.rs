@@ -2,7 +2,10 @@
 //! bytes fetched from the data cluster vs cache size, for every caching
 //! scheme **including the no-cache (NC) baseline**, on the full stack
 //! (BQL channels, matching, enrichment, broker, caches) replaying the
-//! same emergency-scenario trace for every scheme.
+//! same emergency-scenario trace for every scheme. `latency_ms` is what
+//! a subscriber sees: the modelled per-delivery latency plus `wait_ms`,
+//! the time a retrieval waited behind the broker actor (one call at a
+//! time, a cluster round trip slept per miss).
 //!
 //! Usage: `cargo run --release -p bad-bench --bin fig7`
 //! Environment: `BAD_SUBSCRIBERS` (default 400), `BAD_MINUTES` (default
@@ -62,6 +65,11 @@ fn main() {
             .map(|r| r.mean_latency.as_millis_f64())
             .sum::<f64>()
             / n;
+        let wait = reports
+            .iter()
+            .map(|r| r.mean_wait.as_millis_f64())
+            .sum::<f64>()
+            / n;
         let fetched = reports
             .iter()
             .map(|r| r.fetched_bytes.as_mib_f64())
@@ -78,17 +86,19 @@ fn main() {
             format!("{:.0}", first.cache_budget.as_kib_f64()),
             format!("{:.3}", hit),
             format!("{:.0}", latency),
+            format!("{:.0}", wait),
             format!("{:.2}", fetched),
             format!("{:.2}", vol),
             first.frontend_subscriptions.to_string(),
             first.backend_subscriptions.to_string(),
         ]);
         csv.push(format!(
-            "{},{:.0},{:.4},{:.1},{:.3},{:.3},{},{}",
+            "{},{:.0},{:.4},{:.1},{:.1},{:.3},{:.3},{},{}",
             first.policy,
             first.cache_budget.as_kib_f64(),
             hit,
             latency,
+            wait,
             fetched,
             vol,
             first.frontend_subscriptions,
@@ -101,6 +111,7 @@ fn main() {
             obj.field_f64("cache_kb", first.cache_budget.as_kib_f64());
             obj.field_f64("hit_ratio", hit);
             obj.field_f64("latency_ms", latency);
+            obj.field_f64("wait_ms", wait);
             obj.field_f64("fetched_mb", fetched);
             obj.field_f64("vol_mb", vol);
             obj.field_u64("frontend_subs", first.frontend_subscriptions);
@@ -140,6 +151,7 @@ fn main() {
             "cache_kb",
             "hit_ratio",
             "latency_ms",
+            "wait_ms",
             "fetched_mb",
             "vol_mb",
             "fsubs",
@@ -149,7 +161,7 @@ fn main() {
     );
     let path = write_csv(
         "fig7.csv",
-        "policy,cache_kb,hit_ratio,latency_ms,fetched_mb,vol_mb,frontend_subs,backend_subs",
+        "policy,cache_kb,hit_ratio,latency_ms,wait_ms,fetched_mb,vol_mb,frontend_subs,backend_subs",
         &csv,
     );
     println!("\nwrote {}", path.display());

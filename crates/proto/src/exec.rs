@@ -17,6 +17,7 @@
 //!   panics with the blocked actors' names and the seed.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -83,7 +84,7 @@ impl Exec {
     /// A channel whose receiver blocks as this executor's actors do.
     pub fn channel<T>(&self) -> (Tx<T>, Rx<T>) {
         let (tx, rx) = mpsc::channel();
-        let waiter = Arc::new(Waiter(self.clone(), Mutex::new(None)));
+        let waiter = Arc::new(Waiter(self.clone(), Mutex::new(None), AtomicUsize::new(1)));
         let tx = Tx {
             tx,
             waiter: Arc::clone(&waiter),
@@ -111,14 +112,18 @@ impl Exec {
         thread::Builder::new()
             .name(name.to_owned())
             .spawn(move || {
-                // Locals drop in reverse: the outcome is sent and
-                // `done_tx` closed before the turn passes on (`_exit`).
-                let _exit = turn.map(|(sched, me)| {
-                    sched.wait_turn(sched.lock(), me);
-                    Exit(sched, me)
-                });
-                let done_tx = done_tx;
+                if let Some((sched, me)) = &turn {
+                    sched.wait_turn(sched.lock(), *me);
+                }
                 let _ = done_tx.send(panic::catch_unwind(AssertUnwindSafe(body)));
+                // Closed before the turn passes on for good.
+                drop(done_tx);
+                if let Some((sched, me)) = turn {
+                    let mut state = sched.lock();
+                    state.actors[me].1 = Run::Done;
+                    state.hand_off();
+                    sched.1.notify_all();
+                }
             })
             .expect("spawn an actor thread");
         done
@@ -235,18 +240,6 @@ impl State {
     }
 }
 
-/// Marks a seeded actor done and passes its turn on.
-struct Exit(Arc<Sched>, usize);
-
-impl Drop for Exit {
-    fn drop(&mut self) {
-        let mut state = self.0.lock();
-        state.actors[self.1].1 = Run::Done;
-        state.hand_off();
-        self.0 .1.notify_all();
-    }
-}
-
 /// The sending half of an executor channel; a clone is another sender.
 pub struct Tx<T> {
     tx: mpsc::Sender<T>,
@@ -259,9 +252,9 @@ pub struct Rx<T> {
     waiter: Arc<Waiter>,
 }
 
-/// The seeded actor parked on a channel's receiver, if any, and the
-/// executor to wake it on.
-struct Waiter(Exec, Mutex<Option<usize>>);
+/// The seeded actor parked on a channel's receiver, if any, the
+/// executor to wake it on, and the senders left (the last wakes it).
+struct Waiter(Exec, Mutex<Option<usize>>, AtomicUsize);
 
 impl Waiter {
     fn park(&self, actor: Option<usize>) -> Option<usize> {
@@ -292,6 +285,7 @@ impl<T> Tx<T> {
 
 impl<T> Clone for Tx<T> {
     fn clone(&self) -> Self {
+        self.waiter.2.fetch_add(1, Ordering::Relaxed);
         Self {
             tx: self.tx.clone(),
             waiter: Arc::clone(&self.waiter),
@@ -301,7 +295,9 @@ impl<T> Clone for Tx<T> {
 
 impl<T> Drop for Tx<T> {
     fn drop(&mut self) {
-        self.waiter.wake();
+        if self.waiter.2.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.waiter.wake();
+        }
     }
 }
 

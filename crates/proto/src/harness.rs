@@ -79,8 +79,12 @@ pub struct PrototypeReport {
     pub seed: u64,
     /// Hit ratio (Fig. 7, left).
     pub hit_ratio: f64,
-    /// Mean subscriber latency (Fig. 7, middle).
+    /// Mean subscriber latency over non-empty retrievals (Fig. 7,
+    /// middle): the broker's per-delivery latency plus `mean_wait`.
     pub mean_latency: SimDuration,
+    /// How late a non-empty retrieval was issued, on average: its wait
+    /// behind the broker actor (see [`run_prototype`]).
+    pub mean_wait: SimDuration,
     /// Bytes retrieved from the data cluster (Fig. 7, right).
     pub fetched_bytes: ByteSize,
     /// Total result bytes the cluster produced.
@@ -122,16 +126,17 @@ pub fn build_emergency_cluster() -> Result<DataCluster> {
     Ok(cluster)
 }
 
-/// Replays the seeded trace through a fresh deployment under `policy`
-/// and reports the Fig. 7 measurements.
-///
-/// The deployment runs on [`Exec::seeded`]`(seed)`; the calling thread
-/// is its one replay actor. Each trace activity, cluster tick and
-/// maintenance pass is issued at its due virtual time, or as soon after
-/// as the actor's previous call returns. A push schedules a retrieval
-/// `notify_latency` later, issued only if the subscriber is then
-/// online and the frontend live; the broker serves it only if results
-/// are owed. Steps due at or after the trace's end are not issued.
+/// Replays the seeded trace through a fresh deployment on
+/// [`Exec::seeded`]`(seed)` under `policy` and reports the Fig. 7
+/// measurements. The calling thread is the one replay actor: it issues
+/// each activity, tick, maintenance pass and retrieval in due order, at
+/// its due virtual time or later if the broker actor (one call at a
+/// time, a cluster round trip slept per miss) held it up. Records and
+/// ticks carry their due times, so every scheme gets the same cluster
+/// output and is offered the same retrievals: one `notify_latency`
+/// after each tick's push to an online subscriber, issued if the
+/// subscriber is still online and the frontend live, served if results
+/// are owed. Nothing due at or after the trace's end is issued.
 ///
 /// # Errors
 ///
@@ -173,6 +178,8 @@ pub fn run_prototype(
     let mut tick_at = Timestamp::ZERO + CLUSTER_TICK;
     let mut maintain_at = Timestamp::ZERO + MAINTAIN_INTERVAL;
     let end = Timestamp::ZERO + config.trace.duration;
+    // How late the non-empty retrievals were issued, summed.
+    let mut late_total = SimDuration::ZERO;
     loop {
         let activity_at = activities.peek().map_or(Timestamp::MAX, |a| a.at);
         let retrieval_at = retrievals.front().map_or(Timestamp::MAX, |&(at, _, _)| at);
@@ -180,17 +187,14 @@ pub fn run_prototype(
         if due >= end {
             break;
         }
-        // Take pushes until the step is due.
-        if let Some(push) = events.recv_timeout(due.since(exec.now())) {
-            let at = exec.now() + notify_latency;
-            retrievals.push_back((at, push.subscriber, push.frontend));
-            continue;
-        }
+        exec.sleep(due.since(exec.now()));
+        let late = exec.now().since(due);
         if due == activity_at {
             match &activities.next().expect("peeked").kind {
                 ActivityKind::Login(sub) => {
                     online.insert(*sub);
-                    client(sub).get_all_pending()?;
+                    let served = client(sub).get_all_pending(due)?.into_iter();
+                    late_total += late * served.filter(|d| d.total_objects() > 0).count() as u64;
                 }
                 ActivityKind::Logout(sub) => {
                     online.remove(sub);
@@ -203,40 +207,51 @@ pub fn run_prototype(
                 } => {
                     // A repeated interest returns the frontend the
                     // subscriber already holds.
-                    let fs = client(subscriber).subscribe(channel, params.clone())?;
+                    let fs = client(subscriber).subscribe(channel, params.clone(), due)?;
                     frontend_subscriptions += u64::from(live.insert(fs));
                     handles.insert(*handle, fs);
                 }
                 ActivityKind::Unsubscribe { subscriber, handle } => {
                     // Two handles on one frontend: the first takes it.
                     if let Some(fs) = handles.remove(handle).filter(|fs| live.remove(fs)) {
-                        client(subscriber).unsubscribe(fs)?;
+                        client(subscriber).unsubscribe(fs, due)?;
                     }
                 }
                 // Table III channels are repetitive; publications
                 // surface at the next cluster tick.
                 ActivityKind::PublishReport(record) => {
-                    dep.publish("EmergencyReports", record.clone())?;
+                    dep.publish("EmergencyReports", due, record.clone())?;
                 }
                 ActivityKind::PublishShelter(record) => {
-                    dep.publish("Shelters", record.clone())?;
+                    dep.publish("Shelters", due, record.clone())?;
                 }
             }
         } else if due == tick_at {
-            dep.tick()?;
+            dep.tick(due)?;
+            // Answered after the tick's notifications: their pushes are in.
+            dep.broker_stats()?;
+            while let Some(push) = events.recv_timeout(SimDuration::ZERO) {
+                if online.contains(&push.subscriber) {
+                    retrievals.push_back((due + notify_latency, push.subscriber, push.frontend));
+                }
+            }
             tick_at += CLUSTER_TICK;
         } else if due == maintain_at {
-            dep.maintain();
+            dep.maintain(due);
             maintain_at += MAINTAIN_INTERVAL;
         } else {
             let (_, sub, fs) = retrievals.pop_front().expect("a retrieval is due");
             if online.contains(&sub) && live.contains(&fs) {
-                client(&sub).get_results(fs)?;
+                let served = client(&sub).get_results(fs, due)?;
+                if served.is_some_and(|d| d.total_objects() > 0) {
+                    late_total += late;
+                }
             }
         }
     }
 
     let broker = dep.broker_stats()?;
+    let non_empty = broker.delivery.non_empty_deliveries.max(1);
     let cluster = dep.cluster_stats()?;
     dep.shutdown();
     Ok(PrototypeReport {
@@ -244,7 +259,8 @@ pub fn run_prototype(
         cache_budget: config.cache.budget,
         seed,
         hit_ratio: broker.cache.hit_ratio().unwrap_or(0.0),
-        mean_latency: broker.delivery.mean_latency().unwrap_or(SimDuration::ZERO),
+        mean_latency: (broker.delivery.total_latency + late_total) / non_empty,
+        mean_wait: late_total / non_empty,
         fetched_bytes: broker.cache.fetched_bytes(),
         vol_bytes: cluster.result_bytes,
         frontend_subscriptions,

@@ -3,10 +3,10 @@
 //! A data-cluster node and a broker node run as actors (standing in for
 //! the REST/AQL calls between them); clients subscribe and retrieve
 //! through the broker, which pushes news back to connected clients (the
-//! WebSocket path). A message to a node is a job it runs on its state at
-//! the virtual time it picks the job up. Only the broker→cluster leg is
-//! slept (its RTT, per round trip); the subscriber legs are accounted in
-//! [`Delivery::latency`].
+//! WebSocket path). A node runs each call at the virtual time the call
+//! names: its state evolves in the callers' time, and the executor's
+//! clock shows how long calls wait. Only the broker→cluster leg is slept
+//! (its RTT, per round trip); the subscriber legs are in [`Delivery::latency`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,9 +24,8 @@ use bad_types::{
 
 use crate::exec::{Exec, Rx, Tx};
 
-/// A job for a node holding state `S`, run at the virtual time the
-/// node picks it up.
-type Job<S> = Box<dyn FnOnce(&mut S, Timestamp) + Send>;
+/// A job for a node holding state `S`.
+type Job<S> = Box<dyn FnOnce(&mut S) + Send>;
 
 /// The address of a node holding state `S`: its job queue (`None` stops
 /// the node) and the executor its callers block on.
@@ -49,28 +48,24 @@ impl<S: Send + 'static> Mailbox<S> {
     /// arrival order, until stopped.
     fn spawn(exec: Exec, name: &str, mut state: S) -> (Self, Rx<thread::Result<()>>) {
         let (jobs, queue) = exec.channel::<Option<Job<S>>>();
-        let clock = exec.clone();
         let actor = exec.spawn(name, move || {
             while let Some(Some(job)) = queue.recv() {
-                job(&mut state, clock.now());
+                job(&mut state);
             }
         });
         (Self { jobs, exec }, actor)
     }
 
     /// Queues `job` without waiting for it.
-    fn tell(&self, job: impl FnOnce(&mut S, Timestamp) + Send + 'static) {
+    fn tell(&self, job: impl FnOnce(&mut S) + Send + 'static) {
         let _ = self.jobs.send(Some(Box::new(job)));
     }
 
     /// Runs `job` on the node and waits for its answer.
-    fn ask<T: Send + 'static>(
-        &self,
-        job: impl FnOnce(&mut S, Timestamp) -> T + Send + 'static,
-    ) -> Result<T> {
+    fn ask<T: Send + 'static>(&self, job: impl FnOnce(&mut S) -> T + Send + 'static) -> Result<T> {
         let (reply, answer) = self.exec.channel();
-        self.tell(move |state, now| {
-            let _ = reply.send(job(state, now));
+        self.tell(move |state| {
+            let _ = reply.send(job(state));
         });
         answer
             .recv()
@@ -78,19 +73,10 @@ impl<S: Send + 'static> Mailbox<S> {
     }
 }
 
-/// The cluster node's state.
-struct ClusterNode {
-    cluster: DataCluster,
-    /// The last channel run. A run reads the records stamped after the
-    /// previous one, so a record arriving at (or, late, before) this
-    /// instant is stamped just after it rather than never read.
-    last_run: Timestamp,
-}
-
 /// The broker node's remote handle to the cluster node: each call is a
 /// round trip after a virtual cluster-link RTT.
 struct ClusterClient {
-    mailbox: Mailbox<ClusterNode>,
+    mailbox: Mailbox<DataCluster>,
     rtt: SimDuration,
     /// `bad_proto_cluster_inflight_rpcs`: broker→cluster requests sent
     /// but not yet answered.
@@ -104,7 +90,7 @@ impl ClusterClient {
     ) -> T {
         self.mailbox.exec.sleep(self.rtt);
         self.inflight.inc();
-        let reply = self.mailbox.ask(|node, _| job(&mut node.cluster));
+        let reply = self.mailbox.ask(job);
         self.inflight.dec();
         reply.expect("cluster node replies")
     }
@@ -168,7 +154,6 @@ impl BrokerNode {
                 let _ = events.send(ClientEvent {
                     subscriber,
                     frontend,
-                    latest_ts: notification.latest_ts,
                 });
             }
         }
@@ -183,8 +168,6 @@ pub struct ClientEvent {
     pub subscriber: SubscriberId,
     /// The frontend subscription with news.
     pub frontend: FrontendSubId,
-    /// Timestamp of the newest result.
-    pub latest_ts: Timestamp,
 }
 
 /// A snapshot of the broker node's books.
@@ -207,14 +190,19 @@ pub struct BrokerClient {
 }
 
 impl BrokerClient {
-    /// Subscribes to a parameterized channel.
+    /// Subscribes to a parameterized channel at `now`.
     ///
     /// # Errors
     ///
     /// Propagates broker/cluster-side subscription errors.
-    pub fn subscribe(&self, channel: &str, params: ParamBindings) -> Result<FrontendSubId> {
+    pub fn subscribe(
+        &self,
+        channel: &str,
+        params: ParamBindings,
+        now: Timestamp,
+    ) -> Result<FrontendSubId> {
         let channel = channel.to_owned();
-        self.ask(move |node, subscriber, now| {
+        self.ask(move |node, subscriber| {
             let fs = node
                 .broker
                 .subscribe(&mut node.cluster, subscriber, &channel, params, now);
@@ -224,26 +212,26 @@ impl BrokerClient {
         })
     }
 
-    /// Cancels a subscription.
+    /// Cancels a subscription at `now`.
     ///
     /// # Errors
     ///
     /// Unknown subscription or wrong owner.
-    pub fn unsubscribe(&self, fs: FrontendSubId) -> Result<()> {
-        self.ask(move |node, subscriber, now| {
+    pub fn unsubscribe(&self, fs: FrontendSubId, now: Timestamp) -> Result<()> {
+        self.ask(move |node, subscriber| {
             node.broker
                 .unsubscribe(&mut node.cluster, subscriber, fs, now)
         })
     }
 
-    /// Retrieves what one subscription is owed; `None` when it is live
-    /// and owed nothing (no delivery is booked then).
+    /// Retrieves what one subscription is owed at `now`; `None` when it
+    /// is live and owed nothing (no delivery is booked then).
     ///
     /// # Errors
     ///
     /// Unknown subscription or wrong owner.
-    pub fn get_results(&self, fs: FrontendSubId) -> Result<Option<Delivery>> {
-        self.ask(move |node, subscriber, now| {
+    pub fn get_results(&self, fs: FrontendSubId, now: Timestamp) -> Result<Option<Delivery>> {
+        self.ask(move |node, subscriber| {
             // A live frontend of this subscriber owed nothing books no
             // delivery; an unknown or foreign one goes through, to err.
             let broker = &mut node.broker;
@@ -255,14 +243,14 @@ impl BrokerClient {
         })
     }
 
-    /// Retrieves everything the subscriber is owed across its
+    /// Retrieves everything the subscriber is owed at `now` across its
     /// subscriptions: what a client does when it logs in.
     ///
     /// # Errors
     ///
     /// Propagates marker-advance errors.
-    pub fn get_all_pending(&self) -> Result<Vec<Delivery>> {
-        self.ask(|node, subscriber, now| {
+    pub fn get_all_pending(&self, now: Timestamp) -> Result<Vec<Delivery>> {
+        self.ask(move |node, subscriber| {
             node.broker
                 .get_all_pending(&mut node.cluster, subscriber, now)
         })
@@ -270,19 +258,19 @@ impl BrokerClient {
 
     fn ask<T: Send + 'static>(
         &self,
-        job: impl FnOnce(&mut BrokerNode, SubscriberId, Timestamp) -> Result<T> + Send + 'static,
+        job: impl FnOnce(&mut BrokerNode, SubscriberId) -> Result<T> + Send + 'static,
     ) -> Result<T> {
         let subscriber = self.subscriber;
-        self.mailbox
-            .ask(move |node, now| job(node, subscriber, now))?
+        self.mailbox.ask(move |node| job(node, subscriber))?
     }
 }
 
 /// A running two-node deployment (cluster actor + broker actor).
 pub struct Deployment {
-    cluster: Mailbox<ClusterNode>,
+    cluster: Mailbox<DataCluster>,
     broker: Mailbox<BrokerNode>,
-    actors: Vec<Rx<thread::Result<()>>>,
+    cluster_actor: Rx<thread::Result<()>>,
+    broker_actor: Rx<thread::Result<()>>,
     obs: Observability,
     cache: Arc<ShardedCacheManager>,
     /// Pre-rendered `bad_build_info` labels as a JSON object, embedded
@@ -316,10 +304,6 @@ impl Deployment {
         let mut broker = Broker::new(policy, config);
         obs.attach(&mut cluster, &mut broker);
         let cache = broker.cache_handle();
-        let cluster = ClusterNode {
-            cluster,
-            last_run: Timestamp::ZERO,
-        };
         let (cluster, cluster_actor) = Mailbox::spawn(exec.clone(), "cluster", cluster);
 
         // `bad_build_info`: one constant-1 gauge whose labels identify
@@ -364,7 +348,8 @@ impl Deployment {
         Self {
             cluster,
             broker,
-            actors: vec![cluster_actor, broker_actor],
+            cluster_actor,
+            broker_actor,
             obs,
             cache,
             build_info,
@@ -500,7 +485,7 @@ impl Deployment {
     /// `events` (several clients may share one).
     pub fn client(&self, subscriber: SubscriberId, events: &Tx<ClientEvent>) -> BrokerClient {
         let events = events.clone();
-        self.broker.tell(move |node, _| {
+        self.broker.tell(move |node| {
             node.clients.insert(subscriber, events);
         });
         BrokerClient {
@@ -509,7 +494,8 @@ impl Deployment {
         }
     }
 
-    /// Publishes a record into the cluster, firing continuous channels.
+    /// Publishes a record stamped `ts` into the cluster, firing
+    /// continuous channels (their notifications run at `ts`).
     ///
     /// # Errors
     ///
@@ -517,35 +503,31 @@ impl Deployment {
     pub fn publish(
         &self,
         dataset: &str,
+        ts: Timestamp,
         record: bad_types::DataValue,
     ) -> Result<Vec<Notification>> {
         let dataset = dataset.to_owned();
-        let notifications = self.cluster.ask(move |node, now| {
-            let ts = now.max(node.last_run + SimDuration::from_micros(1));
-            node.cluster.publish(&dataset, ts, record)
-        })??;
-        self.dispatch(&notifications);
+        let notifications =
+            (self.cluster).ask(move |cluster| cluster.publish(&dataset, ts, record))??;
+        self.dispatch(&notifications, ts);
         Ok(notifications)
     }
 
-    /// Executes due repetitive channels and dispatches their
-    /// notifications to the broker.
+    /// Executes the repetitive channels due at `now` on the records
+    /// stamped up to `now`, and hands their notifications to the broker.
     ///
     /// # Errors
     ///
     /// Propagates channel evaluation errors.
-    pub fn tick(&self) -> Result<usize> {
-        let notifications = self.cluster.ask(|node, now| {
-            node.last_run = now;
-            node.cluster.tick(now)
-        })??;
-        self.dispatch(&notifications);
+    pub fn tick(&self, now: Timestamp) -> Result<usize> {
+        let notifications = self.cluster.ask(move |cluster| cluster.tick(now))??;
+        self.dispatch(&notifications, now);
         Ok(notifications.len())
     }
 
-    /// Queues a cache maintenance pass on the broker.
-    pub fn maintain(&self) {
-        self.broker.tell(|node, now| {
+    /// Queues a cache maintenance pass at `now` on the broker.
+    pub fn maintain(&self, now: Timestamp) {
+        self.broker.tell(move |node| {
             node.broker.maintain(now);
             node.obs.after_maintain(node.broker.cache(), now);
         });
@@ -557,7 +539,7 @@ impl Deployment {
     ///
     /// The broker node has stopped.
     pub fn broker_stats(&self) -> Result<BrokerStats> {
-        self.broker.ask(|node, _| BrokerStats {
+        self.broker.ask(|node| BrokerStats {
             delivery: node.broker.delivery_metrics(),
             cache: node.broker.cache().metrics(),
             peak_backends: node.peak_backends,
@@ -570,25 +552,26 @@ impl Deployment {
     ///
     /// The cluster node has stopped.
     pub fn cluster_stats(&self) -> Result<ClusterStats> {
-        self.cluster.ask(|node, _| node.cluster.stats())
+        self.cluster.ask(|cluster| cluster.stats())
     }
 
     /// Stops both nodes and joins their actors, re-raising a node's
-    /// panic.
+    /// panic. The broker goes first: it is the cluster's only client,
+    /// and its queued jobs may still make round trips.
     pub fn shutdown(self) {
         let _ = self.broker.jobs.send(None);
+        let broker = self.broker_actor.recv();
         let _ = self.cluster.jobs.send(None);
-        for actor in self.actors {
-            if let Some(Err(panic)) = actor.recv() {
+        for outcome in [broker, self.cluster_actor.recv()] {
+            if let Some(Err(panic)) = outcome {
                 std::panic::resume_unwind(panic);
             }
         }
     }
 
-    fn dispatch(&self, notifications: &[Notification]) {
+    fn dispatch(&self, notifications: &[Notification], now: Timestamp) {
         for &notification in notifications {
-            self.broker
-                .tell(move |node, now| node.notify(notification, now));
+            (self.broker).tell(move |node| node.notify(notification, now));
         }
     }
 }
@@ -630,11 +613,12 @@ mod tests {
             ("severity", DataValue::from(3i64)),
             ("district", DataValue::from("district-1")),
         ]);
-        dep.publish("EmergencyReports", report).unwrap();
+        dep.publish("EmergencyReports", dep.exec().now(), report)
+            .unwrap();
         (0..120)
             .find_map(|_| {
-                dep.tick().unwrap();
-                dep.maintain();
+                dep.tick(dep.exec().now()).unwrap();
+                dep.maintain(dep.exec().now());
                 events.recv_timeout(SimDuration::from_secs(1))
             })
             .expect("a push within two virtual minutes")
@@ -645,12 +629,19 @@ mod tests {
         let (events_tx, events) = dep.exec().channel();
         let alice = dep.client(SubscriberId::new(1), &events_tx);
         let fs = alice
-            .subscribe("EmergenciesOfType", etype("flood"))
+            .subscribe("EmergenciesOfType", etype("flood"), dep.exec().now())
             .unwrap();
         assert_eq!(publish_until_pushed(dep, "flood", &events).frontend, fs);
-        let delivery = alice.get_results(fs).unwrap().expect("results are owed");
+        let delivery = alice
+            .get_results(fs, dep.exec().now())
+            .unwrap()
+            .expect("results are owed");
         assert!(delivery.total_objects() >= 1);
-        assert_eq!(alice.get_results(fs).unwrap(), None, "nothing more is owed");
+        assert_eq!(
+            alice.get_results(fs, dep.exec().now()).unwrap(),
+            None,
+            "nothing more is owed"
+        );
         let stats = dep.broker_stats().unwrap();
         assert_eq!(stats.delivery.deliveries, 1);
         assert!(stats.cache.hit_ratio().unwrap() > 0.0, "the retrieval hits");
@@ -672,10 +663,11 @@ mod tests {
             let (events_tx, _events) = dep.exec().channel();
             let bob = dep.client(SubscriberId::new(2), &events_tx);
             let minsev = ParamBindings::from_pairs([("minsev", DataValue::from(4i64))]);
-            let fs = bob.subscribe("SevereEmergencies", minsev).unwrap();
-            bob.unsubscribe(fs).unwrap();
-            assert!(bob.unsubscribe(fs).is_err());
-            assert!(bob.get_results(fs).is_err());
+            let now = dep.exec().now();
+            let fs = bob.subscribe("SevereEmergencies", minsev, now).unwrap();
+            bob.unsubscribe(fs, now).unwrap();
+            assert!(bob.unsubscribe(fs, now).is_err());
+            assert!(bob.get_results(fs, now).is_err());
             dep.shutdown();
         });
     }
@@ -687,10 +679,15 @@ mod tests {
             let (events_tx, events) = dep.exec().channel();
             let a = dep.client(SubscriberId::new(1), &events_tx);
             let b = dep.client(SubscriberId::new(2), &events_tx);
-            let fa = a.subscribe("EmergenciesOfType", etype("fire")).unwrap();
-            let fb = b.subscribe("EmergenciesOfType", etype("fire")).unwrap();
+            let now = dep.exec().now();
+            let fa = a
+                .subscribe("EmergenciesOfType", etype("fire"), now)
+                .unwrap();
+            let fb = b
+                .subscribe("EmergenciesOfType", etype("fire"), now)
+                .unwrap();
             assert_ne!(fa, fb);
-            assert!(b.get_results(fa).is_err(), "fa is not b's");
+            assert!(b.get_results(fa, now).is_err(), "fa is not b's");
             let first = publish_until_pushed(&dep, "fire", &events);
             let second = events
                 .recv_timeout(SimDuration::from_secs(1))

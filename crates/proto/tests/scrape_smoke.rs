@@ -71,10 +71,12 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         .subscribe(
             "EmergenciesOfType",
             ParamBindings::from_pairs([("etype", DataValue::from("flood"))]),
+            dep.exec().now(),
         )
         .unwrap();
     dep.publish(
         "EmergencyReports",
+        dep.exec().now(),
         DataValue::object([
             ("kind", DataValue::from("flood")),
             ("severity", DataValue::from(3i64)),
@@ -83,19 +85,22 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     )
     .unwrap();
     let notified = (0..200).any(|_| {
-        dep.tick().unwrap();
-        dep.maintain();
+        dep.tick(dep.exec().now()).unwrap();
+        dep.maintain(dep.exec().now());
         // A virtual minute: 0.6 ms of wall time.
         events.recv_timeout(SimDuration::from_mins(1)).is_some()
     });
     assert!(notified, "client was not notified");
-    let delivery = alice.get_results(fs).unwrap().expect("results are owed");
+    let delivery = alice
+        .get_results(fs, dep.exec().now())
+        .unwrap()
+        .expect("results are owed");
     assert!(delivery.total_objects() >= 1);
     // One more maintenance pass folds the broker thread's profiler ring
     // (the retrieval stages above) into the global aggregates; the
     // stats round trip rendezvouses with the broker node so the flush
     // has definitely happened before the scrape below.
-    dep.maintain();
+    dep.maintain(dep.exec().now());
     let _ = dep.broker_stats().unwrap();
 
     let server = dep
@@ -319,11 +324,13 @@ fn healthz_answers_while_the_broker_waits_on_the_cluster() {
         .enumerate()
         .map(|(i, etype)| {
             let client = dep.client(SubscriberId::new(i as u64 + 1), &events_tx);
+            let exec = dep.exec().clone();
             thread::spawn(move || {
                 client
                     .subscribe(
                         "EmergenciesOfType",
                         ParamBindings::from_pairs([("etype", DataValue::from(etype))]),
+                        exec.now(),
                     )
                     .unwrap()
             })

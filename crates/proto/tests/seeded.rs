@@ -68,9 +68,11 @@ fn deliveries(seed: u64) -> Vec<(Timestamp, u64, Option<bad_broker::Delivery>)> 
             exec.clone().spawn(&format!("client-{i}"), move || {
                 let interest = [("etype", DataValue::from(kinds[i as usize % 2]))];
                 let interest = ParamBindings::from_pairs(interest);
-                client.subscribe("EmergenciesOfType", interest).unwrap();
+                client
+                    .subscribe("EmergenciesOfType", interest, exec.now())
+                    .unwrap();
                 while let Some(event) = events.recv_timeout(SimDuration::from_secs(60)) {
-                    let delivery = client.get_results(event.frontend).unwrap();
+                    let delivery = client.get_results(event.frontend, exec.now()).unwrap();
                     log.lock().unwrap().push((exec.now(), i, delivery));
                 }
             })
@@ -82,8 +84,8 @@ fn deliveries(seed: u64) -> Vec<(Timestamp, u64, Option<bad_broker::Delivery>)> 
             ("severity", DataValue::from(3i64)),
             ("district", DataValue::from("district-1")),
         ]);
-        dep.publish("EmergencyReports", report).unwrap();
-        dep.tick().unwrap();
+        dep.publish("EmergencyReports", exec.now(), report).unwrap();
+        dep.tick(exec.now()).unwrap();
         exec.sleep(SimDuration::from_secs(5));
     }
     for client in clients {
@@ -105,4 +107,35 @@ fn one_seed_replays_one_delivery_sequence() {
     }
     // And the seed is what decides: the interleavings differ.
     assert!(schedules.iter().any(|s| *s != schedules[0]));
+}
+
+#[test]
+fn shutdown_waits_for_the_brokers_queued_round_trips() {
+    for seed in 0..64 {
+        let exec = Exec::seeded(seed);
+        let cluster = build_emergency_cluster().unwrap();
+        let config = BrokerConfig::default();
+        let dep = Deployment::start(
+            PolicyName::Lsc,
+            config,
+            cluster,
+            exec.clone(),
+            Observability::detached(),
+        );
+        let (events_tx, _events) = exec.channel();
+        let flood = ParamBindings::from_pairs([("etype", DataValue::from("flood"))]);
+        let alice = dep.client(SubscriberId::new(1), &events_tx);
+        alice
+            .subscribe("EmergenciesOfType", flood, exec.now())
+            .unwrap();
+        let report = DataValue::object([("kind", DataValue::from("flood"))]);
+        dep.publish("EmergencyReports", exec.now(), report).unwrap();
+        exec.sleep(SimDuration::from_secs(10));
+        // The notification's pull-in, a cluster round trip, is still
+        // queued on the broker when the nodes are stopped.
+        assert_eq!(dep.tick(exec.now()).unwrap(), 1, "seed {seed}");
+        if catch_unwind(AssertUnwindSafe(|| dep.shutdown())).is_err() {
+            panic!("shutdown failed on Exec::seeded({seed})");
+        }
+    }
 }

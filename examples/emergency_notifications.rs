@@ -40,7 +40,7 @@ fn main() -> Result<(), BadError> {
         .collect();
     for (i, client) in clients.iter().enumerate() {
         let (channel, params) = city.random_interest();
-        let fs = client.subscribe(&channel, params)?;
+        let fs = client.subscribe(&channel, params, deployment.exec().now())?;
         println!("subscriber {i} -> {channel} ({fs})");
     }
     // One shared hot interest so the cache is actually shared.
@@ -48,7 +48,7 @@ fn main() -> Result<(), BadError> {
     let shared: Vec<_> = clients
         .iter()
         .map(|c| {
-            c.subscribe("EmergenciesOfType", flood.clone())
+            c.subscribe("EmergenciesOfType", flood.clone(), deployment.exec().now())
                 .expect("subscribe")
         })
         .collect();
@@ -64,9 +64,10 @@ fn main() -> Result<(), BadError> {
                 Arc::make_mut(map).insert("kind".into(), DataValue::from("flood"));
             }
         }
-        deployment.publish("EmergencyReports", report)?;
-        deployment.tick()?;
-        deployment.maintain();
+        let now = deployment.exec().now();
+        deployment.publish("EmergencyReports", now, report)?;
+        deployment.tick(now)?;
+        deployment.maintain(now);
 
         // Wait up to three virtual seconds (300 µs) for pushes, and
         // retrieve what each one announces.
@@ -77,7 +78,7 @@ fn main() -> Result<(), BadError> {
                 ..
             } = event;
             let client = &clients[subscriber.as_u64() as usize];
-            let Some(delivery) = client.get_results(frontend)? else {
+            let Some(delivery) = client.get_results(frontend, deployment.exec().now())? else {
                 continue;
             };
             delivered += delivery.total_objects();

@@ -198,6 +198,7 @@ fn print_proto_report(report: &PrototypeReport) {
     println!("cache budget:       {}", report.cache_budget);
     println!("hit ratio:          {:.4}", report.hit_ratio);
     println!("mean latency:       {}", report.mean_latency);
+    println!("  of which waiting: {}", report.mean_wait);
     println!("fetched (cluster):  {}", report.fetched_bytes);
     println!("produced (Vol):     {}", report.vol_bytes);
     println!("frontend subs:      {}", report.frontend_subscriptions);

@@ -71,7 +71,7 @@ fn threaded_deployment_serves_many_clients() {
             .map(|i| {
                 let client = deployment.client(SubscriberId::new(i), &events_tx);
                 let fs = client
-                    .subscribe("EmergenciesOfType", params.clone())
+                    .subscribe("EmergenciesOfType", params.clone(), deployment.exec().now())
                     .unwrap();
                 (client, fs)
             })
@@ -80,6 +80,7 @@ fn threaded_deployment_serves_many_clients() {
         deployment
             .publish(
                 "EmergencyReports",
+                deployment.exec().now(),
                 DataValue::object([
                     ("kind", DataValue::from("tornado")),
                     ("severity", DataValue::from(5i64)),
@@ -94,7 +95,7 @@ fn threaded_deployment_serves_many_clients() {
             if pushed.len() == clients.len() {
                 break;
             }
-            deployment.tick().unwrap();
+            deployment.tick(deployment.exec().now()).unwrap();
             while let Some(event) = events.recv_timeout(SimDuration::from_secs(1)) {
                 pushed.push(event);
             }
@@ -104,7 +105,11 @@ fn threaded_deployment_serves_many_clients() {
         for event in pushed {
             let (client, fs) = &clients[event.subscriber.as_u64() as usize];
             assert_eq!(event.frontend, *fs);
-            total += client.get_results(*fs).unwrap().unwrap().total_objects();
+            total += client
+                .get_results(*fs, deployment.exec().now())
+                .unwrap()
+                .unwrap()
+                .total_objects();
         }
         assert_eq!(total, 10, "each client received the tornado alert once");
 
@@ -131,15 +136,17 @@ fn threaded_deployment_survives_churny_clients() {
                 .subscribe(
                     "SevereEmergencies",
                     ParamBindings::from_pairs([("minsev", DataValue::from(1i64))]),
+                    deployment.exec().now(),
                 )
                 .unwrap();
             if i % 2 == 0 {
-                client.unsubscribe(fs).unwrap();
+                client.unsubscribe(fs, deployment.exec().now()).unwrap();
             }
         }
         deployment
             .publish(
                 "EmergencyReports",
+                deployment.exec().now(),
                 DataValue::object([
                     ("kind", DataValue::from("fire")),
                     ("severity", DataValue::from(3i64)),
@@ -148,7 +155,7 @@ fn threaded_deployment_survives_churny_clients() {
             )
             .unwrap();
         for _ in 0..50 {
-            deployment.tick().unwrap();
+            deployment.tick(deployment.exec().now()).unwrap();
             deployment.exec().sleep(SimDuration::from_secs(1));
         }
         let stats = deployment.broker_stats().unwrap();
