@@ -37,10 +37,42 @@ struct ChannelRuntime {
     index: MatchIndex,
     /// For repetitive channels: when the channel last executed.
     last_run: Timestamp,
+    /// For repetitive channels: how many records the dataset held at
+    /// the last execution. Those past it were published since, some
+    /// stamped at or before `last_run`.
+    seen: usize,
     enrichments: Vec<EnrichmentRule>,
+    /// The channel's payload class: its index in `DataCluster::memos`.
+    class: usize,
+}
+
+/// A record's payload in one payload class, kept until every repetitive
+/// channel of the class has run past the record.
+struct Memoized {
+    /// The record's timestamp.
+    ts: Timestamp,
+    payload: Arc<DataValue>,
+    size: ByteSize,
 }
 
 impl ChannelRuntime {
+    /// Whether `other` builds the same payload from every record: the
+    /// channels of one payload class read one dataset, with equal
+    /// `select` clauses and equal enrichment rules but for their channel.
+    fn same_payload(&self, other: &ChannelRuntime) -> bool {
+        self.spec.dataset() == other.spec.dataset()
+            && self.spec.select() == other.spec.select()
+            && self.enrichments.len() == other.enrichments.len()
+            && (self.enrichments.iter())
+                .zip(&other.enrichments)
+                .all(|(a, b)| a.same_body(b))
+    }
+
+    /// Whether the channel's payload of a record is the stored record.
+    fn payload_is_record(&self) -> bool {
+        *self.spec.select() == SelectClause::All && self.enrichments.is_empty()
+    }
+
     /// The result content of `record` on this channel, projected, then
     /// enriched, and its `estimated_size()`. It depends on the record and
     /// the auxiliary datasets only, so it is computed once per matched
@@ -117,6 +149,10 @@ pub struct DataCluster {
     channels: BTreeMap<String, ChannelRuntime>,
     /// `subscription -> channel name` reverse map.
     subscriptions: IdSlab<BackendSubId, String>,
+    /// Per payload class, `record seq -> payload` for the records a
+    /// repetitive channel of the class has enriched and another has yet
+    /// to run past; empty for a class whose payload is the record.
+    memos: Vec<BTreeMap<u64, Memoized>>,
     results: ResultStore,
     sub_ids: IdGen,
     channel_ids: IdGen,
@@ -137,6 +173,7 @@ impl DataCluster {
             datasets: HashMap::new(),
             channels: BTreeMap::new(),
             subscriptions: IdSlab::new(),
+            memos: Vec::new(),
             results: ResultStore::new(),
             sub_ids: IdGen::new(),
             channel_ids: IdGen::new(),
@@ -226,22 +263,45 @@ impl DataCluster {
         } else {
             MatchIndex::brute_force()
         };
-        self.channels.insert(
-            spec.name().to_owned(),
-            ChannelRuntime {
-                id,
-                spec,
-                index,
-                last_run: Timestamp::ZERO,
-                enrichments: Vec::new(),
-            },
-        );
+        let mut runtime = ChannelRuntime {
+            id,
+            spec,
+            index,
+            last_run: Timestamp::ZERO,
+            seen: 0,
+            enrichments: Vec::new(),
+            class: self.memos.len(),
+        };
+        match self.channels.values().find(|c| c.same_payload(&runtime)) {
+            Some(peer) => runtime.class = peer.class,
+            None => self.memos.push(BTreeMap::new()),
+        }
+        self.channels
+            .insert(runtime.spec.name().to_owned(), runtime);
         Ok(id)
+    }
+
+    /// Regroups the channels into payload classes, every memo empty.
+    fn classify(&mut self) {
+        let mut firsts: Vec<&ChannelRuntime> = Vec::new();
+        let classes: Vec<usize> = (self.channels.values())
+            .map(|runtime| {
+                (firsts.iter().position(|first| first.same_payload(runtime))).unwrap_or_else(|| {
+                    firsts.push(runtime);
+                    firsts.len() - 1
+                })
+            })
+            .collect();
+        self.memos = firsts.iter().map(|_| BTreeMap::new()).collect();
+        for (runtime, class) in self.channels.values_mut().zip(classes) {
+            runtime.class = class;
+        }
     }
 
     /// Attaches an enrichment rule to its channel, and has the auxiliary
     /// dataset index the rule's join field (over the rows it holds and
-    /// every later one).
+    /// every later one). The channels are regrouped into payload classes
+    /// and every memoized payload is dropped.
     ///
     /// # Errors
     ///
@@ -258,6 +318,7 @@ impl DataCluster {
             .ok_or_else(|| BadError::not_found("channel", rule.channel.clone()))?;
         aux.index_field(&rule.aux_field);
         channel.enrichments.push(rule);
+        self.classify();
         Ok(())
     }
 
@@ -351,10 +412,21 @@ impl DataCluster {
         let Self {
             datasets,
             channels,
+            memos,
             results,
             tracer,
             ..
         } = self;
+        // A row joined into a class's payloads, stamped at or before a
+        // memoized record, may belong in that record's payload.
+        for runtime in channels.values() {
+            let memo = &mut memos[runtime.class];
+            if runtime.enrichments.iter().any(|r| r.aux_dataset == dataset)
+                && memo.values().any(|m| ts <= m.ts)
+            {
+                memo.clear();
+            }
+        }
         let record = datasets[dataset].get(seq).expect("just inserted");
         let mut notifications = Vec::new();
         for runtime in channels
@@ -383,9 +455,15 @@ impl DataCluster {
     }
 
     /// Advances repetitive channels: every channel whose period has
-    /// elapsed re-executes over the records ingested since its last run.
-    /// Returns the resulting notifications (possibly several per
-    /// subscription batch-collapsed into one each).
+    /// elapsed re-executes over the records it has not read yet and
+    /// stamped at or before `now`, in `(ts, seq)` order — those
+    /// published since its last run but stamped at or before it first,
+    /// then those stamped since. Returns the resulting notifications
+    /// (possibly several per subscription batch-collapsed into one each).
+    ///
+    /// A record's payload is built once per payload class, by the first
+    /// channel of the class to reach the record, and shared by every
+    /// channel of the class, at this tick and later ones.
     ///
     /// # Errors
     ///
@@ -394,6 +472,7 @@ impl DataCluster {
         let Self {
             datasets,
             channels,
+            memos,
             results,
             tracer,
             ..
@@ -408,14 +487,31 @@ impl DataCluster {
             let Some(ds) = datasets.get(runtime.spec.dataset()) else {
                 continue;
             };
-            for stored in ds.since(runtime.last_run).filter(|r| r.ts <= now) {
+            let mut late: Vec<&StoredRecord> = (ds.iter().skip(runtime.seen))
+                .filter(|r| r.ts <= runtime.last_run)
+                .collect();
+            late.sort_by_key(|r| (r.ts, r.seq));
+            let fresh = ds.since(runtime.last_run).take_while(|r| r.ts <= now);
+            for stored in late.into_iter().chain(fresh) {
                 let matched = runtime
                     .index
                     .matching_subscriptions(&runtime.spec, &stored.value)?;
                 if matched.is_empty() {
                     continue;
                 }
-                let (payload, size) = runtime.enriched_payload(datasets, stored);
+                let (payload, size) = if runtime.payload_is_record() {
+                    runtime.enriched_payload(datasets, stored)
+                } else {
+                    let memoized = memos[runtime.class].entry(stored.seq).or_insert_with(|| {
+                        let (payload, size) = runtime.enriched_payload(datasets, stored);
+                        Memoized {
+                            ts: stored.ts,
+                            payload,
+                            size,
+                        }
+                    });
+                    (Arc::clone(&memoized.payload), memoized.size)
+                };
                 for bs in matched {
                     // Results of a repetitive execution are stamped with
                     // the execution time, like a periodic query output.
@@ -432,6 +528,19 @@ impl DataCluster {
                 }
             }
             runtime.last_run = now;
+            runtime.seen = ds.len();
+        }
+        // A payload is dropped once every repetitive channel of its
+        // class has run past its record.
+        for (class, memo) in memos.iter_mut().enumerate() {
+            if memo.is_empty() {
+                continue;
+            }
+            let slowest = (channels.values())
+                .filter(|c| c.class == class && c.spec.mode() != ChannelMode::Continuous)
+                .map(|c| c.last_run)
+                .min();
+            memo.retain(|_, m| slowest.is_some_and(|t| m.ts > t));
         }
         // Keyed by subscription, so already in `BackendSubId` order.
         Ok(notifications.into_values().collect())
@@ -571,6 +680,126 @@ mod tests {
         let n = cluster.tick(t(20)).unwrap();
         assert_eq!(n.len(), 1);
         assert_eq!(n[0].count, 1);
+    }
+
+    /// A repetitive channel on `Reports` every 10 s, subscribed for fires.
+    fn cluster_with_periodic_channel() -> (DataCluster, BackendSubId) {
+        let mut cluster = DataCluster::new();
+        cluster.create_dataset("Reports", Schema::open()).unwrap();
+        cluster
+            .register_channel(
+                "channel Periodic(kind: string) from Reports r \
+                 where r.kind == $kind select r every 10s",
+            )
+            .unwrap();
+        let params = ParamBindings::from_pairs([("kind", DataValue::from("fire"))]);
+        let bs = cluster
+            .subscribe("Periodic", params, Timestamp::ZERO)
+            .unwrap();
+        (cluster, bs)
+    }
+
+    fn named_fire(name: &str) -> DataValue {
+        DataValue::object([
+            ("kind", DataValue::from("fire")),
+            ("name", DataValue::from(name)),
+        ])
+    }
+
+    /// The `name`s of `bs`'s results, in the order they were produced.
+    fn result_names(cluster: &mut DataCluster, bs: BackendSubId) -> Vec<String> {
+        let all = TimeRange::closed(t(0), t(1000));
+        (cluster.fetch(bs, all).iter())
+            .map(|o| o.payload.get("name").unwrap().as_str().unwrap().to_owned())
+            .collect()
+    }
+
+    /// A record published after a tick, stamped at that tick's instant,
+    /// is read by the next run.
+    #[test]
+    fn a_record_stamped_at_the_last_run_is_read_by_the_next() {
+        let (mut cluster, bs) = cluster_with_periodic_channel();
+        assert!(cluster.tick(t(10)).unwrap().is_empty());
+        cluster
+            .publish("Reports", t(10), named_fire("same-instant"))
+            .unwrap();
+        let n = cluster.tick(t(20)).unwrap();
+        assert_eq!((n.len(), n[0].count), (1, 1));
+        assert_eq!(result_names(&mut cluster, bs), ["same-instant"]);
+        assert!(cluster.tick(t(30)).unwrap().is_empty());
+    }
+
+    /// A late record is read by the next run, before the records stamped
+    /// after the last run: the run reads in `(ts, seq)` order. A record
+    /// stamped after the run's instant waits for a later run.
+    #[test]
+    fn late_records_are_read_first_and_future_ones_wait() {
+        let (mut cluster, bs) = cluster_with_periodic_channel();
+        cluster.publish("Reports", t(5), named_fire("a")).unwrap();
+        cluster.tick(t(10)).unwrap();
+        for (sec, name) in [(15, "e"), (9, "c"), (25, "future"), (2, "b"), (9, "d")] {
+            cluster
+                .publish("Reports", t(sec), named_fire(name))
+                .unwrap();
+        }
+        let n = cluster.tick(t(20)).unwrap();
+        assert_eq!(n[0].count, 4);
+        assert_eq!(result_names(&mut cluster, bs), ["a", "b", "c", "d", "e"]);
+        let n = cluster.tick(t(30)).unwrap();
+        assert_eq!(n[0].count, 1);
+        assert_eq!(
+            result_names(&mut cluster, bs),
+            ["a", "b", "c", "d", "e", "future"]
+        );
+    }
+
+    /// After every tick of a churned tape, no memoized payload is at or
+    /// below its class's slowest repetitive channel's last run, and the
+    /// memo does hold payloads between the runs of its class.
+    #[test]
+    fn memo_entries_outlive_only_the_slowest_run_of_their_class() {
+        let mut cluster = DataCluster::new();
+        cluster.create_dataset("Reports", Schema::open()).unwrap();
+        cluster.create_dataset("Shelters", Schema::open()).unwrap();
+        for (name, every) in [("Fast", 10), ("Slow", 30), ("Alone", 15)] {
+            cluster
+                .register_channel(&format!(
+                    "channel {name}(kind: string) from Reports r \
+                     where r.kind == $kind select r every {every}s"
+                ))
+                .unwrap();
+            let params = ParamBindings::from_pairs([("kind", DataValue::from("fire"))]);
+            cluster.subscribe(name, params, Timestamp::ZERO).unwrap();
+            let limit = if name == "Alone" { 1 } else { 2 };
+            let rule = EnrichmentRule::join(name, "Shelters", "kind", "kind", "shelters", limit);
+            cluster.add_enrichment(rule).unwrap();
+        }
+        let classes = |cluster: &DataCluster| -> Vec<usize> {
+            cluster.channels.values().map(|c| c.class).collect()
+        };
+        // `Alone` sorts first, then `Fast` and `Slow`, which share a class.
+        assert_eq!(classes(&cluster), [0, 1, 1]);
+        let mut held = 0;
+        for sec in 1..=120 {
+            cluster.publish("Reports", t(sec), report("fire")).unwrap();
+            if sec % 7 == 0 {
+                cluster.publish("Shelters", t(sec), report("fire")).unwrap();
+            }
+            if sec % 5 != 0 {
+                continue;
+            }
+            cluster.tick(t(sec)).unwrap();
+            for (class, memo) in cluster.memos.iter().enumerate() {
+                let slowest = (cluster.channels.values())
+                    .filter(|c| c.class == class)
+                    .map(|c| c.last_run)
+                    .min()
+                    .unwrap();
+                assert!(memo.values().all(|m| m.ts > slowest), "t={sec}");
+                held += memo.len();
+            }
+        }
+        assert!(held > 100, "{held} payloads held");
     }
 
     #[test]

@@ -66,6 +66,35 @@ impl EnrichmentRule {
         self
     }
 
+    /// Whether `other` is this rule on a channel of its own: it embeds
+    /// the same rows into any one result.
+    pub fn same_body(&self, other: &EnrichmentRule) -> bool {
+        let EnrichmentRule {
+            channel: _,
+            aux_dataset,
+            record_field,
+            aux_field,
+            embed_as,
+            lookback,
+            limit,
+        } = self;
+        (
+            aux_dataset,
+            record_field,
+            aux_field,
+            embed_as,
+            lookback,
+            limit,
+        ) == (
+            &other.aux_dataset,
+            &other.record_field,
+            &other.aux_field,
+            &other.embed_as,
+            &other.lookback,
+            &other.limit,
+        )
+    }
+
     /// Applies the rule to `result`, whose `estimated_size()` is `size`:
     /// returns the result with the joined records embedded, and its
     /// `estimated_size()`, summed from `size` and the embedded rows'

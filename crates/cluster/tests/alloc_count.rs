@@ -1,14 +1,18 @@
-//! Heap allocations on the ingest path, counted by a global allocator
-//! that forwards to `System`. This target holds a single test, so the
-//! count is not shared with a concurrently running one.
+//! Heap allocations on the ingest path, counted (and their bytes
+//! summed) by a global allocator that forwards to `System`. This target
+//! holds a single test, so the count is not shared with a concurrently
+//! running one.
 //!
 //! * Matching a record against an index whose candidates all reject it
 //!   allocates nothing once warm: fields and parameters are borrowed,
 //!   the partition is found without building a key, the bindings were
-//!   checked when the subscriptions were added, and the regions the
-//!   prefilter tests were parsed then too.
-//! * An enrichment allocates the same number of times whether the rows
-//!   it embeds are small or large: a row is shared, not copied.
+//!   checked when the subscriptions were added, the regions the
+//!   prefilter tests were parsed then too, and a string literal is
+//!   shared with the predicate.
+//! * An enrichment allocates the same number of times and the same
+//!   bytes whether the rows it embeds are small or large and whether
+//!   the report it enriches carries a short or a long string: a row is
+//!   shared, not copied, and so is each of the report's strings.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,28 +24,35 @@ use bad_types::{BackendSubId, BoundingBox, DataValue, GeoPoint, Timestamp};
 use bad_workload::TABLE_III_CHANNELS;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocation of `bytes`.
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the layout and pointer contracts the caller upholds are the ones
-// `System` needs; counting is one atomic add, which neither allocates
-// nor unwinds.
+// `System` needs; counting is two atomic adds, which neither allocate
+// nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's `layout` is passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's `layout` is passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` came from this allocator, hence from `System`,
         // with `layout`; both are passed through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -57,12 +68,29 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Runs `f` and returns how many allocations it made, with its result
-/// (dropped by the caller, outside the count).
-fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+/// How many allocations, of how many bytes in all (a reallocation
+/// counts its new size).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Allocated {
+    count: u64,
+    bytes: u64,
+}
+
+/// Runs `f` and returns what it allocated, with its result (dropped by
+/// the caller, outside the count).
+fn allocations<R>(f: impl FnOnce() -> R) -> (Allocated, R) {
+    let now = || Allocated {
+        count: ALLOCATIONS.load(Ordering::SeqCst),
+        bytes: BYTES.load(Ordering::SeqCst),
+    };
+    let before = now();
     let out = f();
-    (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
+    let after = now();
+    let allocated = Allocated {
+        count: after.count - before.count,
+        bytes: after.bytes - before.bytes,
+    };
+    (allocated, out)
 }
 
 fn t(secs: u64) -> Timestamp {
@@ -93,6 +121,12 @@ fn assert_rejecting_match_allocates_nothing() {
     let city = BoundingBox::new(GeoPoint::new(33.0, -118.0), GeoPoint::new(34.0, -117.0));
     let near = channel("EmergenciesNearLocation");
     let severe = channel("SevereEmergencies");
+    // No partition key: every candidate evaluates the literal.
+    let fires = ChannelSpec::parse(
+        "channel Fires(minsev: int) from EmergencyReports r \
+         where r.kind == \"fire\" and r.severity >= $minsev select r",
+    )
+    .unwrap();
     let near_subs = city
         .grid(4)
         .into_iter()
@@ -103,26 +137,35 @@ fn assert_rejecting_match_allocates_nothing() {
             ])
         })
         .collect();
-    let severe_subs = (3..8i64)
-        .map(|min| ParamBindings::from_pairs([("minsev", DataValue::from(min))]))
-        .collect();
-    let record = |location: DataValue| {
+    let minsev_subs = || {
+        (3..8i64)
+            .map(|min| ParamBindings::from_pairs([("minsev", DataValue::from(min))]))
+            .collect()
+    };
+    let record = |kind: &str, location: DataValue| {
         DataValue::object([
-            ("kind", DataValue::from("fire")),
+            ("kind", DataValue::from(kind)),
             ("severity", DataValue::from(2i64)),
             ("district", DataValue::from("district-0")),
             ("location", location),
             ("body", DataValue::from("x".repeat(200))),
         ])
     };
-    let outside = record(GeoPoint::new(35.0, -117.5).to_value());
+    let outside = record("fire", GeoPoint::new(35.0, -117.5).to_value());
     // A null location defeats the prefilter: every candidate is evaluated.
-    let unlocated = record(DataValue::Null);
+    let unlocated = record("fire", DataValue::Null);
+    let flood = record("flood", DataValue::Null);
     let mut indexes = [
         (index(&near, near_subs), &near),
-        (index(&severe, severe_subs), &severe),
+        (index(&severe, minsev_subs()), &severe),
+        (index(&fires, minsev_subs()), &fires),
     ];
-    for (at, record, evaluated) in [(0, &outside, 0), (0, &unlocated, 16), (1, &outside, 5)] {
+    for (at, record, evaluated) in [
+        (0, &outside, 0),
+        (0, &unlocated, 16),
+        (1, &outside, 5),
+        (2, &flood, 5),
+    ] {
         let (index, spec) = &mut indexes[at];
         // Warm-up.
         assert!(index
@@ -130,10 +173,10 @@ fn assert_rejecting_match_allocates_nothing() {
             .unwrap()
             .is_empty());
         let before = index.evaluations;
-        let (count, matched) = allocations(|| index.matching_subscriptions(spec, record));
+        let (allocated, matched) = allocations(|| index.matching_subscriptions(spec, record));
         assert!(matched.unwrap().is_empty());
         assert_eq!(index.evaluations - before, evaluated, "{}", spec.name());
-        assert_eq!(count, 0, "{}: {count} allocations", spec.name());
+        assert_eq!(allocated.count, 0, "{}: {allocated:?}", spec.name());
     }
 }
 
@@ -156,8 +199,9 @@ fn shelters(fields: usize, pad: usize) -> Dataset {
     ds
 }
 
-/// The join's allocations do not depend on how large the joined rows are.
-fn assert_enrichment_allocations_do_not_grow_with_rows() {
+/// The join's allocations, and their bytes, depend neither on how large
+/// the joined rows are nor on how long the report's strings are.
+fn assert_enrichment_allocations_do_not_grow_with_rows_or_report() {
     let rule = EnrichmentRule::join(
         "DistrictEmergencies",
         "Shelters",
@@ -166,35 +210,40 @@ fn assert_enrichment_allocations_do_not_grow_with_rows() {
         "shelters",
         3,
     );
-    let report = DataValue::object([
-        ("kind", DataValue::from("fire")),
-        ("district", DataValue::from("district-0")),
-        ("location", GeoPoint::new(33.1, -117.9).to_value()),
-    ]);
-    let counts: Vec<(u64, u64)> = [(2, 4), (200, 400)]
+    let report = |body: usize| {
+        DataValue::object([
+            ("kind", DataValue::from("fire")),
+            ("district", DataValue::from("district-0")),
+            ("location", GeoPoint::new(33.1, -117.9).to_value()),
+            ("body", DataValue::from("x".repeat(body))),
+        ])
+    };
+    let runs: Vec<(Allocated, u64)> = [(2, 4, 20), (200, 400, 20), (2, 4, 2000)]
         .into_iter()
-        .map(|(fields, pad)| {
+        .map(|(fields, pad, body)| {
             let aux = shelters(fields, pad);
+            let report = report(body);
             let size = report.estimated_size();
             rule.apply(&report, size, &aux, t(10)); // warm-up
-            let (count, (enriched, _)) = allocations(|| rule.apply(&report, size, &aux, t(10)));
+            let (allocated, (enriched, _)) = allocations(|| rule.apply(&report, size, &aux, t(10)));
             let embedded = enriched.get("shelters").unwrap().as_array().unwrap();
             assert_eq!(embedded.len(), 3);
-            (count, enriched.estimated_size())
+            (allocated, enriched.estimated_size())
         })
         .collect();
-    let [(small, small_size), (large, large_size)] = counts[..] else {
+    let [(small, small_size), (large_rows, large_rows_size), (long_body, long_body_size)] =
+        runs[..]
+    else {
         unreachable!()
     };
-    assert!(large_size > 100 * small_size);
-    assert_eq!(
-        small, large,
-        "{small} allocations for small rows, {large} for large"
-    );
+    assert!(large_rows_size > 100 * small_size);
+    assert!(long_body_size > small_size + 1900);
+    assert_eq!(small, large_rows, "small rows, then large rows");
+    assert_eq!(small, long_body, "a 20-B body, then a 2-KB body");
 }
 
 #[test]
 fn ingest_allocations() {
     assert_rejecting_match_allocates_nothing();
-    assert_enrichment_allocations_do_not_grow_with_rows();
+    assert_enrichment_allocations_do_not_grow_with_rows_or_report();
 }

@@ -13,13 +13,18 @@
 //!
 //! Both comparisons are on `DataValue` equality and on the size, the
 //! second also on object ids, timestamps and every returned
-//! notification.
+//! notification. The cluster also builds a record's payload once per
+//! payload class and shares it across channels and ticks; the
+//! reference builds every payload anew, so a payload shared where it
+//! should not be (a stale one, or another class's) shows as a
+//! difference.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bad_cluster::{DataCluster, EnrichmentRule, MatchIndex, Notification};
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings};
-use bad_storage::{Dataset, ResultStore, Schema};
+use bad_storage::{Dataset, ResultStore, Schema, StoredRecord};
 use bad_types::eq::values_equal;
 use bad_types::rng::Rng;
 use bad_types::{
@@ -198,6 +203,8 @@ struct RefChannel {
     spec: ChannelSpec,
     index: MatchIndex,
     last_run: Timestamp,
+    /// How many records the channel's dataset held at its last run.
+    seen: usize,
     rules: Vec<EnrichmentRule>,
 }
 
@@ -270,9 +277,20 @@ impl RefCluster {
         let mut notifications: BTreeMap<BackendSubId, Notification> = BTreeMap::new();
         for name in due {
             let runtime = &self.channels[&name];
-            let records: Vec<(Timestamp, DataValue)> = self.datasets[runtime.spec.dataset()]
-                .since(runtime.last_run)
-                .filter(|r| r.ts <= now)
+            let ds = &self.datasets[runtime.spec.dataset()];
+            // Every record not read yet and stamped at or before `now`,
+            // in `(ts, seq)` order.
+            let mut unread: Vec<&StoredRecord> = ds
+                .iter()
+                .filter(|r| {
+                    let late = r.seq as usize >= runtime.seen && r.ts <= runtime.last_run;
+                    (late || r.ts > runtime.last_run) && r.ts <= now
+                })
+                .collect();
+            unread.sort_by_key(|r| (r.ts, r.seq));
+            let seen = ds.len();
+            let records: Vec<(Timestamp, DataValue)> = unread
+                .into_iter()
                 .map(|r| (r.ts, DataValue::clone(&r.value)))
                 .collect();
             for (record_ts, record) in records {
@@ -293,7 +311,8 @@ impl RefCluster {
                         .or_insert(n);
                 }
             }
-            self.channels.get_mut(&name).unwrap().last_run = now;
+            let runtime = self.channels.get_mut(&name).unwrap();
+            (runtime.last_run, runtime.seen) = (now, seen);
         }
         notifications.into_values().collect()
     }
@@ -330,6 +349,7 @@ impl Pair {
                     index: MatchIndex::new(&spec),
                     spec,
                     last_run: Timestamp::ZERO,
+                    seen: 0,
                     rules: Vec::new(),
                 },
             );
@@ -456,8 +476,15 @@ impl City {
 
 /// The Table III channels with both shelter joins, plus two continuous
 /// channels over the same reports — one selecting the whole record and
-/// enriched, one projecting fields and enriched — with several
-/// subscriptions per parameter value, churn, late shelters and ticks.
+/// enriched, one projecting fields and enriched — and two repetitive
+/// ones whose rules differ from `DistrictEmergencies`'s only in `limit`
+/// and only in `lookback`, with several subscriptions per parameter
+/// value, churn, late reports, late shelters and ticks.
+///
+/// `SevereEmergencies` and `DistrictEmergencies` are one payload class.
+/// After each tick at which only the first ran, a shelter is published
+/// stamped at the newest report and in its district: it belongs in
+/// that report's payload, which the class has already built.
 fn run_emergency_tape(seed: u64) -> usize {
     const HORIZON_SECS: u64 = 240;
     let pairs = |name: &'static str, value: DataValue| ParamBindings::from_pairs([(name, value)]);
@@ -484,12 +511,18 @@ fn run_emergency_tape(seed: u64) -> usize {
              where r.district == $district select r",
             "channel LiveSevere(minsev: int) from EmergencyReports r \
              where r.severity >= $minsev select r.kind, r.district, r.location.lat",
+            "channel DistrictDigest(district: string) from EmergencyReports r \
+             where r.district == $district select r every 10s",
+            "channel DistrictRecent(district: string) from EmergencyReports r \
+             where r.district == $district select r every 20s",
         ],
         vec![
             join("DistrictEmergencies", 3),
             join("SevereEmergencies", 3),
             join("LiveDistrict", 2),
             join("LiveSevere", 3).with_lookback(SimDuration::from_secs(60)),
+            join("DistrictDigest", 5),
+            join("DistrictRecent", 3).with_lookback(SimDuration::from_secs(8)),
             // A second rule on one channel: rules chain on the payload.
             EnrichmentRule::join("LiveSevere", "Shelters", "kind", "name", "namesakes", 1),
         ],
@@ -499,7 +532,7 @@ fn run_emergency_tape(seed: u64) -> usize {
 
     let interest = |rng: &mut Rng| -> (&'static str, ParamBindings) {
         let cell = rng.below(4) as usize;
-        match rng.below(7) {
+        match rng.below(9) {
             0 => (
                 "EmergenciesOfType",
                 pairs("etype", DataValue::from(KINDS[cell])),
@@ -518,6 +551,8 @@ fn run_emergency_tape(seed: u64) -> usize {
             3 => ("SheltersInDistrict", pairs("district", district(cell))),
             4 => ("DistrictEmergencies", pairs("district", district(cell))),
             5 => ("LiveDistrict", pairs("district", district(cell))),
+            6 => ("DistrictDigest", pairs("district", district(cell))),
+            7 => ("DistrictRecent", pairs("district", district(cell))),
             _ => (
                 "LiveSevere",
                 pairs("minsev", DataValue::from(cell as i64 + 2)),
@@ -555,8 +590,26 @@ fn run_emergency_tape(seed: u64) -> usize {
             let (channel, params) = interest(&mut rng);
             pair.subscribe(channel, params, now);
         }
-        if sec % 5 == 0 {
-            notifications += pair.tick(now);
+        if sec % 5 != 0 {
+            continue;
+        }
+        notifications += pair.tick(now);
+        if sec % 15 == 0 && sec % 30 != 0 {
+            let reports = pair.cluster.dataset("EmergencyReports").unwrap();
+            if let Some(newest) = reports.iter().max_by_key(|r| (r.ts, r.seq)) {
+                let (ts, district) = (newest.ts, newest.value.get("district").unwrap().clone());
+                let mut shelter = city.shelter(&mut rng);
+                if let DataValue::Object(fields) = &mut shelter {
+                    Arc::make_mut(fields).insert("district".into(), district);
+                }
+                pair.publish("Shelters", ts, shelter);
+            }
+        }
+        // A report published after the tick, stamped at its instant or
+        // before it.
+        if rng.below(2) == 0 {
+            let ts = t(sec - rng.below(8).min(sec));
+            notifications += pair.publish("EmergencyReports", ts, city.report(&mut rng));
         }
     }
     assert!(notifications > 500, "seed {seed}: a quiet tape");
@@ -569,4 +622,63 @@ fn shared_payloads_equal_per_subscription_enrichment() {
         let objects = run_emergency_tape(seed);
         assert!(objects > 5_000, "seed {seed}: {objects} results compared");
     }
+}
+
+/// One report's `SevereEmergencies` result, built at the 15-s tick, and
+/// its `DistrictEmergencies` result, at the 30-s tick, are one
+/// allocation: the two channels are one payload class.
+#[test]
+fn one_payload_class_shares_one_allocation_across_ticks() {
+    let mut cluster = DataCluster::new();
+    for name in ["EmergencyReports", "Shelters"] {
+        cluster.create_dataset(name, Schema::open()).unwrap();
+    }
+    let mut subs = Vec::new();
+    for (bql, params) in [
+        (
+            "channel SevereEmergencies(minsev: int) from EmergencyReports r \
+             where r.severity >= $minsev select r every 15s",
+            ParamBindings::from_pairs([("minsev", DataValue::from(3i64))]),
+        ),
+        (
+            "channel DistrictEmergencies(district: string) from EmergencyReports r \
+             where r.district == $district select r every 30s",
+            ParamBindings::from_pairs([("district", district(0))]),
+        ),
+    ] {
+        let spec = ChannelSpec::parse(bql).unwrap();
+        let name = spec.name().to_owned();
+        cluster.register_channel_spec(spec).unwrap();
+        let rule = EnrichmentRule::join(&name, "Shelters", "district", "district", "shelters", 3);
+        cluster.add_enrichment(rule).unwrap();
+        subs.push(cluster.subscribe(&name, params, Timestamp::ZERO).unwrap());
+    }
+    let shelter = DataValue::object([("district", district(0)), ("name", DataValue::from("a"))]);
+    cluster.publish("Shelters", t(1), shelter).unwrap();
+    let report = DataValue::object([
+        ("district", district(0)),
+        ("severity", DataValue::from(4i64)),
+        ("body", DataValue::from("x".repeat(500))),
+    ]);
+    cluster.publish("EmergencyReports", t(2), report).unwrap();
+    assert_eq!(cluster.tick(t(15)).unwrap().len(), 1);
+    assert_eq!(cluster.tick(t(30)).unwrap().len(), 1);
+
+    let all = TimeRange::closed(Timestamp::ZERO, t(30));
+    let [severe, district] = [subs[0], subs[1]].map(|bs| cluster.fetch(bs, all).pop().unwrap());
+    assert_eq!((severe.ts, district.ts), (t(15), t(30)));
+    assert!(Arc::ptr_eq(&severe.payload, &district.payload));
+    assert_eq!(severe.size, district.size);
+    let shelters = severe.payload.get("shelters").unwrap().as_array().unwrap();
+    assert_eq!(shelters.len(), 1);
+    // The payload's top level is its own, its strings the record's.
+    let stored = &cluster
+        .dataset("EmergencyReports")
+        .unwrap()
+        .get(0)
+        .unwrap()
+        .value;
+    assert!(!Arc::ptr_eq(&severe.payload, stored));
+    let body = |v: &DataValue| v.get("body").unwrap().as_str().unwrap().as_ptr();
+    assert_eq!(body(&severe.payload), body(stored));
 }

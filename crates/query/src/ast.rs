@@ -1,6 +1,7 @@
 //! Abstract syntax for BQL expressions.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A literal constant in a predicate.
 #[derive(Clone, Debug, PartialEq)]
@@ -13,8 +14,8 @@ pub enum Literal {
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// String literal.
-    Str(String),
+    /// String literal, shared with every value it evaluates to.
+    Str(Arc<str>),
 }
 
 impl fmt::Display for Literal {

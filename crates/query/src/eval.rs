@@ -1,6 +1,7 @@
 //! Evaluation of BQL expressions against a record and parameter bindings.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use bad_types::eq::values_equal;
 use bad_types::{BadError, BoundingBox, DataValue, GeoPoint, Result};
@@ -53,7 +54,8 @@ impl<'a> EvalContext<'a> {
 
     /// Evaluates an expression like [`EvalContext::eval`], borrowing
     /// record fields and parameter values instead of cloning them: only
-    /// computed results (booleans, arithmetic, literals) are built.
+    /// computed results (booleans, arithmetic, literals) are built, and a
+    /// string literal shares the expression's string.
     ///
     /// # Errors
     ///
@@ -65,7 +67,7 @@ impl<'a> EvalContext<'a> {
                 Literal::Bool(b) => DataValue::Bool(*b),
                 Literal::Int(i) => DataValue::Int(*i),
                 Literal::Float(x) => DataValue::Float(*x),
-                Literal::Str(s) => DataValue::Str(s.clone()),
+                Literal::Str(s) => DataValue::Str(Arc::clone(s)),
             })),
             Expr::Field(path) => {
                 let mut cur = self.record;
@@ -220,7 +222,7 @@ impl<'a> EvalContext<'a> {
                 arity(1)?;
                 arg(0)
                     .as_str()
-                    .map(|s| DataValue::Str(s.to_lowercase()))
+                    .map(|s| DataValue::from(s.to_lowercase()))
                     .ok_or_else(|| BadError::Type("lower() needs a string".into()))
             }
             "abs" => {

@@ -293,7 +293,7 @@ impl Parser {
         match self.bump() {
             TokenKind::Int(i) => Ok(Expr::Literal(Literal::Int(i))),
             TokenKind::Float(x) => Ok(Expr::Literal(Literal::Float(x))),
-            TokenKind::Str(s) => Ok(Expr::Literal(Literal::Str(s))),
+            TokenKind::Str(s) => Ok(Expr::Literal(Literal::Str(s.into()))),
             TokenKind::Param(name) => Ok(Expr::Param(name)),
             TokenKind::LParen => {
                 let e = self.parse_expr_bp(0)?;

@@ -15,10 +15,11 @@ use crate::error::{BadError, Result};
 
 /// A dynamically-typed record value, the unit of publication content.
 ///
-/// Arrays and objects hold their elements behind an [`Arc`], so cloning a
-/// value costs one reference-count bump per container instead of a copy
-/// of the tree: an enriched result embeds its joined rows by sharing the
-/// dataset's own maps. The sharing is invisible to `Debug`, `==`, JSON
+/// Strings, arrays and objects sit behind an [`Arc`], so cloning a value
+/// costs one reference-count bump instead of a copy of the tree: an
+/// enriched result embeds its joined rows by sharing the dataset's own
+/// maps, and its copy of the record's top level shares the record's
+/// strings. The sharing is invisible to `Debug`, `==`, JSON
 /// and [`DataValue::estimated_size`]; the rare in-place edit goes
 /// through [`Arc::make_mut`], which copies only a shared level.
 ///
@@ -45,8 +46,9 @@ pub enum DataValue {
     Int(i64),
     /// A 64-bit float.
     Float(f64),
-    /// A UTF-8 string.
-    Str(String),
+    /// A UTF-8 string, shared like the containers: a clone is one
+    /// reference-count bump.
+    Str(Arc<str>),
     /// An ordered list of values.
     Array(Arc<Vec<DataValue>>),
     /// A field-name-keyed map of values.
@@ -256,13 +258,13 @@ impl From<f64> for DataValue {
 
 impl From<&str> for DataValue {
     fn from(s: &str) -> Self {
-        DataValue::Str(s.to_owned())
+        DataValue::Str(s.into())
     }
 }
 
 impl From<String> for DataValue {
     fn from(s: String) -> Self {
-        DataValue::Str(s)
+        DataValue::Str(s.into())
     }
 }
 
@@ -348,7 +350,7 @@ impl<'a> JsonParser<'a> {
         match self.peek() {
             Some(b'{') => self.parse_object(),
             Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(DataValue::Str(self.parse_string()?)),
+            Some(b'"') => Ok(DataValue::Str(self.parse_string()?.into())),
             Some(b't') => self.parse_keyword("true", DataValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", DataValue::Bool(false)),
             Some(b'n') => self.parse_keyword("null", DataValue::Null),
@@ -683,6 +685,19 @@ mod tests {
             outer.get("inner").unwrap().as_object().unwrap(),
             copy.get("inner").unwrap().as_object().unwrap()
         ));
+    }
+
+    /// A `Str` is a fat pointer, so the enum stays three words.
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<DataValue>(), 24);
+    }
+
+    #[test]
+    fn clones_share_strings() {
+        let v = DataValue::from("x".repeat(100));
+        let copy = v.clone();
+        assert!(std::ptr::eq(v.as_str().unwrap(), copy.as_str().unwrap()));
     }
 
     #[test]

@@ -25,11 +25,11 @@ fn leaf(rng: &mut Rng) -> DataValue {
         2 => DataValue::Int(rng.next_u64() as i64),
         // Finite floats only: NaN breaks equality, infinities serialize as null.
         3 => DataValue::Float(rng.uniform(-1e12, 1e12)),
-        4 => DataValue::Str(string(rng, 20, |rng| {
+        4 => DataValue::from(string(rng, 20, |rng| {
             char::from_u32(rng.range(0x20, 0x7e) as u32)
         })),
         // Strings with escapes and unicode.
-        _ => DataValue::Str(string(rng, 7, |rng| {
+        _ => DataValue::from(string(rng, 7, |rng| {
             char::from_u32(rng.below(0x11_0000) as u32)
         })),
     }
