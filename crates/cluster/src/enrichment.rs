@@ -68,31 +68,13 @@ impl EnrichmentRule {
 
     /// Whether `other` is this rule on a channel of its own: it embeds
     /// the same rows into any one result.
-    pub fn same_body(&self, other: &EnrichmentRule) -> bool {
-        let EnrichmentRule {
-            channel: _,
-            aux_dataset,
-            record_field,
-            aux_field,
-            embed_as,
-            lookback,
-            limit,
-        } = self;
-        (
-            aux_dataset,
-            record_field,
-            aux_field,
-            embed_as,
-            lookback,
-            limit,
-        ) == (
-            &other.aux_dataset,
-            &other.record_field,
-            &other.aux_field,
-            &other.embed_as,
-            &other.lookback,
-            &other.limit,
-        )
+    pub(crate) fn same_body(&self, other: &EnrichmentRule) -> bool {
+        let channel = self.channel.clone();
+        *self
+            == EnrichmentRule {
+                channel,
+                ..other.clone()
+            }
     }
 
     /// Applies the rule to `result`, whose `estimated_size()` is `size`:

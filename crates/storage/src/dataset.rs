@@ -217,9 +217,10 @@ impl Dataset {
             .map(move |(_, &idx)| &self.records[idx])
     }
 
-    /// Iterates over records ingested strictly after `ts`, in timestamp
-    /// order — the shape of query a repetitive channel issues for "records
-    /// since my last execution".
+    /// Iterates over records stamped strictly after `ts`, in `(timestamp,
+    /// ingestion order)` — the shape of query a repetitive channel issues
+    /// for "records since my last execution". A record ingested later but
+    /// stamped at or before `ts` is not among them.
     pub fn since(&self, ts: Timestamp) -> impl Iterator<Item = &StoredRecord> {
         use std::ops::Bound;
         self.ts_index
