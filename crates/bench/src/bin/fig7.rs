@@ -4,8 +4,8 @@
 //! (BQL channels, matching, enrichment, broker, caches) replaying the
 //! same emergency-scenario trace for every scheme. `latency_ms` is what
 //! a subscriber sees: the modelled per-delivery latency plus `wait_ms`,
-//! the time a retrieval waited behind the broker actor (one call at a
-//! time, a cluster round trip slept per miss).
+//! the time a retrieval waited behind the broker node (one call at a
+//! time, a cluster round trip slept per miss and per pull-in).
 //!
 //! Usage: `cargo run --release -p bad-bench --bin fig7`
 //! Environment: `BAD_SUBSCRIBERS` (default 400), `BAD_MINUTES` (default

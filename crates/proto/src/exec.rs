@@ -1,31 +1,32 @@
-//! The executor the deployment's actors run on.
+//! The executor a deployment's actors run on.
 //!
-//! An actor is a blocking body (the cluster node, the broker node, or
-//! the thread that drives a deployment) that meets the others only
-//! through this module's channels, clock and sleeps. The executor
-//! decides what blocking means:
+//! An actor is a blocking body (the thread that drives a deployment, or
+//! a client it spawns) that meets the others only through this module's
+//! nodes, channels, clock and sleeps; a [`Node`] is state that one
+//! actor's job holds at a time, run on that actor. The executor decides
+//! what blocking means:
 //!
-//! * [`Exec::threads`] gives every actor an OS thread and maps virtual
-//!   time onto compressed wall-clock sleeps.
+//! * [`Exec::threads`] gives every actor an OS thread (a node is a plain
+//!   mutex) and maps virtual time onto compressed wall-clock sleeps.
 //! * [`Exec::seeded`] also gives every actor a thread, but lets one run
 //!   at a time. At each blocking point (`recv` on an empty channel, a
-//!   join included, `recv_timeout`, `sleep`) the running actor hands its
-//!   turn to a runnable actor drawn from a seeded [`Rng`], and virtual time
-//!   jumps to the earliest sleeper only when no actor is runnable. The
-//!   schedule is a function of the seed, so a failing one replays
-//!   exactly. When no actor is runnable and none sleeps, every actor
-//!   panics with the blocked actors' names and the seed.
+//!   join included, `recv_timeout`, `sleep`, a held node) the running
+//!   actor hands its turn to a runnable actor drawn from a seeded
+//!   [`Rng`], and virtual time jumps to the earliest sleeper only when no
+//!   actor is runnable. The schedule is a function of the seed, so a
+//!   failing one replays exactly. When no actor is runnable and none
+//!   sleeps, every actor panics with the blocked actors' names and the seed.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use bad_types::rng::Rng;
-use bad_types::{SimDuration, Timestamp};
+use bad_types::{BadError, Result, SimDuration, Timestamp};
 
-/// Spawns actors and gives them channels, a clock and sleeps.
+/// Spawns actors and gives them nodes, channels, a clock and sleeps.
 #[derive(Clone)]
 pub struct Exec(Mode);
 
@@ -90,6 +91,12 @@ impl Exec {
             waiter: Arc::clone(&waiter),
         };
         (tx, Rx { rx, waiter })
+    }
+
+    /// A node holding `state`, whose jobs run one at a time.
+    pub fn node<S>(&self, state: S) -> Node<S> {
+        let held = Held(self.clone(), Mutex::new(state), Mutex::default());
+        Node(Arc::new(held))
     }
 
     /// Starts `body` as an actor named `name`. The returned receiver
@@ -158,7 +165,7 @@ enum Run {
 
 impl Sched {
     fn lock(&self) -> MutexGuard<'_, State> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.0)
     }
 
     /// Parks the running actor until it is woken or virtual time reaches
@@ -240,6 +247,67 @@ impl State {
     }
 }
 
+/// State that one actor's job holds at a time: a deployment node. A
+/// clone is another handle on the same state.
+pub struct Node<S>(Arc<Held<S>>);
+
+/// A node's executor, its state and, under [`Exec::seeded`], the actors
+/// parked until the state is free.
+struct Held<S>(Exec, Mutex<S>, Mutex<Vec<usize>>);
+
+impl<S> Clone for Node<S> {
+    fn clone(&self) -> Self {
+        Self(Arc::clone(&self.0))
+    }
+}
+
+impl<S> Node<S> {
+    /// Runs `job` on the state, on the calling actor, once no other job
+    /// holds it; under [`Exec::seeded`] a caller parks until the holder's
+    /// job returns or unwinds.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidState("node stopped")` once a job on the node has panicked.
+    pub fn with<T>(&self, job: impl FnOnce(&mut S) -> T) -> Result<T> {
+        let Held(exec, state, parked) = &*self.0;
+        let state = match &exec.0 {
+            Mode::Threads { .. } => state.lock().ok(),
+            Mode::Seeded(sched) => loop {
+                match state.try_lock() {
+                    Err(TryLockError::WouldBlock) => {
+                        lock(parked).push(sched.lock().running);
+                        sched.block(None);
+                    }
+                    held => break held.ok(),
+                }
+            },
+        };
+        let mut state = state.ok_or_else(|| BadError::InvalidState("node stopped".into()))?;
+        let _release = Release(&self.0);
+        Ok(job(&mut state))
+    }
+}
+
+/// Wakes the actors parked on a node when its job returns or unwinds.
+/// They run only once the holder blocks, after its state guard is gone.
+struct Release<'a, S>(&'a Held<S>);
+
+impl<S> Drop for Release<'_, S> {
+    fn drop(&mut self) {
+        let Held(exec, _, parked) = self.0;
+        if let Mode::Seeded(sched) = &exec.0 {
+            for actor in lock(parked).drain(..) {
+                sched.wake(actor);
+            }
+        }
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The sending half of an executor channel; a clone is another sender.
 pub struct Tx<T> {
     tx: mpsc::Sender<T>,
@@ -258,8 +326,7 @@ struct Waiter(Exec, Mutex<Option<usize>>, AtomicUsize);
 
 impl Waiter {
     fn park(&self, actor: Option<usize>) -> Option<usize> {
-        let mut parked = self.1.lock().unwrap_or_else(PoisonError::into_inner);
-        std::mem::replace(&mut parked, actor)
+        std::mem::replace(&mut lock(&self.1), actor)
     }
 
     /// Wakes the parked receiver: a value arrived or a sender left.

@@ -83,7 +83,7 @@ pub struct PrototypeReport {
     /// middle): the broker's per-delivery latency plus `mean_wait`.
     pub mean_latency: SimDuration,
     /// How late a non-empty retrieval was issued, on average: its wait
-    /// behind the broker actor (see [`run_prototype`]).
+    /// behind the broker node (see [`run_prototype`]).
     pub mean_wait: SimDuration,
     /// Bytes retrieved from the data cluster (Fig. 7, right).
     pub fetched_bytes: ByteSize,
@@ -130,8 +130,8 @@ pub fn build_emergency_cluster() -> Result<DataCluster> {
 /// [`Exec::seeded`]`(seed)` under `policy` and reports the Fig. 7
 /// measurements. The calling thread is the one replay actor: it issues
 /// each activity, tick, maintenance pass and retrieval in due order, at
-/// its due virtual time or later if the broker actor (one call at a
-/// time, a cluster round trip slept per miss) held it up. Records and
+/// its due virtual time or later if the broker node (one call at a
+/// time, a round trip slept per miss and pull-in) held it up. Records and
 /// ticks carry their due times, so every scheme gets the same cluster
 /// output and is offered the same retrievals: one `notify_latency`
 /// after each tick's push to an online subscriber, issued if the
@@ -227,9 +227,8 @@ pub fn run_prototype(
                 }
             }
         } else if due == tick_at {
+            // Returns after the tick's notifications: their pushes are in.
             dep.tick(due)?;
-            // Answered after the tick's notifications: their pushes are in.
-            dep.broker_stats()?;
             while let Some(push) = events.recv_timeout(SimDuration::ZERO) {
                 if online.contains(&push.subscriber) {
                     retrievals.push_back((due + notify_latency, push.subscriber, push.frontend));
@@ -253,7 +252,6 @@ pub fn run_prototype(
     let broker = dep.broker_stats()?;
     let non_empty = broker.delivery.non_empty_deliveries.max(1);
     let cluster = dep.cluster_stats()?;
-    dep.shutdown();
     Ok(PrototypeReport {
         policy,
         cache_budget: config.cache.budget,

@@ -4,13 +4,13 @@
 //! HTTP broker, driven by a replayed subscriber-interaction trace of an
 //! emergency-notification scenario. This crate deploys the **full
 //! stack** (BQL channels, matching, enrichment, result stores, broker,
-//! caches) as two actors, a data-cluster node and a broker node, that
-//! talk over channels like the REST/AQL calls they stand for:
+//! caches) as a data-cluster node and a broker node, state that each
+//! call (a REST/AQL call in the paper) holds in turn on its caller:
 //!
 //! * [`runtime`] — the [`Deployment`]: the two nodes, clients that
 //!   subscribe and retrieve through the broker, and push notifications
 //!   back to connected clients.
-//! * [`exec`] — what the actors run on. [`Exec::threads`] gives them OS
+//! * [`exec`] — what the callers run on. [`Exec::threads`] gives them OS
 //!   threads and compressed wall-clock sleeps (the examples, the scrape
 //!   endpoint); [`Exec::seeded`] runs one actor at a time in virtual
 //!   time under a schedule drawn from a seed, so a run replays exactly.

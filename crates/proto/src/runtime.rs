@@ -1,16 +1,17 @@
 //! The prototype deployment: the shape of the paper's Fig. 6.
 //!
-//! A data-cluster node and a broker node run as actors (standing in for
-//! the REST/AQL calls between them); clients subscribe and retrieve
-//! through the broker, which pushes news back to connected clients (the
+//! A data-cluster node and a broker node (standing in for the servers
+//! behind the REST/AQL calls) are state that each call's job holds in
+//! turn, on the caller's actor; clients subscribe and retrieve through
+//! the broker, which pushes news back to connected clients (the
 //! WebSocket path). A node runs each call at the virtual time the call
 //! names: its state evolves in the callers' time, and the executor's
 //! clock shows how long calls wait. Only the broker→cluster leg is slept
-//! (its RTT, per round trip); the subscriber legs are in [`Delivery::latency`].
+//! (its RTT per round trip, the broker held); the subscriber legs are
+//! in [`Delivery::latency`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread;
 
 use bad_broker::{Broker, BrokerConfig, ClusterHandle, Delivery, DeliveryMetrics, Observability};
 use bad_cache::{CacheMetrics, PolicyName, ShardedCacheManager};
@@ -19,64 +20,16 @@ use bad_query::ParamBindings;
 use bad_storage::ResultObject;
 use bad_telemetry::{Gauge, ScrapeServer, DEFAULT_SCRAPE_LIMIT};
 use bad_types::{
-    BackendSubId, BadError, FrontendSubId, Result, SimDuration, SubscriberId, TimeRange, Timestamp,
+    BackendSubId, FrontendSubId, Result, SimDuration, SubscriberId, TimeRange, Timestamp,
 };
 
-use crate::exec::{Exec, Rx, Tx};
-
-/// A job for a node holding state `S`.
-type Job<S> = Box<dyn FnOnce(&mut S) + Send>;
-
-/// The address of a node holding state `S`: its job queue (`None` stops
-/// the node) and the executor its callers block on.
-struct Mailbox<S> {
-    jobs: Tx<Option<Job<S>>>,
-    exec: Exec,
-}
-
-impl<S> Clone for Mailbox<S> {
-    fn clone(&self) -> Self {
-        Self {
-            jobs: self.jobs.clone(),
-            exec: self.exec.clone(),
-        }
-    }
-}
-
-impl<S: Send + 'static> Mailbox<S> {
-    /// Starts an actor named `name` that runs each job on `state`, in
-    /// arrival order, until stopped.
-    fn spawn(exec: Exec, name: &str, mut state: S) -> (Self, Rx<thread::Result<()>>) {
-        let (jobs, queue) = exec.channel::<Option<Job<S>>>();
-        let actor = exec.spawn(name, move || {
-            while let Some(Some(job)) = queue.recv() {
-                job(&mut state);
-            }
-        });
-        (Self { jobs, exec }, actor)
-    }
-
-    /// Queues `job` without waiting for it.
-    fn tell(&self, job: impl FnOnce(&mut S) + Send + 'static) {
-        let _ = self.jobs.send(Some(Box::new(job)));
-    }
-
-    /// Runs `job` on the node and waits for its answer.
-    fn ask<T: Send + 'static>(&self, job: impl FnOnce(&mut S) -> T + Send + 'static) -> Result<T> {
-        let (reply, answer) = self.exec.channel();
-        self.tell(move |state| {
-            let _ = reply.send(job(state));
-        });
-        answer
-            .recv()
-            .ok_or_else(|| BadError::InvalidState("node stopped".into()))
-    }
-}
+use crate::exec::{Exec, Node, Tx};
 
 /// The broker node's remote handle to the cluster node: each call is a
 /// round trip after a virtual cluster-link RTT.
 struct ClusterClient {
-    mailbox: Mailbox<DataCluster>,
+    node: Node<DataCluster>,
+    exec: Exec,
     rtt: SimDuration,
     /// `bad_proto_cluster_inflight_rpcs`: broker→cluster requests sent
     /// but not yet answered.
@@ -84,13 +37,10 @@ struct ClusterClient {
 }
 
 impl ClusterClient {
-    fn roundtrip<T: Send + 'static>(
-        &self,
-        job: impl FnOnce(&mut DataCluster) -> T + Send + 'static,
-    ) -> T {
-        self.mailbox.exec.sleep(self.rtt);
+    fn roundtrip<T>(&self, job: impl FnOnce(&mut DataCluster) -> T) -> T {
+        self.exec.sleep(self.rtt);
         self.inflight.inc();
-        let reply = self.mailbox.ask(job);
+        let reply = self.node.with(job);
         self.inflight.dec();
         reply.expect("cluster node replies")
     }
@@ -103,16 +53,15 @@ impl ClusterHandle for ClusterClient {
         params: ParamBindings,
         now: Timestamp,
     ) -> Result<BackendSubId> {
-        let channel = channel.to_owned();
-        self.roundtrip(move |cluster| cluster.subscribe(&channel, params, now))
+        self.roundtrip(|cluster| cluster.subscribe(channel, params, now))
     }
 
     fn cluster_unsubscribe(&mut self, bs: BackendSubId) -> Result<()> {
-        self.roundtrip(move |cluster| cluster.unsubscribe(bs))
+        self.roundtrip(|cluster| cluster.unsubscribe(bs))
     }
 
     fn cluster_fetch(&mut self, bs: BackendSubId, range: TimeRange) -> Vec<ResultObject> {
-        self.roundtrip(move |cluster| cluster.fetch(bs, range))
+        self.roundtrip(|cluster| cluster.fetch(bs, range))
     }
 
     fn cluster_fetch_batch(
@@ -121,11 +70,9 @@ impl ClusterHandle for ClusterClient {
     ) -> Vec<Vec<ResultObject>> {
         // One round trip — and one virtual RTT — for the whole batch,
         // matching `NetworkModel::cluster_fetch_batch_latency`.
-        let requests = requests.to_vec();
-        self.roundtrip(move |cluster| {
-            requests
-                .into_iter()
-                .map(|(bs, r)| cluster.fetch(bs, r))
+        self.roundtrip(|cluster| {
+            (requests.iter())
+                .map(|&(bs, r)| cluster.fetch(bs, r))
                 .collect()
         })
     }
@@ -141,6 +88,17 @@ struct BrokerNode {
 }
 
 impl BrokerNode {
+    /// Runs `job` on the broker node, then folds the profiler samples it
+    /// left on the calling thread, so that `/profile` sees them whichever
+    /// thread made the call.
+    fn run<T>(node: &Node<Self>, job: impl FnOnce(&mut Self) -> T) -> Result<T> {
+        node.with(|broker| {
+            let out = job(broker);
+            broker.obs.profiler().flush_thread();
+            out
+        })
+    }
+
     /// Pulls a notification's results in and pushes the news to every
     /// connected subscriber of its backend subscription.
     fn notify(&mut self, notification: Notification, now: Timestamp) {
@@ -181,12 +139,13 @@ pub struct BrokerStats {
     pub peak_backends: u64,
 }
 
-/// A subscriber's handle to the broker node. Every call is one round
-/// trip to the broker actor; the subscriber leg is not slept.
+/// A subscriber's handle to the broker node. Every call is one job on
+/// the broker node, run on the calling actor; the subscriber leg is not
+/// slept.
 #[derive(Clone)]
 pub struct BrokerClient {
     subscriber: SubscriberId,
-    mailbox: Mailbox<BrokerNode>,
+    broker: Node<BrokerNode>,
 }
 
 impl BrokerClient {
@@ -201,15 +160,7 @@ impl BrokerClient {
         params: ParamBindings,
         now: Timestamp,
     ) -> Result<FrontendSubId> {
-        let channel = channel.to_owned();
-        self.ask(move |node, subscriber| {
-            let fs = node
-                .broker
-                .subscribe(&mut node.cluster, subscriber, &channel, params, now);
-            let backends = node.broker.subscriptions().backend_count() as u64;
-            node.peak_backends = node.peak_backends.max(backends);
-            fs
-        })
+        self.ask(|broker, cluster, me| broker.subscribe(cluster, me, channel, params, now))
     }
 
     /// Cancels a subscription at `now`.
@@ -218,10 +169,7 @@ impl BrokerClient {
     ///
     /// Unknown subscription or wrong owner.
     pub fn unsubscribe(&self, fs: FrontendSubId, now: Timestamp) -> Result<()> {
-        self.ask(move |node, subscriber| {
-            node.broker
-                .unsubscribe(&mut node.cluster, subscriber, fs, now)
-        })
+        self.ask(|broker, cluster, me| broker.unsubscribe(cluster, me, fs, now))
     }
 
     /// Retrieves what one subscription is owed at `now`; `None` when it
@@ -231,14 +179,12 @@ impl BrokerClient {
     ///
     /// Unknown subscription or wrong owner.
     pub fn get_results(&self, fs: FrontendSubId, now: Timestamp) -> Result<Option<Delivery>> {
-        self.ask(move |node, subscriber| {
+        self.ask(|broker, cluster, me| {
             // A live frontend of this subscriber owed nothing books no
             // delivery; an unknown or foreign one goes through, to err.
-            let broker = &mut node.broker;
             let front = broker.subscriptions().frontend(fs);
-            let idle = front.is_some_and(|f| f.subscriber == subscriber) && !broker.has_pending(fs);
-            let delivery =
-                (!idle).then(|| broker.get_results(&mut node.cluster, subscriber, fs, now));
+            let idle = front.is_some_and(|f| f.subscriber == me) && !broker.has_pending(fs);
+            let delivery = (!idle).then(|| broker.get_results(cluster, me, fs, now));
             delivery.transpose()
         })
     }
@@ -250,27 +196,29 @@ impl BrokerClient {
     ///
     /// Propagates marker-advance errors.
     pub fn get_all_pending(&self, now: Timestamp) -> Result<Vec<Delivery>> {
-        self.ask(move |node, subscriber| {
-            node.broker
-                .get_all_pending(&mut node.cluster, subscriber, now)
-        })
+        self.ask(|broker, cluster, me| broker.get_all_pending(cluster, me, now))
     }
 
-    fn ask<T: Send + 'static>(
+    /// Runs `job` as this subscriber on the broker node, and books the
+    /// backend subscriptions held after it.
+    fn ask<T>(
         &self,
-        job: impl FnOnce(&mut BrokerNode, SubscriberId) -> Result<T> + Send + 'static,
+        job: impl FnOnce(&mut Broker, &mut ClusterClient, SubscriberId) -> Result<T>,
     ) -> Result<T> {
-        let subscriber = self.subscriber;
-        self.mailbox.ask(move |node| job(node, subscriber))?
+        BrokerNode::run(&self.broker, |node| {
+            let out = job(&mut node.broker, &mut node.cluster, self.subscriber);
+            let backends = node.broker.subscriptions().backend_count() as u64;
+            node.peak_backends = node.peak_backends.max(backends);
+            out
+        })?
     }
 }
 
-/// A running two-node deployment (cluster actor + broker actor).
+/// A running two-node deployment (cluster node + broker node).
 pub struct Deployment {
-    cluster: Mailbox<DataCluster>,
-    broker: Mailbox<BrokerNode>,
-    cluster_actor: Rx<thread::Result<()>>,
-    broker_actor: Rx<thread::Result<()>>,
+    exec: Exec,
+    cluster: Node<DataCluster>,
+    broker: Node<BrokerNode>,
     obs: Observability,
     cache: Arc<ShardedCacheManager>,
     /// Pre-rendered `bad_build_info` labels as a JSON object, embedded
@@ -279,7 +227,7 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Starts the cluster and broker actors on `exec`, from the initial
+    /// Starts the cluster and broker nodes on `exec`, from the initial
     /// cluster state `cluster`, with the observers in `obs` attached to
     /// both nodes.
     ///
@@ -304,7 +252,7 @@ impl Deployment {
         let mut broker = Broker::new(policy, config);
         obs.attach(&mut cluster, &mut broker);
         let cache = broker.cache_handle();
-        let (cluster, cluster_actor) = Mailbox::spawn(exec.clone(), "cluster", cluster);
+        let cluster = exec.node(cluster);
 
         // `bad_build_info`: one constant-1 gauge whose labels identify
         // what is running — crate version plus the feature knobs that
@@ -335,7 +283,8 @@ impl Deployment {
         let broker = BrokerNode {
             broker,
             cluster: ClusterClient {
-                mailbox: cluster.clone(),
+                node: cluster.clone(),
+                exec: exec.clone(),
                 rtt: config.net.cluster.rtt,
                 inflight: registry.gauge("bad_proto_cluster_inflight_rpcs"),
             },
@@ -343,13 +292,12 @@ impl Deployment {
             peak_backends: 0,
             obs: obs.clone(),
         };
-        let (broker, broker_actor) = Mailbox::spawn(exec, "broker", broker);
+        let broker = exec.node(broker);
 
         Self {
+            exec,
             cluster,
             broker,
-            cluster_actor,
-            broker_actor,
             obs,
             cache,
             build_info,
@@ -381,8 +329,8 @@ impl Deployment {
         let health_engine = self.obs.health().cloned();
         let health_profiler = self.obs.profiler().clone();
         let build_info = self.build_info.clone();
-        // Everything `/healthz` reads is shared state: it never waits on
-        // the broker thread, so a broker stuck in a cluster round trip
+        // Everything `/healthz` reads is shared state: it never waits for
+        // the broker node, so a broker held in a cluster round trip
         // cannot stall the probe.
         let health: bad_telemetry::HealthFn = Arc::new(move || {
             let shards = cache.shard_health();
@@ -476,26 +424,26 @@ impl Deployment {
         self.obs.registry().render()
     }
 
-    /// The executor the deployment's actors run on.
+    /// The executor the deployment's callers run on.
     pub fn exec(&self) -> &Exec {
-        &self.broker.exec
+        &self.exec
     }
 
     /// Connects a client for `subscriber` whose push events go to
     /// `events` (several clients may share one).
     pub fn client(&self, subscriber: SubscriberId, events: &Tx<ClientEvent>) -> BrokerClient {
-        let events = events.clone();
-        self.broker.tell(move |node| {
-            node.clients.insert(subscriber, events);
+        let _ = BrokerNode::run(&self.broker, |node| {
+            node.clients.insert(subscriber, events.clone())
         });
         BrokerClient {
             subscriber,
-            mailbox: self.broker.clone(),
+            broker: self.broker.clone(),
         }
     }
 
     /// Publishes a record stamped `ts` into the cluster, firing
-    /// continuous channels (their notifications run at `ts`).
+    /// continuous channels (their notifications run at `ts`), and
+    /// returns once the broker has pulled their results in.
     ///
     /// # Errors
     ///
@@ -506,40 +454,41 @@ impl Deployment {
         ts: Timestamp,
         record: bad_types::DataValue,
     ) -> Result<Vec<Notification>> {
-        let dataset = dataset.to_owned();
         let notifications =
-            (self.cluster).ask(move |cluster| cluster.publish(&dataset, ts, record))??;
-        self.dispatch(&notifications, ts);
+            (self.cluster).with(|cluster| cluster.publish(dataset, ts, record))??;
+        self.dispatch(&notifications, ts)?;
         Ok(notifications)
     }
 
     /// Executes the repetitive channels due at `now` on the records
-    /// stamped up to `now`, and hands their notifications to the broker.
+    /// stamped up to `now`, and returns once the broker has pulled
+    /// their notifications' results in.
     ///
     /// # Errors
     ///
     /// Propagates channel evaluation errors.
     pub fn tick(&self, now: Timestamp) -> Result<usize> {
-        let notifications = self.cluster.ask(move |cluster| cluster.tick(now))??;
-        self.dispatch(&notifications, now);
+        let notifications = self.cluster.with(|cluster| cluster.tick(now))??;
+        self.dispatch(&notifications, now)?;
         Ok(notifications.len())
     }
 
-    /// Queues a cache maintenance pass at `now` on the broker.
+    /// Runs a cache maintenance pass at `now` on the broker (none once
+    /// the broker node has stopped).
     pub fn maintain(&self, now: Timestamp) {
-        self.broker.tell(move |node| {
+        let _ = BrokerNode::run(&self.broker, |node| {
             node.broker.maintain(now);
             node.obs.after_maintain(node.broker.cache(), now);
         });
     }
 
-    /// Snapshot of the broker's books, after every job queued before it.
+    /// Snapshot of the broker's books.
     ///
     /// # Errors
     ///
     /// The broker node has stopped.
     pub fn broker_stats(&self) -> Result<BrokerStats> {
-        self.broker.ask(|node| BrokerStats {
+        BrokerNode::run(&self.broker, |node| BrokerStats {
             delivery: node.broker.delivery_metrics(),
             cache: node.broker.cache().metrics(),
             peak_backends: node.peak_backends,
@@ -552,33 +501,22 @@ impl Deployment {
     ///
     /// The cluster node has stopped.
     pub fn cluster_stats(&self) -> Result<ClusterStats> {
-        self.cluster.ask(|cluster| cluster.stats())
+        self.cluster.with(|cluster| cluster.stats())
     }
 
-    /// Stops both nodes and joins their actors, re-raising a node's
-    /// panic. The broker goes first: it is the cluster's only client,
-    /// and its queued jobs may still make round trips.
-    pub fn shutdown(self) {
-        let _ = self.broker.jobs.send(None);
-        let broker = self.broker_actor.recv();
-        let _ = self.cluster.jobs.send(None);
-        for outcome in [broker, self.cluster_actor.recv()] {
-            if let Some(Err(panic)) = outcome {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    }
-
-    fn dispatch(&self, notifications: &[Notification], now: Timestamp) {
+    /// Pulls each notification's results into the broker, one job each.
+    fn dispatch(&self, notifications: &[Notification], now: Timestamp) -> Result<()> {
         for &notification in notifications {
-            (self.broker).tell(move |node| node.notify(notification, now));
+            BrokerNode::run(&self.broker, |node| node.notify(notification, now))?;
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Rx;
     use crate::harness::build_emergency_cluster;
     use bad_types::DataValue;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -652,7 +590,6 @@ mod tests {
         on_seeds(|exec| {
             let dep = deployment(PolicyName::Lsc, 1, exec, Observability::detached());
             deliver_one_flood_alert(&dep);
-            dep.shutdown();
         });
     }
 
@@ -668,7 +605,6 @@ mod tests {
             bob.unsubscribe(fs, now).unwrap();
             assert!(bob.unsubscribe(fs, now).is_err());
             assert!(bob.get_results(fs, now).is_err());
-            dep.shutdown();
         });
     }
 
@@ -696,7 +632,6 @@ mod tests {
             fronts.sort();
             assert_eq!(fronts, [fa, fb], "one notification reaches both");
             assert_eq!(dep.broker_stats().unwrap().peak_backends, 1);
-            dep.shutdown();
         });
     }
 
@@ -726,7 +661,6 @@ mod tests {
             assert!(events
                 .iter()
                 .any(|e| matches!(e, bad_telemetry::Event::BrokerRetrieve { .. })));
-            dep.shutdown();
         });
     }
 
@@ -740,7 +674,6 @@ mod tests {
             let text = dep.metrics_text();
             assert!(text.contains("bad_broker_cache_shards 4"));
             assert!(text.contains("bad_cache_hit_objects_total"));
-            dep.shutdown();
         });
     }
 

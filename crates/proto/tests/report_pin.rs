@@ -30,7 +30,7 @@ type Row = (
 
 // Latency less wait (NC 755 869 / 756 037 µs, the rest 255 790 /
 // 255 942 µs) and every other column but the frontends are what the
-// direct-call replay that preceded the actors measured.
+// direct-call replay that preceded the deployed nodes measured.
 #[rustfmt::skip]
 const PINNED: [Row; 8] = [
     (PolicyName::Nc, 1, 0x0, 3291816, 2535947, 253511, 111076, 91, 49, 306, 349, 116),
@@ -72,10 +72,10 @@ fn smoke_reports_are_pinned() {
 
 #[test]
 fn nc_serves_every_retrieval_it_is_offered() {
-    // NC misses every object, so the broker actor sleeps a cluster round
-    // trip per retrieval and the replay runs behind; it still serves the
-    // retrievals the direct-call replay served (306 and 278), the same
-    // as every caching scheme.
+    // NC misses every object, so each retrieval holds the broker node
+    // across a cluster round trip and the replay runs behind; it still
+    // serves the retrievals the direct-call replay served (306 and 278),
+    // the same as every caching scheme.
     let config = PrototypeConfig::smoke();
     for (seed, served) in [(1, 306), (2, 278)] {
         let nc = run_prototype(PolicyName::Nc, &config, seed).unwrap();

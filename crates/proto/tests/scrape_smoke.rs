@@ -6,8 +6,9 @@
 //! cap), `/timeseries`, `/alerts` and `/hot` over a real TCP socket
 //! like Prometheus would — and checks that an unknown path gets a JSON
 //! 404 and malformed request lines a clean 400. A second test
-//! checks that `/healthz` answers while the broker is stuck in a cluster
-//! round trip.
+//! checks that `/healthz` answers while the broker is held in a cluster
+//! round trip, and a third that a retrieval made on another thread
+//! reaches the profiler's series.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -96,12 +97,9 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         .unwrap()
         .expect("results are owed");
     assert!(delivery.total_objects() >= 1);
-    // One more maintenance pass folds the broker thread's profiler ring
-    // (the retrieval stages above) into the global aggregates; the
-    // stats round trip rendezvouses with the broker node so the flush
-    // has definitely happened before the scrape below.
-    dep.maintain(dep.exec().now());
-    let _ = dep.broker_stats().unwrap();
+    // Each broker job folds the profiler samples it left on the calling
+    // thread, so the retrieval's stages are in the global aggregates
+    // before the scrape below.
 
     let server = dep
         .serve_scrape("127.0.0.1:0")
@@ -292,11 +290,10 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     assert!(oversized.starts_with("HTTP/1.1 400"), "{oversized}");
 
     server.shutdown();
-    dep.shutdown();
 }
 
 /// A stalled cluster must not stall the health probe: with the broker
-/// thread inside cluster round trips (500 ms each at compression 1),
+/// node held in cluster round trips (500 ms each at compression 1),
 /// `/healthz` still answers at once, because it reads only shared state
 /// and never queues behind the broker.
 #[test]
@@ -315,9 +312,9 @@ fn healthz_answers_while_the_broker_waits_on_the_cluster() {
         .expect("bind scrape endpoint");
     let addr = server.local_addr();
 
-    // Two new backend subscriptions: each holds the broker thread for
-    // one cluster round trip, so the broker is busy from ≈ 0 ms to
-    // ≈ 1000 ms.
+    // Two new backend subscriptions, each from a thread of its own:
+    // each holds the broker node for one cluster round trip, so the
+    // broker is busy from ≈ 0 ms to ≈ 1000 ms.
     let (events_tx, _events) = dep.exec().channel();
     let subscribers: Vec<_> = ["flood", "fire"]
         .into_iter()
@@ -353,5 +350,52 @@ fn healthz_answers_while_the_broker_waits_on_the_cluster() {
         subscriber.join().unwrap();
     }
     server.shutdown();
-    dep.shutdown();
+}
+
+/// `bad_profile_stage_ns_count{stage="get_all_pending"}`: the retrievals
+/// the profiler has folded.
+fn retrievals_profiled(dep: &Deployment) -> u64 {
+    let series = "bad_profile_stage_ns_count{stage=\"get_all_pending\"} ";
+    let text = dep.metrics_text();
+    let line = text.lines().find_map(|line| line.strip_prefix(series));
+    line.expect("the stage series is registered")
+        .parse()
+        .unwrap()
+}
+
+/// A retrieval made on a thread of its own reaches `/profile`: the broker
+/// job folds the samples it left on that thread, which maintenance,
+/// run on another thread, cannot.
+#[test]
+fn a_retrieval_on_another_thread_reaches_the_profile() {
+    let cluster = build_emergency_cluster().unwrap();
+    let dep = Deployment::start(
+        PolicyName::Lsc,
+        BrokerConfig::default(),
+        cluster,
+        Exec::threads(100_000.0),
+        Observability::full(bad_telemetry::null_sink(), TraceConfig::default()),
+    );
+    let (events_tx, events) = dep.exec().channel();
+    let alice = dep.client(SubscriberId::new(1), &events_tx);
+    let flood = ParamBindings::from_pairs([("etype", DataValue::from("flood"))]);
+    let fs = alice
+        .subscribe("EmergenciesOfType", flood, dep.exec().now())
+        .unwrap();
+    let report = DataValue::object([("kind", DataValue::from("flood"))]);
+    (dep.publish("EmergencyReports", dep.exec().now(), report)).unwrap();
+    let notified = (0..200).any(|_| {
+        dep.tick(dep.exec().now()).unwrap();
+        events.recv_timeout(SimDuration::from_mins(1)).is_some()
+    });
+    assert!(notified, "client was not notified");
+
+    let before = retrievals_profiled(&dep);
+    let now = dep.exec().now();
+    let delivery = thread::spawn(move || alice.get_results(fs, now).unwrap())
+        .join()
+        .unwrap();
+    assert!(delivery.is_some_and(|d| d.total_objects() >= 1));
+    dep.maintain(dep.exec().now());
+    assert!(retrievals_profiled(&dep) > before);
 }

@@ -1,16 +1,35 @@
 //! The seeded executor: a schedule is a function of its seed (and the
-//! seed picks it), virtual time moves only when every actor waits, and a
-//! wait nothing can end is a named deadlock, not a hang.
+//! seed picks it), virtual time moves only when every actor waits, a
+//! wait nothing can end is a named deadlock, not a hang, and a node
+//! runs one job at a time.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::thread;
+use std::time::Duration;
 
 use bad_broker::{BrokerConfig, Observability};
 use bad_cache::PolicyName;
 use bad_proto::harness::build_emergency_cluster;
 use bad_proto::{Deployment, Exec};
 use bad_query::ParamBindings;
-use bad_types::{DataValue, SimDuration, SubscriberId, Timestamp};
+use bad_types::{BadError, DataValue, SimDuration, SubscriberId, Timestamp};
+
+fn deployment(exec: &Exec) -> Deployment {
+    let cluster = build_emergency_cluster().unwrap();
+    Deployment::start(
+        PolicyName::Lsc,
+        BrokerConfig::default(),
+        cluster,
+        exec.clone(),
+        Observability::detached(),
+    )
+}
+
+fn etype(kind: &str) -> ParamBindings {
+    ParamBindings::from_pairs([("etype", DataValue::from(kind))])
+}
 
 #[test]
 fn a_recv_nothing_can_satisfy_panics_as_a_deadlock() {
@@ -91,7 +110,6 @@ fn deliveries(seed: u64) -> Vec<(Timestamp, u64, Option<bad_broker::Delivery>)> 
     for client in clients {
         assert!(matches!(client.recv(), Some(Ok(()))));
     }
-    dep.shutdown();
     let log = log.lock().unwrap().clone();
     log
 }
@@ -110,32 +128,106 @@ fn one_seed_replays_one_delivery_sequence() {
 }
 
 #[test]
-fn shutdown_waits_for_the_brokers_queued_round_trips() {
+fn tick_returns_after_its_notifications_pull_in() {
+    let rtt = BrokerConfig::default().net.cluster.rtt;
     for seed in 0..64 {
         let exec = Exec::seeded(seed);
-        let cluster = build_emergency_cluster().unwrap();
-        let config = BrokerConfig::default();
-        let dep = Deployment::start(
-            PolicyName::Lsc,
-            config,
-            cluster,
-            exec.clone(),
-            Observability::detached(),
-        );
+        let dep = deployment(&exec);
         let (events_tx, _events) = exec.channel();
-        let flood = ParamBindings::from_pairs([("etype", DataValue::from("flood"))]);
         let alice = dep.client(SubscriberId::new(1), &events_tx);
         alice
-            .subscribe("EmergenciesOfType", flood, exec.now())
+            .subscribe("EmergenciesOfType", etype("flood"), exec.now())
             .unwrap();
         let report = DataValue::object([("kind", DataValue::from("flood"))]);
         dep.publish("EmergencyReports", exec.now(), report).unwrap();
         exec.sleep(SimDuration::from_secs(10));
-        // The notification's pull-in, a cluster round trip, is still
-        // queued on the broker when the nodes are stopped.
-        assert_eq!(dep.tick(exec.now()).unwrap(), 1, "seed {seed}");
-        if catch_unwind(AssertUnwindSafe(|| dep.shutdown())).is_err() {
-            panic!("shutdown failed on Exec::seeded({seed})");
+        let ticked = exec.now();
+        assert_eq!(dep.tick(ticked).unwrap(), 1, "seed {seed}");
+        // The notification's pull-in, a cluster round trip, ran before
+        // the tick returned.
+        assert!(exec.now() >= ticked + rtt, "seed {seed}");
+        let cache = dep.broker_stats().unwrap().cache;
+        assert_eq!(cache.inserted_objects, 1, "seed {seed}");
+    }
+}
+
+/// Runs `scenario` on a thread of its own and fails if it has not
+/// returned within a wall-clock minute. A node that lets a second job in
+/// while a first is held blocks the seeded executor's running actor on
+/// the state's mutex: a hang, not a deadlock the executor can name.
+fn within_a_minute(scenario: impl FnOnce() + Send + 'static) {
+    let (done_tx, done) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        scenario();
+        let _ = done_tx.send(());
+    });
+    // A panicking scenario drops the sender, which ends the wait too.
+    let waited = done.recv_timeout(Duration::from_secs(60));
+    assert!(
+        !matches!(waited, Err(RecvTimeoutError::Timeout)),
+        "hung for a minute"
+    );
+    if let Err(panic) = runner.join() {
+        resume_unwind(panic);
+    }
+}
+
+/// Two client actors each subscribe to a new backend at t = 0. The
+/// broker node is held across each one's cluster round trip, so one call
+/// returns after one RTT and the other after two.
+#[test]
+fn the_broker_node_runs_one_call_at_a_time() {
+    let rtt = BrokerConfig::default().net.cluster.rtt;
+    within_a_minute(move || {
+        for seed in 0..64 {
+            let exec = Exec::seeded(seed);
+            let dep = deployment(&exec);
+            let (events_tx, _events) = exec.channel();
+            let (returned_tx, returns) = exec.channel();
+            let callers: Vec<_> = (["flood", "fire"].into_iter().enumerate())
+                .map(|(i, kind)| {
+                    let client = dep.client(SubscriberId::new(i as u64), &events_tx);
+                    let (exec, returned_tx) = (exec.clone(), returned_tx.clone());
+                    exec.clone().spawn(&format!("client-{i}"), move || {
+                        (client.subscribe("EmergenciesOfType", etype(kind), Timestamp::ZERO))
+                            .unwrap();
+                        returned_tx.send(exec.now()).unwrap();
+                    })
+                })
+                .collect();
+            drop(returned_tx);
+            let mut returned: Vec<_> = std::iter::from_fn(|| returns.recv()).collect();
+            returned.sort();
+            let expected = [Timestamp::ZERO + rtt, Timestamp::ZERO + rtt * 2];
+            assert_eq!(returned, expected, "seed {seed}");
+            for caller in callers {
+                assert!(matches!(caller.recv(), Some(Ok(()))), "seed {seed}");
+            }
         }
+    });
+}
+
+/// A job that panics stops its node: the caller parked behind it is
+/// woken and told so, rather than left to deadlock.
+#[test]
+fn a_panicked_job_stops_the_node_and_wakes_its_waiters() {
+    for seed in 0..64 {
+        let exec = Exec::seeded(seed);
+        let node = exec.node(0u64);
+        let (held, clock) = (node.clone(), exec.clone());
+        let holder = exec.spawn("holder", move || {
+            let _ = held.with(|_| {
+                clock.sleep(SimDuration::from_secs(2));
+                panic!("the job fails");
+            });
+        });
+        exec.sleep(SimDuration::from_secs(1));
+        let stopped = node.with(|count| *count);
+        assert!(
+            matches!(&stopped, Err(BadError::InvalidState(m)) if m == "node stopped"),
+            "seed {seed}: {stopped:?}"
+        );
+        assert_eq!(exec.now(), Timestamp::from_secs(2), "seed {seed}");
+        assert!(matches!(holder.recv(), Some(Err(_))), "seed {seed}");
     }
 }

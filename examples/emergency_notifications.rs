@@ -1,9 +1,9 @@
 //! The emergency-notification scenario of the paper's prototype
 //! (Section VI), running the deployment on OS threads
-//! (`Exec::threads`): a data-cluster thread and a broker thread
-//! connected by channels, real clients receiving push notifications,
-//! and virtual time compressed 10 000× so the repetitive channels'
-//! periods pass in milliseconds.
+//! (`Exec::threads`): a data-cluster node and a broker node that each
+//! call holds in turn, real clients receiving push notifications over a
+//! channel, and virtual time compressed 10 000× so the repetitive
+//! channels' periods pass in milliseconds.
 //!
 //! Run with: `cargo run --example emergency_notifications`
 
@@ -23,7 +23,7 @@ fn main() -> Result<(), BadError> {
         println!("  {}", bql.split(" from ").next().unwrap_or(bql));
     }
 
-    // Boot the two nodes with 10 000x time compression.
+    // Start the two nodes with 10 000x time compression.
     let deployment = Deployment::start(
         PolicyName::Ttl,
         BrokerConfig::default(),
@@ -107,6 +107,5 @@ fn main() -> Result<(), BadError> {
     }
     assert!(delivered > 0, "the pipeline should deliver notifications");
     let _ = shared;
-    deployment.shutdown();
     Ok(())
 }

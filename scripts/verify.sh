@@ -8,8 +8,8 @@
 # script under scripts/, the release build and every
 # crate's tests, the cache, broker, cluster, query, storage, types,
 # telemetry, proto, sim, net and workload suites again under --release,
-# one tiny Fig. 7 run, formatting, lints and rustdoc, the benchmark
-# package's own unit tests,
+# one Fig. 7 run at its defaults diffed against experiments/fig7.csv,
+# formatting, lints and rustdoc, the benchmark package's own unit tests,
 # formatting and lints (it is a workspace of its own, which the
 # workspace-wide commands never see), and the benchmark smoke.
 set -euo pipefail
@@ -46,15 +46,22 @@ cargo test -q --locked
 cargo test -q --release --locked -p bad-cache -p bad-broker -p bad-cluster -p bad-query \
   -p bad-storage -p bad-types -p bad-telemetry -p bad-proto -p bad-sim -p bad-net \
   -p bad-workload
-# Fig. 7 replays a trace through the deployed actors on the seeded
-# executor; once, at a tiny scale, from a scratch directory so that
-# target/experiments keeps the outputs of a full run.
+# Fig. 7 replays the Section VI trace through the deployed nodes on the
+# seeded executor. One run at its defaults (≈ 4 s), from a scratch
+# directory so that target/experiments keeps its own outputs, must
+# write the committed table byte for byte: a change to what the
+# prototype measures fails here until experiments/fig7.csv is
+# regenerated and the change explained.
 root=$PWD
-smoke=$(mktemp -d)
-(cd "$smoke" && BAD_SUBSCRIBERS=25 BAD_MINUTES=10 BAD_SEEDS=1 \
+scratch=$(mktemp -d)
+(cd "$scratch" && env -u BAD_SUBSCRIBERS -u BAD_MINUTES -u BAD_SEEDS \
   cargo run -q --release --locked --manifest-path "$root/Cargo.toml" -p bad-bench --bin fig7 \
-  >fig7.log 2>&1) || { cat "$smoke/fig7.log" >&2; exit 1; }
-rm -rf "$smoke"
+  >fig7.log 2>&1) || { cat "$scratch/fig7.log" >&2; exit 1; }
+if ! diff experiments/fig7.csv "$scratch/target/experiments/fig7.csv"; then
+  echo "verify: fig7 no longer writes experiments/fig7.csv" >&2
+  exit 1
+fi
+rm -rf "$scratch"
 cargo fmt --check
 cargo clippy --locked --workspace --all-targets -- -D warnings
 # A dangling or private intra-doc link (say, to an item a change

@@ -1,5 +1,5 @@
 //! End-to-end tests of the prototype: the Fig. 7 trace replay and the
-//! deployed actors under seeded schedules.
+//! deployed nodes under seeded schedules.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -119,7 +119,6 @@ fn threaded_deployment_serves_many_clients() {
         // them into hits.
         let hit_ratio = stats.cache.hit_ratio().unwrap();
         assert!(hit_ratio > 0.85, "hit ratio {hit_ratio}");
-        deployment.shutdown();
     });
 }
 
@@ -161,6 +160,5 @@ fn threaded_deployment_survives_churny_clients() {
         let stats = deployment.broker_stats().unwrap();
         assert_eq!(stats.peak_backends, 1);
         assert_eq!(stats.delivery.deliveries, 0);
-        deployment.shutdown();
     });
 }
