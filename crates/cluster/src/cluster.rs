@@ -2,7 +2,6 @@
 //! stores + notifications.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings, SelectClause};
 use bad_storage::{Dataset, ResultObject, ResultStore, Schema, StoredRecord};
@@ -51,7 +50,7 @@ struct ChannelRuntime {
 struct Memoized {
     /// The record's timestamp.
     ts: Timestamp,
-    payload: Arc<DataValue>,
+    payload: DataValue,
     size: ByteSize,
 }
 
@@ -76,26 +75,26 @@ impl ChannelRuntime {
     /// The result content of `record` on this channel, projected, then
     /// enriched, and its `estimated_size()`. It depends on the record and
     /// the auxiliary datasets only, so it is computed once per matched
-    /// record and every matched subscription stores the same allocation;
-    /// `select r` with no rule is the dataset's own record. The size is
-    /// summed from the stored records' sizes, not walked.
+    /// record and every matched subscription stores a clone of it, which
+    /// shares its fields; `select r` with no rule is the dataset's own
+    /// record. The size is summed from the stored records' sizes, not
+    /// walked.
     fn enriched_payload(
         &self,
         datasets: &HashMap<String, Dataset>,
         record: &StoredRecord,
-    ) -> (Arc<DataValue>, ByteSize) {
+    ) -> (DataValue, ByteSize) {
         let (mut payload, mut size) = match self.spec.select() {
-            SelectClause::All => (Arc::clone(&record.value), record.size),
+            SelectClause::All => (record.value.clone(), record.size),
             select => {
                 let projected = select.project(&record.value);
                 let size = projected.estimated_size();
-                (Arc::new(projected), size)
+                (projected, size)
             }
         };
         for rule in &self.enrichments {
             if let Some(aux) = datasets.get(&rule.aux_dataset) {
-                let (enriched, enriched_size) = rule.apply(&payload, size, aux, record.ts);
-                (payload, size) = (Arc::new(enriched), enriched_size);
+                (payload, size) = rule.apply(&payload, size, aux, record.ts);
             }
         }
         (payload, ByteSize::new(size))
@@ -111,7 +110,7 @@ impl ChannelRuntime {
         tracer: &SharedTracer,
         bs: BackendSubId,
         result_ts: Timestamp,
-        payload: Arc<DataValue>,
+        payload: DataValue,
         size: ByteSize,
     ) -> Notification {
         let object = results.append(bs, result_ts, payload, Some(size));
@@ -404,8 +403,8 @@ impl DataCluster {
             .datasets
             .get_mut(dataset)
             .ok_or_else(|| BadError::not_found("dataset", dataset))?;
-        // The dataset wraps the record in the one allocation the matcher
-        // and every `select r` result of it share.
+        // The matcher and every `select r` result of the record share
+        // the dataset's copy of its fields.
         let seq = ds.insert(ts, record)?;
         self.stats.publications += 1;
 
@@ -446,7 +445,7 @@ impl DataCluster {
                     tracer,
                     bs,
                     ts,
-                    Arc::clone(&payload),
+                    payload.clone(),
                     size,
                 ));
             }
@@ -510,13 +509,12 @@ impl DataCluster {
                             size,
                         }
                     });
-                    (Arc::clone(&memoized.payload), memoized.size)
+                    (memoized.payload.clone(), memoized.size)
                 };
                 for bs in matched {
                     // Results of a repetitive execution are stamped with
                     // the execution time, like a periodic query output.
-                    let n =
-                        runtime.emit_result(results, tracer, bs, now, Arc::clone(&payload), size);
+                    let n = runtime.emit_result(results, tracer, bs, now, payload.clone(), size);
                     notifications
                         .entry(bs)
                         .and_modify(|agg| {
@@ -580,6 +578,7 @@ impl Default for DataCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bad_types::value::Fields;
 
     fn t(secs: u64) -> Timestamp {
         Timestamp::from_secs(secs)
@@ -952,13 +951,16 @@ mod tests {
             .collect();
         let size = ByteSize::new(got[0].payload.estimated_size());
         for object in &got {
-            assert!(Arc::ptr_eq(&object.payload, &got[0].payload));
+            assert!(Fields::ptr_eq(
+                fields(&object.payload),
+                fields(&got[0].payload)
+            ));
             assert_eq!(object.size, size);
         }
-        // A second fetch hands out the stored allocation again.
-        assert!(Arc::ptr_eq(
-            &cluster.fetch(first, all)[0].payload,
-            &got[0].payload
+        // A second fetch hands out the stored fields again.
+        assert!(Fields::ptr_eq(
+            fields(&cluster.fetch(first, all)[0].payload),
+            fields(&got[0].payload)
         ));
         assert_eq!(cluster.result_volume(), size * k);
         assert_eq!(cluster.stats().results, k);
@@ -972,7 +974,7 @@ mod tests {
         let (mut cluster, first) = cluster_with_channel();
         let got = shared_results(&mut cluster, first);
         let stored = &cluster.dataset("Reports").unwrap().get(0).unwrap().value;
-        assert!(Arc::ptr_eq(&got[0].payload, stored));
+        assert!(Fields::ptr_eq(fields(&got[0].payload), fields(stored)));
     }
 
     #[test]
@@ -991,19 +993,18 @@ mod tests {
             [report("fire")]
         );
         let stored = &cluster.dataset("Reports").unwrap().get(0).unwrap().value;
-        assert!(!Arc::ptr_eq(&got[0].payload, stored));
-        assert_eq!(**stored, report("fire"));
+        assert!(!Fields::ptr_eq(fields(&got[0].payload), fields(stored)));
+        assert_eq!(*stored, report("fire"));
     }
 
-    fn inner_map(value: &DataValue) -> &Arc<BTreeMap<String, DataValue>> {
-        match value {
-            DataValue::Object(map) => map,
-            other => panic!("not an object: {other}"),
-        }
+    fn fields(value: &DataValue) -> &Fields {
+        value
+            .as_object()
+            .unwrap_or_else(|| panic!("not an object: {value}"))
     }
 
     /// Every embedded row of every enriched result, on two channels and
-    /// over repeated fetches, is the dataset's own map, not a copy.
+    /// over repeated fetches, is the dataset's own fields, not a copy.
     #[test]
     fn enriched_payloads_embed_the_datasets_own_rows() {
         let (mut cluster, by_kind) = cluster_with_channel();
@@ -1034,11 +1035,9 @@ mod tests {
         }
         cluster.publish("Reports", t(5), report("fire")).unwrap();
 
-        let rows: Vec<Arc<BTreeMap<String, DataValue>>> = (0..2)
+        let rows: Vec<Fields> = (0..2)
             .map(|seq| {
-                Arc::clone(inner_map(
-                    &cluster.dataset("Shelters").unwrap().get(seq).unwrap().value,
-                ))
+                fields(&cluster.dataset("Shelters").unwrap().get(seq).unwrap().value).clone()
             })
             .collect();
         let all = TimeRange::closed(t(0), t(5));
@@ -1047,7 +1046,7 @@ mod tests {
             let embedded = got[0].payload.get("shelters").unwrap().as_array().unwrap();
             assert_eq!(embedded.len(), rows.len());
             for (row, stored) in embedded.iter().zip(&rows) {
-                assert!(Arc::ptr_eq(inner_map(row), stored));
+                assert!(Fields::ptr_eq(fields(row), stored));
             }
         }
     }

@@ -11,7 +11,6 @@
 //! Example: a channel over emergency reports enriched with the shelters
 //! of the same city embeds `{"shelters": [...]}` into every notification.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bad_storage::Dataset;
@@ -110,7 +109,7 @@ impl EnrichmentRule {
         // Newest rows win: the key's rows come in `(timestamp,
         // ingestion)` order, so the last `limit` matches are the first
         // `limit` met from the back. Embedding a row shares the
-        // dataset's own map (one reference-count bump).
+        // dataset's own fields (one reference-count bump).
         let mut rows_size = 2;
         let mut joined: Vec<DataValue> = aux
             .keyed_range(&self.aux_field, join_value, TimeRange::closed(from, now))
@@ -128,16 +127,16 @@ impl EnrichmentRule {
             })
             .collect();
         joined.reverse();
-        // A shallow copy of the result's top level (the join field was
-        // found in it, so it is an object): its fields' own arrays and
-        // objects are shared, not copied.
-        let mut map = BTreeMap::clone(result.as_object().expect("has a field"));
+        // One new array of the result's top-level fields (the join field
+        // was found in it, so it is an object) with `embed_as` merged in
+        // at its place; the other fields' values are shared, not copied.
+        let fields = result.as_object().expect("has a field");
         let field_size = 3 + self.embed_as.len() as u64;
-        let replaced = map
-            .insert(self.embed_as.clone(), DataValue::Array(Arc::new(joined)))
-            .map_or(0, |old| field_size + old.estimated_size());
+        let replaced =
+            (fields.get(&self.embed_as)).map_or(0, |old| field_size + old.estimated_size());
+        let enriched = fields.with(self.embed_as.clone(), DataValue::Array(Arc::new(joined)));
         let size = size + field_size + rows_size - replaced;
-        (DataValue::Object(Arc::new(map)), size)
+        (DataValue::Object(enriched), size)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Heap allocations on the ingest path, counted (and their bytes
-//! summed) by a global allocator that forwards to `System`. This target
-//! holds a single test, so the count is not shared with a concurrently
-//! running one.
+//! summed) by a global allocator that forwards to `System`. It counts
+//! only on a thread inside [`measured`], so neither libtest's threads
+//! nor the target's other test enter a count.
 //!
 //! * Matching a record against an index whose candidates all reject it
 //!   allocates nothing once warm: fields and parameters are borrowed,
@@ -13,8 +13,13 @@
 //!   bytes whether the rows it embeds are small or large and whether
 //!   the report it enriches carries a short or a long string: a row is
 //!   shared, not copied, and so is each of the report's strings.
+//! * An object holds its fields in one array sized to its field count,
+//!   built by `DataValue::object` or `parse_json`, and an enrichment
+//!   builds the enriched object's array once, at its final size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bad_cluster::{EnrichmentRule, MatchIndex};
@@ -25,19 +30,42 @@ use bad_workload::TABLE_III_CHANNELS;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
+static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Counts one allocation of `bytes`.
+thread_local! {
+    /// Whether this thread's allocations are counted. A `const` `Cell`
+    /// needs no lazy initialization and no destructor, so reading it
+    /// inside the allocator allocates nothing.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
+
+/// Counts one allocation of `bytes`, if this thread is counting.
 fn count(bytes: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    if counting() {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+/// Counts one release of `bytes`, if this thread is counting.
+fn count_free(bytes: usize) {
+    if counting() {
+        FREES.fetch_add(1, Ordering::Relaxed);
+        FREED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
 }
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the layout and pointer contracts the caller upholds are the ones
-// `System` needs; counting is two atomic adds, which neither allocate
-// nor unwind.
+// `System` needs; counting reads a thread-local flag and makes atomic
+// adds, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -52,6 +80,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_free(layout.size());
         count(new_size);
         // SAFETY: `ptr` came from this allocator, hence from `System`,
         // with `layout`; both are passed through unchanged.
@@ -59,6 +88,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_free(layout.size());
         // SAFETY: `ptr` came from this allocator, hence from `System`,
         // with `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -76,21 +106,42 @@ struct Allocated {
     bytes: u64,
 }
 
-/// Runs `f` and returns what it allocated, with its result (dropped by
-/// the caller, outside the count).
-fn allocations<R>(f: impl FnOnce() -> R) -> (Allocated, R) {
-    let now = || Allocated {
-        count: ALLOCATIONS.load(Ordering::SeqCst),
-        bytes: BYTES.load(Ordering::SeqCst),
+/// Runs `f` on this thread with counting on and returns what it
+/// allocated and what it freed, with its result (dropped by the caller,
+/// outside the count).
+fn measured<R>(f: impl FnOnce() -> R) -> ((Allocated, Allocated), R) {
+    let now = |count: &AtomicU64, bytes: &AtomicU64| Allocated {
+        count: count.load(Ordering::SeqCst),
+        bytes: bytes.load(Ordering::SeqCst),
     };
-    let before = now();
-    let out = f();
-    let after = now();
-    let allocated = Allocated {
+    let diff = |after: Allocated, before: Allocated| Allocated {
         count: after.count - before.count,
         bytes: after.bytes - before.bytes,
     };
+    let (allocated, freed) = (now(&ALLOCATIONS, &BYTES), now(&FREES, &FREED_BYTES));
+    COUNTING.set(true);
+    let out = f();
+    COUNTING.set(false);
+    let allocated = diff(now(&ALLOCATIONS, &BYTES), allocated);
+    let freed = diff(now(&FREES, &FREED_BYTES), freed);
+    ((allocated, freed), out)
+}
+
+/// Runs `f` and returns what it allocated, with its result.
+fn allocations<R>(f: impl FnOnce() -> R) -> (Allocated, R) {
+    let ((allocated, _), out) = measured(f);
     (allocated, out)
+}
+
+/// Runs `f` and returns what its result still holds of what `f`
+/// allocated: the allocations not freed before it returned.
+fn held<R>(f: impl FnOnce() -> R) -> (Allocated, R) {
+    let ((allocated, freed), out) = measured(f);
+    let held = Allocated {
+        count: allocated.count - freed.count,
+        bytes: allocated.bytes - freed.bytes,
+    };
+    (held, out)
 }
 
 fn t(secs: u64) -> Timestamp {
@@ -246,4 +297,89 @@ fn assert_enrichment_allocations_do_not_grow_with_rows_or_report() {
 fn ingest_allocations() {
     assert_rejecting_match_allocates_nothing();
     assert_enrichment_allocations_do_not_grow_with_rows_or_report();
+}
+
+/// The bytes of an object's array of `n` fields: the `Arc`'s two
+/// counts, then the `(name, value)` pairs, with no spare slot.
+fn field_array(n: usize) -> u64 {
+    (2 * size_of::<usize>() + n * size_of::<(String, DataValue)>()) as u64
+}
+
+/// The bytes `value`'s field names hold.
+fn name_bytes(value: &DataValue) -> u64 {
+    let fields = value.as_object().expect("an object");
+    fields.keys().map(|k| k.capacity() as u64).sum()
+}
+
+/// A two-field object holds one allocation per field name and one
+/// array for its fields, sized to its field count, however it was
+/// built; a name given twice leaves nothing of its first value behind.
+fn assert_an_object_holds_one_exactly_sized_array() {
+    type Build = fn() -> DataValue;
+    let builds: [(&str, usize, Build); 3] = [
+        ("DataValue::object", 2, || {
+            DataValue::object([("b", DataValue::from(1i64)), ("a", DataValue::from(2i64))])
+        }),
+        ("parse_json", 2, || {
+            DataValue::parse_json(r#"{"b": 1, "a": 2}"#).unwrap()
+        }),
+        ("parse_json, a name twice", 1, || {
+            DataValue::parse_json(r#"{"a": 1, "a": 2}"#).unwrap()
+        }),
+    ];
+    for (how, len, build) in builds {
+        build(); // warm-up
+        let (held, value) = held(build);
+        assert_eq!(value.as_object().unwrap().len(), len, "{how}");
+        let want = Allocated {
+            count: len as u64 + 1,
+            bytes: name_bytes(&value) + field_array(len),
+        };
+        assert_eq!(held, want, "{how}: {value:?}");
+    }
+}
+
+/// An enrichment allocates the enriched object's field names (the
+/// report's, copied, and the embedded one), the joined rows' list and
+/// one field array, at its final size: no temporary copy of the
+/// report's fields.
+fn assert_enrichment_builds_one_field_array() {
+    let rule = EnrichmentRule::join(
+        "DistrictEmergencies",
+        "Shelters",
+        "district",
+        "district",
+        "shelters",
+        3,
+    );
+    let aux = shelters(2, 4);
+    let report = DataValue::object([
+        ("kind", DataValue::from("fire")),
+        ("district", DataValue::from("district-0")),
+        ("body", DataValue::from("x".repeat(20))),
+    ]);
+    let size = report.estimated_size();
+    rule.apply(&report, size, &aux, t(10)); // warm-up
+    let (allocated, (enriched, _)) = allocations(|| rule.apply(&report, size, &aux, t(10)));
+    let Some(DataValue::Array(rows)) = enriched.get("shelters") else {
+        panic!("no rows embedded: {enriched}")
+    };
+    assert_eq!(rows.len(), 3);
+    assert_eq!(enriched.as_object().unwrap().len(), 4);
+    let list = (rows.capacity() * size_of::<DataValue>()) as u64;
+    let list_arc = (2 * size_of::<usize>() + size_of::<Vec<DataValue>>()) as u64;
+    let fields = enriched.as_object().unwrap().len();
+    // One per field name, then the list, its `Arc` and the array.
+    let want = Allocated {
+        count: fields as u64 + 3,
+        bytes: name_bytes(&enriched) + list + list_arc + field_array(fields),
+    };
+    assert_eq!(allocated, want);
+}
+
+#[test]
+fn objects_hold_one_field_array() {
+    assert_eq!(size_of::<DataValue>(), 24, "a value is three words");
+    assert_an_object_holds_one_exactly_sized_array();
+    assert_enrichment_builds_one_field_array();
 }

@@ -20,13 +20,13 @@
 //! difference.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use bad_cluster::{DataCluster, EnrichmentRule, MatchIndex, Notification};
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings};
 use bad_storage::{Dataset, ResultStore, Schema, StoredRecord};
 use bad_types::eq::values_equal;
 use bad_types::rng::Rng;
+use bad_types::value::Fields;
 use bad_types::{
     BackendSubId, BoundingBox, DataValue, GeoPoint, SimDuration, TimeRange, Timestamp,
 };
@@ -62,7 +62,10 @@ fn reference_apply(
         .map(|rec| DataValue::clone(&rec.value))
         .collect();
     joined.reverse();
-    let mut fields = result.as_object().expect("has a field").clone();
+    let mut fields: BTreeMap<String, DataValue> = (result.as_object().expect("has a field"))
+        .iter()
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect();
     fields.insert(rule.embed_as.clone(), DataValue::array(joined));
     DataValue::object(fields)
 }
@@ -599,8 +602,8 @@ fn run_emergency_tape(seed: u64) -> usize {
             if let Some(newest) = reports.iter().max_by_key(|r| (r.ts, r.seq)) {
                 let (ts, district) = (newest.ts, newest.value.get("district").unwrap().clone());
                 let mut shelter = city.shelter(&mut rng);
-                if let DataValue::Object(fields) = &mut shelter {
-                    Arc::make_mut(fields).insert("district".into(), district);
+                if let DataValue::Object(fields) = &shelter {
+                    shelter = DataValue::Object(fields.with("district", district));
                 }
                 pair.publish("Shelters", ts, shelter);
             }
@@ -667,7 +670,11 @@ fn one_payload_class_shares_one_allocation_across_ticks() {
     let all = TimeRange::closed(Timestamp::ZERO, t(30));
     let [severe, district] = [subs[0], subs[1]].map(|bs| cluster.fetch(bs, all).pop().unwrap());
     assert_eq!((severe.ts, district.ts), (t(15), t(30)));
-    assert!(Arc::ptr_eq(&severe.payload, &district.payload));
+    let fields = |v: &DataValue| v.as_object().unwrap().clone();
+    assert!(Fields::ptr_eq(
+        &fields(&severe.payload),
+        &fields(&district.payload)
+    ));
     assert_eq!(severe.size, district.size);
     let shelters = severe.payload.get("shelters").unwrap().as_array().unwrap();
     assert_eq!(shelters.len(), 1);
@@ -678,7 +685,7 @@ fn one_payload_class_shares_one_allocation_across_ticks() {
         .get(0)
         .unwrap()
         .value;
-    assert!(!Arc::ptr_eq(&severe.payload, stored));
+    assert!(!Fields::ptr_eq(&fields(&severe.payload), &fields(stored)));
     let body = |v: &DataValue| v.get("body").unwrap().as_str().unwrap().as_ptr();
     assert_eq!(body(&severe.payload), body(stored));
 }

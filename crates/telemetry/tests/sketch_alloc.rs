@@ -1,6 +1,7 @@
 //! Heap allocations on the sketches' write path, counted by a global
-//! allocator that forwards to `System`. This target holds a single
-//! test, so the count is not shared with a concurrently running one.
+//! allocator that forwards to `System`. It counts only on a thread that
+//! set its `COUNTING` flag, around the measured loop, so another
+//! thread's allocations (libtest's own, say) never enter the count.
 //!
 //! Once every axis is full, a retrieval's records — its hit, its ack,
 //! its served objects' delivery lags, a miss — allocate nothing, even
@@ -8,6 +9,7 @@
 //! the victim's slot in place, and its lag histogram is reset there.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bad_telemetry::{SketchConfig, SketchRecorder, SpaceSaving};
@@ -15,27 +17,41 @@ use bad_types::rng::Rng;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. A `const` `Cell`
+    /// needs no lazy initialization and no destructor, so reading it
+    /// inside the allocator allocates nothing.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if this thread is counting.
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the layout and pointer contracts the caller upholds are the ones
-// `System` needs; counting is one atomic add, which neither allocates
-// nor unwinds.
+// `System` needs; counting reads a thread-local flag and makes one
+// atomic add, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's `layout` is passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's `layout` is passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from this allocator, hence from `System`,
         // with `layout`; both are passed through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -77,6 +93,7 @@ fn a_full_sketch_records_without_allocating() {
     }
     let mut rng = Rng::new(40);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.set(true);
     let mut evictions = 0u64;
     for i in 0..RETRIEVALS {
         // A hot set the axes can hold, and a keyspace four times wider
@@ -97,6 +114,7 @@ fn a_full_sketch_records_without_allocating() {
         drop(batch);
         evictions += u64::from(requests.record(key, objects).is_some());
     }
+    COUNTING.set(false);
     let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
     assert_eq!(
         allocations, 0,

@@ -7,8 +7,6 @@
 //!
 //! Run with: `cargo run --example emergency_notifications`
 
-use std::sync::Arc;
-
 use big_active_data::broker::BrokerConfig;
 use big_active_data::prelude::*;
 use big_active_data::proto::ClientEvent;
@@ -60,8 +58,8 @@ fn main() -> Result<(), BadError> {
         let mut report = city.next_report();
         if round % 3 == 0 {
             // Force some floods so the shared channel fires often.
-            if let DataValue::Object(ref mut map) = report {
-                Arc::make_mut(map).insert("kind".into(), DataValue::from("flood"));
+            if let DataValue::Object(fields) = &report {
+                report = DataValue::Object(fields.with("kind", DataValue::from("flood")));
             }
         }
         let now = deployment.exec().now();

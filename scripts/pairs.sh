@@ -15,8 +15,10 @@
 # Writes BENCH_pr<pr>.json at the root: both SHAs, nproc and rustc,
 # and per seed and side every run's end-to-end metrics (each run is the
 # one line a `--json` results file holds inside "runs":[…]). Prints
-# `bad-benchmark compare` (parent against change) per seed, and exits
-# non-zero when a cell regressed past its bound.
+# `bad-benchmark compare` (parent against change) per seed, then
+# `badlab pairs BENCH_pr<pr>.json`'s tables (medians, quartiles, pairs
+# won, whether the claim rule holds), and exits non-zero when a cell
+# regressed past its bound.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,4 +128,7 @@ for seed in "${seeds[@]}"; do
   "$work/change/release/bad-benchmark" compare \
     "$work/seed-$seed-parent.json" "$work/seed-$seed-change.json" || status=1
 done
+# Medians, quartiles, pairs won and the claim rule, per seed, workload
+# and end-to-end metric, as Markdown tables.
+cargo run --release --offline --quiet --bin badlab -- pairs "$out"
 exit "$status"

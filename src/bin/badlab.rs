@@ -7,11 +7,12 @@
 //! badlab proto [options]                  run one Section VI prototype replay
 //! badlab trace generate [options] FILE    generate + save a subscriber trace
 //! badlab trace info FILE                  summarize a saved trace
+//! badlab pairs BENCH_prN.json             tabulate scripts/pairs.sh runs
 //! ```
 //!
 //! Run `badlab help` (or any subcommand with `--help`) for options.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::process::ExitCode;
 
 use big_active_data::cache::{policy_catalog, PolicyName};
@@ -28,6 +29,7 @@ fn main() -> ExitCode {
         Some("sim") => cmd_sim(&args[1..]),
         Some("proto") => cmd_proto(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
+        Some("pairs") => cmd_pairs(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -57,6 +59,7 @@ fn print_usage() {
                         [--minutes N] [--seed N]\n\
            badlab trace generate [--subscribers N] [--minutes N] [--seed N] FILE\n\
            badlab trace info FILE\n\
+           badlab pairs BENCH_prN.json\n\
          \n\
          POLICIES: lru, lsc, lscz, lsd, exp, ttl, nc"
     );
@@ -262,5 +265,224 @@ fn cmd_trace(args: &[String]) -> Result<(), BadError> {
         _ => Err(BadError::InvalidArgument(
             "trace subcommands: generate, info".into(),
         )),
+    }
+}
+
+/// The benchmark's end-to-end metrics (`BENCHMARK.json`'s `end_to_end`)
+/// and whether higher is better.
+const END_TO_END: [(&str, bool); 7] = [
+    ("setup_s", false),
+    ("ops_per_s", true),
+    ("get_p50_us", false),
+    ("get_p99_us", false),
+    ("ingest_p99_us", false),
+    ("peak_rss_mib", false),
+    ("hit_ratio", true),
+];
+
+/// Prints, per seed of a `scripts/pairs.sh` results file, one Markdown
+/// row per workload and end-to-end metric: each side's median and
+/// quartiles, the ratio of the medians, the pairs the change won, and
+/// whether ROADMAP's claim rule holds (at least 9 of 10 pairs won, and
+/// the medians further apart than the parent's quartiles).
+fn cmd_pairs(args: &[String]) -> Result<(), BadError> {
+    let path = args
+        .first()
+        .ok_or_else(|| BadError::InvalidArgument("pairs needs a BENCH_prN.json FILE".into()))?;
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| BadError::InvalidArgument(format!("cannot read {path}: {e}")))?;
+    print!("{}", pairs_tables(&DataValue::parse_json(&text)?)?);
+    Ok(())
+}
+
+/// `workload → metric → one value per run`, in run order.
+type Cells = BTreeMap<String, BTreeMap<String, Vec<f64>>>;
+
+/// The cells of one side's runs.
+fn side_cells(runs: &DataValue) -> Result<Cells, BadError> {
+    let malformed = || BadError::Parse("pairs: a side is not a list of runs".into());
+    let mut cells = Cells::new();
+    for run in runs.as_array().ok_or_else(malformed)? {
+        for (workload, metrics) in run.as_object().ok_or_else(malformed)? {
+            let cell = cells.entry(workload.clone()).or_default();
+            for (metric, value) in metrics.as_object().ok_or_else(malformed)? {
+                let value = value.as_f64().ok_or_else(malformed)?;
+                cell.entry(metric.clone()).or_default().push(value);
+            }
+        }
+    }
+    Ok(cells)
+}
+
+/// The tables [`cmd_pairs`] prints.
+fn pairs_tables(file: &DataValue) -> Result<String, BadError> {
+    use std::fmt::Write;
+    let seeds = (file.get("seeds").and_then(DataValue::as_object))
+        .ok_or_else(|| BadError::Parse("pairs: no \"seeds\" object".into()))?;
+    let mut out = String::new();
+    for (seed, sides) in seeds {
+        let side = |name: &str| {
+            sides
+                .get(name)
+                .ok_or_else(|| BadError::Parse(format!("pairs: seed {seed} has no {name} side")))
+                .and_then(side_cells)
+        };
+        let (parent, change) = (side("parent")?, side("change")?);
+        let _ = writeln!(out, "seed {seed}\n");
+        let _ = writeln!(
+            out,
+            "| workload | metric | parent median [q1, q3] | change median [q1, q3] \
+             | change / parent | pairs won | claim |\n|---|---|---|---|---|---|---|"
+        );
+        for (workload, metrics) in &parent {
+            for (metric, higher_is_better) in END_TO_END {
+                let (Some(a), Some(b)) = (
+                    metrics.get(metric),
+                    change.get(workload).and_then(|m| m.get(metric)),
+                ) else {
+                    continue;
+                };
+                let better = |x: f64, y: f64| if higher_is_better { x > y } else { x < y };
+                let n = a.len().min(b.len());
+                let won = (0..n).filter(|&i| better(b[i], a[i])).count();
+                let ties = (0..n).filter(|&i| b[i] == a[i]).count();
+                let (qa, qb) = (quartiles(a), quartiles(b));
+                let claim = 10 * won >= 9 * n
+                    && better(qb[1], qa[1])
+                    && (qb[1] - qa[1]).abs() > qa[2] - qa[0];
+                let won = match ties {
+                    t if t == n => format!("{n} ties"),
+                    0 => format!("{won}/{n}"),
+                    t => format!("{won}/{n} ({t} ties)"),
+                };
+                let side = |q: [f64; 3]| format!("{} [{}, {}]", g4(q[1]), g4(q[0]), g4(q[2]));
+                let _ = writeln!(
+                    out,
+                    "| {workload} | {metric} | {} | {} | {:.3} | {won} | {} |",
+                    side(qa),
+                    side(qb),
+                    qb[1] / qa[1],
+                    if claim { "holds" } else { "no" }
+                );
+            }
+        }
+        out.push('\n');
+    }
+    Ok(out)
+}
+
+/// First quartile, median and third quartile of `values`, the quartiles
+/// as Python's `statistics.quantiles(values, n=4)` computes them (as
+/// `bad-benchmark compare` does), the median of the sorted middle.
+fn quartiles(values: &[f64]) -> [f64; 3] {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    let median = match n {
+        0 => return [f64::NAN; 3],
+        _ if n % 2 == 1 => v[n / 2],
+        _ => (v[n / 2 - 1] + v[n / 2]) / 2.0,
+    };
+    if n < 2 {
+        return [median; 3];
+    }
+    let quartile = |i: usize| {
+        let j = (i * (n + 1) / 4).clamp(1, n - 1);
+        let delta = (i * (n + 1)) as f64 - (j * 4) as f64;
+        (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+    };
+    [quartile(1), median, quartile(3)]
+}
+
+/// `x` to four significant digits, as C's `%.4g` prints it.
+fn g4(x: f64) -> String {
+    if x == 0.0 || !x.is_finite() {
+        return format!("{x}");
+    }
+    let sci = format!("{x:.3e}");
+    let (mantissa, exp) = sci.split_once('e').expect("`{:e}` has an exponent");
+    let exp: i32 = exp.parse().expect("`{:e}` exponent is an integer");
+    let trim = |s: String| {
+        if s.contains('.') {
+            s.trim_end_matches('0').trim_end_matches('.').to_owned()
+        } else {
+            s
+        }
+    };
+    if (-4..4).contains(&exp) {
+        trim(format!("{x:.*}", (3 - exp) as usize))
+    } else {
+        let sign = if exp < 0 { '-' } else { '+' };
+        format!("{}e{sign}{:02}", trim(mantissa.to_owned()), exp.abs())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn g4_prints_like_printf() {
+        for (x, want) in [
+            (1.0, "1"),
+            (0.5442767877266474, "0.5443"),
+            (311.2, "311.2"),
+            (13390.4, "1.339e+04"),
+            (182_900.0, "1.829e+05"),
+            (0.000_123_45, "0.0001234"),
+            (0.000_012_345, "1.234e-05"),
+            (-2.5, "-2.5"),
+            (9999.6, "1e+04"),
+        ] {
+            assert_eq!(g4(x), want, "{x}");
+        }
+    }
+
+    #[test]
+    fn quartiles_match_python() {
+        // statistics.quantiles([1..=10], n=4) == [2.75, 5.5, 8.25]
+        let v: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(quartiles(&v), [2.75, 5.5, 8.25]);
+        assert_eq!(quartiles(&[3.0, 1.0, 2.0]), [1.0, 2.0, 3.0]);
+    }
+
+    /// A change that wins 9 of 10 pairs by more than the parent's
+    /// quartile gap holds; one that wins 8, or wins by less than the
+    /// gap, does not; ties count as not won.
+    #[test]
+    fn the_claim_rule() {
+        let runs = |values: &[f64]| {
+            let runs: Vec<String> = (values.iter())
+                .map(|v| format!(r#"{{"w":{{"peak_rss_mib":{v},"hit_ratio":1}}}}"#))
+                .collect();
+            format!("[{}]", runs.join(","))
+        };
+        let parent: Vec<f64> = (0..10).map(|i| 50.0 + f64::from(i % 3)).collect();
+        let table = |change: &[f64]| {
+            let file = format!(
+                r#"{{"seeds":{{"1":{{"parent":{},"change":{}}}}}}}"#,
+                runs(&parent),
+                runs(change)
+            );
+            pairs_tables(&DataValue::parse_json(&file).unwrap()).unwrap()
+        };
+        let row = |table: &str, metric: &str| {
+            let line = table
+                .lines()
+                .find(|l| l.contains(metric))
+                .unwrap()
+                .to_owned();
+            line.split(" | ").map(str::to_owned).collect::<Vec<_>>()
+        };
+        let mut wins: Vec<f64> = vec![40.0; 10];
+        wins[0] = 60.0;
+        let t = table(&wins);
+        assert_eq!(row(&t, "peak_rss_mib")[5..], ["9/10", "holds |"]);
+        assert_eq!(row(&t, "hit_ratio")[5..], ["10 ties", "no |"]);
+        wins[1] = 60.0;
+        assert_eq!(row(&table(&wins), "peak_rss_mib")[5..], ["8/10", "no |"]);
+        // Every pair won, by less than the parent's 2-MiB quartile gap.
+        let close: Vec<f64> = parent.iter().map(|v| v - 0.5).collect();
+        assert_eq!(row(&table(&close), "peak_rss_mib")[5..], ["10/10", "no |"]);
     }
 }
