@@ -289,10 +289,10 @@ impl fmt::Display for DataValue {
 ///
 /// A `BTreeMap` node holds eleven slots however few fields it has; an
 /// array holds just the fields. Iteration runs in name order as a
-/// `BTreeMap`'s did, and `==` and `Debug` read
-/// as a map's. A clone is one reference-count bump. Fields are never
-/// edited in place: [`Fields::with`] builds a new array whose values
-/// share the old one's.
+/// `BTreeMap`'s did, and `==` and `Debug` read as a map's. A clone is
+/// one reference-count bump. Fields are never edited in place:
+/// [`Fields::with`] builds a new array whose values share the old
+/// one's.
 ///
 /// # Examples
 ///
