@@ -2,6 +2,7 @@
 //! stores + notifications.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings, SelectClause};
 use bad_storage::{Dataset, ResultObject, ResultStore, Schema, StoredRecord};
@@ -50,7 +51,7 @@ struct ChannelRuntime {
 struct Memoized {
     /// The record's timestamp.
     ts: Timestamp,
-    payload: DataValue,
+    payload: Arc<DataValue>,
     size: ByteSize,
 }
 
@@ -75,26 +76,26 @@ impl ChannelRuntime {
     /// The result content of `record` on this channel, projected, then
     /// enriched, and its `estimated_size()`. It depends on the record and
     /// the auxiliary datasets only, so it is computed once per matched
-    /// record and every matched subscription stores a clone of it, which
-    /// shares its fields; `select r` with no rule is the dataset's own
-    /// record. The size is summed from the stored records' sizes, not
-    /// walked.
+    /// record and every matched subscription stores the same allocation;
+    /// `select r` with no rule is the dataset's own record. The size is
+    /// summed from the stored records' sizes, not walked.
     fn enriched_payload(
         &self,
         datasets: &HashMap<String, Dataset>,
         record: &StoredRecord,
-    ) -> (DataValue, ByteSize) {
+    ) -> (Arc<DataValue>, ByteSize) {
         let (mut payload, mut size) = match self.spec.select() {
-            SelectClause::All => (record.value.clone(), record.size),
+            SelectClause::All => (Arc::clone(&record.value), record.size),
             select => {
                 let projected = select.project(&record.value);
                 let size = projected.estimated_size();
-                (projected, size)
+                (Arc::new(projected), size)
             }
         };
         for rule in &self.enrichments {
             if let Some(aux) = datasets.get(&rule.aux_dataset) {
-                (payload, size) = rule.apply(&payload, size, aux, record.ts);
+                let (enriched, enriched_size) = rule.apply(&payload, size, aux, record.ts);
+                (payload, size) = (Arc::new(enriched), enriched_size);
             }
         }
         (payload, ByteSize::new(size))
@@ -110,7 +111,7 @@ impl ChannelRuntime {
         tracer: &SharedTracer,
         bs: BackendSubId,
         result_ts: Timestamp,
-        payload: DataValue,
+        payload: Arc<DataValue>,
         size: ByteSize,
     ) -> Notification {
         let object = results.append(bs, result_ts, payload, Some(size));
@@ -403,8 +404,8 @@ impl DataCluster {
             .datasets
             .get_mut(dataset)
             .ok_or_else(|| BadError::not_found("dataset", dataset))?;
-        // The matcher and every `select r` result of the record share
-        // the dataset's copy of its fields.
+        // The dataset wraps the record in the one allocation the matcher
+        // and every `select r` result of it share.
         let seq = ds.insert(ts, record)?;
         self.stats.publications += 1;
 
@@ -445,7 +446,7 @@ impl DataCluster {
                     tracer,
                     bs,
                     ts,
-                    payload.clone(),
+                    Arc::clone(&payload),
                     size,
                 ));
             }
@@ -509,12 +510,13 @@ impl DataCluster {
                             size,
                         }
                     });
-                    (memoized.payload.clone(), memoized.size)
+                    (Arc::clone(&memoized.payload), memoized.size)
                 };
                 for bs in matched {
                     // Results of a repetitive execution are stamped with
                     // the execution time, like a periodic query output.
-                    let n = runtime.emit_result(results, tracer, bs, now, payload.clone(), size);
+                    let n =
+                        runtime.emit_result(results, tracer, bs, now, Arc::clone(&payload), size);
                     notifications
                         .entry(bs)
                         .and_modify(|agg| {
@@ -951,16 +953,13 @@ mod tests {
             .collect();
         let size = ByteSize::new(got[0].payload.estimated_size());
         for object in &got {
-            assert!(Fields::ptr_eq(
-                fields(&object.payload),
-                fields(&got[0].payload)
-            ));
+            assert!(Arc::ptr_eq(&object.payload, &got[0].payload));
             assert_eq!(object.size, size);
         }
-        // A second fetch hands out the stored fields again.
-        assert!(Fields::ptr_eq(
-            fields(&cluster.fetch(first, all)[0].payload),
-            fields(&got[0].payload)
+        // A second fetch hands out the stored allocation again.
+        assert!(Arc::ptr_eq(
+            &cluster.fetch(first, all)[0].payload,
+            &got[0].payload
         ));
         assert_eq!(cluster.result_volume(), size * k);
         assert_eq!(cluster.stats().results, k);
@@ -974,7 +973,7 @@ mod tests {
         let (mut cluster, first) = cluster_with_channel();
         let got = shared_results(&mut cluster, first);
         let stored = &cluster.dataset("Reports").unwrap().get(0).unwrap().value;
-        assert!(Fields::ptr_eq(fields(&got[0].payload), fields(stored)));
+        assert!(Arc::ptr_eq(&got[0].payload, stored));
     }
 
     #[test]
@@ -993,8 +992,8 @@ mod tests {
             [report("fire")]
         );
         let stored = &cluster.dataset("Reports").unwrap().get(0).unwrap().value;
-        assert!(!Fields::ptr_eq(fields(&got[0].payload), fields(stored)));
-        assert_eq!(*stored, report("fire"));
+        assert!(!Arc::ptr_eq(&got[0].payload, stored));
+        assert_eq!(**stored, report("fire"));
     }
 
     fn fields(value: &DataValue) -> &Fields {

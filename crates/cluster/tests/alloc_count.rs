@@ -1,7 +1,8 @@
 //! Heap allocations on the ingest path, counted (and their bytes
-//! summed) by a global allocator that forwards to `System`. It counts
-//! only on a thread inside [`measured`], so neither libtest's threads
-//! nor the target's other test enter a count.
+//! summed) by a global allocator that forwards to `System`. Each
+//! thread keeps its own counts, and only inside [`measured`], so neither
+//! libtest's threads nor the target's other test, running beside it,
+//! enter a count.
 //!
 //! * Matching a record against an index whose candidates all reject it
 //!   allocates nothing once warm: fields and parameters are borrowed,
@@ -20,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::LocalKey;
 
 use bad_cluster::{EnrichmentRule, MatchIndex};
 use bad_query::{ChannelSpec, ParamBindings};
@@ -28,35 +29,27 @@ use bad_storage::{Dataset, Schema};
 use bad_types::{BackendSubId, BoundingBox, DataValue, GeoPoint, Timestamp};
 use bad_workload::TABLE_III_CHANNELS;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Whether this thread's allocations are counted. A `const` `Cell`
-    /// needs no lazy initialization and no destructor, so reading it
-    /// inside the allocator allocates nothing.
+    /// Whether this thread's allocations are counted, and what it
+    /// allocated and freed while they were. Each thread counts its own,
+    /// so a test running beside another never sees the other's. A
+    /// `const` `Cell` needs no lazy initialization and no destructor, so
+    /// touching one inside the allocator allocates nothing.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATED: Cell<Allocated> = const { Cell::new(Allocated::NONE) };
+    static FREED: Cell<Allocated> = const { Cell::new(Allocated::NONE) };
 }
 
-fn counting() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-/// Counts one allocation of `bytes`, if this thread is counting.
-fn count(bytes: usize) {
-    if counting() {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
-
-/// Counts one release of `bytes`, if this thread is counting.
-fn count_free(bytes: usize) {
-    if counting() {
-        FREES.fetch_add(1, Ordering::Relaxed);
-        FREED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+/// Adds one block of `bytes` to `total`, if this thread is counting.
+fn count(total: &'static LocalKey<Cell<Allocated>>, bytes: usize) {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = total.try_with(|total| {
+            let Allocated { count, bytes: sum } = total.get();
+            total.set(Allocated {
+                count: count + 1,
+                bytes: sum + bytes as u64,
+            });
+        });
     }
 }
 
@@ -64,31 +57,31 @@ struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the layout and pointer contracts the caller upholds are the ones
-// `System` needs; counting reads a thread-local flag and makes atomic
-// adds, which neither allocate nor unwind.
+// `System` needs; counting reads and writes thread-local cells, which
+// neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(&ALLOCATED, layout.size());
         // SAFETY: the caller's `layout` is passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(&ALLOCATED, layout.size());
         // SAFETY: the caller's `layout` is passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_free(layout.size());
-        count(new_size);
+        count(&FREED, layout.size());
+        count(&ALLOCATED, new_size);
         // SAFETY: `ptr` came from this allocator, hence from `System`,
         // with `layout`; both are passed through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count_free(layout.size());
+        count(&FREED, layout.size());
         // SAFETY: `ptr` came from this allocator, hence from `System`,
         // with `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -106,25 +99,20 @@ struct Allocated {
     bytes: u64,
 }
 
+impl Allocated {
+    const NONE: Allocated = Allocated { count: 0, bytes: 0 };
+}
+
 /// Runs `f` on this thread with counting on and returns what it
 /// allocated and what it freed, with its result (dropped by the caller,
 /// outside the count).
 fn measured<R>(f: impl FnOnce() -> R) -> ((Allocated, Allocated), R) {
-    let now = |count: &AtomicU64, bytes: &AtomicU64| Allocated {
-        count: count.load(Ordering::SeqCst),
-        bytes: bytes.load(Ordering::SeqCst),
-    };
-    let diff = |after: Allocated, before: Allocated| Allocated {
-        count: after.count - before.count,
-        bytes: after.bytes - before.bytes,
-    };
-    let (allocated, freed) = (now(&ALLOCATIONS, &BYTES), now(&FREES, &FREED_BYTES));
+    ALLOCATED.set(Allocated::NONE);
+    FREED.set(Allocated::NONE);
     COUNTING.set(true);
     let out = f();
     COUNTING.set(false);
-    let allocated = diff(now(&ALLOCATIONS, &BYTES), allocated);
-    let freed = diff(now(&FREES, &FREED_BYTES), freed);
-    ((allocated, freed), out)
+    ((ALLOCATED.get(), FREED.get()), out)
 }
 
 /// Runs `f` and returns what it allocated, with its result.

@@ -20,13 +20,13 @@
 //! difference.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bad_cluster::{DataCluster, EnrichmentRule, MatchIndex, Notification};
 use bad_query::{ChannelMode, ChannelSpec, ParamBindings};
 use bad_storage::{Dataset, ResultStore, Schema, StoredRecord};
 use bad_types::eq::values_equal;
 use bad_types::rng::Rng;
-use bad_types::value::Fields;
 use bad_types::{
     BackendSubId, BoundingBox, DataValue, GeoPoint, SimDuration, TimeRange, Timestamp,
 };
@@ -670,11 +670,7 @@ fn one_payload_class_shares_one_allocation_across_ticks() {
     let all = TimeRange::closed(Timestamp::ZERO, t(30));
     let [severe, district] = [subs[0], subs[1]].map(|bs| cluster.fetch(bs, all).pop().unwrap());
     assert_eq!((severe.ts, district.ts), (t(15), t(30)));
-    let fields = |v: &DataValue| v.as_object().unwrap().clone();
-    assert!(Fields::ptr_eq(
-        &fields(&severe.payload),
-        &fields(&district.payload)
-    ));
+    assert!(Arc::ptr_eq(&severe.payload, &district.payload));
     assert_eq!(severe.size, district.size);
     let shelters = severe.payload.get("shelters").unwrap().as_array().unwrap();
     assert_eq!(shelters.len(), 1);
@@ -685,7 +681,7 @@ fn one_payload_class_shares_one_allocation_across_ticks() {
         .get(0)
         .unwrap()
         .value;
-    assert!(!Fields::ptr_eq(&fields(&severe.payload), &fields(stored)));
+    assert!(!Arc::ptr_eq(&severe.payload, stored));
     let body = |v: &DataValue| v.get("body").unwrap().as_str().unwrap().as_ptr();
     assert_eq!(body(&severe.payload), body(stored));
 }

@@ -15,6 +15,7 @@ use bad_types::ids::IdGen;
 use bad_types::{BackendSubId, BadError, ByteSize, DataValue, Result, TimeRange, Timestamp};
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The synthetic cluster backend used by the simulator.
 ///
@@ -26,6 +27,8 @@ pub struct SimBackend {
     ids: IdGen,
     /// channel name -> backend subscription (one sub per stream).
     by_channel: HashMap<String, BackendSubId>,
+    /// The payload of every synthetic result: one shared null.
+    null: Arc<DataValue>,
     /// Lifecycle tracer stamping `result_produced` root spans with the
     /// simulator's virtual time (disabled by default).
     tracer: bad_telemetry::SharedTracer,
@@ -44,6 +47,7 @@ impl SimBackend {
             store: ResultStore::new(),
             ids: IdGen::new(),
             by_channel: HashMap::new(),
+            null: Arc::new(DataValue::Null),
             tracer: bad_telemetry::Tracer::disabled(),
         }
     }
@@ -67,8 +71,9 @@ impl SimBackend {
     /// Produces one result of `size` for `bs` at time `ts`, persisting it
     /// and returning the notification the cluster would send.
     pub fn produce(&mut self, bs: BackendSubId, ts: Timestamp, size: ByteSize) -> Notification {
-        // Synthetic results carry no content, only their size.
-        let object = self.store.append(bs, ts, DataValue::Null, Some(size));
+        let object = self
+            .store
+            .append(bs, ts, Arc::clone(&self.null), Some(size));
         if self.tracer.enabled() {
             // A stream is a channel of its own with one subscription,
             // so the subscription id also names the channel.

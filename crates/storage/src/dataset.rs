@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use bad_types::eq::EqMap;
 use bad_types::{ByteSize, DataValue, Result, TimeRange, Timestamp};
@@ -15,10 +16,8 @@ pub struct StoredRecord {
     pub seq: u64,
     /// Ingestion timestamp.
     pub ts: Timestamp,
-    /// The record itself. A clone shares its fields (one
-    /// reference-count bump), so every result that selects it whole
-    /// holds the same array.
-    pub value: DataValue,
+    /// The record itself, shared with every result that selects it whole.
+    pub value: Arc<DataValue>,
     /// `value.estimated_size()`, computed once at insert.
     pub size: u64,
 }
@@ -121,6 +120,8 @@ impl Dataset {
     }
 
     /// Validates and appends a record, returning its sequence number.
+    /// A caller that already holds the record in an `Arc` passes it as
+    /// is and the dataset shares the allocation.
     ///
     /// Timestamps need not be monotone (late data is allowed); the
     /// timestamp index keeps range queries correct either way.
@@ -129,7 +130,8 @@ impl Dataset {
     ///
     /// Returns [`bad_types::BadError::Schema`] when the record violates
     /// the dataset schema.
-    pub fn insert(&mut self, ts: Timestamp, value: DataValue) -> Result<u64> {
+    pub fn insert(&mut self, ts: Timestamp, value: impl Into<Arc<DataValue>>) -> Result<u64> {
+        let value = value.into();
         self.schema.validate(&value)?;
         let at = self.records.len();
         let seq = at as u64;
@@ -258,7 +260,7 @@ mod tests {
         assert_eq!(ds.insert(t(1), rec(1)).unwrap(), 0);
         assert_eq!(ds.insert(t(2), rec(2)).unwrap(), 1);
         assert_eq!(ds.len(), 2);
-        assert_eq!(ds.get(1).unwrap().value, rec(2));
+        assert_eq!(*ds.get(1).unwrap().value, rec(2));
         assert!(ds.get(5).is_none());
     }
 

@@ -8,6 +8,7 @@
 //! still retrieve notifications from the bigdata backend" (Section I).
 
 use std::fmt;
+use std::sync::Arc;
 
 use bad_types::ids::{IdGen, IdSlab};
 use bad_types::{BackendSubId, ByteSize, DataValue, ObjectId, TimeRange, Timestamp};
@@ -24,9 +25,8 @@ pub struct ResultObject {
     /// Object size as accounted by caches and the network model.
     pub size: ByteSize,
     /// The enriched notification content. Shared: the subscriptions one
-    /// record matched, and every fetched copy, hold clones of one value,
-    /// so one array of fields.
-    pub payload: DataValue,
+    /// record matched, and every fetched copy, hold the same allocation.
+    pub payload: Arc<DataValue>,
 }
 
 /// Timestamp-ordered result datasets, one per backend subscription.
@@ -61,17 +61,18 @@ impl ResultStore {
     /// Appends a result for `bs` and returns a reference to it.
     ///
     /// When `size` is `None` the payload's estimated size is used; the
-    /// simulator passes explicit synthetic sizes instead. A payload
-    /// cloned from one value shares its containers, so one enriched
-    /// record is stored once however many subscriptions it matched; its
-    /// size is still accounted once per appended object.
+    /// simulator passes explicit synthetic sizes instead. A payload that
+    /// is already an `Arc` is stored as is, so one enriched record costs
+    /// one allocation however many subscriptions it matched; its size is
+    /// still accounted once per appended object.
     pub fn append(
         &mut self,
         bs: BackendSubId,
         ts: Timestamp,
-        payload: DataValue,
+        payload: impl Into<Arc<DataValue>>,
         size: Option<ByteSize>,
     ) -> &ResultObject {
+        let payload = payload.into();
         let id: ObjectId = self.ids.next_id();
         let size = size.unwrap_or_else(|| ByteSize::new(payload.estimated_size()));
         let object = ResultObject {
@@ -241,7 +242,7 @@ mod tests {
         assert_eq!(s.len_of(a), 1);
         assert_eq!(s.len_of(b), 1);
         let got = s.fetch(a, TimeRange::closed(t(0), t(9)));
-        assert_eq!(got[0].payload, DataValue::from(1i64));
+        assert_eq!(*got[0].payload, DataValue::from(1i64));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! badlab trace generate [options] FILE    generate + save a subscriber trace
 //! badlab trace info FILE                  summarize a saved trace
 //! badlab pairs BENCH_prN.json             tabulate scripts/pairs.sh runs
+//!                                         (reads BENCHMARK.json beside it)
 //! ```
 //!
 //! Run `badlab help` (or any subcommand with `--help`) for options.
@@ -268,31 +269,46 @@ fn cmd_trace(args: &[String]) -> Result<(), BadError> {
     }
 }
 
-/// The benchmark's end-to-end metrics (`BENCHMARK.json`'s `end_to_end`)
-/// and whether higher is better.
-const END_TO_END: [(&str, bool); 7] = [
-    ("setup_s", false),
-    ("ops_per_s", true),
-    ("get_p50_us", false),
-    ("get_p99_us", false),
-    ("ingest_p99_us", false),
-    ("peak_rss_mib", false),
-    ("hit_ratio", true),
-];
-
 /// Prints, per seed of a `scripts/pairs.sh` results file, one Markdown
 /// row per workload and end-to-end metric: each side's median and
 /// quartiles, the ratio of the medians, the pairs the change won, and
 /// whether ROADMAP's claim rule holds (at least 9 of 10 pairs won, and
-/// the medians further apart than the parent's quartiles).
+/// the medians further apart than the parent's quartiles). The metrics
+/// and their better direction are read from the `BENCHMARK.json` in
+/// the results file's directory.
 fn cmd_pairs(args: &[String]) -> Result<(), BadError> {
     let path = args
         .first()
         .ok_or_else(|| BadError::InvalidArgument("pairs needs a BENCH_prN.json FILE".into()))?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| BadError::InvalidArgument(format!("cannot read {path}: {e}")))?;
-    print!("{}", pairs_tables(&DataValue::parse_json(&text)?)?);
+    let read = |path: &std::path::Path| {
+        std::fs::read_to_string(path)
+            .map_err(|e| BadError::InvalidArgument(format!("cannot read {}: {e}", path.display())))
+            .and_then(|text| DataValue::parse_json(&text))
+    };
+    let path = std::path::Path::new(path);
+    let declaration = path.with_file_name("BENCHMARK.json");
+    let metrics = end_to_end(&read(&declaration)?)?;
+    print!("{}", pairs_tables(&read(path)?, &metrics)?);
     Ok(())
+}
+
+/// The end-to-end metrics a `BENCHMARK.json` declares, in its order,
+/// each with whether higher is better.
+fn end_to_end(declaration: &DataValue) -> Result<Vec<(String, bool)>, BadError> {
+    let malformed =
+        || BadError::Parse("pairs: BENCHMARK.json's end_to_end is not a list of metrics".into());
+    let metrics =
+        (declaration.get("end_to_end").and_then(DataValue::as_array)).ok_or_else(malformed)?;
+    (metrics.iter())
+        .map(|metric| {
+            let field = |name| metric.get(name).and_then(DataValue::as_str);
+            match (field("name"), field("better")) {
+                (Some(name), Some("higher")) => Ok((name.to_owned(), true)),
+                (Some(name), Some("lower")) => Ok((name.to_owned(), false)),
+                _ => Err(malformed()),
+            }
+        })
+        .collect()
 }
 
 /// `workload → metric → one value per run`, in run order.
@@ -314,8 +330,9 @@ fn side_cells(runs: &DataValue) -> Result<Cells, BadError> {
     Ok(cells)
 }
 
-/// The tables [`cmd_pairs`] prints.
-fn pairs_tables(file: &DataValue) -> Result<String, BadError> {
+/// The tables [`cmd_pairs`] prints, one row per workload and metric of
+/// `metrics` (a name, and whether higher is better).
+fn pairs_tables(file: &DataValue, metrics: &[(String, bool)]) -> Result<String, BadError> {
     use std::fmt::Write;
     let seeds = (file.get("seeds").and_then(DataValue::as_object))
         .ok_or_else(|| BadError::Parse("pairs: no \"seeds\" object".into()))?;
@@ -334,10 +351,11 @@ fn pairs_tables(file: &DataValue) -> Result<String, BadError> {
             "| workload | metric | parent median [q1, q3] | change median [q1, q3] \
              | change / parent | pairs won | claim |\n|---|---|---|---|---|---|---|"
         );
-        for (workload, metrics) in &parent {
-            for (metric, higher_is_better) in END_TO_END {
+        for (workload, cells) in &parent {
+            for (metric, higher_is_better) in metrics {
+                let higher_is_better = *higher_is_better;
                 let (Some(a), Some(b)) = (
-                    metrics.get(metric),
+                    cells.get(metric),
                     change.get(workload).and_then(|m| m.get(metric)),
                 ) else {
                     continue;
@@ -446,6 +464,26 @@ mod tests {
         assert_eq!(quartiles(&[3.0, 1.0, 2.0]), [1.0, 2.0, 3.0]);
     }
 
+    fn benchmark_metrics() -> Vec<(String, bool)> {
+        let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCHMARK.json"))
+            .unwrap();
+        end_to_end(&DataValue::parse_json(&text).unwrap()).unwrap()
+    }
+
+    /// The metrics come from the repository's `BENCHMARK.json`, with
+    /// their better direction.
+    #[test]
+    fn end_to_end_metrics_are_declared() {
+        let metrics = benchmark_metrics();
+        let higher = |name: &str| metrics.iter().find(|(m, _)| m == name).map(|m| m.1);
+        assert_eq!(higher("ops_per_s"), Some(true));
+        assert_eq!(higher("hit_ratio"), Some(true));
+        assert_eq!(higher("peak_rss_mib"), Some(false));
+        assert_eq!(higher("get_p99_us"), Some(false));
+        let broken = DataValue::parse_json(r#"{"end_to_end":[{"name":"x","better":"up"}]}"#);
+        assert!(end_to_end(&broken.unwrap()).is_err());
+    }
+
     /// A change that wins 9 of 10 pairs by more than the parent's
     /// quartile gap holds; one that wins 8, or wins by less than the
     /// gap, does not; ties count as not won.
@@ -464,7 +502,7 @@ mod tests {
                 runs(&parent),
                 runs(change)
             );
-            pairs_tables(&DataValue::parse_json(&file).unwrap()).unwrap()
+            pairs_tables(&DataValue::parse_json(&file).unwrap(), &benchmark_metrics()).unwrap()
         };
         let row = |table: &str, metric: &str| {
             let line = table
