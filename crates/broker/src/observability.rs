@@ -4,7 +4,8 @@
 //! one broker and its cluster: the metric registry, the lifecycle
 //! tracer with its flight recorder and event sink, the continuous
 //! profiler, the health engine and the hot-key sketches. It has two shapes —
-//! [`Observability::detached`] and [`Observability::full`] — and it owns
+//! [`Observability::detached`] and [`Observability::full`] (with
+//! [`Observability::full_with`] choosing the profiler's sampling) — and it owns
 //! the checks an observed broker runs after each maintenance pass
 //! ([`Observability::after_maintain`]). Every observer is
 //! metadata-only: caching decisions and deliveries are byte-identical
@@ -70,10 +71,21 @@ impl Observability {
     /// snapshots, burn rates and drift scores read the counters the
     /// tracer and cache telemetry write, and its alert transitions
     /// land in the same post-mortem ring as span anomalies. The
-    /// profiler samples every op, and the default hot-key sketches are
-    /// on unless the broker's configuration chose others: `/hot` and
-    /// the `/healthz` top-5 summary are only useful with them.
+    /// profiler and the hot-key sketches take their defaults — stage
+    /// timings of one op in 64, sketch updates of one in 16 — and the
+    /// sketches are on unless the broker's configuration chose others:
+    /// `/hot` and the `/healthz` top-5 summary are only useful with
+    /// them. Every counter stays exact at any sampling but the alert
+    /// series, whose `hot_skew` rule reads the sampled sketches.
     pub fn full(sink: SharedSink, trace: TraceConfig) -> Self {
+        Self::full_with(sink, trace, ProfileConfig::default())
+    }
+
+    /// [`Observability::full`] with the profiler's sampling chosen by
+    /// the caller, e.g. every op (`sample_every_n: 1`) for a test that
+    /// checks full observation. The sketches' sampling is the broker's
+    /// to choose, through `BrokerConfig::sketches`.
+    pub fn full_with(sink: SharedSink, trace: TraceConfig, profile: ProfileConfig) -> Self {
         let registry = Registry::new();
         let recorder = Arc::new(FlightRecorder::new(
             FLIGHT_RECORDER_STRIPES,
@@ -86,7 +98,7 @@ impl Observability {
             HealthConfig::default(),
         );
         let tracer = Tracer::new(&registry, sink, recorder, trace);
-        let profiler = Profiler::new(&registry, ProfileConfig::default());
+        let profiler = Profiler::new(&registry, profile);
         Self {
             registry,
             tracer,

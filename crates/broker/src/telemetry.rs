@@ -1,5 +1,6 @@
 //! Broker-side telemetry: retrieval/delivery counters, a delivery
-//! latency histogram and the one summary record per retrieval.
+//! latency histogram and the one summary record per retrieval of a
+//! sampled subscriber.
 //!
 //! Mirrors [`bad_cache::CacheTelemetry`]: detached by default — every
 //! hook returns after one branch, since nothing could read what it
@@ -8,7 +9,7 @@
 //! `&mut Broker`, so the counters and the histogram are owner cells
 //! ([`bad_telemetry::OwnerCounter`]): plain stores, summed at render.
 
-use bad_telemetry::{Event, OwnerCounter, OwnerHistogram, Registry, SharedTracer, Tracer};
+use bad_telemetry::{Event, OwnerCounter, OwnerHistogram, Registry, SharedTracer, TraceId, Tracer};
 use bad_types::{SubscriberId, Timestamp};
 
 use crate::broker::Delivery;
@@ -65,8 +66,10 @@ impl BrokerTelemetry {
     }
 
     /// Records one served retrieval: the hit/miss split, the delivery
-    /// itself with its latency when it delivered anything, and the
-    /// retrieval's summary record.
+    /// itself with its latency when it delivered anything, and — when
+    /// the tracer samples the subscriber's trace id, the id the
+    /// retrieval's profiler envelope carries — its summary record. The
+    /// counters and the histogram count every retrieval.
     pub(crate) fn on_retrieval(
         &self,
         now: Timestamp,
@@ -83,6 +86,12 @@ impl BrokerTelemetry {
             self.delivered_bytes.add(delivery.total_bytes().as_u64());
             self.delivery_latency_us
                 .record(delivery.latency.as_micros());
+        }
+        if !self
+            .tracer
+            .sampled(TraceId::for_object(subscriber.as_u64()))
+        {
+            return;
         }
         self.tracer.record(&Event::BrokerRetrieve {
             t_us: now.as_micros(),

@@ -50,7 +50,10 @@ fn traced_setup(budget: Option<ByteSize>) -> (DataCluster, Broker, SharedTracer)
         &registry,
         bad_telemetry::null_sink(),
         recorder,
-        TraceConfig::default(),
+        TraceConfig {
+            trace_sample_every_n: 1,
+            ..TraceConfig::default()
+        },
     );
     cluster.set_tracer(Arc::clone(&tracer));
     broker.attach_telemetry(

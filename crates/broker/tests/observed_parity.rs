@@ -2,7 +2,9 @@
 //!
 //! A broker with every observer attached — a shared registry, a
 //! `Tracer` writing to a `RingBufferSink` and a `FlightRecorder`, the
-//! default `Profiler` and the default hot-key sketches — runs a fixed
+//! `Profiler` and the hot-key sketches, each asked to observe every op
+//! (`sample_every_n: 1`, which the defaults were when the digests were
+//! taken) — runs a fixed
 //! tape that hits, misses, evicts, consumes, unsubscribes, retrieves
 //! both one subscription at a time and everything pending at once,
 //! breaks the delivery SLO and churns the Space-Saving slots (more
@@ -111,8 +113,16 @@ fn run_tape(attach: Attach) -> Observed {
     let registry = Registry::new();
     let sink = Arc::new(RingBufferSink::new(EVENT_CAPACITY));
     let recorder = Arc::new(FlightRecorder::new(8, 128));
-    let tracer = Tracer::new(&registry, sink.clone(), recorder, TraceConfig::default());
-    let profiler = Profiler::new(&registry, ProfileConfig::default());
+    let tracer = Tracer::new(
+        &registry,
+        sink.clone(),
+        recorder,
+        TraceConfig {
+            trace_sample_every_n: 1,
+            ..TraceConfig::default()
+        },
+    );
+    let profiler = Profiler::new(&registry, ProfileConfig { sample_every_n: 1 });
 
     let mut cluster = DataCluster::new();
     cluster.create_dataset("Posts", Schema::open()).unwrap();
@@ -125,7 +135,10 @@ fn run_tape(attach: Attach) -> Observed {
 
     let mut config = BrokerConfig::default();
     config.cache.budget = ByteSize::new(24_000);
-    config.sketches = Some(SketchConfig::default());
+    config.sketches = Some(SketchConfig {
+        sample_every_n: 1,
+        ..SketchConfig::default()
+    });
     let mut broker = Broker::new(PolicyName::Lsc, config);
     attach(
         &mut cluster,

@@ -121,7 +121,7 @@ fn run_broker(
 #[test]
 fn two_brokers_on_two_threads_render_the_sum_of_their_books() {
     let registry = Registry::new();
-    let profiler = Profiler::new(&registry, ProfileConfig::default());
+    let profiler = Profiler::new(&registry, ProfileConfig { sample_every_n: 1 });
     let start = Barrier::new(2);
     let tallies: Vec<Tally> = thread::scope(|scope| {
         let threads = [0xA1, 0xB2].map(|seed| {
@@ -198,7 +198,7 @@ fn two_brokers_on_two_threads_render_the_sum_of_their_books() {
 #[test]
 fn a_sharded_maintenance_pass_finishes_its_rebalance() {
     let registry = Registry::new();
-    let profiler = Profiler::new(&registry, ProfileConfig::default());
+    let profiler = Profiler::new(&registry, ProfileConfig { sample_every_n: 1 });
     let tally = run_broker(0xC3, 4, &registry, &profiler, &Barrier::new(1));
     let text = registry.render();
     assert_eq!(value(&text, "bad_profile_sampled_ops_total"), tally.ops);

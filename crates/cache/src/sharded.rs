@@ -889,7 +889,7 @@ mod tests {
         use bad_telemetry::{ProfileConfig, Registry};
 
         let registry = Registry::new();
-        let profiler = Profiler::new(&registry, ProfileConfig::default());
+        let profiler = Profiler::new(&registry, ProfileConfig { sample_every_n: 1 });
         let mgr = sharded(PolicyName::Lsc, 400, 2);
         mgr.set_profiler(&profiler);
         let twin = sharded(PolicyName::Lsc, 400, 2);
@@ -966,7 +966,7 @@ mod tests {
         use bad_telemetry::{ProfileConfig, Registry};
 
         let registry = Registry::new();
-        let profiler = Profiler::new(&registry, ProfileConfig::default());
+        let profiler = Profiler::new(&registry, ProfileConfig { sample_every_n: 1 });
         let mgr = sharded(PolicyName::Lsc, 10_000, 1);
         mgr.set_profiler(&profiler);
         with_caches(&mgr, 1);

@@ -345,7 +345,10 @@ fn fused_matches_plan_then_ack_without_consumption_drops() {
 fn fused_matches_plan_then_ack_with_sketches() {
     let sketched = |policy, budget| {
         let mgr = ShardedCacheManager::new(policy, config(budget), 1);
-        mgr.enable_sketches(SketchConfig::default());
+        mgr.enable_sketches(SketchConfig {
+            sample_every_n: 1,
+            ..SketchConfig::default()
+        });
         mgr
     };
     for policy in PolicyName::ALL {
@@ -390,7 +393,10 @@ fn fused_monolith_matches_fused_single_shard() {
 fn assert_batched_matches_split(shards: usize) {
     let sketched = |policy, budget| {
         let mgr = ShardedCacheManager::new(policy, config(budget), shards);
-        mgr.enable_sketches(SketchConfig::default());
+        mgr.enable_sketches(SketchConfig {
+            sample_every_n: 1,
+            ..SketchConfig::default()
+        });
         mgr
     };
     for policy in PolicyName::ALL {

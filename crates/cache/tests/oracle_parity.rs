@@ -95,7 +95,15 @@ fn retire<D: Driver>(mgr: &mut D, n_caches: u64, ops: usize) -> Vec<DroppedObjec
 fn traced(registry: &Registry) -> (SharedTracer, Arc<RingBufferSink>) {
     let ring = Arc::new(RingBufferSink::new(100_000));
     let recorder = Arc::new(FlightRecorder::new(1, 1));
-    let tracer = Tracer::new(registry, ring.clone(), recorder, TraceConfig::default());
+    let tracer = Tracer::new(
+        registry,
+        ring.clone(),
+        recorder,
+        TraceConfig {
+            trace_sample_every_n: 1,
+            ..TraceConfig::default()
+        },
+    );
     (tracer, ring)
 }
 
@@ -211,7 +219,10 @@ fn single_shard_with_sketches_matches_monolith() {
 
     for policy in policies() {
         let (sharded, _) = assert_single_shard_parity(policy, 21, |sharded| {
-            sharded.enable_sketches(SketchConfig::default())
+            sharded.enable_sketches(SketchConfig {
+                sample_every_n: 1,
+                ..SketchConfig::default()
+            })
         });
 
         // And the sketches really were live: the replay's requests

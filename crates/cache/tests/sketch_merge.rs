@@ -147,6 +147,7 @@ fn permuting_shard_snapshot_order_yields_byte_identical_hot_json() {
                 SketchRecorder::new(SketchConfig {
                     capacity: 32,
                     top_k: 8,
+                    sample_every_n: 1,
                     ..SketchConfig::default()
                 })
             })
@@ -213,7 +214,10 @@ fn sharded_hot_snapshot_matches_single_shard_byte_for_byte() {
                 },
                 shards,
             );
-            mgr.enable_sketches(SketchConfig::default());
+            mgr.enable_sketches(SketchConfig {
+                sample_every_n: 1,
+                ..SketchConfig::default()
+            });
             replay(&mut mgr, &ops, 8);
             mgr.hot_snapshot().expect("sketches enabled").to_json()
         };
@@ -240,6 +244,7 @@ fn zipf_top_ten_and_distinct_count_hold_single_and_merged() {
     let config = SketchConfig {
         capacity: CAPACITY,
         top_k: TOP,
+        sample_every_n: 1,
         ..SketchConfig::default()
     };
     let single = SketchRecorder::new(config);

@@ -49,7 +49,10 @@ fn every_drop_kind_emits_exactly_one_event() {
         &registry,
         ring.clone(),
         Arc::new(FlightRecorder::new(1, 16)),
-        TraceConfig::default(),
+        TraceConfig {
+            trace_sample_every_n: 1,
+            ..TraceConfig::default()
+        },
     );
 
     // Manager 1 (LSC, tight budget): evictions, consumption drops and

@@ -306,7 +306,8 @@ impl Deployment {
 
     /// Binds a scrape endpoint (use port `0` for an ephemeral port)
     /// serving `/metrics` (Prometheus text), `/healthz` (per-shard cache
-    /// occupancy, build info and top contended locks as JSON),
+    /// occupancy, build info, each observer's sampling period and top
+    /// contended locks as JSON),
     /// `/trace/recent` (the flight recorder's span ring as JSON, capped
     /// by `?limit=`), `/timeseries` and `/alerts` (the health engine's
     /// windowed history and alert states), `/profile` (the continuous
@@ -329,6 +330,18 @@ impl Deployment {
         let health_engine = self.obs.health().cloned();
         let health_profiler = self.obs.profiler().clone();
         let build_info = self.build_info.clone();
+        // What `/trace/recent`, `/profile` and `/hot` are a sample of:
+        // each observer's 1-in-n period, 0 when it is off. Every
+        // counter in `/metrics` and `/healthz` is exact.
+        let mut sampling = String::new();
+        {
+            let mut obj = bad_telemetry::json::ObjectWriter::new(&mut sampling);
+            obj.field_u64("trace", self.obs.tracer().sample_every_n());
+            let profile = self.obs.profiler().sample_every_n();
+            obj.field_u64("profile", u64::from(profile));
+            let sketches = self.cache.hot_snapshot().map_or(0, |s| s.sample_every_n());
+            obj.field_u64("sketches", u64::from(sketches));
+        }
         // Everything `/healthz` reads is shared state: it never waits for
         // the broker node, so a broker held in a cluster round trip
         // cannot stall the probe.
@@ -371,6 +384,7 @@ impl Deployment {
                 // What's running: the `bad_build_info` labels, embedded
                 // so one probe identifies the build and its knobs.
                 obj.field_raw("build", &build_info);
+                obj.field_raw("sampling", &sampling);
                 // Top-k contended lock sites: the "which shard mutex is
                 // hot right now" answer without walking `/profile`.
                 if health_profiler.enabled() {
@@ -639,7 +653,13 @@ mod tests {
     fn traced_deployment_streams_events_and_renders_metrics() {
         on_seeds(|exec| {
             let ring = Arc::new(bad_telemetry::RingBufferSink::new(65536));
-            let obs = Observability::full(ring.clone(), bad_telemetry::TraceConfig::default());
+            let obs = Observability::full(
+                ring.clone(),
+                bad_telemetry::TraceConfig {
+                    trace_sample_every_n: 1,
+                    ..bad_telemetry::TraceConfig::default()
+                },
+            );
             let dep = deployment(PolicyName::Lsc, 1, exec, obs);
             deliver_one_flood_alert(&dep);
 

@@ -1,5 +1,6 @@
 //! Scrape-endpoint smoke test: boots an *observed* deployment (live
-//! lifecycle tracer, continuous health engine) on OS threads
+//! lifecycle tracer, continuous health engine, every observer at every
+//! op) on OS threads
 //! (`Exec::threads`), drives one publish → notify → retrieve round
 //! through it, then scrapes
 //! `/metrics`, `/healthz`, `/trace/recent` (including its `?limit=`
@@ -7,8 +8,9 @@
 //! like Prometheus would — and checks that an unknown path gets a JSON
 //! 404 and malformed request lines a clean 400. A second test
 //! checks that `/healthz` answers while the broker is held in a cluster
-//! round trip, and a third that a retrieval made on another thread
-//! reaches the profiler's series.
+//! round trip, a third that a retrieval made on another thread
+//! reaches the profiler's series, and a fourth that `/healthz` names
+//! the default sampling periods.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -20,7 +22,7 @@ use bad_cache::PolicyName;
 use bad_proto::harness::build_emergency_cluster;
 use bad_proto::{Deployment, Exec};
 use bad_query::ParamBindings;
-use bad_telemetry::TraceConfig;
+use bad_telemetry::{ProfileConfig, SketchConfig, TraceConfig};
 use bad_types::{DataValue, SimDuration, SubscriberId};
 
 fn http_get(addr: SocketAddr, path: &str) -> String {
@@ -51,11 +53,34 @@ fn http_raw(addr: SocketAddr, request: &[u8]) -> String {
     String::from_utf8_lossy(&response).into_owned()
 }
 
+/// The tracer and the profiler at every op, so the one retrieval below
+/// is traced and profiled whatever the defaults sample.
+fn every_op() -> Observability {
+    Observability::full_with(
+        bad_telemetry::null_sink(),
+        TraceConfig {
+            trace_sample_every_n: 1,
+            ..TraceConfig::default()
+        },
+        ProfileConfig { sample_every_n: 1 },
+    )
+}
+
+/// Sketches that record every update; the broker's configuration
+/// chooses them, and attaching the bundle keeps them.
+fn every_op_sketches() -> Option<SketchConfig> {
+    Some(SketchConfig {
+        sample_every_n: 1,
+        ..SketchConfig::default()
+    })
+}
+
 #[test]
 fn observed_deployment_serves_metrics_health_and_traces() {
     let cluster = build_emergency_cluster().unwrap();
     let config = BrokerConfig {
         shards: 2,
+        sketches: every_op_sketches(),
         ..BrokerConfig::default()
     };
     let dep = Deployment::start(
@@ -63,7 +88,7 @@ fn observed_deployment_serves_metrics_health_and_traces() {
         config,
         cluster,
         Exec::threads(100_000.0),
-        Observability::full(bad_telemetry::null_sink(), TraceConfig::default()),
+        every_op(),
     );
 
     let (events_tx, events) = dep.exec().channel();
@@ -162,6 +187,12 @@ fn observed_deployment_serves_metrics_health_and_traces() {
     assert!(health.contains("\"build\":{"), "{health}");
     assert!(health.contains("\"policy\":\"LSC\""), "{health}");
     assert!(health.contains("\"profile\":\"on\""), "{health}");
+    // Each observer's sampling period, so an operator knows what the
+    // span, profile and hot-key bodies are a sample of.
+    assert!(
+        health.contains("\"sampling\":{\"trace\":1,\"profile\":1,\"sketches\":1}"),
+        "{health}"
+    );
     assert!(health.contains("\"top_contended\":["), "{health}");
     // The sketches' top-5 summary rides the same body: the "who is
     // eating the cache" answer from one probe.
@@ -340,6 +371,11 @@ fn healthz_answers_while_the_broker_waits_on_the_cluster() {
     let elapsed = started.elapsed();
     assert!(health.starts_with("HTTP/1.1 200"), "{health}");
     assert!(health.contains("\"status\":\"ok\""), "{health}");
+    // Nothing observed, nothing sampled.
+    assert!(
+        health.contains("\"sampling\":{\"trace\":0,\"profile\":0,\"sketches\":0}"),
+        "{health}"
+    );
     assert!(
         elapsed.as_secs_f64() < rtt.as_secs_f64() / 2.0,
         "/healthz took {elapsed:?} with the broker in a {} ms cluster round trip",
@@ -374,7 +410,7 @@ fn a_retrieval_on_another_thread_reaches_the_profile() {
         BrokerConfig::default(),
         cluster,
         Exec::threads(100_000.0),
-        Observability::full(bad_telemetry::null_sink(), TraceConfig::default()),
+        every_op(),
     );
     let (events_tx, events) = dep.exec().channel();
     let alice = dep.client(SubscriberId::new(1), &events_tx);
@@ -398,4 +434,27 @@ fn a_retrieval_on_another_thread_reaches_the_profile() {
     assert!(delivery.is_some_and(|d| d.total_objects() >= 1));
     dep.maintain(dep.exec().now());
     assert!(retrievals_profiled(&dep) > before);
+}
+
+/// `/healthz` names the defaults an observed deployment samples at:
+/// one trace in 64, one profiled op in 64, one sketch update in 16.
+#[test]
+fn healthz_names_the_default_sampling() {
+    let dep = Deployment::start(
+        PolicyName::Lsc,
+        BrokerConfig::default(),
+        build_emergency_cluster().unwrap(),
+        Exec::threads(100_000.0),
+        Observability::full(bad_telemetry::null_sink(), TraceConfig::default()),
+    );
+    let server = dep
+        .serve_scrape("127.0.0.1:0")
+        .expect("bind scrape endpoint");
+    let health = http_get(server.local_addr(), "/healthz");
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    assert!(
+        health.contains("\"sampling\":{\"trace\":64,\"profile\":64,\"sketches\":16}"),
+        "{health}"
+    );
+    server.shutdown();
 }

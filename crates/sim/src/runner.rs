@@ -628,8 +628,9 @@ mod tests {
         let mut sim = Simulation::new(PolicyName::Ttl, config, 12).unwrap();
         let registry = Registry::new();
         // Large enough that no event of the smoke run is ever dropped;
-        // the tracer keeps no span, so the ring holds only the records
-        // no span carries.
+        // the tracer keeps no span and no retrieval summary (both
+        // follow the trace sampling), so the ring holds only the other
+        // records.
         let ring = Arc::new(bad_telemetry::RingBufferSink::new(1 << 17));
         let tracer = Tracer::new(
             &registry,

@@ -30,7 +30,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::json::ObjectWriter;
 use crate::trace::{Span, SpanKind};
@@ -241,7 +241,10 @@ pub fn null_sink() -> SharedSink {
 }
 
 /// Keeps the newest `capacity` events in memory; ideal for tests and
-/// for post-mortem dumps in long-lived processes.
+/// for post-mortem dumps in long-lived processes. A lock poisoned by a
+/// panicking holder is taken over, not propagated: the buffer is a
+/// queue of plain `Copy` events, consistent between any two calls, and
+/// a caller that only records must not panic for someone else's fault.
 #[derive(Debug)]
 pub struct RingBufferSink {
     capacity: usize,
@@ -260,28 +263,27 @@ impl RingBufferSink {
 
     /// Copies out the buffered events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .expect("ring buffer poisoned")
-            .iter()
-            .copied()
-            .collect()
+        self.lock().iter().copied().collect()
     }
 
     /// Number of currently buffered events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("ring buffer poisoned").len()
+        self.lock().len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Event>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl EventSink for RingBufferSink {
     fn record(&self, event: &Event) {
-        let mut events = self.events.lock().expect("ring buffer poisoned");
+        let mut events = self.lock();
         if events.len() == self.capacity {
             events.pop_front();
         }
@@ -290,7 +292,12 @@ impl EventSink for RingBufferSink {
 }
 
 /// Streams events as JSON Lines to any writer (file, stderr, Vec).
-/// One event per line; lines are valid standalone JSON objects.
+/// One event per line; lines are valid standalone JSON objects. A
+/// writer that panicked while holding the lock poisons it; the sink
+/// takes the lock over, ends whatever part of a line the failed write
+/// left with a newline and clears the poison, so the torn line costs
+/// only itself (a blank line when nothing was written) and a later
+/// caller that only records does not panic too.
 pub struct JsonlSink {
     out: Mutex<Box<dyn Write + Send>>,
 }
@@ -317,13 +324,22 @@ impl JsonlSink {
 
     /// Flushes the underlying writer.
     pub fn flush(&self) -> io::Result<()> {
-        self.out.lock().expect("jsonl sink poisoned").flush()
+        self.lock().flush()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Box<dyn Write + Send>> {
+        self.out.lock().unwrap_or_else(|poisoned| {
+            let mut out = poisoned.into_inner();
+            let _ = out.write_all(b"\n");
+            self.out.clear_poison();
+            out
+        })
     }
 }
 
 impl Drop for JsonlSink {
     fn drop(&mut self) {
-        let _ = self.out.lock().map(|mut w| w.flush());
+        let _ = self.lock().flush();
     }
 }
 
@@ -331,11 +347,7 @@ impl EventSink for JsonlSink {
     fn record(&self, event: &Event) {
         let mut line = event.to_json();
         line.push('\n');
-        let _ = self
-            .out
-            .lock()
-            .expect("jsonl sink poisoned")
-            .write_all(line.as_bytes());
+        let _ = self.lock().write_all(line.as_bytes());
     }
 }
 
@@ -369,6 +381,62 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].t_us(), 1);
         assert_eq!(events[1].t_us(), 2);
+    }
+
+    #[test]
+    fn ring_buffer_records_after_a_holder_panicked() {
+        let sink = Arc::new(RingBufferSink::new(4));
+        sink.record(&enrich(1));
+        let holder = Arc::clone(&sink);
+        let panicked = std::thread::spawn(move || {
+            let _held = holder.events.lock().unwrap();
+            panic!("a holder of the ring's lock panics");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(sink.events.is_poisoned());
+        sink.record(&enrich(2));
+        let times: Vec<u64> = sink.events().iter().map(Event::t_us).collect();
+        assert_eq!(times, [1, 2]);
+        assert_eq!(sink.len(), 2);
+    }
+
+    #[test]
+    fn jsonl_sink_records_after_its_writer_panicked() {
+        /// Writes half of the event at `t_us` 13's line, then panics
+        /// while the sink holds its lock.
+        struct Fragile(Arc<Mutex<Vec<u8>>>);
+        impl Write for Fragile {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let torn = String::from_utf8_lossy(buf).contains(r#""t_us":13,"#);
+                let kept = if torn { buf.len() / 2 } else { buf.len() };
+                self.0.lock().unwrap().extend_from_slice(&buf[..kept]);
+                assert!(!torn, "the writer fails mid-line");
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let buffer = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::new(JsonlSink::new(Box::new(Fragile(Arc::clone(&buffer)))));
+        sink.record(&enrich(12));
+        let caller = Arc::clone(&sink);
+        let panicked = std::thread::spawn(move || caller.record(&enrich(13))).join();
+        assert!(panicked.is_err());
+        assert!(sink.out.is_poisoned());
+        sink.record(&enrich(14));
+        sink.flush().unwrap();
+        assert!(!sink.out.is_poisoned());
+        let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        // The torn line stands alone; the lines around it are whole.
+        assert_eq!(lines.len(), 3, "{text}");
+        assert_eq!(lines[0], enrich(12).to_json());
+        assert!(enrich(13).to_json().starts_with(lines[1]), "{text}");
+        assert!(lines[1].len() < enrich(13).to_json().len());
+        assert_eq!(lines[2], enrich(14).to_json());
     }
 
     #[test]

@@ -61,7 +61,9 @@
 //!
 //! let ring = Arc::new(RingBufferSink::new(16));
 //! let recorder = Arc::new(FlightRecorder::new(1, 16));
-//! let tracer = Tracer::new(&registry, ring.clone(), recorder, TraceConfig::default());
+//! // Every trace sampled, so both records below reach the ring.
+//! let config = TraceConfig { trace_sample_every_n: 1, ..TraceConfig::default() };
+//! let tracer = Tracer::new(&registry, ring.clone(), recorder, config);
 //! tracer.on_retrieve_hits(42, 1, 7, [(9, 96, 1_000)]);
 //! tracer.record(&Event::BrokerRetrieve {
 //!     t_us: 42,

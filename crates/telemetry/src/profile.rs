@@ -459,14 +459,16 @@ impl OpTimer {
 pub struct ProfileConfig {
     /// Stage-timer sampling: 1 profiles every operation (full), `n`
     /// profiles one in `n`, 0 disables stage timers entirely (lock
-    /// sites stay live). Default 1 — the profiler is built to be left
-    /// on.
+    /// sites stay live). Default 64: stage timings and lock hold times
+    /// are a 1-in-64 sample per thread, while every lock site's
+    /// acquisition and contention counts (and its wait times) stay
+    /// exact — a [`LockSite`] counts whether or not the op is timed.
     pub sample_every_n: u32,
 }
 
 impl Default for ProfileConfig {
     fn default() -> Self {
-        Self { sample_every_n: 1 }
+        Self { sample_every_n: 64 }
     }
 }
 
@@ -518,6 +520,12 @@ impl Profiler {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// The stage-timer sampling period in force: 0 when disabled (or
+    /// configured off), 1 when every op is timed, `n` for one in `n`.
+    pub fn sample_every_n(&self) -> u32 {
+        self.inner.as_ref().map_or(0, |inner| inner.sample_every_n)
     }
 
     /// Starts timing one operation, or returns `None` when the
@@ -1083,7 +1091,7 @@ mod tests {
     #[test]
     fn stages_fold_into_the_tree_with_root_self_time() {
         let registry = Registry::new();
-        let profiler = Profiler::new(&registry, ProfileConfig::default());
+        let profiler = Profiler::new(&registry, ProfileConfig { sample_every_n: 1 });
         let mut timer = profiler.op();
         assert!(timer.is_some());
         profiler.stage(&mut timer, StagePath::InsertApply, 7);
@@ -1141,7 +1149,7 @@ mod tests {
     #[test]
     fn ring_flushes_on_wrap_and_tracks_last_stage() {
         let registry = Registry::new();
-        let profiler = Profiler::new(&registry, ProfileConfig::default());
+        let profiler = Profiler::new(&registry, ProfileConfig { sample_every_n: 1 });
         for _ in 0..RING_CAPACITY {
             let mut timer = profiler.op();
             profiler.stage(&mut timer, StagePath::GetLookup, 3);
@@ -1168,7 +1176,7 @@ mod tests {
     #[test]
     fn lock_site_times_waits_holds_and_contention() {
         let registry = Registry::new();
-        let profiler = Profiler::new(&registry, ProfileConfig::default());
+        let profiler = Profiler::new(&registry, ProfileConfig { sample_every_n: 1 });
         let site = profiler.lock_site("shard0");
         // Re-fetching by name returns the same series.
         assert_eq!(profiler.lock_site("shard0").acquisitions(), 0);

@@ -59,7 +59,10 @@ pub struct SketchConfig {
     /// Keys rendered per axis in JSON views (≤ `capacity`).
     pub top_k: usize,
     /// Record 1 in N ops, weighting increments by N (`≤ 1` records
-    /// every op). Skipped ops cost a relaxed load/store pair.
+    /// every op). Skipped ops cost a relaxed load/store pair. Default
+    /// 16: totals and estimates stay unbiased, and the top 10 of a
+    /// Zipf(1.0) stream survive the sampling (the broker's
+    /// `sampled_observation` tests check both).
     pub sample_every_n: u32,
     /// Delivery-lag threshold feeding the SLO-violations axis, in
     /// virtual microseconds. Mirrors the tracer's delivery-lag SLO.
@@ -71,7 +74,7 @@ impl Default for SketchConfig {
         Self {
             capacity: 64,
             top_k: 10,
-            sample_every_n: 1,
+            sample_every_n: 16,
             slo_lag_us: 2_000_000,
         }
     }
@@ -947,6 +950,12 @@ impl HotSnapshot {
         self.totals
     }
 
+    /// The recorders' sampling period: 1 when every op was recorded,
+    /// `n` when one op in `n` was, weighted by `n`.
+    pub fn sample_every_n(&self) -> u32 {
+        self.sample_every_n
+    }
+
     /// Demand concentration in `[0, 1]`: the share of all requests
     /// attributable to the top-K keys (estimates clamped so sketch
     /// overcounting can never report more than 100%). The health
@@ -1112,6 +1121,7 @@ mod tests {
             let rec = SketchRecorder::new(SketchConfig {
                 capacity: 8,
                 top_k: 5,
+                sample_every_n: 1,
                 ..SketchConfig::default()
             });
             for i in 0..200u64 {
@@ -1137,10 +1147,12 @@ mod tests {
     fn merged_estimates_upper_bound_the_union() {
         let a = SketchRecorder::new(SketchConfig {
             capacity: 8,
+            sample_every_n: 1,
             ..SketchConfig::default()
         });
         let b = SketchRecorder::new(SketchConfig {
             capacity: 8,
+            sample_every_n: 1,
             ..SketchConfig::default()
         });
         let mut truth: BTreeMap<u64, u64> = BTreeMap::new();
@@ -1202,6 +1214,7 @@ mod tests {
         let rec = SketchRecorder::new(SketchConfig {
             capacity: 2,
             top_k: 2,
+            sample_every_n: 1,
             ..SketchConfig::default()
         });
         rec.record_hit(1, 10, 100);
@@ -1223,7 +1236,10 @@ mod tests {
 
     #[test]
     fn sampling_weights_keep_totals_unbiased() {
-        let full = SketchRecorder::new(SketchConfig::default());
+        let full = SketchRecorder::new(SketchConfig {
+            sample_every_n: 1,
+            ..SketchConfig::default()
+        });
         let sampled = SketchRecorder::new(SketchConfig {
             sample_every_n: 8,
             ..SketchConfig::default()
@@ -1279,6 +1295,7 @@ mod tests {
     fn slo_axis_counts_only_violations() {
         let rec = SketchRecorder::new(SketchConfig {
             slo_lag_us: 1000,
+            sample_every_n: 1,
             ..SketchConfig::default()
         });
         rec.record_hit(5, 1, 1);
@@ -1296,6 +1313,7 @@ mod tests {
         let rec = SketchRecorder::new(SketchConfig {
             capacity: 8,
             top_k: 2,
+            sample_every_n: 1,
             ..SketchConfig::default()
         });
         // Two keys own ~90% of demand.
@@ -1313,7 +1331,10 @@ mod tests {
 
     #[test]
     fn hot_json_has_the_contract_fields() {
-        let rec = SketchRecorder::new(SketchConfig::default());
+        let rec = SketchRecorder::new(SketchConfig {
+            sample_every_n: 1,
+            ..SketchConfig::default()
+        });
         rec.record_hit(42, 3, 300);
         rec.record_miss(42, 1);
         rec.record_ack(42);

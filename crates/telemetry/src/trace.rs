@@ -28,7 +28,10 @@
 //! itself to the [`FlightRecorder`] and the event sink only for sampled
 //! traces (`trace_sample_every_n`), keeping the hot path allocation
 //! free. It is also every layer's only way to the sink:
-//! [`Tracer::record`] writes the records no span carries.
+//! [`Tracer::record`] writes the records no span carries. The broker's
+//! per-retrieval summary follows the trace sampling too (its caller
+//! asks [`Tracer::sampled`] for the subscriber's trace id first), so a
+//! tracer at 0 writes none.
 //! [`Tracer::disabled`] is the default wiring everywhere, holds the
 //! null sink and costs one branch per call site.
 
@@ -311,10 +314,15 @@ impl Default for SloConfig {
 /// Tracer tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Trace sampling: 0 emits no span records (metrics and SLO
-    /// accounting still run), 1 records every trace, `n` records the
-    /// traces whose id is divisible by `n` — whole lifecycles are
-    /// sampled atomically, never individual spans.
+    /// Trace sampling: 0 emits no span records and no retrieval
+    /// summaries (metrics and SLO accounting still run), 1 records
+    /// every trace, `n` records one trace id in `n` (see
+    /// [`Tracer::sampled`]) — whole lifecycles are sampled atomically,
+    /// never individual spans, and a subscriber's `broker.retrieve`
+    /// summaries are kept when its own trace id is. Default 64: the
+    /// recorder and the sink hold a 1-in-64 sample of lifecycles, while
+    /// the per-kind span counters, the stage-lag histograms and the SLO
+    /// violation counters count every span.
     pub trace_sample_every_n: u64,
     /// SLO thresholds.
     pub slo: SloConfig,
@@ -323,7 +331,7 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         Self {
-            trace_sample_every_n: 1,
+            trace_sample_every_n: 64,
             slo: SloConfig::default(),
         }
     }
@@ -659,13 +667,24 @@ impl Tracer {
         self.slo
     }
 
+    /// The trace sampling period in force: 0 when no span record is
+    /// kept (and always for [`Tracer::disabled`]), 1 when every trace
+    /// is, `n` for one trace id in `n`.
+    pub fn sample_every_n(&self) -> u64 {
+        self.trace_sample_every_n
+    }
+
     /// Whether `trace`'s span records are kept (metrics always are).
+    /// At `n` the kept ids are those whose value, halves swapped, is
+    /// divisible by `n`: the flight recorder routes a span to its
+    /// stripe by the id's low bits, so testing the high half keeps
+    /// sampled spans spread over every stripe instead of all in one.
     #[inline]
     pub fn sampled(&self, trace: TraceId) -> bool {
         match self.trace_sample_every_n {
             0 => false,
             1 => true,
-            n => trace.as_u64().is_multiple_of(n),
+            n => trace.as_u64().rotate_left(32).is_multiple_of(n),
         }
     }
 
@@ -678,7 +697,9 @@ impl Tracer {
     /// Writes one record no span carries (a retrieval summary, a TTL
     /// retune, an enrichment run, a sampler epoch) to the tracer's
     /// sink. A disabled tracer holds the null sink, so this is one
-    /// branch there.
+    /// branch there. It does not sample: a caller whose record belongs
+    /// to a trace, as the broker's retrieval summary belongs to its
+    /// subscriber's, asks [`Tracer::sampled`] first.
     #[inline]
     pub fn record(&self, event: &Event) {
         if self.sink.enabled() {
@@ -911,7 +932,14 @@ mod tests {
     fn lifecycle_parents_chain_without_id_plumbing() {
         let registry = Registry::new();
         let recorder = Arc::new(FlightRecorder::new(2, 64));
-        let (tracer, _) = tracer_with(&registry, recorder.clone(), TraceConfig::default());
+        let (tracer, _) = tracer_with(
+            &registry,
+            recorder.clone(),
+            TraceConfig {
+                trace_sample_every_n: 1,
+                ..TraceConfig::default()
+            },
+        );
         tracer.on_result_produced(1, 3, 9, 77, 100);
         tracer.on_cache_insert(2, 9, 77, 100, 1, 100);
         tracer.on_retrieve_hits(3, 9, 1001, [(77, 100, 2)]);
@@ -972,6 +1000,29 @@ mod tests {
             .contains("bad_trace_spans_total{kind=\"result_produced\"} 64"));
     }
 
+    /// At the default one in 64, the kept traces still spread over
+    /// the recorder's stripes: together they hold more spans than any
+    /// one stripe can.
+    #[test]
+    fn sampled_spans_spread_over_the_stripes() {
+        const OBJECTS: u64 = 64 * 64;
+        let registry = Registry::new();
+        let recorder = Arc::new(FlightRecorder::new(8, 16));
+        let (tracer, _) = tracer_with(&registry, recorder.clone(), TraceConfig::default());
+        let kept = (0..OBJECTS)
+            .filter(|&object| tracer.sampled(TraceId::for_object(object)))
+            .count();
+        for object in 0..OBJECTS {
+            tracer.on_result_produced(1, 1, 1, object, 10);
+        }
+        assert_eq!(recorder.claims(), kept as u64);
+        let visible = recorder.recent().len();
+        assert!(
+            visible > 16,
+            "{visible} of {kept} sampled spans visible: they share a stripe"
+        );
+    }
+
     #[test]
     fn sample_zero_is_metrics_only() {
         let registry = Registry::new();
@@ -1026,7 +1077,14 @@ mod tests {
     fn batched_retrievals_count_and_link_every_object() {
         let registry = Registry::new();
         let recorder = Arc::new(FlightRecorder::new(1, 64));
-        let (tracer, ring) = tracer_with(&registry, recorder.clone(), TraceConfig::default());
+        let (tracer, ring) = tracer_with(
+            &registry,
+            recorder.clone(),
+            TraceConfig {
+                trace_sample_every_n: 1,
+                ..TraceConfig::default()
+            },
+        );
         tracer.on_retrieve_hits(10, 3, 7, [(1, 100, 5), (2, 200, 6), (3, 300, 4_000)]);
         tracer.on_retrieve_misses(11, 3, 7, [(4, 400, 9, 500), (5, 500, 1, 600)]);
         tracer.on_retrieve_hits(12, 3, 7, []);
@@ -1205,7 +1263,7 @@ mod tests {
 
         // Profiler on: record a stage on *this* thread, then note an
         // anomaly — the dump header must carry the stage path.
-        let profiler = Profiler::new(&Registry::new(), ProfileConfig::default());
+        let profiler = Profiler::new(&Registry::new(), ProfileConfig { sample_every_n: 1 });
         let mut timer = profiler.op();
         profiler.stage(&mut timer, StagePath::InsertVictimScan, 42);
         recorder.note_anomaly("budget_overrun", 10);

@@ -72,7 +72,10 @@ fn enabled_sink_still_records() {
         &Registry::new(),
         sink,
         Arc::new(FlightRecorder::new(1, 1)),
-        TraceConfig::default(),
+        TraceConfig {
+            trace_sample_every_n: 1,
+            ..TraceConfig::default()
+        },
     );
     tracer.record(&retrieve(7));
     assert_eq!(ring.events(), [retrieve(7)]);

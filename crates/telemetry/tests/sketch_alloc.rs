@@ -73,6 +73,7 @@ const RETRIEVALS: u64 = 100_000;
 fn a_full_sketch_records_without_allocating() {
     let config = SketchConfig {
         slo_lag_us: 1_000,
+        sample_every_n: 1,
         ..SketchConfig::default()
     };
     let capacity = config.capacity as u64;

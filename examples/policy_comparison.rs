@@ -48,7 +48,12 @@ fn main() -> Result<(), BadError> {
         &registry,
         jsonl.clone(),
         Arc::new(FlightRecorder::new(1, 64)),
-        TraceConfig::default(),
+        // Every lifecycle, not the default one trace in 64: an offline
+        // trace file is for reading back whole.
+        TraceConfig {
+            trace_sample_every_n: 1,
+            ..TraceConfig::default()
+        },
     );
 
     let mut results = Vec::new();
